@@ -93,7 +93,7 @@ func run(args []string) error {
 		debugAddr   = fs.String("debug-addr", "", "optional second listener serving net/http/pprof under /debug/pprof/ (e.g. 127.0.0.1:6060); empty disables it")
 		coordinator = fs.Bool("coordinator", false, "run as a federation coordinator dispatching to -fleet workers instead of executing locally")
 		fleet       = fs.String("fleet", "", "comma-separated worker base URLs for -coordinator (e.g. http://h1:8344,http://h2:8344); more can register over POST /v1/workers")
-		lease       = fs.Duration("lease", 15*time.Second, "coordinator: unit lease duration (renewed by successful status polls)")
+		lease       = fs.Duration("lease", 15*time.Second, "coordinator: unit lease duration (renewed by every answered status request; the coordinator long-polls each leased unit)")
 		heartbeat   = fs.Duration("heartbeat", time.Second, "coordinator: worker /healthz probe interval")
 		straggler   = fs.Float64("straggler-factor", 3, "coordinator: speculative re-dispatch once a unit runs this multiple of the fleet mean unit time")
 		maxAttempts = fs.Int("max-attempts", 3, "coordinator: dispatch attempts per unit before the job fails")

@@ -284,7 +284,7 @@ func cmdSubmit(args []string, stdout io.Writer) error {
 	f.register(fs)
 	server := fs.String("server", "http://127.0.0.1:8344", "experiment service base URL")
 	shards := fs.Int("shards", 0, "fan each job out over this many server-side shard units (0 or 1: unsharded)")
-	poll := fs.Duration("poll", 200*time.Millisecond, "job status poll interval")
+	poll := fs.Duration("poll", 200*time.Millisecond, "longest one job status request waits for the job to finish (long-poll), and the shortest interval between two requests")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}

@@ -250,8 +250,9 @@ func (co *Coordinator) workerForLocked(u *funit) *worker {
 }
 
 // runLease drives one dispatched unit on its worker: submit the shard-unit
-// job, poll its status (each successful poll renews the lease), fetch the
-// artifact on completion and deliver it. Every failure path funnels into
+// job, long-poll its status (each request holds up to PollInterval and
+// answers the moment the unit finishes; each answer renews the lease), fetch
+// the artifact on completion and deliver it. Every failure path funnels into
 // failLeaseLocked, which re-queues or fails the unit.
 func (co *Coordinator) runLease(l *lease) {
 	defer co.wg.Done()
@@ -302,13 +303,11 @@ func (co *Coordinator) runLease(l *lease) {
 			co.mu.Unlock()
 			return
 		}
-		select {
-		case <-co.ctx.Done():
-			return
-		case <-time.After(co.cfg.PollInterval):
-		}
-		st, err = l.w.sub.Job(co.ctx, st.ID)
+		st, err = l.w.sub.JobWait(co.ctx, st.ID, co.cfg.PollInterval)
 		if err != nil {
+			if co.ctx.Err() != nil {
+				return // shutdown abandons the lease; its journal record survives
+			}
 			co.leaseFailed(l, fmt.Sprintf("polling %s: %v", l.w.url, err), err)
 			return
 		}

@@ -64,12 +64,14 @@ type Config struct {
 	// selects 3).
 	DeadAfter int
 	// LeaseDuration bounds each dispatched unit's lease (<= 0 selects 15 s).
-	// Successful status polls renew the lease, so a healthy long-running
-	// unit keeps its lease alive; the lease only expires when the worker
-	// stops answering.
+	// Every answered status request renews the lease, so a healthy
+	// long-running unit keeps its lease alive; the lease only expires when
+	// the worker stops answering. Keep it well above PollInterval.
 	LeaseDuration time.Duration
-	// PollInterval is the remote job status poll period (<= 0 selects
-	// 100 ms).
+	// PollInterval is the longest one remote job status request waits
+	// (<= 0 selects 100 ms): the coordinator long-polls each leased unit
+	// with GET /v1/jobs/{id}?wait=PollInterval, so it learns of a finished
+	// unit at once and renews the lease at least this often.
 	PollInterval time.Duration
 	// StragglerFactor marks a unit a straggler once its runtime exceeds this
 	// multiple of the fleet's mean unit time (EWMA); stragglers get one
@@ -169,6 +171,7 @@ type fedJob struct {
 	remaining  int
 	followers  []*fedJob
 	artifact   []byte
+	done       chan struct{} // closed when the job turns terminal; wakes ?wait= holds
 }
 
 // funit is one dispatchable shard unit of a job.
@@ -383,6 +386,7 @@ func (co *Coordinator) Submit(req service.JobRequest) (service.JobStatus, error)
 		spec:       spec,
 		shards:     req.Shards,
 		created:    time.Now(),
+		done:       make(chan struct{}),
 	}
 	if j.trace == "" {
 		j.trace = obs.NewTraceID()
@@ -548,7 +552,10 @@ func (co *Coordinator) replayLocked(rec journal.Accept) {
 	if created.IsZero() {
 		created = time.Now()
 	}
-	j := &fedJob{id: rec.ID, trace: rec.Trace, experiment: rec.Experiment, shards: rec.Shards, created: created}
+	j := &fedJob{
+		id: rec.ID, trace: rec.Trace, experiment: rec.Experiment, shards: rec.Shards,
+		created: created, done: make(chan struct{}),
+	}
 	if j.trace == "" {
 		j.trace = obs.NewTraceID()
 	}
@@ -669,11 +676,13 @@ func (co *Coordinator) journalLeaseLocked(l *lease) {
 }
 
 // finishLocked marks a job terminal exactly once, counting and logging the
-// terminal transition. Callers hold co.mu.
+// terminal transition and waking its held status requests. Callers hold
+// co.mu.
 func (co *Coordinator) finishLocked(j *fedJob, state, errMsg string) {
 	j.state = state
 	j.errMsg = errMsg
 	j.finished = time.Now()
+	close(j.done)
 	co.terminal = append(co.terminal, j.id)
 	if state == service.StateDone {
 		co.met.jobsDone.Inc()
@@ -752,12 +761,23 @@ func (co *Coordinator) evictLocked() {
 
 // Job returns one job's status.
 func (co *Coordinator) Job(id string) (service.JobStatus, error) {
+	return co.JobWait(context.Background(), id, 0)
+}
+
+// JobWait returns one job's status, first holding up to wait while the job
+// is queued or running, exactly like service.Server.JobWait.
+func (co *Coordinator) JobWait(ctx context.Context, id string, wait time.Duration) (service.JobStatus, error) {
 	co.mu.Lock()
-	defer co.mu.Unlock()
 	j, ok := co.jobs[id]
+	co.mu.Unlock()
 	if !ok {
 		return service.JobStatus{}, fmt.Errorf("%w %q", service.ErrUnknownJob, id)
 	}
+	if wait > 0 {
+		service.AwaitTerminal(ctx, j.done, wait)
+	}
+	co.mu.Lock()
+	defer co.mu.Unlock()
 	return co.statusLocked(j), nil
 }
 

@@ -23,7 +23,8 @@ const maxRequestBody = 1 << 20
 // against a coordinator) plus the worker registry:
 //
 //	POST /v1/jobs              submit; units fan out across the fleet
-//	GET  /v1/jobs/{id}         job state and per-unit progress
+//	GET  /v1/jobs/{id}         job state and per-unit progress; ?wait=
+//	                           holds like the worker daemon's
 //	GET  /v1/jobs/{id}/report  the merged artifact (?format=table renders it)
 //	GET  /v1/experiments       the experiment registry
 //	GET  /v1/batteries         the battery model registry
@@ -108,7 +109,12 @@ func (co *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
 }
 
 func (co *Coordinator) handleJob(w http.ResponseWriter, r *http.Request) {
-	st, err := co.Job(r.PathValue("id"))
+	wait, err := service.ParseWait(r)
+	if err != nil {
+		writeJSON(w, http.StatusBadRequest, apiError{Error: err.Error()})
+		return
+	}
+	st, err := co.JobWait(r.Context(), r.PathValue("id"), wait)
 	if err != nil {
 		writeError(w, err)
 		return

@@ -1,0 +1,263 @@
+package federation_test
+
+import (
+	"context"
+	"encoding/json"
+	"net/http"
+	"net/http/httptest"
+	"testing"
+	"time"
+
+	"battsched/internal/experiments"
+	"battsched/internal/federation"
+	"battsched/internal/service"
+	"battsched/internal/service/client"
+)
+
+// TestUnitDeliveredWhenWorkerFinishes pins that the coordinator learns of a
+// finished unit the moment its worker finishes it, not on its next status
+// poll: with a 3 s PollInterval, a 2-shard quick job on two one-slot workers
+// must finish in well under one poll.
+func TestUnitDeliveredWhenWorkerFinishes(t *testing.T) {
+	_, tsA := startWorker(t, service.Config{Workers: 1})
+	_, tsB := startWorker(t, service.Config{Workers: 1})
+	cfg := fastConfig(tsA.URL, tsB.URL)
+	cfg.PollInterval = 3 * time.Second
+	cfg.LeaseDuration = 30 * time.Second
+	co, c := startCoordinator(t, cfg)
+	waitFor(t, "both workers live", func() bool { return co.Health().Fleet.LiveWorkers == 2 })
+
+	ctx := context.Background()
+	spec := experiments.Spec{Quick: true, Battery: "kibam"}
+	start := time.Now()
+	st, err := c.Submit(ctx, service.JobRequest{
+		Experiment: "table2", Spec: service.SpecRequestFrom(spec), Shards: 2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	final, err := c.Wait(ctx, st.ID, 5*time.Millisecond, nil)
+	elapsed := time.Since(start)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if final.State != service.StateDone {
+		t.Fatalf("job = %s (%s), want done", final.State, final.Error)
+	}
+	if elapsed >= time.Second {
+		t.Fatalf("job took %v with a %v PollInterval, want under 1s", elapsed, cfg.PollInterval)
+	}
+}
+
+// gatedFront is one front end of the /v1 API whose every unit blocks until
+// release is called (or the worker closes): a worker daemon, or a
+// coordinator leasing to one.
+type gatedFront struct {
+	url     string
+	release func()
+	close   func() // the daemon's or the coordinator's Close
+}
+
+// gatedFronts start the two front ends the ?wait= contract must hold on.
+var gatedFronts = []struct {
+	name  string
+	start func(t *testing.T) gatedFront
+}{
+	{"daemon", func(t *testing.T) gatedFront {
+		hook, release := blockingHook()
+		srv, ts := startWorker(t, service.Config{FaultHook: hook})
+		return gatedFront{url: ts.URL, release: release, close: srv.Close}
+	}},
+	{"coordinator", func(t *testing.T) gatedFront {
+		hook, release := blockingHook()
+		_, tsW := startWorker(t, service.Config{FaultHook: hook})
+		co, err := federation.New(fastConfig(tsW.URL))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ts := httptest.NewServer(co.Handler())
+		t.Cleanup(func() {
+			ts.Close()
+			co.Close()
+		})
+		return gatedFront{url: ts.URL, release: release, close: co.Close}
+	}},
+}
+
+// submitRunning submits a one-set quick table2 job to f and waits until it
+// runs, its unit held at f's gate.
+func submitRunning(t *testing.T, f gatedFront) string {
+	t.Helper()
+	c := client.New(f.url)
+	st, err := c.Submit(context.Background(), service.JobRequest{
+		Experiment: "table2", Spec: service.SpecRequest{Quick: true, Battery: "kibam", Sets: 1},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "job running", func() bool {
+		js, err := c.Job(context.Background(), st.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return js.State == service.StateRunning
+	})
+	return st.ID
+}
+
+// statusReply is one answer of GET /v1/jobs/{id}?wait=.
+type statusReply struct {
+	code    int
+	st      service.JobStatus
+	elapsed time.Duration
+}
+
+// fetchStatus requests GET /v1/jobs/{id}?wait=<wait> over raw HTTP.
+func fetchStatus(base, id, wait string) (statusReply, error) {
+	start := time.Now()
+	resp, err := http.Get(base + "/v1/jobs/" + id + "?wait=" + wait)
+	if err != nil {
+		return statusReply{}, err
+	}
+	defer resp.Body.Close()
+	r := statusReply{code: resp.StatusCode}
+	if r.code == http.StatusOK {
+		err = json.NewDecoder(resp.Body).Decode(&r.st)
+	}
+	r.elapsed = time.Since(start)
+	return r, err
+}
+
+func getStatus(t *testing.T, base, id, wait string) statusReply {
+	t.Helper()
+	r, err := fetchStatus(base, id, wait)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
+// getStatusAsync runs fetchStatus in the background.
+func getStatusAsync(t *testing.T, base, id, wait string) <-chan statusReply {
+	ch := make(chan statusReply, 1)
+	go func() {
+		r, err := fetchStatus(base, id, wait)
+		if err != nil {
+			t.Errorf("GET status: %v", err)
+		}
+		ch <- r
+	}()
+	return ch
+}
+
+// TestJobStatusLongPoll pins the ?wait= contract of GET /v1/jobs/{id} on the
+// worker daemon and on the coordinator alike.
+func TestJobStatusLongPoll(t *testing.T) {
+	// held starts GET ?wait=<wait> on a running job in the background and
+	// checks that it is still unanswered a moment later: a server that
+	// ignored the wait would have answered at once.
+	held := func(t *testing.T, f gatedFront, id, wait string) <-chan statusReply {
+		reply := getStatusAsync(t, f.url, id, wait)
+		select {
+		case r := <-reply:
+			t.Fatalf("answered %d %s at once, want the request held", r.code, r.st.State)
+		case <-time.After(50 * time.Millisecond):
+		}
+		return reply
+	}
+	cases := []struct {
+		name string
+		run  func(t *testing.T, f gatedFront)
+	}{
+		{"wait returns done once the gate opens", func(t *testing.T, f gatedFront) {
+			id := submitRunning(t, f)
+			reply := held(t, f, id, "10s")
+			f.release()
+			r := <-reply
+			if r.code != http.StatusOK || r.st.State != service.StateDone {
+				t.Fatalf("reply = %d %s (%s), want 200 done", r.code, r.st.State, r.st.Error)
+			}
+			if r.elapsed >= 5*time.Second {
+				t.Fatalf("held %v after the job finished, want an answer at once", r.elapsed)
+			}
+		}},
+		{"wait elapses on a running job", func(t *testing.T, f gatedFront) {
+			id := submitRunning(t, f)
+			r := getStatus(t, f.url, id, "50ms")
+			if r.code != http.StatusOK || r.st.State != service.StateRunning {
+				t.Fatalf("reply = %d %s, want 200 running", r.code, r.st.State)
+			}
+			if r.elapsed < 50*time.Millisecond {
+				t.Fatalf("answered after %v, want a hold of at least 50ms", r.elapsed)
+			}
+		}},
+		{"malformed or negative wait is 400", func(t *testing.T, f gatedFront) {
+			id := submitRunning(t, f)
+			for _, wait := range []string{"abc", "-1s", "10"} {
+				if r := getStatus(t, f.url, id, wait); r.code != http.StatusBadRequest {
+					t.Fatalf("wait=%s: HTTP %d, want 400", wait, r.code)
+				}
+			}
+		}},
+		{"unknown job is 404 at once", func(t *testing.T, f gatedFront) {
+			r := getStatus(t, f.url, "job-999999", "10s")
+			if r.code != http.StatusNotFound {
+				t.Fatalf("HTTP %d, want 404", r.code)
+			}
+			if r.elapsed >= 5*time.Second {
+				t.Fatalf("unknown job held %v, want an answer at once", r.elapsed)
+			}
+		}},
+		{"wait above the cap is clamped, not rejected", func(t *testing.T, f gatedFront) {
+			id := submitRunning(t, f)
+			reply := held(t, f, id, "1h")
+			f.release()
+			if r := <-reply; r.code != http.StatusOK || r.st.State != service.StateDone {
+				t.Fatalf("reply = %d %s, want 200 done", r.code, r.st.State)
+			}
+		}},
+		{"Close releases a parked waiter", func(t *testing.T, f gatedFront) {
+			id := submitRunning(t, f)
+			reply := held(t, f, id, "10s")
+			f.close()
+			r := <-reply
+			if r.code != http.StatusOK || r.st.State != service.StateFailed {
+				t.Fatalf("reply = %d %s, want 200 failed by the shutdown sweep", r.code, r.st.State)
+			}
+			if r.elapsed >= 5*time.Second {
+				t.Fatalf("Close released the waiter after %v, want at once", r.elapsed)
+			}
+		}},
+	}
+	for _, front := range gatedFronts {
+		t.Run(front.name, func(t *testing.T) {
+			for _, tc := range cases {
+				t.Run(tc.name, func(t *testing.T) { tc.run(t, front.start(t)) })
+			}
+		})
+	}
+}
+
+// TestParseWaitClamps pins the shared ?wait= parser both front ends use.
+func TestParseWaitClamps(t *testing.T) {
+	for raw, want := range map[string]time.Duration{
+		"":      0,
+		"0s":    0,
+		"250ms": 250 * time.Millisecond,
+		"1m":    service.MaxWait,
+		"2m":    service.MaxWait,
+		"1h":    service.MaxWait,
+	} {
+		r := httptest.NewRequest(http.MethodGet, "/v1/jobs/job-000001?wait="+raw, nil)
+		got, err := service.ParseWait(r)
+		if err != nil || got != want {
+			t.Fatalf("wait=%q: %v, %v; want %v", raw, got, err, want)
+		}
+	}
+	for _, raw := range []string{"abc", "-1s", "10"} {
+		r := httptest.NewRequest(http.MethodGet, "/v1/jobs/job-000001?wait="+raw, nil)
+		if _, err := service.ParseWait(r); err == nil {
+			t.Fatalf("wait=%q parsed, want an error", raw)
+		}
+	}
+}

@@ -214,16 +214,32 @@ func (c *Client) Submit(ctx context.Context, req service.JobRequest) (service.Jo
 
 // Job fetches one job's status.
 func (c *Client) Job(ctx context.Context, id string) (service.JobStatus, error) {
+	return c.JobWait(ctx, id, 0)
+}
+
+// JobWait fetches one job's status with GET /v1/jobs/{id}?wait=: the server
+// holds the request until the job is terminal or wait (at most
+// service.MaxWait) elapses, so the answer comes the moment the job finishes.
+// A wait <= 0 answers at once, like Job. A server that ignores the parameter
+// answers at once too.
+func (c *Client) JobWait(ctx context.Context, id string, wait time.Duration) (service.JobStatus, error) {
+	path := "/v1/jobs/" + id
+	if wait > 0 {
+		path += "?wait=" + wait.String()
+	}
 	var st service.JobStatus
-	err := c.do(ctx, http.MethodGet, "/v1/jobs/"+id, "", nil, &st)
+	err := c.do(ctx, http.MethodGet, path, "", nil, &st)
 	return st, err
 }
 
-// Wait polls the job every poll interval (<= 0 selects 200 ms) until it
-// reaches a terminal state (done or failed) and returns that status; observe,
-// when non-nil, receives every intermediate snapshot (for progress display).
-// The error is non-nil only for transport failures or ctx
-// cancellation — inspect the returned State for job failure.
+// Wait waits until the job reaches a terminal state (done or failed) and
+// returns that status. Each status request long-polls for up to poll (<= 0
+// selects 200 ms; see JobWait), so Wait returns as soon as the job finishes;
+// a ticker keeps the requests at most one per poll interval, so a server that
+// ignores ?wait= is polled, not hammered. observe, when non-nil, receives
+// every snapshot (for progress display). The error is non-nil only for
+// transport failures or ctx cancellation — inspect the returned State for
+// job failure.
 func (c *Client) Wait(ctx context.Context, id string, poll time.Duration, observe func(service.JobStatus)) (service.JobStatus, error) {
 	if poll <= 0 {
 		poll = 200 * time.Millisecond
@@ -231,7 +247,7 @@ func (c *Client) Wait(ctx context.Context, id string, poll time.Duration, observ
 	ticker := time.NewTicker(poll)
 	defer ticker.Stop()
 	for {
-		st, err := c.Job(ctx, id)
+		st, err := c.JobWait(ctx, id, poll)
 		if err != nil {
 			return st, err
 		}

@@ -129,3 +129,58 @@ func TestZeroRetriesFailsFast(t *testing.T) {
 		t.Fatal("refused connection succeeded with MaxRetries 0")
 	}
 }
+
+// TestWaitFloorsPollsAgainstServerIgnoringWait pins Wait's back-compat
+// floor: against a server that ignores ?wait= and answers running at once,
+// Wait still asks for the long-poll on every request but makes at most one
+// request per poll interval instead of hot-looping.
+func TestWaitFloorsPollsAgainstServerIgnoringWait(t *testing.T) {
+	const poll = 20 * time.Millisecond
+	var calls atomic.Int32
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		calls.Add(1)
+		if got := r.URL.Query().Get("wait"); got != poll.String() {
+			t.Errorf("request %s: wait = %q, want %q", r.URL, got, poll)
+		}
+		w.Write([]byte(`{"id":"job-000001","state":"running"}`))
+	}))
+	defer ts.Close()
+
+	ctx, cancel := context.WithTimeout(context.Background(), 10*poll)
+	defer cancel()
+	start := time.Now()
+	st, err := New(ts.URL).Wait(ctx, "job-000001", poll, nil)
+	elapsed := time.Since(start)
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("Wait = %+v, %v; want the context deadline", st, err)
+	}
+	if max := int32(elapsed/poll) + 1; calls.Load() > max {
+		t.Fatalf("%d status requests in %v, want at most %d (one per %v poll)", calls.Load(), elapsed, max, poll)
+	}
+	if calls.Load() < 2 {
+		t.Fatalf("%d status requests in %v, want Wait to keep polling", calls.Load(), elapsed)
+	}
+}
+
+// TestJobWaitSendsWait pins the wire form of JobWait: a positive wait rides
+// as ?wait=<Go duration>, and Job (a zero wait) sends none.
+func TestJobWaitSendsWait(t *testing.T) {
+	var got []string
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		got = append(got, r.URL.RequestURI())
+		w.Write([]byte(`{"id":"job-000001","state":"done"}`))
+	}))
+	defer ts.Close()
+	c := New(ts.URL)
+	ctx := context.Background()
+	if _, err := c.JobWait(ctx, "job-000001", 1500*time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Job(ctx, "job-000001"); err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"/v1/jobs/job-000001?wait=1.5s", "/v1/jobs/job-000001"}
+	if len(got) != 2 || got[0] != want[0] || got[1] != want[1] {
+		t.Fatalf("requests = %q, want %q", got, want)
+	}
+}

@@ -2,12 +2,14 @@ package service
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
 	"net/http"
 	"strconv"
+	"time"
 
 	"battsched/internal/battery"
 	"battsched/internal/experiments"
@@ -17,11 +19,49 @@ import (
 // maxRequestBody bounds POST payloads; a JobRequest is a few hundred bytes.
 const maxRequestBody = 1 << 20
 
+// MaxWait caps how long one GET /v1/jobs/{id}?wait= request holds.
+const MaxWait = time.Minute
+
+// ParseWait reads the ?wait= parameter of a job status request: a Go
+// duration ("250ms", "10s") for which the request may hold while the job is
+// queued or running. Absent means 0 (answer at once); a value above MaxWait
+// is clamped to it. A malformed or negative value is an error, which the
+// daemon and the coordinator both answer with 400.
+func ParseWait(r *http.Request) (time.Duration, error) {
+	raw := r.URL.Query().Get("wait")
+	if raw == "" {
+		return 0, nil
+	}
+	d, err := time.ParseDuration(raw)
+	if err != nil {
+		return 0, fmt.Errorf("bad wait: %v", err)
+	}
+	if d < 0 {
+		return 0, fmt.Errorf("bad wait: negative duration %q", raw)
+	}
+	return min(d, MaxWait), nil
+}
+
+// AwaitTerminal blocks until done (a job's terminal channel) is closed, wait
+// elapses or ctx ends, whichever comes first: the hold of a
+// GET /v1/jobs/{id}?wait= request.
+func AwaitTerminal(ctx context.Context, done <-chan struct{}, wait time.Duration) {
+	t := time.NewTimer(wait)
+	defer t.Stop()
+	select {
+	case <-done:
+	case <-ctx.Done():
+	case <-t.C:
+	}
+}
+
 // Handler returns the daemon's HTTP API:
 //
 //	POST /v1/jobs              submit {experiment, spec, shards}; 200 when
 //	                           served from cache, 202 when queued
-//	GET  /v1/jobs/{id}         job state and per-shard progress
+//	GET  /v1/jobs/{id}         job state and per-shard progress; ?wait=10s
+//	                           holds until the job is terminal or the wait
+//	                           (at most MaxWait) elapses
 //	GET  /v1/jobs/{id}/report  the versioned JSON report artifact
 //	                           (?format=table renders the plain-text tables)
 //	GET  /v1/experiments       the experiment registry
@@ -32,8 +72,8 @@ const maxRequestBody = 1 << 20
 // POST /v1/jobs reads the X-Trace-Id header into the submission's trace id
 // (see obs.TraceHeader); JobStatus echoes it as trace_id.
 //
-// Errors are JSON {"error": ...} with 400 (bad request/spec), 404 (unknown
-// job), 409 (report of an unfinished job), 429 (queue full, with a
+// Errors are JSON {"error": ...} with 400 (bad request, spec or wait), 404
+// (unknown job), 409 (report of an unfinished job), 429 (queue full, with a
 // Retry-After header estimating when capacity frees up), 503 (daemon
 // draining; /healthz also turns 503 then) or 500.
 func (s *Server) Handler() http.Handler {
@@ -111,7 +151,12 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
-	st, err := s.Job(r.PathValue("id"))
+	wait, err := ParseWait(r)
+	if err != nil {
+		writeJSON(w, http.StatusBadRequest, apiError{Error: err.Error()})
+		return
+	}
+	st, err := s.JobWait(r.Context(), r.PathValue("id"), wait)
 	if err != nil {
 		writeError(w, err)
 		return

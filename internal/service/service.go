@@ -179,6 +179,7 @@ type job struct {
 	followers  []*job // coalesced submissions resolving with this leader
 	remaining  int
 	artifact   []byte
+	done       chan struct{} // closed when the job turns terminal; wakes ?wait= holds
 }
 
 // unit is one queued/executing shard of a job.
@@ -413,6 +414,7 @@ func (s *Server) Submit(req JobRequest) (JobStatus, error) {
 		hash:       hash,
 		spec:       spec,
 		created:    time.Now(),
+		done:       make(chan struct{}),
 	}
 	if j.trace == "" {
 		// Untraced submission (raw curl): issue a server-side id so the
@@ -539,7 +541,10 @@ func (s *Server) replayLocked(rec journal.Accept) {
 	if created.IsZero() {
 		created = time.Now()
 	}
-	j := &job{id: rec.ID, experiment: rec.Experiment, trace: rec.Trace, created: created}
+	j := &job{
+		id: rec.ID, experiment: rec.Experiment, trace: rec.Trace, created: created,
+		done: make(chan struct{}),
+	}
 	if j.trace == "" {
 		j.trace = obs.NewTraceID()
 	}
@@ -634,12 +639,14 @@ func (s *Server) journalDoneLocked(id string) {
 	}
 }
 
-// finishLocked marks j terminal and records it in the eviction queue (a job
-// reaches a terminal state exactly once). Callers hold s.mu.
+// finishLocked marks j terminal, records it in the eviction queue and wakes
+// its held status requests (a job reaches a terminal state exactly once).
+// Callers hold s.mu.
 func (s *Server) finishLocked(j *job, state, errMsg string) {
 	j.state = state
 	j.errMsg = errMsg
 	j.finished = time.Now()
+	close(j.done)
 	s.terminal = append(s.terminal, j.id)
 	if state == StateDone {
 		s.met.jobsDone.Inc()
@@ -714,12 +721,25 @@ func (s *Server) retryAfterLocked() time.Duration {
 
 // Job returns the status of one job.
 func (s *Server) Job(id string) (JobStatus, error) {
+	return s.JobWait(context.Background(), id, 0)
+}
+
+// JobWait returns the status of one job, first holding up to wait while the
+// job is queued or running: it answers as soon as the job turns terminal
+// (done, failed, or failed by the shutdown sweep), the wait elapses or ctx
+// ends. An unknown job fails at once with ErrUnknownJob.
+func (s *Server) JobWait(ctx context.Context, id string, wait time.Duration) (JobStatus, error) {
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	j, ok := s.jobs[id]
+	s.mu.Unlock()
 	if !ok {
 		return JobStatus{}, fmt.Errorf("%w %q", ErrUnknownJob, id)
 	}
+	if wait > 0 {
+		AwaitTerminal(ctx, j.done, wait)
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	return s.statusLocked(j), nil
 }
 
