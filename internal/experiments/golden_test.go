@@ -51,22 +51,32 @@ func TestGoldenTable1(t *testing.T) {
 	checkGolden(t, "table1_quick", b.String())
 }
 
-// TestGoldenTable2 pins the quick Table 2 output for the kibam battery (all
-// five schemes in discrete-frequency mode).
+// TestGoldenTable2 pins the quick Table 2 output (all five schemes in
+// discrete-frequency mode) for the kibam battery and for the paper's
+// stochastic battery. The stochastic rows are the only golden that runs the
+// stochastic repetition operator on schedule-shaped profiles: about 150
+// sub-second segments per repetition, thousands of repetitions per lifetime.
 func TestGoldenTable2(t *testing.T) {
-	cfg := QuickTable2Config()
-	cfg.BatteryName = "kibam"
-	rows, err := RunTable2(context.Background(), cfg)
-	if err != nil {
-		t.Fatal(err)
+	for _, tc := range []struct{ battery, golden string }{
+		{"kibam", "table2_quick"},
+		{"stochastic", "table2_quick_stochastic"},
+	} {
+		t.Run(tc.battery, func(t *testing.T) {
+			cfg := QuickTable2Config()
+			cfg.BatteryName = tc.battery
+			rows, err := RunTable2(context.Background(), cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var b strings.Builder
+			b.WriteString(FormatTable2(rows, cfg.BatteryName, cfg.Utilization))
+			for _, r := range rows {
+				fmt.Fprintf(&b, "raw %s %.17g %.17g %.17g %.17g %d\n",
+					r.Scheme, r.ChargeDeliveredMAh, r.BatteryLifeMin, r.EnergyPerHyperperiodJ, r.AverageCurrentA, r.Sets)
+			}
+			checkGolden(t, tc.golden, b.String())
+		})
 	}
-	var b strings.Builder
-	b.WriteString(FormatTable2(rows, cfg.BatteryName, cfg.Utilization))
-	for _, r := range rows {
-		fmt.Fprintf(&b, "raw %s %.17g %.17g %.17g %.17g %d\n",
-			r.Scheme, r.ChargeDeliveredMAh, r.BatteryLifeMin, r.EnergyPerHyperperiodJ, r.AverageCurrentA, r.Sets)
-	}
-	checkGolden(t, "table2_quick", b.String())
 }
 
 // TestGoldenFigure6 pins the quick Figure 6 output (continuous-frequency
