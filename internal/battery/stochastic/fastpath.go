@@ -195,28 +195,27 @@ func (b *Battery) ExhaustionTime(current float64) float64 {
 	return sustained
 }
 
-// repSeg caches the per-segment constants of the repetition operator. The
-// recovery constants are stored per unit of the repetition-start recovery
-// probability, which is the only state dependence: within a repetition the
-// depth of discharge advances deterministically, so every segment's recovery
-// sum is the start probability times a precomputed factor.
-type repSeg struct {
-	demand    float64 // whole-step demand of the segment: slots·I·h
-	recFactor float64 // Σ recovery of the whole steps, per unit start probability
-	decay     float64 // e^(−λ·segment demand/Max): probability decay across the steps
-	tail      float64 // fractional trailing step, seconds (0 when none)
-	tailDem   float64 // I·tail
-	tailRec   float64 // recovery of the tail step, per unit probability
-	tailDecay float64 // probability decay across the tail
+// repStep is one step of the repetition operator: the whole-step run or the
+// fractional tail of one segment. The recovery constant is stored per unit of
+// the repetition-start recovery probability, which is the only state
+// dependence: within a repetition the depth of discharge advances
+// deterministically, so every step's recovery sum is the start probability
+// times a precomputed factor.
+type repStep struct {
+	demand float64 // slots·I·h for a whole-step run, I·tail for a tail
+	rec    float64 // Σ recovery over the step, per unit start probability
+	decay  float64 // e^(−λ·demand/Max): probability decay across the step
 }
 
 // repOp is the battery.RepetitionOperator of one profile for one instance:
 // one recoveryProbability evaluation (a single exp) plus a handful of
-// multiply-adds per segment advance a whole repetition, replacing the
-// per-step exp of the reference recursion.
+// multiply-adds per step advance a whole repetition, replacing the per-step
+// exp of the reference recursion. Steps exist only for non-empty segment
+// parts, so a sub-step segment (every segment of a schedule-shaped profile
+// at the default 1 s step) costs one step, its tail.
 type repOp struct {
-	b    *Battery
-	segs []repSeg
+	b     *Battery
+	steps []repStep
 	// conservative-survival bounds over one repetition
 	totalDemand  float64 // coulombs demanded by one full repetition
 	maxStepDem   float64 // largest single-step demand
@@ -234,7 +233,8 @@ type repOp struct {
 func (b *Battery) RepetitionOperator(p *profile.Profile) battery.RepetitionOperator {
 	h := b.estep
 	lambda := b.params.RecoveryDecay / b.params.MaxCoulombs
-	op := &repOp{b: b, stepRecCoeff: b.params.MaxCurrent * h}
+	// at most two steps per segment: its whole-step run and its tail
+	op := &repOp{b: b, steps: make([]repStep, 0, 2*len(p.Segments)), stepRecCoeff: b.params.MaxCurrent * h}
 	for _, sg := range p.Segments {
 		cur := sg.Current
 		if cur < 0 {
@@ -247,17 +247,15 @@ func (b *Battery) RepetitionOperator(p *profile.Profile) battery.RepetitionOpera
 		}
 		idle := 1 - math.Min(cur/b.params.MaxCurrent, 1)
 		x := lambda * cur * h
-		rs := repSeg{
-			demand:    float64(slots) * cur * h,
-			recFactor: geomSum(idle*b.params.MaxCurrent*h, x, float64(slots)),
-			decay:     math.Exp(-x * float64(slots)),
-			tail:      tail,
-			tailDem:   cur * tail,
-			tailRec:   idle * b.params.MaxCurrent * tail,
-			tailDecay: math.Exp(-lambda * cur * tail),
+		demand, tailDem := float64(slots)*cur*h, cur*tail
+		if slots > 0 {
+			rec := geomSum(idle*b.params.MaxCurrent*h, x, float64(slots))
+			op.steps = append(op.steps, repStep{demand, rec, math.Exp(-x * float64(slots))})
 		}
-		op.segs = append(op.segs, rs)
-		op.totalDemand += rs.demand + rs.tailDem
+		if tail > 0 {
+			op.steps = append(op.steps, repStep{tailDem, idle * b.params.MaxCurrent * tail, math.Exp(-lambda * cur * tail)})
+		}
+		op.totalDemand += demand + tailDem
 		if d := cur * h; d > op.maxStepDem {
 			op.maxStepDem = d
 		}
@@ -289,8 +287,10 @@ func (o *repOp) CanAdvance() bool {
 
 // Advance implements battery.RepetitionOperator: one full repetition on the
 // plain surviving branch throughout (guaranteed by CanAdvance). The
-// probability factor threads through the segments as a running product of
-// cached decays, so the whole repetition costs one exp.
+// probability factor threads through the steps as a running product of
+// cached decays, so the whole repetition costs one exp. The state lives in
+// locals for the loop, so each step's updates chain through registers
+// rather than through memory.
 func (o *repOp) Advance() {
 	b := o.b
 	p := 0.0
@@ -300,21 +300,15 @@ func (o *repOp) Advance() {
 		p = b.recoveryProbability()
 	}
 	o.cacheValid = false
-	for i := range o.segs {
-		sg := &o.segs[i]
-		rec := p * sg.recFactor
-		b.available += rec - sg.demand
-		b.bound -= rec
-		b.delivered += sg.demand
-		p *= sg.decay
-		if sg.tail > 0 {
-			rec = p * sg.tailRec
-			b.available += rec - sg.tailDem
-			b.bound -= rec
-			b.delivered += sg.tailDem
-			p *= sg.tailDecay
-		}
+	avail, bound, deliv := b.available, b.bound, b.delivered
+	for _, st := range o.steps {
+		rec := p * st.rec
+		avail += rec - st.demand
+		bound -= rec
+		deliv += st.demand
+		p *= st.decay
 	}
+	b.available, b.bound, b.delivered = avail, bound, deliv
 }
 
 // compile-time interface checks

@@ -2,6 +2,7 @@ package stochastic_test
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"battsched/internal/battery"
@@ -10,15 +11,25 @@ import (
 )
 
 // fastpathProfiles are the load shapes the accuracy gates run on: the bench
-// profile (burst / plateau / near-idle tail with non-integral durations) and
-// constant loads across the curve sweep's range.
+// profile (burst / plateau / near-idle tail with non-integral durations), a
+// schedule-shaped profile and constant loads across the curve sweep's range.
+// The schedule profile is shaped like a recorded Table 2 load: every segment
+// lasts 1–50 ms, far below the default 1 s step, so whole-step runs are
+// empty and each segment is one tail step.
 func fastpathProfiles() map[string]*profile.Profile {
 	bench := profile.New()
 	bench.Append(33.4, 1.2)
 	bench.Append(21.7, 0.4)
 	bench.Append(5.1, 0.01)
+	rng := rand.New(rand.NewSource(7))
+	levels := []float64{0.02, 0.25, 0.5, 0.9, 1.4}
+	schedule := profile.New()
+	for i := 0; i < 150; i++ {
+		schedule.Append(0.001+0.049*rng.Float64(), levels[rng.Intn(len(levels))])
+	}
 	return map[string]*profile.Profile{
 		"bench":        bench,
+		"schedule":     schedule,
 		"constant-0.2": profile.Constant(0.2, 60*3600),
 		"constant-1.0": profile.Constant(1.0, 60*3600),
 		"constant-2.0": profile.Constant(2.0, 60*3600),
@@ -135,33 +146,34 @@ func TestMonteCarloKeepsSlotPath(t *testing.T) {
 // driver run (which uses the operator for the battery's whole steady state)
 // agrees with a manual DrainSegment-only replay to ~1e-9.
 func TestFastPathOperatorConsistency(t *testing.T) {
-	p := fastpathProfiles()["bench"]
-	withOp := stochastic.Default()
-	r, err := battery.SimulateUntilExhausted(withOp, p, battery.SimulateOptions{MaxTime: 60 * 3600})
-	if err != nil {
-		t.Fatal(err)
-	}
-	segOnly := stochastic.Default()
-	segOnly.Reset()
-	t2, alive := 0.0, true
-	for alive && t2 < 60*3600 {
-		for _, seg := range p.Segments {
-			s, al := segOnly.DrainSegment(seg.Current, seg.Duration)
-			t2 += s
-			if !al {
-				alive = false
-				break
+	for name, p := range fastpathProfiles() {
+		withOp := stochastic.Default()
+		r, err := battery.SimulateUntilExhausted(withOp, p, battery.SimulateOptions{MaxTime: 60 * 3600})
+		if err != nil {
+			t.Fatal(err)
+		}
+		segOnly := stochastic.Default()
+		segOnly.Reset()
+		t2, alive := 0.0, true
+		for alive && t2 < 60*3600 {
+			for _, seg := range p.Segments {
+				s, al := segOnly.DrainSegment(seg.Current, seg.Duration)
+				t2 += s
+				if !al {
+					alive = false
+					break
+				}
 			}
 		}
-	}
-	if alive {
-		t.Fatal("segment-only replay survived the horizon")
-	}
-	if d := relDiff(r.Lifetime, t2); d > 1e-9 {
-		t.Errorf("lifetime with operator %v vs segment-only %v (rel %.3e)", r.Lifetime, t2, d)
-	}
-	if d := relDiff(r.DeliveredCharge, segOnly.DeliveredCharge()); d > 1e-9 {
-		t.Errorf("delivered with operator %v vs segment-only %v (rel %.3e)", r.DeliveredCharge, segOnly.DeliveredCharge(), d)
+		if alive {
+			t.Fatalf("%s: segment-only replay survived the horizon", name)
+		}
+		if d := relDiff(r.Lifetime, t2); d > 1e-9 {
+			t.Errorf("%s: lifetime with operator %v vs segment-only %v (rel %.3e)", name, r.Lifetime, t2, d)
+		}
+		if d := relDiff(r.DeliveredCharge, segOnly.DeliveredCharge()); d > 1e-9 {
+			t.Errorf("%s: delivered with operator %v vs segment-only %v (rel %.3e)", name, r.DeliveredCharge, segOnly.DeliveredCharge(), d)
+		}
 	}
 }
 
