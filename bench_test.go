@@ -53,40 +53,37 @@ func BenchmarkFigure6(b *testing.B) {
 	}
 }
 
-// BenchmarkTable2 regenerates the paper's Table 2 (charge delivered and
-// battery lifetime of the five scheduling schemes) on one worker — the
-// sequential baseline BenchmarkTable2Parallel is compared against.
-func BenchmarkTable2(b *testing.B) {
-	cfg := experiments.QuickTable2Config()
-	cfg.BatteryName = "kibam"
-	cfg.Parallel = 1
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.RunTable2(context.Background(), cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(rows) != 5 {
-			b.Fatal("unexpected row count")
-		}
+// benchTable2 regenerates quick Table 2 once per iteration, one
+// sub-benchmark per battery: KiBaM, where the scheduling engine dominates,
+// and the paper's stochastic model, where the battery layer does most of the
+// work.
+func benchTable2(b *testing.B, parallel int) {
+	for _, name := range []string{"kibam", "stochastic"} {
+		b.Run(name, func(b *testing.B) {
+			cfg := experiments.QuickTable2Config()
+			cfg.BatteryName = name
+			cfg.Parallel = parallel
+			for i := 0; i < b.N; i++ {
+				rows, err := experiments.RunTable2(context.Background(), cfg)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if len(rows) != 5 {
+					b.Fatal("unexpected row count")
+				}
+			}
+		})
 	}
 }
 
+// BenchmarkTable2 regenerates the paper's Table 2 (charge delivered and
+// battery lifetime of the five scheduling schemes) on one worker — the
+// sequential baseline BenchmarkTable2Parallel is compared against.
+func BenchmarkTable2(b *testing.B) { benchTable2(b, 1) }
+
 // BenchmarkTable2Parallel runs the same workload on all cores; the ratio to
 // BenchmarkTable2 tracks the speedup of the job-grid runner.
-func BenchmarkTable2Parallel(b *testing.B) {
-	cfg := experiments.QuickTable2Config()
-	cfg.BatteryName = "kibam"
-	cfg.Parallel = 0 // all cores
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.RunTable2(context.Background(), cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(rows) != 5 {
-			b.Fatal("unexpected row count")
-		}
-	}
-}
+func BenchmarkTable2Parallel(b *testing.B) { benchTable2(b, 0) }
 
 // BenchmarkLoadCapacityCurve regenerates the load versus delivered-capacity
 // battery characterisation curve of Section 5.
@@ -202,7 +199,9 @@ func BenchmarkDiffusionLifetime(b *testing.B) {
 }
 
 // BenchmarkStochasticLifetime measures a full lifetime simulation on the
-// stochastic charge-unit cell (expected-value mode; always stepped).
+// stochastic charge-unit cell in expected-value mode, forced onto the stepped
+// path with a 2 s substep (the default dispatch takes the analytic fast path;
+// see internal/battery's BenchmarkLifetimeStochastic*).
 func BenchmarkStochasticLifetime(b *testing.B) {
 	p := benchProfile()
 	for i := 0; i < b.N; i++ {

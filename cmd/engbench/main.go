@@ -46,11 +46,16 @@
 // comparing the MaxStep-2 uniform-stepping path against the analytic path
 // (whole segments + per-repetition transfer operators + exhaustion
 // root-finding) — since the stochastic geometric-recovery fast path, every
-// model has one in its default mode. The report also carries batch rows
-// comparing one SimulateBatch pass over N models against N sequential scalar
-// passes (fresh instance per pass, the pre-batch driver behaviour); engbench
-// exits nonzero if a batch pass is slower than the scalar passes it replaces
-// (beyond a 1.10 noise factor) or allocates more than they did.
+// model has one in its default mode. The schedule rows time the analytic
+// path of every model on a second, schedule-shaped input: the load profile
+// of one recorded Table 2 set, whose ~200 segments are all far shorter than
+// a second and repeat thousands of times per lifetime — the shape the
+// Table 2 and grid drivers hand the battery layer. The report also carries
+// batch rows comparing one SimulateBatch pass over N models against N
+// sequential scalar passes (fresh instance per pass, the pre-batch driver
+// behaviour); engbench exits nonzero if a batch pass is slower than the
+// scalar passes it replaces (beyond a 1.10 noise factor) or allocates more
+// than they did.
 //
 // The service submit report (BENCH_submit.json in CI, -service-o; the
 // broader BENCH_service.json load report is cmd/loadgen's): BenchmarkServiceSubmit
@@ -95,8 +100,10 @@ import (
 	"battsched/internal/dvs"
 	"battsched/internal/obs"
 	"battsched/internal/priority"
+	"battsched/internal/processor"
 	"battsched/internal/profile"
 	"battsched/internal/profutil"
+	"battsched/internal/runner"
 	"battsched/internal/service"
 	"battsched/internal/service/client"
 	"battsched/internal/taskgraph"
@@ -173,12 +180,12 @@ type report struct {
 }
 
 // batteryMeasurement is one battery model's stepped-versus-analytic lifetime
-// simulation comparison.
+// simulation comparison (schedule rows carry the analytic columns only).
 type batteryMeasurement struct {
 	Model string `json:"model"`
 	// SteppedNsPerOp is the MaxStep-2 uniform-stepping path (the
 	// pre-analytic experiment configuration).
-	SteppedNsPerOp float64 `json:"stepped_ns_per_op"`
+	SteppedNsPerOp float64 `json:"stepped_ns_per_op,omitempty"`
 	// AnalyticNsPerOp is the analytic fast path (since the stochastic
 	// geometric-recovery fast path, every model has one in its default mode).
 	AnalyticNsPerOp float64 `json:"analytic_ns_per_op,omitempty"`
@@ -187,7 +194,7 @@ type batteryMeasurement struct {
 	// SteppedLifetimeMin and AnalyticLifetimeMin are the simulated lifetimes
 	// of the two paths — the sanity anchor that both benchmark columns
 	// simulate the same physics.
-	SteppedLifetimeMin  float64 `json:"stepped_lifetime_min"`
+	SteppedLifetimeMin  float64 `json:"stepped_lifetime_min,omitempty"`
 	AnalyticLifetimeMin float64 `json:"analytic_lifetime_min,omitempty"`
 }
 
@@ -220,7 +227,11 @@ type batteryReport struct {
 	Benchmark string               `json:"benchmark"`
 	Profile   string               `json:"profile"`
 	Models    []batteryMeasurement `json:"models"`
-	Batch     []batchMeasurement   `json:"batch"`
+	// ScheduleProfile describes the input of the Schedule rows, which time
+	// the analytic path of every model on one recorded Table 2 set.
+	ScheduleProfile string               `json:"schedule_profile"`
+	Schedule        []batteryMeasurement `json:"schedule"`
+	Batch           []batchMeasurement   `json:"batch"`
 }
 
 // batteryFactories returns the four model families in their default modes.
@@ -233,20 +244,50 @@ func batteryFactories() []func() battery.Model {
 	}
 }
 
+// table2SetProfile records the load profile of one paper Table 2 set the
+// way the Table 2 driver does for its battery stage: set 0 of the default
+// seed (5 graphs at 70% utilisation), scheduled by BAS-2 (laEDF + pUBS over
+// all released graphs, discrete frequencies) for 4 hyperperiods.
+func table2SetProfile() (*profile.Profile, error) {
+	proc := processor.Default()
+	seed := runner.SeedFor(1, 0)
+	sys, err := tgff.GenerateSystem(tgff.DefaultConfig(), 5, 0.7, proc.FMax(), rand.New(rand.NewSource(seed)))
+	if err != nil {
+		return nil, err
+	}
+	res, err := core.Run(core.Config{
+		System:        sys,
+		Processor:     proc,
+		DVS:           dvs.NewLAEDF(),
+		Priority:      priority.NewPUBS(),
+		ReadyPolicy:   core.AllReleased,
+		FrequencyMode: core.DiscreteFrequency,
+		Execution:     taskgraph.NewUniformExecution(0.2, 1.0, seed),
+		Hyperperiods:  4,
+		Seed:          seed,
+		Observer:      core.NewProfileRecorder(),
+	})
+	if err != nil {
+		return nil, err
+	}
+	return res.Profile, nil
+}
+
 // benchBattery measures full 72 h lifetime simulations of every battery
-// model on a representative periodic load, stepped versus analytic.
+// model on a representative periodic load, stepped versus analytic, and on
+// one recorded Table 2 set, analytic only.
 func benchBattery() batteryReport {
 	p := profile.New()
 	p.Append(33.4, 1.2)
 	p.Append(21.7, 0.4)
 	p.Append(5.1, 0.01)
 
-	measure := func(model func() battery.Model, opts battery.SimulateOptions) (float64, float64) {
+	measure := func(model func() battery.Model, load *profile.Profile, opts battery.SimulateOptions) (float64, float64) {
 		opts.MaxTime = 72 * 3600
 		var life float64
 		r := testing.Benchmark(func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				res, err := battery.SimulateUntilExhausted(model(), p, opts)
+				res, err := battery.SimulateUntilExhausted(model(), load, opts)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -265,12 +306,25 @@ func benchBattery() batteryReport {
 	for i, factory := range factories {
 		var meas batteryMeasurement
 		meas.Model = names[i]
-		meas.SteppedNsPerOp, meas.SteppedLifetimeMin = measure(factory, battery.SimulateOptions{MaxStep: 2})
-		meas.AnalyticNsPerOp, meas.AnalyticLifetimeMin = measure(factory, battery.SimulateOptions{})
+		meas.SteppedNsPerOp, meas.SteppedLifetimeMin = measure(factory, p, battery.SimulateOptions{MaxStep: 2})
+		meas.AnalyticNsPerOp, meas.AnalyticLifetimeMin = measure(factory, p, battery.SimulateOptions{})
 		if meas.AnalyticNsPerOp > 0 {
 			meas.Speedup = meas.SteppedNsPerOp / meas.AnalyticNsPerOp
 		}
 		rep.Models = append(rep.Models, meas)
+	}
+
+	sched, err := table2SetProfile()
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "engbench:", err)
+		os.Exit(1)
+	}
+	rep.ScheduleProfile = fmt.Sprintf("Table 2 set 0 (seed 1), BAS-2, 4 hyperperiods: %d segments over %.4g s, mean %.4g A",
+		len(sched.Segments), sched.Duration(), sched.AverageCurrent())
+	for i, factory := range factories {
+		meas := batteryMeasurement{Model: names[i]}
+		meas.AnalyticNsPerOp, meas.AnalyticLifetimeMin = measure(factory, sched, battery.SimulateOptions{})
+		rep.Schedule = append(rep.Schedule, meas)
 	}
 
 	// Batch rows: N models (cycling the four families) drained against the

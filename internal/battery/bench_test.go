@@ -1,6 +1,7 @@
 package battery_test
 
 import (
+	"math/rand"
 	"testing"
 
 	"battsched/internal/battery"
@@ -8,7 +9,14 @@ import (
 	"battsched/internal/battery/kibam"
 	"battsched/internal/battery/peukert"
 	"battsched/internal/battery/stochastic"
+	"battsched/internal/core"
+	"battsched/internal/dvs"
+	"battsched/internal/priority"
+	"battsched/internal/processor"
 	"battsched/internal/profile"
+	"battsched/internal/runner"
+	"battsched/internal/taskgraph"
+	"battsched/internal/tgff"
 )
 
 // benchLifetimeProfile is a representative scheduler-shaped load: a burst, a
@@ -22,11 +30,54 @@ func benchLifetimeProfile() *profile.Profile {
 	return p
 }
 
+// table2SetProfile records the load profile of one paper Table 2 set the
+// way the Table 2 driver does for its battery stage: set 0 of the default
+// seed (5 graphs at 70% utilisation), scheduled by BAS-2 (laEDF + pUBS over
+// all released graphs, discrete frequencies) for 4 hyperperiods. Its ~200
+// segments are all far shorter than a second and repeat thousands of times
+// per lifetime.
+func table2SetProfile(b *testing.B) *profile.Profile {
+	b.Helper()
+	proc := processor.Default()
+	seed := runner.SeedFor(1, 0)
+	sys, err := tgff.GenerateSystem(tgff.DefaultConfig(), 5, 0.7, proc.FMax(), rand.New(rand.NewSource(seed)))
+	if err != nil {
+		b.Fatal(err)
+	}
+	res, err := core.Run(core.Config{
+		System:        sys,
+		Processor:     proc,
+		DVS:           dvs.NewLAEDF(),
+		Priority:      priority.NewPUBS(),
+		ReadyPolicy:   core.AllReleased,
+		FrequencyMode: core.DiscreteFrequency,
+		Execution:     taskgraph.NewUniformExecution(0.2, 1.0, seed),
+		Hyperperiods:  4,
+		Seed:          seed,
+		Observer:      core.NewProfileRecorder(),
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return res.Profile
+}
+
+// lifetimeInput is one load shape of the per-model lifetime benchmarks.
+type lifetimeInput struct {
+	name string
+	p    *profile.Profile
+}
+
+// lifetimeInputs are the load shapes the per-model lifetime benchmarks run
+// on: the periodic bench profile and one recorded Table 2 set.
+func lifetimeInputs(b *testing.B) []lifetimeInput {
+	return []lifetimeInput{{"periodic", benchLifetimeProfile()}, {"table2-set", table2SetProfile(b)}}
+}
+
 // benchLifetime runs full lifetime simulations of fresh model instances over
 // a 72 h horizon under the given options.
-func benchLifetime(b *testing.B, model func() battery.Model, opts battery.SimulateOptions) {
+func benchLifetime(b *testing.B, model func() battery.Model, p *profile.Profile, opts battery.SimulateOptions) {
 	b.Helper()
-	p := benchLifetimeProfile()
 	opts.MaxTime = 72 * 3600
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -42,15 +93,17 @@ func benchLifetime(b *testing.B, model func() battery.Model, opts battery.Simula
 }
 
 // benchLifetimePaths benchmarks the stepped (MaxStep 2, the pre-analytic
-// experiment configuration) and analytic paths on the same profile.
+// experiment configuration) and analytic paths on each lifetime input.
 func benchLifetimePaths(b *testing.B, model func() battery.Model) {
 	b.Helper()
-	b.Run("stepped", func(b *testing.B) {
-		benchLifetime(b, model, battery.SimulateOptions{MaxStep: 2})
-	})
-	b.Run("analytic", func(b *testing.B) {
-		benchLifetime(b, model, battery.SimulateOptions{})
-	})
+	for _, in := range lifetimeInputs(b) {
+		b.Run(in.name+"/stepped", func(b *testing.B) {
+			benchLifetime(b, model, in.p, battery.SimulateOptions{MaxStep: 2})
+		})
+		b.Run(in.name+"/analytic", func(b *testing.B) {
+			benchLifetime(b, model, in.p, battery.SimulateOptions{})
+		})
+	}
 }
 
 func BenchmarkLifetimeKiBaM(b *testing.B) {
@@ -75,14 +128,18 @@ func BenchmarkLifetimeStochastic(b *testing.B) {
 
 // BenchmarkLifetimeStochasticFast is the CI-tracked speedup gate of the
 // stochastic fast path: the same expected-value lifetime through the default
-// analytic dispatch versus the forced 1 s-substep stepping it replaces.
+// analytic dispatch versus the forced 1 s-substep stepping it replaces, on
+// each lifetime input.
 func BenchmarkLifetimeStochasticFast(b *testing.B) {
-	b.Run("stepped1s", func(b *testing.B) {
-		benchLifetime(b, func() battery.Model { return stochastic.Default() }, battery.SimulateOptions{MaxStep: 1})
-	})
-	b.Run("fast", func(b *testing.B) {
-		benchLifetime(b, func() battery.Model { return stochastic.Default() }, battery.SimulateOptions{})
-	})
+	model := func() battery.Model { return stochastic.Default() }
+	for _, in := range lifetimeInputs(b) {
+		b.Run(in.name+"/stepped1s", func(b *testing.B) {
+			benchLifetime(b, model, in.p, battery.SimulateOptions{MaxStep: 1})
+		})
+		b.Run(in.name+"/fast", func(b *testing.B) {
+			benchLifetime(b, model, in.p, battery.SimulateOptions{})
+		})
+	}
 }
 
 // batchBenchModels builds n models cycling through the four families with
@@ -102,7 +159,8 @@ func batchBenchModels(b *testing.B, n int) []battery.Model {
 	return models
 }
 
-// benchLifetimeBatch benchmarks evaluating n models over the bench profile
+// benchLifetimeBatch benchmarks evaluating n models over the periodic bench
+// profile (the comparison is batch against scalar passes, not load shape)
 // three ways: the batch API, n sequential default-dispatch simulations
 // (scalar), and n sequential stepped-path simulations (scalar-stepped, the
 // pre-analytic configuration — the baseline the batch speedup criterion is
