@@ -49,8 +49,10 @@
 // safeguard) on the closed form. The stochastic model's expected-value mode
 // (its default) is analytic too: between recoveries the delivered charge
 // advances deterministically, so the expected recovery collapses to a
-// closed-form geometric series per segment; Monte Carlo mode declines the
-// fast path (BatteryAnalyticGater) and keeps exact slot stepping. Setting
+// closed-form geometric series per segment, and its repetition operator costs
+// one step per non-empty segment part (whole-step run or fractional tail) per
+// repetition; Monte Carlo mode declines the fast path (BatteryAnalyticGater)
+// and keeps exact slot stepping. Setting
 // BatterySimulateOptions.MaxStep to a positive value forces the
 // uniform-stepping path for every model (the reference the accuracy tests
 // compare against); cmd/batsim and cmd/basched expose the choice as -maxstep.

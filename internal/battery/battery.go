@@ -56,6 +56,9 @@ type SegmentDrainer interface {
 // the state of the closed-form models (a 2-vector for KiBaM, a (1+Terms)-
 // vector for diffusion, two scalar budgets for Peukert), so the operator is
 // precomputed once per simulation and applied in O(state) per repetition.
+// The stochastic model's operator is not affine (recovery decays with the
+// delivered charge); it costs one multiply-add step per non-empty segment
+// part (whole-step run or fractional tail) per repetition.
 type RepetitionOperator interface {
 	// CanAdvance conservatively reports whether the model survives one full
 	// profile repetition from its current state. It may return false for a
@@ -158,11 +161,12 @@ type SimulateOptions struct {
 	// MaxStep selects the simulation path. Zero (the default) dispatches on
 	// the model: models implementing SegmentDrainer take the analytic path
 	// (whole constant-current segments, per-repetition transfer operators,
-	// root-finding for the exhaustion instant); other models (the stochastic
-	// model, with its internal time discretisation) take the stepped path
-	// with a 1 s substep. A positive value forces the stepped path with that
-	// substep for every model — the reference the accuracy tests compare the
-	// analytic path against.
+	// root-finding for the exhaustion instant) unless their AnalyticGater
+	// declines it; the rest (of the registered models, only the stochastic
+	// model in Monte Carlo mode) take the stepped path with a 1 s substep.
+	// A positive value forces the stepped path with that substep for every
+	// model — the reference the accuracy tests compare the analytic path
+	// against.
 	MaxStep float64
 }
 
@@ -180,7 +184,8 @@ func (o *SimulateOptions) setDefaults() {
 // MaxStep forces the stepped path: each constant-current segment is applied
 // exactly in one closed-form update, and when the model also implements
 // RepetitionTransferer whole profile repetitions are applied through the
-// precomputed affine transfer operator in O(state) time while the operator's
+// precomputed transfer operator (O(state) for the affine models, one step
+// per non-empty segment part for the stochastic model) while the operator's
 // conservative check proves the battery survives them, falling back to
 // segment stepping only around the horizon and the exhaustion repetition.
 func SimulateUntilExhausted(m Model, p *profile.Profile, opts SimulateOptions) (Result, error) {
@@ -262,8 +267,9 @@ func simulateAnalytic(m SegmentDrainer, p *profile.Profile, opts SimulateOptions
 }
 
 // simulateStepped drives any model by subdividing segments into MaxStep
-// substeps (the pre-analytic behaviour, and the only path for models with an
-// internal time discretisation).
+// substeps: the pre-analytic behaviour, the path a positive MaxStep forces,
+// and the only path for models that decline the analytic one (stochastic
+// Monte Carlo mode, whose trajectory is defined one RNG draw per slot).
 func simulateStepped(m Model, p *profile.Profile, opts SimulateOptions) (Result, error) {
 	m.Reset()
 	var res Result

@@ -212,7 +212,9 @@ type repStep struct {
 // multiply-adds per step advance a whole repetition, replacing the per-step
 // exp of the reference recursion. Steps exist only for non-empty segment
 // parts, so a sub-step segment (every segment of a schedule-shaped profile
-// at the default 1 s step) costs one step, its tail.
+// at the default 1 s step) costs one step, its tail; the empty whole-step
+// run it skips would apply recovery p·0, demand 0 and decay e⁰ = 1, an exact
+// identity, so skipping it changes no bit of the state.
 type repOp struct {
 	b     *Battery
 	steps []repStep
