@@ -1,10 +1,16 @@
 package federation_test
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
+	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -53,25 +59,35 @@ func TestUnitDeliveredWhenWorkerFinishes(t *testing.T) {
 // release is called (or the worker closes): a worker daemon, or a
 // coordinator leasing to one.
 type gatedFront struct {
-	url     string
-	release func()
-	close   func() // the daemon's or the coordinator's Close
+	url      string
+	release  func()
+	close    func() // the daemon's or the coordinator's Close
+	shutdown func(context.Context) error
+	execs    func() int32 // units that reached the executing daemon's FaultHook
 }
 
-// gatedFronts start the two front ends the ?wait= contract must hold on.
+// frontOpts sizes the front end under test: its unit queue bound and its job
+// map bound (0 keeps each mode's default).
+type frontOpts struct {
+	queue, maxJobs int
+}
+
+// gatedFronts start the two front ends the /v1 contract must hold on.
 var gatedFronts = []struct {
 	name  string
-	start func(t *testing.T) gatedFront
+	start func(t *testing.T, o frontOpts) gatedFront
 }{
-	{"daemon", func(t *testing.T) gatedFront {
-		hook, release := blockingHook()
-		srv, ts := startWorker(t, service.Config{FaultHook: hook})
-		return gatedFront{url: ts.URL, release: release, close: srv.Close}
+	{"daemon", func(t *testing.T, o frontOpts) gatedFront {
+		hook, release, execs := countingGate()
+		srv, ts := startWorker(t, service.Config{FaultHook: hook, QueueCapacity: o.queue, MaxJobs: o.maxJobs})
+		return gatedFront{url: ts.URL, release: release, close: srv.Close, shutdown: srv.Shutdown, execs: execs}
 	}},
-	{"coordinator", func(t *testing.T) gatedFront {
-		hook, release := blockingHook()
+	{"coordinator", func(t *testing.T, o frontOpts) gatedFront {
+		hook, release, execs := countingGate()
 		_, tsW := startWorker(t, service.Config{FaultHook: hook})
-		co, err := federation.New(fastConfig(tsW.URL))
+		cfg := fastConfig(tsW.URL)
+		cfg.QueueCapacity, cfg.MaxJobs = o.queue, o.maxJobs
+		co, err := federation.New(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -80,8 +96,19 @@ var gatedFronts = []struct {
 			ts.Close()
 			co.Close()
 		})
-		return gatedFront{url: ts.URL, release: release, close: co.Close}
+		return gatedFront{url: ts.URL, release: release, close: co.Close, shutdown: co.Shutdown, execs: execs}
 	}},
+}
+
+// countingGate is blockingHook that also counts the units reaching it.
+func countingGate() (func(context.Context, string, experiments.Shard) error, func(), func() int32) {
+	hook, release := blockingHook()
+	var n atomic.Int32
+	counted := func(ctx context.Context, name string, shard experiments.Shard) error {
+		n.Add(1)
+		return hook(ctx, name, shard)
+	}
+	return counted, release, n.Load
 }
 
 // submitRunning submits a one-set quick table2 job to f and waits until it
@@ -232,7 +259,7 @@ func TestJobStatusLongPoll(t *testing.T) {
 	for _, front := range gatedFronts {
 		t.Run(front.name, func(t *testing.T) {
 			for _, tc := range cases {
-				t.Run(tc.name, func(t *testing.T) { tc.run(t, front.start(t)) })
+				t.Run(tc.name, func(t *testing.T) { tc.run(t, front.start(t, frontOpts{})) })
 			}
 		})
 	}
@@ -259,5 +286,175 @@ func TestParseWaitClamps(t *testing.T) {
 		if _, err := service.ParseWait(r); err == nil {
 			t.Fatalf("wait=%q parsed, want an error", raw)
 		}
+	}
+}
+
+// postJob submits body over raw HTTP, returning the status code, the
+// Retry-After header and the decoded JobStatus (zero unless 200 or 202).
+func postJob(t *testing.T, base, body string) (int, string, service.JobStatus) {
+	t.Helper()
+	resp, err := http.Post(base+"/v1/jobs", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var st service.JobStatus
+	if resp.StatusCode == http.StatusOK || resp.StatusCode == http.StatusAccepted {
+		if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return resp.StatusCode, resp.Header.Get("Retry-After"), st
+}
+
+// jobBody is the JSON of a one-set quick table2 submission with seed.
+func jobBody(seed int) string {
+	return fmt.Sprintf(`{"experiment":"table2","spec":{"quick":true,"battery":"kibam","sets":1,"seed":%d}}`, seed)
+}
+
+// TestFrontContract pins the job front end's admission contract on the
+// worker daemon and on the coordinator alike: coalescing, the queue bound,
+// job map eviction and drain.
+func TestFrontContract(t *testing.T) {
+	cases := []struct {
+		name string
+		opts frontOpts
+		run  func(t *testing.T, f gatedFront)
+	}{
+		{"identical concurrent submissions run once", frontOpts{}, func(t *testing.T, f gatedFront) {
+			const n = 6
+			ids := make([]string, n)
+			coalesced := make([]bool, n)
+			var wg sync.WaitGroup
+			for i := range n {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					st, err := client.New(f.url).Submit(context.Background(), service.JobRequest{
+						Experiment: "table2", Spec: service.SpecRequest{Quick: true, Battery: "kibam", Sets: 1},
+					})
+					if err != nil {
+						t.Errorf("submit %d: %v", i, err)
+						return
+					}
+					ids[i], coalesced[i] = st.ID, st.Coalesced
+				}()
+			}
+			wg.Wait()
+			if t.Failed() {
+				t.FailNow()
+			}
+			f.release()
+			want := localArtifact(t, "table2", experiments.Spec{Quick: true, Battery: "kibam", Sets: 1})
+			c := client.New(f.url)
+			followers := 0
+			for i, id := range ids {
+				st, err := c.Wait(context.Background(), id, 5*time.Millisecond, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if st.State != service.StateDone {
+					t.Fatalf("job %s = %s (%s), want done", id, st.State, st.Error)
+				}
+				if st.Coalesced != coalesced[i] {
+					t.Fatalf("job %s flipped coalesced from %v to %v", id, coalesced[i], st.Coalesced)
+				}
+				if st.Coalesced {
+					followers++
+				}
+				got, err := c.ReportArtifact(context.Background(), id)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(got, want) {
+					t.Fatalf("job %s artifact differs from the local run", id)
+				}
+			}
+			if followers != n-1 {
+				t.Fatalf("%d coalesced followers, want %d", followers, n-1)
+			}
+			if got := f.execs(); got != 1 {
+				t.Fatalf("FaultHook fired %d times, want exactly once", got)
+			}
+		}},
+		{"novel submission beyond capacity is 429 with Retry-After", frontOpts{queue: 1}, func(t *testing.T, f gatedFront) {
+			// The bound counts queued units (and, under some rules, units in
+			// flight too): with every unit wedged, some novel submission
+			// within a few must overflow it.
+			for seed := 1; seed <= 10; seed++ {
+				code, retry, _ := postJob(t, f.url, jobBody(seed))
+				if code == http.StatusTooManyRequests {
+					if secs, err := strconv.Atoi(retry); err != nil || secs < 1 {
+						t.Fatalf("Retry-After = %q, want a whole-second value >= 1", retry)
+					}
+					return
+				}
+				if code != http.StatusAccepted {
+					t.Fatalf("submission %d: HTTP %d, want 202 or 429", seed, code)
+				}
+			}
+			t.Fatal("10 novel submissions all fit a 1-unit queue bound")
+		}},
+		{"evicted job is 404 and resubmission is cached", frontOpts{maxJobs: 2}, func(t *testing.T, f gatedFront) {
+			f.release()
+			c := client.New(f.url)
+			ctx := context.Background()
+			req := service.JobRequest{Experiment: "table2", Spec: service.SpecRequest{Quick: true, Battery: "kibam", Sets: 1}}
+			first, err := c.Submit(ctx, req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st, err := c.Wait(ctx, first.ID, 5*time.Millisecond, nil); err != nil || st.State != service.StateDone {
+				t.Fatalf("first job = %+v, %v; want done", st, err)
+			}
+			for range 3 {
+				if st, err := c.Submit(ctx, req); err != nil || !st.Cached {
+					t.Fatalf("resubmission = %+v, %v; want cached", st, err)
+				}
+			}
+			if r := getStatus(t, f.url, first.ID, "0s"); r.code != http.StatusNotFound {
+				t.Fatalf("evicted job: HTTP %d, want 404", r.code)
+			}
+			if st, err := c.Submit(ctx, req); err != nil || !st.Cached || st.State != service.StateDone {
+				t.Fatalf("resubmission after eviction = %+v, %v; want cached done", st, err)
+			}
+		}},
+		{"draining answers 503 with Retry-After 1", frontOpts{}, func(t *testing.T, f gatedFront) {
+			submitRunning(t, f)
+			done := make(chan error, 1)
+			go func() { done <- f.shutdown(context.Background()) }()
+			waitFor(t, "/healthz to answer 503", func() bool {
+				resp, err := http.Get(f.url + "/healthz")
+				if err != nil {
+					t.Fatal(err)
+				}
+				resp.Body.Close()
+				return resp.StatusCode == http.StatusServiceUnavailable
+			})
+			code, retry, _ := postJob(t, f.url, jobBody(2))
+			if code != http.StatusServiceUnavailable || retry != "1" {
+				t.Fatalf("submit while draining: HTTP %d, Retry-After %q; want 503 and 1", code, retry)
+			}
+			f.release()
+			select {
+			case err := <-done:
+				if err != nil {
+					t.Fatal(err)
+				}
+			case <-time.After(30 * time.Second):
+				t.Fatal("Shutdown did not return after the gate opened")
+			}
+		}},
+	}
+	for _, front := range gatedFronts {
+		t.Run(front.name, func(t *testing.T) {
+			for _, tc := range cases {
+				t.Run(tc.name, func(t *testing.T) {
+					f := front.start(t, tc.opts)
+					t.Cleanup(f.release)
+					tc.run(t, f)
+				})
+			}
+		})
 	}
 }
