@@ -3,44 +3,256 @@ package federation
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log"
 	"net"
+	"net/http"
+	"slices"
+	"sync"
 	"syscall"
 	"time"
 
 	"battsched/internal/experiments"
 	"battsched/internal/obs"
 	"battsched/internal/service"
+	"battsched/internal/service/client"
+	"battsched/internal/service/journal"
 )
+
+// fleet is the coordinator's service.Executor: it leases each unit the front
+// end queues to a live worker with a free slot. All its state is guarded by
+// the Server's lock (service.Server.Lock).
+type fleet struct {
+	cfg     Config
+	s       *service.Server
+	ctx     context.Context
+	met     fleetMetrics
+	workers map[string]*worker
+	units   map[*service.Unit]*unitState // units dispatched or resumed, until their job ends
+}
+
+// worker is one registered battschedd.
+type worker struct {
+	url        string
+	sub        *client.Client // submits and polls: a couple of retries absorb restarts
+	probe      *client.Client // heartbeats: fail fast, the heartbeat loop is the retry
+	live       bool
+	fails      int     // consecutive failed heartbeats
+	slots      int     // the worker's pool size, from its last health snapshot
+	leased     int     // units this coordinator currently leases to it
+	meanUnitNs float64 // per-worker EWMA of dispatch-to-delivery unit time
+}
+
+// unitState is the fleet's view of one unit.
+type unitState struct {
+	attempts int // dispatches so far (speculative duplicates count)
+	leases   []*lease
+	prefer   string // journaled worker URL to prefer on restart replay
+}
+
+// lease is one outstanding dispatch of a unit to a worker.
+type lease struct {
+	u         *service.Unit
+	st        *unitState
+	w         *worker
+	remote    string // the worker's job ID, once known
+	started   time.Time
+	expires   time.Time
+	cancelled bool // expired or superseded; the poll goroutine stops
+}
+
+// unitName names a unit for logs and errors.
+func unitName(u *service.Unit) string {
+	if u.Shard().Enabled() {
+		return u.Shard().String()
+	}
+	return "0/1"
+}
+
+// event builds an event record of u on worker w.
+func event(name string, u *service.Unit, w *worker) obs.Event {
+	req := u.Request()
+	return obs.Event{Event: name, Trace: req.TraceID, Job: u.Job(), Experiment: req.Experiment,
+		Unit: u.Shard().String(), Worker: w.url}
+}
+
+func (f *fleet) Start(ctx context.Context, wg *sync.WaitGroup, s *service.Server) {
+	f.s, f.ctx = s, ctx
+	f.met = newFleetMetrics(s.Metrics())
+	f.registerGauges()
+	for u := range f.workers {
+		f.registerWorkerMetrics(u)
+	}
+	wg.Add(2)
+	go f.heartbeatLoop(wg)
+	go f.leaseMonitor(wg)
+}
+
+// Validate rejects unit-level jobs: they are the coordinator's output, not
+// its input — a coordinator fronting coordinators is not supported.
+func (f *fleet) Validate(req service.JobRequest) error {
+	if req.Shard != "" {
+		return fmt.Errorf("%w: the coordinator does not accept shard-unit jobs", experiments.ErrBadConfig)
+	}
+	return nil
+}
+
+// Place leases u to its preferred worker when that one is live with a free
+// slot (the journaled lease target on restart — the result is likely cached
+// or still in flight there), otherwise to the live worker with the most free
+// slots that is not already running u.
+func (f *fleet) Place(u *service.Unit) func(context.Context) func() {
+	st := f.state(u)
+	eligible := func(w *worker) bool {
+		if !w.live || w.leased >= w.slots {
+			return false
+		}
+		for _, l := range st.leases {
+			if l.w == w && !l.cancelled {
+				return false // already running this unit (speculation targets another worker)
+			}
+		}
+		return true
+	}
+	w := f.workers[st.prefer]
+	if w == nil || !eligible(w) {
+		w = nil
+		for _, c := range f.workers {
+			if eligible(c) && (w == nil || c.slots-c.leased > w.slots-w.leased) {
+				w = c
+			}
+		}
+	}
+	if w == nil {
+		return nil
+	}
+	st.attempts++
+	now := time.Now()
+	l := &lease{u: u, st: st, w: w, started: now, expires: now.Add(f.cfg.LeaseDuration)}
+	st.leases = append(st.leases, l)
+	w.leased++
+	f.s.JournalLeaseLocked(u, journal.Lease{Worker: w.url, Expires: l.expires})
+	return func(ctx context.Context) func() { return f.runLease(ctx, l) }
+}
+
+// state returns u's fleet state, creating it on first use. Callers hold the
+// lock.
+func (f *fleet) state(u *service.Unit) *unitState {
+	st := f.units[u]
+	if st == nil {
+		st = &unitState{}
+		f.units[u] = st
+	}
+	return st
+}
+
+// Resume folds a shard partial the previous coordinator already cached
+// without a dispatch, and otherwise prefers the unit's journaled worker.
+func (f *fleet) Resume(u *service.Unit, leases []journal.Lease) bool {
+	if u.Shard().Enabled() {
+		if raw, ok := f.s.CacheGetLocked(u); ok {
+			if rep, err := decodePartial(raw); err == nil && f.s.DeliverLocked(u, rep, raw, 0, "") {
+				return true
+			}
+		}
+	}
+	for _, l := range leases {
+		if l.Unit == u.Shard().String() {
+			f.state(u).prefer = l.Worker
+		}
+	}
+	return false
+}
+
+// Settle cancels every outstanding lease of u and forgets it.
+func (f *fleet) Settle(u *service.Unit) {
+	if st := f.units[u]; st != nil {
+		for _, l := range st.leases {
+			f.releaseLocked(l)
+		}
+		delete(f.units, u)
+	}
+}
+
+func (f *fleet) Health(h *service.Health) {
+	// Lifetime counters are read back from the metrics registry, so /healthz
+	// and /metrics cannot disagree (pinned by TestFleetHealthMatchesMetrics).
+	fl := &service.FleetHealth{
+		Workers:               len(f.workers),
+		QueuedUnits:           h.QueueDepth,
+		ExpiredRedispatches:   int(f.met.expiredRe.Value()),
+		SpeculativeDispatches: int(f.met.speculative.Value()),
+		MeanUnitMs:            h.MeanUnitMs,
+	}
+	for _, w := range f.workers {
+		if w.live {
+			fl.LiveWorkers++
+			fl.Slots += w.slots
+			fl.FreeSlots += max(w.slots-w.leased, 0)
+		}
+		fl.LeasedUnits += w.leased
+	}
+	h.Workers = fl.Slots
+	h.Fleet = fl
+}
+
+// maxRequestBody bounds POST /v1/workers payloads.
+const maxRequestBody = 1 << 20
+
+// Routes serves the worker registry:
+//
+//	GET  /v1/workers  the registry with liveness and leases
+//	POST /v1/workers  register a worker {"url": "http://host:port"}; 400 on
+//	                  anything but an absolute http(s) URL with a host
+func (f *fleet) Routes() map[string]func(*http.Request) (any, error) {
+	return map[string]func(*http.Request) (any, error){
+		"GET /v1/workers": func(*http.Request) (any, error) { return f.snapshot(), nil },
+		"POST /v1/workers": func(r *http.Request) (any, error) {
+			var req struct {
+				URL string `json:"url"`
+			}
+			dec := json.NewDecoder(io.LimitReader(r.Body, maxRequestBody))
+			dec.DisallowUnknownFields()
+			if err := dec.Decode(&req); err != nil {
+				return nil, fmt.Errorf(`%w: registration needs {"url": "http://host:port"}: %v`, experiments.ErrBadConfig, err)
+			}
+			if err := f.addWorker(req.URL); err != nil {
+				return nil, err
+			}
+			return f.snapshot(), nil
+		},
+	}
+}
 
 // heartbeatLoop probes every worker's /healthz each interval. A passing probe
 // makes the worker live and refreshes its slot count (the worker's pool
 // size); DeadAfter consecutive failures mark it dead, which expires all its
 // leases immediately — their units re-queue without waiting for the lease
 // deadline.
-func (co *Coordinator) heartbeatLoop() {
-	defer co.wg.Done()
-	tick := time.NewTicker(co.cfg.HeartbeatInterval)
+func (f *fleet) heartbeatLoop(wg *sync.WaitGroup) {
+	defer wg.Done()
+	tick := time.NewTicker(f.cfg.HeartbeatInterval)
 	defer tick.Stop()
 	for {
-		co.heartbeatRound()
+		f.heartbeatRound()
 		select {
-		case <-co.ctx.Done():
+		case <-f.ctx.Done():
 			return
 		case <-tick.C:
 		}
 	}
 }
 
-func (co *Coordinator) heartbeatRound() {
-	co.mu.Lock()
-	probes := make([]*worker, 0, len(co.workers))
-	for _, w := range co.workers {
+func (f *fleet) heartbeatRound() {
+	f.s.Lock()
+	probes := make([]*worker, 0, len(f.workers))
+	for _, w := range f.workers {
 		probes = append(probes, w)
 	}
-	co.mu.Unlock()
+	f.s.Unlock()
 
 	type result struct {
 		w     *worker
@@ -53,13 +265,10 @@ func (co *Coordinator) heartbeatRound() {
 	// answer /healthz, and a short -heartbeat must not turn that latency
 	// into a death verdict (dead workers are detected fast regardless —
 	// their sockets refuse instantly).
-	timeout := co.cfg.HeartbeatInterval
-	if timeout < time.Second {
-		timeout = time.Second
-	}
+	timeout := max(f.cfg.HeartbeatInterval, time.Second)
 	for _, w := range probes {
 		go func(w *worker) {
-			ctx, cancel := context.WithTimeout(co.ctx, timeout)
+			ctx, cancel := context.WithTimeout(f.ctx, timeout)
 			defer cancel()
 			h, err := w.probe.Health(ctx)
 			// A draining worker answers 503 with a full snapshot, but it is
@@ -72,28 +281,115 @@ func (co *Coordinator) heartbeatRound() {
 	for range probes {
 		collected = append(collected, <-results)
 	}
-	co.mu.Lock()
-	defer co.mu.Unlock()
+	f.s.Lock()
+	defer f.s.Unlock()
 	for _, r := range collected {
 		if r.ok {
 			if !r.w.live {
-				co.events.Emit(obs.Event{Event: obs.EventWorkerUp, Worker: r.w.url})
+				f.s.Emit(obs.Event{Event: obs.EventWorkerUp, Worker: r.w.url})
 			}
 			r.w.live = true
 			r.w.fails = 0
 			r.w.slots = r.slots
-			co.cond.Broadcast()
+			f.s.Wake()
 			continue
 		}
 		r.w.fails++
-		if r.w.fails >= co.cfg.DeadAfter && r.w.live {
-			co.markWorkerDownLocked(r.w, obs.ReasonHeartbeatMiss,
+		if r.w.fails >= f.cfg.DeadAfter && r.w.live {
+			f.markWorkerDownLocked(r.w, obs.ReasonHeartbeatMiss,
 				fmt.Sprintf("%d consecutive heartbeat probes failed", r.w.fails))
 		}
 	}
 }
 
-// leaseFailed fails one lease and, when the underlying error is a
+// markWorkerDownLocked takes a worker out of dispatch rotation and expires
+// its outstanding leases, recording the verdict — reason is the structured
+// cause (obs.ReasonHeartbeatMiss or obs.ReasonTransportError), why the
+// free-form one. The next passing heartbeat probe revives it. Callers hold
+// the lock.
+func (f *fleet) markWorkerDownLocked(w *worker, reason, why string) {
+	if !w.live {
+		return
+	}
+	log.Printf("federation: marking worker %s down (%s): %s", w.url, reason, why)
+	if reason == obs.ReasonTransportError {
+		f.met.downTransport.Inc()
+	} else {
+		f.met.downHeartbeat.Inc()
+	}
+	f.s.Emit(obs.Event{Event: obs.EventWorkerDown, Worker: w.url, Reason: reason, Detail: why})
+	w.live = false
+	w.fails = f.cfg.DeadAfter
+	for _, st := range f.units {
+		for _, l := range slices.Clone(st.leases) {
+			if l.w == w && !l.cancelled {
+				f.met.leaseExpiries.Inc()
+				f.failLeaseLocked(l, fmt.Sprintf("worker %s stopped answering heartbeats", w.url))
+			}
+		}
+	}
+}
+
+// runLease drives one dispatched unit on its worker: submit the shard-unit
+// job, long-poll its status (each request holds up to PollInterval and
+// answers the moment the unit finishes; each answer renews the lease), fetch
+// the artifact on completion, and return the step that delivers it. Every
+// failure path funnels into failLeaseLocked, which re-queues or fails the
+// unit.
+func (f *fleet) runLease(ctx context.Context, l *lease) func() {
+	u := l.u
+	if hook := f.cfg.OnDispatch; hook != nil {
+		hook(u.Job(), u.Shard(), l.w.url)
+	}
+	f.s.Emit(event(obs.EventUnitLeased, u, l.w))
+	// The job's trace id rides the X-Trace-Id header of every unit dispatch,
+	// so the worker's event log carries the same trace as the coordinator's.
+	st, err := l.w.sub.Submit(ctx, u.Request())
+	if err != nil {
+		return f.leaseFailed(l, fmt.Sprintf("submitting to %s: %v", l.w.url, err), err)
+	}
+	f.s.Lock()
+	l.remote = st.ID
+	l.expires = time.Now().Add(f.cfg.LeaseDuration)
+	f.s.JournalLeaseLocked(u, journal.Lease{Worker: l.w.url, Remote: l.remote, Expires: l.expires})
+	cancelled := l.cancelled
+	f.s.Unlock()
+
+	for !cancelled {
+		switch st.State {
+		case service.StateDone:
+			raw, err := l.w.sub.ReportArtifact(ctx, st.ID)
+			if err != nil {
+				return f.leaseFailed(l, fmt.Sprintf("fetching artifact from %s: %v", l.w.url, err), err)
+			}
+			return f.deliver(l, raw)
+		case service.StateFailed:
+			// Worker-reported failure. It may be deterministic (a bad spec —
+			// rare, the coordinator validates upfront) or transient (the
+			// worker was shutting down and abandoned the job); both re-queue
+			// until MaxAttempts, which bounds the deterministic case.
+			return f.leaseFailed(l, fmt.Sprintf("worker %s: %s", l.w.url, st.Error), nil)
+		}
+		st, err = l.w.sub.JobWait(ctx, st.ID, f.cfg.PollInterval)
+		if err != nil {
+			if ctx.Err() != nil {
+				return nil // shutdown abandons the lease; its journal record survives
+			}
+			return f.leaseFailed(l, fmt.Sprintf("polling %s: %v", l.w.url, err), err)
+		}
+		f.s.Lock()
+		if !l.cancelled {
+			// The worker is answering: renew the lease.
+			l.expires = time.Now().Add(f.cfg.LeaseDuration)
+			f.met.leaseRenewals.Inc()
+		}
+		cancelled = l.cancelled
+		f.s.Unlock()
+	}
+	return nil
+}
+
+// leaseFailed returns the step that fails one lease and, when err is a
 // connection-level transport error (refused, reset, timed out — the daemon
 // is not answering at the socket level), marks the worker down immediately.
 // Waiting for DeadAfter missed heartbeats instead would keep routing the
@@ -102,463 +398,150 @@ func (co *Coordinator) heartbeatRound() {
 // the sub-second window before the heartbeat verdict lands. API-level errors
 // (an unknown remote job after a worker restart, a decode failure) leave the
 // worker up — its socket answered.
-func (co *Coordinator) leaseFailed(l *lease, msg string, err error) {
-	co.mu.Lock()
-	defer co.mu.Unlock()
-	co.failLeaseLocked(l, msg)
-	var ne net.Error
-	if errors.As(err, &ne) || errors.Is(err, syscall.ECONNREFUSED) || errors.Is(err, syscall.ECONNRESET) {
-		co.markWorkerDownLocked(l.w, obs.ReasonTransportError, msg)
-	}
-}
-
-// markWorkerDownLocked takes a worker out of dispatch rotation and expires
-// its outstanding leases, recording the verdict — reason is the structured
-// cause (obs.ReasonHeartbeatMiss or obs.ReasonTransportError), why the
-// free-form one. The next passing heartbeat probe revives it. Callers hold
-// co.mu.
-func (co *Coordinator) markWorkerDownLocked(w *worker, reason, why string) {
-	if !w.live {
-		return
-	}
-	log.Printf("federation: marking worker %s down (%s): %s", w.url, reason, why)
-	if reason == obs.ReasonTransportError {
-		co.met.downTransport.Inc()
-	} else {
-		co.met.downHeartbeat.Inc()
-	}
-	co.events.Emit(obs.Event{
-		Event: obs.EventWorkerDown, Worker: w.url, Reason: reason, Detail: why,
-	})
-	w.live = false
-	w.fails = co.cfg.DeadAfter
-	co.expireWorkerLeasesLocked(w)
-}
-
-// expireWorkerLeasesLocked expires every outstanding lease held by a dead
-// worker. Callers hold co.mu.
-func (co *Coordinator) expireWorkerLeasesLocked(w *worker) {
-	for _, j := range co.jobs {
-		for _, u := range j.units {
-			for _, l := range u.leases {
-				if l.w == w && !l.cancelled {
-					co.met.leaseExpiries.Inc()
-					co.failLeaseLocked(l, fmt.Sprintf("worker %s stopped answering heartbeats", w.url))
-				}
-			}
+func (f *fleet) leaseFailed(l *lease, msg string, err error) func() {
+	return func() {
+		f.failLeaseLocked(l, msg)
+		var ne net.Error
+		if errors.As(err, &ne) || errors.Is(err, syscall.ECONNREFUSED) || errors.Is(err, syscall.ECONNRESET) {
+			f.markWorkerDownLocked(l.w, obs.ReasonTransportError, msg)
 		}
-	}
-}
-
-// dispatcher pairs queued units with free worker slots and spawns one lease
-// goroutine per dispatch. It sleeps on the cond var whenever nothing is
-// dispatchable (empty queue, no live capacity).
-func (co *Coordinator) dispatcher() {
-	defer co.wg.Done()
-	co.mu.Lock()
-	defer co.mu.Unlock()
-	for {
-		if co.ctx.Err() != nil {
-			return
-		}
-		l := co.pickLocked()
-		if l == nil {
-			co.cond.Wait()
-			continue
-		}
-		co.wg.Add(1)
-		go co.runLease(l)
-	}
-}
-
-// pickLocked pops the first dispatchable (unit, worker) pair off the queue
-// and leases it: the unit's preferred worker when live with a free slot (the
-// journaled lease target on restart — the result is likely cached or still
-// in flight there), otherwise the live worker with the most free slots that
-// is not already running this unit. Finished or terminal units are dropped
-// from the queue in passing. Returns nil when nothing is dispatchable.
-// Callers hold co.mu.
-func (co *Coordinator) pickLocked() *lease {
-	for qi := 0; qi < len(co.queue); qi++ {
-		u := co.queue[qi]
-		if u.finished || u.job.state == service.StateDone || u.job.state == service.StateFailed {
-			u.queued = false
-			co.queue = append(co.queue[:qi], co.queue[qi+1:]...)
-			qi--
-			continue
-		}
-		w := co.workerForLocked(u)
-		if w == nil {
-			continue // no capacity for this unit right now; try the next
-		}
-		co.queue = append(co.queue[:qi], co.queue[qi+1:]...)
-		u.queued = false
-		u.attempts++
-		now := time.Now()
-		if u.started.IsZero() {
-			u.started = now
-		}
-		u.state = service.StateRunning
-		j := u.job
-		if j.state == service.StateQueued {
-			j.state = service.StateRunning
-			j.started = now
-			for _, f := range j.followers {
-				if f.state == service.StateQueued {
-					f.state = service.StateRunning
-					f.started = now
-				}
-			}
-		}
-		l := &lease{unit: u, w: w, started: now, expires: now.Add(co.cfg.LeaseDuration)}
-		u.leases = append(u.leases, l)
-		w.leased++
-		co.journalLeaseLocked(l)
-		return l
-	}
-	return nil
-}
-
-// workerForLocked picks the dispatch target for one unit. Callers hold co.mu.
-func (co *Coordinator) workerForLocked(u *funit) *worker {
-	eligible := func(w *worker) bool {
-		if !w.live || w.leased >= w.slots {
-			return false
-		}
-		for _, l := range u.leases {
-			if l.w == w && !l.cancelled {
-				return false // already running this unit (speculation targets another worker)
-			}
-		}
-		return true
-	}
-	if u.prefer != "" {
-		if w := co.workers[u.prefer]; w != nil && eligible(w) {
-			return w
-		}
-	}
-	var best *worker
-	for _, w := range co.workers {
-		if !eligible(w) {
-			continue
-		}
-		if best == nil || w.slots-w.leased > best.slots-best.leased {
-			best = w
-		}
-	}
-	return best
-}
-
-// runLease drives one dispatched unit on its worker: submit the shard-unit
-// job, long-poll its status (each request holds up to PollInterval and
-// answers the moment the unit finishes; each answer renews the lease), fetch
-// the artifact on completion and deliver it. Every failure path funnels into
-// failLeaseLocked, which re-queues or fails the unit.
-func (co *Coordinator) runLease(l *lease) {
-	defer co.wg.Done()
-	u := l.unit
-	j := u.job
-	if hook := co.cfg.OnDispatch; hook != nil {
-		hook(j.id, u.shard, l.w.url)
-	}
-	co.events.Emit(obs.Event{
-		Event: obs.EventUnitLeased, Trace: j.trace, Job: j.id,
-		Experiment: j.experiment, Unit: unitName(u), Worker: l.w.url,
-	})
-	// The job's trace id rides the X-Trace-Id header of every unit dispatch,
-	// so the worker's event log carries the same trace as the coordinator's.
-	req := service.JobRequest{Experiment: j.experiment, Spec: j.specReq, TraceID: j.trace}
-	if u.shard.Enabled() {
-		req.Shard = u.shard.String()
-	}
-	st, err := l.w.sub.Submit(co.ctx, req)
-	if err != nil {
-		co.leaseFailed(l, fmt.Sprintf("submitting to %s: %v", l.w.url, err), err)
-		return
-	}
-	co.mu.Lock()
-	l.remote = st.ID
-	l.expires = time.Now().Add(co.cfg.LeaseDuration)
-	co.journalLeaseLocked(l)
-	cancelled := l.cancelled
-	co.mu.Unlock()
-
-	for !cancelled {
-		if st.State == service.StateDone {
-			raw, err := l.w.sub.ReportArtifact(co.ctx, st.ID)
-			if err != nil {
-				co.leaseFailed(l, fmt.Sprintf("fetching artifact from %s: %v", l.w.url, err), err)
-				return
-			}
-			co.deliver(l, raw)
-			return
-		}
-		if st.State == service.StateFailed {
-			// Worker-reported failure. It may be deterministic (a bad spec —
-			// rare, the coordinator validates upfront) or transient (the
-			// worker was shutting down and abandoned the job); both re-queue
-			// until MaxAttempts, which bounds the deterministic case.
-			co.mu.Lock()
-			co.failLeaseLocked(l, fmt.Sprintf("worker %s: %s", l.w.url, st.Error))
-			co.mu.Unlock()
-			return
-		}
-		st, err = l.w.sub.JobWait(co.ctx, st.ID, co.cfg.PollInterval)
-		if err != nil {
-			if co.ctx.Err() != nil {
-				return // shutdown abandons the lease; its journal record survives
-			}
-			co.leaseFailed(l, fmt.Sprintf("polling %s: %v", l.w.url, err), err)
-			return
-		}
-		co.mu.Lock()
-		if !l.cancelled {
-			// The worker is answering: renew the lease.
-			l.expires = time.Now().Add(co.cfg.LeaseDuration)
-			co.met.leaseRenewals.Inc()
-		}
-		cancelled = l.cancelled
-		co.mu.Unlock()
 	}
 }
 
 // failLeaseLocked handles every way a lease ends without delivering: release
 // the slot and, when this was the unit's last active lease, re-queue the unit
 // (below MaxAttempts) or fail the job. A unit whose speculative duplicate is
-// still running is left to that copy. Callers hold co.mu.
-func (co *Coordinator) failLeaseLocked(l *lease, msg string) {
+// still running is left to that copy. Callers hold the lock.
+func (f *fleet) failLeaseLocked(l *lease, msg string) {
 	if l.cancelled {
-		return // already expired/superseded; the monitor handled the unit
+		return // already expired, superseded or settled
 	}
-	co.releaseLocked(l)
-	u := l.unit
-	u.leases = dropLease(u.leases, l)
-	j := u.job
-	if u.finished || j.state == service.StateDone || j.state == service.StateFailed {
-		return
-	}
-	if len(u.leases) > 0 {
+	f.releaseLocked(l)
+	st := l.st
+	st.leases = slices.DeleteFunc(st.leases, func(x *lease) bool { return x == l })
+	if len(st.leases) > 0 {
 		return // a speculative copy is still in flight
 	}
-	if u.attempts >= co.cfg.MaxAttempts {
-		u.state = service.StateFailed
-		co.events.Emit(obs.Event{
-			Event: obs.EventUnitFailed, Trace: j.trace, Job: j.id,
-			Experiment: j.experiment, Unit: unitName(u), Worker: l.w.url, Detail: msg,
-		})
-		co.completeLocked(j, service.StateFailed,
-			fmt.Sprintf("unit %s failed after %d attempts: %s", unitName(u), u.attempts, msg), true)
+	u := l.u
+	if st.attempts >= f.cfg.MaxAttempts {
+		f.s.FailLocked(u, l.w.url, fmt.Errorf("unit %s failed after %d attempts: %s", unitName(u), st.attempts, msg))
 		return
 	}
 	// Every path here — an expired lease, a dead worker, a transport error, a
 	// worker-reported failure — ends in the same re-dispatch, counted once.
-	co.met.expiredRe.Inc()
-	co.events.Emit(obs.Event{
-		Event: obs.EventUnitRedispatched, Trace: j.trace, Job: j.id,
-		Experiment: j.experiment, Unit: unitName(u), Worker: l.w.url, Detail: msg,
-	})
-	log.Printf("federation: re-queueing %s unit %s (attempt %d): %s", j.id, unitName(u), u.attempts, msg)
-	u.state = service.StateQueued
-	co.enqueueLocked(u)
+	f.met.expiredRe.Inc()
+	e := event(obs.EventUnitRedispatched, u, l.w)
+	e.Detail = msg
+	f.s.Emit(e)
+	log.Printf("federation: re-queueing %s unit %s (attempt %d): %s", u.Job(), unitName(u), st.attempts, msg)
+	f.s.RequeueLocked(u)
 }
 
-// unitName names a unit for logs and errors.
-func unitName(u *funit) string {
-	if u.shard.Enabled() {
-		return u.shard.String()
+// releaseLocked cancels one lease and returns its slot. Callers hold the
+// lock.
+func (f *fleet) releaseLocked(l *lease) {
+	if l.cancelled {
+		return
 	}
-	return "0/1"
-}
-
-// dropLease removes one lease from a slice.
-func dropLease(ls []*lease, l *lease) []*lease {
-	out := ls[:0]
-	for _, x := range ls {
-		if x != l {
-			out = append(out, x)
-		}
-	}
-	return out
+	l.cancelled = true
+	l.w.leased--
+	f.s.Wake()
 }
 
 // leaseMonitor expires overdue leases and speculatively re-dispatches
 // stragglers.
-func (co *Coordinator) leaseMonitor() {
-	defer co.wg.Done()
-	period := co.cfg.LeaseDuration / 4
-	if period < 10*time.Millisecond {
-		period = 10 * time.Millisecond
-	}
-	if period > time.Second {
-		period = time.Second
-	}
+func (f *fleet) leaseMonitor(wg *sync.WaitGroup) {
+	defer wg.Done()
+	period := min(max(f.cfg.LeaseDuration/4, 10*time.Millisecond), time.Second)
 	tick := time.NewTicker(period)
 	defer tick.Stop()
 	for {
 		select {
-		case <-co.ctx.Done():
+		case <-f.ctx.Done():
 			return
 		case <-tick.C:
 		}
-		co.monitorRound()
+		f.monitorRound()
 	}
 }
 
-func (co *Coordinator) monitorRound() {
-	co.mu.Lock()
-	defer co.mu.Unlock()
+func (f *fleet) monitorRound() {
+	threshold := max(f.cfg.StragglerMin,
+		time.Duration(f.cfg.StragglerFactor*f.s.Health().MeanUnitMs*float64(time.Millisecond)))
+	f.s.Lock()
+	defer f.s.Unlock()
 	now := time.Now()
-	for _, j := range co.jobs {
-		if j.state != service.StateRunning && j.state != service.StateQueued {
+	for u, st := range f.units {
+		// Expired leases: the worker stopped renewing (died, wedged, or
+		// unreachable) — re-queue elsewhere.
+		for _, l := range slices.Clone(st.leases) {
+			if !l.cancelled && now.After(l.expires) {
+				f.met.leaseExpiries.Inc()
+				f.failLeaseLocked(l, fmt.Sprintf("lease on %s expired", l.w.url))
+			}
+		}
+		// Stragglers: one active lease, runtime far beyond the mean —
+		// dispatch a speculative duplicate; first completion wins.
+		if len(st.leases) != 1 || st.attempts >= f.cfg.MaxAttempts {
 			continue
 		}
-		for _, u := range j.units {
-			if u.finished {
-				continue
-			}
-			// Expired leases: the worker stopped renewing (died, wedged, or
-			// unreachable) — re-queue elsewhere.
-			for _, l := range u.leases {
-				if !l.cancelled && now.After(l.expires) {
-					co.met.leaseExpiries.Inc()
-					co.failLeaseLocked(l, fmt.Sprintf("lease on %s expired", l.w.url))
-				}
-			}
-			// Stragglers: one active lease, runtime far beyond the fleet
-			// mean — dispatch a speculative duplicate; first completion wins.
-			if len(u.leases) == 1 && !u.queued && u.attempts < co.cfg.MaxAttempts {
-				l := u.leases[0]
-				threshold := co.cfg.StragglerMin
-				if mean := time.Duration(co.cfg.StragglerFactor * co.meanUnitNs); mean > threshold {
-					threshold = mean
-				}
-				if now.Sub(l.started) > threshold {
-					co.met.speculative.Inc()
-					co.events.Emit(obs.Event{
-						Event: obs.EventSpeculative, Trace: j.trace, Job: j.id,
-						Experiment: j.experiment, Unit: unitName(u), Worker: l.w.url,
-						Detail: fmt.Sprintf("%.1fs > %.1fs threshold", now.Sub(l.started).Seconds(), threshold.Seconds()),
-					})
-					log.Printf("federation: %s unit %s is a straggler on %s (%.1fs > %.1fs); dispatching a duplicate",
-						j.id, unitName(u), l.w.url, now.Sub(l.started).Seconds(), threshold.Seconds())
-					co.enqueueLocked(u)
-				}
-			}
+		l := st.leases[0]
+		if ran := now.Sub(l.started); ran > threshold && f.s.RequeueLocked(u) {
+			f.met.speculative.Inc()
+			e := event(obs.EventSpeculative, u, l.w)
+			e.Detail = fmt.Sprintf("%.1fs > %.1fs threshold", ran.Seconds(), threshold.Seconds())
+			f.s.Emit(e)
+			log.Printf("federation: %s unit %s is a straggler on %s (%s); dispatching a duplicate",
+				u.Job(), unitName(u), l.w.url, e.Detail)
 		}
 	}
 }
 
-// deliver folds one completed unit's artifact into its job: the first copy
-// wins, later duplicates are discarded (bit-exact by construction), shard
-// partials are cached under their content address and merged incrementally,
-// and the last unit finalises the job.
-func (co *Coordinator) deliver(l *lease, raw []byte) {
-	u := l.unit
-	j := u.job
+// deliver decodes one completed unit's artifact (a shard partial) and
+// returns the step that hands it to the front end: the first copy wins,
+// later duplicates are discarded (bit-exact by construction), and a
+// delivered shard partial is cached under its content address.
+func (f *fleet) deliver(l *lease, raw []byte) func() {
+	u := l.u
 	var rep *experiments.Report
-	if u.shard.Enabled() {
+	if u.Shard().Enabled() {
 		var err error
-		rep, err = decodePartial(raw)
-		if err != nil {
-			co.mu.Lock()
-			co.failLeaseLocked(l, fmt.Sprintf("decoding partial from %s: %v", l.w.url, err))
-			co.mu.Unlock()
-			return
+		if rep, err = decodePartial(raw); err != nil {
+			return f.leaseFailed(l, fmt.Sprintf("decoding partial from %s: %v", l.w.url, err), nil)
 		}
 	}
-	co.mu.Lock()
-	defer co.mu.Unlock()
 	dur := time.Since(l.started)
-	if !l.cancelled {
-		co.releaseLocked(l)
-	}
-	u.leases = dropLease(u.leases, l)
-	if u.finished || j.state == service.StateDone || j.state == service.StateFailed {
-		return // a duplicate (speculation or expiry re-dispatch) already delivered
-	}
-	if co.meanUnitNs == 0 {
-		co.meanUnitNs = float64(dur)
-	} else {
-		co.meanUnitNs = 0.8*co.meanUnitNs + 0.2*float64(dur)
-	}
-	if l.w.meanUnitNs == 0 {
-		l.w.meanUnitNs = float64(dur)
-	} else {
-		l.w.meanUnitNs = 0.8*l.w.meanUnitNs + 0.2*float64(dur)
-	}
-	co.met.unitDur.Observe(dur.Seconds())
-	co.events.Emit(obs.Event{
-		Event: obs.EventUnitFinished, Trace: j.trace, Job: j.id,
-		Experiment: j.experiment, Unit: unitName(u), Worker: l.w.url,
-		Detail: dur.Round(time.Millisecond).String(),
-	})
-	// Cancel any other outstanding copies of this unit; their pollers exit.
-	for _, ol := range u.leases {
-		co.releaseLocked(ol)
-	}
-	u.leases = nil
-	if !u.shard.Enabled() {
-		// Unsharded: the worker's complete artifact is proxied verbatim, so
-		// the coordinator's bytes are the worker's bytes are the local run's.
-		u.finished = true
-		u.state = service.StateDone
-		j.remaining--
-		j.artifact = raw
-		co.putCacheLocked(j.hash, raw)
-		co.completeLocked(j, service.StateDone, "", true)
-		return
-	}
-	co.putCacheLocked(experiments.ShardSpecHash(j.experiment, j.spec, u.shard), raw)
-	if err := co.foldLocked(u, rep); err != nil {
-		u.state = service.StateFailed
-		co.completeLocked(j, service.StateFailed, err.Error(), true)
+	return func() {
+		f.releaseLocked(l)
+		st := l.st
+		st.leases = slices.DeleteFunc(st.leases, func(x *lease) bool { return x == l })
+		if !f.s.DeliverLocked(u, rep, raw, dur, l.w.url) {
+			return // a duplicate (speculation or expiry re-dispatch) already delivered
+		}
+		if l.w.meanUnitNs == 0 {
+			l.w.meanUnitNs = float64(dur)
+		} else {
+			l.w.meanUnitNs = 0.8*l.w.meanUnitNs + 0.2*float64(dur)
+		}
+		if u.Shard().Enabled() {
+			f.s.CachePutLocked(u, raw)
+		}
+		// Cancel any other outstanding copies of this unit; their pollers exit.
+		for _, ol := range st.leases {
+			f.releaseLocked(ol)
+		}
+		st.leases = nil
 	}
 }
 
-// foldLocked merges one shard partial into its job, finalising the job when
-// it was the last. Callers hold co.mu.
-func (co *Coordinator) foldLocked(u *funit, rep *experiments.Report) error {
-	j := u.job
-	if err := j.merger.Add(rep); err != nil {
-		return err
-	}
-	u.finished = true
-	u.state = service.StateDone
-	j.remaining--
-	if j.remaining == 0 {
-		co.finalizeLocked(j)
-	}
-	return nil
-}
-
-// finalizeLocked renders the merged artifact and completes the job. The
-// merger's exact-path refold makes the bytes identical to a local
-// `cmd/experiments run -o`. Callers hold co.mu.
-func (co *Coordinator) finalizeLocked(j *fedJob) {
-	rep, err := j.merger.Report()
+// decodePartial decodes a single-report artifact.
+func decodePartial(raw []byte) (*experiments.Report, error) {
+	reports, err := experiments.ReadArtifact(bytes.NewReader(raw))
 	if err != nil {
-		co.completeLocked(j, service.StateFailed, err.Error(), true)
-		return
+		return nil, err
 	}
-	var buf bytes.Buffer
-	if err := experiments.WriteArtifact(&buf, []*experiments.Report{rep}); err != nil {
-		co.completeLocked(j, service.StateFailed, err.Error(), true)
-		return
+	if len(reports) != 1 {
+		return nil, fmt.Errorf("federation: artifact holds %d reports, want 1", len(reports))
 	}
-	j.artifact = buf.Bytes()
-	co.events.Emit(obs.Event{
-		Event: obs.EventMerge, Trace: j.trace, Job: j.id, Experiment: j.experiment,
-		Detail: fmt.Sprintf("%d shard partials", len(j.units)),
-	})
-	co.putCacheLocked(j.hash, j.artifact)
-	co.completeLocked(j, service.StateDone, "", true)
-}
-
-// putCacheLocked stores one artifact, counting and logging (not failing) on
-// error. Callers hold co.mu.
-func (co *Coordinator) putCacheLocked(hash string, raw []byte) {
-	if err := co.cache.Put(hash, raw); err != nil {
-		co.met.cacheWriteErr.Inc()
-		log.Printf("federation: artifact cache write failed (kept in memory): %v", err)
-	}
+	return reports[0], nil
 }

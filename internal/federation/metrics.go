@@ -1,194 +1,81 @@
 package federation
 
 import (
-	"errors"
-
 	"battsched/internal/obs"
-	"battsched/internal/service/journal"
+	"battsched/internal/service"
 )
 
-// unitBuckets bound the dispatch-to-delivery unit histogram (seconds):
-// federated units add submit/poll/fetch hops on top of worker execution.
-var unitBuckets = []float64{
-	0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10, 30, 60, 120, 300, 600,
-}
-
-// fedMetrics holds the coordinator's registry-backed counters and
-// histograms. Everything here is created up front in newFedMetrics — never
-// under co.mu — so render-time gauge callbacks that take co.mu cannot
-// deadlock against registration (see the obs locking contract). Per-worker
-// series are the one runtime addition and are registered outside co.mu too
-// (registerWorkerMetrics).
-type fedMetrics struct {
-	jobsComputed  *obs.Counter // battsched_jobs_total{admission="computed"}
-	jobsCoalesced *obs.Counter
-	jobsCached    *obs.Counter
-	jobsDone      *obs.Counter
-	jobsFailed    *obs.Counter
-	rejectedFull  *obs.Counter
-	rejectedDrain *obs.Counter
-	cacheHits     *obs.Counter
-	cacheMisses   *obs.Counter
-	cacheWriteErr *obs.Counter
-	journalAppend *obs.Counter
-	journalComp   *obs.Counter
+// fleetMetrics holds the fleet's registry-backed counters, on the front
+// end's registry next to the shared job families. Everything here is created
+// in Start, before anything takes the lock, so render-time gauge callbacks
+// that take it cannot deadlock against registration (see the obs locking
+// contract). Per-worker series are the one runtime addition and are
+// registered outside the lock too (registerWorkerMetrics).
+type fleetMetrics struct {
 	leaseRenewals *obs.Counter // successful status polls extending a lease
 	leaseExpiries *obs.Counter // leases expired (deadline passed or worker died)
 	expiredRe     *obs.Counter // unit re-dispatches after a failed/expired lease
 	speculative   *obs.Counter // straggler duplicate dispatches
 	downHeartbeat *obs.Counter // battsched_worker_down_total{reason="heartbeat-miss"}
 	downTransport *obs.Counter // battsched_worker_down_total{reason="transport-error"}
-	unitDur       *obs.Histogram
 }
 
-func newFedMetrics(r *obs.Registry) fedMetrics {
-	const jobsHelp = "Job submissions by admission path: computed (split into units and dispatched), coalesced (attached to an in-flight duplicate), cached (served from the artifact cache)."
-	const rejHelp = "Rejected submissions by reason: queue_full (429), draining (503)."
-	const journalHelp = "Job journal failures by operation: append (accept/done/lease record writes), compact (log rewrites)."
+func newFleetMetrics(r *obs.Registry) fleetMetrics {
 	const downHelp = "Workers taken out of dispatch rotation, by verdict: heartbeat-miss (consecutive /healthz probes failed) vs transport-error (a lease RPC failed at the socket level)."
-	return fedMetrics{
-		jobsComputed:  r.Counter("battsched_jobs_total", jobsHelp, "admission", "computed"),
-		jobsCoalesced: r.Counter("battsched_jobs_total", jobsHelp, "admission", "coalesced"),
-		jobsCached:    r.Counter("battsched_jobs_total", jobsHelp, "admission", "cached"),
-		jobsDone:      r.Counter("battsched_jobs_finished_total", "Jobs reaching a terminal state.", "state", "done"),
-		jobsFailed:    r.Counter("battsched_jobs_finished_total", "Jobs reaching a terminal state.", "state", "failed"),
-		rejectedFull:  r.Counter("battsched_rejected_total", rejHelp, "reason", "queue_full"),
-		rejectedDrain: r.Counter("battsched_rejected_total", rejHelp, "reason", "draining"),
-		cacheHits:     r.Counter("battsched_cache_hits_total", "Content-addressed artifact cache hits (full runs and shard partials)."),
-		cacheMisses:   r.Counter("battsched_cache_misses_total", "Content-addressed artifact cache misses."),
-		cacheWriteErr: r.Counter("battsched_cache_write_errors_total", "Artifact cache write failures (the artifact stayed in memory)."),
-		journalAppend: r.Counter("battsched_journal_errors_total", journalHelp, "op", "append"),
-		journalComp:   r.Counter("battsched_journal_errors_total", journalHelp, "op", "compact"),
+	return fleetMetrics{
 		leaseRenewals: r.Counter("battsched_fleet_lease_renewals_total", "Lease renewals from successful remote status polls."),
 		leaseExpiries: r.Counter("battsched_fleet_lease_expiries_total", "Leases expired: deadline passed without renewal, or the worker was marked dead."),
 		expiredRe:     r.Counter("battsched_fleet_expired_redispatches_total", "Units re-dispatched after a failed or expired lease."),
 		speculative:   r.Counter("battsched_fleet_speculative_dispatches_total", "Straggler units duplicated onto a second worker."),
 		downHeartbeat: r.Counter("battsched_worker_down_total", downHelp, "reason", obs.ReasonHeartbeatMiss),
 		downTransport: r.Counter("battsched_worker_down_total", downHelp, "reason", obs.ReasonTransportError),
-		unitDur: r.Histogram("battsched_unit_duration_seconds",
-			"Shard unit dispatch-to-delivery duration.", unitBuckets),
 	}
 }
 
-// journalError mirrors one journal failure onto the registry, separating
-// compaction failures from append failures.
-func (m *fedMetrics) journalError(err error) {
-	if errors.Is(err, journal.ErrCompaction) {
-		m.journalComp.Inc()
-	} else {
-		m.journalAppend.Inc()
+// registerGauges wires the fleet gauges to the fleet section of the health
+// snapshot, so /healthz and /metrics agree by construction.
+func (f *fleet) registerGauges() {
+	r := f.s.Metrics()
+	for _, g := range []struct {
+		name, help string
+		read       func(*service.FleetHealth) int
+	}{
+		{"battsched_fleet_workers", "Registered workers.", func(h *service.FleetHealth) int { return h.Workers }},
+		{"battsched_fleet_live_workers", "Workers passing heartbeats.", func(h *service.FleetHealth) int { return h.LiveWorkers }},
+		{"battsched_fleet_slots", "Total execution slots across live workers.", func(h *service.FleetHealth) int { return h.Slots }},
+		{"battsched_fleet_free_slots", "Live slots not holding a lease.", func(h *service.FleetHealth) int { return h.FreeSlots }},
+		{"battsched_fleet_queued_units", "Units waiting for a slot.", func(h *service.FleetHealth) int { return h.QueuedUnits }},
+		{"battsched_fleet_leased_units", "Units under a worker lease.", func(h *service.FleetHealth) int { return h.LeasedUnits }},
+	} {
+		r.GaugeFunc(g.name, g.help, func() float64 { return float64(g.read(f.s.Health().Fleet)) })
 	}
-}
-
-// registerGauges wires the fleet gauges to the same coordinator state
-// /healthz reports. Called from New before the loops start; the callbacks
-// take co.mu at render time.
-func (co *Coordinator) registerGauges() {
-	r := co.metrics
-	read := func(f func() float64) func() float64 {
-		return func() float64 {
-			co.mu.Lock()
-			defer co.mu.Unlock()
-			return f()
-		}
-	}
-	r.GaugeFunc("battsched_queue_depth", "Shard units waiting in the dispatch queue.",
-		read(func() float64 { return float64(len(co.queue)) }))
-	r.GaugeFunc("battsched_queue_depth_peak", "High-water mark of battsched_queue_depth over the coordinator's lifetime.",
-		read(func() float64 { return float64(co.queuedPeak) }))
-	r.GaugeFunc("battsched_queue_capacity", "Unit backlog bound (queued + leased).",
-		func() float64 { return float64(co.cfg.QueueCapacity) })
-	r.GaugeFunc("battsched_in_flight", "Units currently under a worker lease.",
-		read(func() float64 { return float64(co.leasedLocked()) }))
-	r.GaugeFunc("battsched_jobs_tracked", "Jobs currently tracked in the job map.",
-		read(func() float64 { return float64(len(co.jobs)) }))
-	r.GaugeFunc("battsched_cache_entries", "Artifact cache in-memory entries.",
-		func() float64 { return float64(co.cache.Len()) })
-	r.GaugeFunc("battsched_mean_unit_seconds", "Fleet-wide mean dispatch-to-delivery unit time (EWMA) — the straggler baseline.",
-		read(func() float64 { return co.meanUnitNs / 1e9 }))
-	r.GaugeFunc("battsched_draining", "1 once graceful shutdown has begun, else 0.",
-		read(func() float64 {
-			if co.draining {
-				return 1
-			}
-			return 0
-		}))
-	r.GaugeFunc("battsched_fleet_workers", "Registered workers.",
-		read(func() float64 { return float64(len(co.workers)) }))
-	r.GaugeFunc("battsched_fleet_live_workers", "Workers passing heartbeats.",
-		read(func() float64 {
-			n := 0
-			for _, w := range co.workers {
-				if w.live {
-					n++
-				}
-			}
-			return float64(n)
-		}))
-	r.GaugeFunc("battsched_fleet_slots", "Total execution slots across live workers.",
-		read(func() float64 {
-			n := 0
-			for _, w := range co.workers {
-				if w.live {
-					n += w.slots
-				}
-			}
-			return float64(n)
-		}))
-	r.GaugeFunc("battsched_fleet_free_slots", "Live slots not holding a lease.",
-		read(func() float64 {
-			n := 0
-			for _, w := range co.workers {
-				if w.live && w.slots > w.leased {
-					n += w.slots - w.leased
-				}
-			}
-			return float64(n)
-		}))
-	r.GaugeFunc("battsched_fleet_queued_units", "Units waiting for a slot.",
-		read(func() float64 { return float64(len(co.queue)) }))
-	r.GaugeFunc("battsched_fleet_leased_units", "Units under a worker lease.",
-		read(func() float64 { return float64(co.leasedLocked()) }))
-	obs.RegisterSim(r, &obs.Sim)
-}
-
-// leasedLocked counts units currently under lease. Callers hold co.mu.
-func (co *Coordinator) leasedLocked() int {
-	n := 0
-	for _, w := range co.workers {
-		n += w.leased
-	}
-	return n
 }
 
 // registerWorkerMetrics registers one worker's per-URL series: liveness,
 // outstanding leases and mean unit time. Idempotent (re-registration swaps
 // in an equivalent callback reading the same map entry) and called WITHOUT
-// co.mu held — the callbacks take co.mu at render time.
-func (co *Coordinator) registerWorkerMetrics(url string) {
-	read := func(f func(w *worker) float64) func() float64 {
+// the lock held — the callbacks take it at render time.
+func (f *fleet) registerWorkerMetrics(url string) {
+	read := func(get func(w *worker) float64) func() float64 {
 		return func() float64 {
-			co.mu.Lock()
-			defer co.mu.Unlock()
-			w := co.workers[url]
-			if w == nil {
-				return 0
+			f.s.Lock()
+			defer f.s.Unlock()
+			if w := f.workers[url]; w != nil {
+				return get(w)
 			}
-			return f(w)
+			return 0
 		}
 	}
-	co.metrics.GaugeFunc("battsched_worker_up", "Per-worker liveness (1 = passing heartbeats).",
+	r := f.s.Metrics()
+	r.GaugeFunc("battsched_worker_up", "Per-worker liveness (1 = passing heartbeats).",
 		read(func(w *worker) float64 {
 			if w.live {
 				return 1
 			}
 			return 0
 		}), "worker", url)
-	co.metrics.GaugeFunc("battsched_worker_leased", "Units this coordinator currently leases to the worker.",
+	r.GaugeFunc("battsched_worker_leased", "Units this coordinator currently leases to the worker.",
 		read(func(w *worker) float64 { return float64(w.leased) }), "worker", url)
-	co.metrics.GaugeFunc("battsched_worker_mean_unit_seconds", "Per-worker mean dispatch-to-delivery unit time (EWMA).",
+	r.GaugeFunc("battsched_worker_mean_unit_seconds", "Per-worker mean dispatch-to-delivery unit time (EWMA).",
 		read(func(w *worker) float64 { return w.meanUnitNs / 1e9 }), "worker", url)
 }
-
-// Metrics returns the coordinator's metrics registry (the /metrics source).
-func (co *Coordinator) Metrics() *obs.Registry { return co.metrics }

@@ -2,7 +2,6 @@ package service
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -42,20 +41,8 @@ func ParseWait(r *http.Request) (time.Duration, error) {
 	return min(d, MaxWait), nil
 }
 
-// AwaitTerminal blocks until done (a job's terminal channel) is closed, wait
-// elapses or ctx ends, whichever comes first: the hold of a
-// GET /v1/jobs/{id}?wait= request.
-func AwaitTerminal(ctx context.Context, done <-chan struct{}, wait time.Duration) {
-	t := time.NewTimer(wait)
-	defer t.Stop()
-	select {
-	case <-done:
-	case <-ctx.Done():
-	case <-t.C:
-	}
-}
-
-// Handler returns the daemon's HTTP API:
+// Handler returns the front end's HTTP API, the same in both modes, plus
+// the executor's own routes (a coordinator's /v1/workers):
 //
 //	POST /v1/jobs              submit {experiment, spec, shards}; 200 when
 //	                           served from cache, 202 when queued
@@ -85,6 +72,16 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /v1/batteries", s.handleBatteries)
 	mux.HandleFunc("GET /healthz", s.handleHealth)
 	mux.Handle("GET /metrics", s.metrics.Handler())
+	for pattern, h := range s.ex.Routes() {
+		mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
+			v, err := h(r)
+			if err != nil {
+				writeError(w, err)
+				return
+			}
+			writeJSON(w, http.StatusOK, v)
+		})
+	}
 	return mux
 }
 

@@ -1,30 +1,34 @@
-// Package service implements the experiment daemon behind cmd/battschedd: a
+// Package service implements the job front end of cmd/battschedd: a
 // long-running HTTP server over the experiment registry with an asynchronous
-// bounded FIFO job queue, server-side shard fan-out, and a content-addressed
-// report cache.
+// bounded FIFO unit queue, server-side shard fan-out, and a content-addressed
+// report cache. Both battschedd modes are one Server: the worker daemon runs
+// its units on a local worker pool (New), the federation coordinator leases
+// them to remote workers through an Executor of its own (NewWithExecutor,
+// internal/federation).
 //
 // A submitted job names a registered experiment and a SpecRequest. Jobs enter
 // the queue as shard units — one unit for an unsharded run, or Shards
-// independent units each executing its RunOptions.Shard slice — and a bounded
-// worker pool drains the queue in FIFO order. When the last unit of a job
-// completes, the partial reports are recombined with experiments.MergeReports
-// and the complete run's artifact (exactly the bytes `cmd/experiments run -o`
-// writes) is stored in the cache under the canonical spec hash
-// (experiments.SpecHash). A later submission of an equal spec — sharded or
-// not — is answered from the cache without recomputation and marked Cached.
+// independent units each executing its RunOptions.Shard slice — and the
+// executor takes them in FIFO order as it has room. Shard partials fold into
+// the job's report through experiments.ReportMerger in shard order as they
+// arrive; when the last unit lands, the complete run's artifact (exactly the
+// bytes `cmd/experiments run -o` writes) is stored in the cache under the
+// canonical spec hash (experiments.SpecHash). A later submission of an equal
+// spec — sharded or not — is answered from the cache without recomputation
+// and marked Cached.
 //
-// Under heavy identical traffic the daemon additionally coalesces in-flight
+// Under heavy identical traffic the server additionally coalesces in-flight
 // work: a submission whose spec hash matches a job that is still queued or
 // running attaches to it as a follower (JobStatus.Coalesced) instead of
 // recomputing — it resolves, with the identical artifact, the moment the
 // leader finalises, and inherits the leader's failure otherwise. With a
 // CacheDir configured, accepted jobs are journaled to a JSONL write-ahead log
-// (internal/service/journal) and replayed on daemon start, so a restart
-// resumes accepted-but-unfinished work instead of dropping it. A full queue
-// rejects with ErrQueueFull carrying a Retry-After estimate (queue backlog ×
-// recent mean unit duration), which the HTTP layer maps to 429; Shutdown
-// drains gracefully (admissions stop, in-flight units finish, queued units
-// stay journaled for the next daemon).
+// (internal/service/journal) and replayed on start, so a restart resumes
+// accepted-but-unfinished work instead of dropping it. A full queue rejects
+// with ErrQueueFull carrying a Retry-After estimate (queue backlog × recent
+// mean unit duration), which the HTTP layer maps to 429; Shutdown drains
+// gracefully (admissions stop, in-flight units finish, queued units stay
+// journaled for the next start).
 //
 // Byte-identity to the CLI is the correctness contract: per-set experiments
 // merge shard partials bit-for-bit (sample replay), so their served artifacts
@@ -42,6 +46,7 @@ import (
 	"fmt"
 	"log"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -128,16 +133,17 @@ type Config struct {
 	FaultHook func(ctx context.Context, experiment string, shard experiments.Shard) error
 }
 
-// Server is the experiment daemon. Construct with New, expose over HTTP with
-// Handler, and stop with Close (immediate) or Shutdown (graceful drain).
-// Submit and Job are also usable directly for in-process embedding.
+// Server is the job front end. Construct with New (local worker pool) or
+// NewWithExecutor, expose over HTTP with Handler, and stop with Close
+// (immediate) or Shutdown (graceful drain). Submit and Job are also usable
+// directly for in-process embedding.
 type Server struct {
 	cfg     Config
+	ex      Executor
 	cache   *cache.Cache
 	ctx     context.Context
 	cancel  context.CancelFunc
 	wg      sync.WaitGroup
-	queue   chan *unit
 	metrics *obs.Registry
 	met     serverMetrics
 	events  *obs.EventLog // nil without CacheDir; Emit is nil-safe
@@ -148,17 +154,18 @@ type Server struct {
 	shutdownDone chan struct{} // closed when shutdown has fully completed
 
 	mu           sync.Mutex
+	wake         *sync.Cond // signalled when the queue or the executor's capacity changes
 	jobs         map[string]*job
 	inflight     map[string]*job // spec hash -> queued/running leader job
 	journal      *journal.Journal
 	terminal     []string // terminal job IDs in completion order (eviction queue)
-	queued       int      // units in the queue
-	queuedPeak   int      // high-water mark of queued
-	inFlight     int      // units executing
+	queue        []*Unit  // units waiting for the executor, FIFO
+	queuedPeak   int      // high-water mark of len(queue)
+	inFlight     int      // unit runs the executor holds
 	seq          int
 	draining     bool
 	cacheErrSeen map[string]bool // distinct cache write errors already logged
-	meanUnitNs   float64         // EWMA of unit execution duration
+	meanUnitNs   float64         // EWMA of unit run duration
 }
 
 // job is one accepted submission.
@@ -167,6 +174,7 @@ type job struct {
 	experiment string
 	trace      string // fleet-wide trace id (obs.TraceHeader)
 	hash       string
+	req        SpecRequest // the wire-form spec, journaled and forwarded to remote workers
 	spec       experiments.Spec
 	state      string
 	cached     bool
@@ -175,26 +183,55 @@ type job struct {
 	created    time.Time
 	started    time.Time
 	finished   time.Time
-	units      []*unit
+	units      []*Unit
 	followers  []*job // coalesced submissions resolving with this leader
 	remaining  int
+	merger     *experiments.ReportMerger // multi-unit jobs only
+	parts      []*experiments.Report     // partials waiting for an earlier shard
+	next       int                       // the next shard index the merger folds
 	artifact   []byte
 	done       chan struct{} // closed when the job turns terminal; wakes ?wait= holds
 }
 
-// unit is one queued/executing shard of a job.
-type unit struct {
-	job   *job
-	shard experiments.Shard
-	state string
-	done  int
-	total int
-	rep   *experiments.Report
+func (j *job) terminal() bool { return j.state == StateDone || j.state == StateFailed }
+
+// Unit is one shard unit of a job: the work item an Executor runs.
+type Unit struct {
+	job    *job
+	shard  experiments.Shard
+	state  string // StateDone or StateFailed once settled, else ""
+	queued bool   // waiting in the queue
+	runs   int    // runs the executor holds
+	done   int    // progress callbacks of a local run
+	total  int
 }
 
-// New constructs a daemon, replays the job journal (when CacheDir is set)
-// and starts its worker pool.
+// Job returns the ID of the unit's job.
+func (u *Unit) Job() string { return u.job.id }
+
+// Shard returns the unit's slice of the run (disabled for the single unit of
+// an unsharded job).
+func (u *Unit) Shard() experiments.Shard { return u.shard }
+
+// Request returns the single-unit job that runs u on another daemon: the
+// job's experiment, wire spec and trace id, with Shard set for a shard unit.
+func (u *Unit) Request() JobRequest {
+	r := JobRequest{Experiment: u.job.experiment, Spec: u.job.req, TraceID: u.job.trace}
+	if u.shard.Enabled() {
+		r.Shard = u.shard.String()
+	}
+	return r
+}
+
+// New constructs a daemon that runs its units on a local worker pool of
+// cfg.Workers, replays the job journal (when CacheDir is set) and starts it.
 func New(cfg Config) (*Server, error) {
+	return NewWithExecutor(cfg, &pool{})
+}
+
+// NewWithExecutor constructs a front end whose units ex runs, replays the job
+// journal (when CacheDir is set) and starts it.
+func NewWithExecutor(cfg Config, ex Executor) (*Server, error) {
 	if cfg.Workers <= 0 {
 		cfg.Workers = 2
 	}
@@ -216,22 +253,14 @@ func New(cfg Config) (*Server, error) {
 			return nil, err
 		}
 	}
-	// The queue must admit the entire replayed backlog even when it exceeds
-	// the configured bound (the previous daemon admitted it under its own
-	// bound); new submissions still reject against cfg.QueueCapacity until
-	// the backlog drains below it.
-	queueCap := cfg.QueueCapacity
-	if n := backlogUnits(backlog); n > queueCap {
-		queueCap = n
-	}
 	ctx, cancel := context.WithCancel(context.Background())
 	reg := obs.NewRegistry()
 	s := &Server{
 		cfg:          cfg,
+		ex:           ex,
 		cache:        c,
 		ctx:          ctx,
 		cancel:       cancel,
-		queue:        make(chan *unit, queueCap),
 		metrics:      reg,
 		met:          newServerMetrics(reg),
 		drainIdle:    make(chan struct{}),
@@ -241,6 +270,7 @@ func New(cfg Config) (*Server, error) {
 		journal:      jr,
 		cacheErrSeen: make(map[string]bool),
 	}
+	s.wake = sync.NewCond(&s.mu)
 	s.registerGauges()
 	if cfg.CacheDir != "" {
 		// The event log is telemetry, never availability: a failed open is
@@ -252,29 +282,15 @@ func New(cfg Config) (*Server, error) {
 			s.events = ev
 		}
 	}
+	ex.Start(ctx, &s.wg, s)
 	s.mu.Lock()
 	for _, rec := range backlog {
 		s.replayLocked(rec)
 	}
 	s.mu.Unlock()
-	for i := 0; i < cfg.Workers; i++ {
-		s.wg.Add(1)
-		go s.worker()
-	}
+	s.wg.Add(1)
+	go s.dispatch()
 	return s, nil
-}
-
-// backlogUnits counts the shard units a journal backlog expands to.
-func backlogUnits(backlog []journal.Accept) int {
-	n := 0
-	for _, rec := range backlog {
-		if rec.Shards > 1 {
-			n += rec.Shards
-		} else {
-			n++
-		}
-	}
-	return n
 }
 
 // jobSeq extracts the numeric sequence of a daemon-issued job ID.
@@ -333,10 +349,13 @@ func (s *Server) doShutdown(ctx context.Context) {
 		}
 	}
 	s.cancel()
+	s.mu.Lock()
+	s.wake.Broadcast() // the dispatcher observes the cancelled context
+	s.mu.Unlock()
 	s.wg.Wait()
 	s.mu.Lock()
 	for _, j := range s.jobs {
-		if j.state == StateQueued || j.state == StateRunning {
+		if !j.terminal() {
 			s.completeLocked(j, StateFailed, shutdownMsg, false)
 		}
 	}
@@ -364,6 +383,9 @@ func (s *Server) doShutdown(ctx context.Context) {
 func (s *Server) Submit(req JobRequest) (JobStatus, error) {
 	def, err := experiments.Lookup(req.Experiment)
 	if err != nil {
+		return JobStatus{}, err
+	}
+	if err := s.ex.Validate(req); err != nil {
 		return JobStatus{}, err
 	}
 	if req.Shards < 0 {
@@ -412,6 +434,7 @@ func (s *Server) Submit(req JobRequest) (JobStatus, error) {
 		experiment: req.Experiment,
 		trace:      req.TraceID,
 		hash:       hash,
+		req:        req.Spec,
 		spec:       spec,
 		created:    time.Now(),
 		done:       make(chan struct{}),
@@ -426,8 +449,7 @@ func (s *Server) Submit(req JobRequest) (JobStatus, error) {
 		j.artifact = artifact
 		s.jobs[j.id] = j
 		s.met.jobsCached.Inc()
-		s.events.Emit(obs.Event{Event: obs.EventJobAccepted, Trace: j.trace, Job: j.id,
-			Experiment: j.experiment, Detail: "cached"})
+		s.emitAcceptLocked(j, "cached")
 		s.finishLocked(j, StateDone, "")
 		s.evictLocked()
 		return s.statusLocked(j), nil
@@ -436,103 +458,136 @@ func (s *Server) Submit(req JobRequest) (JobStatus, error) {
 		// Singleflight coalescing: attach to the in-flight computation of
 		// the same spec instead of queueing a duplicate. Followers consume
 		// no queue capacity and resolve when the leader finalises.
-		j.coalesced = true
-		j.state = leader.state
-		j.started = leader.started
-		leader.followers = append(leader.followers, j)
-		s.met.jobsCoalesced.Inc()
+		s.coalesceLocked(j, leader)
 		s.jobs[j.id] = j
-		s.events.Emit(obs.Event{Event: obs.EventJobAccepted, Trace: j.trace, Job: j.id,
-			Experiment: j.experiment, Detail: "coalesced"})
-		s.journalAcceptLocked(j, req.Spec, req.Shards, req.Shard)
+		s.emitAcceptLocked(j, "coalesced")
+		s.journalAcceptLocked(j, req.Shards, req.Shard)
 		s.evictLocked()
 		return s.statusLocked(j), nil
 	}
-	units := makeUnits(j, req.Shards, unitShard)
-	if s.queued+len(units) > s.cfg.QueueCapacity {
+	makeUnits(j, req.Shards, unitShard)
+	if len(s.queue)+len(j.units) > s.cfg.QueueCapacity {
 		s.met.rejectedFull.Inc()
 		return JobStatus{}, &queueFullError{
-			units: len(units), capacity: s.cfg.QueueCapacity, queued: s.queued,
+			units: len(j.units), capacity: s.cfg.QueueCapacity, queued: len(s.queue),
 			retryAfter: s.retryAfterLocked(),
 		}
 	}
-	j.units = units
-	j.state = StateQueued
-	j.remaining = len(j.units)
 	s.jobs[j.id] = j
 	s.inflight[hash] = j
 	s.met.jobsComputed.Inc()
-	s.events.Emit(obs.Event{Event: obs.EventJobAccepted, Trace: j.trace, Job: j.id,
-		Experiment: j.experiment, Detail: "computed"})
-	s.journalAcceptLocked(j, req.Spec, req.Shards, req.Shard)
+	s.emitAcceptLocked(j, "computed")
+	s.journalAcceptLocked(j, req.Shards, req.Shard)
 	s.evictLocked()
-	s.enqueueLocked(j)
+	for _, u := range j.units {
+		s.enqueueLocked(u)
+	}
 	return s.statusLocked(j), nil
 }
 
-// enqueueLocked queues every unit of a newly-admitted job, tracking the
-// queue-depth high-water mark. Callers hold s.mu and have verified capacity
-// (admission bound, or a backlog-sized queue on replay).
-func (s *Server) enqueueLocked(j *job) {
-	for _, u := range j.units {
-		s.queued++
-		s.events.Emit(obs.Event{Event: obs.EventUnitQueued, Trace: j.trace, Job: j.id,
-			Experiment: j.experiment, Unit: u.shard.String()})
-		s.queue <- u // never blocks: queued <= QueueCapacity <= cap(queue)
+// coalesceLocked attaches follower j to the in-flight leader of its spec.
+// Callers hold s.mu.
+func (s *Server) coalesceLocked(j, leader *job) {
+	j.coalesced = true
+	j.state = leader.state
+	j.started = leader.started
+	leader.followers = append(leader.followers, j)
+	s.met.jobsCoalesced.Inc()
+}
+
+// emitAcceptLocked records one job admission in the event log; detail is the
+// admission path (computed, coalesced, cached, replayed). Callers hold s.mu.
+func (s *Server) emitAcceptLocked(j *job, detail string) {
+	s.events.Emit(obs.Event{Event: obs.EventJobAccepted, Trace: j.trace, Job: j.id,
+		Experiment: j.experiment, Detail: detail})
+}
+
+// enqueueLocked appends a unit of a live job to the queue (idempotent per
+// unit), tracking the queue-depth high-water mark, and wakes the dispatcher.
+// It reports whether the unit was queued. Callers hold s.mu.
+func (s *Server) enqueueLocked(u *Unit) bool {
+	if u.queued || u.state != "" || u.job.terminal() {
+		return false
 	}
-	if s.queued > s.queuedPeak {
-		s.queuedPeak = s.queued
-	}
+	u.queued = true
+	s.queue = append(s.queue, u)
+	s.queuedPeak = max(s.queuedPeak, len(s.queue))
+	s.events.Emit(obs.Event{Event: obs.EventUnitQueued, Trace: u.job.trace, Job: u.job.id,
+		Experiment: u.job.experiment, Unit: u.shard.String()})
+	s.wake.Broadcast()
+	return true
+}
+
+// dequeueLocked removes the queued units drop selects. Callers hold s.mu.
+func (s *Server) dequeueLocked(drop func(u *Unit) bool) {
+	s.queue = slices.DeleteFunc(s.queue, func(u *Unit) bool {
+		if drop(u) {
+			u.queued = false
+			return true
+		}
+		return false
+	})
 }
 
 // cacheGetLocked wraps the report cache lookup, mirroring hit/miss onto the
 // registry and the event log. Callers hold s.mu.
 func (s *Server) cacheGetLocked(j *job, hash string) ([]byte, bool) {
 	artifact, ok := s.cache.Get(hash)
+	e := obs.Event{Event: obs.EventCacheMiss, Trace: j.trace, Job: j.id, Experiment: j.experiment, Detail: hash}
 	if ok {
 		s.met.cacheHits.Inc()
-		s.events.Emit(obs.Event{Event: obs.EventCacheHit, Trace: j.trace, Job: j.id,
-			Experiment: j.experiment, Detail: hash})
+		e.Event = obs.EventCacheHit
 	} else {
 		s.met.cacheMisses.Inc()
-		s.events.Emit(obs.Event{Event: obs.EventCacheMiss, Trace: j.trace, Job: j.id,
-			Experiment: j.experiment, Detail: hash})
 	}
+	s.events.Emit(e)
 	return artifact, ok
+}
+
+// cachePutLocked stores one artifact. A cache write failure (disk full,
+// permissions) must not fail the job: the artifact is already in memory;
+// only future resubmissions lose the shortcut. It is counted in Health and
+// logged once per distinct error. Callers hold s.mu.
+func (s *Server) cachePutLocked(hash string, artifact []byte) {
+	if err := s.cache.Put(hash, artifact); err != nil {
+		s.met.cacheWriteErr.Inc()
+		if !s.cacheErrSeen[err.Error()] {
+			s.cacheErrSeen[err.Error()] = true
+			log.Printf("service: report cache write failed (artifact kept in memory): %v", err)
+		}
+	}
 }
 
 // makeUnits builds a job's shard units: one unit carrying unitShard for a
 // shard-unit job, one unsharded unit for shards <= 1, one unit per shard
-// otherwise.
-func makeUnits(j *job, shards int, unitShard experiments.Shard) []*unit {
-	if unitShard.Enabled() {
-		return []*unit{{job: j, shard: unitShard, state: StateQueued}}
+// otherwise, which fold through a ReportMerger.
+func makeUnits(j *job, shards int, unitShard experiments.Shard) {
+	switch {
+	case unitShard.Enabled():
+		j.units = []*Unit{{job: j, shard: unitShard}}
+	case shards <= 1:
+		j.units = []*Unit{{job: j}}
+	default:
+		for i := range shards {
+			j.units = append(j.units, &Unit{job: j, shard: experiments.Shard{Index: i, Count: shards}})
+		}
+		j.merger, _ = experiments.NewReportMerger(shards)
+		j.parts = make([]*experiments.Report, shards)
 	}
-	if shards <= 1 {
-		return []*unit{{job: j, state: StateQueued}}
-	}
-	units := make([]*unit, 0, shards)
-	for i := 0; i < shards; i++ {
-		units = append(units, &unit{
-			job:   j,
-			shard: experiments.Shard{Index: i, Count: shards},
-			state: StateQueued,
-		})
-	}
-	return units
+	j.state = StateQueued
+	j.remaining = len(j.units)
 }
 
-// replayLocked re-admits one journaled job under its original ID on daemon
-// start. A spec that became cache-resolvable (the previous daemon finished a
-// sibling of the same hash) completes immediately; duplicates of a job
-// replayed earlier in the backlog coalesce onto it; anything else enqueues.
-// Records that no longer decode or validate are terminal-marked failed and
-// compacted away rather than wedging the restart. Callers hold s.mu.
+// replayLocked re-admits one journaled job under its original ID on start. A
+// spec that became cache-resolvable (the previous daemon finished a sibling
+// of the same hash) completes immediately; duplicates of a job replayed
+// earlier in the backlog coalesce onto it; anything else offers each unit to
+// the executor's Resume and queues the rest. Records that no longer decode
+// or validate are terminal-marked failed and compacted away rather than
+// wedging the restart. Callers hold s.mu.
 func (s *Server) replayLocked(rec journal.Accept) {
 	if n, ok := jobSeq(rec.ID); ok {
-		if n > s.seq {
-			s.seq = n
-		}
+		s.seq = max(s.seq, n)
 	} else {
 		s.seq++
 		rec.ID = fmt.Sprintf("job-%06d", s.seq)
@@ -558,13 +613,8 @@ func (s *Server) replayLocked(rec journal.Accept) {
 		fail(err.Error())
 		return
 	}
-	var sreq SpecRequest
-	if err := json.Unmarshal(rec.Spec, &sreq); err != nil {
+	if err := json.Unmarshal(rec.Spec, &j.req); err != nil {
 		fail("decoding spec: " + err.Error())
-		return
-	}
-	if rec.Shards > 1 && !def.Shardable {
-		fail(fmt.Sprintf("experiment %q does not shard", rec.Experiment))
 		return
 	}
 	unitShard, err := experiments.ParseShard(rec.Shard)
@@ -572,16 +622,15 @@ func (s *Server) replayLocked(rec journal.Accept) {
 		fail(err.Error())
 		return
 	}
-	if unitShard.Enabled() && !def.Shardable {
+	if (rec.Shards > 1 || unitShard.Enabled()) && !def.Shardable {
 		fail(fmt.Sprintf("experiment %q does not shard", rec.Experiment))
 		return
 	}
-	spec := sreq.Spec()
-	spec.Parallel = s.cfg.Parallel
-	j.spec = spec
+	j.spec = j.req.Spec()
+	j.spec.Parallel = s.cfg.Parallel
 	// Recompute the content address instead of trusting the journaled one:
 	// a ReportVersion/ResultsVersion bump between restarts must re-run.
-	j.hash = experiments.ShardSpecHash(rec.Experiment, spec, unitShard)
+	j.hash = experiments.ShardSpecHash(rec.Experiment, j.spec, unitShard)
 	if artifact, ok := s.cacheGetLocked(j, j.hash); ok {
 		j.cached = true
 		j.artifact = artifact
@@ -591,30 +640,28 @@ func (s *Server) replayLocked(rec journal.Accept) {
 		return
 	}
 	if leader := s.inflight[j.hash]; leader != nil {
-		j.coalesced = true
-		j.state = leader.state
-		leader.followers = append(leader.followers, j)
-		s.met.jobsCoalesced.Inc()
+		s.coalesceLocked(j, leader)
 		return
 	}
-	j.units = makeUnits(j, rec.Shards, unitShard)
-	j.state = StateQueued
-	j.remaining = len(j.units)
+	makeUnits(j, rec.Shards, unitShard)
 	s.inflight[j.hash] = j
 	s.met.jobsComputed.Inc()
-	s.events.Emit(obs.Event{Event: obs.EventJobAccepted, Trace: j.trace, Job: j.id,
-		Experiment: j.experiment, Detail: "replayed"})
-	s.enqueueLocked(j) // the queue is sized to hold the whole backlog
+	s.emitAcceptLocked(j, "replayed")
+	for _, u := range j.units {
+		if !s.ex.Resume(u, rec.Leases) {
+			s.enqueueLocked(u)
+		}
+	}
 }
 
 // journalAcceptLocked appends one accepted job to the WAL. Journal failures
 // degrade durability, not availability: they are logged and the job still
 // runs. Callers hold s.mu.
-func (s *Server) journalAcceptLocked(j *job, spec SpecRequest, shards int, shard string) {
+func (s *Server) journalAcceptLocked(j *job, shards int, shard string) {
 	if s.journal == nil {
 		return
 	}
-	raw, err := json.Marshal(spec)
+	raw, err := json.Marshal(j.req)
 	if err == nil {
 		err = s.journal.Accept(journal.Accept{
 			ID: j.id, Experiment: j.experiment, Spec: raw,
@@ -661,22 +708,27 @@ func (s *Server) finishLocked(j *job, state, errMsg string) {
 
 // completeLocked finishes a non-terminal job and all its still-pending
 // followers with the same terminal state (followers of a done leader share
-// its artifact), deregisters the in-flight hash entry, and — unless the job
-// is being abandoned by shutdown — marks the journal records done so they
-// compact away instead of replaying. Callers hold s.mu.
+// its artifact), deregisters the in-flight hash entry, takes its units off
+// the queue and out of the executor, and — unless the job is being abandoned
+// by shutdown — marks the journal records done so they compact away instead
+// of replaying. Callers hold s.mu.
 func (s *Server) completeLocked(j *job, state, errMsg string, journalDone bool) {
-	if j.state == StateDone || j.state == StateFailed {
+	if j.terminal() {
 		return
 	}
 	s.finishLocked(j, state, errMsg)
 	if s.inflight[j.hash] == j {
 		delete(s.inflight, j.hash)
 	}
+	s.dequeueLocked(func(u *Unit) bool { return u.job == j })
+	for _, u := range j.units {
+		s.ex.Settle(u)
+	}
 	if journalDone {
 		s.journalDoneLocked(j.id)
 	}
 	for _, f := range j.followers {
-		if f.state == StateDone || f.state == StateFailed {
+		if f.terminal() {
 			continue
 		}
 		if state == StateDone {
@@ -700,23 +752,18 @@ func (s *Server) evictLocked() {
 }
 
 // retryAfterLocked estimates when a rejected submitter should retry: the
-// current unit backlog divided across the worker pool at the recent mean
-// unit duration (1 s floor before any unit has completed), clamped to
+// current unit backlog divided across the executor's slots at the recent
+// mean unit duration (1 s floor before any unit has completed), clamped to
 // [1 s, 5 min]. Callers hold s.mu.
 func (s *Server) retryAfterLocked() time.Duration {
 	mean := time.Duration(s.meanUnitNs)
 	if mean <= 0 {
 		mean = time.Second
 	}
-	backlog := s.queued + s.inFlight
-	d := mean * time.Duration(backlog) / time.Duration(s.cfg.Workers)
-	if d < time.Second {
-		d = time.Second
-	}
-	if d > 5*time.Minute {
-		d = 5 * time.Minute
-	}
-	return d
+	var h Health
+	s.ex.Health(&h)
+	d := mean * time.Duration(len(s.queue)+s.inFlight) / time.Duration(max(h.Workers, 1))
+	return min(max(d, time.Second), 5*time.Minute)
 }
 
 // Job returns the status of one job.
@@ -736,7 +783,13 @@ func (s *Server) JobWait(ctx context.Context, id string, wait time.Duration) (Jo
 		return JobStatus{}, fmt.Errorf("%w %q", ErrUnknownJob, id)
 	}
 	if wait > 0 {
-		AwaitTerminal(ctx, j.done, wait)
+		t := time.NewTimer(wait)
+		defer t.Stop()
+		select {
+		case <-j.done:
+		case <-ctx.Done():
+		case <-t.C:
+		}
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -775,12 +828,11 @@ func (s *Server) Health() Health {
 	// The lifetime counters read straight off the metrics registry — the
 	// same series /metrics renders — so the two endpoints agree by
 	// construction (pinned by TestHealthMatchesMetrics).
-	return Health{
+	h := Health{
 		Status:           status,
-		QueueDepth:       s.queued,
+		QueueDepth:       len(s.queue),
 		QueueCapacity:    s.cfg.QueueCapacity,
 		InFlight:         s.inFlight,
-		Workers:          s.cfg.Workers,
 		Jobs:             len(s.jobs),
 		CoalescedJobs:    int(s.met.jobsCoalesced.Value()),
 		CacheEntries:     s.cache.Len(),
@@ -789,6 +841,8 @@ func (s *Server) Health() Health {
 		CacheWriteErrors: int(s.met.cacheWriteErr.Value()),
 		MeanUnitMs:       s.meanUnitNs / 1e6,
 	}
+	s.ex.Health(&h)
+	return h
 }
 
 // statusLocked builds a JobStatus snapshot. Callers hold s.mu.
@@ -807,152 +861,212 @@ func (s *Server) statusLocked(j *job) JobStatus {
 		Finished:   j.finished,
 	}
 	for _, u := range j.units {
-		st.Shards = append(st.Shards, ShardStatus{
-			Shard: u.shard.String(),
-			State: u.state,
-			Done:  u.done,
-			Total: u.total,
-		})
+		state := u.state
+		switch {
+		case state != "":
+		case u.runs > 0:
+			state = StateRunning
+		default:
+			state = StateQueued
+		}
+		st.Shards = append(st.Shards, ShardStatus{Shard: u.shard.String(), State: state, Done: u.done, Total: u.total})
 	}
 	return st
 }
 
-// worker drains the unit queue until the daemon closes.
-func (s *Server) worker() {
+// dispatch hands queued units to the executor in FIFO order as it has room,
+// until the daemon closes. While draining it starts nothing: queued units
+// stay journaled for the next start.
+func (s *Server) dispatch() {
 	defer s.wg.Done()
-	for {
-		select {
-		case <-s.ctx.Done():
-			return
-		case u := <-s.queue:
-			s.runUnit(u)
-		}
-	}
-}
-
-// runUnit executes one shard unit and finalises its job when it is the last.
-func (s *Server) runUnit(u *unit) {
-	j := u.job
-	s.mu.Lock()
-	s.queued--
-	if s.draining || s.ctx.Err() != nil {
-		// The daemon is draining: leave the unit unstarted. Its job is
-		// terminal-marked by the shutdown sweep, and its journal record
-		// survives for the next daemon to resume.
-		s.mu.Unlock()
-		return
-	}
-	if j.state == StateFailed {
-		// A sibling shard already failed the job: don't burn a worker on a
-		// result nobody will merge.
-		u.state = StateFailed
-		s.mu.Unlock()
-		return
-	}
-	s.inFlight++
-	u.state = StateRunning
-	s.events.Emit(obs.Event{Event: obs.EventUnitStarted, Trace: j.trace, Job: j.id,
-		Experiment: j.experiment, Unit: u.shard.String()})
-	if j.state == StateQueued {
-		j.state = StateRunning
-		j.started = time.Now()
-		for _, f := range j.followers {
-			if f.state == StateQueued {
-				f.state = StateRunning
-				f.started = j.started
-			}
-		}
-	}
-	s.mu.Unlock()
-
-	start := time.Now()
-	var rep *experiments.Report
-	var err error
-	if hook := s.cfg.FaultHook; hook != nil {
-		err = hook(s.ctx, j.experiment, u.shard)
-	}
-	if err == nil {
-		spec := j.spec
-		spec.Shard = u.shard
-		spec.Progress = func(done, total int) {
-			s.mu.Lock()
-			u.done, u.total = done, total
-			s.mu.Unlock()
-		}
-		rep, err = experiments.Run(s.ctx, j.experiment, spec)
-	}
-	dur := time.Since(start)
-
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.inFlight--
-	s.met.unitDur.Observe(dur.Seconds())
-	// EWMA of unit duration feeds the Retry-After backpressure estimate.
-	if s.meanUnitNs == 0 {
-		s.meanUnitNs = float64(dur)
-	} else {
-		s.meanUnitNs = 0.8*s.meanUnitNs + 0.2*float64(dur)
-	}
-	if err != nil {
-		u.state = StateFailed
-		s.events.Emit(obs.Event{Event: obs.EventUnitFailed, Trace: j.trace, Job: j.id,
-			Experiment: j.experiment, Unit: u.shard.String(), Detail: err.Error()})
-		if s.ctx.Err() != nil {
-			// Cancelled by Close/expired drain: abandon without journaling
-			// completion, so a restart resumes the job.
-			s.completeLocked(j, StateFailed, shutdownMsg, false)
-		} else {
-			s.completeLocked(j, StateFailed, err.Error(), true)
+	for s.ctx.Err() == nil {
+		if s.draining || !s.placeLocked() {
+			s.wake.Wait()
 		}
-	} else {
-		u.state = StateDone
-		u.rep = rep
-		s.events.Emit(obs.Event{Event: obs.EventUnitFinished, Trace: j.trace, Job: j.id,
-			Experiment: j.experiment, Unit: u.shard.String(), Detail: dur.Round(time.Millisecond).String()})
-		j.remaining--
-		if j.remaining == 0 {
-			s.finalizeLocked(j)
-		}
-	}
-	if s.draining && s.inFlight == 0 {
-		s.drainOnce.Do(func() { close(s.drainIdle) })
 	}
 }
 
-// finalizeLocked merges a job's shard partials, renders the artifact, stores
-// it in the report cache and resolves the job with all its coalesced
-// followers. Callers hold s.mu.
-func (s *Server) finalizeLocked(j *job) {
-	rep := j.units[0].rep
-	if len(j.units) > 1 {
-		parts := make([]*experiments.Report, len(j.units))
-		for i, u := range j.units {
-			parts[i] = u.rep
+// placeLocked starts the first queued unit the executor takes, reporting
+// whether there was one. Callers hold s.mu.
+func (s *Server) placeLocked() bool {
+	for i, u := range s.queue {
+		run := s.ex.Place(u)
+		if run == nil {
+			continue
 		}
-		merged, err := experiments.MergeReports(parts)
+		s.queue = slices.Delete(s.queue, i, i+1)
+		u.queued = false
+		u.runs++
+		s.inFlight++
+		if j := u.job; j.state == StateQueued {
+			j.state = StateRunning
+			j.started = time.Now()
+			for _, f := range j.followers {
+				if f.state == StateQueued {
+					f.state = StateRunning
+					f.started = j.started
+				}
+			}
+		}
+		s.wg.Add(1)
+		go func() {
+			defer s.wg.Done()
+			settle := run(s.ctx)
+			s.mu.Lock()
+			defer s.mu.Unlock()
+			if settle != nil {
+				settle()
+			}
+			u.runs--
+			s.inFlight--
+			if s.draining && s.inFlight == 0 {
+				s.drainOnce.Do(func() { close(s.drainIdle) })
+			}
+			s.wake.Broadcast()
+		}()
+		return true
+	}
+	return false
+}
+
+// DeliverLocked hands the Server one finished run of u: its report, and for
+// a run on another daemon also the artifact bytes it arrived as (nil
+// otherwise). The first delivery of a unit wins: it folds into the job,
+// finalising it after the last unit, and DeliverLocked reports true; a unit
+// already done or of a terminal job reports false. dur is the run's duration
+// (0 for a result taken from the cache), worker the remote worker's URL (""
+// for a local run). A single-unit job's artifact is the delivered bytes when
+// given, else rep's encoding; a multi-unit job needs rep. Callers hold the
+// lock (see Lock).
+func (s *Server) DeliverLocked(u *Unit, rep *experiments.Report, artifact []byte, dur time.Duration, worker string) bool {
+	j := u.job
+	if u.state != "" || j.terminal() {
+		return false
+	}
+	if dur > 0 {
+		s.met.unitDur.Observe(dur.Seconds())
+		// EWMA of unit duration feeds the Retry-After backpressure estimate.
+		if s.meanUnitNs == 0 {
+			s.meanUnitNs = float64(dur)
+		} else {
+			s.meanUnitNs = 0.8*s.meanUnitNs + 0.2*float64(dur)
+		}
+	}
+	s.events.Emit(obs.Event{Event: obs.EventUnitFinished, Trace: j.trace, Job: j.id,
+		Experiment: j.experiment, Unit: u.shard.String(), Worker: worker, Detail: dur.Round(time.Millisecond).String()})
+	u.state = StateDone
+	if u.queued {
+		s.dequeueLocked(func(q *Unit) bool { return q == u })
+	}
+	j.remaining--
+	if j.merger == nil {
+		j.artifact = artifact
+		s.finalizeLocked(j, rep)
+		return true
+	}
+	// Fold in shard order, whatever the arrival order, so the merged bytes
+	// never depend on which unit finished first.
+	j.parts[u.shard.Index] = rep
+	for ; j.next < len(j.parts) && j.parts[j.next] != nil; j.next++ {
+		if err := j.merger.Add(j.parts[j.next]); err != nil {
+			s.completeLocked(j, StateFailed, err.Error(), true)
+			return true
+		}
+		j.parts[j.next] = nil
+	}
+	if j.remaining == 0 {
+		merged, err := j.merger.Report()
 		if err != nil {
+			s.completeLocked(j, StateFailed, err.Error(), true)
+			return true
+		}
+		s.events.Emit(obs.Event{Event: obs.EventMerge, Trace: j.trace, Job: j.id,
+			Experiment: j.experiment, Detail: fmt.Sprintf("%d shard partials", len(j.units))})
+		s.finalizeLocked(j, merged)
+	}
+	return true
+}
+
+// finalizeLocked renders the job's artifact from rep unless it arrived as
+// bytes, stores it in the report cache and resolves the job with all its
+// coalesced followers. Callers hold s.mu.
+func (s *Server) finalizeLocked(j *job, rep *experiments.Report) {
+	if j.artifact == nil {
+		var buf bytes.Buffer
+		if err := experiments.WriteArtifact(&buf, []*experiments.Report{rep}); err != nil {
 			s.completeLocked(j, StateFailed, err.Error(), true)
 			return
 		}
-		rep = merged
-		s.events.Emit(obs.Event{Event: obs.EventMerge, Trace: j.trace, Job: j.id,
-			Experiment: j.experiment, Detail: fmt.Sprintf("%d shard partials", len(j.units))})
+		j.artifact = buf.Bytes()
 	}
-	var buf bytes.Buffer
-	if err := experiments.WriteArtifact(&buf, []*experiments.Report{rep}); err != nil {
-		s.completeLocked(j, StateFailed, err.Error(), true)
-		return
-	}
-	j.artifact = buf.Bytes()
-	// A cache write failure (disk full, permissions) must not fail the job:
-	// the artifact is already in memory; only future resubmissions lose the
-	// shortcut. It is counted in Health and logged once per distinct error.
-	if err := s.cache.Put(j.hash, j.artifact); err != nil {
-		s.met.cacheWriteErr.Inc()
-		if !s.cacheErrSeen[err.Error()] {
-			s.cacheErrSeen[err.Error()] = true
-			log.Printf("service: report cache write failed (artifact kept in memory): %v", err)
-		}
-	}
+	s.cachePutLocked(j.hash, j.artifact)
 	s.completeLocked(j, StateDone, "", true)
 }
+
+// FailLocked fails u and with it u's job, unless the job is already terminal.
+// A failure while the daemon is closing abandons the job instead, keeping
+// its journal record for the next start. worker is the remote worker's URL
+// ("" for a local run). Callers hold the lock (see Lock).
+func (s *Server) FailLocked(u *Unit, worker string, err error) {
+	j := u.job
+	if u.state != "" || j.terminal() {
+		return
+	}
+	u.state = StateFailed
+	s.events.Emit(obs.Event{Event: obs.EventUnitFailed, Trace: j.trace, Job: j.id,
+		Experiment: j.experiment, Unit: u.shard.String(), Worker: worker, Detail: err.Error()})
+	if s.ctx.Err() != nil {
+		s.completeLocked(j, StateFailed, shutdownMsg, false)
+	} else {
+		s.completeLocked(j, StateFailed, err.Error(), true)
+	}
+}
+
+// RequeueLocked puts an unfinished unit of a live job back at the tail of the
+// queue — a re-dispatch, or a speculative second copy while one still runs —
+// and reports whether it was queued (false when it already waits there).
+// Callers hold the lock (see Lock).
+func (s *Server) RequeueLocked(u *Unit) bool { return s.enqueueLocked(u) }
+
+// CacheGetLocked looks up u's own result in the report cache under the
+// unit's content address (experiments.ShardSpecHash), counting the hit or
+// miss. Callers hold the lock (see Lock).
+func (s *Server) CacheGetLocked(u *Unit) ([]byte, bool) {
+	return s.cacheGetLocked(u.job, experiments.ShardSpecHash(u.job.experiment, u.job.spec, u.shard))
+}
+
+// CachePutLocked stores u's own result artifact in the report cache under
+// the unit's content address. Callers hold the lock (see Lock).
+func (s *Server) CachePutLocked(u *Unit, artifact []byte) {
+	s.cachePutLocked(experiments.ShardSpecHash(u.job.experiment, u.job.spec, u.shard), artifact)
+}
+
+// JournalLeaseLocked journals one dispatch of u (l.Unit is filled in), so a
+// restart can prefer the same worker. Callers hold the lock (see Lock).
+func (s *Server) JournalLeaseLocked(u *Unit, l journal.Lease) {
+	if s.journal == nil {
+		return
+	}
+	l.Unit = u.shard.String()
+	if err := s.journal.Lease(u.job.id, l); err != nil {
+		s.met.journalError(err)
+		log.Printf("service: journaling lease of %s %s: %v", u.job.id, l.Unit, err)
+	}
+}
+
+// Emit appends one record to the event log (a no-op without CacheDir).
+func (s *Server) Emit(e obs.Event) { s.events.Emit(e) }
+
+// Lock takes the Server's lock. An Executor guards its own state with it and
+// holds it around every *Locked call; the Server holds it around every
+// Executor call except Start and Validate.
+func (s *Server) Lock() { s.mu.Lock() }
+
+// Unlock releases the Server's lock.
+func (s *Server) Unlock() { s.mu.Unlock() }
+
+// Wake tells the dispatcher that the executor may take a queued unit it
+// refused before (a slot freed up or a worker came up).
+func (s *Server) Wake() { s.wake.Broadcast() }
