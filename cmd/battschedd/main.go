@@ -25,17 +25,20 @@
 // computation ("coalesced": true followers). With -cache-dir set, accepted
 // jobs are also journaled (journal.jsonl) and a restarted daemon resumes
 // accepted-but-unfinished work under the original job IDs. A full queue
-// answers 429 with a Retry-After estimate; SIGINT/SIGTERM drains gracefully
-// (-drain-timeout bounds the wait for in-flight units).
+// answers 429 with a Retry-After estimate; SIGINT/SIGTERM drains gracefully:
+// in-flight units finish (-drain-timeout bounds the wait), queued units stay
+// journaled for the next start.
 //
-// With -coordinator, battschedd becomes a federation coordinator instead
-// (see internal/federation): it executes nothing itself but keeps a registry
-// of remote battschedd workers (-fleet, plus POST /v1/workers at runtime),
-// heartbeats their /healthz, splits each job into shard units and dispatches
-// the units under time-bounded leases, re-dispatching units whose leases
-// expire (dead workers) and speculatively duplicating stragglers — first
-// completion wins. The coordinator serves the same /v1 API, so
-// `cmd/experiments submit` works unchanged against either mode.
+// Both modes are the same job front end (internal/service): they differ
+// only in what runs the shard units. By default a local worker pool of
+// -workers slots runs them. With -coordinator, battschedd runs nothing itself
+// (see internal/federation): it keeps a registry of remote battschedd
+// workers (-fleet, plus POST /v1/workers at runtime), heartbeats their
+// /healthz and leases each queued unit to a worker with a free slot,
+// re-dispatching units whose leases expire (dead workers) and speculatively
+// duplicating stragglers — first completion wins. Admission, caching,
+// coalescing, the journal, the -queue bound and drain behave the same in
+// both modes, so `cmd/experiments submit` works unchanged against either.
 //
 // Both modes serve GET /metrics and, with -cache-dir, append structured
 // span records to events.jsonl there; every submission's X-Trace-Id threads
@@ -77,7 +80,7 @@ func run(args []string) error {
 	var (
 		addr         = fs.String("addr", ":8344", "HTTP listen address")
 		workers      = fs.Int("workers", 2, "concurrent shard units (the worker-pool size)")
-		queue        = fs.Int("queue", 64, "FIFO queue bound in shard units")
+		queue        = fs.Int("queue", 64, "FIFO queue bound in shard units waiting to run")
 		parallel     = fs.Int("parallel", 0, "job-grid worker count inside each unit's run (0: all cores)")
 		cacheDir     = fs.String("cache-dir", "", "on-disk content-addressed report store and job journal (default: memory-only, no journal)")
 		cacheEntries = fs.Int("cache-entries", 64, "in-memory report cache LRU size")

@@ -434,7 +434,7 @@ func (f *fleet) failLeaseLocked(l *lease, msg string) {
 	e.Detail = msg
 	f.s.Emit(e)
 	log.Printf("federation: re-queueing %s unit %s (attempt %d): %s", u.Job(), unitName(u), st.attempts, msg)
-	f.s.RequeueLocked(u)
+	f.s.QueueLocked(u)
 }
 
 // releaseLocked cancels one lease and returns its slot. Callers hold the
@@ -486,7 +486,7 @@ func (f *fleet) monitorRound() {
 			continue
 		}
 		l := st.leases[0]
-		if ran := now.Sub(l.started); ran > threshold && f.s.RequeueLocked(u) {
+		if ran := now.Sub(l.started); ran > threshold && f.s.QueueLocked(u) {
 			f.met.speculative.Inc()
 			e := event(obs.EventSpeculative, u, l.w)
 			e.Detail = fmt.Sprintf("%.1fs > %.1fs threshold", ran.Seconds(), threshold.Seconds())

@@ -13,21 +13,22 @@ import (
 
 // Executor runs the shard units a Server queues: the worker daemon's local
 // pool (New), or a coordinator's remote fleet (internal/federation). The
-// Server calls every method except Start, Validate and Routes with its lock
-// held (see Server.Lock).
+// Server calls Place, Resume, Settle and Health with its lock held (see
+// Server.Lock).
 type Executor interface {
 	// Start is called once, before journal replay: the executor registers
 	// its metrics on s.Metrics() and starts its background goroutines, which
 	// stop when ctx ends and are counted in wg.
 	Start(ctx context.Context, wg *sync.WaitGroup, s *Server)
 	// Validate rejects, with an experiments.ErrBadConfig error, a request
-	// this executor cannot run.
+	// this executor cannot run. It reads nothing but req: the Server calls
+	// it with and without its lock.
 	Validate(req JobRequest) error
 	// Place returns the run of u when the executor has room for it now, nil
 	// otherwise. The Server calls the run without its lock, on a goroutine of
 	// its own, with the Server's context; the run returns the step that
 	// records its outcome (Server.DeliverLocked, FailLocked or
-	// RequeueLocked), which the Server calls with the lock held.
+	// QueueLocked), which the Server calls with the lock held.
 	Place(u *Unit) func(ctx context.Context) func()
 	// Resume offers each unit of a job replayed from the journal, with the
 	// job's journaled leases, before it queues; true means the executor

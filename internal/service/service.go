@@ -381,46 +381,10 @@ func (s *Server) doShutdown(ctx context.Context) {
 // attached) when they do not fit the queue bound, or ErrDraining during
 // shutdown.
 func (s *Server) Submit(req JobRequest) (JobStatus, error) {
-	def, err := experiments.Lookup(req.Experiment)
+	spec, unitShard, hash, err := s.check(req)
 	if err != nil {
 		return JobStatus{}, err
 	}
-	if err := s.ex.Validate(req); err != nil {
-		return JobStatus{}, err
-	}
-	if req.Shards < 0 {
-		return JobStatus{}, fmt.Errorf("%w: negative shard count %d", experiments.ErrBadConfig, req.Shards)
-	}
-	if req.Shards > 1 && !def.Shardable {
-		return JobStatus{}, fmt.Errorf("%w: experiment %q is deterministic and does not shard",
-			experiments.ErrBadConfig, req.Experiment)
-	}
-	unitShard, err := experiments.ParseShard(req.Shard)
-	if err != nil {
-		return JobStatus{}, err
-	}
-	if unitShard.Enabled() {
-		if req.Shards > 1 {
-			return JobStatus{}, fmt.Errorf("%w: shard %q and shards=%d are mutually exclusive",
-				experiments.ErrBadConfig, req.Shard, req.Shards)
-		}
-		if !def.Shardable {
-			return JobStatus{}, fmt.Errorf("%w: experiment %q is deterministic and does not shard",
-				experiments.ErrBadConfig, req.Experiment)
-		}
-	}
-	spec := req.Spec.Spec()
-	if spec.Battery != "" {
-		// Fail a bad battery name at submission instead of asynchronously.
-		if _, err := experiments.NamedBatteryFactory(spec.Battery); err != nil {
-			return JobStatus{}, err
-		}
-	}
-	spec.Parallel = s.cfg.Parallel
-	// A shard-unit job is content-addressed by its partial's hash (the
-	// complete run's hash when unsharded), so duplicate dispatches of one
-	// unit dedupe exactly like duplicate complete submissions.
-	hash := experiments.ShardSpecHash(req.Experiment, spec, unitShard)
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -429,21 +393,7 @@ func (s *Server) Submit(req JobRequest) (JobStatus, error) {
 		return JobStatus{}, ErrDraining
 	}
 	s.seq++
-	j := &job{
-		id:         fmt.Sprintf("job-%06d", s.seq),
-		experiment: req.Experiment,
-		trace:      req.TraceID,
-		hash:       hash,
-		req:        req.Spec,
-		spec:       spec,
-		created:    time.Now(),
-		done:       make(chan struct{}),
-	}
-	if j.trace == "" {
-		// Untraced submission (raw curl): issue a server-side id so the
-		// event log still threads this job's records together.
-		j.trace = obs.NewTraceID()
-	}
+	j := newJob(fmt.Sprintf("job-%06d", s.seq), req, spec, hash, time.Now())
 	if artifact, ok := s.cacheGetLocked(j, hash); ok {
 		j.cached = true
 		j.artifact = artifact
@@ -480,9 +430,64 @@ func (s *Server) Submit(req JobRequest) (JobStatus, error) {
 	s.journalAcceptLocked(j, req.Shards, req.Shard)
 	s.evictLocked()
 	for _, u := range j.units {
-		s.enqueueLocked(u)
+		s.QueueLocked(u)
 	}
 	return s.statusLocked(j), nil
+}
+
+// check validates a job request, submitted or replayed from the journal,
+// and returns the spec it runs, its unit shard (enabled for a shard-unit
+// job) and its content address.
+func (s *Server) check(req JobRequest) (experiments.Spec, experiments.Shard, string, error) {
+	var spec experiments.Spec
+	def, err := experiments.Lookup(req.Experiment)
+	if err != nil {
+		return spec, experiments.Shard{}, "", err
+	}
+	if err := s.ex.Validate(req); err != nil {
+		return spec, experiments.Shard{}, "", err
+	}
+	if req.Shards < 0 {
+		return spec, experiments.Shard{}, "", fmt.Errorf("%w: negative shard count %d", experiments.ErrBadConfig, req.Shards)
+	}
+	unitShard, err := experiments.ParseShard(req.Shard)
+	if err != nil {
+		return spec, unitShard, "", err
+	}
+	if unitShard.Enabled() && req.Shards > 1 {
+		return spec, unitShard, "", fmt.Errorf("%w: shard %q and shards=%d are mutually exclusive",
+			experiments.ErrBadConfig, req.Shard, req.Shards)
+	}
+	if (req.Shards > 1 || unitShard.Enabled()) && !def.Shardable {
+		return spec, unitShard, "", fmt.Errorf("%w: experiment %q is deterministic and does not shard",
+			experiments.ErrBadConfig, req.Experiment)
+	}
+	spec = req.Spec.Spec()
+	if spec.Battery != "" {
+		// Fail a bad battery name at submission instead of asynchronously.
+		if _, err := experiments.NamedBatteryFactory(spec.Battery); err != nil {
+			return spec, unitShard, "", err
+		}
+	}
+	spec.Parallel = s.cfg.Parallel
+	// A shard-unit job is content-addressed by its partial's hash (the
+	// complete run's hash when unsharded), so duplicate dispatches of one
+	// unit dedupe exactly like duplicate complete submissions.
+	return spec, unitShard, experiments.ShardSpecHash(req.Experiment, spec, unitShard), nil
+}
+
+// newJob builds one accepted job. An untraced submission (raw curl) gets a
+// server-issued trace id, so the event log still threads its records
+// together.
+func newJob(id string, req JobRequest, spec experiments.Spec, hash string, created time.Time) *job {
+	j := &job{
+		id: id, experiment: req.Experiment, trace: req.TraceID, hash: hash,
+		req: req.Spec, spec: spec, created: created, done: make(chan struct{}),
+	}
+	if j.trace == "" {
+		j.trace = obs.NewTraceID()
+	}
+	return j
 }
 
 // coalesceLocked attaches follower j to the in-flight leader of its spec.
@@ -502,10 +507,12 @@ func (s *Server) emitAcceptLocked(j *job, detail string) {
 		Experiment: j.experiment, Detail: detail})
 }
 
-// enqueueLocked appends a unit of a live job to the queue (idempotent per
-// unit), tracking the queue-depth high-water mark, and wakes the dispatcher.
-// It reports whether the unit was queued. Callers hold s.mu.
-func (s *Server) enqueueLocked(u *Unit) bool {
+// QueueLocked puts an unfinished unit of a live job at the tail of the queue
+// and wakes the dispatcher: a new job's units, and an executor's re-dispatch
+// or speculative second copy of a running unit. It reports whether the unit
+// was queued (false when it already waits there). Callers hold the lock
+// (see Lock).
+func (s *Server) QueueLocked(u *Unit) bool {
 	if u.queued || u.state != "" || u.job.terminal() {
 		return false
 	}
@@ -596,41 +603,26 @@ func (s *Server) replayLocked(rec journal.Accept) {
 	if created.IsZero() {
 		created = time.Now()
 	}
-	j := &job{
-		id: rec.ID, experiment: rec.Experiment, trace: rec.Trace, created: created,
-		done: make(chan struct{}),
+	req := JobRequest{Experiment: rec.Experiment, Shards: rec.Shards, Shard: rec.Shard, TraceID: rec.Trace}
+	var spec experiments.Spec
+	var unitShard experiments.Shard
+	var hash string
+	err := json.Unmarshal(rec.Spec, &req.Spec)
+	if err != nil {
+		err = fmt.Errorf("decoding spec: %w", err)
+	} else {
+		// Recompute the content address instead of trusting the journaled
+		// one: a ReportVersion/ResultsVersion bump between restarts must
+		// re-run.
+		spec, unitShard, hash, err = s.check(req)
 	}
-	if j.trace == "" {
-		j.trace = obs.NewTraceID()
-	}
+	j := newJob(rec.ID, req, spec, hash, created)
 	s.jobs[j.id] = j
-	fail := func(msg string) {
+	if err != nil {
 		j.state = StateRunning // completeLocked requires a non-terminal state
-		s.completeLocked(j, StateFailed, "journal replay: "+msg, true)
-	}
-	def, err := experiments.Lookup(rec.Experiment)
-	if err != nil {
-		fail(err.Error())
+		s.completeLocked(j, StateFailed, "journal replay: "+err.Error(), true)
 		return
 	}
-	if err := json.Unmarshal(rec.Spec, &j.req); err != nil {
-		fail("decoding spec: " + err.Error())
-		return
-	}
-	unitShard, err := experiments.ParseShard(rec.Shard)
-	if err != nil {
-		fail(err.Error())
-		return
-	}
-	if (rec.Shards > 1 || unitShard.Enabled()) && !def.Shardable {
-		fail(fmt.Sprintf("experiment %q does not shard", rec.Experiment))
-		return
-	}
-	j.spec = j.req.Spec()
-	j.spec.Parallel = s.cfg.Parallel
-	// Recompute the content address instead of trusting the journaled one:
-	// a ReportVersion/ResultsVersion bump between restarts must re-run.
-	j.hash = experiments.ShardSpecHash(rec.Experiment, j.spec, unitShard)
 	if artifact, ok := s.cacheGetLocked(j, j.hash); ok {
 		j.cached = true
 		j.artifact = artifact
@@ -649,7 +641,7 @@ func (s *Server) replayLocked(rec journal.Accept) {
 	s.emitAcceptLocked(j, "replayed")
 	for _, u := range j.units {
 		if !s.ex.Resume(u, rec.Leases) {
-			s.enqueueLocked(u)
+			s.QueueLocked(u)
 		}
 	}
 }
@@ -693,6 +685,7 @@ func (s *Server) finishLocked(j *job, state, errMsg string) {
 	j.state = state
 	j.errMsg = errMsg
 	j.finished = time.Now()
+	j.merger, j.parts = nil, nil // the artifact, if any, is all a terminal job keeps
 	close(j.done)
 	s.terminal = append(s.terminal, j.id)
 	if state == StateDone {
@@ -1023,12 +1016,6 @@ func (s *Server) FailLocked(u *Unit, worker string, err error) {
 		s.completeLocked(j, StateFailed, err.Error(), true)
 	}
 }
-
-// RequeueLocked puts an unfinished unit of a live job back at the tail of the
-// queue — a re-dispatch, or a speculative second copy while one still runs —
-// and reports whether it was queued (false when it already waits there).
-// Callers hold the lock (see Lock).
-func (s *Server) RequeueLocked(u *Unit) bool { return s.enqueueLocked(u) }
 
 // CacheGetLocked looks up u's own result in the report cache under the
 // unit's content address (experiments.ShardSpecHash), counting the hit or
