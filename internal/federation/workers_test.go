@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"battsched/internal/federation"
-	"battsched/internal/obs"
 	"battsched/internal/service"
 )
 
@@ -59,12 +58,13 @@ func TestWorkerURLValidated(t *testing.T) {
 	if ws := co.Workers(); len(ws) != 0 {
 		t.Fatalf("registry = %+v after invalid registrations, want empty", ws)
 	}
-	for _, s := range scrape(t, base) {
+	samples := scrape(t, base)
+	if got := mustFind(t, samples, "battsched_fleet_workers"); got != 0 {
+		t.Errorf("battsched_fleet_workers = %v, want 0", got)
+	}
+	for _, s := range samples {
 		if strings.HasPrefix(s.Name, "battsched_worker_") && s.Name != "battsched_worker_down_total" {
 			t.Errorf("per-worker series %s%v exposed for an invalid URL", s.Name, s.Labels)
 		}
-	}
-	if _, ok := obs.Find(scrape(t, base), "battsched_fleet_workers"); !ok {
-		t.Fatal("battsched_fleet_workers not exposed")
 	}
 }
