@@ -35,7 +35,7 @@ func Run(cfg Config) (*Result, error) {
 // NewEngine is provided for symmetry. Reset(cfg) followed by Run() produces a
 // Result byte-identical to Run(cfg), but every piece of scratch state — the
 // EDF-ordered released list, view/candidate/realisation buffers, the instance
-// free list, the estimator history map, the execution model's RNG and the
+// free list, the estimator history rows, the execution model's RNG and the
 // per-graph statistics — survives across runs, so steady-state allocations
 // drop from ~90 per run to ~1.
 //
@@ -79,6 +79,7 @@ func NewEngine() *Engine { return &Engine{} }
 // structural validation is skipped when the same (System, Processor) pointers
 // were already validated by a previous Reset.
 func (en *Engine) Reset(cfg Config) error {
+	en.ready = false
 	if cfg.Processor == nil {
 		if en.proc == nil {
 			en.proc = processor.Default()
@@ -119,7 +120,7 @@ func (en *Engine) Reset(cfg Config) error {
 }
 
 // Run executes the simulation prepared by the last Reset. It errors unless
-// preceded by a successful Reset; each Reset admits exactly one Run.
+// the last Reset succeeded; each Reset admits exactly one Run.
 func (en *Engine) Run() (*Result, error) {
 	if !en.ready {
 		return nil, ErrEngineNotReady
@@ -156,32 +157,40 @@ func (n *nodeState) acRemaining() float64 {
 
 // instance is one released job of a task graph.
 type instance struct {
-	graphIndex int
-	jobIndex   int
-	release    float64
-	deadline   float64
-	nodes      []nodeState
-	remaining  int     // nodes not yet done
-	adjustedWC float64 // the paper's WC_i
-	missed     bool
+	graphIndex  int
+	jobIndex    int
+	release     float64
+	deadline    float64
+	nodes       []nodeState
+	remaining   int     // nodes not yet done
+	adjustedWC  float64 // the paper's WC_i
+	remainingWC float64 // sumRemainingWC, refreshed whenever nodes change
+	missed      bool
 }
 
-// view summarises the instance for the DVS algorithm and feasibility check.
-func (in *instance) view(g *taskgraph.Graph) dvs.InstanceView {
+// sumRemainingWC returns the worst-case work left in the instance: unfinished
+// nodes at their WCET less the cycles already executed.
+func (in *instance) sumRemainingWC() float64 {
 	var rem float64
 	for i := range in.nodes {
 		if !in.nodes[i].done {
 			rem += in.nodes[i].wcRemaining()
 		}
 	}
+	return rem
+}
+
+// view summarises the instance for the DVS algorithm and feasibility check;
+// totalWCET is g.TotalWCET(), computed once per Reset.
+func (in *instance) view(g *taskgraph.Graph, totalWCET float64) dvs.InstanceView {
 	return dvs.InstanceView{
 		GraphIndex:         in.graphIndex,
 		ReleaseTime:        in.release,
 		AbsoluteDeadline:   in.deadline,
 		Period:             g.Period,
-		TotalWCET:          g.TotalWCET(),
+		TotalWCET:          totalWCET,
 		AdjustedWCET:       in.adjustedWC,
-		RemainingWorstCase: rem,
+		RemainingWorstCase: in.remainingWC,
 	}
 }
 
@@ -206,14 +215,10 @@ type candidateRef struct {
 	imminent bool // true when the candidate belongs to the earliest-deadline incomplete instance
 }
 
-// candSorter stably orders candidate scratch slices by (value, EDF position,
-// node). It lives inside the engine so sorting allocates nothing per decision.
-type candSorter struct{ c []candidateRef }
-
-func (s *candSorter) Len() int      { return len(s.c) }
-func (s *candSorter) Swap(i, j int) { s.c[i], s.c[j] = s.c[j], s.c[i] }
-func (s *candSorter) Less(i, j int) bool {
-	a, b := s.c[i], s.c[j]
+// candidateBefore is the order in which choose visits candidates: smallest
+// priority value first, ties broken by EDF position and then node. No two
+// candidates share an (EDF position, node) pair, so the order is strict.
+func candidateBefore(a, b *candidateRef) bool {
 	if a.value != b.value {
 		return a.value < b.value
 	}
@@ -235,6 +240,7 @@ type engine struct {
 	nextRelease []float64
 	jobCounter  []int
 	released    []*instance // incrementally maintained in EDF order (instanceBefore)
+	totalWCET   []float64   // per-graph Graph.TotalWCET, computed by reset
 
 	sink   SegmentSink
 	charge profile.ChargeAccumulator
@@ -249,10 +255,8 @@ type engine struct {
 	// after warm-up the decision loop allocates nothing.
 	viewsBuf []dvs.InstanceView
 	candsBuf []candidateRef
-	hypBuf   []dvs.InstanceView // frequencyAfter's hypothetical views
 	segsBuf  []freqSegment
 	realBuf  []processor.RealizationSegment
-	sorter   candSorter
 	prioCtx  priority.Context
 	freeList []*instance // retired instances recycled by release
 
@@ -286,6 +290,10 @@ func (e *engine) reset(cfg Config) {
 	n := cfg.System.NumGraphs()
 	e.nextRelease = resetFloats(e.nextRelease, n)
 	e.jobCounter = resetInts(e.jobCounter, n)
+	e.totalWCET = resetFloats(e.totalWCET, n)
+	for i, g := range cfg.System.Graphs {
+		e.totalWCET[i] = g.TotalWCET()
+	}
 	for i, in := range e.released {
 		e.freeList = append(e.freeList, in)
 		e.released[i] = nil
@@ -427,7 +435,7 @@ func (e *engine) release(gi int, g *taskgraph.Graph, at float64) {
 	in.release = at
 	in.deadline = at + g.Period
 	in.remaining = g.NumNodes()
-	in.adjustedWC = g.TotalWCET()
+	in.adjustedWC = e.totalWCET[gi]
 	in.missed = false
 	e.jobCounter[gi]++
 	for i := range in.nodes {
@@ -444,6 +452,7 @@ func (e *engine) release(gi int, g *taskgraph.Graph, at float64) {
 			in.nodes[i].actual = cycleEpsilon
 		}
 	}
+	in.remainingWC = in.sumRemainingWC()
 	e.insertReleased(in)
 	e.res.JobsReleased++
 	e.gstat.released(gi)
@@ -506,12 +515,14 @@ func (e *engine) hasPendingWork() bool {
 
 // views returns the InstanceViews of all released instances. The released
 // list is maintained in EDF order incrementally (see insertReleased), so no
-// per-decision sort is needed; the views land in a scratch buffer reused
+// per-decision sort is needed, and each instance carries its remaining work,
+// so no per-decision sum either; the views land in a scratch buffer reused
 // across decisions.
 func (e *engine) views() []dvs.InstanceView {
 	e.viewsBuf = e.viewsBuf[:0]
 	for _, in := range e.released {
-		e.viewsBuf = append(e.viewsBuf, in.view(e.sys.Graphs[in.graphIndex]))
+		gi := in.graphIndex
+		e.viewsBuf = append(e.viewsBuf, in.view(e.sys.Graphs[gi], e.totalWCET[gi]))
 	}
 	return e.viewsBuf
 }
@@ -626,11 +637,14 @@ func (e *engine) estimateRemaining(in *instance, ni int, ns *nodeState) float64 
 	return est
 }
 
-// choose orders the candidates with the priority function and returns the
-// best feasible one. Candidates of the most imminent task graph are always
-// feasible; under the AllReleased policy out-of-order candidates must pass
-// the feasibility check, and if none passes the best most-imminent candidate
-// is used (which always exists, so deadlines are never at risk).
+// choose scores the candidates with the priority function and returns the
+// best feasible one, visiting them in candidateBefore order. Candidates of
+// the most imminent task graph are always feasible, so the visit stops at
+// the first of them at the latest; under the AllReleased policy an
+// out-of-order candidate visited before it must pass the feasibility check.
+// Each visit is one linear scan for the minimum of the candidates not yet
+// visited, so a decision without rejections costs one scan; cands is
+// reordered.
 func (e *engine) choose(cands []candidateRef, views []dvs.InstanceView, effFreq float64) candidateRef {
 	e.prioCtx = priority.Context{
 		Now:              e.now,
@@ -643,62 +657,67 @@ func (e *engine) choose(cands []candidateRef, views []dvs.InstanceView, effFreq 
 		e.fAfterFreq = effFreq
 		e.prioCtx.FrequencyAfter = e.fAfterFn
 	}
+	// Every value is computed, in list order, before any is compared: Random
+	// draws from the engine RNG.
 	for i := range cands {
 		cands[i].value = e.cfg.Priority.Priority(cands[i].cand, &e.prioCtx)
 	}
-	e.sorter.c = cands
-	sort.Stable(&e.sorter)
-	for _, c := range cands {
+	for n := len(cands); n > 0; n-- {
+		best := 0
+		for i := 1; i < n; i++ {
+			if candidateBefore(&cands[i], &cands[best]) {
+				best = i
+			}
+		}
+		c := &cands[best]
 		if c.imminent {
-			return c
+			return *c
 		}
 		if feasible(c.cand.RemainingWCET, c.cand.EDFPosition, views, e.now, effFreq) {
 			e.res.OutOfOrderExecutions++
-			return c
+			return *c
 		}
 		e.res.FeasibilityRejections++
+		// Park the rejected candidate past the unvisited ones.
+		cands[best], cands[n-1] = cands[n-1], cands[best]
 	}
-	// No out-of-order candidate is feasible: fall back to the best candidate
-	// of the most imminent incomplete instance (EDF order), which is always
-	// safe.
-	for _, c := range cands {
-		if c.imminent {
-			return c
-		}
-	}
-	// Defensive: should be unreachable because the most imminent incomplete
-	// instance always has at least one ready node.
-	return cands[0]
+	// Defensive: unreachable, because the most imminent incomplete instance
+	// always has a ready node. Fall back to the overall best candidate, the
+	// first one parked.
+	return cands[len(cands)-1]
 }
 
 // evalFrequencyAfter is the closure used by pUBS to evaluate s_{o,k}: the
 // reference frequency the DVS algorithm would select if the candidate
 // completed next after consuming assumedCycles. It is bound once per engine
 // (fAfterFn) and reads the current decision's views and effective frequency
-// from fAfterViews/fAfterFreq; the hypothetical views land in one scratch
-// buffer reused across every candidate evaluation (previously a fresh copy of
-// the whole views slice was allocated per candidate — O(candidates ×
-// instances) allocations per decision under pUBS).
+// from fAfterViews/fAfterFreq. The hypothetical state differs from the
+// current one in the candidate's view only, so that view is edited in place
+// and restored after SelectFrequency returns: the views slice changes between
+// SelectFrequency calls, and an Algorithm that kept a reference to it would
+// see those edits (dvs.Algorithm forbids keeping one).
 func (e *engine) evalFrequencyAfter(c priority.Candidate, assumedCycles float64) float64 {
-	e.hypBuf = append(e.hypBuf[:0], e.fAfterViews...)
-	hyp := e.hypBuf
-	if c.EDFPosition >= 0 && c.EDFPosition < len(hyp) {
-		v := hyp[c.EDFPosition]
-		v.AdjustedWCET = v.AdjustedWCET - c.RemainingWCET + assumedCycles
-		if v.AdjustedWCET < 0 {
-			v.AdjustedWCET = 0
-		}
-		v.RemainingWorstCase -= c.RemainingWCET
-		if v.RemainingWorstCase < 0 {
-			v.RemainingWorstCase = 0
-		}
-		hyp[c.EDFPosition] = v
-	}
+	views := e.fAfterViews
 	then := e.now
 	if e.fAfterFreq > 0 {
 		then += assumedCycles / e.fAfterFreq
 	}
-	return e.cfg.DVS.SelectFrequency(then, e.fmax, hyp)
+	if c.EDFPosition < 0 || c.EDFPosition >= len(views) {
+		return e.cfg.DVS.SelectFrequency(then, e.fmax, views)
+	}
+	v := &views[c.EDFPosition]
+	saved := *v
+	v.AdjustedWCET = v.AdjustedWCET - c.RemainingWCET + assumedCycles
+	if v.AdjustedWCET < 0 {
+		v.AdjustedWCET = 0
+	}
+	v.RemainingWorstCase -= c.RemainingWCET
+	if v.RemainingWorstCase < 0 {
+		v.RemainingWorstCase = 0
+	}
+	f := e.cfg.DVS.SelectFrequency(then, e.fmax, views)
+	*v = saved
+	return f
 }
 
 // idle advances time with the processor idle, emitting one segment at the
@@ -804,6 +823,7 @@ func (e *engine) execute(c candidateRef, effFreq float64, segments []freqSegment
 	if completes || ns.acRemaining() <= cycleEpsilon {
 		e.completeNode(in, c.cand.Node, ns, g)
 	}
+	in.remainingWC = in.sumRemainingWC()
 }
 
 // completeNode finishes a node: updates WC_i with the actual requirement

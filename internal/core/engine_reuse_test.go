@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -301,6 +302,30 @@ func TestEngineRunRequiresReset(t *testing.T) {
 	}
 	if _, err := eng.Run(); err != ErrEngineNotReady {
 		t.Fatalf("second Run after one Reset: err = %v, want ErrEngineNotReady", err)
+	}
+
+	// A failed Reset unreadies the engine even after a successful one: Run
+	// must not simulate the previous config. Both failure paths: the
+	// per-run horizon check of an already validated (System, Processor)
+	// pair, and full validation.
+	failures := []struct {
+		name string
+		cfg  Config
+		want error
+	}{
+		{"cached pair, negative horizon", Config{System: sys, Observer: Discard, Horizon: -1}, ErrBadHorizon},
+		{"nil system", Config{Observer: Discard}, ErrNilSystem},
+	}
+	for _, f := range failures {
+		if err := eng.Reset(Config{System: sys, Observer: Discard, Seed: 2}); err != nil {
+			t.Fatal(err)
+		}
+		if err := eng.Reset(f.cfg); !errors.Is(err, f.want) {
+			t.Fatalf("%s: Reset err = %v, want %v", f.name, err, f.want)
+		}
+		if res, err := eng.Run(); err != ErrEngineNotReady {
+			t.Fatalf("%s: Run after a failed Reset: res = %v, err = %v, want ErrEngineNotReady", f.name, res != nil, err)
+		}
 	}
 }
 

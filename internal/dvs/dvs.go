@@ -44,7 +44,9 @@ type Algorithm interface {
 	// current time, the maximum processor frequency and the views of all
 	// released incomplete instances. The result is always in [0, fmax]; 0
 	// means the processor may idle. Implementations must not retain or
-	// modify the slice.
+	// modify the slice: the scheduler edits it between calls (pUBS's
+	// look-ahead changes one view in place and restores it after each
+	// call), so an implementation that keeps a reference to it is broken.
 	SelectFrequency(now, fmax float64, instances []InstanceView) float64
 }
 

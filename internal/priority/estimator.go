@@ -1,6 +1,10 @@
 package priority
 
-import "sync"
+import (
+	"math"
+	"math/bits"
+	"sync"
+)
 
 // Estimator predicts the actual execution requirement X_k of a node instance
 // before it runs. The paper notes that the quality of the pUBS schedule
@@ -23,6 +27,11 @@ const DefaultInitialFraction = 0.6
 // HistoryEstimator keeps an exponentially weighted moving average of the
 // actual/WCET ratio of each node across instances. It is safe for concurrent
 // use.
+//
+// The history is dense: one row of ratios per graph, indexed by node, so its
+// memory grows with the largest |id| observed. Ids are meant to be small
+// indices, as the scheduler's graph and node indices are; negative ids are
+// kept too.
 type HistoryEstimator struct {
 	// Alpha is the EWMA smoothing factor in (0, 1]; larger values weigh the
 	// most recent instance more heavily.
@@ -31,9 +40,21 @@ type HistoryEstimator struct {
 	// observation.
 	InitialFraction float64
 
-	mu   sync.Mutex
-	hist map[nodeKey]float64
+	mu sync.Mutex
+	// rows[slot(graphIndex)][slot(nodeID)] is a node's ratio. +0 marks a
+	// node never observed: an observed ratio is positive, and one that
+	// underflows to zero is stored as −0 (see Observe).
+	rows [][]float64
+	n    int // nodes observed since the last Reset
 }
+
+// Capacity floors of the history rows, in slots (two per non-negative id,
+// see slot): room for 8 graphs of 16 nodes before a row or the row table
+// grows, so a fresh estimator allocates one row per graph plus the table.
+const (
+	minGraphSlots = 16
+	minNodeSlots  = 32
+)
 
 // NewHistoryEstimator returns a history estimator with the given smoothing
 // factor (clamped to (0,1]; 0 selects 0.5) and the default initial fraction.
@@ -41,26 +62,37 @@ func NewHistoryEstimator(alpha float64) *HistoryEstimator {
 	if alpha <= 0 || alpha > 1 {
 		alpha = 0.5
 	}
-	return &HistoryEstimator{Alpha: alpha, InitialFraction: DefaultInitialFraction, hist: make(map[nodeKey]float64)}
+	return &HistoryEstimator{Alpha: alpha, InitialFraction: DefaultInitialFraction}
 }
 
-// nodeKey identifies a node within a system. A comparable struct key keeps
-// Estimate/Observe allocation-free (they sit on the scheduler's per-decision
-// hot path; the previous fmt.Sprintf string key dominated the engine's
-// allocation profile).
-type nodeKey struct{ graph, node int }
+// slot maps an id onto a dense index, interleaving negative ids with the
+// others (0, −1, 1, −2, 2, … → 0, 1, 2, 3, 4, …).
+func slot(id int) uint { return uint(id<<1) ^ uint(id>>(bits.UintSize-1)) }
 
-func key(graphIndex, nodeID int) nodeKey { return nodeKey{graphIndex, nodeID} }
+// grown returns s extended to hold index i, at least doubled and at least
+// floor long; the new tail is zero.
+func grown[T any](s []T, i uint, floor int) []T {
+	if i < uint(len(s)) {
+		return s
+	}
+	t := make([]T, max(int(i)+1, 2*len(s), floor))
+	copy(t, s)
+	return t
+}
 
 // Estimate implements Estimator.
 func (h *HistoryEstimator) Estimate(graphIndex, nodeID int, wcet float64) float64 {
 	if wcet <= 0 {
 		return 0
 	}
+	var frac float64
+	g, n := slot(graphIndex), slot(nodeID)
 	h.mu.Lock()
-	frac, ok := h.hist[key(graphIndex, nodeID)]
+	if g < uint(len(h.rows)) && n < uint(len(h.rows[g])) {
+		frac = h.rows[g][n]
+	}
 	h.mu.Unlock()
-	if !ok {
+	if math.Float64bits(frac) == 0 {
 		frac = h.InitialFraction
 		if frac <= 0 || frac > 1 {
 			frac = DefaultInitialFraction
@@ -85,22 +117,34 @@ func (h *HistoryEstimator) Observe(graphIndex, nodeID int, wcet, actual float64)
 	if frac > 1 {
 		frac = 1
 	}
-	k := key(graphIndex, nodeID)
+	g, n := slot(graphIndex), slot(nodeID)
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if prev, ok := h.hist[k]; ok {
-		h.hist[k] = (1-h.Alpha)*prev + h.Alpha*frac
+	h.rows = grown(h.rows, g, minGraphSlots)
+	row := grown(h.rows[g], n, minNodeSlots)
+	h.rows[g] = row
+	if prev := row[n]; math.Float64bits(prev) != 0 {
+		frac = (1-h.Alpha)*prev + h.Alpha*frac
 	} else {
-		h.hist[k] = frac
+		h.n++
 	}
+	if frac == 0 {
+		// A ratio that underflowed to zero still counts as observed; −0
+		// estimates exactly as +0 does.
+		frac = math.Copysign(0, -1)
+	}
+	row[n] = frac
 }
 
-// Reset forgets all recorded history while keeping the map's storage, so a
+// Reset forgets all recorded history while keeping the rows' storage, so a
 // reused estimator starts the next simulation from InitialFraction without
-// reallocating its buckets.
+// reallocating.
 func (h *HistoryEstimator) Reset() {
 	h.mu.Lock()
-	clear(h.hist)
+	for _, row := range h.rows {
+		clear(row)
+	}
+	h.n = 0
 	h.mu.Unlock()
 }
 
@@ -108,7 +152,7 @@ func (h *HistoryEstimator) Reset() {
 func (h *HistoryEstimator) Len() int {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	return len(h.hist)
+	return h.n
 }
 
 // OracleEstimator returns a fixed fraction of the WCET and ignores

@@ -115,7 +115,10 @@ func (PUBS) Priority(c Candidate, ctx *Context) float64 {
 	}
 	den := so*so - sok*sok
 	if den <= 1e-15 {
-		// No expected speed reduction: de-prioritise, larger tasks last.
+		// No expected speed reduction: de-prioritise. 1e30 + xk rounds to
+		// exactly 1e30 for any xk below ~7e13 cycles (half an ulp of 1e30),
+		// so such candidates tie and the scheduler orders them by EDF
+		// position and then node ID, not by size.
 		return 1e30 + xk
 	}
 	return xk / den
