@@ -184,7 +184,6 @@ func TestChooseMatchesSortedReference(t *testing.T) {
 		}
 	}
 	// The generator must reach the paths the reference pins.
-	t.Logf("%d plateau decisions, %d out-of-order, %d rejections, %d fallbacks", ties, outOfOrder, rejections, fallbacks)
 	if ties == 0 || outOfOrder == 0 || rejections == 0 || fallbacks == 0 {
 		t.Fatalf("weak generator: %d plateau decisions, %d out-of-order, %d rejections, %d fallbacks", ties, outOfOrder, rejections, fallbacks)
 	}

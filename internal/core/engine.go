@@ -164,7 +164,7 @@ type instance struct {
 	nodes       []nodeState
 	remaining   int     // nodes not yet done
 	adjustedWC  float64 // the paper's WC_i
-	remainingWC float64 // sumRemainingWC, refreshed whenever nodes change
+	remainingWC float64 // sumRemainingWC, refreshed by release and execute
 	missed      bool
 }
 
