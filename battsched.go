@@ -2,9 +2,7 @@ package battsched
 
 import (
 	"context"
-	"io"
 	"math/rand"
-	"time"
 
 	"battsched/internal/battery"
 	"battsched/internal/battery/diffusion"
@@ -14,7 +12,6 @@ import (
 	"battsched/internal/core"
 	"battsched/internal/dvs"
 	"battsched/internal/experiments"
-	"battsched/internal/federation"
 	"battsched/internal/optimal"
 	"battsched/internal/priority"
 	"battsched/internal/processor"
@@ -91,11 +88,6 @@ func GenerateSystem(cfg GeneratorConfig, numGraphs int, utilization, fmax float6
 	return tgff.GenerateSystem(cfg, numGraphs, utilization, fmax, rng)
 }
 
-// GenerateGraph produces one random task graph with n nodes.
-func GenerateGraph(cfg GeneratorConfig, name string, n int, rng *rand.Rand) (*Graph, error) {
-	return tgff.GenerateWithNodes(cfg, name, n, rng)
-}
-
 // Processor model (see internal/processor).
 type (
 	// Processor is the DVS processor and power-delivery model.
@@ -141,8 +133,6 @@ type (
 	PriorityContext = priority.Context
 	// Estimator predicts actual execution requirements (X_k) for pUBS.
 	Estimator = priority.Estimator
-	// HistoryEstimator keeps a per-node EWMA of observed actual/WCET ratios.
-	HistoryEstimator = priority.HistoryEstimator
 )
 
 // NewPUBS returns Gruian's near-optimal pUBS priority function.
@@ -159,9 +149,6 @@ func NewRandomOrder() PriorityFunction { return priority.NewRandom() }
 
 // NewFIFO returns the canonical EDF tie-breaking (FIFO) order.
 func NewFIFO() PriorityFunction { return priority.NewFIFO() }
-
-// NewHistoryEstimator returns an EWMA-based estimator of actual requirements.
-func NewHistoryEstimator(alpha float64) *HistoryEstimator { return priority.NewHistoryEstimator(alpha) }
 
 // Scheduler (see internal/core).
 type (
@@ -232,8 +219,6 @@ type (
 	EngineSegment = core.Segment
 	// SimProfileRecorder records only the battery load-current profile.
 	SimProfileRecorder = core.ProfileRecorder
-	// SimRecorder records the full profile + execution trace.
-	SimRecorder = core.Recorder
 )
 
 // DiscardSegments is the no-op observer: no profile or trace is recorded
@@ -244,10 +229,6 @@ var DiscardSegments = core.Discard
 // NewSimProfileRecorder returns a profile-only observer; the engine attaches
 // its profile to Result.Profile.
 func NewSimProfileRecorder() *SimProfileRecorder { return core.NewProfileRecorder() }
-
-// NewSimRecorder returns the full profile + trace observer (the default when
-// Config.Observer is nil).
-func NewSimRecorder() *SimRecorder { return core.NewRecorder() }
 
 // Battery models (see internal/battery and its sub-packages).
 type (
@@ -287,37 +268,21 @@ func NewStochasticBattery() BatteryModel { return stochastic.Default() }
 // NewPeukertBattery returns the default Peukert's-law cell.
 func NewPeukertBattery() BatteryModel { return peukert.Default() }
 
-// NewBatteryModel returns a fresh instance of the battery model registered
-// under name ("stochastic", "kibam", "diffusion", "peukert", or any model a
-// sub-package registered with the battery registry). Unknown names return an
-// error listing the registered names.
-func NewBatteryModel(name string) (BatteryModel, error) { return battery.New(name) }
-
-// BatteryModelNames returns the registered battery model names in sorted
-// order.
-func BatteryModelNames() []string { return battery.Names() }
-
-// BatteryLifetime plays the profile periodically against the model until the
-// battery is exhausted and reports lifetime and delivered charge. Models
+// BatteryLifetimeOpts plays the profile periodically against the model until
+// the battery is exhausted or opts.MaxTime (default 48 h) is reached, and
+// reports lifetime and delivered charge. With a zero MaxStep, models
 // implementing BatterySegmentDrainer take the analytic fast path (whole
-// segments, per-repetition transfer operators, exhaustion root-finding);
-// since the stochastic fast path that is every registered model in its
-// default mode, with only Monte Carlo instances stepped at 1 s.
-func BatteryLifetime(m BatteryModel, p *Profile) (BatteryResult, error) {
-	return battery.SimulateUntilExhausted(m, p, battery.SimulateOptions{})
-}
-
-// BatteryLifetimeOpts is BatteryLifetime with explicit simulation options; a
-// positive MaxStep forces the uniform-stepping path for every model.
+// segments, per-repetition transfer operators, exhaustion root-finding):
+// every registered model in its default mode, with only Monte Carlo
+// stochastic instances stepped at 1 s. A positive MaxStep forces the
+// uniform-stepping path for every model.
 func BatteryLifetimeOpts(m BatteryModel, p *Profile, opts BatterySimulateOptions) (BatteryResult, error) {
 	return battery.SimulateUntilExhausted(m, p, opts)
 }
 
-// BatteryLifetimeBatch evaluates N battery models against one load profile in
-// a single pass over its segment stream, returning one result per model in
-// input order. Results are bit-identical to N BatteryLifetimeOpts calls;
-// stepped models share one slot clock and drop out of the pass as they die,
-// so evaluating a whole model axis costs one profile replay instead of N.
+// BatteryLifetimeBatch evaluates N battery models against one load profile,
+// returning one result per model in input order. It validates the profile
+// once and is bit-identical to N BatteryLifetimeOpts calls.
 func BatteryLifetimeBatch(models []BatteryModel, p *Profile, opts BatterySimulateOptions) ([]BatteryResult, error) {
 	return battery.SimulateBatch(models, p, opts)
 }
@@ -383,19 +348,12 @@ func PaperSchemes() []Scheme {
 	}
 }
 
-// BAS1 returns the paper's BAS-1 scheme (laEDF + pUBS over the most imminent
-// task graph).
-func BAS1() Scheme { return PaperSchemes()[3] }
-
 // BAS2 returns the paper's BAS-2 scheme (laEDF + pUBS over all released task
 // graphs with the feasibility check).
 func BAS2() Scheme { return PaperSchemes()[4] }
 
 // MAh converts coulombs to milliampere-hours.
 func MAh(coulombs float64) float64 { return battery.MAh(coulombs) }
-
-// Coulombs converts milliampere-hours to coulombs.
-func Coulombs(mAh float64) float64 { return battery.Coulombs(mAh) }
 
 // Unified experiment API (see internal/experiments): every registered
 // experiment takes one declarative ExperimentSpec and returns one structured
@@ -411,8 +369,6 @@ type (
 	ExperimentRow = experiments.ReportRow
 	// ExperimentCell is one metric cell of an ExperimentRow.
 	ExperimentCell = experiments.Cell
-	// ExperimentDefinition describes one registered experiment.
-	ExperimentDefinition = experiments.Definition
 	// ExperimentShard selects one shard of a multi-process partition of an
 	// experiment's absolute set indices.
 	ExperimentShard = experiments.Shard
@@ -420,27 +376,10 @@ type (
 	ExperimentShardInfo = experiments.ShardInfo
 )
 
-// RunExperiment executes the registered experiment (see ExperimentNames) with
-// the given spec and returns its structured Report.
+// RunExperiment executes the registered experiment name (`cmd/experiments
+// list` shows them) with the given spec and returns its structured Report.
 func RunExperiment(ctx context.Context, name string, spec ExperimentSpec) (*ExperimentReport, error) {
 	return experiments.Run(ctx, name, spec)
-}
-
-// ExperimentNames returns the registered experiment names in sorted order.
-func ExperimentNames() []string { return experiments.Names() }
-
-// LookupExperiment resolves a registered experiment's definition; unknown
-// names return an error listing the registered names.
-func LookupExperiment(name string) (ExperimentDefinition, error) { return experiments.Lookup(name) }
-
-// MergeExperimentReports combines the shard partials of one experiment run
-// (in any order) into the report of the complete run. Per-set cells merge
-// exactly by replaying their retained samples in absolute set order; cells
-// without samples (the scenario grid's chunk merges) combine their Welford
-// states, which may differ from the single-process values by rounding error
-// only.
-func MergeExperimentReports(parts []*ExperimentReport) (*ExperimentReport, error) {
-	return experiments.MergeReports(parts)
 }
 
 // FormatExperimentReport renders a report as its experiment's plain-text
@@ -449,63 +388,23 @@ func FormatExperimentReport(r *ExperimentReport) (string, error) {
 	return experiments.FormatReport(r)
 }
 
-// ExperimentFooter renders the summary line cmd/experiments prints after each
-// table (sample counts and wall-clock time).
-func ExperimentFooter(r *ExperimentReport, elapsed time.Duration) string {
-	return experiments.Footer(r, elapsed)
-}
-
-// WriteExperimentReports writes reports as the versioned JSON artifact
-// cmd/experiments emits with -o.
-func WriteExperimentReports(w io.Writer, reports []*ExperimentReport) error {
-	return experiments.WriteArtifact(w, reports)
-}
-
-// ReadExperimentReports reads a JSON artifact written by
-// WriteExperimentReports, validating its schema version.
-func ReadExperimentReports(r io.Reader) ([]*ExperimentReport, error) {
-	return experiments.ReadArtifact(r)
-}
-
-// ParseExperimentShard parses the CLI shard form "i/n" ("" is unsharded).
-func ParseExperimentShard(s string) (ExperimentShard, error) { return experiments.ParseShard(s) }
-
-// CanonicalExperimentSpec returns the stable field-ordered encoding of one
-// (experiment, Spec) pair: exactly the inputs that determine the report
-// bytes, with default-equivalent values normalised and execution-only knobs
-// (parallelism, progress, shard selection) excluded.
-func CanonicalExperimentSpec(name string, spec ExperimentSpec) string {
-	return experiments.CanonicalSpec(name, spec)
-}
-
-// ExperimentSpecHash returns the hex SHA-256 of CanonicalExperimentSpec: the
-// deterministic content address under which the experiment service caches the
-// complete run's report artifact.
+// ExperimentSpecHash returns the hex SHA-256 of the spec's canonical
+// encoding: exactly the inputs that determine the report bytes, with
+// default-equivalent values normalised and execution-only knobs
+// (parallelism, progress, shard selection) excluded. It is the deterministic
+// content address under which the experiment service caches the complete
+// run's report artifact.
 func ExperimentSpecHash(name string, spec ExperimentSpec) string {
 	return experiments.SpecHash(name, spec)
 }
 
-// ValidateExperimentShardCoverage checks that reports form a complete,
-// non-overlapping shard partition of one experiment run, naming missing and
-// duplicated partials (the guard MergeExperimentReports applies before
-// merging).
-func ValidateExperimentShardCoverage(parts []*ExperimentReport) error {
-	return experiments.ValidateShardCoverage(parts)
-}
-
-// Experiment service (see internal/service and cmd/battschedd): a
-// long-running HTTP daemon over the experiment registry with an asynchronous
-// bounded job queue, server-side shard fan-out, and a content-addressed
-// report cache; and its typed client. Artifacts fetched from a daemon are
-// byte-identical to the files the equivalent local `cmd/experiments run -o`
-// writes.
+// Experiment service client (see internal/service/client): the typed client
+// of a running cmd/battschedd daemon or coordinator, which runs registered
+// experiments behind an asynchronous bounded job queue with server-side
+// shard fan-out and a content-addressed report cache. Artifacts fetched from
+// a daemon are byte-identical to the files the equivalent local
+// `cmd/experiments run -o` writes.
 type (
-	// ExperimentService is the daemon core: construct with
-	// NewExperimentService, expose over HTTP with its Handler method, stop
-	// with Close.
-	ExperimentService = service.Server
-	// ExperimentServiceConfig tunes one daemon (workers, queue bound, cache).
-	ExperimentServiceConfig = service.Config
 	// ExperimentServiceClient is the typed client of a running daemon.
 	ExperimentServiceClient = client.Client
 	// ServiceJobRequest is one job submission (experiment, spec, shards).
@@ -518,11 +417,6 @@ type (
 	ServiceHealth = service.Health
 )
 
-// NewExperimentService constructs a daemon and starts its worker pool.
-func NewExperimentService(cfg ExperimentServiceConfig) (*ExperimentService, error) {
-	return service.New(cfg)
-}
-
 // NewExperimentServiceClient returns a client for the daemon at baseURL
 // (e.g. "http://127.0.0.1:8344").
 func NewExperimentServiceClient(baseURL string) *ExperimentServiceClient {
@@ -533,32 +427,4 @@ func NewExperimentServiceClient(baseURL string) *ExperimentServiceClient {
 // dropping the execution-only knobs the daemon owns.
 func ServiceSpecRequestFrom(spec ExperimentSpec) ServiceSpecRequest {
 	return service.SpecRequestFrom(spec)
-}
-
-// Federation (see internal/federation and `cmd/battschedd -coordinator`): a
-// coordinator that serves the same job API but executes nothing itself,
-// dispatching shard units across a fleet of remote daemons under
-// time-bounded leases — dead workers re-dispatch, stragglers run
-// speculatively (first completion wins), partials merge incrementally, and
-// the merged artifact matches the local run byte for byte.
-type (
-	// FederationCoordinator is the fleet coordinator: construct with
-	// NewFederationCoordinator, expose over HTTP with its Handler method,
-	// stop with Close. ExperimentServiceClient drives it unchanged.
-	FederationCoordinator = federation.Coordinator
-	// FederationConfig tunes one coordinator (fleet URLs, lease and
-	// heartbeat periods, straggler factor, cache/journal directory).
-	FederationConfig = federation.Config
-	// FederationWorkerStatus is one registry entry from the coordinator's
-	// /v1/workers listing (URL, liveness, slots, active leases).
-	FederationWorkerStatus = federation.WorkerStatus
-	// ServiceFleetHealth is the fleet section of a coordinator's /healthz
-	// snapshot (live workers, queued/leased units, re-dispatch counters).
-	ServiceFleetHealth = service.FleetHealth
-)
-
-// NewFederationCoordinator constructs a coordinator over cfg.Workers and
-// starts its heartbeat, dispatch and lease-monitor loops.
-func NewFederationCoordinator(cfg FederationConfig) (*FederationCoordinator, error) {
-	return federation.New(cfg)
 }

@@ -1,9 +1,7 @@
 package battsched_test
 
 import (
-	"bytes"
 	"context"
-	"fmt"
 	"math"
 	"math/rand"
 	"net/http/httptest"
@@ -12,6 +10,7 @@ import (
 	"time"
 
 	"battsched"
+	"battsched/internal/service"
 )
 
 // buildVideoPipeline builds a small realistic task graph through the public
@@ -68,8 +67,8 @@ func TestPublicAPISchemes(t *testing.T) {
 	if len(schemes) != 5 {
 		t.Fatalf("schemes = %d, want 5", len(schemes))
 	}
-	if battsched.BAS1().Name != "BAS-1" || battsched.BAS2().Name != "BAS-2" {
-		t.Fatal("BAS1/BAS2 names wrong")
+	if schemes[3].Name != "BAS-1" || battsched.BAS2().Name != "BAS-2" {
+		t.Fatal("BAS-1/BAS-2 names wrong")
 	}
 	if battsched.BAS2().ReadyPolicy != battsched.AllReleased {
 		t.Fatal("BAS-2 must use the all-released ready list")
@@ -103,13 +102,6 @@ func TestPublicAPIGenerator(t *testing.T) {
 	if got := sys.Utilization(battsched.DefaultProcessor().FMax()); math.Abs(got-0.7) > 1e-9 {
 		t.Fatalf("utilisation = %v", got)
 	}
-	g, err := battsched.GenerateGraph(battsched.DefaultGeneratorConfig(), "g", 7, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g.NumNodes() != 7 {
-		t.Fatalf("nodes = %d", g.NumNodes())
-	}
 }
 
 func TestPublicAPIOrderingAnalysis(t *testing.T) {
@@ -138,7 +130,7 @@ func TestPublicAPIOrderingAnalysis(t *testing.T) {
 }
 
 func TestPublicAPIConversions(t *testing.T) {
-	if battsched.Coulombs(1000) != 3600 || battsched.MAh(3600) != 1000 {
+	if battsched.MAh(3600) != 1000 {
 		t.Fatal("unit conversions wrong")
 	}
 	if battsched.DefaultProcessor().FMax() != 1e9 {
@@ -178,10 +170,6 @@ func TestPublicAPIParallelMap(t *testing.T) {
 	if battsched.DeriveSeed(1, 2) == battsched.DeriveSeed(1, 3) {
 		t.Fatal("DeriveSeed collision")
 	}
-	g := battsched.NewJobGrid(2, 3)
-	if g.Size() != 6 || g.Index(1, 2) != 5 {
-		t.Fatalf("JobGrid wrong: size=%d idx=%d", g.Size(), g.Index(1, 2))
-	}
 }
 
 // TestPublicAPIScenarioGrid runs a minimal scenario-grid sweep through the
@@ -206,110 +194,28 @@ func TestPublicAPIScenarioGrid(t *testing.T) {
 	}
 }
 
-// TestPublicAPIExperimentRegistry exercises the unified experiment surface:
-// registry dispatch, report rendering, shard/merge and the JSON artifact, all
-// through the root facade.
+// TestPublicAPIExperimentRegistry runs a registered experiment and renders
+// its report through the root facade.
 func TestPublicAPIExperimentRegistry(t *testing.T) {
-	names := battsched.ExperimentNames()
-	if len(names) != 6 {
-		t.Fatalf("ExperimentNames() = %v", names)
-	}
-	if _, err := battsched.LookupExperiment("bogus"); err == nil {
-		t.Fatal("expected lookup error")
-	}
-
-	ctx := context.Background()
-	spec := battsched.ExperimentSpec{Quick: true, Battery: "kibam"}
-	full, err := battsched.RunExperiment(ctx, "table2", spec)
+	rep, err := battsched.RunExperiment(context.Background(), "table2", battsched.ExperimentSpec{Quick: true, Battery: "kibam"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	fullText, err := battsched.FormatExperimentReport(full)
+	text, err := battsched.FormatExperimentReport(rep)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(fullText, "BAS-2") || !strings.Contains(fullText, "kibam") {
-		t.Fatalf("report rendering unexpected:\n%s", fullText)
-	}
-	if battsched.ExperimentFooter(full, 0) == "" {
-		t.Fatal("empty footer")
-	}
-
-	// Shard the run two ways and merge the partials through an artifact
-	// round-trip: the merged report renders byte-identically.
-	var parts []*battsched.ExperimentReport
-	for i := 0; i < 2; i++ {
-		s := spec
-		var err error
-		s.Shard, err = battsched.ParseExperimentShard(fmt.Sprintf("%d/2", i))
-		if err != nil {
-			t.Fatal(err)
-		}
-		part, err := battsched.RunExperiment(ctx, "table2", s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		parts = append(parts, part)
-	}
-	var buf bytes.Buffer
-	if err := battsched.WriteExperimentReports(&buf, parts); err != nil {
-		t.Fatal(err)
-	}
-	back, err := battsched.ReadExperimentReports(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	merged, err := battsched.MergeExperimentReports(back)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mergedText, err := battsched.FormatExperimentReport(merged)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mergedText != fullText {
-		t.Fatalf("merged shards render differently:\n%s\n---\n%s", mergedText, fullText)
+	if !strings.Contains(text, "BAS-2") || !strings.Contains(text, "kibam") {
+		t.Fatalf("report rendering unexpected:\n%s", text)
 	}
 }
 
-// TestPublicAPIBatteryRegistry exercises the battery model registry facade.
-func TestPublicAPIBatteryRegistry(t *testing.T) {
-	names := battsched.BatteryModelNames()
-	if len(names) < 4 {
-		t.Fatalf("BatteryModelNames() = %v", names)
-	}
-	for _, name := range names {
-		m, err := battsched.NewBatteryModel(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if m.Name() != name {
-			t.Fatalf("NewBatteryModel(%q).Name() = %q", name, m.Name())
-		}
-	}
-	if _, err := battsched.NewBatteryModel("bogus"); err == nil || !strings.Contains(err.Error(), "kibam") {
-		t.Fatalf("unknown model error should list names, got %v", err)
-	}
-}
-
-// TestPublicAPIStatsState exercises the accumulator state facade.
-func TestPublicAPIStatsState(t *testing.T) {
-	var a battsched.StatsAccumulator
-	for _, x := range []float64{1, 2, 3, 4} {
-		a.Add(x)
-	}
-	b := battsched.StatsFromState(a.State())
-	if b.N() != 4 || b.Mean() != a.Mean() || b.StdDev() != a.StdDev() {
-		t.Fatalf("StatsFromState mismatch: %+v vs %+v", b.Summary(), a.Summary())
-	}
-}
-
-// TestPublicAPIExperimentService embeds the experiment daemon through the
-// facade: submit a quick Table 2 job in-process over HTTP, wait for it, and
-// check that the fetched artifact matches the local registry run and that a
-// resubmission is served from the content-addressed cache.
+// TestPublicAPIExperimentService drives an in-process experiment daemon
+// through the facade's client: submit a quick Table 2 job over HTTP, wait for
+// it, and check that the fetched artifact matches the local registry run and
+// that a resubmission is served from the content-addressed cache.
 func TestPublicAPIExperimentService(t *testing.T) {
-	srv, err := battsched.NewExperimentService(battsched.ExperimentServiceConfig{Workers: 1})
+	srv, err := service.New(service.Config{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -321,9 +227,6 @@ func TestPublicAPIExperimentService(t *testing.T) {
 	hash := battsched.ExperimentSpecHash("table2", spec)
 	if len(hash) != 64 {
 		t.Fatalf("spec hash = %q", hash)
-	}
-	if enc := battsched.CanonicalExperimentSpec("table2", spec); !strings.Contains(enc, `battery="kibam"`) {
-		t.Fatalf("canonical encoding = %q", enc)
 	}
 
 	ctx := context.Background()
@@ -374,26 +277,5 @@ func TestPublicAPIExperimentService(t *testing.T) {
 	h, err := c.Health(ctx)
 	if err != nil || h.Status != "ok" {
 		t.Fatalf("health = %+v, %v", h, err)
-	}
-}
-
-// TestPublicAPIShardCoverageValidation checks the facade's coverage guard.
-func TestPublicAPIShardCoverageValidation(t *testing.T) {
-	partial := func(i, n int) *battsched.ExperimentReport {
-		return &battsched.ExperimentReport{
-			Version:    1,
-			Experiment: "table2",
-			Shard:      &battsched.ExperimentShardInfo{Index: i, Count: n},
-		}
-	}
-	if err := battsched.ValidateExperimentShardCoverage(
-		[]*battsched.ExperimentReport{partial(0, 3), partial(2, 3)},
-	); err == nil || !strings.Contains(err.Error(), "missing") {
-		t.Fatalf("gap validation err = %v", err)
-	}
-	if err := battsched.ValidateExperimentShardCoverage(
-		[]*battsched.ExperimentReport{partial(0, 2), partial(1, 2)},
-	); err != nil {
-		t.Fatalf("complete partition rejected: %v", err)
 	}
 }

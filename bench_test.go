@@ -19,6 +19,7 @@ import (
 	"battsched/internal/experiments"
 	"battsched/internal/priority"
 	"battsched/internal/profile"
+	"battsched/internal/tgff"
 )
 
 // BenchmarkTable1 regenerates the paper's Table 1 (energy of Random/LTF/pUBS
@@ -298,7 +299,7 @@ func BenchmarkAblationQuantization(b *testing.B) {
 // 10-node DAG (the Table 1 baseline).
 func BenchmarkOptimalSearch10(b *testing.B) {
 	rng := rand.New(rand.NewSource(5))
-	g, err := battsched.GenerateGraph(battsched.DefaultGeneratorConfig(), "bench", 10, rng)
+	g, err := tgff.GenerateWithNodes(tgff.DefaultConfig(), "bench", 10, rng)
 	if err != nil {
 		b.Fatal(err)
 	}

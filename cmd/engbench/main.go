@@ -53,9 +53,10 @@
 // Table 2 and grid drivers hand the battery layer. The report also carries
 // batch rows comparing one SimulateBatch pass over N models against N
 // sequential scalar passes (fresh instance per pass, the pre-batch driver
-// behaviour); engbench exits nonzero if a batch pass is slower than the
-// scalar passes it replaces (beyond a 1.10 noise factor) or allocates more
-// than they did.
+// behaviour). A batch pass runs each model through the same driver as a
+// scalar pass, so engbench exits nonzero if it is slower than the scalar
+// passes it replaces (beyond a 1.10 noise factor) or allocates more than
+// they did.
 //
 // The service submit report (BENCH_submit.json in CI, -service-o; the
 // broader BENCH_service.json load report is cmd/loadgen's): BenchmarkServiceSubmit
@@ -664,10 +665,11 @@ func engineGates(rep report) []string {
 func batteryGates(rep batteryReport) []string {
 	var v []string
 	for _, bm := range rep.Batch {
-		// A batch pass must never be slower than the N sequential scalar
-		// passes it replaces. The 1.10 factor absorbs benchmark noise on
-		// shared CI runners; a genuine regression (batch overhead outgrowing
-		// its shared-clock win) blows well past it.
+		// A batch pass runs the same per-model drivers as the N sequential
+		// scalar passes it replaces, so it must never be slower. The 1.10
+		// factor absorbs benchmark noise on shared CI runners; a genuine
+		// regression (per-batch overhead added to the loop) blows well past
+		// it.
 		if bm.BatchNsPerOp > bm.ScalarNsPerOp*1.10 {
 			v = append(v, fmt.Sprintf("batch regression: SimulateBatch of %d models took %.0f ns/op vs %.0f ns/op for %d sequential scalar passes (>1.10x)",
 				bm.Models, bm.BatchNsPerOp, bm.ScalarNsPerOp, bm.Models))

@@ -14,8 +14,7 @@
 // Registered experiments: table1, figure6, table2, curve, ablation, grid
 // (see EXPERIMENTS.md for each experiment's paper provenance and knobs);
 // "run all" expands to the paper's own artifacts (table1 figure6 table2
-// curve). The historical flag interface (-table2 -quick ...) keeps working
-// and dispatches through the same registry.
+// curve). A call without one of the subcommands above is an error.
 //
 // Every experiment runs on the parallel job-grid harness; -parallel selects
 // the worker count (default: all cores) and the emitted tables are
@@ -44,8 +43,8 @@
 // EXPERIMENTS.md.
 //
 // -cpuprofile and -memprofile write runtime/pprof profiles of a local run
-// (run or the legacy flag interface) for `go tool pprof`; submit rejects
-// them because its compute happens on the daemon.
+// for `go tool pprof`; submit rejects them because its compute happens on
+// the daemon.
 package main
 
 import (
@@ -105,8 +104,8 @@ func progressPrinter(name string, enabled bool) (func(done, total int), func()) 
 	}, func() {}
 }
 
-// runnerFlags carries the execution and selection flags shared by every
-// experiment run (both the run subcommand and the legacy flag interface).
+// runnerFlags carries the execution and spec flags shared by the run and
+// submit subcommands.
 type runnerFlags struct {
 	quick    bool
 	seed     int64
@@ -173,22 +172,22 @@ func (f *runnerFlags) spec() (experiments.Spec, error) {
 }
 
 func run(args []string, stdout io.Writer) error {
-	if len(args) > 0 {
-		switch args[0] {
-		case "run":
-			return cmdRun(args[1:], stdout)
-		case "submit":
-			return cmdSubmit(args[1:], stdout)
-		case "merge":
-			return cmdMerge(args[1:], stdout)
-		case "list":
-			return cmdList(stdout)
-		case "help", "-h", "-help", "--help":
-			return cmdList(stdout)
-		}
+	if len(args) == 0 {
+		return fmt.Errorf("no subcommand (subcommands are: run, submit, merge, list)")
 	}
-	// Historical flag interface: experiment selection by boolean flags.
-	return cmdLegacy(args, stdout)
+	switch args[0] {
+	case "run":
+		return cmdRun(args[1:], stdout)
+	case "submit":
+		return cmdSubmit(args[1:], stdout)
+	case "merge":
+		return cmdMerge(args[1:], stdout)
+	case "list":
+		return cmdList(stdout)
+	case "help", "-h", "-help", "--help":
+		return cmdList(stdout)
+	}
+	return fmt.Errorf("unknown subcommand %q (subcommands are: run, submit, merge, list)", args[0])
 }
 
 // cmdList prints the registered experiments.
@@ -551,48 +550,4 @@ func cmdMerge(args []string, stdout io.Writer) error {
 		merged = append(merged, rep)
 	}
 	return writeArtifactFile(*out, merged)
-}
-
-// cmdLegacy keeps the historical boolean-flag interface working, translating
-// it onto the registry dispatch. Default invocations emit the same bytes as
-// before; the one deliberate extension is that an explicit -battery now also
-// reaches the grid and curve drivers (it used to apply to Table 2 only).
-func cmdLegacy(args []string, stdout io.Writer) error {
-	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
-	var (
-		table1   = fs.Bool("table1", false, "regenerate Table 1")
-		figure6  = fs.Bool("figure6", false, "regenerate Figure 6")
-		table2   = fs.Bool("table2", false, "regenerate Table 2")
-		curve    = fs.Bool("curve", false, "regenerate the load vs delivered-capacity curve")
-		ablation = fs.Bool("ablation", false, "run the estimate-quality ablation (not in the paper)")
-		grid     = fs.Bool("grid", false, "run the scenario-grid sweep (utilisation x battery x scheme, not in the paper)")
-		all      = fs.Bool("all", false, "regenerate every paper experiment")
-	)
-	var f runnerFlags
-	f.register(fs)
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if fs.NArg() > 0 {
-		return fmt.Errorf("unexpected argument %q (subcommands are: run, merge, list)", fs.Arg(0))
-	}
-	if !*table1 && !*figure6 && !*table2 && !*curve && !*ablation && !*grid {
-		*all = true
-	}
-	if *all {
-		*table1, *figure6, *table2, *curve = true, true, true, true
-	}
-	var names []string
-	for _, sel := range []struct {
-		on   bool
-		name string
-	}{
-		{*table1, "table1"}, {*figure6, "figure6"}, {*table2, "table2"},
-		{*curve, "curve"}, {*ablation, "ablation"}, {*grid, "grid"},
-	} {
-		if sel.on {
-			names = append(names, sel.name)
-		}
-	}
-	return execute(names, f, stdout)
 }

@@ -17,7 +17,7 @@ func TestRunQuickAll(t *testing.T) {
 		t.Skip("quick experiment sweep skipped in -short mode")
 	}
 	var buf bytes.Buffer
-	if err := run([]string{"-all", "-quick", "-battery", "kibam"}, &buf); err != nil {
+	if err := run([]string{"run", "all", "-quick", "-battery", "kibam"}, &buf); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -30,7 +30,7 @@ func TestRunQuickAll(t *testing.T) {
 
 func TestRunSingleExperimentSelection(t *testing.T) {
 	var buf bytes.Buffer
-	if err := run([]string{"-curve", "-quick"}, &buf); err != nil {
+	if err := run([]string{"run", "curve", "-quick"}, &buf); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -41,10 +41,10 @@ func TestRunSingleExperimentSelection(t *testing.T) {
 
 func TestRunRejectsBadFlags(t *testing.T) {
 	var buf bytes.Buffer
-	if err := run([]string{"-bogus"}, &buf); err == nil {
+	if err := run([]string{"run", "table2", "-bogus"}, &buf); err == nil {
 		t.Fatal("expected flag error")
 	}
-	if err := run([]string{"-table2", "-quick", "-battery", "bogus"}, &buf); err == nil {
+	if err := run([]string{"run", "table2", "-quick", "-battery", "bogus"}, &buf); err == nil {
 		t.Fatal("expected battery model error")
 	}
 }
@@ -68,14 +68,14 @@ func TestParallelByteIdenticalOutput(t *testing.T) {
 	if testing.Short() {
 		t.Skip("parallel determinism sweep skipped in -short mode")
 	}
-	args := []string{"-table2", "-grid", "-quick", "-battery", "kibam", "-seed", "7"}
+	args := []string{"run", "table2", "grid", "-quick", "-battery", "kibam", "-seed", "7"}
 	var seq bytes.Buffer
-	if err := run(append([]string{"-parallel", "1"}, args...), &seq); err != nil {
+	if err := run(append(args, "-parallel", "1"), &seq); err != nil {
 		t.Fatal(err)
 	}
 	for _, parallel := range []string{"4", "13"} {
 		var par bytes.Buffer
-		if err := run(append([]string{"-parallel", parallel}, args...), &par); err != nil {
+		if err := run(append(args, "-parallel", parallel), &par); err != nil {
 			t.Fatal(err)
 		}
 		if stripTimings(seq.String()) != stripTimings(par.String()) {
@@ -84,18 +84,18 @@ func TestParallelByteIdenticalOutput(t *testing.T) {
 	}
 }
 
-// TestRunSubcommandMatchesLegacy checks that the registry-dispatched run
-// subcommand emits exactly the bytes of the historical flag interface.
-func TestRunSubcommandMatchesLegacy(t *testing.T) {
-	var legacy, sub bytes.Buffer
-	if err := run([]string{"-table2", "-curve", "-quick", "-battery", "kibam"}, &legacy); err != nil {
-		t.Fatal(err)
-	}
-	if err := run([]string{"run", "table2", "curve", "-quick", "-battery", "kibam"}, &sub); err != nil {
-		t.Fatal(err)
-	}
-	if stripTimings(legacy.String()) != stripTimings(sub.String()) {
-		t.Fatalf("run subcommand differs from legacy flags:\n%s\n---\n%s", sub.String(), legacy.String())
+// TestRunRequiresSubcommand: a call that starts with a flag, or has no
+// arguments, is an error naming the subcommands and prints nothing.
+func TestRunRequiresSubcommand(t *testing.T) {
+	for _, args := range [][]string{{"-table2", "-quick"}, nil} {
+		var buf bytes.Buffer
+		err := run(args, &buf)
+		if err == nil || !strings.Contains(err.Error(), "run") {
+			t.Fatalf("run(%q): err = %v, want an error naming the run subcommand", args, err)
+		}
+		if buf.Len() != 0 {
+			t.Fatalf("run(%q) printed output:\n%s", args, buf.String())
+		}
 	}
 }
 
@@ -222,7 +222,7 @@ func TestReportArtifact(t *testing.T) {
 // a context error instead of hanging.
 func TestTimeoutFlag(t *testing.T) {
 	var buf bytes.Buffer
-	err := run([]string{"-table2", "-quick", "-timeout", "1ns"}, &buf)
+	err := run([]string{"run", "table2", "-quick", "-timeout", "1ns"}, &buf)
 	if err == nil {
 		t.Fatal("expected timeout error")
 	}

@@ -39,7 +39,7 @@
 //
 // # Analytic battery fast path
 //
-// BatteryLifetime and BatteryLifetimeOpts dispatch on the model.
+// BatteryLifetimeOpts dispatches on the model.
 // Closed-form models (KiBaM, diffusion, Peukert) implement
 // BatterySegmentDrainer and are simulated analytically: each constant-current
 // profile segment is applied exactly in one closed-form update, whole profile
@@ -60,10 +60,9 @@
 // 2 s stepping (see cmd/engbench -battery-o and the BenchmarkLifetime*
 // benchmarks in internal/battery).
 //
-// BatteryLifetimeBatch evaluates N models against one profile in a single
-// pass — analytic models via the scalar analytic driver, stepped models
-// sharing one slot clock with exhausted models dropping out — and is
-// bit-identical to N sequential BatteryLifetime calls; the experiment
+// BatteryLifetimeBatch evaluates N models against one profile, validating
+// the profile once and running each model through the same dispatch, so it
+// is bit-identical to N sequential BatteryLifetimeOpts calls; the experiment
 // drivers and batsim's comma-separated -battery flag are built on it.
 //
 // # Parallel experiment runner
@@ -73,21 +72,20 @@
 // jobs executed by a bounded worker pool. Each job derives its own random
 // stream from the experiment seed and its grid coordinates with a
 // SplitMix64-style mixer (DeriveSeed/SeededRNG), never from shared generator
-// state. Results stream back in deterministic job order (RunJobGridStream; a
-// bounded reorder window, so the grid is never materialised) and the drivers
-// fold them into mergeable Welford accumulators (StatsAccumulator) — so
-// results are byte-identical at any worker count:
+// state. Results stream back in deterministic job order (a bounded reorder
+// window, so the grid is never materialised) and the drivers fold them into
+// mergeable Welford accumulators (StatsAccumulator) — so results are
+// byte-identical at any worker count:
 //
-//	go run ./cmd/experiments -table2            # all cores (the default)
-//	go run ./cmd/experiments -table2 -parallel 1  # sequential, same output
-//	go run ./cmd/experiments -all -progress -timeout 30m
+//	go run ./cmd/experiments run table2              # all cores (the default)
+//	go run ./cmd/experiments run table2 -parallel 1  # sequential, same output
+//	go run ./cmd/experiments run all -progress -timeout 30m
 //
 // Experiment configurations embed ExperimentOptions (Parallel worker count,
 // Progress callback, adaptive-stopping knobs); cmd/experiments exposes them
 // as -parallel, -timeout, -progress, -ci and -max-sets flags (cmd/batsim's
 // deterministic -curve sweep shares -parallel and -timeout). The harness is
-// exported for custom sweeps via
-// ParallelMap, RunJobGridStream, NewJobGrid, DeriveSeed and SeededRNG, and
+// exported for custom sweeps via ParallelMap, DeriveSeed and SeededRNG, and
 // RunScenarioGrid sweeps the (utilisation × battery model × scheme) grid that
 // new workloads plug into.
 //
@@ -97,20 +95,19 @@
 // battery characterisation curve, the estimate-quality ablation and the
 // scenario grid — is registered by name in an experiment registry and runs
 // through one declarative surface: an ExperimentSpec in, an ExperimentReport
-// out (RunExperiment, ExperimentNames). A Report is named rows of metric
-// cells backed by serialisable accumulator state (n/mean/M2/min/max, exact
-// across JSON round-trips); the paper's plain-text tables render from it
-// byte-identically (FormatExperimentReport) and cmd/experiments writes it as
-// a versioned JSON artifact with -o. Battery models register the same way
-// (NewBatteryModel, BatteryModelNames): importing a model package makes its
-// name available to every -battery flag, and unknown names fail listing the
-// valid ones.
+// out (RunExperiment; `cmd/experiments list` names them). A Report is named
+// rows of metric cells backed by serialisable accumulator state
+// (n/mean/M2/min/max, exact across JSON round-trips); the paper's plain-text
+// tables render from it byte-identically (FormatExperimentReport) and
+// cmd/experiments writes it as a versioned JSON artifact with -o. Battery
+// models register the same way: importing a model package makes its name
+// available to every -battery flag, and unknown names fail listing the valid
+// ones.
 //
 // Because set seeds key on absolute set indices, a run shards exactly across
 // processes or machines: -shard i/n (ExperimentShard) restricts a run to its
 // contiguous slice of every batch's set range and emits a partial report, and
-// MergeExperimentReports (the CLI's merge subcommand) combines all n partials
-// into the complete run. Per-set experiments retain their samples, so the
+// the CLI's merge subcommand combines all n partials into the complete run. Per-set experiments retain their samples, so the
 // merge replays them in absolute order and reproduces the unsharded
 // accumulators bit-for-bit; the scenario grid's chunk-merged cells combine
 // Welford state instead, identical up to floating-point reassociation (never
@@ -149,6 +146,6 @@
 //	})
 //	if err != nil { ... }
 //
-//	life, err := battsched.BatteryLifetime(battsched.NewKiBaM(), res.Profile)
+//	life, err := battsched.BatteryLifetimeOpts(battsched.NewKiBaM(), res.Profile, battsched.BatterySimulateOptions{})
 //	fmt.Println(res.EnergyBattery, life.LifetimeMinutes(), life.DeliveredMAh())
 package battsched

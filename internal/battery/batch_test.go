@@ -14,8 +14,10 @@ import (
 
 // batchTestModels builds a mixed batch: every registered model (analytic and
 // stepped paths, staggered death times), a Monte Carlo stochastic instance
-// (stepped path by its analytic gate), a slot-exact stochastic instance, and
-// a duplicate of the first registered model (duplicates must not interfere).
+// (stepped path by its analytic gate), a slot-exact stochastic instance, a
+// duplicate of the first registered model (duplicates must not interfere),
+// and the Monte Carlo instance again as the same pointer (a repeated
+// instance must not be drained twice per step).
 func batchTestModels(t *testing.T) []battery.Model {
 	t.Helper()
 	var models []battery.Model
@@ -45,13 +47,13 @@ func batchTestModels(t *testing.T) []battery.Model {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return append(models, first)
+	return append(models, first, mcb)
 }
 
 // TestSimulateBatchMatchesSequential is the batch equivalence property:
 // SimulateBatch is bit-identical to N sequential SimulateUntilExhausted
 // calls, across path mixes (analytic + stepped), staggered deaths, horizon
-// caps, forced stepping and batch sizes including 1.
+// caps, forced stepping, repeated instances and batch sizes including 1.
 func TestSimulateBatchMatchesSequential(t *testing.T) {
 	long := profile.New()
 	long.Append(33.4, 1.2)
@@ -120,9 +122,10 @@ func TestSimulateBatchMatchesSequential(t *testing.T) {
 }
 
 // TestSimulateBatchErrors pins the batch error contract: nil models are
-// rejected with their index, bad profiles are rejected, and an alive model
-// that under-sustains a shared substep is ErrNoProgress (it would
-// desynchronise the shared slot clock), not a silent divergence.
+// rejected with their index and bad profiles are rejected, while a model that
+// sustains only part of each step it survives is no error: next to a
+// registered model on the same stepped path, the batch matches their
+// sequential runs.
 func TestSimulateBatchErrors(t *testing.T) {
 	p := profile.Constant(0.5, 2)
 	if _, err := battery.SimulateBatch([]battery.Model{nil}, p, battery.SimulateOptions{}); !errors.Is(err, battery.ErrNilModel) {
@@ -135,9 +138,22 @@ func TestSimulateBatchErrors(t *testing.T) {
 	if _, err := battery.SimulateBatch([]battery.Model{m}, profile.New(), battery.SimulateOptions{}); !errors.Is(err, battery.ErrBadProfile) {
 		t.Fatalf("empty profile: err = %v, want ErrBadProfile", err)
 	}
-	q := &quantumModel{quantum: 0.3, capacity: 1e9}
-	if _, err := battery.SimulateBatch([]battery.Model{q}, p, battery.SimulateOptions{MaxTime: 10, MaxStep: 1}); !errors.Is(err, battery.ErrNoProgress) {
-		t.Fatalf("under-sustaining model: err = %v, want ErrNoProgress", err)
+	opts := battery.SimulateOptions{MaxTime: 10, MaxStep: 1}
+	models := []battery.Model{&quantumModel{quantum: 0.3, capacity: 1e9}, m}
+	want := make([]battery.Result, len(models))
+	for i, model := range models {
+		if want[i], err = battery.SimulateUntilExhausted(model, p, opts); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got, err := battery.SimulateBatch(models, p, opts)
+	if err != nil {
+		t.Fatalf("under-sustaining model: %v", err)
+	}
+	for i := range models {
+		if got[i] != want[i] {
+			t.Errorf("model %d (%s): batch %+v != sequential %+v", i, models[i].Name(), got[i], want[i])
+		}
 	}
 }
 
@@ -149,11 +165,10 @@ func TestSimulateBatchEmpty(t *testing.T) {
 	}
 }
 
-// TestSimulateBatchSharedClockNarrows checks the active-set bookkeeping
-// around staggered deaths: two capacity-scaled copies of the Monte Carlo
-// stochastic model die at different times, and both must report the same
-// lifetime and repetition count as their sequential runs even though the
-// earlier death narrows the shared pass for the survivor.
+// TestSimulateBatchSharedClockNarrows checks staggered deaths on the stepped
+// path: two capacity-scaled copies of the Monte Carlo stochastic model die at
+// different times, and both must report the same lifetime and repetition
+// count in a batch as in their sequential runs.
 func TestSimulateBatchSharedClockNarrows(t *testing.T) {
 	mk := func(scale float64) battery.Model {
 		ps := stochastic.Default().Params()

@@ -196,6 +196,13 @@ func SimulateUntilExhausted(m Model, p *profile.Profile, opts SimulateOptions) (
 		return Result{}, fmt.Errorf("%w: %v", ErrBadProfile, err)
 	}
 	opts.setDefaults()
+	return simulate(m, p, opts)
+}
+
+// simulate runs one model against an already validated profile with
+// defaulted options, on the analytic path when analyticDrainer selects it
+// and on the stepped path otherwise.
+func simulate(m Model, p *profile.Profile, opts SimulateOptions) (Result, error) {
 	if sd, ok := analyticDrainer(m, opts.MaxStep); ok {
 		obs.Sim.BatteryAnalytic.Add(1)
 		return simulateAnalytic(sd, p, opts)

@@ -142,9 +142,9 @@ func BenchmarkLifetimeStochasticFast(b *testing.B) {
 	}
 }
 
-// batchBenchModels builds n models cycling through the four families with
-// scaled capacities, so the batch mixes analytic and stepped paths and the
-// deaths stagger (the shared pass narrows as batteries die).
+// batchBenchModels builds n models cycling through the four families, so
+// the deaths stagger; under the default options every one of them takes the
+// analytic path.
 func batchBenchModels(b *testing.B, n int) []battery.Model {
 	b.Helper()
 	names := []string{"kibam", "diffusion", "peukert", "stochastic"}

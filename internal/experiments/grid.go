@@ -283,10 +283,10 @@ func runScenarioGridReport(ctx context.Context, cfg ScenarioGridConfig) (*Report
 					return scenarioPartial{}, err
 				}
 				part.misses[si] += res.DeadlineMisses
-				// The load profile is battery-independent; one batch pass over
+				// The load profile is battery-independent; one batch call on
 				// it evaluates the whole battery axis (zero MaxStep selects
-				// each model's analytic fast path) instead of re-scheduling —
-				// or even re-replaying the profile — per model.
+				// each model's analytic fast path) instead of re-scheduling
+				// per model.
 				brs, err := battery.SimulateBatch(models, res.Profile, battery.SimulateOptions{
 					MaxTime: cfg.MaxBatteryHours * 3600,
 				})

@@ -61,3 +61,11 @@ func TestSpecHashDistinguishesOutputs(t *testing.T) {
 		seen[label] = h
 	}
 }
+
+// TestCanonicalSpecNamesBattery checks that the canonical encoding spells
+// out the battery model, one of the inputs that determine the report bytes.
+func TestCanonicalSpecNamesBattery(t *testing.T) {
+	if enc := CanonicalSpec("table2", Spec{Quick: true, Battery: "kibam"}); !strings.Contains(enc, `battery="kibam"`) {
+		t.Fatalf("canonical encoding = %q", enc)
+	}
+}

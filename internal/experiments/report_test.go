@@ -7,6 +7,9 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"time"
+
+	"battsched/internal/stats"
 )
 
 // TestRegistryNamesAndLookup checks that all six drivers self-register and
@@ -206,5 +209,16 @@ func TestCurveDoesNotShard(t *testing.T) {
 	}
 	if _, err := Run(context.Background(), "table2", Spec{Quick: true, RunOptions: RunOptions{Shard: Shard{Index: 5, Count: 2}}}); !errors.Is(err, ErrBadConfig) {
 		t.Fatalf("bad shard err = %v", err)
+	}
+}
+
+// TestFooter checks the summary line printed after each table: the first
+// row's sample count and the elapsed seconds.
+func TestFooter(t *testing.T) {
+	rep := &Report{Experiment: "table2", Rows: []ReportRow{
+		{Key: "BAS-2", Cells: map[string]Cell{"charge_mah": {State: stats.State{N: 3}}}},
+	}}
+	if got, want := Footer(rep, 1500*time.Millisecond), "(3 task-graph sets, 1.5s)\n\n"; got != want {
+		t.Fatalf("Footer = %q, want %q", got, want)
 	}
 }

@@ -18,8 +18,8 @@ import (
 // sweeps are byte-identical at any worker count without materialising the
 // grid.
 type (
-	// RunnerOptions tune one ParallelMap/RunJobGridStream call: worker-pool
-	// size and an optional progress callback.
+	// RunnerOptions tune one ParallelMap call: worker-pool size and an
+	// optional progress callback.
 	RunnerOptions = runner.Options
 	// ExperimentOptions are the execution knobs embedded in every experiment
 	// configuration: Parallel worker count, Progress callback, and the
@@ -27,15 +27,9 @@ type (
 	// target for the experiment's key metric) and MaxSets (hard cap on the
 	// adaptively grown set count).
 	ExperimentOptions = experiments.RunOptions
-	// JobGrid maps a multi-dimensional sweep onto flat job indices in
-	// row-major order.
-	JobGrid = runner.Grid
 	// JobPanicError reports a job that panicked inside ParallelMap.
 	JobPanicError = runner.PanicError
 )
-
-// NewJobGrid returns the grid with the given dimension sizes.
-func NewJobGrid(dims ...int) JobGrid { return runner.NewGrid(dims...) }
 
 // ParallelMap executes jobs 0..n-1 on a bounded worker pool and returns their
 // results in job-index order; the first job error cancels the rest. Combine
@@ -43,17 +37,6 @@ func NewJobGrid(dims ...int) JobGrid { return runner.NewGrid(dims...) }
 // is independent of the worker count.
 func ParallelMap[T any](ctx context.Context, n int, opts RunnerOptions, job func(ctx context.Context, i int) (T, error)) ([]T, error) {
 	return runner.Run(ctx, n, opts, job)
-}
-
-// RunJobGridStream is the streaming variant of ParallelMap: each result is
-// delivered to emit in strictly increasing job order as soon as it and every
-// lower-indexed job completed, so callers fold results into accumulators
-// (see StatsAccumulator) as they arrive instead of holding the whole grid.
-// Memory is bounded by a small reorder window; an error returned by emit
-// aborts the sweep. Delivery order is deterministic, so folds are
-// byte-identical at any worker count.
-func RunJobGridStream[T any](ctx context.Context, n int, opts RunnerOptions, job func(ctx context.Context, i int) (T, error), emit func(i int, t T) error) error {
-	return runner.RunStream(ctx, n, opts, job, emit)
 }
 
 // DeriveSeed derives a well-mixed deterministic seed for the job at the given
@@ -83,10 +66,6 @@ type (
 	// experiment shard partials move between processes and merge losslessly.
 	StatsState = stats.State
 )
-
-// StatsFromState reconstructs an accumulator from exported state; it keeps
-// accumulating bit-for-bit as if the original had never been serialised.
-func StatsFromState(s StatsState) StatsAccumulator { return stats.FromState(s) }
 
 // DefaultScenarioGridConfig returns a moderate three-utilisation sweep over
 // two battery models and all five paper schemes.
