@@ -107,11 +107,11 @@
 // Because set seeds key on absolute set indices, a run shards exactly across
 // processes or machines: -shard i/n (ExperimentShard) restricts a run to its
 // contiguous slice of every batch's set range and emits a partial report, and
-// the CLI's merge subcommand combines all n partials into the complete run. Per-set experiments retain their samples, so the
-// merge replays them in absolute order and reproduces the unsharded
-// accumulators bit-for-bit; the scenario grid's chunk-merged cells combine
-// Welford state instead, identical up to floating-point reassociation (never
-// visibly at table precision).
+// the CLI's merge subcommand combines all n partials into the complete run.
+// Per-set experiments retain their samples, so the merge replays them in
+// absolute order and reproduces the unsharded accumulators bit-for-bit; the
+// scenario grid's chunk-merged cells combine Welford state instead, identical
+// up to floating-point reassociation (never visibly at table precision).
 //
 //	go run ./cmd/experiments run table2 -quick -shard 0/2 -o s0.json
 //	go run ./cmd/experiments run table2 -quick -shard 1/2 -o s1.json
@@ -146,6 +146,7 @@
 //	})
 //	if err != nil { ... }
 //
-//	life, err := battsched.BatteryLifetimeOpts(battsched.NewKiBaM(), res.Profile, battsched.BatterySimulateOptions{})
+//	life, err := battsched.BatteryLifetimeOpts(battsched.NewKiBaM(), res.Profile,
+//	    battsched.BatterySimulateOptions{})
 //	fmt.Println(res.EnergyBattery, life.LifetimeMinutes(), life.DeliveredMAh())
 package battsched
