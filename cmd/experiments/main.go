@@ -510,6 +510,10 @@ func cmdMerge(args []string, stdout io.Writer) error {
 		if len(reports) == 0 {
 			return fmt.Errorf("%s: empty report artifact", path)
 		}
+		if i > 0 && len(reports) != len(byFile[0]) {
+			return fmt.Errorf("%s: holds %d report(s), %s holds %d (all artifacts must run the same experiments)",
+				path, len(reports), files[0], len(byFile[0]))
+		}
 		byFile[i] = reports
 	}
 	// The first artifact fixes the experiment order; every artifact must
@@ -518,7 +522,7 @@ func cmdMerge(args []string, stdout io.Writer) error {
 	for ri, first := range byFile[0] {
 		parts := make([]*experiments.Report, 0, len(byFile))
 		for fi, reports := range byFile {
-			if ri >= len(reports) || reports[ri].Experiment != first.Experiment {
+			if reports[ri].Experiment != first.Experiment {
 				return fmt.Errorf("%s: expected a %q report at position %d (all artifacts must run the same experiments)",
 					files[fi], first.Experiment, ri)
 			}

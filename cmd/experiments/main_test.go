@@ -231,9 +231,10 @@ func TestTimeoutFlag(t *testing.T) {
 	}
 }
 
-// fakeShardArtifact writes an artifact holding one minimal shard partial
-// (coverage validation runs before any cell is touched).
-func fakeShardArtifact(t *testing.T, dir, name string, index, count int) string {
+// fakeShardArtifact writes an artifact holding one minimal table2 shard
+// partial, then one of each extra experiment (coverage validation runs before
+// any cell is touched).
+func fakeShardArtifact(t *testing.T, dir, name string, index, count int, extra ...string) string {
 	t.Helper()
 	path := filepath.Join(dir, name)
 	file, err := os.Create(path)
@@ -241,12 +242,15 @@ func fakeShardArtifact(t *testing.T, dir, name string, index, count int) string 
 		t.Fatal(err)
 	}
 	defer file.Close()
-	rep := &experiments.Report{
-		Version:    experiments.ReportVersion,
-		Experiment: "table2",
-		Shard:      &experiments.ShardInfo{Index: index, Count: count},
+	var reports []*experiments.Report
+	for _, exp := range append([]string{"table2"}, extra...) {
+		reports = append(reports, &experiments.Report{
+			Version:    experiments.ReportVersion,
+			Experiment: exp,
+			Shard:      &experiments.ShardInfo{Index: index, Count: count},
+		})
 	}
-	if err := experiments.WriteArtifact(file, []*experiments.Report{rep}); err != nil {
+	if err := experiments.WriteArtifact(file, reports); err != nil {
 		t.Fatal(err)
 	}
 	return path
@@ -278,6 +282,20 @@ func TestMergeRejectsGapAndDuplicate(t *testing.T) {
 	}
 	if buf.Len() != 0 {
 		t.Fatalf("duplicate merge printed output before failing:\n%s", buf.String())
+	}
+
+	// Every artifact must hold as many reports as the first: a grid partial
+	// only the second artifact carries must not be dropped.
+	c0 := fakeShardArtifact(t, dir, "c0.json", 0, 2)
+	c1 := fakeShardArtifact(t, dir, "c1.json", 1, 2, "grid")
+	for _, files := range [][]string{{c0, c1}, {c1, c0}} {
+		err = run(append([]string{"merge"}, files...), &buf)
+		if err == nil || !strings.Contains(err.Error(), "same experiments") {
+			t.Fatalf("merge %v err = %v, want a report-count error", files, err)
+		}
+		if buf.Len() != 0 {
+			t.Fatalf("merge %v printed output before failing:\n%s", files, buf.String())
+		}
 	}
 }
 

@@ -69,3 +69,28 @@ func TestCanonicalSpecNamesBattery(t *testing.T) {
 		t.Fatalf("canonical encoding = %q", enc)
 	}
 }
+
+// TestShardSpecHash pins the partial content address: distinct per shard,
+// equal for equal (spec, shard), and the disabled shard collapses to the
+// complete run's SpecHash.
+func TestShardSpecHash(t *testing.T) {
+	spec := Spec{Quick: true, Battery: "kibam"}
+	full := SpecHash("table2", spec)
+	if got := ShardSpecHash("table2", spec, Shard{}); got != full {
+		t.Fatalf("unsharded ShardSpecHash = %s, want SpecHash %s", got, full)
+	}
+	seen := map[string]bool{full: true}
+	for i := 0; i < 4; i++ {
+		h := ShardSpecHash("table2", spec, Shard{Index: i, Count: 4})
+		if seen[h] {
+			t.Fatalf("shard %d/4 hash collides", i)
+		}
+		seen[h] = true
+		if h != ShardSpecHash("table2", spec, Shard{Index: i, Count: 4}) {
+			t.Fatal("ShardSpecHash not deterministic")
+		}
+	}
+	if ShardSpecHash("table2", spec, Shard{Index: 0, Count: 4}) == ShardSpecHash("table2", spec, Shard{Index: 0, Count: 2}) {
+		t.Fatal("shard 0/4 and 0/2 share a hash")
+	}
+}

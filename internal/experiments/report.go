@@ -205,9 +205,10 @@ func ValidateShardCoverage(parts []*Report) error {
 }
 
 // MergeReports combines the shard partials of one experiment run (in any
-// order) into the report of the complete run. Every shard 0..Count-1 must be
-// present exactly once (ValidateShardCoverage) and the partials must agree on
-// experiment, version, configuration fingerprint (Meta) and row structure.
+// order) into the report of the complete run, folding them in shard order.
+// Every shard 0..Count-1 must be present exactly once (ValidateShardCoverage)
+// and the partials must agree on experiment, version, configuration
+// fingerprint (Meta) and row structure (keys, labels and cell names).
 // Per-set cells merge exactly (sample replay); state-only cells merge with
 // the documented Welford reassociation bound; counts sum.
 func MergeReports(parts []*Report) (*Report, error) {
@@ -248,6 +249,12 @@ func MergeReports(parts []*Report) (*Report, error) {
 			if pr.Key != row.Key || !maps.Equal(pr.Labels, row.Labels) {
 				return nil, fmt.Errorf("experiments: %q row %d differs across shards (%q vs %q)",
 					first.Experiment, ri, pr.Key, row.Key)
+			}
+			for name := range pr.Cells {
+				if _, ok := row.Cells[name]; !ok {
+					return nil, fmt.Errorf("experiments: %q row %q has unexpected cell %q in shard %d",
+						first.Experiment, row.Key, name, p.Shard.Index)
+				}
 			}
 			for name, n := range pr.Counts {
 				if out.Counts == nil {

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"maps"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -186,6 +188,21 @@ func TestMergeReportsValidation(t *testing.T) {
 	}
 	if _, err := MergeReports([]*Report{s0, gridShard}); err == nil {
 		t.Fatal("expected error for mixed experiments")
+	}
+	// A cell only one partial carries fails the merge, whichever shard has it.
+	withBogus := func(r *Report) *Report {
+		c := *r
+		c.Rows = slices.Clone(r.Rows)
+		c.Rows[0].Cells = maps.Clone(r.Rows[0].Cells)
+		c.Rows[0].Cells["bogus"] = Cell{}
+		return &c
+	}
+	for i := range 2 {
+		parts := []*Report{s0, s1}
+		parts[i] = withBogus(parts[i])
+		if _, err := MergeReports(parts); err == nil || !strings.Contains(err.Error(), `"bogus"`) {
+			t.Fatalf("extra cell in shard %d: err = %v, want an error naming the cell", i, err)
+		}
 	}
 	// Order independence: merging [s1, s0] equals merging [s0, s1].
 	a, err := MergeReports([]*Report{s0, s1})

@@ -67,9 +67,11 @@ type gatedFront struct {
 }
 
 // frontOpts sizes the front end under test: its unit queue bound and its job
-// map bound (0 keeps each mode's default).
+// map bound (0 keeps each mode's default). hold picks the units its gate
+// holds; nil holds every unit.
 type frontOpts struct {
 	queue, maxJobs int
+	hold           func(experiments.Shard) bool
 }
 
 // gatedFronts start the two front ends the /v1 contract must hold on.
@@ -78,12 +80,12 @@ var gatedFronts = []struct {
 	start func(t *testing.T, o frontOpts) gatedFront
 }{
 	{"daemon", func(t *testing.T, o frontOpts) gatedFront {
-		hook, release, execs := countingGate()
+		hook, release, execs := countingGate(o.hold)
 		srv, ts := startWorker(t, service.Config{FaultHook: hook, QueueCapacity: o.queue, MaxJobs: o.maxJobs})
 		return gatedFront{url: ts.URL, release: release, close: srv.Close, shutdown: srv.Shutdown, execs: execs}
 	}},
 	{"coordinator", func(t *testing.T, o frontOpts) gatedFront {
-		hook, release, execs := countingGate()
+		hook, release, execs := countingGate(o.hold)
 		_, tsW := startWorker(t, service.Config{FaultHook: hook})
 		cfg := fastConfig(tsW.URL)
 		cfg.QueueCapacity, cfg.MaxJobs = o.queue, o.maxJobs
@@ -100,12 +102,16 @@ var gatedFronts = []struct {
 	}},
 }
 
-// countingGate is blockingHook that also counts the units reaching it.
-func countingGate() (func(context.Context, string, experiments.Shard) error, func(), func() int32) {
+// countingGate is blockingHook that also counts the units reaching it. It
+// holds only the units hold picks, or every unit when hold is nil.
+func countingGate(hold func(experiments.Shard) bool) (func(context.Context, string, experiments.Shard) error, func(), func() int32) {
 	hook, release := blockingHook()
 	var n atomic.Int32
 	counted := func(ctx context.Context, name string, shard experiments.Shard) error {
 		n.Add(1)
+		if hold != nil && !hold(shard) {
+			return nil
+		}
 		return hook(ctx, name, shard)
 	}
 	return counted, release, n.Load
@@ -260,6 +266,80 @@ func TestJobStatusLongPoll(t *testing.T) {
 		t.Run(front.name, func(t *testing.T) {
 			for _, tc := range cases {
 				t.Run(tc.name, func(t *testing.T) { tc.run(t, front.start(t, frontOpts{})) })
+			}
+		})
+	}
+}
+
+// TestOutOfOrderShardsMergeInShardOrder pins the shard-order merge on the
+// worker daemon and on the coordinator alike: shard 0 of a 3-shard job is
+// held until shards 1 and 2 are delivered, and the served artifact still
+// equals the local one byte for byte. For table2 that is the unsharded run;
+// the grid's sample-free cells merge by Welford state, so for it that is the
+// local shard partials merged.
+func TestOutOfOrderShardsMergeInShardOrder(t *testing.T) {
+	ctx := context.Background()
+	spec := experiments.Spec{Quick: true, Battery: "kibam"}
+	parts := make([]*experiments.Report, 3)
+	for i := range parts {
+		s := spec
+		s.Shard = experiments.Shard{Index: i, Count: len(parts)}
+		rep, err := experiments.Run(ctx, "grid", s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		parts[i] = rep
+	}
+	grid, err := experiments.MergeReports(parts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var gridArtifact bytes.Buffer
+	if err := experiments.WriteArtifact(&gridArtifact, []*experiments.Report{grid}); err != nil {
+		t.Fatal(err)
+	}
+	want := map[string][]byte{
+		"table2": localArtifact(t, "table2", spec),
+		"grid":   gridArtifact.Bytes(),
+	}
+	holdFirst := func(s experiments.Shard) bool { return s.Index == 0 }
+	for _, front := range gatedFronts {
+		t.Run(front.name, func(t *testing.T) {
+			for _, name := range []string{"table2", "grid"} {
+				f := front.start(t, frontOpts{hold: holdFirst})
+				t.Cleanup(f.release)
+				c := client.New(f.url)
+				st, err := c.Submit(ctx, service.JobRequest{
+					Experiment: name, Spec: service.SpecRequestFrom(spec), Shards: len(parts),
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				waitFor(t, name+" shards 1 and 2 delivered", func() bool {
+					js, err := c.Job(ctx, st.ID)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if len(js.Shards) != len(parts) || js.Shards[0].State == service.StateDone {
+						t.Fatalf("%s shards = %+v, want shard 0 held", name, js.Shards)
+					}
+					return js.Shards[1].State == service.StateDone && js.Shards[2].State == service.StateDone
+				})
+				f.release()
+				final, err := c.Wait(ctx, st.ID, 5*time.Millisecond, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if final.State != service.StateDone {
+					t.Fatalf("%s job = %s (%s), want done", name, final.State, final.Error)
+				}
+				got, err := c.ReportArtifact(ctx, st.ID)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(got, want[name]) {
+					t.Fatalf("%s: served artifact differs from the local one", name)
+				}
 			}
 		})
 	}

@@ -152,12 +152,6 @@ func (m *Model) PowerAtPoint(p OperatingPoint) float64 {
 	return m.Ceff * p.Voltage * p.Voltage * p.Frequency
 }
 
-// BatteryCurrent returns the current drawn from the battery in amperes when
-// running continuously at frequency f.
-func (m *Model) BatteryCurrent(f float64) float64 {
-	return m.Power(f)/(m.ConverterEfficiency*m.BatteryVoltage) + 0 // core only; idle housekeeping is separate
-}
-
 // BatteryCurrentAtPoint returns the battery current at a discrete operating
 // point.
 func (m *Model) BatteryCurrentAtPoint(p OperatingPoint) float64 {
@@ -275,16 +269,11 @@ func (m *Model) RealizeInto(fref float64, buf []RealizationSegment) Realization 
 	)}
 }
 
-// RealizeCeil maps a requested frequency onto the smallest supported
+// RealizeCeilInto maps a requested frequency onto the smallest supported
 // operating point that is at least fref (the simple quantisation policy many
-// DVS implementations use instead of the optimal linear combination). fref
-// above FMax is realised at FMax.
-func (m *Model) RealizeCeil(fref float64) Realization {
-	return m.RealizeCeilInto(fref, nil)
-}
-
-// RealizeCeilInto is RealizeCeil with a caller-supplied segment buffer (see
-// RealizeInto).
+// DVS implementations use instead of the optimal linear combination), and
+// appends its one segment to buf[:0] (see RealizeInto). fref above FMax is
+// realised at FMax.
 func (m *Model) RealizeCeilInto(fref float64, buf []RealizationSegment) Realization {
 	pts := m.Points
 	buf = buf[:0]

@@ -1,21 +1,21 @@
 // Package runner is the generic job-grid harness behind the parallel
 // experiment drivers: every experiment of internal/experiments enumerates its
 // (set × scheme × sweep-point) grid as a flat list of independent jobs, and
-// Run executes those jobs on a bounded worker pool.
+// RunStream executes those jobs on a bounded worker pool.
 //
 // Determinism is the central contract. Each job derives its own random stream
 // from the experiment seed and the job's grid coordinates (SeedFor, a
 // SplitMix64-style mixer), never from shared generator state, so the value a
-// job computes is independent of scheduling. Run returns results indexed by
-// job, and callers fold them in job order; together these make every
+// job computes is independent of scheduling. RunStream delivers results in
+// job order, and callers fold them in that order; together these make every
 // experiment byte-identical at any worker count.
 //
-// RunStream is the streaming variant: results are delivered to a callback in
-// strictly increasing job order as soon as they (and all lower-indexed jobs)
-// complete, with memory bounded by a small reorder window instead of the
-// whole grid. Run is implemented on top of it. Experiment drivers fold
-// streamed rows into accumulators, which is what lets sweeps grow to sizes
-// whose full result grid would not fit in memory.
+// RunStream hands each result to a callback in strictly increasing job order
+// as soon as it (and every lower-indexed job) completes, with memory bounded
+// by a small reorder window instead of the whole grid. Experiment drivers
+// fold streamed rows into accumulators, which is what lets sweeps grow to
+// sizes whose full result grid would not fit in memory. Run is RunStream
+// storing each result in its slot of a slice.
 package runner
 
 import (
@@ -28,7 +28,7 @@ import (
 	"sync"
 )
 
-// Options tune one Run call.
+// Options tune one Run or RunStream call.
 type Options struct {
 	// Parallelism is the worker-pool size; values <= 0 select
 	// runtime.GOMAXPROCS(0).
@@ -101,83 +101,21 @@ func runJob[T any](ctx context.Context, i int, job func(ctx context.Context, i i
 	return job(ctx, i)
 }
 
-// Run executes jobs 0..n-1 on a bounded worker pool and returns their results
-// in job-index order. The first job error (lowest job index among the errors
-// observed) cancels the remaining jobs and is returned; a cancelled or
-// timed-out ctx aborts the sweep with ctx's error. Panics inside jobs are
-// captured as *PanicError.
-//
-// Run materialises the whole result grid (workers write their slots
-// directly, with no reorder buffering or throttling); sweeps that fold
-// results as they arrive should use RunStream instead.
+// Run executes jobs 0..n-1 and returns their results in job-index order. It
+// is RunStream with an emit that stores each result in its slot, so errors,
+// panics, cancellation and the reorder window behave as in RunStream. Sweeps
+// that fold results as they arrive should call RunStream instead, which does
+// not materialise the result grid.
 func Run[T any](ctx context.Context, n int, opts Options, job func(ctx context.Context, i int) (T, error)) ([]T, error) {
 	if n < 0 {
 		return nil, fmt.Errorf("runner: negative job count %d", n)
 	}
 	results := make([]T, n)
-	if n == 0 {
-		return results, nil
-	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
-	var (
-		wg   sync.WaitGroup
-		mu   sync.Mutex
-		done int
-		tr   errTracker
-	)
-	fail := func(i int, err error) {
-		mu.Lock()
-		tr.record(i, err)
-		mu.Unlock()
-		cancel()
-	}
-
-	jobs := make(chan int)
-	for w := opts.Workers(n); w > 0; w-- {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				if ctx.Err() != nil {
-					continue // drain: the sweep is already aborting
-				}
-				t, err := runJob(ctx, i, job)
-				if err != nil {
-					fail(i, err)
-					continue
-				}
-				results[i] = t
-				mu.Lock()
-				done++
-				if opts.Progress != nil {
-					opts.Progress(done, n)
-				}
-				mu.Unlock()
-			}
-		}()
-	}
-feed:
-	for i := 0; i < n; i++ {
-		select {
-		case jobs <- i:
-		case <-ctx.Done():
-			break feed
-		}
-	}
-	close(jobs)
-	wg.Wait()
-	if tr.err != nil {
-		return nil, tr.err
-	}
-	if err := ctx.Err(); err != nil {
+	err := RunStream(ctx, n, opts, job, func(i int, t T) error {
+		results[i] = t
+		return nil
+	})
+	if err != nil {
 		return nil, err
 	}
 	return results, nil
@@ -188,13 +126,15 @@ feed:
 // every lower-indexed job have completed. emit always runs on the goroutine
 // that called RunStream, so callers fold results into local state without
 // locking; because delivery order is deterministic, folds are byte-identical
-// at any worker count, exactly like iterating Run's result slice.
+// at any worker count.
 //
-// Unlike Run, RunStream does not materialise the grid: at most a small
-// reorder window of results (proportional to the worker count) is buffered
-// while an earlier job is still running; workers stall rather than run
-// further ahead. An error returned by emit aborts the sweep like a job error
-// at that index. Job errors, panics and ctx cancellation behave as in Run.
+// RunStream does not materialise the grid: at most a small reorder window of
+// results (proportional to the worker count) is buffered while an earlier job
+// is still running; workers stall rather than run further ahead. The first
+// job error (lowest job index among the errors observed) cancels the
+// remaining jobs and is returned, and an error returned by emit aborts the
+// sweep like a job error at that index; a cancelled or timed-out ctx aborts
+// the sweep with ctx's error. Panics inside jobs are captured as *PanicError.
 func RunStream[T any](ctx context.Context, n int, opts Options, job func(ctx context.Context, i int) (T, error), emit func(i int, t T) error) error {
 	if n < 0 {
 		return fmt.Errorf("runner: negative job count %d", n)

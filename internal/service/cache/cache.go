@@ -27,11 +27,9 @@ type Cache struct {
 	dir string
 	max int
 
-	mu     sync.Mutex
-	ll     *list.List // front = most recently used
-	byKey  map[string]*list.Element
-	hits   int
-	misses int
+	mu    sync.Mutex
+	ll    *list.List // front = most recently used
+	byKey map[string]*list.Element
 }
 
 // entry is one resident artifact.
@@ -86,7 +84,6 @@ func (c *Cache) Get(key string) ([]byte, bool) {
 	c.mu.Lock()
 	if el, ok := c.byKey[key]; ok {
 		c.ll.MoveToFront(el)
-		c.hits++
 		data := el.Value.(*entry).data
 		c.mu.Unlock()
 		return data, true
@@ -96,14 +93,10 @@ func (c *Cache) Get(key string) ([]byte, bool) {
 		if data, err := os.ReadFile(c.path(key)); err == nil {
 			c.mu.Lock()
 			c.admit(key, data)
-			c.hits++
 			c.mu.Unlock()
 			return data, true
 		}
 	}
-	c.mu.Lock()
-	c.misses++
-	c.mu.Unlock()
 	return nil, false
 }
 
@@ -163,11 +156,4 @@ func (c *Cache) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.ll.Len()
-}
-
-// Stats returns the cumulative hit and miss counts.
-func (c *Cache) Stats() (hits, misses int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.hits, c.misses
 }

@@ -9,13 +9,13 @@
 // A submitted job names a registered experiment and a SpecRequest. Jobs enter
 // the queue as shard units — one unit for an unsharded run, or Shards
 // independent units each executing its RunOptions.Shard slice — and the
-// executor takes them in FIFO order as it has room. Shard partials fold into
-// the job's report through experiments.ReportMerger in shard order as they
-// arrive; when the last unit lands, the complete run's artifact (exactly the
-// bytes `cmd/experiments run -o` writes) is stored in the cache under the
-// canonical spec hash (experiments.SpecHash). A later submission of an equal
-// spec — sharded or not — is answered from the cache without recomputation
-// and marked Cached.
+// executor takes them in FIFO order as it has room. The job keeps each
+// delivered shard partial by shard index; when the last unit lands,
+// experiments.MergeReports folds them in shard order, and the complete run's
+// artifact (exactly the bytes `cmd/experiments run -o` writes) is stored in
+// the cache under the canonical spec hash (experiments.SpecHash). A later
+// submission of an equal spec — sharded or not — is answered from the cache
+// without recomputation and marked Cached.
 //
 // Under heavy identical traffic the server additionally coalesces in-flight
 // work: a submission whose spec hash matches a job that is still queued or
@@ -186,9 +186,7 @@ type job struct {
 	units      []*Unit
 	followers  []*job // coalesced submissions resolving with this leader
 	remaining  int
-	merger     *experiments.ReportMerger // multi-unit jobs only
-	parts      []*experiments.Report     // partials waiting for an earlier shard
-	next       int                       // the next shard index the merger folds
+	parts      []*experiments.Report // multi-unit jobs only: delivered partials by shard index
 	artifact   []byte
 	done       chan struct{} // closed when the job turns terminal; wakes ?wait= holds
 }
@@ -567,7 +565,7 @@ func (s *Server) cachePutLocked(hash string, artifact []byte) {
 
 // makeUnits builds a job's shard units: one unit carrying unitShard for a
 // shard-unit job, one unsharded unit for shards <= 1, one unit per shard
-// otherwise, which fold through a ReportMerger.
+// otherwise, whose partials merge once the last one is delivered.
 func makeUnits(j *job, shards int, unitShard experiments.Shard) {
 	switch {
 	case unitShard.Enabled():
@@ -578,7 +576,6 @@ func makeUnits(j *job, shards int, unitShard experiments.Shard) {
 		for i := range shards {
 			j.units = append(j.units, &Unit{job: j, shard: experiments.Shard{Index: i, Count: shards}})
 		}
-		j.merger, _ = experiments.NewReportMerger(shards)
 		j.parts = make([]*experiments.Report, shards)
 	}
 	j.state = StateQueued
@@ -685,7 +682,7 @@ func (s *Server) finishLocked(j *job, state, errMsg string) {
 	j.state = state
 	j.errMsg = errMsg
 	j.finished = time.Now()
-	j.merger, j.parts = nil, nil // the artifact, if any, is all a terminal job keeps
+	j.parts = nil // the artifact, if any, is all a terminal job keeps
 	close(j.done)
 	s.terminal = append(s.terminal, j.id)
 	if state == StateDone {
@@ -926,13 +923,13 @@ func (s *Server) placeLocked() bool {
 
 // DeliverLocked hands the Server one finished run of u: its report, and for
 // a run on another daemon also the artifact bytes it arrived as (nil
-// otherwise). The first delivery of a unit wins: it folds into the job,
-// finalising it after the last unit, and DeliverLocked reports true; a unit
-// already done or of a terminal job reports false. dur is the run's duration
-// (0 for a result taken from the cache), worker the remote worker's URL (""
-// for a local run). A single-unit job's artifact is the delivered bytes when
-// given, else rep's encoding; a multi-unit job needs rep. Callers hold the
-// lock (see Lock).
+// otherwise). The first delivery of a unit wins: the job keeps it, finalising
+// after the last unit, and DeliverLocked reports true; a unit already done or
+// of a terminal job reports false. dur is the run's duration (0 for a result
+// taken from the cache), worker the remote worker's URL ("" for a local run).
+// A single-unit job's artifact is the delivered bytes when given, else rep's
+// encoding; a multi-unit job needs rep, and fails when the last unit lands if
+// its partials do not merge. Callers hold the lock (see Lock).
 func (s *Server) DeliverLocked(u *Unit, rep *experiments.Report, artifact []byte, dur time.Duration, worker string) bool {
 	j := u.job
 	if u.state != "" || j.terminal() {
@@ -954,23 +951,16 @@ func (s *Server) DeliverLocked(u *Unit, rep *experiments.Report, artifact []byte
 		s.dequeueLocked(func(q *Unit) bool { return q == u })
 	}
 	j.remaining--
-	if j.merger == nil {
+	if j.parts == nil {
 		j.artifact = artifact
 		s.finalizeLocked(j, rep)
 		return true
 	}
-	// Fold in shard order, whatever the arrival order, so the merged bytes
-	// never depend on which unit finished first.
 	j.parts[u.shard.Index] = rep
-	for ; j.next < len(j.parts) && j.parts[j.next] != nil; j.next++ {
-		if err := j.merger.Add(j.parts[j.next]); err != nil {
-			s.completeLocked(j, StateFailed, err.Error(), true)
-			return true
-		}
-		j.parts[j.next] = nil
-	}
 	if j.remaining == 0 {
-		merged, err := j.merger.Report()
+		// MergeReports folds in shard order, whatever the arrival order, so
+		// the merged bytes never depend on which unit finished first.
+		merged, err := experiments.MergeReports(j.parts)
 		if err != nil {
 			s.completeLocked(j, StateFailed, err.Error(), true)
 			return true

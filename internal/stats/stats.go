@@ -8,7 +8,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 )
 
 // ErrEmpty is returned when a statistic of an empty sample is requested.
@@ -78,33 +77,6 @@ func Max(xs []float64) (float64, error) {
 		}
 	}
 	return m, nil
-}
-
-// Percentile returns the p-th percentile (0 <= p <= 100) of xs using linear
-// interpolation between order statistics.
-func Percentile(xs []float64, p float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, ErrEmpty
-	}
-	if p < 0 {
-		p = 0
-	}
-	if p > 100 {
-		p = 100
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	if len(sorted) == 1 {
-		return sorted[0], nil
-	}
-	pos := p / 100 * float64(len(sorted)-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
-	if lo == hi {
-		return sorted[lo], nil
-	}
-	frac := pos - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac, nil
 }
 
 // Summary is the aggregate description of a sample.

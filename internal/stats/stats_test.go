@@ -25,9 +25,6 @@ func TestEmptySampleErrors(t *testing.T) {
 	if _, err := Max(nil); !errors.Is(err, ErrEmpty) {
 		t.Fatalf("Max(nil) err = %v", err)
 	}
-	if _, err := Percentile(nil, 50); !errors.Is(err, ErrEmpty) {
-		t.Fatalf("Percentile(nil) err = %v", err)
-	}
 	if _, err := Summarize(nil); !errors.Is(err, ErrEmpty) {
 		t.Fatalf("Summarize(nil) err = %v", err)
 	}
@@ -58,38 +55,6 @@ func TestSingleValueVarianceIsZero(t *testing.T) {
 	v, err := Variance([]float64{42})
 	if err != nil || v != 0 {
 		t.Fatalf("Variance([42]) = %v, %v", v, err)
-	}
-}
-
-func TestPercentile(t *testing.T) {
-	xs := []float64{5, 1, 3, 2, 4}
-	cases := []struct{ p, want float64 }{
-		{0, 1}, {25, 2}, {50, 3}, {75, 4}, {100, 5}, {-10, 1}, {110, 5},
-	}
-	for _, c := range cases {
-		got, err := Percentile(xs, c.p)
-		if err != nil || math.Abs(got-c.want) > 1e-12 {
-			t.Errorf("Percentile(%v) = %v, want %v", c.p, got, c.want)
-		}
-	}
-	single, _ := Percentile([]float64{7}, 50)
-	if single != 7 {
-		t.Fatalf("Percentile single = %v", single)
-	}
-	// Interpolation between order statistics.
-	interp, _ := Percentile([]float64{0, 10}, 25)
-	if math.Abs(interp-2.5) > 1e-12 {
-		t.Fatalf("Percentile interp = %v, want 2.5", interp)
-	}
-}
-
-func TestPercentileDoesNotMutateInput(t *testing.T) {
-	xs := []float64{3, 1, 2}
-	if _, err := Percentile(xs, 50); err != nil {
-		t.Fatal(err)
-	}
-	if xs[0] != 3 || xs[1] != 1 || xs[2] != 2 {
-		t.Fatalf("input mutated: %v", xs)
 	}
 }
 
