@@ -239,8 +239,8 @@ type (
 	// whole constant-current segment at a time with closed-form exhaustion
 	// root-finding instead of MaxStep substeps.
 	BatterySegmentDrainer = battery.SegmentDrainer
-	// BatteryRepetitionOperator advances a model by whole profile
-	// repetitions through a precomputed affine transfer operator.
+	// BatteryRepetitionOperator advances a model by runs of whole profile
+	// repetitions, each run in one closed-form call.
 	BatteryRepetitionOperator = battery.RepetitionOperator
 	// BatteryAnalyticGater is the optional per-instance gate on the analytic
 	// path (the stochastic model's Monte Carlo mode keeps slot stepping).
@@ -272,7 +272,7 @@ func NewPeukertBattery() BatteryModel { return peukert.Default() }
 // the battery is exhausted or opts.MaxTime (default 48 h) is reached, and
 // reports lifetime and delivered charge. With a zero MaxStep, models
 // implementing BatterySegmentDrainer take the analytic fast path (whole
-// segments, per-repetition transfer operators, exhaustion root-finding):
+// segments, closed-form runs of repetitions, exhaustion root-finding):
 // every registered model in its default mode, with only Monte Carlo
 // stochastic instances stepped at 1 s. A positive MaxStep forces the
 // uniform-stepping path for every model.

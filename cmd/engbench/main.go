@@ -44,13 +44,16 @@
 // The battery report (BENCH_battery.json, -battery-o): ns/op of a full 72 h
 // lifetime simulation per battery model on a representative periodic load,
 // comparing the MaxStep-2 uniform-stepping path against the analytic path
-// (whole segments + per-repetition transfer operators + exhaustion
+// (whole segments + closed-form runs of whole repetitions + exhaustion
 // root-finding) — since the stochastic geometric-recovery fast path, every
 // model has one in its default mode. The schedule rows time the analytic
 // path of every model on a second, schedule-shaped input: the load profile
 // of one recorded Table 2 set, whose ~200 segments are all far shorter than
 // a second and repeat thousands of times per lifetime — the shape the
-// Table 2 and grid drivers hand the battery layer. The report also carries
+// Table 2 and grid drivers hand the battery layer. Those repetitions are
+// applied as a few closed-form runs, so a lifetime costs the operator build
+// plus the few segment-stepped repetitions before death, not a step per
+// repetition. The report also carries
 // batch rows comparing one SimulateBatch pass over N models against N
 // sequential scalar passes (fresh instance per pass, the pre-batch driver
 // behaviour). A batch pass runs each model through the same driver as a

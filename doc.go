@@ -42,17 +42,16 @@
 // BatteryLifetimeOpts dispatches on the model.
 // Closed-form models (KiBaM, diffusion, Peukert) implement
 // BatterySegmentDrainer and are simulated analytically: each constant-current
-// profile segment is applied exactly in one closed-form update, whole profile
-// repetitions are applied through a precomputed affine transfer operator in
-// O(state) time while a conservative check proves the battery survives them,
-// and the exhaustion instant is located by Newton iteration (with a bisection
-// safeguard) on the closed form. The stochastic model's expected-value mode
-// (its default) is analytic too: between recoveries the delivered charge
-// advances deterministically, so the expected recovery collapses to a
-// closed-form geometric series per segment, and its repetition operator costs
-// one step per non-empty segment part (whole-step run or fractional tail) per
-// repetition; Monte Carlo mode declines the fast path (BatteryAnalyticGater)
-// and keeps exact slot stepping. Setting
+// profile segment is applied exactly in one closed-form update, each run of
+// whole profile repetitions that a conservative check proves survivable is
+// applied in one closed-form call (the k-fold power of the repetition map, in
+// O(state) time for any k), and the exhaustion instant is located by Newton
+// iteration (with a bisection safeguard) on the closed form. The stochastic
+// model's expected-value mode (its default) is analytic too: between
+// recoveries the delivered charge advances deterministically, so the expected
+// recovery collapses to closed-form geometric series, per step within a
+// segment and per repetition across a run; Monte Carlo mode declines the fast
+// path (BatteryAnalyticGater) and keeps exact slot stepping. Setting
 // BatterySimulateOptions.MaxStep to a positive value forces the
 // uniform-stepping path for every model (the reference the accuracy tests
 // compare against); cmd/batsim and cmd/basched expose the choice as -maxstep.

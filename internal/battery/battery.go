@@ -9,6 +9,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sort"
 
 	"battsched/internal/obs"
 	"battsched/internal/profile"
@@ -51,32 +52,48 @@ type SegmentDrainer interface {
 	ExhaustionTime(current float64) float64
 }
 
-// RepetitionOperator advances a model by whole repetitions of a fixed
-// profile. One repetition of a piecewise-constant profile is an affine map on
-// the state of the closed-form models (a 2-vector for KiBaM, a (1+Terms)-
-// vector for diffusion, two scalar budgets for Peukert), so the operator is
-// precomputed once per simulation and applied in O(state) per repetition.
-// The stochastic model's operator is not affine (recovery decays with the
-// delivered charge); it costs one multiply-add step per non-empty segment
-// part (whole-step run or fractional tail) per repetition.
+// RepetitionOperator advances a model by runs of whole repetitions of a
+// fixed profile. Each model's repetition map has a closed k-fold power, so a
+// run of any length costs O(state); the operator is built once per
+// simulation.
 type RepetitionOperator interface {
-	// CanAdvance conservatively reports whether the model survives one full
-	// profile repetition from its current state. It may return false for a
-	// survivable repetition (the driver then falls back to segment stepping)
-	// but must never return true for a fatal one.
-	CanAdvance() bool
-	// Advance applies one full repetition to the model state. It must only
-	// be called after CanAdvance returned true.
-	Advance()
+	// Advance applies the largest k ≤ max whole repetitions that each pass
+	// the model's conservative survival check at their start, and returns k.
+	// The check may reject a survivable repetition (the driver then falls
+	// back to segment stepping) but never admits a fatal one, so Advance
+	// never applies a fatal repetition. It may stop early.
+	Advance(max int) int
 }
 
 // RepetitionTransferer is implemented by SegmentDrainers that can precompute
-// the per-repetition transfer operator of a profile.
+// the transfer operator of runs of whole repetitions of a profile.
 type RepetitionTransferer interface {
 	SegmentDrainer
-	// RepetitionOperator builds the transfer operator of one full repetition
-	// of p for this model instance.
+	// RepetitionOperator builds the operator for repetitions of p on this
+	// model instance.
 	RepetitionOperator(p *profile.Profile) RepetitionOperator
+}
+
+// SearchPrefix returns the largest k in [0, n] with ok(j) for every j < k,
+// given that the j in [0, n) where ok holds form a prefix. It checks ok(0)
+// first, so a rejected first repetition costs one check, and bisects the
+// rest, so a run of any length costs O(log n) checks. The repetition
+// operators search their closed-form survival checks with it.
+func SearchPrefix(n int, ok func(j int) bool) int {
+	if n <= 0 || !ok(0) {
+		return 0
+	}
+	return 1 + sort.Search(n-1, func(j int) bool { return !ok(j + 1) })
+}
+
+// GeomSum returns Σ_{m=0}^{k-1} a·e^(−x·m), the sum of k terms of a
+// geometric sequence with start a and ratio e^(−x), as a ratio of expm1s,
+// which keeps full precision when x is tiny (1−e^(−x) would cancel).
+func GeomSum(a, x, k float64) float64 {
+	if x == 0 {
+		return a * k
+	}
+	return a * math.Expm1(-x*k) / math.Expm1(-x)
 }
 
 // AnalyticGater is the optional per-instance gate on the analytic path.
@@ -160,7 +177,7 @@ type SimulateOptions struct {
 	MaxTime float64
 	// MaxStep selects the simulation path. Zero (the default) dispatches on
 	// the model: models implementing SegmentDrainer take the analytic path
-	// (whole constant-current segments, per-repetition transfer operators,
+	// (whole constant-current segments, closed-form runs of repetitions,
 	// root-finding for the exhaustion instant) unless their AnalyticGater
 	// declines it; the rest (of the registered models, only the stochastic
 	// model in Monte Carlo mode) take the stepped path with a 1 s substep.
@@ -183,10 +200,9 @@ func (o *SimulateOptions) setDefaults() {
 // Models implementing SegmentDrainer are simulated analytically unless
 // MaxStep forces the stepped path: each constant-current segment is applied
 // exactly in one closed-form update, and when the model also implements
-// RepetitionTransferer whole profile repetitions are applied through the
-// precomputed transfer operator (O(state) for the affine models, one step
-// per non-empty segment part for the stochastic model) while the operator's
-// conservative check proves the battery survives them, falling back to
+// RepetitionTransferer each run of whole repetitions that the operator's
+// conservative check proves survivable is applied in one closed-form call
+// (thousands of repetitions per lifetime in O(state) each), falling back to
 // segment stepping only around the horizon and the exhaustion repetition.
 func SimulateUntilExhausted(m Model, p *profile.Profile, opts SimulateOptions) (Result, error) {
 	if m == nil {
@@ -214,8 +230,8 @@ func simulate(m Model, p *profile.Profile, opts SimulateOptions) (Result, error)
 	return simulateStepped(m, p, opts)
 }
 
-// simulateAnalytic drives a SegmentDrainer: whole repetitions through the
-// transfer operator while its conservative survival check holds, whole
+// simulateAnalytic drives a SegmentDrainer: runs of whole repetitions through
+// the transfer operator while its conservative survival check holds, whole
 // segments otherwise, with the exhaustion instant located by the model's
 // closed-form root-finding inside the final segment.
 func simulateAnalytic(m SegmentDrainer, p *profile.Profile, opts SimulateOptions) (Result, error) {
@@ -228,11 +244,12 @@ func simulateAnalytic(m SegmentDrainer, p *profile.Profile, opts SimulateOptions
 		op = rt.RepetitionOperator(p)
 	}
 	for t < opts.MaxTime {
-		if op != nil && t+period <= opts.MaxTime && op.CanAdvance() {
-			op.Advance()
-			t += period
-			res.Repetitions++
-			continue
+		if op != nil {
+			if k := op.Advance(repetitionsLeft(t, period, opts.MaxTime)); k > 0 {
+				t += float64(k) * period
+				res.Repetitions += k
+				continue
+			}
 		}
 		completed := true
 		for _, seg := range p.Segments {
@@ -271,6 +288,26 @@ func simulateAnalytic(m SegmentDrainer, p *profile.Profile, opts SimulateOptions
 	res.Lifetime = t
 	res.DeliveredCharge = m.DeliveredCharge()
 	return res, nil
+}
+
+// maxRepetitionRun caps the repetitions one operator call may apply.
+const maxRepetitionRun = math.MaxInt32
+
+// repetitionsLeft returns the whole repetitions left before the horizon: the
+// largest k with t + k·period ≤ maxTime, capped at maxRepetitionRun. The
+// quotient is clamped before the int conversion, because it can exceed
+// math.MaxInt; below the cap it is at most one above the float sum the
+// driver adds.
+func repetitionsLeft(t, period, maxTime float64) int {
+	q := math.Floor((maxTime - t) / period)
+	if !(q < maxRepetitionRun) {
+		return maxRepetitionRun
+	}
+	k := int(q)
+	if k > 0 && t+float64(k)*period > maxTime {
+		k--
+	}
+	return k
 }
 
 // simulateStepped drives any model by subdividing segments into MaxStep

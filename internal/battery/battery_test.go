@@ -50,6 +50,17 @@ func TestSimulateErrors(t *testing.T) {
 	if _, err := battery.SimulateUntilExhausted(kibam.Default(), profile.New(), battery.SimulateOptions{}); !errors.Is(err, battery.ErrBadProfile) {
 		t.Fatalf("empty profile err = %v", err)
 	}
+	for _, seg := range []profile.Segment{
+		{Duration: math.NaN(), Current: 0.5},
+		{Duration: math.Inf(1), Current: 0.5},
+		{Duration: 1, Current: math.NaN()},
+		{Duration: 1, Current: math.Inf(1)},
+	} {
+		bad := &profile.Profile{Segments: []profile.Segment{seg}}
+		if _, err := battery.SimulateUntilExhausted(kibam.Default(), bad, battery.SimulateOptions{MaxTime: 100}); !errors.Is(err, battery.ErrBadProfile) {
+			t.Fatalf("profile %+v err = %v, want ErrBadProfile", seg, err)
+		}
+	}
 	if _, err := battery.ConstantLoadLifetime(kibam.Default(), 1, 0); !errors.Is(err, battery.ErrBadHorizon) {
 		t.Fatalf("bad horizon err = %v", err)
 	}

@@ -247,26 +247,26 @@ func (b *Battery) ExhaustionTime(current float64) float64 {
 }
 
 // RepetitionOperator implements battery.RepetitionTransferer: the per-term
-// recurrence is diagonal, so one full repetition of p reduces to a per-term
-// decay factor and affine offset plus the profile charge, applied in O(Terms)
-// per repetition.
+// recurrence is diagonal, so one full repetition of p maps each series term
+// to D_m·a_m + o_m, with D_m = e^(−β²m²T), and delivers the profile charge.
+// Over j repetitions term m gains Σ_{i<j} Δ_m·D_mⁱ, with Δ_m = o_m − (1−D_m)·a_m
+// its first repetition's change: a geometric sum.
 func (b *Battery) RepetitionOperator(p *profile.Profile) battery.RepetitionOperator {
 	n := len(b.unavailable)
-	op := &repetitionOperator{b: b, decay: make([]float64, n), offset: make([]float64, n)}
-	for m := range op.decay {
-		op.decay[m] = 1
-	}
+	buf := make([]float64, 3*n)
+	op := &repetitionOperator{b: b, x: buf[:n], offset: buf[n : 2*n], step: buf[2*n:]}
 	beta2 := b.params.BetaSquared
+	var duration float64
 	for _, seg := range p.Segments {
 		var osum float64
-		for m := range op.decay {
+		for m := range op.offset {
 			k := beta2 * float64(m+1) * float64(m+1)
-			e := math.Exp(-k * seg.Duration)
-			op.decay[m] *= e
-			op.offset[m] = op.offset[m]*e + seg.Current*(1-e)/k
+			em1 := math.Expm1(-k * seg.Duration) // e − 1
+			op.offset[m] = op.offset[m]*(1+em1) - seg.Current*em1/k
 			osum += op.offset[m]
 		}
 		op.charge += seg.Current * seg.Duration
+		duration += seg.Duration
 		// The apparent charge at this segment boundary, entered with state
 		// (a, delivered), is delivered + chargeSoFar + sum 2(E_m a_m + o_m)
 		// with E_m <= 1 — so chargeSoFar + 2*sum(o_m) bounds the boundary's
@@ -275,39 +275,59 @@ func (b *Battery) RepetitionOperator(p *profile.Profile) battery.RepetitionOpera
 			op.headroom = h
 		}
 	}
+	for m := range op.x {
+		op.x[m] = beta2 * float64(m+1) * float64(m+1) * duration
+	}
 	return op
 }
 
-// repetitionOperator is the diagonal affine transfer operator of one profile
-// repetition on a diffusion battery.
+// repetitionOperator is the diagonal transfer operator of runs of profile
+// repetitions on a diffusion battery.
 type repetitionOperator struct {
 	b      *Battery
-	decay  []float64 // per-term decay over one full repetition
-	offset []float64 // per-term affine offset of one full repetition
+	x      []float64 // per-term decay exponent of one repetition: D_m = e^(−x_m)
+	offset []float64 // per-term affine offset o_m of one repetition
+	step   []float64 // scratch: each term's first-repetition change Δ_m
 	charge float64   // delivered charge per repetition
 	// headroom conservatively bounds the within-repetition increase of sigma
 	// over its value at the repetition start (max over segment boundaries).
 	headroom float64
 }
 
-// CanAdvance implements battery.RepetitionOperator: sigma at every segment
-// boundary of the repetition is bounded by the current sigma plus the
-// precomputed headroom, so staying below alpha proves survival.
-func (o *repetitionOperator) CanAdvance() bool {
+// Advance implements battery.RepetitionOperator. Sigma at every segment
+// boundary of repetition j is bounded by sigma at its start plus the
+// precomputed headroom, so staying below alpha proves survival. A term below
+// its fixed point (Δ_m ≥ 0) rises toward it with j; a term above it falls,
+// so its start value bounds it. With those terms held at their start the
+// bound on sigma, delivered + j·charge + 2·Σ a_m(j), never decreases in j,
+// and its admissible set is a prefix.
+func (o *repetitionOperator) Advance(max int) int {
 	b := o.b
 	if !b.alive {
-		return false
+		return 0
 	}
-	return b.Sigma()+o.headroom < b.params.AlphaCoulombs
-}
-
-// Advance implements battery.RepetitionOperator.
-func (o *repetitionOperator) Advance() {
-	b := o.b
-	for m := range b.unavailable {
-		b.unavailable[m] = b.unavailable[m]*o.decay[m] + o.offset[m]
+	sigma0 := b.Sigma()
+	for m, a := range b.unavailable {
+		o.step[m] = o.offset[m] + math.Expm1(-o.x[m])*a
 	}
-	b.delivered += o.charge
+	k := battery.SearchPrefix(max, func(j int) bool {
+		fj := float64(j)
+		s := sigma0 + fj*o.charge
+		for m, d := range o.step {
+			if d > 0 {
+				s += 2 * battery.GeomSum(d, o.x[m], fj)
+			}
+		}
+		return s+o.headroom < b.params.AlphaCoulombs
+	})
+	if k > 0 {
+		fk := float64(k)
+		for m, d := range o.step {
+			b.unavailable[m] += battery.GeomSum(d, o.x[m], fk)
+		}
+		b.delivered += fk * o.charge
+	}
+	return k
 }
 
 // String implements fmt.Stringer.

@@ -210,12 +210,7 @@ func TestRepetitionOperatorMatchesSegmentStepping(t *testing.T) {
 	p.Append(10, 0.6)
 	viaOperator := Default()
 	viaSegments := Default()
-	op := viaOperator.RepetitionOperator(p)
-	reps := 0
-	for reps < 40 && op.CanAdvance() {
-		op.Advance()
-		reps++
-	}
+	reps := viaOperator.RepetitionOperator(p).Advance(40)
 	if reps < 10 {
 		t.Fatalf("operator advanced only %d repetitions before its conservative check tripped", reps)
 	}

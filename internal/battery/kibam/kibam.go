@@ -185,102 +185,77 @@ func (b *Battery) ExhaustionTime(current float64) float64 {
 	}, y10/current)
 }
 
-// RepetitionOperator implements battery.RepetitionTransferer: one full
-// repetition of p is the composition of its segments' affine closed-form
-// maps on the well state (y1, y2), precomputed here as a 2x2 matrix plus an
-// offset so a surviving repetition is applied with six multiply-adds.
+// RepetitionOperator implements battery.RepetitionTransferer. In the
+// coordinates S = y1 + y2 (total charge) and δ = (1−c)·y1 − c·y2 (the well
+// height difference, scaled) the KiBaM equations decouple: dS/dt = −i and
+// dδ/dt = −(1−c)·i − k′·δ. So one repetition of p maps S → S − charge and
+// δ → E·δ + dδ with E = e^(−k′T), and k repetitions map δ to
+// Eᵏ·δ + dδ·(1−Eᵏ)/(1−E), a geometric sum.
 func (b *Battery) RepetitionOperator(p *profile.Profile) battery.RepetitionOperator {
-	op := &repetitionOperator{b: b, m11: 1, m22: 1}
+	op := &repetitionOperator{b: b}
 	kp, c := b.kp, b.params.C
 	var duration float64
 	for _, seg := range p.Segments {
-		e := math.Exp(-kp * seg.Duration)
-		r := (kp*seg.Duration - 1 + e) / kp
-		// The closed form as an affine map (y1, y2) -> A (y1, y2) + v.
-		a11 := e + c*(1-e)
-		a12 := c * (1 - e)
-		a21 := (1 - c) * (1 - e)
-		a22 := e + (1-c)*(1-e)
-		v1 := -seg.Current * ((1-e)/kp + c*r)
-		v2 := -seg.Current * (1 - c) * r
-		op.m11, op.m12, op.m21, op.m22, op.d1, op.d2 =
-			a11*op.m11+a12*op.m21, a11*op.m12+a12*op.m22,
-			a21*op.m11+a22*op.m21, a21*op.m12+a22*op.m22,
-			a11*op.d1+a12*op.d2+v1, a21*op.d1+a22*op.d2+v2
+		em1 := math.Expm1(-kp * seg.Duration) // e − 1
+		op.dDelta = op.dDelta*(1+em1) + (1-c)*seg.Current*em1/kp
 		op.charge += seg.Current * seg.Duration
 		duration += seg.Duration
 		if seg.Current > op.peak {
 			op.peak = seg.Current
 		}
 	}
-	op.peakE = math.Exp(-kp * duration)
-	op.peakR = (kp*duration - 1 + op.peakE) / kp
+	op.x = kp * duration
+	op.e = math.Exp(-op.x)
+	// Draining the peak current for the whole repetition maps S to
+	// S − peak·T and δ to E·δ − (1−c)·peak·(1−E)/k′.
+	op.peakLoss = op.peak * (c*duration - (1-c)*math.Expm1(-op.x)/kp)
 	return op
 }
 
-// repetitionOperator is the affine transfer operator of one profile
-// repetition on a KiBaM battery: y -> M y + d on (available, bound), with the
-// delivered charge advancing by the profile charge.
+// repetitionOperator is the transfer operator of runs of profile
+// repetitions on a KiBaM battery, in the decoupled (S, δ) coordinates.
 type repetitionOperator struct {
-	b                  *Battery
-	m11, m12, m21, m22 float64
-	d1, d2             float64
-	charge             float64
-	// Conservative survival check: precomputed e and r terms of the closed
-	// form for draining the profile's peak current over the whole repetition
-	// duration.
-	peak, peakE, peakR float64
+	b      *Battery
+	charge float64 // charge delivered per repetition: the drop of S
+	dDelta float64 // δ offset of one repetition
+	x, e   float64 // k′T and E = e^(−k′T), the δ decay of one repetition
+	// Conservative survival check: the profile's peak current and the drop
+	// of y1 = c·S + δ below c·S + E·δ when it is drained for a whole
+	// repetition.
+	peak, peakLoss float64
 }
 
-// CanAdvance implements battery.RepetitionOperator: the available charge
-// after draining the constant peak current for the whole repetition is a
-// lower bound on the true trajectory (a heavier load at every instant drains
-// the available well faster), so a positive value proves survival.
-func (o *repetitionOperator) CanAdvance() bool {
+// Advance implements battery.RepetitionOperator. Repetition j passes the
+// check when the available charge after draining the constant peak current
+// for the whole repetition from its start state, c·S_j + E·δ_j − peakLoss,
+// is positive: a heavier load at every instant drains the available well
+// faster, so this lower-bounds the true trajectory. With S_j = S − j·charge
+// and δ_j = Eʲ·δ + dδ·(1−Eʲ)/(1−E) the margin is α − c·charge·j + γ·Eʲ for
+// constants α and γ: decreasing when γ ≥ 0 and concave when γ < 0, so the
+// admissible set, which must contain j = 0, is a prefix.
+func (o *repetitionOperator) Advance(max int) int {
 	b := o.b
 	if !b.alive {
-		return false
+		return 0
 	}
 	c := b.params.C
-	y0 := b.y1 + b.y2
-	y1 := b.y1*o.peakE + (y0*b.kp*c-o.peak)*(1-o.peakE)/b.kp - o.peak*c*o.peakR
-	return y1 > 0
-}
-
-// Advance implements battery.RepetitionOperator.
-func (o *repetitionOperator) Advance() {
-	b := o.b
-	b.y1, b.y2 = o.m11*b.y1+o.m12*b.y2+o.d1, o.m21*b.y1+o.m22*b.y2+o.d2
-	b.delivered += o.charge
-}
-
-// DrainEuler is a reference forward-Euler integration of the KiBaM ODEs with
-// the given step; it exists so tests can cross-check the closed form.
-func (b *Battery) DrainEuler(current, dt, step float64) (sustained float64, alive bool) {
-	if !b.alive {
-		return 0, false
+	s0 := b.y1 + b.y2
+	d0 := (1-c)*b.y1 - c*b.y2
+	delta := func(j float64) float64 {
+		return math.Exp(-o.x*j)*d0 + battery.GeomSum(o.dDelta, o.x, j)
 	}
-	if step <= 0 {
-		step = dt / 1000
+	k := battery.SearchPrefix(max, func(j int) bool {
+		fj := float64(j)
+		return c*(s0-fj*o.charge)+o.e*delta(fj)-o.peakLoss > 0
+	})
+	if k > 0 {
+		fk := float64(k)
+		s, d := s0-fk*o.charge, delta(fk)
+		b.y1 = c*s + d
+		b.y2 = (1-c)*s - d
+		b.delivered += fk * o.charge
 	}
-	c := b.params.C
-	t := 0.0
-	for t < dt {
-		h := math.Min(step, dt-t)
-		h1 := b.y1 / c
-		h2 := b.y2 / (1 - c)
-		flow := b.params.K * (h2 - h1)
-		b.y1 += (-current + flow) * h
-		b.y2 += -flow * h
-		b.delivered += current * h
-		t += h
-		if b.y1 <= 0 {
-			b.y1 = 0
-			b.alive = false
-			return t, false
-		}
-	}
-	return dt, true
+	return k
 }
 
 // String implements fmt.Stringer.

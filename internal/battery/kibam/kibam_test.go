@@ -155,6 +155,35 @@ func TestNominalCapacityCalibration(t *testing.T) {
 	}
 }
 
+// DrainEuler is a reference forward-Euler integration of the KiBaM ODEs with
+// the given step, for cross-checking the closed form.
+func (b *Battery) DrainEuler(current, dt, step float64) (sustained float64, alive bool) {
+	if !b.alive {
+		return 0, false
+	}
+	if step <= 0 {
+		step = dt / 1000
+	}
+	c := b.params.C
+	t := 0.0
+	for t < dt {
+		h := math.Min(step, dt-t)
+		h1 := b.y1 / c
+		h2 := b.y2 / (1 - c)
+		flow := b.params.K * (h2 - h1)
+		b.y1 += (-current + flow) * h
+		b.y2 += -flow * h
+		b.delivered += current * h
+		t += h
+		if b.y1 <= 0 {
+			b.y1 = 0
+			b.alive = false
+			return t, false
+		}
+	}
+	return dt, true
+}
+
 func TestClosedFormMatchesEuler(t *testing.T) {
 	a := Default()
 	e := Default()
@@ -249,12 +278,7 @@ func TestRepetitionOperatorMatchesSegmentStepping(t *testing.T) {
 	p.Append(10, 0.6)
 	viaOperator := Default()
 	viaSegments := Default()
-	op := viaOperator.RepetitionOperator(p)
-	reps := 0
-	for reps < 40 && op.CanAdvance() {
-		op.Advance()
-		reps++
-	}
+	reps := viaOperator.RepetitionOperator(p).Advance(40)
 	if reps < 10 {
 		t.Fatalf("operator advanced only %d repetitions before its conservative check tripped", reps)
 	}

@@ -163,8 +163,7 @@ func (b *Battery) ExhaustionTime(current float64) float64 {
 
 // RepetitionOperator implements battery.RepetitionTransferer: one repetition
 // simply adds the profile's rate-weighted and absolute charge to the two
-// budgets, and both budgets are nondecreasing within a repetition, so the
-// survival check is exact.
+// budgets, so j repetitions add j times as much.
 func (b *Battery) RepetitionOperator(p *profile.Profile) battery.RepetitionOperator {
 	op := &repetitionOperator{b: b}
 	for _, seg := range p.Segments {
@@ -174,26 +173,31 @@ func (b *Battery) RepetitionOperator(p *profile.Profile) battery.RepetitionOpera
 	return op
 }
 
-// repetitionOperator is the transfer operator of one profile repetition on a
-// Peukert battery: both consumption budgets advance by a precomputed amount.
+// repetitionOperator is the transfer operator of runs of profile repetitions
+// on a Peukert battery: both consumption budgets advance by a precomputed
+// amount per repetition.
 type repetitionOperator struct {
 	b                *Battery
 	weighted, charge float64
 }
 
-// CanAdvance implements battery.RepetitionOperator.
-func (o *repetitionOperator) CanAdvance() bool {
+// Advance implements battery.RepetitionOperator. Both budgets are
+// nondecreasing within a repetition, so repetition j survives exactly when
+// both stay below their capacities at its end; both are linear in j, so the
+// admissible set is a prefix.
+func (o *repetitionOperator) Advance(max int) int {
 	b := o.b
-	return b.alive &&
-		b.weighted+o.weighted < b.params.ReferenceCapacityCoulombs &&
-		b.delivered+o.charge < b.params.MaxCoulombs
-}
-
-// Advance implements battery.RepetitionOperator.
-func (o *repetitionOperator) Advance() {
-	b := o.b
-	b.weighted += o.weighted
-	b.delivered += o.charge
+	if !b.alive {
+		return 0
+	}
+	k := battery.SearchPrefix(max, func(j int) bool {
+		fj := float64(j + 1)
+		return b.weighted+fj*o.weighted < b.params.ReferenceCapacityCoulombs &&
+			b.delivered+fj*o.charge < b.params.MaxCoulombs
+	})
+	b.weighted += float64(k) * o.weighted
+	b.delivered += float64(k) * o.charge
+	return k
 }
 
 // String implements fmt.Stringer.

@@ -60,48 +60,23 @@ func (b *Battery) expectedConsts(current, h float64) (a, x, d float64) {
 	return a, x, d
 }
 
-// geomSum returns Σ_{m=0}^{k-1} a·e^(−x·m) via expm1, which keeps full
-// precision when x is tiny (1−e^(−x) would cancel).
-func geomSum(a, x, k float64) float64 {
-	if x == 0 {
-		return a * k
-	}
-	return a * math.Expm1(-x*k) / math.Expm1(-x)
-}
-
 // expectedPrefix returns how many of the next `remaining` whole steps can be
 // bulk-applied from the given state: the largest k such that every step
 // m < k stays on the plain surviving branch with prefixSlack to spare. The
 // no-clamp margin bound − S_m − rec_m is monotone decreasing in m and the
 // survival margin available + S_m − m·d + rec_m − d is concave with a
 // non-negative value required at m = 0, so the admissible set is a prefix
-// and a binary search finds its end.
+// and battery.SearchPrefix finds its end.
 func expectedPrefix(avail, bound, a, x, d float64, remaining int) int {
-	ok := func(m int) bool {
+	return battery.SearchPrefix(remaining, func(m int) bool {
 		fm := float64(m)
-		s := geomSum(a, x, fm)
+		s := battery.GeomSum(a, x, fm)
 		rec := a * math.Exp(-x*fm)
 		if a > 0 && bound-s-rec <= prefixSlack {
 			return false
 		}
 		return avail+s-fm*d+rec-d > prefixSlack
-	}
-	if !ok(0) {
-		return 0
-	}
-	if ok(remaining - 1) {
-		return remaining
-	}
-	lo, hi := 0, remaining-1
-	for hi-lo > 1 {
-		mid := lo + (hi-lo)/2
-		if ok(mid) {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	return lo + 1
+	})
 }
 
 // applyExpectedSlots advances the state over k plain surviving steps in
@@ -109,7 +84,7 @@ func expectedPrefix(avail, bound, a, x, d float64, remaining int) int {
 // decision occurs inside the run).
 func (b *Battery) applyExpectedSlots(a, x, d float64, k int) {
 	fk := float64(k)
-	s := geomSum(a, x, fk)
+	s := battery.GeomSum(a, x, fk)
 	demand := d * fk
 	b.available += s - demand
 	b.bound -= s
@@ -195,48 +170,37 @@ func (b *Battery) ExhaustionTime(current float64) float64 {
 	return sustained
 }
 
-// repStep is one step of the repetition operator: the whole-step run or the
-// fractional tail of one segment. The recovery constant is stored per unit of
-// the repetition-start recovery probability, which is the only state
-// dependence: within a repetition the depth of discharge advances
-// deterministically, so every step's recovery sum is the start probability
-// times a precomputed factor.
-type repStep struct {
-	demand float64 // slots·I·h for a whole-step run, I·tail for a tail
-	rec    float64 // Σ recovery over the step, per unit start probability
-	decay  float64 // e^(−λ·demand/Max): probability decay across the step
-}
-
-// repOp is the battery.RepetitionOperator of one profile for one instance:
-// one recoveryProbability evaluation (a single exp) plus a handful of
-// multiply-adds per step advance a whole repetition, replacing the per-step
-// exp of the reference recursion. Steps exist only for non-empty segment
-// parts, so a sub-step segment (every segment of a schedule-shaped profile
-// at the default 1 s step) costs one step, its tail; the empty whole-step
-// run it skips would apply recovery p·0, demand 0 and decay e⁰ = 1, an exact
-// identity, so skipping it changes no bit of the state.
+// repOp is the battery.RepetitionOperator of one profile for one instance.
+// Within a repetition the depth of discharge advances deterministically, so a
+// repetition depends on the state only through its start recovery
+// probability p: it moves p·R from the bound to the available store, with
+// R = Σᵢ recᵢ·Πⱼ₍ⱼ<ᵢ₎ decayⱼ over its steps (each segment's whole-step run and
+// fractional tail, as in DrainSegment), delivers D, and shrinks p by e^(−x),
+// x = λ·D. (The expected recovery is the integrated intensity of a rate that
+// decays exponentially in delivered charge.) So repetition j starts at
+// p₀e^(−xj), and the first j repetitions recover a geometric sum.
 type repOp struct {
-	b     *Battery
-	steps []repStep
+	b *Battery
+	// closed form of one repetition per unit start probability
+	rec    float64 // R
+	demand float64 // D, the coulombs one repetition demands
+	x      float64 // λ·D, the probability decay exponent of one repetition
 	// conservative-survival bounds over one repetition
-	totalDemand  float64 // coulombs demanded by one full repetition
-	maxStepDem   float64 // largest single-step demand
-	recPerProb   float64 // recovery upper bound per unit probability: Imax·Σ idle_s·dur_s
-	stepRecCoeff float64 // single-step recovery upper bound per unit probability: Imax·h
-	// probability cache: CanAdvance evaluates the start probability (one
-	// exp) and Advance reuses it when the state has not moved in between
-	// (the driver's call pattern), halving the exps per repetition.
-	cachedP         float64
-	cachedDelivered float64
-	cacheValid      bool
+	maxStepDem float64 // largest single-step demand
+	recBound   float64 // recovery draw upper bound per unit probability: Imax·(Σ idle_s·dur_s + h)
 }
 
 // RepetitionOperator implements battery.RepetitionTransferer.
 func (b *Battery) RepetitionOperator(p *profile.Profile) battery.RepetitionOperator {
 	h := b.estep
 	lambda := b.params.RecoveryDecay / b.params.MaxCoulombs
-	// at most two steps per segment: its whole-step run and its tail
-	op := &repOp{b: b, steps: make([]repStep, 0, 2*len(p.Segments)), stepRecCoeff: b.params.MaxCurrent * h}
+	op := &repOp{b: b, recBound: b.params.MaxCurrent * h}
+	decay := 1.0 // probability decay of the steps so far
+	step := func(rec, demand float64) {
+		op.rec += decay * rec
+		op.demand += demand
+		decay *= math.Exp(-lambda * demand)
+	}
 	for _, sg := range p.Segments {
 		cur := sg.Current
 		if cur < 0 {
@@ -248,69 +212,53 @@ func (b *Battery) RepetitionOperator(p *profile.Profile) battery.RepetitionOpera
 			tail = 0
 		}
 		idle := 1 - math.Min(cur/b.params.MaxCurrent, 1)
-		x := lambda * cur * h
-		demand, tailDem := float64(slots)*cur*h, cur*tail
 		if slots > 0 {
-			rec := geomSum(idle*b.params.MaxCurrent*h, x, float64(slots))
-			op.steps = append(op.steps, repStep{demand, rec, math.Exp(-x * float64(slots))})
+			step(battery.GeomSum(idle*b.params.MaxCurrent*h, lambda*cur*h, float64(slots)), float64(slots)*cur*h)
 		}
 		if tail > 0 {
-			op.steps = append(op.steps, repStep{tailDem, idle * b.params.MaxCurrent * tail, math.Exp(-lambda * cur * tail)})
+			step(idle*b.params.MaxCurrent*tail, cur*tail)
 		}
-		op.totalDemand += demand + tailDem
 		if d := cur * h; d > op.maxStepDem {
 			op.maxStepDem = d
 		}
-		op.recPerProb += idle * b.params.MaxCurrent * sg.Duration
+		op.recBound += idle * b.params.MaxCurrent * sg.Duration
 	}
+	op.x = lambda * op.demand
 	return op
 }
 
-// CanAdvance implements battery.RepetitionOperator. It is conservative in
-// the required direction: recovery only ever adds charge, so the available
-// store minus the repetition's whole demand lower-bounds every step's
-// available charge, and the recovery probability only decays within a
-// repetition, so the start probability times the cached idle time
-// upper-bounds the repetition's recovery draw on the bound store. When
-// either margin is thin the driver falls back to segment stepping and the
-// exact arithmetic decides.
-func (o *repOp) CanAdvance() bool {
+// Advance implements battery.RepetitionOperator. Repetition j passes the
+// check when, at its start, the available store minus the repetition's
+// demand exceeds the largest step demand (recovery only adds charge) and the
+// bound store exceeds the largest recovery draw the repetition could make
+// (the probability only decays within it), each by prefixSlack; thin
+// margins fall back to segment stepping. The available margin is concave in
+// j (its increment p₀e^(−xj)·R − D falls with j); the bound margin changes
+// by p₀e^(−xj)·(recBound·(1−e^(−x)) − R) per repetition, always with the
+// same sign. So the admissible set, which must contain j = 0, is a prefix.
+func (o *repOp) Advance(max int) int {
 	b := o.b
 	if !b.alive || b.params.MonteCarlo {
-		return false
-	}
-	if b.available-o.totalDemand <= o.maxStepDem+prefixSlack {
-		return false
+		return 0
 	}
 	p0 := b.recoveryProbability()
-	o.cachedP, o.cachedDelivered, o.cacheValid = p0, b.delivered, true
-	return b.bound > p0*(o.recPerProb+o.stepRecCoeff)+prefixSlack
-}
-
-// Advance implements battery.RepetitionOperator: one full repetition on the
-// plain surviving branch throughout (guaranteed by CanAdvance). The
-// probability factor threads through the steps as a running product of
-// cached decays, so the whole repetition costs one exp. The state lives in
-// locals for the loop, so each step's updates chain through registers
-// rather than through memory.
-func (o *repOp) Advance() {
-	b := o.b
-	p := 0.0
-	if o.cacheValid && o.cachedDelivered == b.delivered {
-		p = o.cachedP
-	} else {
-		p = b.recoveryProbability()
+	a := p0 * o.rec // the first repetition's recovery
+	k := battery.SearchPrefix(max, func(j int) bool {
+		fj := float64(j)
+		s := battery.GeomSum(a, o.x, fj)
+		if b.available+s-fj*o.demand-o.demand <= o.maxStepDem+prefixSlack {
+			return false
+		}
+		return b.bound-s > p0*math.Exp(-o.x*fj)*o.recBound+prefixSlack
+	})
+	if k > 0 {
+		fk := float64(k)
+		s := battery.GeomSum(a, o.x, fk)
+		b.available += s - fk*o.demand
+		b.bound -= s
+		b.delivered += fk * o.demand
 	}
-	o.cacheValid = false
-	avail, bound, deliv := b.available, b.bound, b.delivered
-	for _, st := range o.steps {
-		rec := p * st.rec
-		avail += rec - st.demand
-		bound -= rec
-		deliv += st.demand
-		p *= st.decay
-	}
-	b.available, b.bound, b.delivered = avail, bound, deliv
+	return k
 }
 
 // compile-time interface checks

@@ -5,28 +5,29 @@ import (
 	"math/rand"
 	"testing"
 
+	"battsched/internal/battery"
 	"battsched/internal/profile"
 )
 
 // refSeg is one segment of the reference repetition operator: the
-// per-segment form the flat step loop replaced, with the whole-step run and
-// the fractional tail of a segment in one record.
+// per-repetition form the closed-form runs replaced, with the whole-step run
+// and the fractional tail of a segment in one record.
 type refSeg struct {
 	demand, recFactor, decay          float64
 	tail, tailDem, tailRec, tailDecay float64
 }
 
 // refOp is the reference operator: its segments plus the conservative
-// survival bounds CanAdvance reads, accumulated per segment.
+// survival bounds canAdvance reads, accumulated per segment.
 type refOp struct {
-	segs                                []refSeg
-	totalDemand, maxStepDem, recPerProb float64
+	segs                                              []refSeg
+	totalDemand, maxStepDem, recPerProb, stepRecCoeff float64
 }
 
 func newRefOp(b *Battery, p *profile.Profile) refOp {
 	h := b.estep
 	lambda := b.params.RecoveryDecay / b.params.MaxCoulombs
-	var op refOp
+	op := refOp{stepRecCoeff: b.params.MaxCurrent * h}
 	for _, sg := range p.Segments {
 		cur := sg.Current
 		if cur < 0 {
@@ -41,7 +42,7 @@ func newRefOp(b *Battery, p *profile.Profile) refOp {
 		x := lambda * cur * h
 		rs := refSeg{
 			demand:    float64(slots) * cur * h,
-			recFactor: geomSum(idle*b.params.MaxCurrent*h, x, float64(slots)),
+			recFactor: battery.GeomSum(idle*b.params.MaxCurrent*h, x, float64(slots)),
 			decay:     math.Exp(-x * float64(slots)),
 			tail:      tail,
 			tailDem:   cur * tail,
@@ -56,6 +57,20 @@ func newRefOp(b *Battery, p *profile.Profile) refOp {
 		op.recPerProb += idle * b.params.MaxCurrent * sg.Duration
 	}
 	return op
+}
+
+// canAdvance is the reference survival check of one repetition from b's
+// state: the inequalities the closed form evaluates at the start of every
+// repetition of a run.
+func (op refOp) canAdvance(b *Battery) bool {
+	if !b.alive || b.params.MonteCarlo {
+		return false
+	}
+	if b.available-op.totalDemand <= op.maxStepDem+prefixSlack {
+		return false
+	}
+	p0 := b.recoveryProbability()
+	return b.bound > p0*(op.recPerProb+op.stepRecCoeff)+prefixSlack
 }
 
 // advance applies one repetition segment by segment, reading and writing
@@ -114,52 +129,105 @@ func mixedProfile(rng *rand.Rand, h, maxCurrent float64, n int) *profile.Profile
 	return p
 }
 
-// TestRepetitionOperatorMatchesPerSegmentReference: the flat step loop of
-// the repetition operator is bit for bit the per-segment loop it replaced.
-// From several start states, the available, bound and delivered charges
-// must have identical bits after every one of many repetitions, and the
-// bounds CanAdvance reads must be identical too. Every other call goes
-// through CanAdvance first, so Advance also runs on its cached probability.
-func TestRepetitionOperatorMatchesPerSegmentReference(t *testing.T) {
+// scheduleProfile draws n segments shaped like a recorded Table 2 load:
+// 1–50 ms each, at a handful of current levels.
+func scheduleProfile(rng *rand.Rand, n int) *profile.Profile {
+	levels := []float64{0, 0.02, 0.25, 0.5, 0.9, 1.4}
+	p := profile.New()
+	for i := 0; i < n; i++ {
+		p.Segments = append(p.Segments, profile.Segment{Duration: 0.001 + 0.049*rng.Float64(), Current: levels[rng.Intn(len(levels))]})
+	}
+	return p
+}
+
+// TestRepetitionOperatorMatchesReference pins the closed-form runs against
+// the per-repetition operator they replaced, at a tolerance: closed-form
+// geometric sums cannot match per-repetition float association bit for bit.
+// From fresh, mid-life, near-death, empty-bound and low-bound states, on schedule-shaped
+// and random profiles at the default and the slot-exact step, one Advance
+// call applies k repetitions where the reference's run of consecutive
+// canAdvance successes has length r: k must be within 1 of r, the state
+// within 1e-9 of the capacity of k reference advances (a near-empty store
+// carries the reference's own accumulated rounding, so the scale is the
+// capacity, not the value), and a clone segment-stepped
+// through the same k repetitions must never die.
+func TestRepetitionOperatorMatchesReference(t *testing.T) {
 	def := Default().Params()
+	const maxRun = 20000
 	for _, step := range []float64{1, def.SlotDuration} {
 		ps := def
 		ps.ExpectedStep = step
-		for seed := int64(1); seed <= 20; seed++ {
+		for seed := int64(1); seed <= 12; seed++ {
 			rng := rand.New(rand.NewSource(seed))
-			fast, err := New(ps)
+			prof := mixedProfile(rng, step, ps.MaxCurrent, 1+rng.Intn(40))
+			if seed%2 == 0 {
+				prof = scheduleProfile(rng, 20+rng.Intn(150))
+			}
+			b, err := New(ps)
 			if err != nil {
 				t.Fatal(err)
 			}
-			prof := mixedProfile(rng, step, ps.MaxCurrent, 1+rng.Intn(80))
-			op := fast.RepetitionOperator(prof).(*repOp)
-			ref := newRefOp(fast, prof)
-			if math.Float64bits(op.totalDemand) != math.Float64bits(ref.totalDemand) ||
-				math.Float64bits(op.maxStepDem) != math.Float64bits(ref.maxStepDem) ||
-				math.Float64bits(op.recPerProb) != math.Float64bits(ref.recPerProb) {
-				t.Fatalf("step %v seed %d: bounds (%v, %v, %v), reference (%v, %v, %v)", step, seed,
-					op.totalDemand, op.maxStepDem, op.recPerProb, ref.totalDemand, ref.maxStepDem, ref.recPerProb)
+			ref := newRefOp(b, prof)
+			// The reference's run from full charge places the mid-life and
+			// near-death states.
+			life := *b
+			run := 0
+			for run < maxRun && ref.canAdvance(&life) {
+				ref.advance(&life)
+				run++
 			}
-			starts := []struct{ avail, bound, deliv float64 }{
-				{ps.NominalCoulombs, ps.MaxCoulombs - ps.NominalCoulombs, 0},
-				{0.5 * ps.NominalCoulombs, 0.8 * (ps.MaxCoulombs - ps.NominalCoulombs), 0.3 * ps.MaxCoulombs},
-				{0.9 * ps.NominalCoulombs, 0, 0.6 * ps.MaxCoulombs},
-				{rng.Float64() * ps.NominalCoulombs, rng.Float64() * (ps.MaxCoulombs - ps.NominalCoulombs), rng.Float64() * ps.MaxCoulombs},
+			starts := map[string]Battery{"fresh": *b}
+			for name, reps := range map[string]int{"mid-life": run / 2, "near-death": max(run-2, 0)} {
+				st := *b
+				for i := 0; i < reps; i++ {
+					ref.advance(&st)
+				}
+				starts[name] = st
 			}
-			for si, st := range starts {
-				fast.available, fast.bound, fast.delivered = st.avail, st.bound, st.deliv
-				refB := *fast
-				for rep := 0; rep < 40; rep++ {
-					if rep%2 == 0 {
-						op.CanAdvance()
+			empty := starts["mid-life"]
+			empty.bound = 0
+			starts["empty-bound"] = empty
+			// A bound store worth a few thousand of the largest recovery
+			// draws runs out before the available store, so the bound
+			// check, not the available one, ends the run.
+			low := *b
+			low.bound = 3000 * low.recoveryProbability() * (ref.recPerProb + ref.stepRecCoeff)
+			starts["low-bound"] = low
+			for name, st := range starts {
+				want := st
+				r := 0
+				for r < maxRun && ref.canAdvance(&want) {
+					ref.advance(&want)
+					r++
+				}
+				fast := st
+				k := fast.RepetitionOperator(prof).Advance(maxRun)
+				if k < r-1 || k > r+1 {
+					t.Fatalf("step %v seed %d %s: Advance applied %d repetitions, reference run %d", step, seed, name, k, r)
+				}
+				want = st
+				for i := 0; i < k; i++ {
+					ref.advance(&want)
+				}
+				for _, c := range []struct {
+					what      string
+					got, want float64
+				}{
+					{"available", fast.available, want.available},
+					{"bound", fast.bound, want.bound},
+					{"delivered", fast.delivered, want.delivered},
+				} {
+					if d := math.Abs(c.got - c.want); d > 1e-9*ps.MaxCoulombs {
+						t.Fatalf("step %v seed %d %s: %s after %d repetitions = %v, reference %v (diff %.3g C)",
+							step, seed, name, c.what, k, c.got, c.want, d)
 					}
-					op.Advance()
-					ref.advance(&refB)
-					if math.Float64bits(fast.available) != math.Float64bits(refB.available) ||
-						math.Float64bits(fast.bound) != math.Float64bits(refB.bound) ||
-						math.Float64bits(fast.delivered) != math.Float64bits(refB.delivered) {
-						t.Fatalf("step %v seed %d start %d repetition %d: (avail, bound, delivered) = (%v, %v, %v), reference (%v, %v, %v)",
-							step, seed, si, rep, fast.available, fast.bound, fast.delivered, refB.available, refB.bound, refB.delivered)
+				}
+				seg := st
+				for i := 0; i < k; i++ {
+					for _, sg := range prof.Segments {
+						if _, alive := seg.DrainSegment(sg.Current, sg.Duration); !alive {
+							t.Fatalf("step %v seed %d %s: segment stepping died in repetition %d of %d admitted", step, seed, name, i, k)
+						}
 					}
 				}
 			}

@@ -26,14 +26,15 @@
 //
 // Expected-value mode additionally implements battery.SegmentDrainer and
 // battery.RepetitionTransferer, so battery.SimulateUntilExhausted advances it
-// whole constant-current segments (and whole profile repetitions) at a time.
-// The key identity: within a constant-current segment the expected-value
-// recursion at step h has deterministic depth of discharge (delivered charge
-// grows by I·h per step regardless of recovery), so the per-step recovery
-// term is a geometric sequence a·qᵐ whose partial sums have a closed form —
-// the whole segment collapses to O(1) arithmetic plus exact per-step updates
-// at the few steps where a branch (recovery clamped by the bound store, or
-// exhaustion) is near. Params.ExpectedStep selects the reproduced step
+// whole constant-current segments, and whole runs of profile repetitions, at
+// a time. The key identity: the expected-value recursion at step h has
+// deterministic depth of discharge (delivered charge grows by the demand
+// regardless of recovery), so recovery decays geometrically — per step
+// within a constant-current segment, and per repetition across repetitions
+// of a profile — and its partial sums have closed forms. A segment collapses
+// to O(1) arithmetic plus exact per-step updates where a branch (recovery
+// clamped by the bound store, or exhaustion) is near; a run of repetitions
+// collapses to O(1). Params.ExpectedStep selects the reproduced step
 // resolution. Monte Carlo mode has no such collapse — its trajectory is
 // defined one RNG draw per slot — so it gates itself off the analytic path
 // via battery.AnalyticGater and keeps fine stepping.

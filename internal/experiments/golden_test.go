@@ -55,7 +55,9 @@ func TestGoldenTable1(t *testing.T) {
 // discrete-frequency mode) for the kibam battery and for the paper's
 // stochastic battery. The stochastic rows are the only golden that runs the
 // stochastic repetition operator on schedule-shaped profiles: about 150
-// sub-second segments per repetition, thousands of repetitions per lifetime.
+// sub-second segments per repetition, thousands of repetitions per lifetime,
+// applied as closed-form runs (TestClosedFormLifetimesMatchSegmentStepping
+// pins those runs against stepping every segment).
 func TestGoldenTable2(t *testing.T) {
 	for _, tc := range []struct{ battery, golden string }{
 		{"kibam", "table2_quick"},

@@ -325,12 +325,6 @@ func runScenarioGridReport(ctx context.Context, cfg ScenarioGridConfig) (*Report
 		// straddles a batch boundary is still split; see SetsPerJob's doc
 		// for the rounding-error-only consequence.)
 		kLo, kHi := lo/cfg.SetsPerJob, (hi+cfg.SetsPerJob-1)/cfg.SetsPerJob
-		if kLo == kHi {
-			// An empty batch: a shard count larger than the set range leaves
-			// some shards with no sets. Their partials carry empty cells and
-			// merge as identity, matching the per-set drivers' behaviour.
-			return nil
-		}
 		grid := runner.NewGrid(len(cfg.Utilizations), kHi-kLo)
 		return runner.RunStream(ctx, grid.Size(), cfg.runnerOptions(), func(_ context.Context, idx int) (scenarioPartial, error) {
 			c := grid.Coords(idx)

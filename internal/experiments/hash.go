@@ -11,13 +11,15 @@ import (
 // ResultsVersion identifies the numeric behaviour of the experiment drivers
 // and the simulation stack beneath them. Bump it whenever a change alters any
 // driver's report bytes for an unchanged Spec — i.e. whenever golden outputs
-// are regenerated (as PR 3's analytic battery fast path did, and PR 6's
+// are regenerated (as PR 3's analytic battery fast path did; PR 6's
 // stochastic fast path: closed-form geometric-recovery sums replace the
 // iterated 1 s expected-value recursion, shifting stochastic results by
-// ~1e-12 relative) — so that artifacts a persistent daemon cache stored under
-// the old behaviour stop matching new submissions instead of being served
-// stale. Schema-only changes are covered separately by ReportVersion.
-const ResultsVersion = 2
+// ~1e-12 relative; and version 3's closed-form runs of whole profile
+// repetitions, which shift lifetimes and delivered charge by ≤1e-9
+// relative) — so that artifacts a persistent daemon cache stored under the
+// old behaviour stop matching new submissions instead of being served stale.
+// Schema-only changes are covered separately by ReportVersion.
+const ResultsVersion = 3
 
 // CanonicalSpec returns the canonical, stable field-ordered encoding of one
 // (experiment, Spec) pair: a fixed sequence of key=value lines covering

@@ -137,14 +137,16 @@ func (o RunOptions) adaptiveMax(initial int) int {
 }
 
 // runAdaptiveSets runs batches of set indices until convergence: runBatch
-// executes sets [lo, hi) (hi-lo is at most the configured initial count), and
-// conv inspects the caller's accumulators after each batch. With adaptive
-// stopping disabled exactly one batch of the initial count runs, so fixed-set
-// results are unchanged. With RunOptions.Shard set, every batch is restricted
-// to the shard's contiguous slice of its absolute range — the batch grid
-// itself never moves, so the shards of a run partition exactly the set
-// indices the unsharded run executes. Returns the total number of absolute
-// set indices covered (across all shards).
+// executes sets [lo, hi) (hi-lo is at most the configured initial count, and
+// never zero), and conv inspects the caller's accumulators after each batch.
+// With adaptive stopping disabled exactly one batch of the initial count
+// runs, so fixed-set results are unchanged. With RunOptions.Shard set, every
+// batch is restricted to the shard's contiguous slice of its absolute range —
+// the batch grid itself never moves, so the shards of a run partition exactly
+// the set indices the unsharded run executes. A shard whose slice of a batch
+// is empty (more shards than sets) skips runBatch: its partial keeps empty
+// cells, which merge as identity. Returns the total number of absolute set
+// indices covered (across all shards).
 //
 // Convergence is all-rows-or-nothing by design: every row of a sweep keeps
 // averaging over the same absolute set indices, so rows stay directly
@@ -167,9 +169,10 @@ func runAdaptiveSets(o RunOptions, initial int, runBatch func(lo, hi int) error,
 		if hi > max {
 			hi = max
 		}
-		sLo, sHi := o.Shard.slice(total, hi)
-		if err := runBatch(sLo, sHi); err != nil {
-			return total, err
+		if sLo, sHi := o.Shard.slice(total, hi); sLo < sHi {
+			if err := runBatch(sLo, sHi); err != nil {
+				return total, err
+			}
 		}
 		total = hi
 		if o.TargetCI <= 0 || conv() {

@@ -180,3 +180,30 @@ func TestGridShardMergeWithinWelfordBound(t *testing.T) {
 		}
 	}
 }
+
+// TestShardableDriversAtMoreShardsThanSets splits every shardable driver's
+// quick run into more shards than it has sets, so some shards are empty. An
+// empty shard once panicked figure6 and table1 (a zero grid dimension); now
+// every shard must return a partial, and the merge must render the unsharded
+// tables byte for byte.
+func TestShardableDriversAtMoreShardsThanSets(t *testing.T) {
+	for _, name := range Names() {
+		d, err := Lookup(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !d.Shardable {
+			continue
+		}
+		t.Run(name, func(t *testing.T) {
+			spec := Spec{Quick: true, Battery: "kibam"}
+			full, err := Run(context.Background(), name, spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, want := formatted(t, runShards(t, name, spec, 9)), formatted(t, full); got != want {
+				t.Fatalf("9-shard merge differs from the unsharded run:\n%s\nwant:\n%s", got, want)
+			}
+		})
+	}
+}

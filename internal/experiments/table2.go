@@ -231,7 +231,7 @@ func table2ChunkJob(cfg Table2Config, proc *processor.Model, schemes []table2Sch
 				return nil, fmt.Errorf("experiments: table 2 scheme %s missed %d deadlines", s.name, res.DeadlineMisses)
 			}
 			// Zero MaxStep selects the analytic fast path (whole segments +
-			// per-repetition transfer operators; since the stochastic fast
+			// closed-form runs of repetitions; since the stochastic fast
 			// path, for every registered model).
 			brs, err := battery.SimulateBatch(models, res.Profile, battery.SimulateOptions{
 				MaxTime: cfg.MaxBatteryHours * 3600,

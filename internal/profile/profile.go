@@ -29,7 +29,7 @@ type Profile struct {
 // Errors returned by profile operations.
 var (
 	ErrEmptyProfile = errors.New("profile: empty profile")
-	ErrBadSegment   = errors.New("profile: segment with non-positive duration or negative current")
+	ErrBadSegment   = errors.New("profile: segment with non-positive or non-finite duration, or negative or non-finite current")
 )
 
 // New returns an empty profile.
@@ -61,15 +61,21 @@ func (p *Profile) AppendSegment(s Segment) { p.Append(s.Duration, s.Current) }
 // outlive the reuse.
 func (p *Profile) Reset() { p.Segments = p.Segments[:0] }
 
-// Validate checks the profile contains at least one well-formed segment.
+// Validate checks the profile contains at least one segment and that every
+// segment has a finite positive duration and a finite non-negative current,
+// with a finite total duration and charge. (The negated comparisons reject
+// NaN, which every ordered comparison fails.)
 func (p *Profile) Validate() error {
 	if len(p.Segments) == 0 {
 		return ErrEmptyProfile
 	}
 	for i, s := range p.Segments {
-		if s.Duration <= 0 || s.Current < 0 {
+		if !(s.Duration > 0) || math.IsInf(s.Duration, 1) || !(s.Current >= 0) || math.IsInf(s.Current, 1) {
 			return fmt.Errorf("%w: segment %d = %+v", ErrBadSegment, i, s)
 		}
+	}
+	if d, q := p.Duration(), p.Charge(); math.IsInf(d, 1) || math.IsInf(q, 1) {
+		return fmt.Errorf("%w: total duration %v s, charge %v C", ErrBadSegment, d, q)
 	}
 	return nil
 }

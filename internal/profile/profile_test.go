@@ -44,9 +44,23 @@ func TestValidate(t *testing.T) {
 	if err := p.Validate(); err != nil {
 		t.Fatalf("Validate = %v, want nil", err)
 	}
-	p.Segments = append(p.Segments, Segment{Duration: -1, Current: 1})
-	if err := p.Validate(); !errors.Is(err, ErrBadSegment) {
-		t.Fatalf("Validate = %v, want ErrBadSegment", err)
+	inf, nan := math.Inf(1), math.NaN()
+	for _, bad := range [][]Segment{
+		{{Duration: -1, Current: 1}},
+		{{Duration: nan, Current: 1}},
+		{{Duration: inf, Current: 1}},
+		{{Duration: -inf, Current: 1}},
+		{{Duration: 1, Current: nan}},
+		{{Duration: 1, Current: inf}},
+		{{Duration: 1, Current: -inf}},
+		// finite segments whose total duration or charge overflows
+		{{Duration: math.MaxFloat64, Current: 0}, {Duration: math.MaxFloat64, Current: 1}},
+		{{Duration: 1e200, Current: 1e200}},
+	} {
+		q := &Profile{Segments: append([]Segment{{Duration: 1, Current: 1}}, bad...)}
+		if err := q.Validate(); !errors.Is(err, ErrBadSegment) {
+			t.Fatalf("Validate(%+v) = %v, want ErrBadSegment", q.Segments, err)
+		}
 	}
 }
 
@@ -183,6 +197,12 @@ func TestReadCSVErrors(t *testing.T) {
 	}
 	if _, err := ReadCSV(strings.NewReader("")); err == nil {
 		t.Fatal("expected empty profile error")
+	}
+	// Non-finite values parse with %g but must not form a profile.
+	for _, bad := range []string{"0,NaN,0.5\n", "0,1,NaN\n", "0,Inf,0.5\n", "0,1,+Inf\n", "0,1e308,0\n0,1e308,1\n", "0,1e200,1e200\n"} {
+		if _, err := ReadCSV(strings.NewReader(bad)); !errors.Is(err, ErrBadSegment) {
+			t.Fatalf("ReadCSV(%q) err = %v, want ErrBadSegment", bad, err)
+		}
 	}
 	// Comment lines and blank lines are ignored.
 	p, err := ReadCSV(strings.NewReader("# comment\n0,1,0.5\n\n"))

@@ -302,6 +302,43 @@ func TestQueueBoundAndUnfinishedReport(t *testing.T) {
 	}
 }
 
+// TestEmptyShardJobFinishes: quick figure6 has 3 sets per point, so a
+// 4-shard job holds an empty shard. An empty shard once panicked the unit's
+// goroutine and killed the daemon; now the job must finish, and its artifact
+// must equal the merge of the same four shards run locally (what
+// `experiments merge` writes).
+func TestEmptyShardJobFinishes(t *testing.T) {
+	_, c := startDaemon(t, service.Config{Workers: 2})
+	spec := experiments.Spec{Quick: true}
+	st := submitAndWait(t, c, service.JobRequest{Experiment: "figure6", Spec: service.SpecRequestFrom(spec), Shards: 4})
+	if st.State != service.StateDone {
+		t.Fatalf("job state = %s: %s", st.State, st.Error)
+	}
+	got, err := c.ReportArtifact(context.Background(), st.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	parts := make([]*experiments.Report, 4)
+	for i := range parts {
+		s := spec
+		s.Shard = experiments.Shard{Index: i, Count: len(parts)}
+		if parts[i], err = experiments.Run(context.Background(), "figure6", s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	merged, err := experiments.MergeReports(parts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want bytes.Buffer
+	if err := experiments.WriteArtifact(&want, []*experiments.Report{merged}); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want.Bytes()) {
+		t.Fatalf("served 4-shard figure6 differs from the local merge:\n--- served ---\n%s\n--- merged ---\n%s", got, want.Bytes())
+	}
+}
+
 // TestShardProgressReported checks that per-shard progress from the driver's
 // callbacks surfaces in the job status by the time the job completes.
 func TestShardProgressReported(t *testing.T) {
