@@ -61,15 +61,6 @@
 // passes it replaces (beyond a 1.10 noise factor) or allocates more than
 // they did.
 //
-// The service submit report (BENCH_submit.json in CI, -service-o; the
-// broader BENCH_service.json load report is cmd/loadgen's): BenchmarkServiceSubmit
-// — end-to-end latency of submitting a quick Table 2 spec to an in-process
-// experiment daemon (internal/service behind a real HTTP listener, driven
-// through the typed client), comparing the cold path (full compute through
-// the job queue) against the content-addressed cache hit of resubmitting the
-// identical spec. CI tracks the hit latency and the speedup to catch cache
-// and queue-path regressions.
-//
 // -cpuprofile and -memprofile write runtime/pprof profiles of the whole
 // benchmark run for `go tool pprof`.
 //
@@ -79,21 +70,17 @@
 //	engbench -o BENCH_engine.json
 //	engbench -o BENCH_engine.json.new -baseline BENCH_engine.json
 //	engbench -engine=false -battery-o BENCH_battery.json
-//	engbench -engine=false -service-o BENCH_submit.json
 //	engbench -cpuprofile cpu.pprof -memprofile mem.pprof
 package main
 
 import (
-	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"math"
 	"math/rand"
-	"net/http/httptest"
 	"os"
 	"testing"
-	"time"
 
 	"battsched/internal/battery"
 	"battsched/internal/battery/diffusion"
@@ -108,8 +95,6 @@ import (
 	"battsched/internal/profile"
 	"battsched/internal/profutil"
 	"battsched/internal/runner"
-	"battsched/internal/service"
-	"battsched/internal/service/client"
 	"battsched/internal/taskgraph"
 	"battsched/internal/tgff"
 )
@@ -735,81 +720,6 @@ func compareBaseline(cur report, path string) ([]string, error) {
 	return regs, nil
 }
 
-// serviceReport is the emitted submit-latency document (-service-o).
-type serviceReport struct {
-	Benchmark string `json:"benchmark"`
-	Spec      string `json:"spec"`
-	// ColdMs is the end-to-end latency of the first submission: queue wait,
-	// full experiment compute, merge, artifact render and fetch.
-	ColdMs float64 `json:"cold_ms"`
-	// CacheHitMs is the mean end-to-end latency of resubmitting the identical
-	// spec: HTTP round-trips plus the content-addressed cache lookup.
-	CacheHitMs float64 `json:"cache_hit_ms"`
-	// CacheHitOps is the number of measured cache-hit submissions.
-	CacheHitOps int `json:"cache_hit_ops"`
-	// Speedup is ColdMs / CacheHitMs.
-	Speedup float64 `json:"speedup"`
-}
-
-// benchService is BenchmarkServiceSubmit: cold versus cache-hit latency of
-// one quick Table 2 spec submitted to an in-process experiment daemon over
-// real HTTP.
-func benchService() serviceReport {
-	srv, err := service.New(service.Config{Workers: 1})
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "engbench:", err)
-		os.Exit(1)
-	}
-	defer srv.Close()
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-	cli := client.New(ts.URL)
-	ctx := context.Background()
-	req := service.JobRequest{
-		Experiment: "table2",
-		Spec:       service.SpecRequest{Quick: true, Battery: "kibam"},
-	}
-
-	submit := func() {
-		st, err := cli.Submit(ctx, req)
-		if err == nil {
-			st, err = cli.Wait(ctx, st.ID, 5*time.Millisecond, nil)
-		}
-		if err == nil && st.State != service.StateDone {
-			err = fmt.Errorf("job %s %s: %s", st.ID, st.State, st.Error)
-		}
-		if err == nil {
-			_, err = cli.ReportArtifact(ctx, st.ID)
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "engbench:", err)
-			os.Exit(1)
-		}
-	}
-
-	start := time.Now()
-	submit() // cold: computes and populates the cache
-	cold := time.Since(start)
-
-	r := testing.Benchmark(func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			submit() // every further submission is a cache hit
-		}
-	})
-	hit := float64(r.T.Nanoseconds()) / float64(r.N) / 1e6
-	rep := serviceReport{
-		Benchmark:   "ServiceSubmit/quick-table2-kibam",
-		Spec:        `{"experiment":"table2","spec":{"quick":true,"battery":"kibam"}}`,
-		ColdMs:      float64(cold.Nanoseconds()) / 1e6,
-		CacheHitMs:  hit,
-		CacheHitOps: r.N,
-	}
-	if hit > 0 {
-		rep.Speedup = rep.ColdMs / hit
-	}
-	return rep
-}
-
 // writeJSON marshals doc and writes it to path ("" selects stdout).
 func writeJSON(doc any, path string) {
 	data, err := json.MarshalIndent(doc, "", "  ")
@@ -833,7 +743,6 @@ func main() {
 	engine := flag.Bool("engine", true, "run the engine benchmark")
 	baseline := flag.String("baseline", "", "compare the engine report against this committed BENCH_engine.json and exit nonzero on a >1.10x ns/op or allocs/op regression")
 	batteryOut := flag.String("battery-o", "", "also run the battery lifetime benchmark and write its JSON report to this file (\"-\" selects stdout)")
-	serviceOut := flag.String("service-o", "", "also run BenchmarkServiceSubmit (cold vs cache-hit daemon latency) and write its JSON report to this file (\"-\" selects stdout)")
 	graphs := flag.Int("graphs", 5, "task graphs in the benchmark workload")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the benchmark run to this file")
 	memProfile := flag.String("memprofile", "", "write an allocation profile of the benchmark run to this file")
@@ -849,13 +758,6 @@ func main() {
 		brep := benchBattery()
 		writeJSON(brep, path)
 		violations = append(violations, batteryGates(brep)...)
-	}
-	if *serviceOut != "" {
-		path := *serviceOut
-		if path == "-" {
-			path = ""
-		}
-		writeJSON(benchService(), path)
 	}
 	if *engine {
 		rep := benchEngine(*graphs)

@@ -402,17 +402,24 @@ func TestFrontContract(t *testing.T) {
 		run  func(t *testing.T, f gatedFront)
 	}{
 		{"identical concurrent submissions run once", frontOpts{}, func(t *testing.T, f gatedFront) {
-			const n = 6
-			ids := make([]string, n)
-			coalesced := make([]bool, n)
+			// A duplicate-heavy burst in miniature: 3 specs submitted 4 times
+			// each, all at once, while every unit is held. An admission path
+			// that blocked on compute would deadlock here.
+			const specs, copies = 3, 4
+			ctx := context.Background()
+			req := func(i int) service.JobRequest {
+				return service.JobRequest{Experiment: "table2", Spec: service.SpecRequest{
+					Quick: true, Battery: "kibam", Sets: 1, Seed: int64(1 + i%specs),
+				}}
+			}
+			ids := make([]string, specs*copies)
+			coalesced := make([]bool, len(ids))
 			var wg sync.WaitGroup
-			for i := range n {
+			for i := range ids {
 				wg.Add(1)
 				go func() {
 					defer wg.Done()
-					st, err := client.New(f.url).Submit(context.Background(), service.JobRequest{
-						Experiment: "table2", Spec: service.SpecRequest{Quick: true, Battery: "kibam", Sets: 1},
-					})
+					st, err := client.New(f.url).Submit(ctx, req(i))
 					if err != nil {
 						t.Errorf("submit %d: %v", i, err)
 						return
@@ -425,11 +432,14 @@ func TestFrontContract(t *testing.T) {
 				t.FailNow()
 			}
 			f.release()
-			want := localArtifact(t, "table2", experiments.Spec{Quick: true, Battery: "kibam", Sets: 1})
+			want := make([][]byte, specs)
+			for i := range want {
+				want[i] = localArtifact(t, "table2", req(i).Spec.Spec())
+			}
 			c := client.New(f.url)
 			followers := 0
 			for i, id := range ids {
-				st, err := c.Wait(context.Background(), id, 5*time.Millisecond, nil)
+				st, err := c.Wait(ctx, id, 5*time.Millisecond, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -442,19 +452,30 @@ func TestFrontContract(t *testing.T) {
 				if st.Coalesced {
 					followers++
 				}
-				got, err := c.ReportArtifact(context.Background(), id)
+				got, err := c.ReportArtifact(ctx, id)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if !bytes.Equal(got, want) {
-					t.Fatalf("job %s artifact differs from the local run", id)
+				if !bytes.Equal(got, want[i%specs]) {
+					t.Fatalf("job %s artifact differs from the local run of seed %d", id, req(i).Spec.Seed)
 				}
 			}
-			if followers != n-1 {
-				t.Fatalf("%d coalesced followers, want %d", followers, n-1)
+			if followers != specs*(copies-1) {
+				t.Fatalf("%d coalesced followers, want %d", followers, specs*(copies-1))
 			}
-			if got := f.execs(); got != 1 {
-				t.Fatalf("FaultHook fired %d times, want exactly once", got)
+			for i := range ids {
+				if st, err := c.Submit(ctx, req(i)); err != nil || !st.Cached || st.State != service.StateDone {
+					t.Fatalf("resubmission %d = %+v, %v; want cached and done", i, st, err)
+				}
+			}
+			if got := f.execs(); got != specs {
+				t.Fatalf("FaultHook fired %d times, want once per spec (%d)", got, specs)
+			}
+			samples := scrape(t, f.url)
+			for admission, n := range map[string]int{"computed": specs, "coalesced": specs * (copies - 1), "cached": specs * copies} {
+				if got := mustFind(t, samples, "battsched_jobs_total", "admission", admission); got != float64(n) {
+					t.Fatalf("battsched_jobs_total{admission=%q} = %v, want %d", admission, got, n)
+				}
 			}
 		}},
 		{"novel submission beyond capacity is 429 with Retry-After", frontOpts{queue: 1}, func(t *testing.T, f gatedFront) {

@@ -108,8 +108,8 @@ func TestRegistryRace(t *testing.T) {
 	}
 }
 
-// TestParseRoundTrip renders a registry and parses it back, checking Find and
-// the histogram quantile estimator against the known observations.
+// TestParseRoundTrip renders a registry and parses it back, checking Find
+// against the known observations.
 func TestParseRoundTrip(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("rt_jobs_total", "jobs", "admission", "computed").Add(5)
@@ -137,17 +137,6 @@ func TestParseRoundTrip(t *testing.T) {
 	}
 	if s, ok := Find(samples, "rt_dur_seconds_bucket", "le", "+Inf"); !ok || s.Value != 100 {
 		t.Errorf("+Inf bucket = %+v, %v", s, ok)
-	}
-	// p50 falls in the first bucket (90% of observations are <= 0.1):
-	// PromQL-style interpolation keeps it within (0, 0.1].
-	q50, ok := BucketQuantile(samples, "rt_dur_seconds", 0.50)
-	if !ok || q50 <= 0 || q50 > 0.1 {
-		t.Errorf("p50 = %v, %v (want within (0, 0.1])", q50, ok)
-	}
-	// p99 falls in the (1, 10] bucket.
-	q99, ok := BucketQuantile(samples, "rt_dur_seconds", 0.99)
-	if !ok || q99 <= 1 || q99 > 10 {
-		t.Errorf("p99 = %v, %v (want within (1, 10])", q99, ok)
 	}
 }
 

@@ -3,7 +3,6 @@ package obs
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strconv"
 	"strings"
 )
@@ -18,7 +17,8 @@ type Sample struct {
 // ParseText parses a Prometheus text exposition (the format Render emits)
 // into samples, skipping comments and blank lines. It understands the subset
 // this package renders: escaped label values, +Inf/NaN, histograms as plain
-// _bucket/_sum/_count series. loadgen uses it to scrape /metrics.
+// _bucket/_sum/_count series. The service and federation tests scrape
+// /metrics with it, and so does the repository benchmark.
 func ParseText(data []byte) ([]Sample, error) {
 	var out []Sample
 	for ln, line := range strings.Split(string(data), "\n") {
@@ -37,22 +37,17 @@ func ParseText(data []byte) ([]Sample, error) {
 
 func parseLine(line string) (Sample, error) {
 	s := Sample{Labels: map[string]string{}}
-	rest := line
-	if i := strings.IndexAny(rest, "{ "); i < 0 {
+	i := strings.IndexAny(line, "{ ")
+	if i < 0 {
 		return s, fmt.Errorf("no value in %q", line)
-	} else {
-		s.Name = rest[:i]
-		rest = rest[i:]
 	}
-	if strings.HasPrefix(rest, "{") {
-		end := strings.Index(rest, "}")
-		if end < 0 {
-			return s, fmt.Errorf("unterminated labels in %q", line)
-		}
-		if err := parseLabels(rest[1:end], s.Labels); err != nil {
+	s.Name = line[:i]
+	rest := line[i:]
+	if labels, ok := strings.CutPrefix(rest, "{"); ok {
+		var err error
+		if rest, err = parseLabels(labels, s.Labels); err != nil {
 			return s, err
 		}
-		rest = rest[end+1:]
 	}
 	v, err := parseValue(strings.TrimSpace(rest))
 	if err != nil {
@@ -62,11 +57,16 @@ func parseLine(line string) (Sample, error) {
 	return s, nil
 }
 
-func parseLabels(body string, into map[string]string) error {
-	for body != "" {
-		eq := strings.Index(body, "=")
-		if eq < 0 || len(body) < eq+2 || body[eq+1] != '"' {
-			return fmt.Errorf("bad label pair in %q", body)
+// parseLabels reads the label pairs that follow a '{' up to the first '}'
+// outside a quoted value, and returns the text after that '}'.
+func parseLabels(body string, into map[string]string) (string, error) {
+	for {
+		if rest, ok := strings.CutPrefix(body, "}"); ok {
+			return rest, nil
+		}
+		eq := strings.IndexAny(body, "=}")
+		if eq < 0 || body[eq] != '=' || len(body) < eq+2 || body[eq+1] != '"' {
+			return "", fmt.Errorf("bad label pair in %q", body)
 		}
 		key := body[:eq]
 		rest := body[eq+2:]
@@ -90,12 +90,11 @@ func parseLabels(body string, into map[string]string) error {
 			val.WriteByte(c)
 		}
 		if i >= len(rest) {
-			return fmt.Errorf("unterminated label value in %q", body)
+			return "", fmt.Errorf("unterminated label value in %q", body)
 		}
 		into[key] = val.String()
 		body = strings.TrimPrefix(rest[i+1:], ",")
 	}
-	return nil
 }
 
 func parseValue(s string) (float64, error) {
@@ -127,63 +126,4 @@ func Find(samples []Sample, name string, labels ...string) (Sample, bool) {
 		}
 	}
 	return Sample{}, false
-}
-
-// BucketQuantile estimates quantile q (0..1) from the _bucket samples of the
-// named histogram, using linear interpolation within the located bucket the
-// way PromQL histogram_quantile does. Returns false when the histogram is
-// absent or empty.
-func BucketQuantile(samples []Sample, name string, q float64) (float64, bool) {
-	type bucket struct {
-		le  float64
-		cum float64
-	}
-	var buckets []bucket
-	for _, s := range samples {
-		if s.Name != name+"_bucket" {
-			continue
-		}
-		le, err := parseBound(s.Labels["le"])
-		if err != nil {
-			continue
-		}
-		buckets = append(buckets, bucket{le, s.Value})
-	}
-	if len(buckets) == 0 {
-		return 0, false
-	}
-	sort.Slice(buckets, func(i, j int) bool { return buckets[i].le < buckets[j].le })
-	total := buckets[len(buckets)-1].cum
-	if total == 0 {
-		return 0, false
-	}
-	rank := q * total
-	for i, b := range buckets {
-		if b.cum < rank {
-			continue
-		}
-		if i == len(buckets)-1 {
-			// +Inf bucket: report the highest finite bound.
-			if len(buckets) > 1 {
-				return buckets[len(buckets)-2].le, true
-			}
-			return 0, false
-		}
-		lower, lowerCum := 0.0, 0.0
-		if i > 0 {
-			lower, lowerCum = buckets[i-1].le, buckets[i-1].cum
-		}
-		if b.cum == lowerCum {
-			return b.le, true
-		}
-		return lower + (b.le-lower)*(rank-lowerCum)/(b.cum-lowerCum), true
-	}
-	return buckets[len(buckets)-1].le, true
-}
-
-func parseBound(s string) (float64, error) {
-	if s == "+Inf" {
-		return math.Inf(1), nil
-	}
-	return strconv.ParseFloat(s, 64)
 }

@@ -53,8 +53,8 @@ type Client struct {
 
 // New returns a client for the daemon at baseURL (e.g.
 // "http://127.0.0.1:8344"). A trailing slash is stripped. The underlying
-// transport keeps enough idle connections per host for load-generation
-// concurrency.
+// transport keeps up to 256 idle connections per host, so a coordinator's
+// concurrent unit dispatches to one worker reuse their connections.
 func New(baseURL string) *Client {
 	tr := http.DefaultTransport.(*http.Transport).Clone()
 	tr.MaxIdleConns = 256

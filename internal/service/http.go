@@ -57,12 +57,13 @@ func ParseWait(r *http.Request) (time.Duration, error) {
 //	GET  /metrics              the metrics registry in Prometheus text format
 //
 // POST /v1/jobs reads the X-Trace-Id header into the submission's trace id
-// (see obs.TraceHeader); JobStatus echoes it as trace_id.
+// (see obs.TraceHeader): at most 128 bytes of [A-Za-z0-9._-]. JobStatus
+// echoes it as trace_id.
 //
-// Errors are JSON {"error": ...} with 400 (bad request, spec or wait), 404
-// (unknown job), 409 (report of an unfinished job), 429 (queue full, with a
-// Retry-After header estimating when capacity frees up), 503 (daemon
-// draining; /healthz also turns 503 then) or 500.
+// Errors are JSON {"error": ...} with 400 (bad request, spec, trace id or
+// wait), 404 (unknown job), 409 (report of an unfinished job), 429 (queue
+// full, with a Retry-After header estimating when capacity frees up), 503
+// (daemon draining; /healthz also turns 503 then) or 500.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/jobs", s.handleSubmit)

@@ -19,7 +19,8 @@
 // and after every compactEvery runtime completions, so it stays proportional
 // to the backlog rather than the daemon's lifetime job count. A crash can
 // truncate at most the final line; replay tolerates a malformed tail and the
-// next compaction drops it.
+// next compaction drops it. A line over 4 MiB fails Open instead, leaving the
+// file untouched.
 //
 // By default writes go through the OS page cache without fsync: the journal
 // survives process kills and restarts (the failure mode it exists for), not
@@ -121,9 +122,10 @@ type Journal struct {
 // Open opens (creating if missing) the journal at path, replays it, compacts
 // it down to its live records, and returns the accepted-but-unfinished
 // records in admission order, each with the latest journaled lease per unit
-// attached. With fsync set, every subsequent append is synced to stable
-// storage before it returns (power-loss durability); otherwise records ride
-// the OS page cache (process-kill durability only).
+// attached. A line too long to scan fails Open with an error naming it, and
+// the file is left as it was. With fsync set, every subsequent append is
+// synced to stable storage before it returns (power-loss durability);
+// otherwise records ride the OS page cache (process-kill durability only).
 func Open(path string, fsync bool) (*Journal, []Accept, error) {
 	j := &Journal{
 		path:   path,
@@ -137,7 +139,9 @@ func Open(path string, fsync bool) (*Journal, []Accept, error) {
 	}
 	sc := bufio.NewScanner(bytes.NewReader(data))
 	sc.Buffer(make([]byte, 0, 64*1024), 4*1024*1024)
+	n := 0
 	for sc.Scan() {
+		n++
 		line := sc.Bytes()
 		if len(line) == 0 {
 			continue
@@ -169,6 +173,12 @@ func Open(path string, fsync bool) (*Journal, []Accept, error) {
 			}
 			j.setLeaseLocked(rec.ID, *rec.Lease)
 		}
+	}
+	if err := sc.Err(); err != nil {
+		// A line the scanner cannot hold (over 4 MiB) is not a crash-truncated
+		// tail: the records after it are intact, and compacting now would
+		// drop them. Leave the file as it is.
+		return nil, nil, fmt.Errorf("journal: %s line %d: %w", path, n+1, err)
 	}
 	backlog := j.liveInOrder()
 	if err := j.compactLocked(); err != nil {

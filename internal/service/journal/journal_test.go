@@ -1,6 +1,7 @@
 package journal
 
 import (
+	"bytes"
 	"encoding/json"
 	"os"
 	"path/filepath"
@@ -105,6 +106,39 @@ func TestTruncatedTailTolerated(t *testing.T) {
 	defer j2.Close()
 	if len(backlog) != 1 || backlog[0].ID != "job-000001" {
 		t.Fatalf("replay after truncated tail = %+v", backlog)
+	}
+}
+
+// TestOverlongLineFailsOpen pins that a line too long to scan is not taken
+// for a crash-truncated tail: Open fails naming the line, and the file keeps
+// its bytes, including the valid record after it. (Compacting there once
+// erased every job from that line on.)
+func TestOverlongLineFailsOpen(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "journal.jsonl")
+	long, err := json.Marshal(record{Op: "accept", Accept: Accept{ID: "job-000001", Trace: strings.Repeat("<", 1<<20)}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	valid, err := json.Marshal(record{Op: "accept", Accept: accept("job-000002")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(long) <= 4<<20 {
+		t.Fatalf("first line is %d bytes, want over 4 MiB", len(long))
+	}
+	data := append(append(append(long, '\n'), valid...), '\n')
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := Open(path, false); err == nil || !strings.Contains(err.Error(), "line 1") {
+		t.Fatalf("Open = %v, want an error naming line 1", err)
+	}
+	after, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(after, data) {
+		t.Fatalf("Open rewrote the journal: %d bytes, want the %d it had", len(after), len(data))
 	}
 }
 

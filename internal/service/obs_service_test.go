@@ -2,10 +2,13 @@ package service_test
 
 import (
 	"context"
+	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
@@ -13,6 +16,7 @@ import (
 	"battsched/internal/obs"
 	"battsched/internal/service"
 	"battsched/internal/service/client"
+	"battsched/internal/service/journal"
 )
 
 // scrape fetches url/metrics and parses the exposition.
@@ -266,5 +270,78 @@ func TestClientTraceHeader(t *testing.T) {
 	}
 	if st.TraceID != seen[0] {
 		t.Fatalf("status TraceID %q != header %q", st.TraceID, seen[0])
+	}
+}
+
+// TestTraceIDValidatedAtAdmission pins the X-Trace-Id bound. An id over 128
+// bytes, or with a byte outside [A-Za-z0-9._-], is 400 and never reaches the
+// journal; obs.NewTraceID's hex ids and the benchmark's job3-000012 form are
+// admitted and echoed, and their jobs, held unfinished until Close, resume
+// after a restart over the same directory. (A 900,000-byte id of '<'
+// journaled as a 5.4 MB line once made the restart forget every job.) A bad
+// id an older daemon journaled is replaced on replay, so a coordinator can
+// still forward the job's units to workers that check it.
+func TestTraceIDValidatedAtAdmission(t *testing.T) {
+	dir := t.TempDir()
+	srv, err := service.New(service.Config{Workers: 1, CacheDir: dir, FaultHook: gateHook(make(chan struct{}))})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	c := client.New(ts.URL)
+	ctx := context.Background()
+	req := func(seed int64, trace string) service.JobRequest {
+		return service.JobRequest{
+			Experiment: "table2",
+			Spec:       service.SpecRequest{Quick: true, Battery: "kibam", Sets: 1, Seed: seed},
+			TraceID:    trace,
+		}
+	}
+	for _, bad := range []string{strings.Repeat("<", 900_000), strings.Repeat("a", 129), "job 1", "a/b", "é"} {
+		_, err := c.Submit(ctx, req(1, bad))
+		var ae *client.APIError
+		if !errors.As(err, &ae) || ae.Status != http.StatusBadRequest {
+			t.Fatalf("trace id of %d bytes starting %.8q: err = %v, want HTTP 400", len(bad), bad, err)
+		}
+	}
+	var ids []string
+	for i, good := range []string{obs.NewTraceID(), "job3-000012", strings.Repeat("Z", 128), "a.b_c-9"} {
+		st, err := c.Submit(ctx, req(int64(i+1), good))
+		if err != nil {
+			t.Fatalf("trace id %q: %v", good, err)
+		}
+		if st.TraceID != good || st.Cached {
+			t.Fatalf("trace id %q: status %+v, want a computed job echoing it", good, st)
+		}
+		ids = append(ids, st.ID)
+	}
+	srv.Close()
+	jr, _, err := journal.Open(filepath.Join(dir, "journal.jsonl"), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := journal.Accept{ID: "job-000099", Experiment: "table2", Trace: "job 99",
+		Spec: json.RawMessage(`{"quick":true,"battery":"kibam","sets":1,"seed":9}`)}
+	if err := jr.Accept(old); err != nil {
+		t.Fatal(err)
+	}
+	if err := jr.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	again, err := service.New(service.Config{Workers: 1, CacheDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer again.Close()
+	for _, id := range append(ids, old.ID) {
+		if _, err := again.Job(id); err != nil {
+			t.Fatalf("after restart: %v", err)
+		}
+		waitState(t, again, id, service.StateDone)
+	}
+	if st, _ := again.Job(old.ID); len(st.TraceID) != 32 {
+		t.Fatalf("replayed job's trace id = %q, want a fresh 32-hex id", st.TraceID)
 	}
 }

@@ -377,8 +377,12 @@ func (s *Server) doShutdown(ctx context.Context) {
 // (Coalesced set) and resolves when the leader does; anything else enqueues
 // the job's shard units, failing with ErrQueueFull (Retry-After estimate
 // attached) when they do not fit the queue bound, or ErrDraining during
-// shutdown.
+// shutdown. A trace id over 128 bytes or outside [A-Za-z0-9._-] fails with
+// experiments.ErrBadConfig.
 func (s *Server) Submit(req JobRequest) (JobStatus, error) {
+	if err := checkTraceID(req.TraceID); err != nil {
+		return JobStatus{}, err
+	}
 	spec, unitShard, hash, err := s.check(req)
 	if err != nil {
 		return JobStatus{}, err
@@ -472,6 +476,27 @@ func (s *Server) check(req JobRequest) (experiments.Spec, experiments.Shard, str
 	// complete run's hash when unsharded), so duplicate dispatches of one
 	// unit dedupe exactly like duplicate complete submissions.
 	return spec, unitShard, experiments.ShardSpecHash(req.Experiment, spec, unitShard), nil
+}
+
+// maxTraceID bounds a submitted trace id; obs.NewTraceID issues 32 hex
+// digits.
+const maxTraceID = 128
+
+// checkTraceID rejects a submitted trace id longer than maxTraceID bytes or
+// holding a byte outside [A-Za-z0-9._-]. The id is journaled with the job and
+// written into every event of it, so it must stay short and need no escaping.
+func checkTraceID(id string) error {
+	if len(id) > maxTraceID {
+		return fmt.Errorf("%w: %s of %d bytes, want at most %d", experiments.ErrBadConfig, obs.TraceHeader, len(id), maxTraceID)
+	}
+	for i := 0; i < len(id); i++ {
+		switch c := id[i]; {
+		case 'a' <= c && c <= 'z', 'A' <= c && c <= 'Z', '0' <= c && c <= '9', c == '.', c == '_', c == '-':
+		default:
+			return fmt.Errorf("%w: %s byte %d is %q, want one of [A-Za-z0-9._-]", experiments.ErrBadConfig, obs.TraceHeader, i, c)
+		}
+	}
+	return nil
 }
 
 // newJob builds one accepted job. An untraced submission (raw curl) gets a
@@ -601,6 +626,11 @@ func (s *Server) replayLocked(rec journal.Accept) {
 		created = time.Now()
 	}
 	req := JobRequest{Experiment: rec.Experiment, Shards: rec.Shards, Shard: rec.Shard, TraceID: rec.Trace}
+	if checkTraceID(req.TraceID) != nil {
+		// An older daemon journaled any trace id; a fresh one keeps the
+		// job's units dispatchable to workers that check it.
+		req.TraceID = ""
+	}
 	var spec experiments.Spec
 	var unitShard experiments.Shard
 	var hash string
