@@ -1,6 +1,7 @@
 // Benchmarks regenerating every table and figure of the paper's evaluation
 // (in reduced "quick" form so a -bench=. run stays tractable), plus
-// micro-benchmarks of the scheduler, priority functions and battery models.
+// micro-benchmarks of the scheduler and priority functions. The battery
+// models' lifetime benchmarks are internal/battery's BenchmarkLifetime*.
 //
 // Full-size reproductions are run with cmd/experiments; see EXPERIMENTS.md
 // for the recorded paper-versus-measured numbers.
@@ -12,13 +13,8 @@ import (
 	"testing"
 
 	"battsched"
-	"battsched/internal/battery"
-	"battsched/internal/battery/diffusion"
-	"battsched/internal/battery/kibam"
-	"battsched/internal/battery/stochastic"
 	"battsched/internal/experiments"
 	"battsched/internal/priority"
-	"battsched/internal/profile"
 	"battsched/internal/tgff"
 )
 
@@ -164,51 +160,6 @@ func BenchmarkPUBSPriority(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = p.Priority(c, ctx)
-	}
-}
-
-// benchProfile is a representative two-level periodic load.
-func benchProfile() *profile.Profile {
-	p := profile.New()
-	p.Append(0.2, 1.2)
-	p.Append(0.3, 0.4)
-	p.Append(0.5, 0.01)
-	return p
-}
-
-// BenchmarkKiBaMLifetime measures a full lifetime simulation on the KiBaM
-// cell with default options (the analytic fast path; see internal/battery's
-// BenchmarkLifetime* for the stepped-versus-analytic comparison).
-func BenchmarkKiBaMLifetime(b *testing.B) {
-	p := benchProfile()
-	for i := 0; i < b.N; i++ {
-		if _, err := battery.SimulateUntilExhausted(kibam.Default(), p, battery.SimulateOptions{MaxTime: 72 * 3600}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkDiffusionLifetime measures a full lifetime simulation on the
-// Rakhmatov–Vrudhula diffusion cell (analytic fast path).
-func BenchmarkDiffusionLifetime(b *testing.B) {
-	p := benchProfile()
-	for i := 0; i < b.N; i++ {
-		if _, err := battery.SimulateUntilExhausted(diffusion.Default(), p, battery.SimulateOptions{MaxTime: 72 * 3600}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkStochasticLifetime measures a full lifetime simulation on the
-// stochastic charge-unit cell in expected-value mode, forced onto the stepped
-// path with a 2 s substep (the default dispatch takes the analytic fast path;
-// see internal/battery's BenchmarkLifetimeStochastic*).
-func BenchmarkStochasticLifetime(b *testing.B) {
-	p := benchProfile()
-	for i := 0; i < b.N; i++ {
-		if _, err := battery.SimulateUntilExhausted(stochastic.Default(), p, battery.SimulateOptions{MaxTime: 72 * 3600, MaxStep: 2}); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 

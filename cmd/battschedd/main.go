@@ -25,7 +25,8 @@
 // computation ("coalesced": true followers). With -cache-dir set, accepted
 // jobs are also journaled (journal.jsonl) and a restarted daemon resumes
 // accepted-but-unfinished work under the original job IDs. A full queue
-// answers 429 with a Retry-After estimate; SIGINT/SIGTERM drains gracefully:
+// answers 429 with a Retry-After estimate, and a job with more shards than
+// -queue units is 400; SIGINT/SIGTERM drains gracefully:
 // in-flight units finish (-drain-timeout bounds the wait), queued units stay
 // journaled for the next start.
 //

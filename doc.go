@@ -56,8 +56,7 @@
 // uniform-stepping path for every model (the reference the accuracy tests
 // compare against); cmd/batsim and cmd/basched expose the choice as -maxstep.
 // On representative periodic loads the analytic path is 33–350x faster than
-// 2 s stepping (see cmd/engbench -battery-o and the BenchmarkLifetime*
-// benchmarks in internal/battery).
+// 2 s stepping (see the BenchmarkLifetime* benchmarks in internal/battery).
 //
 // BatteryLifetimeBatch evaluates N models against one profile, validating
 // the profile once and running each model through the same dispatch, so it

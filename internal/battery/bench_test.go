@@ -145,14 +145,14 @@ func BenchmarkLifetimeStochasticFast(b *testing.B) {
 // batchBenchModels builds n models cycling through the four families, so
 // the deaths stagger; under the default options every one of them takes the
 // analytic path.
-func batchBenchModels(b *testing.B, n int) []battery.Model {
-	b.Helper()
+func batchBenchModels(tb testing.TB, n int) []battery.Model {
+	tb.Helper()
 	names := []string{"kibam", "diffusion", "peukert", "stochastic"}
 	models := make([]battery.Model, n)
 	for i := range models {
 		m, err := battery.New(names[i%len(names)])
 		if err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		models[i] = m
 	}

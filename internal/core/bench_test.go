@@ -12,12 +12,12 @@ import (
 // benchConfig returns the BAS-2 configuration (laEDF + pUBS over all released
 // graphs, discrete frequencies) the engine benchmarks run: the scheme with
 // the most expensive decisions (hypothetical DVS queries per candidate).
-func benchConfig(b *testing.B, sink SegmentSink) Config {
-	b.Helper()
+func benchConfig(tb testing.TB, sink SegmentSink) Config {
+	tb.Helper()
 	rng := rand.New(rand.NewSource(99))
 	sys, err := tgff.GenerateSystem(tgff.DefaultConfig(), 5, 0.7, 1e9, rng)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	return Config{
 		System:        sys,

@@ -1,0 +1,48 @@
+package experiments
+
+import (
+	"bytes"
+	"os"
+	"path/filepath"
+	"testing"
+)
+
+// FuzzReadArtifact checks that every input either fails to read or yields
+// reports whose WriteArtifact output reads back and re-writes to the same
+// bytes, and that FormatReport and MergeReports handle without panicking.
+// ReadArtifact decodes bytes from outside the process: the coordinator's
+// worker partials and the files `experiments merge` is given. Seeds: the
+// recorded quick table2 + grid partial of shard 0/2 on KiBaM and a one-cell
+// report.
+func FuzzReadArtifact(f *testing.F) {
+	recorded, err := os.ReadFile(filepath.Join("testdata", "table2_grid_shard0of2.json"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(recorded)
+	f.Add([]byte(`{"version":1,"reports":[{"version":1,"experiment":"table2","rows":[{"key":"EDF","cells":{"life_min":{"n":1,"mean":2,"m2":0,"min":2,"max":2,"sets":[0],"samples":[2]}}}]}]}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		reports, err := ReadArtifact(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var first, second bytes.Buffer
+		if err := WriteArtifact(&first, reports); err != nil {
+			t.Fatalf("WriteArtifact of a read artifact: %v", err)
+		}
+		back, err := ReadArtifact(bytes.NewReader(first.Bytes()))
+		if err != nil {
+			t.Fatalf("WriteArtifact output does not read back: %v\n%s", err, first.Bytes())
+		}
+		if err := WriteArtifact(&second, back); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(first.Bytes(), second.Bytes()) {
+			t.Fatalf("re-written artifact differs:\n%s\nvs\n%s", first.Bytes(), second.Bytes())
+		}
+		for _, r := range reports {
+			_, _ = FormatReport(r)
+		}
+		_, _ = MergeReports(reports)
+	})
+}

@@ -394,7 +394,7 @@ func jobBody(seed int) string {
 
 // TestFrontContract pins the job front end's admission contract on the
 // worker daemon and on the coordinator alike: coalescing, the queue bound,
-// job map eviction and drain.
+// the shard count bound, job map eviction and drain.
 func TestFrontContract(t *testing.T) {
 	cases := []struct {
 		name string
@@ -495,6 +495,17 @@ func TestFrontContract(t *testing.T) {
 				}
 			}
 			t.Fatal("10 novel submissions all fit a 1-unit queue bound")
+		}},
+		{"shard count above the queue bound is 400", frontOpts{queue: 2}, func(t *testing.T, f gatedFront) {
+			// No queue state could ever admit 3 units against a 2-unit bound,
+			// so the answer is a bad request, without a Retry-After.
+			body := `{"experiment":"table2","spec":{"quick":true,"battery":"kibam","sets":1},"shards":%d}`
+			if code, retry, _ := postJob(t, f.url, fmt.Sprintf(body, 3)); code != http.StatusBadRequest || retry != "" {
+				t.Fatalf("3 shards against a 2-unit bound: HTTP %d, Retry-After %q; want 400 and none", code, retry)
+			}
+			if code, _, _ := postJob(t, f.url, fmt.Sprintf(body, 2)); code != http.StatusAccepted {
+				t.Fatalf("2 shards against a 2-unit bound: HTTP %d, want 202", code)
+			}
 		}},
 		{"evicted job is 404 and resubmission is cached", frontOpts{maxJobs: 2}, func(t *testing.T, f gatedFront) {
 			f.release()

@@ -4,8 +4,9 @@ import "sync/atomic"
 
 // SimStats is the compute-core counter bundle: one atomic add per engine run
 // or battery simulation, cheap enough for the hot path (no allocation, no
-// locks) and readable from engbench and the daemon registries. The package
-// global Sim is threaded into core.Engine and battery.SimulateBatch.
+// locks) and readable from the daemon registries, the benchmark's work stamp
+// and tests. The package global Sim is threaded into core.Engine and
+// battery.SimulateBatch.
 type SimStats struct {
 	// EngineRuns counts scheduler engine executions (core.Engine.Run).
 	EngineRuns atomic.Uint64

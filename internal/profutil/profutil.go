@@ -1,12 +1,11 @@
 // Package profutil wires runtime/pprof behind the -cpuprofile/-memprofile
-// flags of the command-line tools (cmd/engbench, cmd/experiments), so hot
-// paths can be inspected with `go tool pprof` without ad-hoc instrumentation.
+// flags of cmd/experiments, so hot paths can be inspected with
+// `go tool pprof` without ad-hoc instrumentation.
 // DebugServer does the same for the long-running daemons: an opt-in
 // net/http/pprof listener behind battschedd's -debug-addr flag.
 package profutil
 
 import (
-	"fmt"
 	"net"
 	"net/http"
 	"net/http/pprof"
@@ -83,20 +82,4 @@ func DebugServer(addr string) (net.Listener, error) {
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	go func() { _ = http.Serve(ln, mux) }()
 	return ln, nil
-}
-
-// MustStart is Start for command main functions: flag-driven profiling that
-// fails to initialise is a fatal usage error.
-func MustStart(cpuPath, memPath string) func() {
-	stop, err := Start(cpuPath, memPath)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "profiling:", err)
-		os.Exit(1)
-	}
-	return func() {
-		if err := stop(); err != nil {
-			fmt.Fprintln(os.Stderr, "profiling:", err)
-			os.Exit(1)
-		}
-	}
 }

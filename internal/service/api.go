@@ -89,7 +89,8 @@ type JobRequest struct {
 	Spec SpecRequest `json:"spec"`
 	// Shards fans the run out over this many independent shard units
 	// (RunOptions.Shard), auto-merged on completion; 0 or 1 runs unsharded.
-	// Requires a shardable experiment when > 1.
+	// Requires a shardable experiment when > 1, and at most the queue bound
+	// (Config.QueueCapacity), since every unit must fit the queue at once.
 	Shards int `json:"shards,omitempty"`
 	// Shard, when set ("2/4"), runs exactly that one shard slice as a
 	// single-unit job whose artifact is the shard's partial report — the unit

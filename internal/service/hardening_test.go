@@ -13,6 +13,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -388,6 +389,30 @@ func TestRetryAfterAndClientBackoff(t *testing.T) {
 	}
 	if final.State != service.StateDone {
 		t.Fatalf("retried job state = %s: %s", final.State, final.Error)
+	}
+}
+
+// TestShardCountAboveQueueBound pins that a job with more shards than the
+// queue bound holds is a bad request, rejected before the server builds one
+// unit per shard: 5,000,000 shards against the default 64-unit bound fail
+// with ErrBadConfig having allocated under 1 MiB.
+func TestShardCountAboveQueueBound(t *testing.T) {
+	srv, err := service.New(service.Config{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err = srv.Submit(service.JobRequest{
+		Experiment: "table2", Spec: service.SpecRequest{Quick: true, Battery: "kibam"}, Shards: 5_000_000,
+	})
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, experiments.ErrBadConfig) {
+		t.Errorf("Submit of 5,000,000 shards = %v, want ErrBadConfig", err)
+	}
+	if n := after.TotalAlloc - before.TotalAlloc; n >= 1<<20 {
+		t.Errorf("rejecting 5,000,000 shards allocated %d bytes, want under 1 MiB", n)
 	}
 }
 

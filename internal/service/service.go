@@ -377,8 +377,8 @@ func (s *Server) doShutdown(ctx context.Context) {
 // (Coalesced set) and resolves when the leader does; anything else enqueues
 // the job's shard units, failing with ErrQueueFull (Retry-After estimate
 // attached) when they do not fit the queue bound, or ErrDraining during
-// shutdown. A trace id over 128 bytes or outside [A-Za-z0-9._-] fails with
-// experiments.ErrBadConfig.
+// shutdown. A trace id over 128 bytes or outside [A-Za-z0-9._-], or more
+// shards than the queue bound holds, fails with experiments.ErrBadConfig.
 func (s *Server) Submit(req JobRequest) (JobStatus, error) {
 	if err := checkTraceID(req.TraceID); err != nil {
 		return JobStatus{}, err
@@ -451,6 +451,11 @@ func (s *Server) check(req JobRequest) (experiments.Spec, experiments.Shard, str
 	}
 	if req.Shards < 0 {
 		return spec, experiments.Shard{}, "", fmt.Errorf("%w: negative shard count %d", experiments.ErrBadConfig, req.Shards)
+	}
+	if req.Shards > s.cfg.QueueCapacity {
+		// Such a job never fits the queue, and makeUnits allocates per shard.
+		return spec, experiments.Shard{}, "", fmt.Errorf("%w: %d shards exceed the queue bound of %d units",
+			experiments.ErrBadConfig, req.Shards, s.cfg.QueueCapacity)
 	}
 	unitShard, err := experiments.ParseShard(req.Shard)
 	if err != nil {
