@@ -37,6 +37,20 @@
 // — it only removes the recording cost from the hot path. cmd/basched
 // exposes the choice as -notrace / -noprofile.
 //
+// # Scheduling decisions
+//
+// At every release and node completion the engine selects the reference
+// frequency from one view per released instance, kept in EDF order and in
+// step with the instances, and offers the ready nodes to the priority
+// function. pUBS asks, for each ready node, which frequency the DVS
+// algorithm would select once that node completed. Under laEDF the engine
+// computes laEDF's pass once per decision, and each such query redoes only
+// the positions from the node's instance down to the earliest deadline: bit
+// for bit what a full pass over an edited copy of the views gives. Each node
+// instance caches its Estimator estimate until the engine observes the same
+// node of any instance, so an Estimator's Estimate must depend only on what
+// it was told through Observe.
+//
 // # Analytic battery fast path
 //
 // BatteryLifetimeOpts dispatches on the model.

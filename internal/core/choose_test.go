@@ -29,28 +29,28 @@ func (s refSorter) Less(i, j int) bool {
 
 // chooseSortedReference is choose as it was with sort.Stable: score every
 // candidate in list order, sort, and take the first imminent or feasible one.
-func chooseSortedReference(e *engine, cands []candidateRef, views []dvs.InstanceView, effFreq float64) candidateRef {
+func chooseSortedReference(e *engine, cands []candidateRef, effFreq float64) *candidateRef {
 	e.prioCtx = priority.Context{Now: e.now, CurrentFrequency: effFreq, FMax: e.fmax, Rand: e.rng}
 	for i := range cands {
 		cands[i].value = e.cfg.Priority.Priority(cands[i].cand, &e.prioCtx)
 	}
 	sort.Stable(refSorter(cands))
-	for _, c := range cands {
+	for i, c := range cands {
 		if c.imminent {
-			return c
+			return &cands[i]
 		}
-		if feasible(c.cand.RemainingWCET, c.cand.EDFPosition, views, e.now, effFreq) {
+		if feasible(c.cand.RemainingWCET, c.cand.EDFPosition, e.views, e.now, effFreq) {
 			e.res.OutOfOrderExecutions++
-			return c
+			return &cands[i]
 		}
 		e.res.FeasibilityRejections++
 	}
-	for _, c := range cands {
+	for i, c := range cands {
 		if c.imminent {
-			return c
+			return &cands[i]
 		}
 	}
-	return cands[0]
+	return &cands[0]
 }
 
 // tablePriority returns a preset value per (EDF position, node).
@@ -145,15 +145,16 @@ func TestChooseMatchesSortedReference(t *testing.T) {
 			prio = priority.NewRandom()
 		}
 		seed := rng.Int63()
-		run := func(choose func(*engine, []candidateRef, []dvs.InstanceView, float64) candidateRef) (candidateRef, Result) {
+		run := func(choose func(*engine, []candidateRef, float64) *candidateRef) (*candidateRef, Result) {
 			e := &engine{
-				cfg:  Config{Priority: prio, LocalSpeedModel: true},
-				fmax: 1e9,
-				rng:  rand.New(rand.NewSource(seed)),
-				now:  now,
-				res:  &Result{},
+				cfg:   Config{Priority: prio},
+				fmax:  1e9,
+				rng:   rand.New(rand.NewSource(seed)),
+				now:   now,
+				views: views,
+				res:   &Result{},
 			}
-			c := choose(e, append([]candidateRef(nil), cands...), views, effFreq)
+			c := choose(e, append([]candidateRef(nil), cands...), effFreq)
 			return c, *e.res
 		}
 		want, wantRes := run(chooseSortedReference)
@@ -190,9 +191,10 @@ func TestChooseMatchesSortedReference(t *testing.T) {
 }
 
 // frequencyAfterCopyReference is evalFrequencyAfter as it was before it
-// edited the views in place: the hypothetical state is a full copy.
+// edited the views in place or queried a plan: the hypothetical state is a
+// full copy, and the DVS algorithm selects its frequency afresh.
 func frequencyAfterCopyReference(e *engine, c priority.Candidate, assumedCycles float64) float64 {
-	hyp := append([]dvs.InstanceView(nil), e.fAfterViews...)
+	hyp := append([]dvs.InstanceView(nil), e.views...)
 	if c.EDFPosition >= 0 && c.EDFPosition < len(hyp) {
 		v := hyp[c.EDFPosition]
 		v.AdjustedWCET = v.AdjustedWCET - c.RemainingWCET + assumedCycles
@@ -212,9 +214,10 @@ func frequencyAfterCopyReference(e *engine, c priority.Candidate, assumedCycles 
 	return e.cfg.DVS.SelectFrequency(then, e.fmax, hyp)
 }
 
-// TestFrequencyAfterInPlaceMatchesCopy checks that the in-place pUBS
-// look-ahead returns bit for bit the frequency of the copying one, for every
-// DVS algorithm, and leaves the views exactly as it found them.
+// TestFrequencyAfterInPlaceMatchesCopy checks that the pUBS look-ahead
+// returns bit for bit the frequency of the copying one, for every DVS
+// algorithm: laEDF's query of the decision's plan and the other algorithms'
+// in-place edit, which must leave the views exactly as it found them.
 func TestFrequencyAfterInPlaceMatchesCopy(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	algs := []dvs.Algorithm{dvs.NewLAEDF(), dvs.NewCCEDF(), dvs.NewStatic(), dvs.NewNoDVS()}
@@ -227,11 +230,15 @@ func TestFrequencyAfterInPlaceMatchesCopy(t *testing.T) {
 		}
 		before := append([]dvs.InstanceView(nil), views...)
 		e := &engine{
-			cfg:         Config{DVS: algs[trial%len(algs)]},
-			fmax:        1e9,
-			now:         now,
-			fAfterViews: views,
-			fAfterFreq:  effFreq,
+			cfg:        Config{DVS: algs[trial%len(algs)]},
+			fmax:       1e9,
+			now:        now,
+			views:      views,
+			fAfterFreq: effFreq,
+		}
+		_, e.planned = e.cfg.DVS.(dvs.LAEDF)
+		if want, got := e.cfg.DVS.SelectFrequency(now, e.fmax, views), e.selectFrequency(); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("trial %d, %s: decision frequency %v, SelectFrequency %v", trial, e.cfg.DVS.Name(), got, want)
 		}
 		if trial%10 == 9 {
 			e.fAfterFreq = 0

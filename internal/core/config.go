@@ -102,12 +102,6 @@ type Config struct {
 	// OracleEstimates, when true, feeds the priority function the true actual
 	// cycles of each node instance instead of the estimator's prediction.
 	OracleEstimates bool
-	// LocalSpeedModel, when true, makes the pUBS priority evaluate the
-	// post-candidate speed s_{o,k} with Gruian's deadline-local rescaling
-	// model (remaining work over time to the candidate's deadline) instead of
-	// querying the configured DVS algorithm hypothetically. This matches the
-	// original UBS formulation; the DVS-based estimate is the default.
-	LocalSpeedModel bool
 	// ReadyPolicy selects BAS-1 (MostImminentOnly) or BAS-2 (AllReleased)
 	// candidate admission.
 	ReadyPolicy ReadyPolicy

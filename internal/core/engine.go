@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 	"sort"
 
@@ -135,8 +136,10 @@ type nodeState struct {
 	wcet      float64 // full worst-case cycles
 	actual    float64 // drawn actual cycles for this instance
 	executed  float64 // cycles executed so far
+	estimate  float64 // the Estimator's Estimate, valid while estimated
 	predsLeft int
 	done      bool
+	estimated bool // cleared when any instance's copy of the node is observed
 }
 
 func (n *nodeState) wcRemaining() float64 {
@@ -166,7 +169,17 @@ type instance struct {
 	adjustedWC  float64 // the paper's WC_i
 	remainingWC float64 // sumRemainingWC, refreshed by release and execute
 	missed      bool
+
+	// ready has bit ni%64 of word ni/64 set while node ni is not done and has
+	// no predecessor left. It is readyInline for a graph of up to 64 nodes
+	// and readySpill, kept across recycling, for a larger one.
+	ready       []uint64
+	readyInline [1]uint64
+	readySpill  []uint64
 }
+
+// setReady marks node ni ready.
+func (in *instance) setReady(ni int) { in.ready[ni>>6] |= 1 << (ni & 63) }
 
 // sumRemainingWC returns the worst-case work left in the instance: unfinished
 // nodes at their WCET less the cycles already executed.
@@ -239,8 +252,9 @@ type engine struct {
 	now         float64
 	nextRelease []float64
 	jobCounter  []int
-	released    []*instance // incrementally maintained in EDF order (instanceBefore)
-	totalWCET   []float64   // per-graph Graph.TotalWCET, computed by reset
+	released    []*instance        // incrementally maintained in EDF order (instanceBefore)
+	views       []dvs.InstanceView // views[i] is released[i]'s view, kept in step with it
+	totalWCET   []float64          // per-graph Graph.TotalWCET, computed by reset
 
 	sink   SegmentSink
 	charge profile.ChargeAccumulator
@@ -253,18 +267,25 @@ type engine struct {
 
 	// Scratch buffers and pre-bound state reused across scheduling decisions:
 	// after warm-up the decision loop allocates nothing.
-	viewsBuf []dvs.InstanceView
 	candsBuf []candidateRef
 	segsBuf  []freqSegment
 	realBuf  []processor.RealizationSegment
 	prioCtx  priority.Context
 	freeList []*instance // retired instances recycled by release
 
+	// rngSrc seeds on its first draw, so runs that never draw (every
+	// scheme without the Random priority) skip seeding.
+	rngSrc lazySource
+
+	// planned is set when the DVS algorithm is laEDF: each decision then
+	// computes plan once, for its frequency and every pUBS look-ahead.
+	planned bool
+	plan    dvs.LAEDFPlan
+
 	// frequencyAfter state: the closure is bound once at construction and
-	// reads the per-decision views/frequency from these fields.
-	fAfterViews []dvs.InstanceView
-	fAfterFreq  float64
-	fAfterFn    func(priority.Candidate, float64) float64
+	// reads the per-decision effective frequency from fAfterFreq.
+	fAfterFreq float64
+	fAfterFn   func(priority.Candidate, float64) float64
 
 	lastRunning *instance
 	lastNode    int
@@ -281,11 +302,11 @@ func (e *engine) reset(cfg Config) {
 	e.sys = cfg.System
 	e.fmax = cfg.Processor.FMax()
 	if e.rng == nil {
-		e.rng = rand.New(rand.NewSource(cfg.Seed ^ 0x5eed))
-	} else {
-		e.rng.Seed(cfg.Seed ^ 0x5eed)
+		e.rng = rand.New(&e.rngSrc)
 	}
+	e.rng.Seed(cfg.Seed ^ 0x5eed)
 	e.horiz = cfg.horizon()
+	_, e.planned = cfg.DVS.(dvs.LAEDF)
 
 	n := cfg.System.NumGraphs()
 	e.nextRelease = resetFloats(e.nextRelease, n)
@@ -299,6 +320,7 @@ func (e *engine) reset(cfg Config) {
 		e.released[i] = nil
 	}
 	e.released = e.released[:0]
+	e.views = e.views[:0]
 	e.now = 0
 	e.res = &Result{}
 	e.charge.Reset()
@@ -363,39 +385,42 @@ func resetInts(s []int, n int) []int {
 // run executes the simulation until the horizon is reached and every released
 // instance has completed.
 func (e *engine) run() *Result {
-	for {
-		e.releaseDue()
-		e.recordMisses()
-		e.dropCompleted()
-
-		if e.now >= e.horiz-timeEpsilon && !e.hasPendingWork() {
-			break
-		}
-
-		views := e.views()
-		fref := e.cfg.DVS.SelectFrequency(e.now, e.fmax, views)
-		effFreq, segments := e.realize(fref)
-
-		cands := e.candidates(views, effFreq)
-		e.res.SchedulingDecisions++
-		if len(cands) == 0 {
-			// Idle until the next release (or the horizon, whichever is
-			// later if no releases remain).
-			next := e.nextEvent()
-			if next <= e.now+timeEpsilon {
-				// No future release and nothing to run: we are done.
-				break
-			}
-			e.idle(next - e.now)
-			continue
-		}
-
-		chosen := e.choose(cands, views, effFreq)
-		e.execute(chosen, effFreq, segments)
+	for e.step() {
 	}
-
 	e.finalize()
 	return e.res
+}
+
+// step processes the releases, misses and retirements due now, then makes
+// one scheduling decision and runs or idles until the next one. It reports
+// false when the simulation is over.
+func (e *engine) step() bool {
+	e.releaseDue()
+	e.recordMisses()
+	e.dropCompleted()
+
+	if e.now >= e.horiz-timeEpsilon && !e.hasPendingWork() {
+		return false
+	}
+
+	effFreq, segments := e.realize(e.selectFrequency())
+
+	cands := e.candidates()
+	e.res.SchedulingDecisions++
+	if len(cands) == 0 {
+		// Idle until the next release (or the horizon, whichever is later if
+		// no releases remain).
+		next := e.nextEvent()
+		if next <= e.now+timeEpsilon {
+			// No future release and nothing to run: we are done.
+			return false
+		}
+		e.idle(next - e.now)
+		return true
+	}
+
+	e.execute(e.choose(cands, effFreq), effFreq, segments)
+	return true
 }
 
 // releaseDue creates instances for every graph whose next release time has
@@ -409,8 +434,8 @@ func (e *engine) releaseDue() {
 	}
 }
 
-// allocInstance returns a reset instance with nn node slots, recycling a
-// retired one when available.
+// allocInstance returns a reset instance with nn node slots and an empty
+// ready set, recycling a retired one when available.
 func (e *engine) allocInstance(nn int) *instance {
 	var in *instance
 	if n := len(e.freeList); n > 0 {
@@ -425,6 +450,16 @@ func (e *engine) allocInstance(nn int) *instance {
 	} else {
 		in.nodes = make([]nodeState, nn)
 	}
+	switch words := (nn + 63) >> 6; {
+	case words <= len(in.readyInline):
+		in.ready = in.readyInline[:words]
+	case words <= cap(in.readySpill):
+		in.ready = in.readySpill[:words]
+	default:
+		in.readySpill = make([]uint64, words)
+		in.ready = in.readySpill
+	}
+	clear(in.ready)
 	return in
 }
 
@@ -451,28 +486,39 @@ func (e *engine) release(gi int, g *taskgraph.Graph, at float64) {
 		if in.nodes[i].actual <= 0 {
 			in.nodes[i].actual = cycleEpsilon
 		}
+		if in.nodes[i].predsLeft == 0 {
+			in.setReady(i)
+		}
 	}
 	in.remainingWC = in.sumRemainingWC()
-	e.insertReleased(in)
+	e.insertReleased(in, g)
 	e.res.JobsReleased++
 	e.gstat.released(gi)
 }
 
-// insertReleased inserts the instance at its EDF position, keeping the
-// released list sorted at all times (instanceBefore is a strict total order,
-// so incremental insertion reproduces exactly the order a stable sort of the
-// whole list would).
-func (e *engine) insertReleased(in *instance) {
+// insertReleased inserts the instance and its view at its EDF position,
+// keeping the released list sorted at all times (instanceBefore is a strict
+// total order, so incremental insertion reproduces exactly the order a stable
+// sort of the whole list would).
+func (e *engine) insertReleased(in *instance, g *taskgraph.Graph) {
 	i := sort.Search(len(e.released), func(i int) bool { return instanceBefore(in, e.released[i]) })
 	e.released = append(e.released, nil)
 	copy(e.released[i+1:], e.released[i:])
 	e.released[i] = in
+	e.views = append(e.views, dvs.InstanceView{})
+	copy(e.views[i+1:], e.views[i:])
+	e.views[i] = in.view(g, e.totalWCET[in.graphIndex])
 }
 
-// recordMisses flags instances whose deadline passed while work remains.
+// recordMisses flags instances whose deadline passed while work remains. The
+// released list is in deadline order, so the scan stops at the first
+// deadline still ahead.
 func (e *engine) recordMisses() {
 	for _, in := range e.released {
-		if !in.missed && in.remaining > 0 && in.deadline < e.now-timeEpsilon {
+		if in.deadline >= e.now-timeEpsilon {
+			return
+		}
+		if !in.missed && in.remaining > 0 {
 			in.missed = true
 			e.res.DeadlineMisses++
 			e.gstat.missedWithoutCompletion(in.graphIndex)
@@ -486,20 +532,37 @@ func (e *engine) recordMisses() {
 // paper's rule that WC_i reflects the actual computations "as long as the new
 // instance of the taskgraph Ti is not released", which is also what keeps the
 // ccEDF/laEDF utilisation accounting (and hence the deadline guarantee)
-// intact. Dropped instances return to the free list for recycling.
+// intact. Dropped instances return to the free list for recycling. Only a
+// prefix of the deadline-ordered list can be due, and the list and its views
+// are compacted only when one of its instances is complete.
 func (e *engine) dropCompleted() {
-	out := e.released[:0]
-	for _, in := range e.released {
-		if in.remaining > 0 || in.deadline > e.now+timeEpsilon {
-			out = append(out, in)
-		} else {
-			e.freeList = append(e.freeList, in)
+	first := -1
+	for i, in := range e.released {
+		if in.deadline > e.now+timeEpsilon {
+			break
+		}
+		if in.remaining == 0 {
+			first = i
+			break
 		}
 	}
-	for i := len(out); i < len(e.released); i++ {
-		e.released[i] = nil
+	if first < 0 {
+		return
 	}
-	e.released = out
+	n := first
+	for i := first; i < len(e.released); i++ {
+		in := e.released[i]
+		if in.remaining == 0 && in.deadline <= e.now+timeEpsilon {
+			e.freeList = append(e.freeList, in)
+			continue
+		}
+		e.released[n] = in
+		e.views[n] = e.views[i]
+		n++
+	}
+	clear(e.released[n:])
+	e.released = e.released[:n]
+	e.views = e.views[:n]
 }
 
 // hasPendingWork reports whether any released instance still has unfinished
@@ -513,18 +576,15 @@ func (e *engine) hasPendingWork() bool {
 	return false
 }
 
-// views returns the InstanceViews of all released instances. The released
-// list is maintained in EDF order incrementally (see insertReleased), so no
-// per-decision sort is needed, and each instance carries its remaining work,
-// so no per-decision sum either; the views land in a scratch buffer reused
-// across decisions.
-func (e *engine) views() []dvs.InstanceView {
-	e.viewsBuf = e.viewsBuf[:0]
-	for _, in := range e.released {
-		gi := in.graphIndex
-		e.viewsBuf = append(e.viewsBuf, in.view(e.sys.Graphs[gi], e.totalWCET[gi]))
+// selectFrequency returns the DVS algorithm's reference frequency for the
+// released instances' views. Under laEDF it first computes the decision's
+// plan, which the pUBS look-ahead then queries.
+func (e *engine) selectFrequency() float64 {
+	if e.planned {
+		e.plan.Reset(e.fmax, e.views)
+		return e.plan.Frequency(e.now)
 	}
-	return e.viewsBuf
+	return e.cfg.DVS.SelectFrequency(e.now, e.fmax, e.views)
 }
 
 // realize maps fref onto the processor: the effective execution frequency and
@@ -581,8 +641,9 @@ func (e *engine) realize(fref float64) (float64, []freqSegment) {
 // candidates. The first incomplete instance in EDF order is the "most
 // imminent" one: its candidates are always admissible without a feasibility
 // check, and under the MostImminentOnly policy only its candidates are
-// offered. The returned slice is a scratch buffer reused across decisions.
-func (e *engine) candidates(views []dvs.InstanceView, effFreq float64) []candidateRef {
+// offered. An instance's candidates are its ready nodes in node order. The
+// returned slice is a scratch buffer reused across decisions.
+func (e *engine) candidates() []candidateRef {
 	out := e.candsBuf[:0]
 	imminentPos := -1
 	for pos, in := range e.released {
@@ -594,26 +655,21 @@ func (e *engine) candidates(views []dvs.InstanceView, effFreq float64) []candida
 		} else if e.cfg.ReadyPolicy == MostImminentOnly {
 			break
 		}
-		g := e.sys.Graphs[in.graphIndex]
-		for ni := range in.nodes {
-			ns := &in.nodes[ni]
-			if ns.done || ns.predsLeft > 0 {
-				continue
+		for w, word := range in.ready {
+			for ; word != 0; word &= word - 1 {
+				ni := w<<6 | bits.TrailingZeros64(word)
+				ns := &in.nodes[ni]
+				out = append(out, candidateRef{})
+				c := &out[len(out)-1]
+				c.inst = in
+				c.imminent = pos == imminentPos
+				c.cand.GraphIndex = in.graphIndex
+				c.cand.Node = ni
+				c.cand.RemainingWCET = ns.wcRemaining()
+				c.cand.EstimatedActual = e.estimateRemaining(in, ni, ns)
+				c.cand.AbsoluteDeadline = in.deadline
+				c.cand.EDFPosition = pos
 			}
-			est := e.estimateRemaining(in, ni, ns)
-			out = append(out, candidateRef{
-				inst:     in,
-				imminent: pos == imminentPos,
-				cand: priority.Candidate{
-					GraphIndex:       in.graphIndex,
-					Node:             ni,
-					Name:             g.Nodes[ni].Name,
-					RemainingWCET:    ns.wcRemaining(),
-					EstimatedActual:  est,
-					AbsoluteDeadline: in.deadline,
-					EDFPosition:      pos,
-				},
-			})
 		}
 	}
 	e.candsBuf = out
@@ -622,12 +678,17 @@ func (e *engine) candidates(views []dvs.InstanceView, effFreq float64) []candida
 
 // estimateRemaining returns the X_k estimate for the remaining execution of a
 // node: either the oracle (true actual remaining) or the history estimator's
-// prediction minus what already ran.
+// prediction minus what already ran. The prediction is cached in the node
+// until completeNode observes the same (graph, node).
 func (e *engine) estimateRemaining(in *instance, ni int, ns *nodeState) float64 {
 	if e.cfg.OracleEstimates {
 		return math.Max(ns.acRemaining(), cycleEpsilon)
 	}
-	est := e.cfg.Estimator.Estimate(in.graphIndex, ni, ns.wcet) - ns.executed
+	if !ns.estimated {
+		ns.estimate = e.cfg.Estimator.Estimate(in.graphIndex, ni, ns.wcet)
+		ns.estimated = true
+	}
+	est := ns.estimate - ns.executed
 	if est < cycleEpsilon {
 		est = cycleEpsilon
 	}
@@ -644,18 +705,15 @@ func (e *engine) estimateRemaining(in *instance, ni int, ns *nodeState) float64 
 // out-of-order candidate visited before it must pass the feasibility check.
 // Each visit is one linear scan for the minimum of the candidates not yet
 // visited, so a decision without rejections costs one scan; cands is
-// reordered.
-func (e *engine) choose(cands []candidateRef, views []dvs.InstanceView, effFreq float64) candidateRef {
+// reordered, and the result points into it.
+func (e *engine) choose(cands []candidateRef, effFreq float64) *candidateRef {
+	e.fAfterFreq = effFreq
 	e.prioCtx = priority.Context{
 		Now:              e.now,
 		CurrentFrequency: effFreq,
 		FMax:             e.fmax,
+		FrequencyAfter:   e.fAfterFn,
 		Rand:             e.rng,
-	}
-	if !e.cfg.LocalSpeedModel {
-		e.fAfterViews = views
-		e.fAfterFreq = effFreq
-		e.prioCtx.FrequencyAfter = e.fAfterFn
 	}
 	// Every value is computed, in list order, before any is compared: Random
 	// draws from the engine RNG.
@@ -671,11 +729,11 @@ func (e *engine) choose(cands []candidateRef, views []dvs.InstanceView, effFreq 
 		}
 		c := &cands[best]
 		if c.imminent {
-			return *c
+			return c
 		}
-		if feasible(c.cand.RemainingWCET, c.cand.EDFPosition, views, e.now, effFreq) {
+		if feasible(c.cand.RemainingWCET, c.cand.EDFPosition, e.views, e.now, effFreq) {
 			e.res.OutOfOrderExecutions++
-			return *c
+			return c
 		}
 		e.res.FeasibilityRejections++
 		// Park the rejected candidate past the unvisited ones.
@@ -684,38 +742,46 @@ func (e *engine) choose(cands []candidateRef, views []dvs.InstanceView, effFreq 
 	// Defensive: unreachable, because the most imminent incomplete instance
 	// always has a ready node. Fall back to the overall best candidate, the
 	// first one parked.
-	return cands[len(cands)-1]
+	return &cands[len(cands)-1]
 }
 
 // evalFrequencyAfter is the closure used by pUBS to evaluate s_{o,k}: the
 // reference frequency the DVS algorithm would select if the candidate
 // completed next after consuming assumedCycles. It is bound once per engine
-// (fAfterFn) and reads the current decision's views and effective frequency
-// from fAfterViews/fAfterFreq. The hypothetical state differs from the
-// current one in the candidate's view only, so that view is edited in place
-// and restored after SelectFrequency returns: the views slice changes between
-// SelectFrequency calls, and an Algorithm that kept a reference to it would
-// see those edits (dvs.Algorithm forbids keeping one).
+// (fAfterFn) and reads the current decision's effective frequency from
+// fAfterFreq. The hypothetical state differs from the current one in the
+// candidate's view only. Under laEDF the decision's plan answers for the
+// edited view. Any other algorithm is called on the views with that view
+// edited in place, and the view is restored after SelectFrequency returns;
+// an Algorithm that kept a reference to the views would see those edits
+// (dvs.Algorithm forbids keeping one).
 func (e *engine) evalFrequencyAfter(c priority.Candidate, assumedCycles float64) float64 {
-	views := e.fAfterViews
 	then := e.now
 	if e.fAfterFreq > 0 {
 		then += assumedCycles / e.fAfterFreq
 	}
-	if c.EDFPosition < 0 || c.EDFPosition >= len(views) {
-		return e.cfg.DVS.SelectFrequency(then, e.fmax, views)
+	k := c.EDFPosition
+	if k < 0 || k >= len(e.views) {
+		if e.planned {
+			return e.plan.Frequency(then)
+		}
+		return e.cfg.DVS.SelectFrequency(then, e.fmax, e.views)
 	}
-	v := &views[c.EDFPosition]
+	v := &e.views[k]
+	remaining := v.RemainingWorstCase - c.RemainingWCET
+	if remaining < 0 {
+		remaining = 0
+	}
+	if e.planned {
+		return e.plan.FrequencyAfter(then, k, remaining)
+	}
 	saved := *v
 	v.AdjustedWCET = v.AdjustedWCET - c.RemainingWCET + assumedCycles
 	if v.AdjustedWCET < 0 {
 		v.AdjustedWCET = 0
 	}
-	v.RemainingWorstCase -= c.RemainingWCET
-	if v.RemainingWorstCase < 0 {
-		v.RemainingWorstCase = 0
-	}
-	f := e.cfg.DVS.SelectFrequency(then, e.fmax, views)
+	v.RemainingWorstCase = remaining
+	f := e.cfg.DVS.SelectFrequency(then, e.fmax, e.views)
 	*v = saved
 	return f
 }
@@ -754,8 +820,9 @@ func (e *engine) nextEvent() float64 {
 }
 
 // execute runs the chosen candidate until it completes or the next release
-// arrives, whichever comes first, then processes the completion if any.
-func (e *engine) execute(c candidateRef, effFreq float64, segments []freqSegment) {
+// arrives, whichever comes first, then processes the completion if any and
+// refreshes the instance's view.
+func (e *engine) execute(c *candidateRef, effFreq float64, segments []freqSegment) {
 	in := c.inst
 	ns := &in.nodes[c.cand.Node]
 	g := e.sys.Graphs[in.graphIndex]
@@ -824,22 +891,34 @@ func (e *engine) execute(c candidateRef, effFreq float64, segments []freqSegment
 		e.completeNode(in, c.cand.Node, ns, g)
 	}
 	in.remainingWC = in.sumRemainingWC()
+	v := &e.views[c.cand.EDFPosition]
+	v.AdjustedWCET = in.adjustedWC
+	v.RemainingWorstCase = in.remainingWC
 }
 
 // completeNode finishes a node: updates WC_i with the actual requirement
 // (the paper's endofnode handler), releases successors and retires the
-// instance when its last node finishes.
+// instance when its last node finishes. The observation invalidates the
+// cached estimate of every released copy of the node.
 func (e *engine) completeNode(in *instance, nodeIdx int, ns *nodeState, g *taskgraph.Graph) {
 	ns.done = true
 	ns.executed = ns.actual
+	in.ready[nodeIdx>>6] &^= 1 << (nodeIdx & 63)
 	in.remaining--
 	in.adjustedWC += ns.actual - ns.wcet
 	if in.adjustedWC < 0 {
 		in.adjustedWC = 0
 	}
 	e.cfg.Estimator.Observe(in.graphIndex, nodeIdx, ns.wcet, ns.actual)
+	for _, other := range e.released {
+		if other.graphIndex == in.graphIndex {
+			other.nodes[nodeIdx].estimated = false
+		}
+	}
 	for _, s := range g.Successors(taskgraph.NodeID(nodeIdx)) {
-		in.nodes[s].predsLeft--
+		if in.nodes[s].predsLeft--; in.nodes[s].predsLeft == 0 {
+			in.setReady(int(s))
+		}
 	}
 	e.res.NodesCompleted++
 	e.lastRunning = nil
@@ -882,4 +961,33 @@ func graphLabel(g *taskgraph.Graph, index int) string {
 		return g.Name
 	}
 	return fmt.Sprintf("T%d", index+1)
+}
+
+// lazySource is the engine RNG's source. Seed only records the seed, and the
+// first draw after it seeds the generator, which then draws exactly what
+// rand.NewSource(seed) would; a run that never draws skips the seeding.
+type lazySource struct {
+	src    rand.Source64 // nil until the first draw
+	seed   int64
+	seeded bool
+}
+
+func (s *lazySource) Seed(seed int64) { s.seed, s.seeded = seed, false }
+
+func (s *lazySource) Int63() int64 { return s.source().Int63() }
+
+func (s *lazySource) Uint64() uint64 { return s.source().Uint64() }
+
+// source returns the generator, seeding it first if no draw has followed the
+// last Seed.
+func (s *lazySource) source() rand.Source64 {
+	if !s.seeded {
+		if s.src == nil {
+			s.src = rand.NewSource(s.seed).(rand.Source64)
+		} else {
+			s.src.Seed(s.seed)
+		}
+		s.seeded = true
+	}
+	return s.src
 }

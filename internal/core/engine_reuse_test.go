@@ -14,13 +14,12 @@ import (
 
 // reuseScheme is one scheduling configuration of the reuse matrix.
 type reuseScheme struct {
-	name    string
-	dvs     dvs.Algorithm
-	prio    priority.Function
-	policy  ReadyPolicy
-	oracle  bool
-	modes   []FrequencyMode
-	localSM bool
+	name   string
+	dvs    dvs.Algorithm
+	prio   priority.Function
+	policy ReadyPolicy
+	oracle bool
+	modes  []FrequencyMode
 }
 
 func reuseSchemes() []reuseScheme {
@@ -31,7 +30,6 @@ func reuseSchemes() []reuseScheme {
 		{name: "BAS-1", dvs: dvs.NewLAEDF(), prio: priority.NewPUBS(), policy: MostImminentOnly, modes: all},
 		{name: "BAS-2", dvs: dvs.NewLAEDF(), prio: priority.NewPUBS(), policy: AllReleased, modes: all},
 		{name: "BAS-2-oracle", dvs: dvs.NewLAEDF(), prio: priority.NewPUBS(), policy: AllReleased, oracle: true, modes: []FrequencyMode{ContinuousFrequency, DiscreteFrequency}},
-		{name: "BAS-2-localSM", dvs: dvs.NewLAEDF(), prio: priority.NewPUBS(), policy: AllReleased, localSM: true, modes: []FrequencyMode{DiscreteFrequency}},
 		{name: "static-LTF", dvs: dvs.NewStatic(), prio: priority.NewLTF(), policy: AllReleased, modes: []FrequencyMode{DiscreteFrequency}},
 		{name: "random", dvs: dvs.NewCCEDF(), prio: priority.NewRandom(), policy: AllReleased, modes: []FrequencyMode{DiscreteFrequency}},
 	}
@@ -132,7 +130,6 @@ func TestEngineReuseMatchesFreshRun(t *testing.T) {
 						Priority:        sc.prio,
 						ReadyPolicy:     sc.policy,
 						OracleEstimates: sc.oracle,
-						LocalSpeedModel: sc.localSM,
 						FrequencyMode:   mode,
 						Hyperperiods:    1,
 						Seed:            seed,
@@ -254,7 +251,6 @@ func TestRecordedExecutionReplayAcrossSchemes(t *testing.T) {
 				Priority:        sc.prio,
 				ReadyPolicy:     sc.policy,
 				OracleEstimates: sc.oracle,
-				LocalSpeedModel: sc.localSM,
 				FrequencyMode:   DiscreteFrequency,
 				Hyperperiods:    1,
 				Seed:            seed,

@@ -1,0 +1,173 @@
+package core
+
+import (
+	"math"
+	"math/rand"
+	"testing"
+
+	"battsched/internal/dvs"
+	"battsched/internal/priority"
+	"battsched/internal/taskgraph"
+	"battsched/internal/tgff"
+)
+
+// candidatesFullScan is candidates as it was before instances kept a ready
+// set and nodes cached their estimates: every node of every admitted instance
+// is scanned, and the estimator is asked afresh for each ready one.
+func candidatesFullScan(e *engine) []candidateRef {
+	var out []candidateRef
+	imminentPos := -1
+	for pos, in := range e.released {
+		if in.remaining == 0 {
+			continue
+		}
+		if imminentPos < 0 {
+			imminentPos = pos
+		} else if e.cfg.ReadyPolicy == MostImminentOnly {
+			break
+		}
+		for ni := range in.nodes {
+			ns := &in.nodes[ni]
+			if ns.done || ns.predsLeft > 0 {
+				continue
+			}
+			out = append(out, candidateRef{
+				inst:     in,
+				imminent: pos == imminentPos,
+				cand: priority.Candidate{
+					GraphIndex:       in.graphIndex,
+					Node:             ni,
+					RemainingWCET:    ns.wcRemaining(),
+					EstimatedActual:  estimateAfresh(e, in, ni, ns),
+					AbsoluteDeadline: in.deadline,
+					EDFPosition:      pos,
+				},
+			})
+		}
+	}
+	return out
+}
+
+// estimateAfresh is estimateRemaining without the per-node cache.
+func estimateAfresh(e *engine, in *instance, ni int, ns *nodeState) float64 {
+	if e.cfg.OracleEstimates {
+		return math.Max(ns.acRemaining(), cycleEpsilon)
+	}
+	est := e.cfg.Estimator.Estimate(in.graphIndex, ni, ns.wcet) - ns.executed
+	if est < cycleEpsilon {
+		est = cycleEpsilon
+	}
+	if est > ns.wcRemaining() {
+		est = math.Max(ns.wcRemaining(), cycleEpsilon)
+	}
+	return est
+}
+
+// viewsRebuilt is the views as the engine rebuilt them from the released
+// list at every decision before it kept them in step with that list.
+func viewsRebuilt(e *engine) []dvs.InstanceView {
+	var views []dvs.InstanceView
+	for _, in := range e.released {
+		gi := in.graphIndex
+		views = append(views, in.view(e.sys.Graphs[gi], e.totalWCET[gi]))
+	}
+	return views
+}
+
+// checkIncrementalState fails unless the engine's views equal the rebuilt
+// ones and its candidates equal the full scan's, field by field and bit for
+// bit.
+func checkIncrementalState(t *testing.T, label string, step int, e *engine) {
+	t.Helper()
+	want := viewsRebuilt(e)
+	if len(e.views) != len(want) {
+		t.Fatalf("%s, step %d: %d views for %d released instances", label, step, len(e.views), len(want))
+	}
+	for i := range want {
+		if e.views[i] != want[i] {
+			t.Fatalf("%s, step %d: view %d is %+v, rebuilt %+v", label, step, i, e.views[i], want[i])
+		}
+	}
+	wantCands := candidatesFullScan(e)
+	got := e.candidates()
+	if len(got) != len(wantCands) {
+		t.Fatalf("%s, step %d: %d candidates, full scan %d", label, step, len(got), len(wantCands))
+	}
+	for i := range wantCands {
+		g, w := got[i], wantCands[i]
+		if g.inst != w.inst || g.imminent != w.imminent || g.cand.GraphIndex != w.cand.GraphIndex ||
+			g.cand.Node != w.cand.Node || g.cand.EDFPosition != w.cand.EDFPosition ||
+			math.Float64bits(g.cand.RemainingWCET) != math.Float64bits(w.cand.RemainingWCET) ||
+			math.Float64bits(g.cand.EstimatedActual) != math.Float64bits(w.cand.EstimatedActual) ||
+			math.Float64bits(g.cand.AbsoluteDeadline) != math.Float64bits(w.cand.AbsoluteDeadline) {
+			t.Fatalf("%s, step %d: candidate %d is %+v, full scan %+v", label, step, i, g.cand, w.cand)
+		}
+	}
+}
+
+// TestIncrementalStateMatchesReference drives one engine decision by
+// decision and, before the first and after every one, checks the state the
+// engine keeps incrementally against a rebuild from scratch: the views kept
+// in step with the released list, the ready sets and the cached estimates.
+// The systems cover graphs of up to 15 nodes, graphs of 65 to 130 nodes
+// (ready sets of two or three words), and runs that miss deadlines, where two
+// instances of one graph overlap and one's completion invalidates the other's
+// cached estimate.
+func TestIncrementalStateMatchesReference(t *testing.T) {
+	large := tgff.DefaultConfig()
+	large.MinNodes, large.MaxNodes = 65, 130
+	large.MinWCET, large.MaxWCET = 0.1e6, 1e6
+	type system struct {
+		name string
+		cfg  tgff.Config
+		seed int64
+		util float64
+		exec float64 // lower bound of the execution fraction
+	}
+	systems := []system{
+		{"paper", tgff.DefaultConfig(), 50, 0.7, 0.2},
+		{"large", large, 51, 0.7, 0.2},
+		{"overlapping", tgff.DefaultConfig(), 6, 0.95, 0.999},
+	}
+	schemes := append(reuseSchemes(),
+		reuseScheme{name: "ccEDF-pUBS", dvs: dvs.NewCCEDF(), prio: priority.NewPUBS(), policy: AllReleased, modes: []FrequencyMode{DiscreteFrequency}})
+	var en Engine
+	misses := 0
+	for _, s := range systems {
+		sys, err := tgff.GenerateSystem(s.cfg, 6, s.util, 1e9, rand.New(rand.NewSource(s.seed)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, sc := range schemes {
+			for _, mode := range sc.modes {
+				for seed := int64(1); seed <= 2; seed++ {
+					label := s.name + "/" + sc.name + "/" + mode.String()
+					err := en.Reset(Config{
+						System:          sys,
+						DVS:             sc.dvs,
+						Priority:        sc.prio,
+						ReadyPolicy:     sc.policy,
+						OracleEstimates: sc.oracle,
+						FrequencyMode:   mode,
+						Execution:       taskgraph.NewUniformExecution(s.exec, 1.0, seed),
+						Hyperperiods:    2,
+						Seed:            seed,
+						Observer:        Discard,
+					})
+					if err != nil {
+						t.Fatal(err)
+					}
+					e := &en.e
+					checkIncrementalState(t, label, 0, e)
+					for step := 1; e.step(); step++ {
+						checkIncrementalState(t, label, step, e)
+					}
+					misses += e.res.DeadlineMisses
+				}
+			}
+		}
+	}
+	if misses == 0 {
+		t.Fatal("no run missed a deadline, so no two instances of a graph overlapped")
+	}
+}

@@ -44,9 +44,11 @@ type Algorithm interface {
 	// current time, the maximum processor frequency and the views of all
 	// released incomplete instances. The result is always in [0, fmax]; 0
 	// means the processor may idle. Implementations must not retain or
-	// modify the slice: the scheduler edits it between calls (pUBS's
-	// look-ahead changes one view in place and restores it after each
-	// call), so an implementation that keeps a reference to it is broken.
+	// modify the slice: the scheduler keeps the views across decisions and
+	// edits them between calls, so an implementation that keeps a reference
+	// to it is broken. For every algorithm but LAEDF, whose look-ahead
+	// queries an LAEDFPlan instead, pUBS's look-ahead also changes one view
+	// in place and restores it after each call.
 	SelectFrequency(now, fmax float64, instances []InstanceView) float64
 }
 
@@ -166,46 +168,118 @@ func NewLAEDF() LAEDF { return LAEDF{} }
 // Name implements Algorithm.
 func (LAEDF) Name() string { return "laEDF" }
 
-// SelectFrequency implements Algorithm.
+// SelectFrequency implements Algorithm. It is one plan over the views,
+// evaluated at now.
 func (LAEDF) SelectFrequency(now, fmax float64, instances []InstanceView) float64 {
-	if len(instances) == 0 || fmax <= 0 {
-		return 0
+	var p LAEDFPlan
+	p.Reset(fmax, sortEDF(instances))
+	return p.Frequency(now)
+}
+
+// LAEDFPlan is laEDF's pass over one set of views in EDF order, kept so that
+// the frequency of those views and the frequency after one view's remaining
+// work changes share it. laEDF walks from the latest deadline down to the
+// earliest, so the pass's state on reaching position k does not depend on
+// the remaining work at k or before it: a query for position k redoes only
+// positions k..0, with the same float operations as a full pass over an
+// edited copy of the views. Neither the pass nor a query depends on the
+// time, which enters only at the end: the check for an immediate earliest
+// deadline and the final division. A zero LAEDFPlan is an empty plan; Reset
+// reuses its storage.
+type LAEDFPlan struct {
+	fmax  float64
+	dn    float64 // the earliest deadline
+	total float64 // the pass's sum of work due before dn, in seconds at fmax
+	steps []laedfStep
+}
+
+// laedfStep is one EDF position of the pass: its inputs, and the pass's
+// utilisation u and sum s on reaching it from the latest deadline.
+type laedfStep struct {
+	share float64 // TotalWCET/(fmax·Period), or 0 for a view without a period
+	slack float64 // AbsoluteDeadline − dn
+	cLeft float64 // RemainingWorstCase/fmax
+	u, s  float64
+}
+
+// advance runs the pass over the step's position with remaining work cLeft,
+// from state (u, s), and returns the state after it.
+func (st *laedfStep) advance(u, s, cLeft float64) (float64, float64) {
+	// Subtracting a zero share leaves u as it is, bit for bit.
+	u -= st.share
+	var x float64
+	if st.slack <= 0 {
+		// The instance with the earliest deadline: all of its remaining work
+		// must be done before dn.
+		x = cLeft
+	} else {
+		x = cLeft - (1-u)*st.slack
+		if x < 0 {
+			x = 0
+		}
+		u += (cLeft - x) / st.slack
 	}
-	inst := sortEDF(instances)
-	dn := inst[0].AbsoluteDeadline
-	if dn <= now {
-		// The earliest deadline is (numerically) immediate: run flat out.
-		return fmax
+	return u, s + x
+}
+
+// Reset computes the plan of views, which must be in EDF order (as
+// SelectFrequency's views are after sorting). The plan copies what it needs,
+// so views may change afterwards.
+func (p *LAEDFPlan) Reset(fmax float64, views []InstanceView) {
+	p.fmax = fmax
+	p.steps = p.steps[:0]
+	if len(views) == 0 || fmax <= 0 {
+		return
 	}
+	p.dn = views[0].AbsoluteDeadline
 	// Work in normalised "seconds at fmax" units.
 	var u float64
-	for _, in := range inst {
+	for _, in := range views {
+		st := laedfStep{slack: in.AbsoluteDeadline - p.dn, cLeft: in.RemainingWorstCase / fmax}
 		if in.Period > 0 {
-			u += in.TotalWCET / (fmax * in.Period)
+			st.share = in.TotalWCET / (fmax * in.Period)
+			u += st.share
 		}
+		p.steps = append(p.steps, st)
 	}
 	s := 0.0
 	// Latest deadline first.
-	for i := len(inst) - 1; i >= 0; i-- {
-		in := inst[i]
-		cLeft := in.RemainingWorstCase / fmax
-		if in.Period > 0 {
-			u -= in.TotalWCET / (fmax * in.Period)
-		}
-		slack := in.AbsoluteDeadline - dn
-		var x float64
-		if slack <= 0 {
-			// The instance with the earliest deadline: all of its remaining
-			// work must be done before dn.
-			x = cLeft
-		} else {
-			x = cLeft - (1-u)*slack
-			if x < 0 {
-				x = 0
-			}
-			u += (cLeft - x) / slack
-		}
-		s += x
+	for i := len(p.steps) - 1; i >= 0; i-- {
+		st := &p.steps[i]
+		st.u, st.s = u, s
+		u, s = st.advance(u, s, st.cLeft)
 	}
-	return clampFrequency(s/(dn-now)*fmax, fmax)
+	p.total = s
+}
+
+// Frequency returns the frequency laEDF selects at now for the plan's views.
+func (p *LAEDFPlan) Frequency(now float64) float64 { return p.frequency(now, p.total) }
+
+// FrequencyAfter returns the frequency laEDF selects at now for the plan's
+// views with view k's RemainingWorstCase replaced by remaining. A k outside
+// the views selects Frequency(now).
+func (p *LAEDFPlan) FrequencyAfter(now float64, k int, remaining float64) float64 {
+	if k < 0 || k >= len(p.steps) || p.dn <= now {
+		return p.Frequency(now)
+	}
+	st := &p.steps[k]
+	u, s := st.advance(st.u, st.s, remaining/p.fmax)
+	for i := k - 1; i >= 0; i-- {
+		st := &p.steps[i]
+		u, s = st.advance(u, s, st.cLeft)
+	}
+	return p.frequency(now, s)
+}
+
+// frequency runs just fast enough to finish s seconds of work at fmax by the
+// earliest deadline: 0 without work, and fmax when that deadline is
+// (numerically) immediate.
+func (p *LAEDFPlan) frequency(now, s float64) float64 {
+	if len(p.steps) == 0 {
+		return 0
+	}
+	if p.dn <= now {
+		return p.fmax
+	}
+	return clampFrequency(s/(p.dn-now)*p.fmax, p.fmax)
 }

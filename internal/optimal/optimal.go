@@ -220,7 +220,6 @@ func GreedyOrder(g *taskgraph.Graph, prio priority.Function, params Params, esti
 			c := priority.Candidate{
 				GraphIndex:       0,
 				Node:             i,
-				Name:             g.Nodes[i].Name,
 				RemainingWCET:    g.Nodes[i].WCET,
 				EstimatedActual:  estimate(id),
 				AbsoluteDeadline: params.Deadline,

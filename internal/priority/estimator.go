@@ -10,6 +10,13 @@ import (
 // before it runs. The paper notes that the quality of the pUBS schedule
 // depends directly on the quality of this estimate and suggests keeping a
 // history of previous instances — which is what HistoryEstimator does.
+//
+// Estimate must depend only on its arguments and on the observations made
+// through Observe. The scheduler relies on this: it caches each node
+// instance's estimate and asks again only after it observes the same
+// (graphIndex, nodeID), so an estimator that also learns from elsewhere (a
+// clock, or an Observe from another simulation sharing it) would rank nodes
+// by stale estimates.
 type Estimator interface {
 	// Estimate returns the predicted actual cycles for the node identified by
 	// (graphIndex, nodeID) whose worst case is wcet cycles. The result is in

@@ -21,8 +21,6 @@ type Candidate struct {
 	GraphIndex int
 	// Node is the node's ID within its graph.
 	Node int
-	// Name is the node's human-readable name (may be empty).
-	Name string
 	// RemainingWCET is the worst-case cycles the node still needs (its full
 	// WCET unless it was preempted part-way).
 	RemainingWCET float64
@@ -49,7 +47,8 @@ type Context struct {
 	// select immediately after the candidate completed having consumed
 	// assumedCycles. It is used by pUBS to evaluate the slack-recovery
 	// benefit s_{o,k} of running the candidate next. May be nil, in which
-	// case pUBS falls back to a deadline-local speed estimate.
+	// case pUBS sees no speed reduction for any candidate and gives each its
+	// no-reduction value.
 	FrequencyAfter func(c Candidate, assumedCycles float64) float64
 	// Rand is the seeded random source used by the Random policy. May be nil
 	// for deterministic policies.
@@ -99,14 +98,6 @@ func (PUBS) Priority(c Candidate, ctx *Context) float64 {
 	sok := so
 	if ctx.FrequencyAfter != nil {
 		sok = ctx.FrequencyAfter(c, xk)
-	} else if ctx.FMax > 0 && c.AbsoluteDeadline > ctx.Now {
-		// Fallback: deadline-local rescaling estimate — the speed needed to
-		// finish the rest of the work after this candidate completes early.
-		saved := c.RemainingWCET - xk
-		sok = so - saved/(c.AbsoluteDeadline-ctx.Now)
-		if sok < 0 {
-			sok = 0
-		}
 	}
 	// Normalise speeds so the value does not depend on the frequency unit.
 	if ctx.FMax > 0 {

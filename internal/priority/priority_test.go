@@ -117,20 +117,22 @@ func ifElse(cond bool, a, b float64) float64 {
 	return b
 }
 
-func TestPUBSFallbackWithoutFrequencyAfter(t *testing.T) {
-	// Without a FrequencyAfter closure, pUBS falls back to a deadline-local
-	// estimate; a candidate expected to finish earlier (more slack recovered)
-	// must still be preferred.
-	ctx := &Context{
-		Now:              0,
-		CurrentFrequency: 0.8e9,
-		FMax:             1e9,
-	}
-	muchSlack := Candidate{Node: 0, RemainingWCET: 10e6, EstimatedActual: 2e6, AbsoluteDeadline: 0.1}
-	littleSlack := Candidate{Node: 1, RemainingWCET: 10e6, EstimatedActual: 9.8e6, AbsoluteDeadline: 0.1}
+func TestPUBSWithoutFrequencyAfterSeesNoReduction(t *testing.T) {
+	// Without a FrequencyAfter closure no candidate promises a speed
+	// reduction, so each gets the no-reduction value, as a closure returning
+	// the current frequency gives.
+	ctx := &Context{CurrentFrequency: 0.8e9, FMax: 1e9}
+	flat := &Context{CurrentFrequency: 0.8e9, FMax: 1e9,
+		FrequencyAfter: func(Candidate, float64) float64 { return 0.8e9 }}
 	p := NewPUBS()
-	if !(p.Priority(muchSlack, ctx) < p.Priority(littleSlack, ctx)) {
-		t.Fatal("fallback pUBS should prefer the candidate recovering more slack")
+	for _, c := range []Candidate{
+		{Node: 0, RemainingWCET: 10e6, EstimatedActual: 2e6, AbsoluteDeadline: 0.1},
+		{Node: 1, RemainingWCET: 10e6, EstimatedActual: 9.8e6, AbsoluteDeadline: 0.1},
+	} {
+		got := p.Priority(c, ctx)
+		if want := p.Priority(c, flat); got != want || got != 1e30 {
+			t.Fatalf("node %d without FrequencyAfter: %v, want the no-reduction value %v = 1e30", c.Node, got, want)
+		}
 	}
 }
 
