@@ -22,13 +22,15 @@
 // the files the equivalent local `cmd/experiments run -o` writes.
 //
 // Concurrent submissions of one spec coalesce onto a single in-flight
-// computation ("coalesced": true followers). With -cache-dir set, accepted
-// jobs are also journaled (journal.jsonl) and a restarted daemon resumes
-// accepted-but-unfinished work under the original job IDs. A full queue
-// answers 429 with a Retry-After estimate, and a job with more shards than
-// -queue units is 400; SIGINT/SIGTERM drains gracefully:
-// in-flight units finish (-drain-timeout bounds the wait), queued units stay
-// journaled for the next start.
+// computation ("coalesced": true followers). With -cache-dir set, the
+// directory holds the report cache's append-only pack (reports.pack, created
+// by the first finished job), the job journal (journal.jsonl) and the event
+// log (events.jsonl); run one daemon per directory. A restarted daemon
+// resumes accepted-but-unfinished work under the original job IDs. A full
+// queue answers 429 with a Retry-After estimate, and a job with more shards
+// than -queue units is 400; SIGINT/SIGTERM drains gracefully: in-flight
+// units finish (-drain-timeout bounds the wait), queued units stay journaled
+// for the next start.
 //
 // Both modes are the same job front end (internal/service): they differ
 // only in what runs the shard units. By default a local worker pool of

@@ -66,8 +66,8 @@ func TestDiskPersistence(t *testing.T) {
 	if err := c.Put("deadbeef", data); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := os.Stat(filepath.Join(dir, "deadbeef.json")); err != nil {
-		t.Fatalf("artifact file missing: %v", err)
+	if _, err := os.Stat(filepath.Join(dir, packName)); err != nil {
+		t.Fatalf("pack missing: %v", err)
 	}
 	// A fresh cache over the same directory serves the artifact from disk.
 	c2, err := New(dir, 4)

@@ -21,7 +21,7 @@ import (
 func TestDedupAdmissionAllocs(t *testing.T) {
 	const (
 		cachedBudget    = 36 // measured 33
-		coalescedBudget = 44 // measured 40
+		coalescedBudget = 44 // measured 36
 	)
 	req := service.JobRequest{Experiment: "table2", Spec: service.SpecRequest{Quick: true, Battery: "kibam", Sets: 1}}
 	check := func(name string, budget float64, admit func()) {

@@ -418,7 +418,8 @@ func TestShardCountAboveQueueBound(t *testing.T) {
 
 // TestCacheWriteErrorSurfaced pins the swallowed-error fix: when the report
 // cache cannot persist an artifact, the job still completes from memory and
-// Health counts the failure.
+// Health counts the failure. The memory tier keeps the artifact, so a
+// resubmission is still answered from the cache.
 func TestCacheWriteErrorSurfaced(t *testing.T) {
 	dir := t.TempDir()
 	srv, err := service.New(service.Config{Workers: 1, CacheDir: dir})
@@ -439,11 +440,23 @@ func TestCacheWriteErrorSurfaced(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitState(t, srv, st.ID, service.StateDone)
-	if _, err := srv.Artifact(st.ID); err != nil {
+	first, err := srv.Artifact(st.ID)
+	if err != nil {
 		t.Fatalf("job with failed cache write lost its artifact: %v", err)
 	}
 	if h := srv.Health(); h.CacheWriteErrors < 1 {
 		t.Fatalf("Health.CacheWriteErrors = %d, want >= 1", h.CacheWriteErrors)
+	}
+
+	again, err := srv.Submit(service.JobRequest{Experiment: "table2", Spec: service.SpecRequest{Quick: true, Battery: "kibam"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !again.Cached {
+		t.Fatalf("resubmission after a failed cache write = %+v, want cached", again)
+	}
+	if got, err := srv.Artifact(again.ID); err != nil || !bytes.Equal(got, first) {
+		t.Fatalf("cached resubmission's artifact differs from the first (%d vs %d bytes, %v)", len(got), len(first), err)
 	}
 }
 

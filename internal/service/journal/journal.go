@@ -269,14 +269,17 @@ func (j *Journal) Close() error {
 }
 
 // liveInOrder returns the live records in admission order, leases attached
-// (sorted by unit for determinism).
+// (sorted by unit for determinism). An ID accepted again after its done
+// record appears twice in j.order; it is returned once, at its first place.
 func (j *Journal) liveInOrder() []Accept {
 	var out []Accept
+	seen := make(map[string]bool, len(j.live))
 	for _, id := range j.order {
 		rec, ok := j.live[id]
-		if !ok {
+		if !ok || seen[id] {
 			continue
 		}
+		seen[id] = true
 		rec.Leases = j.jobLeases(id)
 		out = append(out, rec)
 	}

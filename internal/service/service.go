@@ -248,6 +248,7 @@ func NewWithExecutor(cfg Config, ex Executor) (*Server, error) {
 	if cfg.CacheDir != "" {
 		jr, backlog, err = journal.Open(filepath.Join(cfg.CacheDir, "journal.jsonl"), cfg.JournalFsync)
 		if err != nil {
+			c.Close()
 			return nil, err
 		}
 	}
@@ -363,6 +364,9 @@ func (s *Server) doShutdown(ctx context.Context) {
 			log.Printf("service: closing job journal: %v", err)
 		}
 		s.journal = nil
+	}
+	if err := s.cache.Close(); err != nil {
+		log.Printf("service: closing report cache: %v", err)
 	}
 	s.mu.Unlock()
 	if err := s.events.Close(); err != nil {
@@ -580,9 +584,10 @@ func (s *Server) cacheGetLocked(j *job, hash string) ([]byte, bool) {
 }
 
 // cachePutLocked stores one artifact. A cache write failure (disk full,
-// permissions) must not fail the job: the artifact is already in memory;
-// only future resubmissions lose the shortcut. It is counted in Health and
-// logged once per distinct error. Callers hold s.mu.
+// permissions) must not fail the job: the cache keeps the artifact in its
+// memory tier, so resubmissions are still answered from it while it stays
+// resident; only a restart or an eviction loses it. The failure is counted
+// in Health and logged once per distinct error. Callers hold s.mu.
 func (s *Server) cachePutLocked(hash string, artifact []byte) {
 	if err := s.cache.Put(hash, artifact); err != nil {
 		s.met.cacheWriteErr.Inc()
