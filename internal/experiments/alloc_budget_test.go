@@ -12,13 +12,14 @@ import (
 	"battsched/internal/obs"
 )
 
-// TestDriverAllocBudgets budgets the allocations of the quick table2 and
-// grid drivers on KiBaM, run through Run on one worker, and pins the compute
-// work of each run exactly: its engine runs and battery simulations, read
-// from the process-wide obs.Sim counters, so this test must not run in
-// parallel with another. The budgets catch a driver that stops sharing its
-// engine, recorder, execution realisation or task system across the schemes
-// of a set; an allocation count does not move with runner speed. Each budget
+// TestDriverAllocBudgets budgets the allocations of the four quick per-set
+// drivers (table2 and grid on KiBaM; figure6 and the ablation evaluate no
+// battery), run through Run on one worker, and pins the compute work of each
+// run exactly: its engine runs and battery simulations, read from the
+// process-wide obs.Sim counters, so this test must not run in parallel with
+// another. The budgets catch a driver that stops sharing its engine,
+// recorder, execution realisation or task system across the schemes of a
+// set; an allocation count does not move with runner speed. Each budget
 // was set at floor(1.10 × the count first measured with Go 1.24.0 on
 // linux/amd64), and the count measured now sits beside it.
 func TestDriverAllocBudgets(t *testing.T) {
@@ -31,6 +32,10 @@ func TestDriverAllocBudgets(t *testing.T) {
 		{"table2", 2085, obs.SimSnapshot{EngineRuns: 20, BatteryAnalytic: 20, BatteryBatches: 20}}, // measured 1901
 		// 1 utilisation × 3 sets × 2 schemes, one battery each.
 		{"grid", 995, obs.SimSnapshot{EngineRuns: 6, BatteryAnalytic: 6, BatteryBatches: 6}}, // measured 909
+		// 3 graph counts × 3 sets × (baseline + 4 schemes), no batteries.
+		{"figure6", 3518, obs.SimSnapshot{EngineRuns: 45}}, // measured 3199
+		// 4 sets × (baseline + 3 estimators), no batteries.
+		{"ablation", 1381, obs.SimSnapshot{EngineRuns: 16}}, // measured 1256
 	} {
 		spec := Spec{Quick: true, Battery: "kibam", RunOptions: RunOptions{Parallel: 1}}
 		run := func() {

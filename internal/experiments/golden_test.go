@@ -130,6 +130,37 @@ func TestGoldenScenarioGrid(t *testing.T) {
 	checkGolden(t, "grid_quick", b.String())
 }
 
+// TestGoldenWiderReports pins, through Run, the configurations the quick
+// goldens do not reach: Table 2 with oracle estimates, Table 2 over two set
+// chunks on a third battery model, Figure 6 on ccEDF, the grid's default
+// three utilisations × two batteries × five schemes with oracle estimates,
+// and the ablation at a second utilisation. The artifact encoding keeps every
+// per-set sample, so each is pinned to the bit.
+func TestGoldenWiderReports(t *testing.T) {
+	var reports []*Report
+	for _, tc := range []struct {
+		name string
+		spec Spec
+	}{
+		{"table2", Spec{Quick: true, Battery: "kibam", Oracle: true}},
+		{"table2", Spec{Quick: true, Battery: "diffusion", Sets: 6, Utilization: 0.9}},
+		{"figure6", Spec{Quick: true, CCEDF: true}},
+		{"grid", Spec{Sets: 2, Oracle: true}},
+		{"ablation", Spec{Sets: 3, Utilization: 0.9}},
+	} {
+		rep, err := Run(context.Background(), tc.name, tc.spec)
+		if err != nil {
+			t.Fatalf("%s %+v: %v", tc.name, tc.spec, err)
+		}
+		reports = append(reports, rep)
+	}
+	var b strings.Builder
+	if err := WriteArtifact(&b, reports); err != nil {
+		t.Fatal(err)
+	}
+	checkGolden(t, "wider_reports", b.String())
+}
+
 // TestGoldenCurve pins the quick battery characterisation curve output (the
 // deterministic sweep; no stochastic sets).
 func TestGoldenCurve(t *testing.T) {
