@@ -10,8 +10,6 @@ import (
 	"battsched/internal/dvs"
 	"battsched/internal/priority"
 	"battsched/internal/runner"
-	"battsched/internal/taskgraph"
-	"battsched/internal/tgff"
 )
 
 // EstimateAblationConfig parameterises the estimate-quality ablation: the
@@ -55,13 +53,6 @@ type EstimateAblationRow struct {
 	EnergyVsRandom float64
 	// Samples is the number of task-graph sets averaged.
 	Samples int
-}
-
-// ablationSample is the result of one per-set job: the estimator variants'
-// energies (in variant order) normalised by the random-ordering baseline.
-type ablationSample struct {
-	normalised []float64
-	ok         bool
 }
 
 func init() {
@@ -108,89 +99,31 @@ func runEstimateAblationReport(ctx context.Context, cfg EstimateAblationConfig) 
 	}
 	proc := defaultProcessor()
 
-	type variant struct {
-		name      string
-		oracle    bool
-		estimator func() priority.Estimator
+	// The random-ordering baseline, then BAS-2 with each estimator.
+	ccEDF := func() dvs.Algorithm { return dvs.NewCCEDF() }
+	pubs := func() priority.Function { return priority.NewPUBS() }
+	schemes := []scheme{
+		{name: "random", prio: func() priority.Function { return priority.NewRandom() }},
+		{name: "oracle (exact actuals)", prio: pubs, oracle: true},
+		{name: "history (EWMA of past instances)", prio: pubs, estimator: func() priority.Estimator { return priority.NewHistoryEstimator(0.5) }},
+		{name: "pessimistic (X_k = WCET)", prio: pubs, estimator: func() priority.Estimator { return priority.OracleEstimator{Fraction: 1} }},
 	}
-	variants := []variant{
-		{"oracle (exact actuals)", true, nil},
-		{"history (EWMA of past instances)", false, func() priority.Estimator { return priority.NewHistoryEstimator(0.5) }},
-		{"pessimistic (X_k = WCET)", false, func() priority.Estimator { return priority.OracleEstimator{Fraction: 1} }},
-	}
-
-	// Each job shares one reused engine and one execution realisation across
-	// the baseline and every estimator variant: the baseline records the
-	// draws and the variants replay them (the engine's draw order does not
-	// depend on the priority function or estimator), exactly the values the
-	// previous per-run models seeded with the shared seed drew.
-	job := func(set int) (ablationSample, error) {
-		seed := runner.SeedFor(cfg.Seed, int64(set))
-		rng := runner.RNG(cfg.Seed, int64(set))
-		sys, err := tgff.GenerateSystem(tgff.DefaultConfig(), cfg.GraphsPerSet, cfg.Utilization, proc.FMax(), rng)
-		if err != nil {
-			return ablationSample{}, err
-		}
-		eng := core.NewEngine()
-		exec := taskgraph.NewRecordedExecution(taskgraph.NewUniformExecution(0.2, 1.0, seed))
-		runOne := func(prio priority.Function, oracle bool, est priority.Estimator) (*core.Result, error) {
-			if err := eng.Reset(core.Config{
-				System:          sys,
-				Processor:       proc,
-				DVS:             dvs.NewCCEDF(),
-				Priority:        prio,
-				ReadyPolicy:     core.AllReleased,
-				FrequencyMode:   core.ContinuousFrequency,
-				OracleEstimates: oracle,
-				Estimator:       est,
-				Execution:       exec,
-				Hyperperiods:    cfg.Hyperperiods,
-				Seed:            seed,
-				// Only energies are compared; skip profile/trace recording.
-				Observer: core.Discard,
-			}); err != nil {
-				return nil, err
-			}
-			return eng.Run()
-		}
-		baseline, err := runOne(priority.NewRandom(), false, nil)
-		if err != nil {
-			return ablationSample{}, err
-		}
-		if baseline.EnergyBattery <= 0 {
-			return ablationSample{}, nil
-		}
-		sample := ablationSample{normalised: make([]float64, len(variants)), ok: true}
-		for i, v := range variants {
-			var est priority.Estimator
-			if v.estimator != nil {
-				est = v.estimator()
-			}
-			exec.Replay()
-			res, err := runOne(priority.NewPUBS(), v.oracle, est)
-			if err != nil {
-				return ablationSample{}, err
-			}
-			if res.DeadlineMisses > 0 {
-				return ablationSample{}, fmt.Errorf("experiments: ablation variant %q missed %d deadlines", v.name, res.DeadlineMisses)
-			}
-			sample.normalised[i] = res.EnergyBattery / baseline.EnergyBattery
-		}
-		return sample, nil
+	for i := range schemes {
+		schemes[i].alg, schemes[i].policy, schemes[i].mode = ccEDF, core.AllReleased, core.ContinuousFrequency
 	}
 
-	accs := make([]metricAcc, len(variants))
+	accs := make([]metricAcc, len(schemes)-1)
 	_, err := runAdaptiveSets(cfg.RunOptions, cfg.Sets, func(lo, hi int) error {
-		return runner.RunStream(ctx, hi-lo, cfg.runnerOptions(), func(_ context.Context, i int) (ablationSample, error) {
-			return job(lo + i) // absolute set index: seeds are batch- and shard-independent
-		}, func(i int, sample ablationSample) error {
-			if !sample.ok {
-				return nil
+		return runner.RunStream(ctx, hi-lo, cfg.runnerOptions(), func(_ context.Context, i int) (energySample, error) {
+			// The set index is absolute, so seeds are batch- and
+			// shard-independent.
+			ev := newEvaluator(proc, cfg.Hyperperiods, 0)
+			if err := ev.generate(runner.SeedFor(cfg.Seed, int64(lo+i)), cfg.GraphsPerSet, cfg.Utilization); err != nil {
+				return energySample{}, err
 			}
-			set := lo + i
-			for vi, v := range sample.normalised {
-				accs[vi].Add(set, v)
-			}
+			return ev.normalisedEnergies("ablation variant", schemes)
+		}, func(i int, sample energySample) error {
+			sample.add(accs, lo+i)
 			return nil
 		})
 	}, func() bool {
@@ -221,9 +154,9 @@ func runEstimateAblationReport(ctx context.Context, cfg EstimateAblationConfig) 
 		},
 		Shard: shardInfo(cfg.Shard),
 	}
-	for i, v := range variants {
+	for i, s := range schemes[1:] {
 		rep.Rows = append(rep.Rows, ReportRow{
-			Key:   v.name,
+			Key:   s.name,
 			Cells: map[string]Cell{"energy_vs_random": accs[i].Cell()},
 		})
 	}

@@ -109,7 +109,6 @@ func TestRunFigure6Validation(t *testing.T) {
 
 func TestRunTable2Quick(t *testing.T) {
 	cfg := QuickTable2Config()
-	cfg.Battery = nil
 	cfg.BatteryName = "kibam"
 	rows, err := RunTable2(context.Background(), cfg)
 	if err != nil {
@@ -278,7 +277,6 @@ func TestTable2ParallelDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.Battery = nil // force the factory to be re-resolved in a fresh config
 	cfg.Parallel = 8
 	par, err := RunTable2(context.Background(), cfg)
 	if err != nil {

@@ -8,10 +8,7 @@ import (
 	"battsched/internal/core"
 	"battsched/internal/dvs"
 	"battsched/internal/priority"
-	"battsched/internal/processor"
 	"battsched/internal/runner"
-	"battsched/internal/taskgraph"
-	"battsched/internal/tgff"
 )
 
 // Figure6Config parameterises the Figure 6 experiment: energy consumption of
@@ -30,12 +27,6 @@ type Figure6Config struct {
 	// its frequency responds immediately to recovered slack; see
 	// EXPERIMENTS.md).
 	UseCCEDF bool
-	// OracleEstimates feeds the pUBS priority the true actual requirements
-	// instead of history-based estimates. The paper notes that pUBS is near
-	// optimal with accurate estimates and degrades toward a random order with
-	// bad ones; the default (true) reproduces the accurate-estimate regime of
-	// the paper's figure.
-	OracleEstimates bool
 	// Hyperperiods simulated per set.
 	Hyperperiods int
 	// Seed makes the experiment reproducible.
@@ -48,12 +39,11 @@ type Figure6Config struct {
 // setting, utilisation 0.7, graphs with 5–15 nodes).
 func DefaultFigure6Config() Figure6Config {
 	return Figure6Config{
-		GraphCounts:     []int{1, 2, 3, 4, 5, 6, 7, 8},
-		SetsPerCount:    10,
-		Utilization:     0.7,
-		OracleEstimates: true,
-		Hyperperiods:    2,
-		Seed:            1,
+		GraphCounts:  []int{1, 2, 3, 4, 5, 6, 7, 8},
+		SetsPerCount: 10,
+		Utilization:  0.7,
+		Hyperperiods: 2,
+		Seed:         1,
 	}
 }
 
@@ -62,7 +52,6 @@ func QuickFigure6Config() Figure6Config {
 	c := DefaultFigure6Config()
 	c.GraphCounts = []int{1, 3, 5}
 	c.SetsPerCount = 3
-	c.OracleEstimates = true
 	return c
 }
 
@@ -78,71 +67,30 @@ type Figure6Row struct {
 	Samples         int
 }
 
-// figure6Schemes are the ordering schemes of Figure 6 in column order.
-type figure6Scheme struct {
-	name   string
-	prio   func() priority.Function
-	policy core.ReadyPolicy
-}
-
-func figure6Schemes() []figure6Scheme {
+// figure6Schemes returns the near-optimal baseline and then the ordering
+// schemes of Figure 6 in column order, all with alg setting the frequency of
+// the idealised continuous-frequency processor (the figure compares energies
+// only). Every scheme feeds pUBS the true actual requirements: the paper
+// notes that pUBS is near optimal with accurate estimates and degrades toward
+// a random order with bad ones, and its figure shows the accurate-estimate
+// regime.
+func figure6Schemes(alg func() dvs.Algorithm) []scheme {
 	random := func() priority.Function { return priority.NewRandom() }
 	ltf := func() priority.Function { return priority.NewLTF() }
 	pubs := func() priority.Function { return priority.NewPUBS() }
-	return []figure6Scheme{
-		{"random", random, core.MostImminentOnly},
-		{"ltf", ltf, core.MostImminentOnly},
-		{"pubs-imminent", pubs, core.MostImminentOnly},
-		{"pubs-all", pubs, core.AllReleased},
+	schemes := []scheme{
+		// The baseline schedules the same workload with precedence removed,
+		// by pUBS over all released graphs.
+		{name: "baseline", prio: pubs, policy: core.AllReleased, stripPrecedence: true},
+		{name: "random", prio: random, policy: core.MostImminentOnly},
+		{name: "ltf", prio: ltf, policy: core.MostImminentOnly},
+		{name: "pubs-imminent", prio: pubs, policy: core.MostImminentOnly},
+		{name: "pubs-all", prio: pubs, policy: core.AllReleased},
 	}
-}
-
-// figure6Sample is the result of one (graph count, set) job: the energies of
-// the ordering schemes (indexed like figure6Schemes) normalised by the
-// precedence-free near-optimal baseline of the same workload.
-type figure6Sample struct {
-	normalised []float64
-	ok         bool
-}
-
-// figure6Job simulates the near-optimal baseline and every ordering scheme on
-// the workload of one (graph count, set) cell. All five runs share one reused
-// engine and one execution realisation: the baseline records the draws (the
-// precedence-stripped system has identical node counts, WCETs and periods, so
-// its draw order matches the constrained runs) and the ordering schemes
-// replay them — exactly the values a fresh per-run model seeded with the
-// shared seed would draw.
-func figure6Job(cfg Figure6Config, proc *processor.Model, alg func() dvs.Algorithm, schemes []figure6Scheme, count, set int) (figure6Sample, error) {
-	seed := runner.SeedFor(cfg.Seed, int64(count), int64(set))
-	rng := runner.RNG(cfg.Seed, int64(count), int64(set))
-	sys, err := tgff.GenerateSystem(tgff.DefaultConfig(), count, cfg.Utilization, proc.FMax(), rng)
-	if err != nil {
-		return figure6Sample{}, err
+	for i := range schemes {
+		schemes[i].alg, schemes[i].mode, schemes[i].oracle = alg, core.ContinuousFrequency, true
 	}
-	eng := core.NewEngine()
-	exec := taskgraph.NewRecordedExecution(taskgraph.NewUniformExecution(0.2, 1.0, seed))
-	// Near-optimal baseline: same workload with precedence removed,
-	// scheduled with pUBS over all released graphs and oracle estimates.
-	baseline, err := runScheme(eng, sys, proc, alg(), priority.NewPUBS(), core.AllReleased, true, true, cfg, exec, seed, true)
-	if err != nil {
-		return figure6Sample{}, err
-	}
-	if baseline.EnergyBattery <= 0 {
-		return figure6Sample{}, nil
-	}
-	sample := figure6Sample{normalised: make([]float64, len(schemes)), ok: true}
-	for i, s := range schemes {
-		exec.Replay()
-		res, err := runScheme(eng, sys, proc, alg(), s.prio(), s.policy, false, cfg.OracleEstimates, cfg, exec, seed, true)
-		if err != nil {
-			return figure6Sample{}, err
-		}
-		if res.DeadlineMisses > 0 {
-			return figure6Sample{}, fmt.Errorf("experiments: figure 6 scheme %s missed %d deadlines", s.name, res.DeadlineMisses)
-		}
-		sample.normalised[i] = res.EnergyBattery / baseline.EnergyBattery
-	}
-	return sample, nil
+	return schemes
 }
 
 func init() {
@@ -193,28 +141,27 @@ func runFigure6Report(ctx context.Context, cfg Figure6Config) (*Report, error) {
 		}
 		return dvs.NewLAEDF()
 	}
-	schemes := figure6Schemes()
+	schemes := figure6Schemes(alg)
 
 	accs := make([][]metricAcc, len(cfg.GraphCounts))
 	for i := range accs {
-		accs[i] = make([]metricAcc, len(schemes))
+		accs[i] = make([]metricAcc, len(schemes)-1)
 	}
 	_, err := runAdaptiveSets(cfg.RunOptions, cfg.SetsPerCount, func(lo, hi int) error {
 		grid := runner.NewGrid(len(cfg.GraphCounts), hi-lo)
-		return runner.RunStream(ctx, grid.Size(), cfg.runnerOptions(), func(_ context.Context, idx int) (figure6Sample, error) {
+		return runner.RunStream(ctx, grid.Size(), cfg.runnerOptions(), func(_ context.Context, idx int) (energySample, error) {
 			c := grid.Coords(idx)
 			// The set index is absolute (lo+c[1]), so a sample's random
 			// stream does not depend on the batch layout or the shard.
-			return figure6Job(cfg, proc, alg, schemes, cfg.GraphCounts[c[0]], lo+c[1])
-		}, func(idx int, sample figure6Sample) error {
-			if !sample.ok {
-				return nil
+			count, set := cfg.GraphCounts[c[0]], lo+c[1]
+			ev := newEvaluator(proc, cfg.Hyperperiods, 0)
+			if err := ev.generate(runner.SeedFor(cfg.Seed, int64(count), int64(set)), count, cfg.Utilization); err != nil {
+				return energySample{}, err
 			}
+			return ev.normalisedEnergies("figure 6 scheme", schemes)
+		}, func(idx int, sample energySample) error {
 			c := grid.Coords(idx)
-			set := lo + c[1]
-			for i, v := range sample.normalised {
-				accs[c[0]][i].Add(set, v)
-			}
+			sample.add(accs[c[0]], lo+c[1])
 			return nil
 		})
 	}, func() bool {
@@ -243,7 +190,7 @@ func runFigure6Report(ctx context.Context, cfg Figure6Config) (*Report, error) {
 			"sets_per_count": strconv.Itoa(cfg.SetsPerCount),
 			"utilization":    formatFloat(cfg.Utilization),
 			"alg":            alg6,
-			"oracle":         strconv.FormatBool(cfg.OracleEstimates),
+			"oracle":         "true", // see figure6Schemes
 			"hyperperiods":   strconv.Itoa(cfg.Hyperperiods),
 			// Adaptive-stopping knobs: shards run with different settings
 			// cover different sets and must refuse to merge.
@@ -291,40 +238,4 @@ func RunFigure6(ctx context.Context, cfg Figure6Config) ([]Figure6Row, error) {
 		return nil, err
 	}
 	return figure6RowsFromReport(rep), nil
-}
-
-// runScheme runs one simulation of the given workload under the given scheme
-// on the job's reused engine. stripPrecedence replaces the system with its
-// precedence-free version (the near-optimal baseline of Figure 6). oracle
-// feeds pUBS the true actual requirements. continuous selects the idealised
-// continuous-frequency processor used for energy-only comparisons. exec is
-// the job-shared execution model (a RecordedExecution whose record/replay
-// state the caller controls).
-func runScheme(eng *core.Engine, sys *taskgraph.System, proc *processor.Model, alg dvs.Algorithm, prio priority.Function, policy core.ReadyPolicy,
-	stripPrecedence, oracle bool, cfg Figure6Config, exec taskgraph.ExecutionModel, seed int64, continuous bool) (*core.Result, error) {
-	if stripPrecedence {
-		sys = tgff.StripPrecedence(sys)
-	}
-	mode := core.DiscreteFrequency
-	if continuous {
-		mode = core.ContinuousFrequency
-	}
-	if err := eng.Reset(core.Config{
-		System:          sys,
-		Processor:       proc,
-		DVS:             alg,
-		Priority:        prio,
-		ReadyPolicy:     policy,
-		FrequencyMode:   mode,
-		OracleEstimates: oracle,
-		Execution:       exec,
-		Hyperperiods:    cfg.Hyperperiods,
-		Seed:            seed,
-		// The figure only compares energies, which the engine accumulates
-		// itself: no profile or trace recording is needed.
-		Observer: core.Discard,
-	}); err != nil {
-		return nil, err
-	}
-	return eng.Run()
 }

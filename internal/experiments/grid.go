@@ -6,12 +6,8 @@ import (
 	"strconv"
 	"strings"
 
-	"battsched/internal/battery"
-	"battsched/internal/core"
 	"battsched/internal/runner"
 	"battsched/internal/stats"
-	"battsched/internal/taskgraph"
-	"battsched/internal/tgff"
 )
 
 // ScenarioGridConfig parameterises the scenario-grid sweep: the cross product
@@ -107,13 +103,14 @@ type scenarioPartial struct {
 }
 
 // schemesByName resolves scheme names against the paper's Table 2 schemes;
-// empty names selects all of them.
-func schemesByName(names []string) ([]table2Scheme, error) {
-	all := paperSchemes()
+// empty names selects all of them. oracle feeds pUBS the true actual
+// requirements.
+func schemesByName(names []string, oracle bool) ([]paperScheme, error) {
+	all := paperSchemes(oracle)
 	if len(names) == 0 {
 		return all, nil
 	}
-	out := make([]table2Scheme, 0, len(names))
+	out := make([]paperScheme, 0, len(names))
 	for _, name := range names {
 		found := false
 		for _, s := range all {
@@ -205,7 +202,7 @@ func runScenarioGridReport(ctx context.Context, cfg ScenarioGridConfig) (*Report
 	if len(cfg.Batteries) == 0 {
 		cfg.Batteries = []string{"stochastic"}
 	}
-	schemes, err := schemesByName(cfg.Schemes)
+	schemes, err := schemesByName(cfg.Schemes, cfg.OracleEstimates)
 	if err != nil {
 		return nil, err
 	}
@@ -216,14 +213,13 @@ func runScenarioGridReport(ctx context.Context, cfg ScenarioGridConfig) (*Report
 	proc := defaultProcessor()
 
 	// chunkJob simulates sets [setLo, setHi) of one utilisation point across
-	// every scheme and returns mergeable accumulators. Each task set is
-	// generated once; scheme 0 records the execution realisation (the draw
-	// order is scheme-independent, see taskgraph.RecordedExecution) and the
-	// remaining schemes replay it on the same reused engine, so the per-cell
-	// numbers are bit-identical to scheduling each (scheme, set) from scratch
-	// with the shared workload seed.
+	// every scheme on one evaluator and returns mergeable accumulators. The
+	// evaluator generates each task set once and evaluates every battery
+	// model against each scheme's load profile (the profile does not depend
+	// on the battery), so the per-cell numbers are bit-identical to
+	// scheduling each (scheme, set) from scratch with the shared workload
+	// seed.
 	chunkJob := func(ui, setLo, setHi int) (scenarioPartial, error) {
-		util := cfg.Utilizations[ui]
 		part := scenarioPartial{
 			charge: make([][]stats.Accumulator, len(schemes)),
 			life:   make([][]stats.Accumulator, len(schemes)),
@@ -233,66 +229,19 @@ func runScenarioGridReport(ctx context.Context, cfg ScenarioGridConfig) (*Report
 			part.charge[si] = make([]stats.Accumulator, len(factories))
 			part.life[si] = make([]stats.Accumulator, len(factories))
 		}
-		// One model instance per battery for the whole chunk: every
-		// simulation Resets its models, so the instances are reused across
-		// sets instead of reallocated per (set, battery) evaluation. The
-		// engine, profile recorder and execution model are likewise reused
-		// across every (set, scheme) run of the chunk.
-		models := make([]battery.Model, len(factories))
-		for bi, factory := range factories {
-			models[bi] = factory()
-		}
-		eng := core.NewEngine()
-		rec := core.NewProfileRecorder()
-		uni := taskgraph.NewUniformExecution(0.2, 1.0, 0)
-		exec := taskgraph.NewRecordedExecution(uni)
+		ev := newEvaluator(proc, cfg.Hyperperiods, cfg.MaxBatteryHours, factories...)
 		for set := setLo; set < setHi; set++ {
 			// The workload seed is shared by every (battery, scheme) cell of
 			// this utilisation point so cells stay comparable.
-			seed := runner.SeedFor(cfg.Seed, int64(ui), int64(set))
-			sys, err := tgff.GenerateSystem(tgff.DefaultConfig(), cfg.GraphsPerSet, util, proc.FMax(), runner.RNG(cfg.Seed, int64(ui), int64(set)))
-			if err != nil {
+			if err := ev.generate(runner.SeedFor(cfg.Seed, int64(ui), int64(set)), cfg.GraphsPerSet, cfg.Utilizations[ui]); err != nil {
 				return scenarioPartial{}, err
 			}
-			uni.Reseed(seed)
-			exec.Restart(uni)
-			for si, scheme := range schemes {
-				if si > 0 {
-					exec.Replay()
-				}
-				rec.Reset()
-				if err := eng.Reset(core.Config{
-					System:          sys,
-					Processor:       proc,
-					DVS:             scheme.alg(),
-					Priority:        scheme.prio(),
-					ReadyPolicy:     scheme.policy,
-					FrequencyMode:   core.DiscreteFrequency,
-					OracleEstimates: cfg.OracleEstimates,
-					Execution:       exec,
-					Hyperperiods:    cfg.Hyperperiods,
-					Seed:            seed,
-					// The battery models need only the load profile; the trace
-					// is never recorded.
-					Observer: rec,
-				}); err != nil {
-					return scenarioPartial{}, err
-				}
-				res, err := eng.Run()
+			for si, s := range schemes {
+				res, brs, err := ev.run(s.scheme)
 				if err != nil {
 					return scenarioPartial{}, err
 				}
 				part.misses[si] += res.DeadlineMisses
-				// The load profile is battery-independent; one batch call on
-				// it evaluates the whole battery axis (zero MaxStep selects
-				// each model's analytic fast path) instead of re-scheduling
-				// per model.
-				brs, err := battery.SimulateBatch(models, res.Profile, battery.SimulateOptions{
-					MaxTime: cfg.MaxBatteryHours * 3600,
-				})
-				if err != nil {
-					return scenarioPartial{}, err
-				}
 				for bi, br := range brs {
 					part.charge[si][bi].Add(br.DeliveredMAh())
 					part.life[si][bi].Add(br.LifetimeMinutes())
@@ -386,12 +335,12 @@ func runScenarioGridReport(ctx context.Context, cfg ScenarioGridConfig) (*Report
 	}
 	for ui, util := range cfg.Utilizations {
 		for bi, bat := range cfg.Batteries {
-			for si, scheme := range schemes {
+			for si, s := range schemes {
 				a := &aggs[ui][si][bi]
 				u := formatFloat(util)
 				rep.Rows = append(rep.Rows, ReportRow{
-					Key:    u + "|" + bat + "|" + scheme.name,
-					Labels: map[string]string{"utilization": u, "battery": bat, "scheme": scheme.name},
+					Key:    u + "|" + bat + "|" + s.name,
+					Labels: map[string]string{"utilization": u, "battery": bat, "scheme": s.name},
 					Cells: map[string]Cell{
 						"charge_mah": stateCell(&a.charge),
 						"life_min":   stateCell(&a.life),

@@ -2,55 +2,36 @@ package experiments
 
 import (
 	"math"
-	"math/rand"
 	"testing"
 
 	"battsched/internal/battery"
-	"battsched/internal/core"
 	"battsched/internal/profile"
 	"battsched/internal/runner"
-	"battsched/internal/taskgraph"
-	"battsched/internal/tgff"
 )
 
 // quickTable2Profiles records the load profile of every (set, scheme) run of
 // the quick Table 2 configuration, scheduled as table2ChunkJob schedules
-// them.
+// them. The evaluator reuses its recorder, so each profile is cloned before
+// the next run.
 func quickTable2Profiles(t *testing.T) []*profile.Profile {
 	t.Helper()
 	cfg := QuickTable2Config()
-	proc := defaultProcessor()
-	uni := taskgraph.NewUniformExecution(0.2, 1.0, 0)
-	exec := taskgraph.NewRecordedExecution(uni)
+	factory, err := NamedBatteryFactory("kibam")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ev := newEvaluator(defaultProcessor(), cfg.Hyperperiods, cfg.MaxBatteryHours, factory)
 	var out []*profile.Profile
 	for set := 0; set < cfg.Sets; set++ {
-		setSeed := runner.SeedFor(cfg.Seed, int64(set))
-		sys, err := tgff.GenerateSystem(tgff.DefaultConfig(), cfg.GraphsPerSet, cfg.Utilization, proc.FMax(), rand.New(rand.NewSource(setSeed)))
-		if err != nil {
+		if err := ev.generate(runner.SeedFor(cfg.Seed, int64(set)), cfg.GraphsPerSet, cfg.Utilization); err != nil {
 			t.Fatal(err)
 		}
-		uni.Reseed(setSeed)
-		exec.Restart(uni)
-		for i, s := range paperSchemes() {
-			if i > 0 {
-				exec.Replay()
-			}
-			res, err := core.Run(core.Config{
-				System:        sys,
-				Processor:     proc,
-				DVS:           s.alg(),
-				Priority:      s.prio(),
-				ReadyPolicy:   s.policy,
-				FrequencyMode: core.DiscreteFrequency,
-				Execution:     exec,
-				Hyperperiods:  cfg.Hyperperiods,
-				Seed:          setSeed,
-				Observer:      core.NewProfileRecorder(),
-			})
+		for _, s := range paperSchemes(false) {
+			res, _, err := ev.run(s.scheme)
 			if err != nil {
 				t.Fatal(err)
 			}
-			out = append(out, res.Profile)
+			out = append(out, res.Profile.Clone())
 		}
 	}
 	return out

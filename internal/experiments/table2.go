@@ -3,7 +3,6 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"math/rand"
 	"strconv"
 
 	"battsched/internal/battery"
@@ -12,8 +11,6 @@ import (
 	"battsched/internal/priority"
 	"battsched/internal/processor"
 	"battsched/internal/runner"
-	"battsched/internal/taskgraph"
-	"battsched/internal/tgff"
 
 	// The battery model sub-packages self-register with the battery registry
 	// from their init functions; blank imports make every paper model
@@ -80,9 +77,6 @@ type Table2Config struct {
 	Utilization float64
 	// Hyperperiods simulated per set to build the periodic load profile.
 	Hyperperiods int
-	// Battery produces the battery model evaluated (default: the model
-	// registered under BatteryName).
-	Battery BatteryFactory
 	// BatteryName is the registry name of the battery model ("" selects the
 	// paper's stochastic model) and the label reported for it.
 	BatteryName string
@@ -143,30 +137,32 @@ type Table2Row struct {
 	Sets int
 }
 
-// table2Scheme is one scheduling scheme of Table 2.
-type table2Scheme struct {
-	name      string
-	dvsName   string
-	prioName  string
-	readyList string
-	alg       func() dvs.Algorithm
-	prio      func() priority.Function
-	policy    core.ReadyPolicy
+// paperScheme is one scheme of Table 2 with the paper's column labels.
+type paperScheme struct {
+	scheme
+	dvsName, prioName, readyList string
 }
 
-func paperSchemes() []table2Scheme {
+// paperSchemes returns the five schemes of Table 2 in row order, scheduling
+// on the discrete-frequency processor; oracle feeds pUBS the true actual
+// requirements.
+func paperSchemes(oracle bool) []paperScheme {
 	noDVS := func() dvs.Algorithm { return dvs.NewNoDVS() }
 	ccEDF := func() dvs.Algorithm { return dvs.NewCCEDF() }
 	laEDF := func() dvs.Algorithm { return dvs.NewLAEDF() }
 	random := func() priority.Function { return priority.NewRandom() }
 	pubs := func() priority.Function { return priority.NewPUBS() }
-	return []table2Scheme{
-		{"EDF", "None", "Random", "most imminent", noDVS, random, core.MostImminentOnly},
-		{"Cycle Conserving", "ccEDF", "Random", "most imminent", ccEDF, random, core.MostImminentOnly},
-		{"Look Ahead", "laEDF", "Random", "most imminent", laEDF, random, core.MostImminentOnly},
-		{"BAS-1", "laEDF", "pUBS", "most imminent", laEDF, pubs, core.MostImminentOnly},
-		{"BAS-2", "laEDF", "pUBS", "all released", laEDF, pubs, core.AllReleased},
+	schemes := []paperScheme{
+		{scheme{name: "EDF", alg: noDVS, prio: random, policy: core.MostImminentOnly}, "None", "Random", "most imminent"},
+		{scheme{name: "Cycle Conserving", alg: ccEDF, prio: random, policy: core.MostImminentOnly}, "ccEDF", "Random", "most imminent"},
+		{scheme{name: "Look Ahead", alg: laEDF, prio: random, policy: core.MostImminentOnly}, "laEDF", "Random", "most imminent"},
+		{scheme{name: "BAS-1", alg: laEDF, prio: pubs, policy: core.MostImminentOnly}, "laEDF", "pUBS", "most imminent"},
+		{scheme{name: "BAS-2", alg: laEDF, prio: pubs, policy: core.AllReleased}, "laEDF", "pUBS", "all released"},
 	}
+	for i := range schemes {
+		schemes[i].mode, schemes[i].oracle = core.DiscreteFrequency, oracle
+	}
+	return schemes
 }
 
 // table2Cell is the result of one scheme on one task-graph set.
@@ -175,69 +171,24 @@ type table2Cell struct {
 }
 
 // table2ChunkJob simulates every scheme on the task-graph sets [setLo, setHi)
-// and returns one cell row per set. Each set's workload and actual execution
-// requirements derive from its seed and are shared by all schemes, so schemes
-// always compare on identical task graphs: the set's system is generated once,
-// scheme 0 records the execution realisation and the remaining schemes replay
-// it (the engine's draw order is scheme-independent, see
-// taskgraph.RecordedExecution). The engine, profile recorder, execution model
-// and battery instance are reused across every (set, scheme) run of the
-// chunk; only the load profile is recorded (the battery models need it), the
-// execution trace is never built.
-func table2ChunkJob(cfg Table2Config, proc *processor.Model, schemes []table2Scheme, setLo, setHi int) ([][]table2Cell, error) {
+// with one evaluator and returns one cell row per set. Each set's workload and
+// actual execution requirements derive from its seed and are shared by all
+// schemes, so schemes always compare on identical task graphs.
+func table2ChunkJob(cfg Table2Config, proc *processor.Model, factory BatteryFactory, schemes []paperScheme, setLo, setHi int) ([][]table2Cell, error) {
 	out := make([][]table2Cell, 0, setHi-setLo)
-	models := []battery.Model{cfg.Battery()}
-	eng := core.NewEngine()
-	rec := core.NewProfileRecorder()
-	uni := taskgraph.NewUniformExecution(0.2, 1.0, 0)
-	exec := taskgraph.NewRecordedExecution(uni)
+	ev := newEvaluator(proc, cfg.Hyperperiods, cfg.MaxBatteryHours, factory)
 	for set := setLo; set < setHi; set++ {
-		// The set index is absolute, so the workload seed does not depend on
-		// the batch layout, the chunk layout or the shard.
-		setSeed := runner.SeedFor(cfg.Seed, int64(set))
-		rng := rand.New(rand.NewSource(setSeed))
-		sys, err := tgff.GenerateSystem(tgff.DefaultConfig(), cfg.GraphsPerSet, cfg.Utilization, proc.FMax(), rng)
-		if err != nil {
+		if err := ev.generate(runner.SeedFor(cfg.Seed, int64(set)), cfg.GraphsPerSet, cfg.Utilization); err != nil {
 			return nil, err
 		}
-		uni.Reseed(setSeed)
-		exec.Restart(uni)
 		cells := make([]table2Cell, len(schemes))
 		for i, s := range schemes {
-			if i > 0 {
-				exec.Replay()
-			}
-			rec.Reset()
-			if err := eng.Reset(core.Config{
-				System:          sys,
-				Processor:       proc,
-				DVS:             s.alg(),
-				Priority:        s.prio(),
-				ReadyPolicy:     s.policy,
-				FrequencyMode:   core.DiscreteFrequency,
-				OracleEstimates: cfg.OracleEstimates,
-				Execution:       exec,
-				Hyperperiods:    cfg.Hyperperiods,
-				Seed:            setSeed,
-				Observer:        rec,
-			}); err != nil {
-				return nil, err
-			}
-			res, err := eng.Run()
+			res, brs, err := ev.run(s.scheme)
 			if err != nil {
 				return nil, err
 			}
 			if res.DeadlineMisses > 0 {
 				return nil, fmt.Errorf("experiments: table 2 scheme %s missed %d deadlines", s.name, res.DeadlineMisses)
-			}
-			// Zero MaxStep selects the analytic fast path (whole segments +
-			// closed-form runs of repetitions; since the stochastic fast
-			// path, for every registered model).
-			brs, err := battery.SimulateBatch(models, res.Profile, battery.SimulateOptions{
-				MaxTime: cfg.MaxBatteryHours * 3600,
-			})
-			if err != nil {
-				return nil, err
 			}
 			cells[i] = table2Cell{
 				charge:  brs[0].DeliveredMAh(),
@@ -305,21 +256,18 @@ func runTable2Report(ctx context.Context, cfg Table2Config) (*Report, error) {
 	if cfg.BatteryName == "" {
 		cfg.BatteryName = "stochastic"
 	}
-	if cfg.Battery == nil {
-		f, err := NamedBatteryFactory(cfg.BatteryName)
-		if err != nil {
-			return nil, err
-		}
-		cfg.Battery = f
+	factory, err := NamedBatteryFactory(cfg.BatteryName)
+	if err != nil {
+		return nil, err
 	}
 	if cfg.MaxBatteryHours <= 0 {
 		cfg.MaxBatteryHours = 72
 	}
 	proc := defaultProcessor()
-	schemes := paperSchemes()
+	schemes := paperSchemes(cfg.OracleEstimates)
 
 	aggs := make([]table2Agg, len(schemes))
-	_, err := runAdaptiveSets(cfg.RunOptions, cfg.Sets, func(lo, hi int) error {
+	_, err = runAdaptiveSets(cfg.RunOptions, cfg.Sets, func(lo, hi int) error {
 		// Chunk boundaries are aligned to absolute set-index multiples of
 		// SetsPerJob, not to the batch start, so the chunk layout does not
 		// depend on how the adaptive loop sliced the set range into batches.
@@ -327,7 +275,7 @@ func runTable2Report(ctx context.Context, cfg Table2Config) (*Report, error) {
 		return runner.RunStream(ctx, kHi-kLo, cfg.runnerOptions(), func(_ context.Context, k int) ([][]table2Cell, error) {
 			setLo := max((kLo+k)*cfg.SetsPerJob, lo)
 			setHi := min((kLo+k+1)*cfg.SetsPerJob, hi)
-			return table2ChunkJob(cfg, proc, schemes, setLo, setHi)
+			return table2ChunkJob(cfg, proc, factory, schemes, setLo, setHi)
 		}, func(k int, rows [][]table2Cell) error {
 			setLo := max((kLo+k)*cfg.SetsPerJob, lo)
 			for off, cells := range rows {
