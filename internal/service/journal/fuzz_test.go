@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -49,6 +50,35 @@ func TestReacceptedIDReplaysOnce(t *testing.T) {
 	}
 }
 
+// wrongTypeMiddle holds three complete accept records, the middle one with a
+// string where the shard count belongs. Replay once took that line for a
+// crash-torn tail and stopped there, and the compaction inside Open then
+// deleted the third record from the file.
+const wrongTypeMiddle = `{"op":"accept","id":"job-000001","experiment":"table2"}
+{"op":"accept","id":"job-000002","experiment":"table2","shards":"2"}
+{"op":"accept","id":"job-000003","experiment":"table2"}
+`
+
+// TestUndecodableMiddleLineFailsOpen pins that only the last line counts as
+// torn: a line that does not decode, with a record after it, fails Open with
+// an error naming the line, and the file keeps its bytes.
+func TestUndecodableMiddleLineFailsOpen(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "journal.jsonl")
+	if err := os.WriteFile(path, []byte(wrongTypeMiddle), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := Open(path, false); err == nil || !strings.Contains(err.Error(), "line 2") {
+		t.Fatalf("Open = %v, want an error naming line 2", err)
+	}
+	after, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(after) != wrongTypeMiddle {
+		t.Fatalf("Open rewrote the journal to:\n%s", after)
+	}
+}
+
 // FuzzJournalOpen writes arbitrary bytes as journal.jsonl. Open either fails
 // and leaves the file byte for byte as it was, or opens; a second Open of the
 // file the first one compacted then returns the same backlog, leases
@@ -61,6 +91,7 @@ func FuzzJournalOpen(f *testing.F) {
 {"op":"done","id":"job-000002"}
 {"op":"accept","id":"job-000003","experiment":"table2","spec":{"qu`))
 	f.Add([]byte(reaccepted))
+	f.Add([]byte(wrongTypeMiddle))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		path := filepath.Join(t.TempDir(), "journal.jsonl")
 		if err := os.WriteFile(path, data, 0o644); err != nil {

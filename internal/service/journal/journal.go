@@ -18,9 +18,10 @@
 // their latest leases), via temp file + atomic rename — on Open, on Close,
 // and after every compactEvery runtime completions, so it stays proportional
 // to the backlog rather than the daemon's lifetime job count. A crash can
-// truncate at most the final line; replay tolerates a malformed tail and the
-// next compaction drops it. A line over 4 MiB fails Open instead, leaving the
-// file untouched.
+// tear at most the final line: replay tolerates an undecodable last line,
+// and the compaction inside Open drops it. Any other line that does not
+// decode, and any line over 4 MiB, fails Open instead, leaving the file
+// untouched: compacting there would delete every record after it.
 //
 // By default writes go through the OS page cache without fsync: the journal
 // survives process kills and restarts (the failure mode it exists for), not
@@ -122,8 +123,9 @@ type Journal struct {
 // Open opens (creating if missing) the journal at path, replays it, compacts
 // it down to its live records, and returns the accepted-but-unfinished
 // records in admission order, each with the latest journaled lease per unit
-// attached. A line too long to scan fails Open with an error naming it, and
-// the file is left as it was. With fsync set, every subsequent append is
+// attached. A line too long to scan, or one that does not decode and is not
+// the last, fails Open with an error naming it, and the file is left as it
+// was. With fsync set, every subsequent append is
 // synced to stable storage before it returns (power-loss durability);
 // otherwise records ride the OS page cache (process-kill durability only).
 func Open(path string, fsync bool) (*Journal, []Accept, error) {
@@ -139,18 +141,27 @@ func Open(path string, fsync bool) (*Journal, []Accept, error) {
 	}
 	sc := bufio.NewScanner(bytes.NewReader(data))
 	sc.Buffer(make([]byte, 0, 64*1024), 4*1024*1024)
-	n := 0
+	n, torn := 0, 0
+	var tornErr error
 	for sc.Scan() {
 		n++
 		line := sc.Bytes()
 		if len(line) == 0 {
 			continue
 		}
+		if torn > 0 {
+			// A crash tears only the last line, so an undecodable line with
+			// a record after it is damage, not a torn tail, and compacting
+			// now would delete every record from it on. Leave the file as
+			// it is.
+			return nil, nil, fmt.Errorf("journal: %s line %d: %w", path, torn, tornErr)
+		}
 		var rec record
 		if err := json.Unmarshal(line, &rec); err != nil {
-			// A crash-truncated tail: everything before it is intact, so
-			// stop here and let the compaction below drop the partial line.
-			break
+			// A crash-truncated tail if no record follows: everything before
+			// it is intact, and the compaction below drops the partial line.
+			torn, tornErr = n, err
+			continue
 		}
 		switch rec.Op {
 		case "accept":
