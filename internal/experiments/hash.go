@@ -34,8 +34,9 @@ const ResultsVersion = 3
 // identifies the complete (merged) result, so a sharded and an unsharded
 // submission of the same spec share one address. Default-equivalent values
 // are normalised where the drivers define them: Seed 0 encodes as the default
-// seed 1, and MaxSets encodes as 0 when TargetCI is unset (adaptive stopping
-// disabled makes the cap inert). The encoding also pins ReportVersion (the
+// seed 1, MaxSets encodes as 0 when TargetCI is unset (adaptive stopping
+// disabled makes the cap inert), and a negative-zero float as 0 (Run
+// normalises it the same way). The encoding also pins ReportVersion (the
 // artifact schema) and ResultsVersion (the numeric behaviour), so a schema
 // bump or a golden-changing code change invalidates every previously cached
 // artifact.
@@ -44,6 +45,7 @@ const ResultsVersion = 3
 // still compute identical reports (Utilization 0 selects each driver's
 // default, for example), which costs a cache miss, never a wrong hit.
 func CanonicalSpec(experiment string, spec Spec) string {
+	spec = spec.normalised()
 	seed := spec.Seed
 	if seed == 0 {
 		seed = 1

@@ -1,6 +1,9 @@
 package experiments
 
 import (
+	"bytes"
+	"context"
+	"math"
 	"strings"
 	"testing"
 )
@@ -16,6 +19,8 @@ func TestCanonicalSpecNormalisation(t *testing.T) {
 		{Quick: true, Battery: "kibam", RunOptions: RunOptions{Parallel: 7}},
 		{Quick: true, Battery: "kibam", RunOptions: RunOptions{Progress: func(int, int) {}}},
 		{Quick: true, Battery: "kibam", RunOptions: RunOptions{Shard: Shard{Index: 1, Count: 4}}},
+		{Quick: true, Battery: "kibam", Utilization: math.Copysign(0, -1), MaxStep: math.Copysign(0, -1),
+			RunOptions: RunOptions{TargetCI: math.Copysign(0, -1)}},
 	}
 	want := SpecHash("table2", base)
 	for i, s := range same {
@@ -92,5 +97,30 @@ func TestShardSpecHash(t *testing.T) {
 	}
 	if ShardSpecHash("table2", spec, Shard{Index: 0, Count: 4}) == ShardSpecHash("table2", spec, Shard{Index: 0, Count: 2}) {
 		t.Fatal("shard 0/4 and 0/2 share a hash")
+	}
+}
+
+// TestNegativeZeroSpecRunsAsZero pins that Run reads a negative-zero float
+// as 0, so the report matches the address CanonicalSpec gives both. The
+// daemon's JSON wire spec drops the sign of a zero: without this, a -0
+// submission hashed and ran one way, and its journal replay (or the worker
+// its units went to) another.
+func TestNegativeZeroSpecRunsAsZero(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	artifact := func(spec Spec) []byte {
+		rep, err := Run(context.Background(), "curve", spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var b bytes.Buffer
+		if err := WriteArtifact(&b, []*Report{rep}); err != nil {
+			t.Fatal(err)
+		}
+		return b.Bytes()
+	}
+	zero := artifact(Spec{Quick: true, Battery: "kibam"})
+	neg := artifact(Spec{Quick: true, Battery: "kibam", MaxStep: negZero, RunOptions: RunOptions{TargetCI: negZero}})
+	if !bytes.Equal(zero, neg) {
+		t.Fatalf("a -0 spec reports\n%s\nand the 0 spec\n%s", neg, zero)
 	}
 }

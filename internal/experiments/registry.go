@@ -43,6 +43,20 @@ type Spec struct {
 	RunOptions
 }
 
+// normalised returns the spec with each negative-zero float made +0. The
+// drivers read -0 as 0 except where they echo a value into Meta, and the
+// JSON wire spec omits zeros, so a -0 the daemon journals or forwards to a
+// worker comes back as 0. Run and CanonicalSpec both normalise, which makes
+// the two one spec with one address and one report.
+func (s Spec) normalised() Spec {
+	for _, v := range []*float64{&s.Utilization, &s.MaxStep, &s.TargetCI} {
+		if *v == 0 {
+			*v = 0
+		}
+	}
+	return s
+}
+
 // Definition describes one registered experiment.
 type Definition struct {
 	// Name is the registry key ("table1", "figure6", "table2", "curve",
@@ -112,7 +126,7 @@ func Run(ctx context.Context, name string, spec Spec) (*Report, error) {
 	if spec.Shard.Enabled() && !d.Shardable {
 		return nil, fmt.Errorf("%w: experiment %q is deterministic and does not shard", ErrBadConfig, name)
 	}
-	return d.Run(ctx, spec)
+	return d.Run(ctx, spec.normalised())
 }
 
 // formatFloat renders a float for Meta, labels and keys with the shortest

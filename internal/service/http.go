@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"strconv"
@@ -126,13 +127,9 @@ func writeError(w http.ResponseWriter, err error) {
 }
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	var req JobRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBody))
-	// Unknown fields are rejected so a typo'd spec key fails loudly instead
-	// of silently running the default configuration.
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, apiError{Error: fmt.Sprintf("decoding job request: %v", err)})
+	req, err := decodeJobRequest(http.MaxBytesReader(w, r.Body, maxRequestBody))
+	if err != nil {
+		writeJSON(w, http.StatusBadRequest, apiError{Error: err.Error()})
 		return
 	}
 	req.TraceID = obs.TraceFromRequest(r)
@@ -146,6 +143,19 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		status = http.StatusOK // served from cache
 	}
 	writeJSON(w, status, st)
+}
+
+// decodeJobRequest decodes one POST /v1/jobs body. Unknown fields are
+// rejected so a typo'd spec key fails loudly instead of silently running the
+// default configuration.
+func decodeJobRequest(body io.Reader) (JobRequest, error) {
+	var req JobRequest
+	dec := json.NewDecoder(body)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&req); err != nil {
+		return JobRequest{}, fmt.Errorf("decoding job request: %w", err)
+	}
+	return req, nil
 }
 
 func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {

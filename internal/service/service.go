@@ -635,19 +635,11 @@ func (s *Server) replayLocked(rec journal.Accept) {
 	if created.IsZero() {
 		created = time.Now()
 	}
-	req := JobRequest{Experiment: rec.Experiment, Shards: rec.Shards, Shard: rec.Shard, TraceID: rec.Trace}
-	if checkTraceID(req.TraceID) != nil {
-		// An older daemon journaled any trace id; a fresh one keeps the
-		// job's units dispatchable to workers that check it.
-		req.TraceID = ""
-	}
 	var spec experiments.Spec
 	var unitShard experiments.Shard
 	var hash string
-	err := json.Unmarshal(rec.Spec, &req.Spec)
-	if err != nil {
-		err = fmt.Errorf("decoding spec: %w", err)
-	} else {
+	req, err := replayRequest(rec)
+	if err == nil {
 		// Recompute the content address instead of trusting the journaled
 		// one: a ReportVersion/ResultsVersion bump between restarts must
 		// re-run.
@@ -683,6 +675,37 @@ func (s *Server) replayLocked(rec journal.Accept) {
 	}
 }
 
+// replayRequest rebuilds the request a journal record was accepted from
+// (the inverse of acceptRecord). On a spec that no longer decodes it returns
+// the request as far as it got, with the error.
+func replayRequest(rec journal.Accept) (JobRequest, error) {
+	req := JobRequest{Experiment: rec.Experiment, Shards: rec.Shards, Shard: rec.Shard, TraceID: rec.Trace}
+	if checkTraceID(req.TraceID) != nil {
+		// An older daemon journaled any trace id; a fresh one keeps the
+		// job's units dispatchable to workers that check it.
+		req.TraceID = ""
+	}
+	if err := json.Unmarshal(rec.Spec, &req.Spec); err != nil {
+		return req, fmt.Errorf("decoding spec: %w", err)
+	}
+	return req, nil
+}
+
+// acceptRecord is the journal record of one accepted job: its wire spec, as
+// the job's units forward it to workers, and the shard fan-out it was
+// submitted with.
+func acceptRecord(j *job, shards int, shard string) (journal.Accept, error) {
+	raw, err := json.Marshal(j.req)
+	if err != nil {
+		return journal.Accept{}, err
+	}
+	return journal.Accept{
+		ID: j.id, Experiment: j.experiment, Spec: raw,
+		Shards: shards, Shard: shard, Hash: j.hash, Created: j.created,
+		Trace: j.trace,
+	}, nil
+}
+
 // journalAcceptLocked appends one accepted job to the WAL. Journal failures
 // degrade durability, not availability: they are logged and the job still
 // runs. Callers hold s.mu.
@@ -690,13 +713,9 @@ func (s *Server) journalAcceptLocked(j *job, shards int, shard string) {
 	if s.journal == nil {
 		return
 	}
-	raw, err := json.Marshal(j.req)
+	rec, err := acceptRecord(j, shards, shard)
 	if err == nil {
-		err = s.journal.Accept(journal.Accept{
-			ID: j.id, Experiment: j.experiment, Spec: raw,
-			Shards: shards, Shard: shard, Hash: j.hash, Created: j.created,
-			Trace: j.trace,
-		})
+		err = s.journal.Accept(rec)
 	}
 	if err != nil {
 		s.met.journalError(err)
