@@ -114,16 +114,18 @@ func runEstimateAblationReport(ctx context.Context, cfg EstimateAblationConfig) 
 
 	accs := make([]metricAcc, len(schemes)-1)
 	_, err := runAdaptiveSets(cfg.RunOptions, cfg.Sets, func(lo, hi int) error {
-		return runner.RunStream(ctx, hi-lo, cfg.runnerOptions(), func(_ context.Context, i int) (energySample, error) {
+		return runner.RunStream(ctx, hi-lo, cfg.runnerOptions(), func(_ context.Context, i int) ([]float64, error) {
 			// The set index is absolute, so seeds are batch- and
 			// shard-independent.
 			ev := newEvaluator(proc, cfg.Hyperperiods, 0)
 			if err := ev.generate(runner.SeedFor(cfg.Seed, int64(lo+i)), cfg.GraphsPerSet, cfg.Utilization); err != nil {
-				return energySample{}, err
+				return nil, err
 			}
 			return ev.normalisedEnergies("ablation variant", schemes)
-		}, func(i int, sample energySample) error {
-			sample.add(accs, lo+i)
+		}, func(i int, normalised []float64) error {
+			for vi, v := range normalised {
+				accs[vi].Add(lo+i, v)
+			}
 			return nil
 		})
 	}, func() bool {

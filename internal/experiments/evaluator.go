@@ -156,47 +156,27 @@ func (ev *evaluator) run(s scheme) (*core.Result, []battery.Result, error) {
 	return res, brs, nil
 }
 
-// energySample is one set's battery energies of schemes[1:] divided by the
-// energy of the baseline schemes[0] on the same workload. ok is false when
-// the baseline drew no energy; such a set is left out.
-type energySample struct {
-	normalised []float64
-	ok         bool
-}
-
 // normalisedEnergies runs the baseline schemes[0] and then every other scheme
-// on the current set. The baseline is not checked for deadline misses; any
+// on the current set, and returns the battery energy of each later scheme
+// divided by the baseline's; nil when the baseline drew no energy, which
+// leaves the set out. The baseline is not checked for deadline misses; any
 // other scheme that misses one fails the set, named as what in the error.
-func (ev *evaluator) normalisedEnergies(what string, schemes []scheme) (energySample, error) {
+func (ev *evaluator) normalisedEnergies(what string, schemes []scheme) ([]float64, error) {
 	res, _, err := ev.run(schemes[0])
-	if err != nil {
-		return energySample{}, err
+	if err != nil || res.EnergyBattery <= 0 {
+		return nil, err
 	}
 	baseline := res.EnergyBattery
-	if baseline <= 0 {
-		return energySample{}, nil
-	}
-	sample := energySample{normalised: make([]float64, len(schemes)-1), ok: true}
+	out := make([]float64, len(schemes)-1)
 	for i, s := range schemes[1:] {
 		res, _, err := ev.run(s)
 		if err != nil {
-			return energySample{}, err
+			return nil, err
 		}
 		if res.DeadlineMisses > 0 {
-			return energySample{}, fmt.Errorf("experiments: %s %q missed %d deadlines", what, s.name, res.DeadlineMisses)
+			return nil, fmt.Errorf("experiments: %s %q missed %d deadlines", what, s.name, res.DeadlineMisses)
 		}
-		sample.normalised[i] = res.EnergyBattery / baseline
+		out[i] = res.EnergyBattery / baseline
 	}
-	return sample, nil
-}
-
-// add folds the sample into accs[i] for schemes[i+1] under its absolute set
-// index.
-func (s energySample) add(accs []metricAcc, set int) {
-	if !s.ok {
-		return
-	}
-	for i, v := range s.normalised {
-		accs[i].Add(set, v)
-	}
+	return out, nil
 }

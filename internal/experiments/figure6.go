@@ -149,19 +149,21 @@ func runFigure6Report(ctx context.Context, cfg Figure6Config) (*Report, error) {
 	}
 	_, err := runAdaptiveSets(cfg.RunOptions, cfg.SetsPerCount, func(lo, hi int) error {
 		grid := runner.NewGrid(len(cfg.GraphCounts), hi-lo)
-		return runner.RunStream(ctx, grid.Size(), cfg.runnerOptions(), func(_ context.Context, idx int) (energySample, error) {
+		return runner.RunStream(ctx, grid.Size(), cfg.runnerOptions(), func(_ context.Context, idx int) ([]float64, error) {
 			c := grid.Coords(idx)
 			// The set index is absolute (lo+c[1]), so a sample's random
 			// stream does not depend on the batch layout or the shard.
 			count, set := cfg.GraphCounts[c[0]], lo+c[1]
 			ev := newEvaluator(proc, cfg.Hyperperiods, 0)
 			if err := ev.generate(runner.SeedFor(cfg.Seed, int64(count), int64(set)), count, cfg.Utilization); err != nil {
-				return energySample{}, err
+				return nil, err
 			}
 			return ev.normalisedEnergies("figure 6 scheme", schemes)
-		}, func(idx int, sample energySample) error {
+		}, func(idx int, normalised []float64) error {
 			c := grid.Coords(idx)
-			sample.add(accs[c[0]], lo+c[1])
+			for i, v := range normalised {
+				accs[c[0]][i].Add(lo+c[1], v)
+			}
 			return nil
 		})
 	}, func() bool {
