@@ -20,6 +20,15 @@
 // until the Student-t CI95 half-width of their key metric is tight enough
 // (relative to the mean), bounded by RunOptions.MaxSets.
 //
+// The per-set drivers (Table 2, Figure 6, the ablation and the grid) run
+// every task-graph set through one evaluator, the only place that configures
+// a scheduling run: it generates the set, records one execution realisation
+// and replays it for every scheme, a value naming DVS, priority, ready
+// policy, frequency mode, oracle, estimator and precedence stripping. The
+// evaluator's sink follows from its battery models: a profile recorder
+// whose profile every model drains in one batch pass, or, without models,
+// a sink that records nothing.
+//
 // The package's public surface is the experiment registry: every driver
 // registers a Definition under its name and is dispatched through Run with a
 // declarative Spec, returning a structured Report — named rows of metric
