@@ -10,7 +10,8 @@ import (
 
 // TestCanonicalSpecNormalisation pins the default-equivalence rules: seed 0
 // and the default seed 1 share an encoding, the MaxSets cap is inert without
-// TargetCI, and execution-only knobs never change the address.
+// TargetCI, a negative-zero float encodes as 0, and execution-only knobs
+// never change the address.
 func TestCanonicalSpecNormalisation(t *testing.T) {
 	base := Spec{Quick: true, Battery: "kibam"}
 	same := []Spec{
