@@ -235,16 +235,13 @@ type (
 	// BatteryModel is the interface implemented by all battery models.
 	BatteryModel = battery.Model
 	// BatterySegmentDrainer is the optional analytic fast-path interface:
-	// models implementing it (KiBaM, diffusion, Peukert) are simulated one
+	// models implementing it (every registered model) are simulated one
 	// whole constant-current segment at a time with closed-form exhaustion
 	// root-finding instead of MaxStep substeps.
 	BatterySegmentDrainer = battery.SegmentDrainer
 	// BatteryRepetitionOperator advances a model by runs of whole profile
 	// repetitions, each run in one closed-form call.
 	BatteryRepetitionOperator = battery.RepetitionOperator
-	// BatteryAnalyticGater is the optional per-instance gate on the analytic
-	// path (the stochastic model's Monte Carlo mode keeps slot stepping).
-	BatteryAnalyticGater = battery.AnalyticGater
 	// BatteryResult is the outcome of a battery lifetime simulation.
 	BatteryResult = battery.Result
 	// BatterySimulateOptions tune the battery simulation driver.
@@ -273,8 +270,7 @@ func NewPeukertBattery() BatteryModel { return peukert.Default() }
 // reports lifetime and delivered charge. With a zero MaxStep, models
 // implementing BatterySegmentDrainer take the analytic fast path (whole
 // segments, closed-form runs of repetitions, exhaustion root-finding):
-// every registered model in its default mode, with only Monte Carlo
-// stochastic instances stepped at 1 s. A positive MaxStep forces the
+// every registered model does. A positive MaxStep forces the
 // uniform-stepping path for every model.
 func BatteryLifetimeOpts(m BatteryModel, p *Profile, opts BatterySimulateOptions) (BatteryResult, error) {
 	return battery.SimulateUntilExhausted(m, p, opts)

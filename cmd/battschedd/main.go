@@ -38,8 +38,8 @@
 // (see internal/federation): it keeps a registry of remote battschedd
 // workers (-fleet, plus POST /v1/workers at runtime), heartbeats their
 // /healthz and leases each queued unit to a worker with a free slot,
-// re-dispatching units whose leases expire (dead workers) and speculatively
-// duplicating stragglers — first completion wins. Admission, caching,
+// re-dispatching units whose leases expire (dead workers); a unit whose
+// worker keeps answering finishes where it runs. Admission, caching,
 // coalescing, the journal, the -queue bound and drain behave the same in
 // both modes, so `cmd/experiments submit` works unchanged against either.
 //
@@ -101,7 +101,6 @@ func run(args []string) error {
 		fleet       = fs.String("fleet", "", "comma-separated worker base URLs for -coordinator (e.g. http://h1:8344,http://h2:8344); more can register over POST /v1/workers")
 		lease       = fs.Duration("lease", 15*time.Second, "coordinator: unit lease duration (renewed by every answered status request; the coordinator long-polls each leased unit)")
 		heartbeat   = fs.Duration("heartbeat", time.Second, "coordinator: worker /healthz probe interval")
-		straggler   = fs.Float64("straggler-factor", 3, "coordinator: speculative re-dispatch once a unit runs this multiple of the fleet mean unit time")
 		maxAttempts = fs.Int("max-attempts", 3, "coordinator: dispatch attempts per unit before the job fails")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -132,7 +131,6 @@ func run(args []string) error {
 			Workers:           urls,
 			HeartbeatInterval: *heartbeat,
 			LeaseDuration:     *lease,
-			StragglerFactor:   *straggler,
 			MaxAttempts:       *maxAttempts,
 			CacheDir:          *cacheDir,
 			CacheEntries:      *cacheEntries,

@@ -61,11 +61,11 @@
 // applied in one closed-form call (the k-fold power of the repetition map, in
 // O(state) time for any k), and the exhaustion instant is located by Newton
 // iteration (with a bisection safeguard) on the closed form. The stochastic
-// model's expected-value mode (its default) is analytic too: between
-// recoveries the delivered charge advances deterministically, so the expected
-// recovery collapses to closed-form geometric series, per step within a
-// segment and per repetition across a run; Monte Carlo mode declines the fast
-// path (BatteryAnalyticGater) and keeps exact slot stepping. Setting
+// model, evaluated in expected-value mode as in the paper, is analytic too:
+// between recoveries the delivered charge advances deterministically, so the
+// expected recovery collapses to closed-form geometric series, per step
+// within a segment and per repetition across a run. Any other model takes
+// the stepped path. Setting
 // BatterySimulateOptions.MaxStep to a positive value forces the
 // uniform-stepping path for every model (the reference the accuracy tests
 // compare against); cmd/batsim and cmd/basched expose the choice as -maxstep.

@@ -12,12 +12,16 @@ import (
 	"battsched/internal/profile"
 )
 
-// batchTestModels builds a mixed batch: every registered model (analytic and
-// stepped paths, staggered death times), a Monte Carlo stochastic instance
-// (stepped path by its analytic gate), a slot-exact stochastic instance, a
-// duplicate of the first registered model (duplicates must not interfere),
-// and the Monte Carlo instance again as the same pointer (a repeated
-// instance must not be drained twice per step).
+// steppedModel exposes only battery.Model of the model it wraps, so the
+// driver takes the stepped path for it.
+type steppedModel struct{ battery.Model }
+
+// batchTestModels builds a mixed batch: every registered model (analytic
+// path, staggered death times), the default stochastic model behind
+// steppedModel (stepped path), a slot-exact stochastic instance, a duplicate
+// of the first registered model (duplicates must not interfere), and the
+// stepped instance again as the same pointer (a repeated instance must not
+// be drained twice per step).
 func batchTestModels(t *testing.T) []battery.Model {
 	t.Helper()
 	var models []battery.Model
@@ -28,14 +32,8 @@ func batchTestModels(t *testing.T) []battery.Model {
 		}
 		models = append(models, m)
 	}
-	mc := stochastic.Default().Params()
-	mc.MonteCarlo = true
-	mc.Seed = 42
-	mcb, err := stochastic.New(mc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	models = append(models, mcb)
+	stepped := &steppedModel{stochastic.Default()}
+	models = append(models, stepped)
 	se := stochastic.Default().Params()
 	se.ExpectedStep = se.SlotDuration
 	seb, err := stochastic.New(se)
@@ -47,7 +45,7 @@ func batchTestModels(t *testing.T) []battery.Model {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return append(models, first, mcb)
+	return append(models, first, stepped)
 }
 
 // TestSimulateBatchMatchesSequential is the batch equivalence property:
@@ -166,21 +164,19 @@ func TestSimulateBatchEmpty(t *testing.T) {
 }
 
 // TestSimulateBatchSharedClockNarrows checks staggered deaths on the stepped
-// path: two capacity-scaled copies of the Monte Carlo stochastic model die at
-// different times, and both must report the same lifetime and repetition
-// count in a batch as in their sequential runs.
+// path: two capacity-scaled copies of the stochastic model behind
+// steppedModel die at different times, and both must report the same
+// lifetime and repetition count in a batch as in their sequential runs.
 func TestSimulateBatchSharedClockNarrows(t *testing.T) {
 	mk := func(scale float64) battery.Model {
 		ps := stochastic.Default().Params()
-		ps.MonteCarlo = true
-		ps.Seed = 7
 		ps.MaxCoulombs *= scale
 		ps.NominalCoulombs *= scale
 		b, err := stochastic.New(ps)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return b
+		return &steppedModel{b}
 	}
 	p := profile.Constant(1.5, 30)
 	small, big := mk(0.25), mk(1)

@@ -96,36 +96,14 @@ func GeomSum(a, x, k float64) float64 {
 	return a * math.Expm1(-x*k) / math.Expm1(-x)
 }
 
-// AnalyticGater is the optional per-instance gate on the analytic path.
-// SegmentDrainer is a type-level property, but for some models the closed
-// forms only cover part of the configuration space — the stochastic model's
-// DrainSegment is exact in expected-value mode but its Monte Carlo mode is
-// defined one RNG draw per slot and must keep the stepped path. Models with
-// such a split implement AnalyticGater; the drivers consult it before
-// dispatching to the analytic path. Models that do not implement it are
-// analytic whenever they implement SegmentDrainer.
-type AnalyticGater interface {
-	// AnalyticOK reports whether this instance's configuration is covered by
-	// its analytic fast path.
-	AnalyticOK() bool
-}
-
-// analyticDrainer returns the analytic fast-path view of m, if the current
-// options and the model's own gate select it: MaxStep must not force the
-// stepped path, the model must implement SegmentDrainer, and an AnalyticGater
-// model must accept its configuration.
+// analyticDrainer returns the analytic fast-path view of m: every
+// SegmentDrainer takes it unless a positive MaxStep forces the stepped path.
 func analyticDrainer(m Model, maxStep float64) (SegmentDrainer, bool) {
 	if maxStep > 0 {
 		return nil, false
 	}
 	sd, ok := m.(SegmentDrainer)
-	if !ok {
-		return nil, false
-	}
-	if g, ok := m.(AnalyticGater); ok && !g.AnalyticOK() {
-		return nil, false
-	}
-	return sd, true
+	return sd, ok
 }
 
 // Coulombs per milliampere-hour.
@@ -176,11 +154,10 @@ type SimulateOptions struct {
 	// if the battery is still alive. Defaults to 48 hours.
 	MaxTime float64
 	// MaxStep selects the simulation path. Zero (the default) dispatches on
-	// the model: models implementing SegmentDrainer take the analytic path
-	// (whole constant-current segments, closed-form runs of repetitions,
-	// root-finding for the exhaustion instant) unless their AnalyticGater
-	// declines it; the rest (of the registered models, only the stochastic
-	// model in Monte Carlo mode) take the stepped path with a 1 s substep.
+	// the model: models implementing SegmentDrainer, which every registered
+	// model does, take the analytic path (whole constant-current segments,
+	// closed-form runs of repetitions, root-finding for the exhaustion
+	// instant); any other model takes the stepped path with a 1 s substep.
 	// A positive value forces the stepped path with that substep for every
 	// model — the reference the accuracy tests compare the analytic path
 	// against.
@@ -312,8 +289,7 @@ func repetitionsLeft(t, period, maxTime float64) int {
 
 // simulateStepped drives any model by subdividing segments into MaxStep
 // substeps: the pre-analytic behaviour, the path a positive MaxStep forces,
-// and the only path for models that decline the analytic one (stochastic
-// Monte Carlo mode, whose trajectory is defined one RNG draw per slot).
+// and the only path for models without SegmentDrainer.
 func simulateStepped(m Model, p *profile.Profile, opts SimulateOptions) (Result, error) {
 	m.Reset()
 	var res Result

@@ -31,11 +31,6 @@ import (
 // surviving branch, with a small absolute slack guarding the closed-form
 // versus iterated rounding difference.
 
-// AnalyticOK implements battery.AnalyticGater: the closed-form segment fast
-// path covers expected-value mode only. Monte Carlo trajectories are defined
-// one RNG draw per slot and must keep the stepped path.
-func (b *Battery) AnalyticOK() bool { return !b.params.MonteCarlo }
-
 // prefixSlack is the margin, in coulombs, by which the closed-form branch
 // conditions must hold for a step to be bulk-applied. It is several orders of
 // magnitude above the closed-form-versus-iterated rounding difference and
@@ -91,15 +86,12 @@ func (b *Battery) applyExpectedSlots(a, x, d float64, k int) {
 	b.delivered += demand
 }
 
-// DrainSegment implements battery.SegmentDrainer. In expected-value mode it
-// reproduces the step-h expected recursion (h = Params.ExpectedStep) over the
-// whole constant-current segment: whole steps bulk-applied in closed form
-// where provably branch-free, exact drainExpected steps at branch
-// boundaries, and a final fractional step for the segment tail — the same
-// step sequence the uniform-stepping driver at MaxStep = h generates. In
-// Monte Carlo mode it delegates to the exact slot path (the analytic gate
-// keeps the drivers off this method, but the delegation makes it correct
-// regardless).
+// DrainSegment implements battery.SegmentDrainer. It reproduces the step-h
+// expected recursion (h = Params.ExpectedStep) over the whole
+// constant-current segment: whole steps bulk-applied in closed form where
+// provably branch-free, exact drainExpected steps at branch boundaries, and
+// a final fractional step for the segment tail — the same step sequence the
+// uniform-stepping driver at MaxStep = h generates.
 func (b *Battery) DrainSegment(current, dt float64) (sustained float64, alive bool) {
 	if !b.alive {
 		return 0, false
@@ -109,9 +101,6 @@ func (b *Battery) DrainSegment(current, dt float64) (sustained float64, alive bo
 	}
 	if current < 0 {
 		current = 0
-	}
-	if b.params.MonteCarlo {
-		return b.drainMonteCarlo(current, dt)
 	}
 	h := b.estep
 	slots := int(math.Floor(dt / h))
@@ -149,10 +138,7 @@ func (b *Battery) DrainSegment(current, dt float64) (sustained float64, alive bo
 // cumulative demand to stay within the nominal store plus everything the
 // bound store can ever release, so exhaustion under a positive constant
 // current happens within MaxCoulombs/I plus one step; draining a scratch
-// copy over that horizon pins the instant without touching the state. In
-// Monte Carlo mode the exhaustion time is a random variable; this reports
-// the expected-value mode estimate (the analytic driver never runs Monte
-// Carlo instances, so nothing dispatches on it).
+// copy over that horizon pins the instant without touching the state.
 func (b *Battery) ExhaustionTime(current float64) float64 {
 	if !b.alive {
 		return 0
@@ -161,7 +147,6 @@ func (b *Battery) ExhaustionTime(current float64) float64 {
 		return math.Inf(1)
 	}
 	clone := *b
-	clone.params.MonteCarlo = false
 	horizon := b.params.MaxCoulombs/current + b.estep
 	sustained, alive := clone.DrainSegment(current, horizon)
 	if alive {
@@ -238,7 +223,7 @@ func (b *Battery) RepetitionOperator(p *profile.Profile) battery.RepetitionOpera
 // same sign. So the admissible set, which must contain j = 0, is a prefix.
 func (o *repOp) Advance(max int) int {
 	b := o.b
-	if !b.alive || b.params.MonteCarlo {
+	if !b.alive {
 		return 0
 	}
 	p0 := b.recoveryProbability()
@@ -265,6 +250,5 @@ func (o *repOp) Advance(max int) int {
 var (
 	_ battery.SegmentDrainer       = (*Battery)(nil)
 	_ battery.RepetitionTransferer = (*Battery)(nil)
-	_ battery.AnalyticGater        = (*Battery)(nil)
 	_ battery.RepetitionOperator   = (*repOp)(nil)
 )

@@ -101,46 +101,6 @@ func TestFastPathSlotExactAccuracy(t *testing.T) {
 	}
 }
 
-// TestMonteCarloKeepsSlotPath: Monte Carlo mode gates itself off the analytic
-// path, so default-dispatch results are byte-identical to the forced
-// slot-level stepping they have always used, and DrainSegment (never reached
-// through the drivers, but part of the interface) delegates to the same
-// slot arithmetic.
-func TestMonteCarloKeepsSlotPath(t *testing.T) {
-	ps := stochastic.Default().Params()
-	ps.MonteCarlo = true
-	ps.Seed = 99
-	m, err := stochastic.New(ps)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.AnalyticOK() {
-		t.Fatal("Monte Carlo instance must gate off the analytic path")
-	}
-	p := fastpathProfiles()["bench"]
-	def, err := battery.SimulateUntilExhausted(m, p, battery.SimulateOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	forced, err := battery.SimulateUntilExhausted(m, p, battery.SimulateOptions{MaxStep: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if def != forced {
-		t.Fatalf("default dispatch %+v != forced slot stepping %+v", def, forced)
-	}
-	// DrainSegment delegation: one whole segment equals one Drain call.
-	m.Reset()
-	s1, a1 := m.DrainSegment(1.2, 33.4)
-	d1 := m.DeliveredCharge()
-	m.Reset()
-	s2, a2 := m.Drain(1.2, 33.4)
-	d2 := m.DeliveredCharge()
-	if s1 != s2 || a1 != a2 || d1 != d2 {
-		t.Fatalf("MC DrainSegment (%v,%v,%v) != Drain (%v,%v,%v)", s1, a1, d1, s2, a2, d2)
-	}
-}
-
 // TestFastPathOperatorConsistency: the repetition transfer operator and plain
 // segment stepping are the same arithmetic up to exp-product rounding, so a
 // driver run (which uses the operator for the battery's whole steady state)

@@ -63,7 +63,7 @@ func newRefOp(b *Battery, p *profile.Profile) refOp {
 // state: the inequalities the closed form evaluates at the start of every
 // repetition of a run.
 func (op refOp) canAdvance(b *Battery) bool {
-	if !b.alive || b.params.MonteCarlo {
+	if !b.alive {
 		return false
 	}
 	if b.available-op.totalDemand <= op.maxStepDem+prefixSlack {

@@ -16,35 +16,27 @@
 // heavy continuous loads only the nominal store is delivered — the
 // rate-capacity effect the scheduling guidelines exploit.
 //
-// Two evaluation modes are provided:
-//
-//   - expected-value mode (default): charge flows use the slot-level expected
-//     values, which makes runs deterministic and O(1) per Drain call;
-//   - Monte Carlo mode: charge units move according to the seeded RNG, one
-//     slot at a time, reproducing the stochastic trajectories of the original
-//     model.
-//
-// Expected-value mode additionally implements battery.SegmentDrainer and
-// battery.RepetitionTransferer, so battery.SimulateUntilExhausted advances it
-// whole constant-current segments, and whole runs of profile repetitions, at
-// a time. The key identity: the expected-value recursion at step h has
-// deterministic depth of discharge (delivered charge grows by the demand
-// regardless of recovery), so recovery decays geometrically — per step
-// within a constant-current segment, and per repetition across repetitions
-// of a profile — and its partial sums have closed forms. A segment collapses
-// to O(1) arithmetic plus exact per-step updates where a branch (recovery
+// The model is evaluated in expected-value mode, as in the paper's
+// experiments: charge flows use the slot-level expected values, which makes
+// runs deterministic and O(1) per Drain call. It also implements
+// battery.SegmentDrainer and battery.RepetitionTransferer, so
+// battery.SimulateUntilExhausted advances it whole constant-current
+// segments, and whole runs of profile repetitions, at a time. The key
+// identity: the expected-value recursion at step h has deterministic depth
+// of discharge (delivered charge grows by the demand regardless of
+// recovery), so recovery decays geometrically — per step within a
+// constant-current segment, and per repetition across repetitions of a
+// profile — and its partial sums have closed forms. A segment collapses to
+// O(1) arithmetic plus exact per-step updates where a branch (recovery
 // clamped by the bound store, or exhaustion) is near; a run of repetitions
 // collapses to O(1). Params.ExpectedStep selects the reproduced step
-// resolution. Monte Carlo mode has no such collapse — its trajectory is
-// defined one RNG draw per slot — so it gates itself off the analytic path
-// via battery.AnalyticGater and keeps fine stepping.
+// resolution.
 package stochastic
 
 import (
 	"errors"
 	"fmt"
 	"math"
-	"math/rand"
 
 	"battsched/internal/battery"
 )
@@ -68,18 +60,13 @@ type Params struct {
 	RecoveryDecay float64
 	// SlotDuration is the length of one time slot in seconds.
 	SlotDuration float64
-	// MonteCarlo selects per-slot random sampling instead of expected values.
-	MonteCarlo bool
-	// Seed seeds the RNG used in Monte Carlo mode.
-	Seed int64
 	// ExpectedStep is the time resolution, in seconds, of the expected-value
 	// recursion that the analytic segment fast path reproduces (in closed
 	// form, so the cost per segment is independent of the resolution). Zero
 	// selects 1 s — the substep of the historical uniform-stepping driver, so
 	// default fast-path results track the pre-fast-path numbers to rounding
 	// error. Set it to SlotDuration for slot-exact expected-value evaluation.
-	// Must be at most 10 s (the expected-value chunk bound). Monte Carlo mode
-	// ignores it.
+	// Must be at most 10 s (the expected-value chunk bound).
 	ExpectedStep float64
 }
 
@@ -89,9 +76,7 @@ var ErrBadParams = errors.New("stochastic: invalid parameters")
 // Battery is a stochastic charge-unit battery.
 type Battery struct {
 	params Params
-	unit   float64 // charge per slot at MaxCurrent, in coulombs
 	estep  float64 // resolved ExpectedStep (1 s when the param is zero)
-	rng    *rand.Rand
 
 	available float64 // coulombs directly available
 	bound     float64 // coulombs bound (recoverable)
@@ -129,11 +114,7 @@ func New(p Params) (*Battery, error) {
 		p.ExpectedStep < 0 || p.ExpectedStep > expectedChunk {
 		return nil, fmt.Errorf("%w: %+v", ErrBadParams, p)
 	}
-	b := &Battery{
-		params: p,
-		unit:   p.MaxCurrent * p.SlotDuration,
-		estep:  p.ExpectedStep,
-	}
+	b := &Battery{params: p, estep: p.ExpectedStep}
 	if b.estep == 0 {
 		b.estep = 1
 	}
@@ -147,24 +128,12 @@ func (b *Battery) Name() string { return "stochastic" }
 // Params returns the model parameters.
 func (b *Battery) Params() Params { return b.params }
 
-// Reset implements battery.Model. Only Monte Carlo mode maintains the RNG —
-// reseeding a rand source costs microseconds, longer than a whole analytic
-// expected-value lifetime — and it is reseeded in place rather than
-// reallocated, so instances can be reused across simulations (the batch
-// drivers reset-and-reuse one instance per model) without per-run garbage.
+// Reset implements battery.Model.
 func (b *Battery) Reset() {
 	b.available = b.params.NominalCoulombs
 	b.bound = b.params.MaxCoulombs - b.params.NominalCoulombs
 	b.delivered = 0
 	b.alive = true
-	if !b.params.MonteCarlo {
-		return
-	}
-	if b.rng == nil {
-		b.rng = rand.New(rand.NewSource(b.params.Seed))
-	} else {
-		b.rng.Seed(b.params.Seed)
-	}
 }
 
 // MaxCapacity implements battery.Model.
@@ -206,9 +175,6 @@ func (b *Battery) Drain(current, dt float64) (sustained float64, alive bool) {
 	}
 	if current < 0 {
 		current = 0
-	}
-	if b.params.MonteCarlo {
-		return b.drainMonteCarlo(current, dt)
 	}
 	return b.drainExpected(current, dt)
 }
@@ -264,43 +230,10 @@ func (b *Battery) drainExpected(current, dt float64) (sustained float64, alive b
 	return dt, true
 }
 
-// drainMonteCarlo advances the model one slot at a time using the RNG.
-func (b *Battery) drainMonteCarlo(current, dt float64) (sustained float64, alive bool) {
-	slots := int(math.Ceil(dt / b.params.SlotDuration))
-	if slots < 1 {
-		slots = 1
-	}
-	slotDur := dt / float64(slots)
-	demandProb := math.Min(current/b.params.MaxCurrent, 1)
-	for s := 0; s < slots; s++ {
-		if b.rng.Float64() < demandProb {
-			// Demand slot: draw one unit (scaled to the actual slot length).
-			q := b.params.MaxCurrent * slotDur
-			b.available -= q
-			b.delivered += q
-			if b.available <= 0 {
-				b.available = 0
-				b.alive = false
-				return float64(s+1) * slotDur, false
-			}
-		} else if b.bound > 0 && b.rng.Float64() < b.recoveryProbability() {
-			// Idle slot: recover one unit from the bound store.
-			q := math.Min(b.params.MaxCurrent*slotDur, b.bound)
-			b.bound -= q
-			b.available += q
-		}
-	}
-	return dt, true
-}
-
 // String implements fmt.Stringer.
 func (b *Battery) String() string {
-	mode := "expected"
-	if b.params.MonteCarlo {
-		mode = "montecarlo"
-	}
-	return fmt.Sprintf("Stochastic(%s max=%.0fmAh nom=%.0fmAh avail=%.0fmAh bound=%.0fmAh)",
-		mode, battery.MAh(b.params.MaxCoulombs), battery.MAh(b.params.NominalCoulombs),
+	return fmt.Sprintf("Stochastic(expected max=%.0fmAh nom=%.0fmAh avail=%.0fmAh bound=%.0fmAh)",
+		battery.MAh(b.params.MaxCoulombs), battery.MAh(b.params.NominalCoulombs),
 		battery.MAh(b.AvailableCharge()), battery.MAh(b.BoundCharge()))
 }
 

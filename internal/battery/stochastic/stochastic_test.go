@@ -133,53 +133,6 @@ func TestBurstyLoadOutlivesContinuousLoad(t *testing.T) {
 	}
 }
 
-func TestMonteCarloModeRunsAndDies(t *testing.T) {
-	p := Default().Params()
-	p.MonteCarlo = true
-	p.Seed = 42
-	p.SlotDuration = 0.05
-	b, err := New(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, err := battery.ConstantLoadLifetime(b, 1.5, 1e6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !r.Exhausted {
-		t.Fatal("Monte Carlo battery did not die")
-	}
-	if r.DeliveredCharge < p.NominalCoulombs*0.9 || r.DeliveredCharge > p.MaxCoulombs*1.01 {
-		t.Fatalf("Monte Carlo delivered charge %v outside plausible range", r.DeliveredCharge)
-	}
-}
-
-func TestMonteCarloReproducibleWithSeed(t *testing.T) {
-	run := func(seed int64) battery.Result {
-		p := Default().Params()
-		p.MonteCarlo = true
-		p.Seed = seed
-		p.SlotDuration = 0.05
-		b, err := New(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		r, err := battery.ConstantLoadLifetime(b, 1.5, 1e6)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return r
-	}
-	a, b := run(7), run(7)
-	if a.Lifetime != b.Lifetime {
-		t.Fatalf("same seed, different lifetimes: %v vs %v", a.Lifetime, b.Lifetime)
-	}
-	c := run(8)
-	if a.Lifetime == c.Lifetime && a.DeliveredCharge == c.DeliveredCharge {
-		t.Log("different seeds produced identical results (possible but unlikely)")
-	}
-}
-
 func TestRecoveryProbabilityDecaysWithDischarge(t *testing.T) {
 	b := Default()
 	p0 := b.recoveryProbability()
@@ -219,15 +172,6 @@ func TestNameAndString(t *testing.T) {
 	}
 	if b.String() == "" {
 		t.Fatal("empty String()")
-	}
-	p := b.Params()
-	p.MonteCarlo = true
-	mc, err := New(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mc.String() == "" {
-		t.Fatal("empty Monte Carlo String()")
 	}
 }
 

@@ -84,7 +84,7 @@ func SpecHash(experiment string, spec Spec) string {
 // the canonical encoding extended with the shard line, hashed. Shard partials
 // are bit-exact functions of (spec, shard) — the set-index partition is
 // deterministic — so the address is safe to cache and deduplicate against: a
-// speculatively re-dispatched unit recomputes the identical partial bytes.
+// re-dispatched unit recomputes the identical partial bytes.
 // A disabled shard returns SpecHash (the complete run's address).
 func ShardSpecHash(experiment string, spec Spec, shard Shard) string {
 	if !shard.Enabled() {

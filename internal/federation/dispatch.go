@@ -3,14 +3,12 @@ package federation
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"log"
 	"net"
 	"net/http"
-	"slices"
 	"sync"
 	"syscall"
 	"time"
@@ -48,12 +46,12 @@ type worker struct {
 
 // unitState is the fleet's view of one unit.
 type unitState struct {
-	attempts int // dispatches so far (speculative duplicates count)
-	leases   []*lease
+	attempts int    // dispatches so far
+	lease    *lease // the unit's current dispatch, nil while it waits for one
 	prefer   string // journaled worker URL to prefer on restart replay
 }
 
-// lease is one outstanding dispatch of a unit to a worker.
+// lease is one dispatch of a unit to a worker.
 type lease struct {
 	u         *service.Unit
 	st        *unitState
@@ -61,7 +59,7 @@ type lease struct {
 	remote    string // the worker's job ID, once known
 	started   time.Time
 	expires   time.Time
-	cancelled bool // expired or superseded; the poll goroutine stops
+	cancelled bool // failed, expired, superseded or settled; the poll goroutine stops
 }
 
 // unitName names a unit for logs and errors.
@@ -103,25 +101,15 @@ func (f *fleet) Validate(req service.JobRequest) error {
 // Place leases u to its preferred worker when that one is live with a free
 // slot (the journaled lease target on restart — the result is likely cached
 // or still in flight there), otherwise to the live worker with the most free
-// slots that is not already running u.
+// slots.
 func (f *fleet) Place(u *service.Unit) func(context.Context) func() {
 	st := f.state(u)
-	eligible := func(w *worker) bool {
-		if !w.live || w.leased >= w.slots {
-			return false
-		}
-		for _, l := range st.leases {
-			if l.w == w && !l.cancelled {
-				return false // already running this unit (speculation targets another worker)
-			}
-		}
-		return true
-	}
+	free := func(w *worker) bool { return w.live && w.leased < w.slots }
 	w := f.workers[st.prefer]
-	if w == nil || !eligible(w) {
+	if w == nil || !free(w) {
 		w = nil
 		for _, c := range f.workers {
-			if eligible(c) && (w == nil || c.slots-c.leased > w.slots-w.leased) {
+			if free(c) && (w == nil || c.slots-c.leased > w.slots-w.leased) {
 				w = c
 			}
 		}
@@ -132,7 +120,7 @@ func (f *fleet) Place(u *service.Unit) func(context.Context) func() {
 	st.attempts++
 	now := time.Now()
 	l := &lease{u: u, st: st, w: w, started: now, expires: now.Add(f.cfg.LeaseDuration)}
-	st.leases = append(st.leases, l)
+	st.lease = l
 	w.leased++
 	f.s.JournalLeaseLocked(u, journal.Lease{Worker: w.url, Expires: l.expires})
 	return func(ctx context.Context) func() { return f.runLease(ctx, l) }
@@ -167,12 +155,10 @@ func (f *fleet) Resume(u *service.Unit, leases []journal.Lease) bool {
 	return false
 }
 
-// Settle cancels every outstanding lease of u and forgets it.
+// Settle cancels u's lease and forgets it.
 func (f *fleet) Settle(u *service.Unit) {
 	if st := f.units[u]; st != nil {
-		for _, l := range st.leases {
-			f.releaseLocked(l)
-		}
+		f.releaseLocked(st.lease)
 		delete(f.units, u)
 	}
 }
@@ -181,11 +167,9 @@ func (f *fleet) Health(h *service.Health) {
 	// Lifetime counters are read back from the metrics registry, so /healthz
 	// and /metrics cannot disagree (pinned by TestFleetHealthMatchesMetrics).
 	fl := &service.FleetHealth{
-		Workers:               len(f.workers),
-		QueuedUnits:           h.QueueDepth,
-		ExpiredRedispatches:   int(f.met.expiredRe.Value()),
-		SpeculativeDispatches: int(f.met.speculative.Value()),
-		MeanUnitMs:            h.MeanUnitMs,
+		Workers:             len(f.workers),
+		QueuedUnits:         h.QueueDepth,
+		ExpiredRedispatches: int(f.met.expiredRe.Value()),
 	}
 	for _, w := range f.workers {
 		if w.live {
@@ -214,9 +198,7 @@ func (f *fleet) Routes() map[string]func(*http.Request) (any, error) {
 			var req struct {
 				URL string `json:"url"`
 			}
-			dec := json.NewDecoder(io.LimitReader(r.Body, maxRequestBody))
-			dec.DisallowUnknownFields()
-			if err := dec.Decode(&req); err != nil {
+			if err := service.DecodeJSON(io.LimitReader(r.Body, maxRequestBody), &req); err != nil {
 				return nil, fmt.Errorf(`%w: registration needs {"url": "http://host:port"}: %v`, experiments.ErrBadConfig, err)
 			}
 			if err := f.addWorker(req.URL); err != nil {
@@ -321,11 +303,9 @@ func (f *fleet) markWorkerDownLocked(w *worker, reason, why string) {
 	w.live = false
 	w.fails = f.cfg.DeadAfter
 	for _, st := range f.units {
-		for _, l := range slices.Clone(st.leases) {
-			if l.w == w && !l.cancelled {
-				f.met.leaseExpiries.Inc()
-				f.failLeaseLocked(l, fmt.Sprintf("worker %s stopped answering heartbeats", w.url))
-			}
+		if l := st.lease; l != nil && l.w == w && !l.cancelled {
+			f.met.leaseExpiries.Inc()
+			f.failLeaseLocked(l, fmt.Sprintf("worker %s stopped answering heartbeats", w.url))
 		}
 	}
 }
@@ -409,19 +389,15 @@ func (f *fleet) leaseFailed(l *lease, msg string, err error) func() {
 }
 
 // failLeaseLocked handles every way a lease ends without delivering: release
-// the slot and, when this was the unit's last active lease, re-queue the unit
-// (below MaxAttempts) or fail the job. A unit whose speculative duplicate is
-// still running is left to that copy. Callers hold the lock.
+// the slot and re-queue the unit (below MaxAttempts) or fail the job.
+// Callers hold the lock.
 func (f *fleet) failLeaseLocked(l *lease, msg string) {
 	if l.cancelled {
 		return // already expired, superseded or settled
 	}
 	f.releaseLocked(l)
 	st := l.st
-	st.leases = slices.DeleteFunc(st.leases, func(x *lease) bool { return x == l })
-	if len(st.leases) > 0 {
-		return // a speculative copy is still in flight
-	}
+	st.lease = nil
 	u := l.u
 	if st.attempts >= f.cfg.MaxAttempts {
 		f.s.FailLocked(u, l.w.url, fmt.Errorf("unit %s failed after %d attempts: %s", unitName(u), st.attempts, msg))
@@ -437,10 +413,10 @@ func (f *fleet) failLeaseLocked(l *lease, msg string) {
 	f.s.QueueLocked(u)
 }
 
-// releaseLocked cancels one lease and returns its slot. Callers hold the
-// lock.
+// releaseLocked cancels one lease, if any, and returns its slot. Callers
+// hold the lock.
 func (f *fleet) releaseLocked(l *lease) {
-	if l.cancelled {
+	if l == nil || l.cancelled {
 		return
 	}
 	l.cancelled = true
@@ -448,8 +424,7 @@ func (f *fleet) releaseLocked(l *lease) {
 	f.s.Wake()
 }
 
-// leaseMonitor expires overdue leases and speculatively re-dispatches
-// stragglers.
+// leaseMonitor expires overdue leases.
 func (f *fleet) leaseMonitor(wg *sync.WaitGroup) {
 	defer wg.Done()
 	period := min(max(f.cfg.LeaseDuration/4, 10*time.Millisecond), time.Second)
@@ -465,34 +440,17 @@ func (f *fleet) leaseMonitor(wg *sync.WaitGroup) {
 	}
 }
 
+// monitorRound re-queues the unit of every expired lease: its worker
+// stopped renewing (died, wedged, or unreachable). A unit whose worker keeps
+// answering is never re-dispatched, however long it runs.
 func (f *fleet) monitorRound() {
-	threshold := max(f.cfg.StragglerMin,
-		time.Duration(f.cfg.StragglerFactor*f.s.Health().MeanUnitMs*float64(time.Millisecond)))
 	f.s.Lock()
 	defer f.s.Unlock()
 	now := time.Now()
-	for u, st := range f.units {
-		// Expired leases: the worker stopped renewing (died, wedged, or
-		// unreachable) — re-queue elsewhere.
-		for _, l := range slices.Clone(st.leases) {
-			if !l.cancelled && now.After(l.expires) {
-				f.met.leaseExpiries.Inc()
-				f.failLeaseLocked(l, fmt.Sprintf("lease on %s expired", l.w.url))
-			}
-		}
-		// Stragglers: one active lease, runtime far beyond the mean —
-		// dispatch a speculative duplicate; first completion wins.
-		if len(st.leases) != 1 || st.attempts >= f.cfg.MaxAttempts {
-			continue
-		}
-		l := st.leases[0]
-		if ran := now.Sub(l.started); ran > threshold && f.s.QueueLocked(u) {
-			f.met.speculative.Inc()
-			e := event(obs.EventSpeculative, u, l.w)
-			e.Detail = fmt.Sprintf("%.1fs > %.1fs threshold", ran.Seconds(), threshold.Seconds())
-			f.s.Emit(e)
-			log.Printf("federation: %s unit %s is a straggler on %s (%s); dispatching a duplicate",
-				u.Job(), unitName(u), l.w.url, e.Detail)
+	for _, st := range f.units {
+		if l := st.lease; l != nil && !l.cancelled && now.After(l.expires) {
+			f.met.leaseExpiries.Inc()
+			f.failLeaseLocked(l, fmt.Sprintf("lease on %s expired", l.w.url))
 		}
 	}
 }
@@ -500,7 +458,9 @@ func (f *fleet) monitorRound() {
 // deliver decodes one completed unit's artifact (a shard partial) and
 // returns the step that hands it to the front end: the first copy wins,
 // later duplicates are discarded (bit-exact by construction), and a
-// delivered shard partial is cached under its content address.
+// delivered shard partial is cached under its content address. An expired
+// lease whose worker finishes after all still delivers, and releases the
+// unit's re-dispatch.
 func (f *fleet) deliver(l *lease, raw []byte) func() {
 	u := l.u
 	var rep *experiments.Report
@@ -513,10 +473,8 @@ func (f *fleet) deliver(l *lease, raw []byte) func() {
 	dur := time.Since(l.started)
 	return func() {
 		f.releaseLocked(l)
-		st := l.st
-		st.leases = slices.DeleteFunc(st.leases, func(x *lease) bool { return x == l })
 		if !f.s.DeliverLocked(u, rep, raw, dur, l.w.url) {
-			return // a duplicate (speculation or expiry re-dispatch) already delivered
+			return // the other side of an expiry re-dispatch already delivered
 		}
 		if l.w.meanUnitNs == 0 {
 			l.w.meanUnitNs = float64(dur)
@@ -526,11 +484,9 @@ func (f *fleet) deliver(l *lease, raw []byte) func() {
 		if u.Shard().Enabled() {
 			f.s.CachePutLocked(u, raw)
 		}
-		// Cancel any other outstanding copies of this unit; their pollers exit.
-		for _, ol := range st.leases {
-			f.releaseLocked(ol)
-		}
-		st.leases = nil
+		// Cancel the re-dispatch a late delivery overtook; its poller exits.
+		f.releaseLocked(l.st.lease)
+		l.st.lease = nil
 	}
 }
 

@@ -15,10 +15,9 @@
 // is a cache hit, and a re-dispatch of a unit the same worker is still
 // computing coalesces onto the in-flight run. That idempotence is what makes
 // the coordinator's failure handling simple: leases that expire (worker died
-// or became unreachable) re-queue their units, stragglers (unit runtime
-// beyond StragglerFactor × the mean unit time) get a speculative duplicate
-// on another worker, the first completed copy wins, and duplicates are
-// discarded — every copy of a shard partial is bit-exact.
+// or became unreachable) re-queue their units, the first completed copy
+// wins, and a late copy is discarded — every copy of a shard partial is
+// bit-exact. A unit whose worker keeps answering finishes where it runs.
 //
 // Delivered shard partials are cached under their content address, and
 // leases are journaled next to the front end's job records; a restarted
@@ -63,16 +62,8 @@ type Config struct {
 	// with GET /v1/jobs/{id}?wait=PollInterval, so it learns of a finished
 	// unit at once and renews the lease at least this often.
 	PollInterval time.Duration
-	// StragglerFactor marks a unit a straggler once its runtime exceeds this
-	// multiple of the mean unit time (EWMA); stragglers get one speculative
-	// duplicate dispatch on another worker (<= 0 selects 3).
-	StragglerFactor float64
-	// StragglerMin is the minimum runtime before a unit can be called a
-	// straggler, so short jobs don't speculate on scheduling noise (<= 0
-	// selects 2 s).
-	StragglerMin time.Duration
 	// MaxAttempts bounds dispatch attempts per unit before the job fails
-	// (<= 0 selects 3; speculative duplicates count).
+	// (<= 0 selects 3).
 	MaxAttempts int
 	// CacheDir is the coordinator's content-addressed artifact store: full
 	// merged artifacts and shard partials both live here, and a non-empty
@@ -110,12 +101,6 @@ func (cfg *Config) fillDefaults() {
 	}
 	if cfg.PollInterval <= 0 {
 		cfg.PollInterval = 100 * time.Millisecond
-	}
-	if cfg.StragglerFactor <= 0 {
-		cfg.StragglerFactor = 3
-	}
-	if cfg.StragglerMin <= 0 {
-		cfg.StragglerMin = 2 * time.Second
 	}
 	if cfg.MaxAttempts <= 0 {
 		cfg.MaxAttempts = 3

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -17,8 +19,7 @@ import (
 )
 
 // fastConfig returns coordinator timings suitable for tests: heartbeats and
-// polls in the tens of milliseconds, speculation disabled unless a test
-// enables it.
+// polls in the tens of milliseconds.
 func fastConfig(workers ...string) federation.Config {
 	return federation.Config{
 		Workers:           workers,
@@ -26,7 +27,6 @@ func fastConfig(workers ...string) federation.Config {
 		DeadAfter:         2,
 		LeaseDuration:     500 * time.Millisecond,
 		PollInterval:      10 * time.Millisecond,
-		StragglerMin:      time.Hour, // no speculation unless the test wants it
 		MaxAttempts:       5,
 	}
 }
@@ -286,40 +286,165 @@ func TestCoordinatorRestartResumesFromJournal(t *testing.T) {
 	}
 }
 
-// TestSpeculativeRedispatchFirstCompletionWins pins straggler handling: units
-// wedged on a slow worker get speculative duplicates on another worker, the
-// duplicate's completion finishes the job, and the artifact stays
-// byte-identical (the late copy is discarded).
-func TestSpeculativeRedispatchFirstCompletionWins(t *testing.T) {
+// TestHealthyFleetDispatchesEachUnitOnce pins that a fleet of healthy
+// workers runs each unit exactly once, however uneven the units are: two
+// one-slot workers hold shard 0/2 for 0.5 s and shard 1/2 for 4 s, the
+// coordinator keeps its production lease, attempt and monitor timings, and a
+// unit that keeps answering polls finishes where it runs. A duplicate of the
+// long unit would occupy the worker that shard 0/2 freed, because the
+// coordinator cannot cancel a remote job.
+func TestHealthyFleetDispatchesEachUnitOnce(t *testing.T) {
 	spec := experiments.Spec{Quick: true, Battery: "kibam"}
 	want := localArtifact(t, "table2", spec)
 
-	hookA, releaseA := blockingHook()
-	defer releaseA()
-	_, tsA := startWorker(t, service.Config{FaultHook: hookA})
-	_, tsB := startWorker(t, service.Config{})
-
-	var toA atomic.Int32
-	cfg := fastConfig(tsA.URL)
-	cfg.StragglerMin = 50 * time.Millisecond
-	cfg.StragglerFactor = 3
-	cfg.LeaseDuration = time.Minute // expiry must not beat speculation here
-	cfg.OnDispatch = func(_ string, _ experiments.Shard, worker string) {
-		if worker == tsA.URL {
-			toA.Add(1)
+	hold := func(ctx context.Context, _ string, shard experiments.Shard) error {
+		d := 500 * time.Millisecond
+		if shard.Index == 1 {
+			d = 4 * time.Second
 		}
+		select {
+		case <-ctx.Done():
+			return ctx.Err()
+		case <-time.After(d):
+			return nil
+		}
+	}
+	_, tsA := startWorker(t, service.Config{Workers: 1, FaultHook: hold})
+	_, tsB := startWorker(t, service.Config{Workers: 1, FaultHook: hold})
+
+	var mu sync.Mutex
+	dispatches := map[string]int{}
+	_, c := startCoordinator(t, federation.Config{
+		Workers:           []string{tsA.URL, tsB.URL},
+		PollInterval:      10 * time.Millisecond,
+		HeartbeatInterval: 20 * time.Millisecond,
+		OnDispatch: func(_ string, shard experiments.Shard, _ string) {
+			mu.Lock()
+			dispatches[shard.String()]++
+			mu.Unlock()
+		},
+	})
+
+	ctx := context.Background()
+	st, err := c.Submit(ctx, service.JobRequest{
+		Experiment: "table2", Spec: service.SpecRequestFrom(spec), Shards: 2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	final, err := c.Wait(ctx, st.ID, 10*time.Millisecond, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if final.State != service.StateDone {
+		t.Fatalf("job = %s (%s), want done", final.State, final.Error)
+	}
+	got, err := c.ReportArtifact(ctx, st.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("federated artifact differs from local run -o (%d vs %d bytes)", len(got), len(want))
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(dispatches) != 2 || dispatches["0/2"] != 1 || dispatches["1/2"] != 1 {
+		t.Fatalf("dispatches per unit = %v, want each of 0/2 and 1/2 once", dispatches)
+	}
+}
+
+// TestLateDeliveryFromExpiredLeaseWins pins the one way a healthy fleet
+// runs a unit twice: the unit's lease expires while the coordinator fetches
+// its finished partial, and the unit is re-dispatched. The late copy still
+// wins, and delivering it frees the re-dispatch's slot while the job's other
+// unit still runs; the artifact stays byte-identical.
+func TestLateDeliveryFromExpiredLeaseWins(t *testing.T) {
+	spec := experiments.Spec{Quick: true, Battery: "kibam"}
+	want := localArtifact(t, "table2", spec)
+
+	// Worker A holds every artifact fetch until the gate opens, so the
+	// coordinator stops renewing the lease of the unit A finished.
+	srvA, err := service.New(service.Config{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fetching := make(chan struct{}, 1)
+	gate := make(chan struct{})
+	var once sync.Once
+	openGate := func() { once.Do(func() { close(gate) }) }
+	tsA := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if strings.HasSuffix(r.URL.Path, "/report") {
+			select {
+			case fetching <- struct{}{}:
+			default:
+			}
+			select {
+			case <-gate:
+			case <-r.Context().Done():
+				return
+			}
+		}
+		srvA.Handler().ServeHTTP(w, r)
+	}))
+	t.Cleanup(func() {
+		openGate()
+		tsA.Close()
+		srvA.Close()
+	})
+	defer openGate()
+	// Worker B holds every unit until released. Its 3 slots make it the
+	// freest worker once A's lease expires, so the re-dispatch lands there.
+	hookB, releaseB := blockingHook()
+	defer releaseB()
+	_, tsB := startWorker(t, service.Config{Workers: 3, FaultHook: hookB})
+
+	var mu sync.Mutex
+	dispatches := map[string]int{} // "unit@worker"
+	dispatched := func(unit, worker string) int {
+		mu.Lock()
+		defer mu.Unlock()
+		return dispatches[unit+"@"+worker]
+	}
+	cfg := fastConfig(tsA.URL) // A only, so shard 0/2 lands there first
+	cfg.OnDispatch = func(_ string, shard experiments.Shard, worker string) {
+		mu.Lock()
+		dispatches[shard.String()+"@"+worker]++
+		mu.Unlock()
 	}
 	co, c := startCoordinator(t, cfg)
 
 	ctx := context.Background()
 	st, err := c.Submit(ctx, service.JobRequest{
-		Experiment: "table2", Spec: service.SpecRequestFrom(spec), Shards: 4,
+		Experiment: "table2", Spec: service.SpecRequestFrom(spec), Shards: 2,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "a unit dispatched to the slow worker", func() bool { return toA.Load() > 0 })
+	select {
+	case <-fetching:
+	case <-time.After(30 * time.Second):
+		t.Fatal("timed out waiting for the coordinator to fetch shard 0/2 from worker A")
+	}
 	co.AddWorker(tsB.URL)
+	waitFor(t, "shard 0/2 re-dispatched to worker B", func() bool { return dispatched("0/2", tsB.URL) > 0 })
+	openGate()
+	waitFor(t, "A's late copy of 0/2 delivered and B's copy released", func() bool {
+		js, err := co.Job(st.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		done := false
+		for _, sh := range js.Shards {
+			done = done || (sh.Shard == "0/2" && sh.State == service.StateDone)
+		}
+		for _, w := range co.Workers() {
+			if w.URL == tsB.URL && w.Leased != 1 {
+				return false // B still counts the released copy, or 1/2 left
+			}
+		}
+		return done
+	})
+	releaseB()
 
 	final, err := c.Wait(ctx, st.ID, 10*time.Millisecond, nil)
 	if err != nil {
@@ -333,10 +458,15 @@ func TestSpeculativeRedispatchFirstCompletionWins(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, want) {
-		t.Fatal("artifact differs from local run -o after speculation")
+		t.Fatalf("federated artifact differs from local run -o (%d vs %d bytes)", len(got), len(want))
 	}
-	if h := co.Health(); h.Fleet == nil || h.Fleet.SpeculativeDispatches == 0 {
-		t.Fatalf("fleet health = %+v, want speculative dispatches", h.Fleet)
+	mu.Lock()
+	defer mu.Unlock()
+	if len(dispatches) != 3 || dispatches["0/2@"+tsA.URL] != 1 || dispatches["0/2@"+tsB.URL] != 1 || dispatches["1/2@"+tsB.URL] != 1 {
+		t.Fatalf("dispatches = %v, want 0/2 once on each worker and 1/2 once on B", dispatches)
+	}
+	if h := co.Health(); h.Fleet.ExpiredRedispatches != 1 {
+		t.Fatalf("fleet health = %+v, want the one re-dispatch", h.Fleet)
 	}
 }
 

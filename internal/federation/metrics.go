@@ -15,7 +15,6 @@ type fleetMetrics struct {
 	leaseRenewals *obs.Counter // successful status polls extending a lease
 	leaseExpiries *obs.Counter // leases expired (deadline passed or worker died)
 	expiredRe     *obs.Counter // unit re-dispatches after a failed/expired lease
-	speculative   *obs.Counter // straggler duplicate dispatches
 	downHeartbeat *obs.Counter // battsched_worker_down_total{reason="heartbeat-miss"}
 	downTransport *obs.Counter // battsched_worker_down_total{reason="transport-error"}
 }
@@ -26,7 +25,6 @@ func newFleetMetrics(r *obs.Registry) fleetMetrics {
 		leaseRenewals: r.Counter("battsched_fleet_lease_renewals_total", "Lease renewals from successful remote status polls."),
 		leaseExpiries: r.Counter("battsched_fleet_lease_expiries_total", "Leases expired: deadline passed without renewal, or the worker was marked dead."),
 		expiredRe:     r.Counter("battsched_fleet_expired_redispatches_total", "Units re-dispatched after a failed or expired lease."),
-		speculative:   r.Counter("battsched_fleet_speculative_dispatches_total", "Straggler units duplicated onto a second worker."),
 		downHeartbeat: r.Counter("battsched_worker_down_total", downHelp, "reason", obs.ReasonHeartbeatMiss),
 		downTransport: r.Counter("battsched_worker_down_total", downHelp, "reason", obs.ReasonTransportError),
 	}

@@ -120,7 +120,6 @@ func TestFleetHealthMatchesMetrics(t *testing.T) {
 		{"battsched_fleet_queued_units", h.Fleet.QueuedUnits},
 		{"battsched_fleet_leased_units", h.Fleet.LeasedUnits},
 		{"battsched_fleet_expired_redispatches_total", h.Fleet.ExpiredRedispatches},
-		{"battsched_fleet_speculative_dispatches_total", h.Fleet.SpeculativeDispatches},
 		{"battsched_cache_hits_total", h.CacheHits},
 		{"battsched_cache_misses_total", h.CacheMisses},
 		{"battsched_queue_depth", h.QueueDepth},

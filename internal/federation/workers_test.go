@@ -34,8 +34,9 @@ func TestWorkerURLNormalised(t *testing.T) {
 }
 
 // TestWorkerURLValidated pins that only absolute http(s) URLs with a host
-// register: a bad -fleet seed fails New, a bad POST /v1/workers answers 400,
-// and neither leaves a registry entry or a per-worker series behind.
+// register: a bad -fleet seed fails New, a bad POST /v1/workers answers 400
+// (as does a body with data after its value), and neither leaves a registry
+// entry or a per-worker series behind.
 func TestWorkerURLValidated(t *testing.T) {
 	bad := []string{"not a url", "127.0.0.1:8345", "ftp://h:1", "http://", "http:///path", ""}
 	for _, raw := range bad {
@@ -54,6 +55,16 @@ func TestWorkerURLValidated(t *testing.T) {
 			t.Errorf("POST /v1/workers %q: HTTP %d, want 400", raw, resp.StatusCode)
 		}
 		co.AddWorker(raw)
+	}
+	// A valid registration with a second value after it is one body too many.
+	resp, err := http.Post(base+"/v1/workers", "application/json",
+		strings.NewReader(`{"url":"http://127.0.0.1:1"} {"url":"http://127.0.0.1:2"}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("POST /v1/workers with trailing data: HTTP %d, want 400", resp.StatusCode)
 	}
 	if ws := co.Workers(); len(ws) != 0 {
 		t.Fatalf("registry = %+v after invalid registrations, want empty", ws)

@@ -22,7 +22,6 @@ const (
 	EventUnitFailed       = "unit_failed"       // unit failed (detail: error)
 	EventUnitLeased       = "unit_leased"       // coordinator dispatched the unit under a lease
 	EventUnitRedispatched = "unit_redispatched" // lease failed or expired; unit re-queued (detail: cause)
-	EventSpeculative      = "speculative_lease" // straggler unit duplicated onto a second worker
 	EventMerge            = "merge"             // shard partials merged into the job artifact
 	EventWorkerDown       = "worker_down"       // worker taken out of rotation (reason: verdict, detail: cause)
 	EventWorkerUp         = "worker_up"         // heartbeat made a worker live (registration or recovery)

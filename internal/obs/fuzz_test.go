@@ -1,10 +1,13 @@
 package obs
 
 import (
+	"encoding/json"
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
+	"time"
 )
 
 // FuzzParseText checks that ParseText never panics on any input, and that a
@@ -39,6 +42,58 @@ func FuzzParseText(f *testing.F) {
 		}
 		if s.Value != v && !(math.IsNaN(s.Value) && math.IsNaN(v)) {
 			t.Fatalf("value = %v, want %v", s.Value, v)
+		}
+	})
+}
+
+// FuzzReadEvents writes arbitrary bytes as an events.jsonl. ReadEvents never
+// panics on it; every event it returns marshals and reads back equal (the
+// same instant, the same fields); and filtering on a trace id returns
+// exactly the events that carry it, in log order. Seeds: the coordinator's
+// event log of a quick 2-shard federated table2 job, whole and with a torn
+// last line.
+func FuzzReadEvents(f *testing.F) {
+	recorded, err := os.ReadFile(filepath.Join("testdata", "events.jsonl"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	const trace = "4f558045e3e4dbb8e8d3dc8057a061cc"
+	f.Add(recorded, trace)
+	f.Add(recorded[:len(recorded)-40], "")
+	same := func(a, b Event) bool {
+		ta, tb := a.Time, b.Time
+		a.Time, b.Time = time.Time{}, time.Time{}
+		return a == b && ta.Equal(tb)
+	}
+	f.Fuzz(func(t *testing.T, data []byte, trace string) {
+		path := filepath.Join(t.TempDir(), "events.jsonl")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		all, err := ReadEvents(path, "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want []Event
+		for _, e := range all {
+			line, err := json.Marshal(e)
+			if err != nil {
+				t.Fatalf("event %+v does not marshal: %v", e, err)
+			}
+			var back Event
+			if err := json.Unmarshal(line, &back); err != nil || !same(back, e) {
+				t.Fatalf("event %+v marshals to %s, which reads back as %+v (%v)", e, line, back, err)
+			}
+			if trace == "" || e.Trace == trace {
+				want = append(want, e)
+			}
+		}
+		got, err := ReadEvents(path, trace)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.EqualFunc(got, want, same) {
+			t.Fatalf("trace %q filter returned %d events, want the %d of %d that carry it", trace, len(got), len(want), len(all))
 		}
 	})
 }

@@ -215,15 +215,10 @@ type FleetHealth struct {
 	// units currently under a worker lease.
 	QueuedUnits int `json:"queued_units"`
 	LeasedUnits int `json:"leased_units"`
-	// Redispatches counts units re-dispatched over the coordinator's
-	// lifetime, split by cause: leases that expired (dead or unreachable
-	// workers) and speculative duplicates of stragglers.
-	ExpiredRedispatches   int `json:"expired_redispatches"`
-	SpeculativeDispatches int `json:"speculative_dispatches"`
-	// MeanUnitMs is the fleet-wide EWMA of unit completion time
-	// (dispatch-to-delivery, milliseconds) — the straggler detection
-	// baseline. 0 until the first unit completes.
-	MeanUnitMs float64 `json:"mean_unit_ms,omitempty"`
+	// ExpiredRedispatches counts units re-dispatched over the coordinator's
+	// lifetime after a lease failed or expired (dead, unreachable or failing
+	// workers).
+	ExpiredRedispatches int `json:"expired_redispatches"`
 }
 
 // apiError is the JSON error envelope every non-2xx response carries.

@@ -20,6 +20,9 @@ func FuzzJobRequest(f *testing.F) {
 	// The wire spec omits zeros, so a journaled -0 replays as 0: the two
 	// once had different addresses.
 	f.Add([]byte(`{"experiment":"table2","spec":{"utilization":-0,"maxstep":-0,"target_ci":-0}}`))
+	// A second value and garbage after the first: the decoder once ran the
+	// first value alone.
+	f.Add([]byte(`{"experiment":"table2","spec":{"quick":true}} {"experiment":"grid","shards":99999} trailing garbage`))
 	s, err := New(Config{Workers: 1})
 	if err != nil {
 		f.Fatal(err)

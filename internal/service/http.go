@@ -145,17 +145,29 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, status, st)
 }
 
-// decodeJobRequest decodes one POST /v1/jobs body. Unknown fields are
-// rejected so a typo'd spec key fails loudly instead of silently running the
-// default configuration.
+// decodeJobRequest decodes one POST /v1/jobs body with DecodeJSON.
 func decodeJobRequest(body io.Reader) (JobRequest, error) {
 	var req JobRequest
-	dec := json.NewDecoder(body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	if err := DecodeJSON(body, &req); err != nil {
 		return JobRequest{}, fmt.Errorf("decoding job request: %w", err)
 	}
 	return req, nil
+}
+
+// DecodeJSON decodes a request body that must hold exactly one JSON value
+// into v. Unknown fields are rejected, so a typo'd spec key fails loudly
+// instead of silently running the default configuration, and so is anything
+// but whitespace after the value, which would otherwise be ignored.
+func DecodeJSON(body io.Reader, v any) error {
+	dec := json.NewDecoder(body)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return errors.New("unexpected data after the JSON value")
+	}
+	return nil
 }
 
 func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {

@@ -79,6 +79,35 @@ func TestUndecodableMiddleLineFailsOpen(t *testing.T) {
 	}
 }
 
+// wrongTypeLast holds two complete accept records, the second with a string
+// where the shard count belongs, and the newline that ends every record.
+// Replay once took that line for a crash-torn tail, replayed one job and
+// compacted the file to one line.
+const wrongTypeLast = `{"op":"accept","id":"job-000001","experiment":"table2"}
+{"op":"accept","id":"job-000002","experiment":"table2","shards":"2"}
+`
+
+// TestUndecodableCompleteLastLineFailsOpen pins that a last line counts as
+// torn only without its newline: a record and its newline are one write, so
+// a complete last line that does not decode fails Open with an error naming
+// it, and the file keeps its bytes.
+func TestUndecodableCompleteLastLineFailsOpen(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "journal.jsonl")
+	if err := os.WriteFile(path, []byte(wrongTypeLast), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := Open(path, false); err == nil || !strings.Contains(err.Error(), "line 2") {
+		t.Fatalf("Open = %v, want an error naming line 2", err)
+	}
+	after, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(after) != wrongTypeLast {
+		t.Fatalf("Open rewrote the journal to:\n%s", after)
+	}
+}
+
 // FuzzJournalOpen writes arbitrary bytes as journal.jsonl. Open either fails
 // and leaves the file byte for byte as it was, or opens; a second Open of the
 // file the first one compacted then returns the same backlog, leases
@@ -92,6 +121,7 @@ func FuzzJournalOpen(f *testing.F) {
 {"op":"accept","id":"job-000003","experiment":"table2","spec":{"qu`))
 	f.Add([]byte(reaccepted))
 	f.Add([]byte(wrongTypeMiddle))
+	f.Add([]byte(wrongTypeLast))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		path := filepath.Join(t.TempDir(), "journal.jsonl")
 		if err := os.WriteFile(path, data, 0o644); err != nil {

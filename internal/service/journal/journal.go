@@ -17,11 +17,13 @@
 // The file is compacted — rewritten with only the live accept records (and
 // their latest leases), via temp file + atomic rename — on Open, on Close,
 // and after every compactEvery runtime completions, so it stays proportional
-// to the backlog rather than the daemon's lifetime job count. A crash can
-// tear at most the final line: replay tolerates an undecodable last line,
-// and the compaction inside Open drops it. Any other line that does not
-// decode, and any line over 4 MiB, fails Open instead, leaving the file
-// untouched: compacting there would delete every record after it.
+// to the backlog rather than the daemon's lifetime job count. Each record
+// and its newline go out in one write, so a crash can tear only a final line
+// that lacks its newline: replay tolerates an undecodable last line when the
+// file does not end in a newline, and the compaction inside Open drops it.
+// Any other line that does not decode, and any line over 4 MiB, fails Open
+// instead, leaving the file untouched: compacting there would delete every
+// record after it, or a complete record.
 //
 // By default writes go through the OS page cache without fsync: the journal
 // survives process kills and restarts (the failure mode it exists for), not
@@ -124,9 +126,9 @@ type Journal struct {
 // it down to its live records, and returns the accepted-but-unfinished
 // records in admission order, each with the latest journaled lease per unit
 // attached. A line too long to scan, or one that does not decode and is not
-// the last, fails Open with an error naming it, and the file is left as it
-// was. With fsync set, every subsequent append is
-// synced to stable storage before it returns (power-loss durability);
+// a torn last line (one without its newline), fails Open with an error naming
+// it, and the file is left as it was. With fsync set, every subsequent append
+// is synced to stable storage before it returns (power-loss durability);
 // otherwise records ride the OS page cache (process-kill durability only).
 func Open(path string, fsync bool) (*Journal, []Accept, error) {
 	j := &Journal{
@@ -158,8 +160,9 @@ func Open(path string, fsync bool) (*Journal, []Accept, error) {
 		}
 		var rec record
 		if err := json.Unmarshal(line, &rec); err != nil {
-			// A crash-truncated tail if no record follows: everything before
-			// it is intact, and the compaction below drops the partial line.
+			// A crash-truncated tail if no record follows and no newline
+			// ends it: everything before it is intact, and the compaction
+			// below drops the partial line.
 			torn, tornErr = n, err
 			continue
 		}
@@ -190,6 +193,11 @@ func Open(path string, fsync bool) (*Journal, []Accept, error) {
 		// tail: the records after it are intact, and compacting now would
 		// drop them. Leave the file as it is.
 		return nil, nil, fmt.Errorf("journal: %s line %d: %w", path, n+1, err)
+	}
+	if torn > 0 && bytes.HasSuffix(data, []byte("\n")) {
+		// A record and its newline are one write, so a last line that ends
+		// in one is complete and a crash did not tear it.
+		return nil, nil, fmt.Errorf("journal: %s line %d: %w", path, torn, tornErr)
 	}
 	backlog := j.liveInOrder()
 	if err := j.compactLocked(); err != nil {

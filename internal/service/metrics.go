@@ -92,7 +92,7 @@ func (s *Server) registerGauges() {
 		read(func() float64 { return float64(len(s.jobs)) }))
 	r.GaugeFunc("battsched_cache_entries", "Report cache in-memory entries.",
 		func() float64 { return float64(s.cache.Len()) })
-	r.GaugeFunc("battsched_mean_unit_seconds", "Recent mean shard-unit duration (EWMA) behind Retry-After estimates and straggler detection.",
+	r.GaugeFunc("battsched_mean_unit_seconds", "Recent mean shard-unit duration (EWMA) behind Retry-After estimates.",
 		read(func() float64 { return s.meanUnitNs / 1e9 }))
 	r.GaugeFunc("battsched_draining", "1 once graceful shutdown has begun, else 0.",
 		read(func() float64 {

@@ -541,12 +541,11 @@ func (s *Server) emitAcceptLocked(j *job, detail string) {
 
 // QueueLocked puts an unfinished unit of a live job at the tail of the queue
 // and wakes the dispatcher: a new job's units, and an executor's re-dispatch
-// or speculative second copy of a running unit. It reports whether the unit
-// was queued (false when it already waits there). Callers hold the lock
-// (see Lock).
-func (s *Server) QueueLocked(u *Unit) bool {
+// of a unit whose run failed. A unit already waiting there stays where it
+// is. Callers hold the lock (see Lock).
+func (s *Server) QueueLocked(u *Unit) {
 	if u.queued || u.state != "" || u.job.terminal() {
-		return false
+		return
 	}
 	u.queued = true
 	s.queue = append(s.queue, u)
@@ -554,7 +553,6 @@ func (s *Server) QueueLocked(u *Unit) bool {
 	s.events.Emit(obs.Event{Event: obs.EventUnitQueued, Trace: u.job.trace, Job: u.job.id,
 		Experiment: u.job.experiment, Unit: u.shard.String()})
 	s.wake.Broadcast()
-	return true
 }
 
 // dequeueLocked removes the queued units drop selects. Callers hold s.mu.

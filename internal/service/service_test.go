@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -245,6 +246,23 @@ func TestSubmitValidation(t *testing.T) {
 		return !errors.As(err, &ae) || ae.Status != 404
 	}() {
 		t.Fatalf("unknown job err = %v, want HTTP 404", err)
+	}
+}
+
+// TestSubmitRejectsTrailingData pins that a POST /v1/jobs body holds exactly
+// one JSON value: a second value and garbage after the first answer 400 and
+// admit nothing. The decoder once ignored them and ran the first value as a
+// quick table2 job.
+func TestSubmitRejectsTrailingData(t *testing.T) {
+	srv, _ := startDaemon(t, service.Config{Workers: 1})
+	body := `{"experiment":"table2","spec":{"quick":true}} {"experiment":"grid","shards":99999} trailing garbage`
+	rec := httptest.NewRecorder()
+	srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/jobs", strings.NewReader(body)))
+	if rec.Code != http.StatusBadRequest {
+		t.Fatalf("POST /v1/jobs with trailing data: HTTP %d (%s), want 400", rec.Code, rec.Body)
+	}
+	if h := srv.Health(); h.Jobs != 0 {
+		t.Fatalf("health = %+v, want no job admitted", h)
 	}
 }
 

@@ -23,8 +23,8 @@ func localShardArtifact(t *testing.T, name string, spec experiments.Spec, shard 
 // Shard "i/n" runs exactly that slice as a single-unit job whose artifact is
 // byte-identical to the local partial run, content-addressed by the partial's
 // hash — so a duplicate dispatch of the same unit is a cache hit, which is
-// what makes the coordinator's speculative re-dispatch and restart replay
-// idempotent on workers.
+// what makes the coordinator's re-dispatch and restart replay idempotent on
+// workers.
 func TestShardUnitJob(t *testing.T) {
 	spec := experiments.Spec{Quick: true, Battery: "kibam"}
 	shard := experiments.Shard{Index: 1, Count: 3}
