@@ -35,7 +35,7 @@ func batchTestModels(t *testing.T) []battery.Model {
 	stepped := &steppedModel{stochastic.Default()}
 	models = append(models, stepped)
 	se := stochastic.Default().Params()
-	se.ExpectedStep = se.SlotDuration
+	se.ExpectedStep = stochastic.SlotDuration
 	seb, err := stochastic.New(se)
 	if err != nil {
 		t.Fatal(err)

@@ -78,7 +78,7 @@ func TestFastPathMatchesSteppedDefault(t *testing.T) {
 // every gate profile.
 func TestFastPathSlotExactAccuracy(t *testing.T) {
 	ps := stochastic.Default().Params()
-	ps.ExpectedStep = ps.SlotDuration
+	ps.ExpectedStep = stochastic.SlotDuration
 	for name, p := range fastpathProfiles() {
 		m, err := stochastic.New(ps)
 		if err != nil {
@@ -88,7 +88,7 @@ func TestFastPathSlotExactAccuracy(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ref, err := battery.SimulateUntilExhausted(stochastic.Default(), p, battery.SimulateOptions{MaxTime: 60 * 3600, MaxStep: ps.SlotDuration})
+		ref, err := battery.SimulateUntilExhausted(stochastic.Default(), p, battery.SimulateOptions{MaxTime: 60 * 3600, MaxStep: stochastic.SlotDuration})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -154,7 +154,7 @@ func scheduleProfile(rng *rand.Rand, n int) *profile.Profile {
 func TestRepetitionOperatorMatchesReference(t *testing.T) {
 	def := Default().Params()
 	const maxRun = 20000
-	for _, step := range []float64{1, def.SlotDuration} {
+	for _, step := range []float64{1, SlotDuration} {
 		ps := def
 		ps.ExpectedStep = step
 		for seed := int64(1); seed <= 12; seed++ {

@@ -58,17 +58,21 @@ type Params struct {
 	// RecoveryDecay is the exponential decay rate of the recovery probability
 	// with the depth of discharge (fraction of MaxCoulombs already consumed).
 	RecoveryDecay float64
-	// SlotDuration is the length of one time slot in seconds.
-	SlotDuration float64
 	// ExpectedStep is the time resolution, in seconds, of the expected-value
 	// recursion that the analytic segment fast path reproduces (in closed
 	// form, so the cost per segment is independent of the resolution). Zero
 	// selects 1 s — the substep of the historical uniform-stepping driver, so
 	// default fast-path results track the pre-fast-path numbers to rounding
-	// error. Set it to SlotDuration for slot-exact expected-value evaluation.
-	// Must be at most 10 s (the expected-value chunk bound).
+	// error. SlotDuration gives slot-exact expected-value evaluation. Must be
+	// at most 10 s (the expected-value chunk bound).
 	ExpectedStep float64
 }
+
+// SlotDuration is the length of one time slot in seconds. A charge unit is
+// the charge MaxCurrent delivers in one slot, so the slot length cancels out
+// of every expected-value flow; ExpectedStep = SlotDuration reproduces the
+// slot-by-slot recursion.
+const SlotDuration = 0.01
 
 // ErrBadParams is returned by New for invalid parameters.
 var ErrBadParams = errors.New("stochastic: invalid parameters")
@@ -98,7 +102,6 @@ func Default() *Battery {
 		MaxCurrent:      2.5,
 		RecoveryProb:    0.05,
 		RecoveryDecay:   2.5,
-		SlotDuration:    0.01,
 	})
 	if err != nil {
 		panic(err) // unreachable: constants are valid
@@ -110,8 +113,7 @@ func Default() *Battery {
 func New(p Params) (*Battery, error) {
 	if p.MaxCoulombs <= 0 || p.NominalCoulombs <= 0 || p.NominalCoulombs > p.MaxCoulombs ||
 		p.MaxCurrent <= 0 || p.RecoveryProb < 0 || p.RecoveryProb > 1 ||
-		p.RecoveryDecay < 0 || p.SlotDuration <= 0 ||
-		p.ExpectedStep < 0 || p.ExpectedStep > expectedChunk {
+		p.RecoveryDecay < 0 || p.ExpectedStep < 0 || p.ExpectedStep > expectedChunk {
 		return nil, fmt.Errorf("%w: %+v", ErrBadParams, p)
 	}
 	b := &Battery{params: p, estep: p.ExpectedStep}

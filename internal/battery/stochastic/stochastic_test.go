@@ -20,7 +20,6 @@ func TestNewRejectsBadParams(t *testing.T) {
 		func(p Params) Params { p.RecoveryProb = -0.1; return p },
 		func(p Params) Params { p.RecoveryProb = 1.1; return p },
 		func(p Params) Params { p.RecoveryDecay = -1; return p },
-		func(p Params) Params { p.SlotDuration = 0; return p },
 	}
 	for i, mut := range bad {
 		if _, err := New(mut(ok)); !errors.Is(err, ErrBadParams) {
@@ -77,7 +76,7 @@ func TestRateCapacityEffectExpectedMode(t *testing.T) {
 		if r.DeliveredCharge > b.MaxCapacity()+1e-6 {
 			t.Fatalf("delivered exceeds theoretical capacity")
 		}
-		if r.DeliveredCharge < b.Params().NominalCoulombs-b.Params().MaxCurrent*b.Params().SlotDuration-1e-3 {
+		if r.DeliveredCharge < b.Params().NominalCoulombs-b.Params().MaxCurrent*SlotDuration-1e-3 {
 			t.Fatalf("delivered %v below nominal capacity %v", r.DeliveredCharge, b.Params().NominalCoulombs)
 		}
 		prev = r.DeliveredCharge

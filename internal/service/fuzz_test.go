@@ -29,8 +29,8 @@ func FuzzJobRequest(f *testing.F) {
 	}
 	f.Cleanup(s.Close)
 	f.Fuzz(func(t *testing.T, body []byte) {
-		req, err := decodeJobRequest(bytes.NewReader(body))
-		if err != nil {
+		var req JobRequest
+		if err := DecodeJSON(bytes.NewReader(body), &req); err != nil {
 			return
 		}
 		spec, shard, hash, err := s.check(req)

@@ -127,9 +127,9 @@ func writeError(w http.ResponseWriter, err error) {
 }
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	req, err := decodeJobRequest(http.MaxBytesReader(w, r.Body, maxRequestBody))
-	if err != nil {
-		writeJSON(w, http.StatusBadRequest, apiError{Error: err.Error()})
+	var req JobRequest
+	if err := DecodeJSON(http.MaxBytesReader(w, r.Body, maxRequestBody), &req); err != nil {
+		writeJSON(w, http.StatusBadRequest, apiError{Error: "decoding job request: " + err.Error()})
 		return
 	}
 	req.TraceID = obs.TraceFromRequest(r)
@@ -143,15 +143,6 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		status = http.StatusOK // served from cache
 	}
 	writeJSON(w, status, st)
-}
-
-// decodeJobRequest decodes one POST /v1/jobs body with DecodeJSON.
-func decodeJobRequest(body io.Reader) (JobRequest, error) {
-	var req JobRequest
-	if err := DecodeJSON(body, &req); err != nil {
-		return JobRequest{}, fmt.Errorf("decoding job request: %w", err)
-	}
-	return req, nil
 }
 
 // DecodeJSON decodes a request body that must hold exactly one JSON value
