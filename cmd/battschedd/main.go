@@ -7,9 +7,12 @@
 // API (see internal/service):
 //
 //	POST /v1/jobs              submit {"experiment": ..., "spec": {...}, "shards": n}
-//	GET  /v1/jobs/{id}         job state and per-shard progress
+//	GET  /v1/jobs/{id}         job state and per-shard progress (?wait=10s
+//	                           holds until the job is terminal)
 //	GET  /v1/jobs/{id}/report  the versioned JSON report artifact
-//	                           (?format=table renders the plain-text tables)
+//	                           (?format=table renders the plain-text tables;
+//	                           ?wait= holds an unfinished job, then answers
+//	                           the artifact, its failure, or 409)
 //	GET  /v1/experiments       the experiment registry
 //	GET  /v1/batteries         the battery model registry
 //	GET  /healthz              queue depth, in-flight units, cache stats
@@ -37,9 +40,11 @@
 // -workers slots runs them. With -coordinator, battschedd runs nothing itself
 // (see internal/federation): it keeps a registry of remote battschedd
 // workers (-fleet, plus POST /v1/workers at runtime), heartbeats their
-// /healthz and leases each queued unit to a worker with a free slot,
-// re-dispatching units whose leases expire (dead workers); a unit whose
-// worker keeps answering finishes where it runs. Admission, caching,
+// /healthz and leases each queued unit to a worker with a free slot: it
+// submits the unit, then long-polls its report, so a unit costs its worker
+// two requests. Units whose leases expire (dead workers) are re-dispatched;
+// a unit whose worker keeps answering finishes where it runs, and a slot
+// stays counted until the copy on it ends. Admission, caching,
 // coalescing, the journal, the -queue bound and drain behave the same in
 // both modes, so `cmd/experiments submit` works unchanged against either.
 //
@@ -99,7 +104,7 @@ func run(args []string) error {
 		debugAddr   = fs.String("debug-addr", "", "optional second listener serving net/http/pprof under /debug/pprof/ (e.g. 127.0.0.1:6060); empty disables it")
 		coordinator = fs.Bool("coordinator", false, "run as a federation coordinator dispatching to -fleet workers instead of executing locally")
 		fleet       = fs.String("fleet", "", "comma-separated worker base URLs for -coordinator (e.g. http://h1:8344,http://h2:8344); more can register over POST /v1/workers")
-		lease       = fs.Duration("lease", 15*time.Second, "coordinator: unit lease duration (renewed by every answered status request; the coordinator long-polls each leased unit)")
+		lease       = fs.Duration("lease", 15*time.Second, "coordinator: unit lease duration (renewed by every report poll that finds the unit still running; the coordinator long-polls each leased unit's report)")
 		heartbeat   = fs.Duration("heartbeat", time.Second, "coordinator: worker /healthz probe interval")
 		maxAttempts = fs.Int("max-attempts", 3, "coordinator: dispatch attempts per unit before the job fails")
 	)

@@ -1,9 +1,7 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 	"maps"
 	"sort"
 	"strings"
@@ -282,40 +280,4 @@ func MergeReports(parts []*Report) (*Report, error) {
 		merged.Rows[ri] = out
 	}
 	return merged, nil
-}
-
-// artifact is the on-disk JSON envelope: a version plus the reports of one
-// cmd/experiments invocation.
-type artifact struct {
-	Version int       `json:"version"`
-	Reports []*Report `json:"reports"`
-}
-
-// WriteArtifact writes reports as an indented, versioned JSON artifact.
-func WriteArtifact(w io.Writer, reports []*Report) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(artifact{Version: ReportVersion, Reports: reports})
-}
-
-// ReadArtifact reads an artifact written by WriteArtifact, validating the
-// schema version of the envelope and of every report.
-func ReadArtifact(r io.Reader) ([]*Report, error) {
-	var a artifact
-	dec := json.NewDecoder(r)
-	if err := dec.Decode(&a); err != nil {
-		return nil, fmt.Errorf("experiments: decoding report artifact: %w", err)
-	}
-	if a.Version != ReportVersion {
-		return nil, fmt.Errorf("experiments: report artifact version %d, want %d", a.Version, ReportVersion)
-	}
-	for _, rep := range a.Reports {
-		if rep == nil {
-			return nil, fmt.Errorf("experiments: report artifact contains a null report")
-		}
-		if rep.Version != ReportVersion {
-			return nil, fmt.Errorf("experiments: report version %d, want %d", rep.Version, ReportVersion)
-		}
-	}
-	return a.Reports, nil
 }

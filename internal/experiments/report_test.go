@@ -3,6 +3,7 @@ package experiments
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"maps"
 	"reflect"
@@ -131,12 +132,43 @@ func TestArtifactRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(back, reports) {
 		t.Fatalf("artifact round-trip changed the reports:\n%+v\n%+v", back, reports)
 	}
-	if _, err := ReadArtifact(strings.NewReader(`{"version":99,"reports":[]}`)); err == nil {
-		t.Fatal("expected version error")
+	for _, bad := range badArtifacts {
+		if reports, err := ReadArtifact(strings.NewReader(bad)); err == nil {
+			t.Fatalf("ReadArtifact(%q) = %d reports, want an error", bad, len(reports))
+		}
 	}
-	if _, err := ReadArtifact(strings.NewReader(`{`)); err == nil {
-		t.Fatal("expected decode error")
+	// Escapes and spacing WriteArtifact never writes read as json.Unmarshal
+	// reads them.
+	escaped := "\t" + `{ "version" : 1 ,"reports":[{"version":1,"experiment":"t\u00e9\uD83D\ude00\/\"\\\b\f\n\r\t\u0000","rows":[],"meta":{"k\u0041":""}}]}` + "\r\n"
+	back, err = ReadArtifact(strings.NewReader(escaped))
+	if err != nil {
+		t.Fatalf("ReadArtifact(%q): %v", escaped, err)
 	}
+	var ref jsonArtifact
+	if err := json.Unmarshal([]byte(escaped), &ref); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(back, ref.Reports) {
+		t.Fatalf("ReadArtifact(%q) = %+v, json.Unmarshal reads %+v", escaped, back[0], ref.Reports[0])
+	}
+}
+
+// badArtifacts are inputs ReadArtifact must reject: a foreign version, a
+// truncated envelope, data after the artifact (garbage, a second artifact),
+// a key that matches a field only when case is folded, an unknown field, a
+// repeated field or map key, and strings that are not valid UTF-8 text.
+var badArtifacts = []string{
+	`{"version":99,"reports":[]}`,
+	`{`,
+	`{"version":1,"reports":[]} garbage`,
+	`{"version":1,"reports":[]}{"version":1,"reports":[{"version":1,"experiment":"table2","rows":[]}]}`,
+	`{"VERSION":1,"reports":[]}`,
+	`{"version":1,"reports":[],"extra":0}`,
+	`{"version":1,"reports":[{"version":1,"experiment":"table2","rows":[],"bogus":{}}]}`,
+	`{"version":1,"version":1,"reports":[]}`,
+	`{"version":1,"reports":[{"version":1,"experiment":"table2","rows":[{"key":"EDF","cells":{"a":{},"a":{}}}]}]}`,
+	"{\"version\":1,\"reports\":[{\"version\":1,\"experiment\":\"t\xffble2\",\"rows\":[]}]}",
+	`{"version":1,"reports":[{"version":1,"experiment":"\ud800","rows":[]}]}`,
 }
 
 // TestMergeReportsValidation covers the merge error paths: wrong shard

@@ -40,7 +40,7 @@ type worker struct {
 	live       bool
 	fails      int     // consecutive failed heartbeats
 	slots      int     // the worker's pool size, from its last health snapshot
-	leased     int     // units this coordinator currently leases to it
+	leased     int     // slots held by this coordinator's lease pollers, cancelled or not
 	meanUnitNs float64 // per-worker EWMA of dispatch-to-delivery unit time
 }
 
@@ -51,7 +51,10 @@ type unitState struct {
 	prefer   string // journaled worker URL to prefer on restart replay
 }
 
-// lease is one dispatch of a unit to a worker.
+// lease is one dispatch of a unit to a worker. It holds a slot of its worker
+// from Place until its poller ends, cancelled or not: the coordinator cannot
+// stop a remote job, so a copy its unit no longer waits on still occupies
+// the worker until it ends.
 type lease struct {
 	u         *service.Unit
 	st        *unitState
@@ -59,7 +62,7 @@ type lease struct {
 	remote    string // the worker's job ID, once known
 	started   time.Time
 	expires   time.Time
-	cancelled bool // failed, expired, superseded or settled; the poll goroutine stops
+	cancelled bool // failed, expired, superseded or settled: no longer renewed or expired
 }
 
 // unitName names a unit for logs and errors.
@@ -158,7 +161,7 @@ func (f *fleet) Resume(u *service.Unit, leases []journal.Lease) bool {
 // Settle cancels u's lease and forgets it.
 func (f *fleet) Settle(u *service.Unit) {
 	if st := f.units[u]; st != nil {
-		f.releaseLocked(st.lease)
+		cancelLocked(st.lease)
 		delete(f.units, u)
 	}
 }
@@ -311,12 +314,26 @@ func (f *fleet) markWorkerDownLocked(w *worker, reason, why string) {
 }
 
 // runLease drives one dispatched unit on its worker: submit the shard-unit
-// job, long-poll its status (each request holds up to PollInterval and
-// answers the moment the unit finishes; each answer renews the lease), fetch
-// the artifact on completion, and return the step that delivers it. Every
-// failure path funnels into failLeaseLocked, which re-queues or fails the
-// unit.
+// job, then long-poll its report (each request holds up to PollInterval and
+// answers the artifact the moment the unit finishes; each 409, the unit
+// still running, renews the lease) and return the step that delivers the
+// artifact. Every failure path funnels into failLeaseLocked, which re-queues
+// or fails the unit. A cancelled lease keeps polling until its copy ends,
+// and the step returns the worker's slot when the poller ends, whatever
+// ended it.
 func (f *fleet) runLease(ctx context.Context, l *lease) func() {
+	settle := f.pollLease(ctx, l)
+	return func() {
+		if settle != nil {
+			settle()
+		}
+		l.w.leased--
+	}
+}
+
+// pollLease runs runLease's requests and returns the step that records
+// their outcome; nil when shutdown ended them.
+func (f *fleet) pollLease(ctx context.Context, l *lease) func() {
 	u := l.u
 	if hook := f.cfg.OnDispatch; hook != nil {
 		hook(u.Job(), u.Shard(), l.w.url)
@@ -332,41 +349,36 @@ func (f *fleet) runLease(ctx context.Context, l *lease) func() {
 	l.remote = st.ID
 	l.expires = time.Now().Add(f.cfg.LeaseDuration)
 	f.s.JournalLeaseLocked(u, journal.Lease{Worker: l.w.url, Remote: l.remote, Expires: l.expires})
-	cancelled := l.cancelled
 	f.s.Unlock()
 
-	for !cancelled {
-		switch st.State {
-		case service.StateDone:
-			raw, err := l.w.sub.ReportArtifact(ctx, st.ID)
-			if err != nil {
-				return f.leaseFailed(l, fmt.Sprintf("fetching artifact from %s: %v", l.w.url, err), err)
-			}
+	for {
+		raw, err := l.w.sub.ReportWait(ctx, st.ID, f.cfg.PollInterval)
+		var ae *client.APIError
+		switch {
+		case err == nil:
 			return f.deliver(l, raw)
-		case service.StateFailed:
+		case ctx.Err() != nil:
+			return nil // shutdown abandons the lease; its journal record survives
+		case errors.As(err, &ae) && ae.Status == http.StatusConflict:
+			// The worker is answering and the unit still runs: renew the
+			// lease.
+			f.s.Lock()
+			if !l.cancelled {
+				l.expires = time.Now().Add(f.cfg.LeaseDuration)
+				f.met.leaseRenewals.Inc()
+			}
+			f.s.Unlock()
+		case errors.As(err, &ae):
 			// Worker-reported failure. It may be deterministic (a bad spec —
 			// rare, the coordinator validates upfront) or transient (the
-			// worker was shutting down and abandoned the job); both re-queue
-			// until MaxAttempts, which bounds the deterministic case.
-			return f.leaseFailed(l, fmt.Sprintf("worker %s: %s", l.w.url, st.Error), nil)
-		}
-		st, err = l.w.sub.JobWait(ctx, st.ID, f.cfg.PollInterval)
-		if err != nil {
-			if ctx.Err() != nil {
-				return nil // shutdown abandons the lease; its journal record survives
-			}
+			// worker was shutting down and abandoned the job, or restarted
+			// and forgot it); all re-queue until MaxAttempts, which bounds
+			// the deterministic case.
+			return f.leaseFailed(l, fmt.Sprintf("worker %s: %s", l.w.url, ae.Message), nil)
+		default:
 			return f.leaseFailed(l, fmt.Sprintf("polling %s: %v", l.w.url, err), err)
 		}
-		f.s.Lock()
-		if !l.cancelled {
-			// The worker is answering: renew the lease.
-			l.expires = time.Now().Add(f.cfg.LeaseDuration)
-			f.met.leaseRenewals.Inc()
-		}
-		cancelled = l.cancelled
-		f.s.Unlock()
 	}
-	return nil
 }
 
 // leaseFailed returns the step that fails one lease and, when err is a
@@ -388,14 +400,14 @@ func (f *fleet) leaseFailed(l *lease, msg string, err error) func() {
 	}
 }
 
-// failLeaseLocked handles every way a lease ends without delivering: release
-// the slot and re-queue the unit (below MaxAttempts) or fail the job.
-// Callers hold the lock.
+// failLeaseLocked handles every way a lease ends without delivering: cancel
+// it and re-queue the unit (below MaxAttempts) or fail the job. Callers hold
+// the lock.
 func (f *fleet) failLeaseLocked(l *lease, msg string) {
 	if l.cancelled {
 		return // already expired, superseded or settled
 	}
-	f.releaseLocked(l)
+	cancelLocked(l)
 	st := l.st
 	st.lease = nil
 	u := l.u
@@ -413,15 +425,13 @@ func (f *fleet) failLeaseLocked(l *lease, msg string) {
 	f.s.QueueLocked(u)
 }
 
-// releaseLocked cancels one lease, if any, and returns its slot. Callers
-// hold the lock.
-func (f *fleet) releaseLocked(l *lease) {
-	if l == nil || l.cancelled {
-		return
+// cancelLocked cancels one lease, if any: its unit no longer waits on it.
+// Its poller keeps the worker's slot until the copy ends. Callers hold the
+// lock.
+func cancelLocked(l *lease) {
+	if l != nil {
+		l.cancelled = true
 	}
-	l.cancelled = true
-	l.w.leased--
-	f.s.Wake()
 }
 
 // leaseMonitor expires overdue leases.
@@ -459,7 +469,7 @@ func (f *fleet) monitorRound() {
 // returns the step that hands it to the front end: the first copy wins,
 // later duplicates are discarded (bit-exact by construction), and a
 // delivered shard partial is cached under its content address. An expired
-// lease whose worker finishes after all still delivers, and releases the
+// lease whose worker finishes after all still delivers, and cancels the
 // unit's re-dispatch.
 func (f *fleet) deliver(l *lease, raw []byte) func() {
 	u := l.u
@@ -472,7 +482,7 @@ func (f *fleet) deliver(l *lease, raw []byte) func() {
 	}
 	dur := time.Since(l.started)
 	return func() {
-		f.releaseLocked(l)
+		cancelLocked(l)
 		if !f.s.DeliverLocked(u, rep, raw, dur, l.w.url) {
 			return // the other side of an expiry re-dispatch already delivered
 		}
@@ -484,8 +494,9 @@ func (f *fleet) deliver(l *lease, raw []byte) func() {
 		if u.Shard().Enabled() {
 			f.s.CachePutLocked(u, raw)
 		}
-		// Cancel the re-dispatch a late delivery overtook; its poller exits.
-		f.releaseLocked(l.st.lease)
+		// Cancel the re-dispatch a late delivery overtook; its poller keeps
+		// its slot until that copy ends too.
+		cancelLocked(l.st.lease)
 		l.st.lease = nil
 	}
 }

@@ -53,14 +53,16 @@ type Config struct {
 	// selects 3).
 	DeadAfter int
 	// LeaseDuration bounds each dispatched unit's lease (<= 0 selects 15 s).
-	// Every answered status request renews the lease, so a healthy
-	// long-running unit keeps its lease alive; the lease only expires when
-	// the worker stops answering. Keep it well above PollInterval.
+	// Every report poll the worker answers with 409 (the unit still runs)
+	// renews the lease, so a healthy long-running unit keeps its lease
+	// alive; the lease only expires when the worker stops answering. An
+	// expired lease re-queues its unit but keeps its worker's slot until
+	// its copy ends. Keep it well above PollInterval.
 	LeaseDuration time.Duration
-	// PollInterval is the longest one remote job status request waits
-	// (<= 0 selects 100 ms): the coordinator long-polls each leased unit
-	// with GET /v1/jobs/{id}?wait=PollInterval, so it learns of a finished
-	// unit at once and renews the lease at least this often.
+	// PollInterval is the longest one remote report request waits (<= 0
+	// selects 100 ms): after submitting a unit the coordinator long-polls
+	// GET /v1/jobs/{id}/report?wait=PollInterval, so the partial arrives
+	// the moment the unit finishes and the lease renews at least this often.
 	PollInterval time.Duration
 	// MaxAttempts bounds dispatch attempts per unit before the job fails
 	// (<= 0 selects 3).

@@ -356,8 +356,10 @@ func TestHealthyFleetDispatchesEachUnitOnce(t *testing.T) {
 // TestLateDeliveryFromExpiredLeaseWins pins the one way a healthy fleet
 // runs a unit twice: the unit's lease expires while the coordinator fetches
 // its finished partial, and the unit is re-dispatched. The late copy still
-// wins, and delivering it frees the re-dispatch's slot while the job's other
-// unit still runs; the artifact stays byte-identical.
+// wins and cancels the re-dispatch; the artifact stays byte-identical. Each
+// worker's slot stays counted until its copy ends, since the coordinator
+// cannot stop a remote job: the expired lease's while its fetch is in
+// flight, the cancelled re-dispatch's until its worker finishes it.
 func TestLateDeliveryFromExpiredLeaseWins(t *testing.T) {
 	spec := experiments.Spec{Quick: true, Battery: "kibam"}
 	want := localArtifact(t, "table2", spec)
@@ -427,8 +429,20 @@ func TestLateDeliveryFromExpiredLeaseWins(t *testing.T) {
 	}
 	co.AddWorker(tsB.URL)
 	waitFor(t, "shard 0/2 re-dispatched to worker B", func() bool { return dispatched("0/2", tsB.URL) > 0 })
+	leased := func(url string) int {
+		for _, w := range co.Workers() {
+			if w.URL == url {
+				return w.Leased
+			}
+		}
+		t.Fatalf("worker %s not registered", url)
+		return 0
+	}
+	if n := leased(tsA.URL); n != 1 {
+		t.Fatalf("worker A counts %d leases while the expired lease's fetch is in flight, want 1", n)
+	}
 	openGate()
-	waitFor(t, "A's late copy of 0/2 delivered and B's copy released", func() bool {
+	waitFor(t, "A's late copy of 0/2 delivered and A's slot returned", func() bool {
 		js, err := co.Job(st.ID)
 		if err != nil {
 			t.Fatal(err)
@@ -437,13 +451,11 @@ func TestLateDeliveryFromExpiredLeaseWins(t *testing.T) {
 		for _, sh := range js.Shards {
 			done = done || (sh.Shard == "0/2" && sh.State == service.StateDone)
 		}
-		for _, w := range co.Workers() {
-			if w.URL == tsB.URL && w.Leased != 1 {
-				return false // B still counts the released copy, or 1/2 left
-			}
-		}
-		return done
+		return done && leased(tsA.URL) == 0
 	})
+	if n := leased(tsB.URL); n != 2 {
+		t.Fatalf("worker B counts %d leases while it runs both its copies, want 2", n)
+	}
 	releaseB()
 
 	final, err := c.Wait(ctx, st.ID, 10*time.Millisecond, nil)
@@ -460,6 +472,7 @@ func TestLateDeliveryFromExpiredLeaseWins(t *testing.T) {
 	if !bytes.Equal(got, want) {
 		t.Fatalf("federated artifact differs from local run -o (%d vs %d bytes)", len(got), len(want))
 	}
+	waitFor(t, "every slot returned", func() bool { return leased(tsA.URL) == 0 && leased(tsB.URL) == 0 })
 	mu.Lock()
 	defer mu.Unlock()
 	if len(dispatches) != 3 || dispatches["0/2@"+tsA.URL] != 1 || dispatches["0/2@"+tsB.URL] != 1 || dispatches["1/2@"+tsB.URL] != 1 {

@@ -5,6 +5,8 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
+	"maps"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -21,13 +23,43 @@ import (
 )
 
 // TestUnitDeliveredWhenWorkerFinishes pins that the coordinator learns of a
-// finished unit the moment its worker finishes it, not on its next status
-// poll: with a 3 s PollInterval, a 2-shard quick job on two one-slot workers
-// must finish in well under one poll.
+// finished unit the moment its worker finishes it, not on its next poll:
+// with a 3 s PollInterval, a 2-shard quick job on two one-slot workers must
+// finish in well under one poll. Each unit costs its worker exactly two
+// requests, the submission and one report long-poll, and no status request.
 func TestUnitDeliveredWhenWorkerFinishes(t *testing.T) {
-	_, tsA := startWorker(t, service.Config{Workers: 1})
-	_, tsB := startWorker(t, service.Config{Workers: 1})
-	cfg := fastConfig(tsA.URL, tsB.URL)
+	var mu sync.Mutex
+	requests := map[string]int{} // worker requests by route
+	countingWorker := func() string {
+		srv, err := service.New(service.Config{Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := srv.Handler()
+		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			route := ""
+			switch p := r.URL.Path; {
+			case r.Method == http.MethodPost && p == "/v1/jobs":
+				route = "submit"
+			case strings.HasPrefix(p, "/v1/jobs/") && strings.HasSuffix(p, "/report"):
+				route = "report"
+			case strings.HasPrefix(p, "/v1/jobs/"):
+				route = "status"
+			}
+			if route != "" {
+				mu.Lock()
+				requests[route]++
+				mu.Unlock()
+			}
+			h.ServeHTTP(w, r)
+		}))
+		t.Cleanup(func() {
+			ts.Close()
+			srv.Close()
+		})
+		return ts.URL
+	}
+	cfg := fastConfig(countingWorker(), countingWorker())
 	cfg.PollInterval = 3 * time.Second
 	cfg.LeaseDuration = 30 * time.Second
 	co, c := startCoordinator(t, cfg)
@@ -52,6 +84,11 @@ func TestUnitDeliveredWhenWorkerFinishes(t *testing.T) {
 	}
 	if elapsed >= time.Second {
 		t.Fatalf("job took %v with a %v PollInterval, want under 1s", elapsed, cfg.PollInterval)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if want := map[string]int{"submit": 2, "report": 2}; !maps.Equal(requests, want) {
+		t.Fatalf("worker requests by route = %v, want %v: one submission and one report long-poll per unit", requests, want)
 	}
 }
 
@@ -138,102 +175,164 @@ func submitRunning(t *testing.T, f gatedFront) string {
 	return st.ID
 }
 
-// statusReply is one answer of GET /v1/jobs/{id}?wait=.
-type statusReply struct {
+// waitReply is one answer of GET /v1/jobs/{id}?wait= or
+// /v1/jobs/{id}/report?wait=.
+type waitReply struct {
 	code    int
-	st      service.JobStatus
+	st      service.JobStatus // decoded from a 200 of the status route
+	body    []byte
 	elapsed time.Duration
 }
 
-// fetchStatus requests GET /v1/jobs/{id}?wait=<wait> over raw HTTP.
-func fetchStatus(base, id, wait string) (statusReply, error) {
+// waitRoute is one route that holds an unfinished job under ?wait=, with
+// what it answers for a done job, for a job still running when the wait
+// elapses, and for a failed job.
+type waitRoute struct {
+	name    string // subtest prefix ("" keeps the status route's case names)
+	suffix  string // path after /v1/jobs/{id}
+	done    func(t *testing.T, f gatedFront, id string, r waitReply)
+	running func(t *testing.T, r waitReply)
+	failed  func(t *testing.T, r waitReply)
+}
+
+var (
+	statusRoute = waitRoute{
+		done: func(t *testing.T, _ gatedFront, _ string, r waitReply) {
+			if r.code != http.StatusOK || r.st.State != service.StateDone {
+				t.Fatalf("reply = %d %s (%s), want 200 done", r.code, r.st.State, r.st.Error)
+			}
+		},
+		running: func(t *testing.T, r waitReply) {
+			if r.code != http.StatusOK || r.st.State != service.StateRunning {
+				t.Fatalf("reply = %d %s, want 200 running", r.code, r.st.State)
+			}
+		},
+		failed: func(t *testing.T, r waitReply) {
+			if r.code != http.StatusOK || r.st.State != service.StateFailed {
+				t.Fatalf("reply = %d %s, want 200 failed by the shutdown sweep", r.code, r.st.State)
+			}
+		},
+	}
+	reportRoute = waitRoute{
+		name:   "report: ",
+		suffix: "/report",
+		done: func(t *testing.T, f gatedFront, id string, r waitReply) {
+			want, err := client.New(f.url).ReportArtifact(context.Background(), id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if r.code != http.StatusOK || !bytes.Equal(r.body, want) {
+				t.Fatalf("reply = %d %q, want 200 and the %d artifact bytes", r.code, r.body, len(want))
+			}
+		},
+		running: func(t *testing.T, r waitReply) {
+			if r.code != http.StatusConflict {
+				t.Fatalf("reply = %d %q, want 409", r.code, r.body)
+			}
+		},
+		failed: func(t *testing.T, r waitReply) {
+			if r.code != http.StatusInternalServerError || !strings.Contains(string(r.body), "shut down") {
+				t.Fatalf("reply = %d %q, want 500 with the shutdown failure", r.code, r.body)
+			}
+		},
+	}
+)
+
+// fetchWait requests GET /v1/jobs/{id}<suffix>?wait=<wait> over raw HTTP.
+func fetchWait(base, id, suffix, wait string) (waitReply, error) {
 	start := time.Now()
-	resp, err := http.Get(base + "/v1/jobs/" + id + "?wait=" + wait)
+	resp, err := http.Get(base + "/v1/jobs/" + id + suffix + "?wait=" + wait)
 	if err != nil {
-		return statusReply{}, err
+		return waitReply{}, err
 	}
 	defer resp.Body.Close()
-	r := statusReply{code: resp.StatusCode}
-	if r.code == http.StatusOK {
-		err = json.NewDecoder(resp.Body).Decode(&r.st)
+	r := waitReply{code: resp.StatusCode}
+	if r.body, err = io.ReadAll(resp.Body); err != nil {
+		return r, err
+	}
+	if r.code == http.StatusOK && suffix == "" {
+		err = json.Unmarshal(r.body, &r.st)
 	}
 	r.elapsed = time.Since(start)
 	return r, err
 }
 
-func getStatus(t *testing.T, base, id, wait string) statusReply {
+func getWait(t *testing.T, base, id, suffix, wait string) waitReply {
 	t.Helper()
-	r, err := fetchStatus(base, id, wait)
+	r, err := fetchWait(base, id, suffix, wait)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return r
 }
 
-// getStatusAsync runs fetchStatus in the background.
-func getStatusAsync(t *testing.T, base, id, wait string) <-chan statusReply {
-	ch := make(chan statusReply, 1)
-	go func() {
-		r, err := fetchStatus(base, id, wait)
-		if err != nil {
-			t.Errorf("GET status: %v", err)
-		}
-		ch <- r
-	}()
-	return ch
+// getStatus requests GET /v1/jobs/{id}?wait=<wait>.
+func getStatus(t *testing.T, base, id, wait string) waitReply {
+	t.Helper()
+	return getWait(t, base, id, "", wait)
 }
 
-// TestJobStatusLongPoll pins the ?wait= contract of GET /v1/jobs/{id} on the
-// worker daemon and on the coordinator alike.
+// TestJobStatusLongPoll pins the ?wait= contract of GET /v1/jobs/{id} and
+// of GET /v1/jobs/{id}/report on the worker daemon and on the coordinator
+// alike: both hold an unfinished job until it is terminal or the wait
+// elapses, the report route then answering 409 for a job still unfinished.
 func TestJobStatusLongPoll(t *testing.T) {
 	// held starts GET ?wait=<wait> on a running job in the background and
 	// checks that it is still unanswered a moment later: a server that
 	// ignored the wait would have answered at once.
-	held := func(t *testing.T, f gatedFront, id, wait string) <-chan statusReply {
-		reply := getStatusAsync(t, f.url, id, wait)
+	held := func(t *testing.T, f gatedFront, rt waitRoute, id, wait string) <-chan waitReply {
+		reply := make(chan waitReply, 1)
+		go func() {
+			r, err := fetchWait(f.url, id, rt.suffix, wait)
+			if err != nil {
+				t.Errorf("GET ?wait=%s: %v", wait, err)
+			}
+			reply <- r
+		}()
 		select {
 		case r := <-reply:
-			t.Fatalf("answered %d %s at once, want the request held", r.code, r.st.State)
+			t.Fatalf("answered %d %q at once, want the request held", r.code, r.body)
 		case <-time.After(50 * time.Millisecond):
 		}
 		return reply
 	}
 	cases := []struct {
 		name string
-		run  func(t *testing.T, f gatedFront)
+		run  func(t *testing.T, f gatedFront, rt waitRoute)
 	}{
-		{"wait returns done once the gate opens", func(t *testing.T, f gatedFront) {
+		{"wait returns done once the gate opens", func(t *testing.T, f gatedFront, rt waitRoute) {
 			id := submitRunning(t, f)
-			reply := held(t, f, id, "10s")
+			reply := held(t, f, rt, id, "10s")
 			f.release()
 			r := <-reply
-			if r.code != http.StatusOK || r.st.State != service.StateDone {
-				t.Fatalf("reply = %d %s (%s), want 200 done", r.code, r.st.State, r.st.Error)
-			}
+			rt.done(t, f, id, r)
 			if r.elapsed >= 5*time.Second {
 				t.Fatalf("held %v after the job finished, want an answer at once", r.elapsed)
 			}
-		}},
-		{"wait elapses on a running job", func(t *testing.T, f gatedFront) {
-			id := submitRunning(t, f)
-			r := getStatus(t, f.url, id, "50ms")
-			if r.code != http.StatusOK || r.st.State != service.StateRunning {
-				t.Fatalf("reply = %d %s, want 200 running", r.code, r.st.State)
+			again := getWait(t, f.url, id, rt.suffix, "10s")
+			rt.done(t, f, id, again)
+			if again.elapsed >= 5*time.Second {
+				t.Fatalf("a done job held %v, want an answer at once", again.elapsed)
 			}
+		}},
+		{"wait elapses on a running job", func(t *testing.T, f gatedFront, rt waitRoute) {
+			id := submitRunning(t, f)
+			r := getWait(t, f.url, id, rt.suffix, "50ms")
+			rt.running(t, r)
 			if r.elapsed < 50*time.Millisecond {
 				t.Fatalf("answered after %v, want a hold of at least 50ms", r.elapsed)
 			}
 		}},
-		{"malformed or negative wait is 400", func(t *testing.T, f gatedFront) {
+		{"malformed or negative wait is 400", func(t *testing.T, f gatedFront, rt waitRoute) {
 			id := submitRunning(t, f)
 			for _, wait := range []string{"abc", "-1s", "10"} {
-				if r := getStatus(t, f.url, id, wait); r.code != http.StatusBadRequest {
+				if r := getWait(t, f.url, id, rt.suffix, wait); r.code != http.StatusBadRequest {
 					t.Fatalf("wait=%s: HTTP %d, want 400", wait, r.code)
 				}
 			}
 		}},
-		{"unknown job is 404 at once", func(t *testing.T, f gatedFront) {
-			r := getStatus(t, f.url, "job-999999", "10s")
+		{"unknown job is 404 at once", func(t *testing.T, f gatedFront, rt waitRoute) {
+			r := getWait(t, f.url, "job-999999", rt.suffix, "10s")
 			if r.code != http.StatusNotFound {
 				t.Fatalf("HTTP %d, want 404", r.code)
 			}
@@ -241,22 +340,18 @@ func TestJobStatusLongPoll(t *testing.T) {
 				t.Fatalf("unknown job held %v, want an answer at once", r.elapsed)
 			}
 		}},
-		{"wait above the cap is clamped, not rejected", func(t *testing.T, f gatedFront) {
+		{"wait above the cap is clamped, not rejected", func(t *testing.T, f gatedFront, rt waitRoute) {
 			id := submitRunning(t, f)
-			reply := held(t, f, id, "1h")
+			reply := held(t, f, rt, id, "1h")
 			f.release()
-			if r := <-reply; r.code != http.StatusOK || r.st.State != service.StateDone {
-				t.Fatalf("reply = %d %s, want 200 done", r.code, r.st.State)
-			}
+			rt.done(t, f, id, <-reply)
 		}},
-		{"Close releases a parked waiter", func(t *testing.T, f gatedFront) {
+		{"Close releases a parked waiter", func(t *testing.T, f gatedFront, rt waitRoute) {
 			id := submitRunning(t, f)
-			reply := held(t, f, id, "10s")
+			reply := held(t, f, rt, id, "10s")
 			f.close()
 			r := <-reply
-			if r.code != http.StatusOK || r.st.State != service.StateFailed {
-				t.Fatalf("reply = %d %s, want 200 failed by the shutdown sweep", r.code, r.st.State)
-			}
+			rt.failed(t, r)
 			if r.elapsed >= 5*time.Second {
 				t.Fatalf("Close released the waiter after %v, want at once", r.elapsed)
 			}
@@ -264,8 +359,10 @@ func TestJobStatusLongPoll(t *testing.T) {
 	}
 	for _, front := range gatedFronts {
 		t.Run(front.name, func(t *testing.T) {
-			for _, tc := range cases {
-				t.Run(tc.name, func(t *testing.T) { tc.run(t, front.start(t, frontOpts{})) })
+			for _, rt := range []waitRoute{statusRoute, reportRoute} {
+				for _, tc := range cases {
+					t.Run(rt.name+tc.name, func(t *testing.T) { tc.run(t, front.start(t, frontOpts{}), rt) })
+				}
 			}
 		})
 	}

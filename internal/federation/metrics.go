@@ -12,7 +12,7 @@ import (
 // contract). Per-worker series are the one runtime addition and are
 // registered outside the lock too (registerWorkerMetrics).
 type fleetMetrics struct {
-	leaseRenewals *obs.Counter // successful status polls extending a lease
+	leaseRenewals *obs.Counter // report polls answered 409 (still running), extending a lease
 	leaseExpiries *obs.Counter // leases expired (deadline passed or worker died)
 	expiredRe     *obs.Counter // unit re-dispatches after a failed/expired lease
 	downHeartbeat *obs.Counter // battsched_worker_down_total{reason="heartbeat-miss"}
@@ -22,7 +22,7 @@ type fleetMetrics struct {
 func newFleetMetrics(r *obs.Registry) fleetMetrics {
 	const downHelp = "Workers taken out of dispatch rotation, by verdict: heartbeat-miss (consecutive /healthz probes failed) vs transport-error (a lease RPC failed at the socket level)."
 	return fleetMetrics{
-		leaseRenewals: r.Counter("battsched_fleet_lease_renewals_total", "Lease renewals from successful remote status polls."),
+		leaseRenewals: r.Counter("battsched_fleet_lease_renewals_total", "Lease renewals from remote report polls that found the unit still running."),
 		leaseExpiries: r.Counter("battsched_fleet_lease_expiries_total", "Leases expired: deadline passed without renewal, or the worker was marked dead."),
 		expiredRe:     r.Counter("battsched_fleet_expired_redispatches_total", "Units re-dispatched after a failed or expired lease."),
 		downHeartbeat: r.Counter("battsched_worker_down_total", downHelp, "reason", obs.ReasonHeartbeatMiss),
@@ -41,9 +41,9 @@ func (f *fleet) registerGauges() {
 		{"battsched_fleet_workers", "Registered workers.", func(h *service.FleetHealth) int { return h.Workers }},
 		{"battsched_fleet_live_workers", "Workers passing heartbeats.", func(h *service.FleetHealth) int { return h.LiveWorkers }},
 		{"battsched_fleet_slots", "Total execution slots across live workers.", func(h *service.FleetHealth) int { return h.Slots }},
-		{"battsched_fleet_free_slots", "Live slots not holding a lease.", func(h *service.FleetHealth) int { return h.FreeSlots }},
+		{"battsched_fleet_free_slots", "Live slots no lease holds.", func(h *service.FleetHealth) int { return h.FreeSlots }},
 		{"battsched_fleet_queued_units", "Units waiting for a slot.", func(h *service.FleetHealth) int { return h.QueuedUnits }},
-		{"battsched_fleet_leased_units", "Units under a worker lease.", func(h *service.FleetHealth) int { return h.LeasedUnits }},
+		{"battsched_fleet_leased_units", "Worker slots leases hold, each until its copy of a unit ends.", func(h *service.FleetHealth) int { return h.LeasedUnits }},
 	} {
 		r.GaugeFunc(g.name, g.help, func() float64 { return float64(g.read(f.s.Health().Fleet)) })
 	}

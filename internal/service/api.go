@@ -208,11 +208,14 @@ type FleetHealth struct {
 	Workers     int `json:"workers"`
 	LiveWorkers int `json:"live_workers"`
 	// Slots is the fleet's total execution slots across live workers (each
-	// worker's pool size), and FreeSlots the portion not holding a lease.
+	// worker's pool size), and FreeSlots the portion no lease holds.
 	Slots     int `json:"slots"`
 	FreeSlots int `json:"free_slots"`
-	// QueuedUnits and LeasedUnits count shard units waiting for a slot and
-	// units currently under a worker lease.
+	// QueuedUnits counts shard units waiting for a slot, and LeasedUnits the
+	// slots leases hold on all workers: a lease holds its slot until the
+	// unit's copy on that worker ends, after its unit stopped waiting on it
+	// too (expired, or overtaken by a late copy), since the coordinator
+	// cannot cancel a remote job.
 	QueuedUnits int `json:"queued_units"`
 	LeasedUnits int `json:"leased_units"`
 	// ExpiredRedispatches counts units re-dispatched over the coordinator's

@@ -268,8 +268,22 @@ func (c *Client) Wait(ctx context.Context, id string, poll time.Duration, observ
 // ReportArtifact fetches a finished job's report artifact verbatim: exactly
 // the bytes the equivalent local `cmd/experiments run -o` writes.
 func (c *Client) ReportArtifact(ctx context.Context, id string) ([]byte, error) {
+	return c.ReportWait(ctx, id, 0)
+}
+
+// ReportWait fetches a job's report artifact with GET
+// /v1/jobs/{id}/report?wait=: the server holds the request until the job is
+// terminal or wait (at most service.MaxWait) elapses, then answers the
+// artifact of a done job, the failure of a failed one, or an *APIError with
+// Status 409 when the job is still unfinished. A wait <= 0 answers at once,
+// like ReportArtifact.
+func (c *Client) ReportWait(ctx context.Context, id string, wait time.Duration) ([]byte, error) {
+	path := "/v1/jobs/" + id + "/report"
+	if wait > 0 {
+		path += "?wait=" + wait.String()
+	}
 	var raw []byte
-	err := c.do(ctx, http.MethodGet, "/v1/jobs/"+id+"/report", "", nil, &raw)
+	err := c.do(ctx, http.MethodGet, path, "", nil, &raw)
 	return raw, err
 }
 

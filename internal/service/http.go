@@ -19,12 +19,13 @@ import (
 // maxRequestBody bounds POST payloads; a JobRequest is a few hundred bytes.
 const maxRequestBody = 1 << 20
 
-// MaxWait caps how long one GET /v1/jobs/{id}?wait= request holds.
+// MaxWait caps how long one GET /v1/jobs/{id}?wait= or
+// /v1/jobs/{id}/report?wait= request holds.
 const MaxWait = time.Minute
 
-// ParseWait reads the ?wait= parameter of a job status request: a Go
-// duration ("250ms", "10s") for which the request may hold while the job is
-// queued or running. Absent means 0 (answer at once); a value above MaxWait
+// ParseWait reads the ?wait= parameter of a job status or report request: a
+// Go duration ("250ms", "10s") for which the request may hold while the job
+// is queued or running. Absent means 0 (answer at once); a value above MaxWait
 // is clamped to it. A malformed or negative value is an error, which the
 // daemon and the coordinator both answer with 400.
 func ParseWait(r *http.Request) (time.Duration, error) {
@@ -51,7 +52,10 @@ func ParseWait(r *http.Request) (time.Duration, error) {
 //	                           holds until the job is terminal or the wait
 //	                           (at most MaxWait) elapses
 //	GET  /v1/jobs/{id}/report  the versioned JSON report artifact
-//	                           (?format=table renders the plain-text tables)
+//	                           (?format=table renders the plain-text tables);
+//	                           ?wait= holds an unfinished job like the status
+//	                           route, then answers the artifact, the job's
+//	                           failure, or 409 if the wait elapsed first
 //	GET  /v1/experiments       the experiment registry
 //	GET  /v1/batteries         the battery model registry
 //	GET  /healthz              queue depth, in-flight units, cache stats
@@ -62,7 +66,8 @@ func ParseWait(r *http.Request) (time.Duration, error) {
 // echoes it as trace_id.
 //
 // Errors are JSON {"error": ...} with 400 (bad request, spec, trace id or
-// wait), 404 (unknown job), 409 (report of an unfinished job), 429 (queue
+// wait), 404 (unknown job), 409 (report of a job still unfinished when the
+// wait, if any, elapsed), 429 (queue
 // full, with a Retry-After header estimating when capacity frees up), 503
 // (daemon draining; /healthz also turns 503 then) or 500.
 func (s *Server) Handler() http.Handler {
@@ -176,7 +181,12 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
-	artifact, err := s.Artifact(r.PathValue("id"))
+	wait, err := ParseWait(r)
+	if err != nil {
+		writeJSON(w, http.StatusBadRequest, apiError{Error: err.Error()})
+		return
+	}
+	artifact, err := s.artifactWait(r.Context(), r.PathValue("id"), wait)
 	if err != nil {
 		writeError(w, err)
 		return

@@ -823,11 +823,24 @@ func (s *Server) Job(id string) (JobStatus, error) {
 // (done, failed, or failed by the shutdown sweep), the wait elapses or ctx
 // ends. An unknown job fails at once with ErrUnknownJob.
 func (s *Server) JobWait(ctx context.Context, id string, wait time.Duration) (JobStatus, error) {
+	j, err := s.await(ctx, id, wait)
+	if err != nil {
+		return JobStatus{}, err
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.statusLocked(j), nil
+}
+
+// await looks job id up and holds up to wait while it is queued or running,
+// until it turns terminal, the wait elapses or ctx ends. An unknown job
+// fails at once with ErrUnknownJob.
+func (s *Server) await(ctx context.Context, id string, wait time.Duration) (*job, error) {
 	s.mu.Lock()
 	j, ok := s.jobs[id]
 	s.mu.Unlock()
 	if !ok {
-		return JobStatus{}, fmt.Errorf("%w %q", ErrUnknownJob, id)
+		return nil, fmt.Errorf("%w %q", ErrUnknownJob, id)
 	}
 	if wait > 0 {
 		t := time.NewTimer(wait)
@@ -838,21 +851,26 @@ func (s *Server) JobWait(ctx context.Context, id string, wait time.Duration) (Jo
 		case <-t.C:
 		}
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.statusLocked(j), nil
+	return j, nil
 }
 
 // Artifact returns the finished job's report artifact: exactly the bytes the
 // equivalent local `cmd/experiments run -o` writes. ErrJobNotFinished while
 // the job is queued or running; the job's failure message once failed.
 func (s *Server) Artifact(id string) ([]byte, error) {
+	return s.artifactWait(context.Background(), id, 0)
+}
+
+// artifactWait is Artifact after first holding up to wait while the job is
+// queued or running, as JobWait does: ErrJobNotFinished only when the wait
+// elapses (or ctx ends) first.
+func (s *Server) artifactWait(ctx context.Context, id string, wait time.Duration) ([]byte, error) {
+	j, err := s.await(ctx, id, wait)
+	if err != nil {
+		return nil, err
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	j, ok := s.jobs[id]
-	if !ok {
-		return nil, fmt.Errorf("%w %q", ErrUnknownJob, id)
-	}
 	switch j.state {
 	case StateDone:
 		return j.artifact, nil
