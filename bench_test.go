@@ -18,37 +18,29 @@ import (
 	"battsched/internal/tgff"
 )
 
-// BenchmarkTable1 regenerates the paper's Table 1 (energy of Random/LTF/pUBS
-// orderings normalised to the exhaustive optimum on single task graphs).
-func BenchmarkTable1(b *testing.B) {
-	cfg := experiments.QuickTable1Config()
-	cfg.Parallel = 1 // measure the sequential path
+// benchExperiment regenerates the quick configuration of one registered
+// experiment per iteration, on parallel workers (1 measures the sequential
+// path), and checks its row count (0: any number but none).
+func benchExperiment(b *testing.B, name string, spec experiments.Spec, parallel, rows int) {
+	spec.Quick, spec.Parallel = true, parallel
 	for i := 0; i < b.N; i++ {
-		rows, err := experiments.RunTable1(context.Background(), cfg)
+		rep, err := experiments.Run(context.Background(), name, spec)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if len(rows) == 0 {
-			b.Fatal("no rows")
+		if n := len(rep.Rows); n == 0 || rows > 0 && n != rows {
+			b.Fatalf("%s: %d rows, want %d", name, n, rows)
 		}
 	}
 }
 
+// BenchmarkTable1 regenerates the paper's Table 1 (energy of Random/LTF/pUBS
+// orderings normalised to the exhaustive optimum on single task graphs).
+func BenchmarkTable1(b *testing.B) { benchExperiment(b, "table1", experiments.Spec{}, 1, 0) }
+
 // BenchmarkFigure6 regenerates the paper's Figure 6 (energy of ordering
 // schemes normalised to the precedence-free near-optimal schedule).
-func BenchmarkFigure6(b *testing.B) {
-	cfg := experiments.QuickFigure6Config()
-	cfg.Parallel = 1 // measure the sequential path
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.RunFigure6(context.Background(), cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(rows) == 0 {
-			b.Fatal("no rows")
-		}
-	}
-}
+func BenchmarkFigure6(b *testing.B) { benchExperiment(b, "figure6", experiments.Spec{}, 1, 0) }
 
 // benchTable2 regenerates quick Table 2 once per iteration, one
 // sub-benchmark per battery: KiBaM, where the scheduling engine dominates,
@@ -57,18 +49,7 @@ func BenchmarkFigure6(b *testing.B) {
 func benchTable2(b *testing.B, parallel int) {
 	for _, name := range []string{"kibam", "stochastic"} {
 		b.Run(name, func(b *testing.B) {
-			cfg := experiments.QuickTable2Config()
-			cfg.BatteryName = name
-			cfg.Parallel = parallel
-			for i := 0; i < b.N; i++ {
-				rows, err := experiments.RunTable2(context.Background(), cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if len(rows) != 5 {
-					b.Fatal("unexpected row count")
-				}
-			}
+			benchExperiment(b, "table2", experiments.Spec{Battery: name}, parallel, 5)
 		})
 	}
 }
@@ -166,17 +147,7 @@ func BenchmarkPUBSPriority(b *testing.B) {
 // BenchmarkEstimateAblation runs the estimate-quality ablation (how the
 // accuracy of the X_k estimates changes the benefit of the pUBS ordering).
 func BenchmarkEstimateAblation(b *testing.B) {
-	cfg := experiments.QuickEstimateAblationConfig()
-	cfg.Parallel = 1 // measure the sequential path
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.RunEstimateAblation(context.Background(), cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(rows) != 3 {
-			b.Fatal("unexpected row count")
-		}
-	}
+	benchExperiment(b, "ablation", experiments.Spec{}, 1, 3)
 }
 
 // BenchmarkAblationReadyPolicy compares the two ready-list policies of the

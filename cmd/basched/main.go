@@ -28,6 +28,7 @@ import (
 
 	"battsched"
 	"battsched/internal/experiments"
+	"battsched/internal/taskgraph"
 )
 
 func main() {
@@ -108,8 +109,7 @@ func run(args []string, stdout io.Writer) error {
 			return err
 		}
 		defer f.Close()
-		sys = &battsched.System{}
-		if err := readSystem(f, sys); err != nil {
+		if sys, err = taskgraph.ReadJSON(f, proc.FMax()); err != nil {
 			return err
 		}
 	} else {
@@ -229,19 +229,4 @@ func run(args []string, stdout io.Writer) error {
 			*batteryName, life.LifetimeMinutes(), life.DeliveredMAh(), life.Exhausted)
 	}
 	return nil
-}
-
-// readSystem decodes a workload file into sys.
-func readSystem(r io.Reader, sys *battsched.System) error {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return err
-	}
-	if err := sys.UnmarshalJSON(data); err != nil {
-		return err
-	}
-	if sys.NumGraphs() == 0 {
-		return errors.New("workload contains no graphs")
-	}
-	return sys.Validate(battsched.DefaultProcessor().FMax())
 }

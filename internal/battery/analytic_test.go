@@ -85,7 +85,6 @@ type lazySegmentDrainer struct{ quantumModel }
 func (l *lazySegmentDrainer) DrainSegment(current, dt float64) (float64, bool) {
 	return l.Drain(current, dt)
 }
-func (l *lazySegmentDrainer) ExhaustionTime(float64) float64 { return math.Inf(1) }
 
 // TestAnalyticRejectsUnderSustainingModel pins the analytic-path contract
 // guard: a model that survives a segment without sustaining all of it is an
@@ -223,7 +222,7 @@ func TestAnalyticHorizonClipping(t *testing.T) {
 // root-finding against the simulation driver on a fresh cell.
 func TestExhaustionTimeMatchesConstantLoadLifetime(t *testing.T) {
 	for _, m := range scaledAnalyticModels(t) {
-		sd := m.(battery.SegmentDrainer)
+		sd := m.(interface{ ExhaustionTime(float64) float64 })
 		m.Reset()
 		te := sd.ExhaustionTime(0.8)
 		r, err := battery.ConstantLoadLifetime(m, 0.8, 1e6)

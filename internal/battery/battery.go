@@ -45,11 +45,6 @@ type SegmentDrainer interface {
 	// segment of length dt, with the same contract as Drain: it returns the
 	// time sustained (== dt when the battery survives) and liveness.
 	DrainSegment(current, dt float64) (sustained float64, alive bool)
-	// ExhaustionTime returns the time until exhaustion if the given constant
-	// current were applied from the current state, +Inf when the model never
-	// exhausts under it (e.g. a zero load) and 0 when already dead. It does
-	// not modify the state.
-	ExhaustionTime(current float64) float64
 }
 
 // RepetitionOperator advances a model by runs of whole repetitions of a
@@ -133,12 +128,6 @@ func (r Result) LifetimeMinutes() float64 { return r.Lifetime / 60 }
 
 // DeliveredMAh returns the delivered charge in mAh (the unit of Table 2).
 func (r Result) DeliveredMAh() float64 { return MAh(r.DeliveredCharge) }
-
-// String implements fmt.Stringer.
-func (r Result) String() string {
-	return fmt.Sprintf("Result(lifetime=%.1fmin delivered=%.0fmAh exhausted=%v)",
-		r.LifetimeMinutes(), r.DeliveredMAh(), r.Exhausted)
-}
 
 // Errors returned by the simulation driver.
 var (

@@ -37,9 +37,6 @@ func TestResultAccessors(t *testing.T) {
 	if r.DeliveredMAh() != 2000 {
 		t.Fatalf("DeliveredMAh = %v", r.DeliveredMAh())
 	}
-	if r.String() == "" {
-		t.Fatal("empty String()")
-	}
 }
 
 func TestSimulateErrors(t *testing.T) {

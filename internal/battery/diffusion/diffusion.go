@@ -98,9 +98,6 @@ func New(p Params) (*Battery, error) {
 // Name implements battery.Model.
 func (b *Battery) Name() string { return "diffusion" }
 
-// Params returns the model parameters.
-func (b *Battery) Params() Params { return b.params }
-
 // Reset implements battery.Model.
 func (b *Battery) Reset() {
 	b.delivered = 0
@@ -120,17 +117,6 @@ func (b *Battery) DeliveredCharge() float64 { return b.delivered }
 // in coulombs.
 func (b *Battery) Sigma() float64 {
 	s := b.delivered
-	for _, a := range b.unavailable {
-		s += 2 * a
-	}
-	return s
-}
-
-// UnavailableCharge returns the charge currently unavailable due to the
-// diffusion gradient (the series term of sigma), in coulombs. It decays
-// toward zero during rest periods — the recovery effect.
-func (b *Battery) UnavailableCharge() float64 {
-	var s float64
 	for _, a := range b.unavailable {
 		s += 2 * a
 	}
@@ -212,10 +198,13 @@ func (b *Battery) DrainSegment(current, dt float64) (sustained float64, alive bo
 	return tDeath, false
 }
 
-// ExhaustionTime implements battery.SegmentDrainer: the root of
-// sigma(t) = alpha under a constant current, found by Newton iteration on the
-// closed form with a bisection safeguard. During rest sigma only decays, so
-// the time is +Inf for a zero load.
+// ExhaustionTime returns the time until exhaustion if the given constant
+// current were applied from the current state, +Inf when the model never
+// exhausts under it and 0 when already dead, without modifying the state;
+// DrainSegment locates the death instant with it. It is the root of
+// sigma(t) = alpha, found by Newton iteration on the closed form with a
+// bisection safeguard. During rest sigma only decays, so the time is +Inf for
+// a zero load.
 func (b *Battery) ExhaustionTime(current float64) float64 {
 	if !b.alive {
 		return 0

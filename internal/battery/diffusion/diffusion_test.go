@@ -10,6 +10,17 @@ import (
 	"battsched/internal/profile"
 )
 
+// UnavailableCharge returns the charge currently unavailable due to the
+// diffusion gradient (the series term of sigma), in coulombs. It decays
+// toward zero during rest periods — the recovery effect.
+func (b *Battery) UnavailableCharge() float64 {
+	var s float64
+	for _, a := range b.unavailable {
+		s += 2 * a
+	}
+	return s
+}
+
 func TestNewRejectsBadParams(t *testing.T) {
 	bad := []Params{
 		{AlphaCoulombs: 0, BetaSquared: 1e-3},
@@ -28,8 +39,8 @@ func TestDefaultTermsApplied(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if b.Params().Terms != DefaultTerms {
-		t.Fatalf("Terms = %d, want %d", b.Params().Terms, DefaultTerms)
+	if b.params.Terms != DefaultTerms {
+		t.Fatalf("Terms = %d, want %d", b.params.Terms, DefaultTerms)
 	}
 }
 
@@ -118,7 +129,7 @@ func TestConstantLoadLifetimeMatchesClosedForm(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := b.Params()
+	p := b.params
 	L := r.Lifetime
 	sigma := current * L
 	for m := 1; m <= p.Terms; m++ {

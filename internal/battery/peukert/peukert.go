@@ -85,9 +85,6 @@ func New(p Params) (*Battery, error) {
 // Name implements battery.Model.
 func (b *Battery) Name() string { return "peukert" }
 
-// Params returns the model parameters.
-func (b *Battery) Params() Params { return b.params }
-
 // Reset implements battery.Model.
 func (b *Battery) Reset() {
 	b.weighted = 0
@@ -139,7 +136,10 @@ func (b *Battery) DrainSegment(current, dt float64) (sustained float64, alive bo
 	return tDeath, false
 }
 
-// ExhaustionTime implements battery.SegmentDrainer: the model has no
+// ExhaustionTime returns the time until exhaustion if the given constant
+// current were applied from the current state, +Inf when the model never
+// exhausts under it and 0 when already dead, without modifying the state;
+// DrainSegment locates the death instant with it. The model has no
 // recovery, so the time until either the rate-weighted budget or the
 // absolute maximum capacity is exhausted is available in closed form.
 func (b *Battery) ExhaustionTime(current float64) float64 {

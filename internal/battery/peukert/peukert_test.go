@@ -26,15 +26,15 @@ func TestNewRejectsBadParams(t *testing.T) {
 
 func TestReferenceCurrentDeliversReferenceCapacity(t *testing.T) {
 	b := Default()
-	r, err := battery.ConstantLoadLifetime(b, b.Params().ReferenceCurrent, 1e7)
+	r, err := battery.ConstantLoadLifetime(b, b.params.ReferenceCurrent, 1e7)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !r.Exhausted {
 		t.Fatal("battery did not die")
 	}
-	if math.Abs(r.DeliveredCharge-b.Params().ReferenceCapacityCoulombs) > 1e-3*b.Params().ReferenceCapacityCoulombs {
-		t.Fatalf("delivered at reference current = %v, want %v", r.DeliveredCharge, b.Params().ReferenceCapacityCoulombs)
+	if math.Abs(r.DeliveredCharge-b.params.ReferenceCapacityCoulombs) > 1e-3*b.params.ReferenceCapacityCoulombs {
+		t.Fatalf("delivered at reference current = %v, want %v", r.DeliveredCharge, b.params.ReferenceCapacityCoulombs)
 	}
 }
 
@@ -78,7 +78,7 @@ func TestConstantLifetimeMatchesPeukertLaw(t *testing.T) {
 	// For I above the point where the absolute cap binds, the lifetime must
 	// satisfy L = Cref/Iref * (Iref/I)^k.
 	b := Default()
-	p := b.Params()
+	p := b.params
 	const current = 2.0
 	r, err := battery.ConstantLoadLifetime(b, current, 1e7)
 	if err != nil {

@@ -134,27 +134,6 @@ func (b *Battery) DrainSegment(current, dt float64) (sustained float64, alive bo
 	return dt, true
 }
 
-// ExhaustionTime implements battery.SegmentDrainer. Survival requires the
-// cumulative demand to stay within the nominal store plus everything the
-// bound store can ever release, so exhaustion under a positive constant
-// current happens within MaxCoulombs/I plus one step; draining a scratch
-// copy over that horizon pins the instant without touching the state.
-func (b *Battery) ExhaustionTime(current float64) float64 {
-	if !b.alive {
-		return 0
-	}
-	if current <= 0 {
-		return math.Inf(1)
-	}
-	clone := *b
-	horizon := b.params.MaxCoulombs/current + b.estep
-	sustained, alive := clone.DrainSegment(current, horizon)
-	if alive {
-		return math.Inf(1)
-	}
-	return sustained
-}
-
 // repOp is the battery.RepetitionOperator of one profile for one instance.
 // Within a repetition the depth of discharge advances deterministically, so a
 // repetition depends on the state only through its start recovery

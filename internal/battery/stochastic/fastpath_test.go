@@ -137,28 +137,6 @@ func TestFastPathOperatorConsistency(t *testing.T) {
 	}
 }
 
-// TestFastPathExhaustionTime: ExhaustionTime agrees with a constant-load
-// simulation from the same state and does not modify the state.
-func TestFastPathExhaustionTime(t *testing.T) {
-	m := stochastic.Default()
-	m.Reset()
-	availBefore, boundBefore := m.AvailableCharge(), m.BoundCharge()
-	et := m.ExhaustionTime(1.0)
-	if m.AvailableCharge() != availBefore || m.BoundCharge() != boundBefore || m.DeliveredCharge() != 0 {
-		t.Fatal("ExhaustionTime modified the state")
-	}
-	r, err := battery.ConstantLoadLifetime(stochastic.Default(), 1.0, 60*3600)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := relDiff(et, r.Lifetime); d > 1e-9 {
-		t.Errorf("ExhaustionTime %v vs simulated lifetime %v (rel %.3e)", et, r.Lifetime, d)
-	}
-	if zero := m.ExhaustionTime(0); !math.IsInf(zero, 1) {
-		t.Errorf("ExhaustionTime(0) = %v, want +Inf", zero)
-	}
-}
-
 // TestExpectedStepValidation: the new knob is range-checked.
 func TestExpectedStepValidation(t *testing.T) {
 	for _, bad := range []float64{-1, 10.5} {

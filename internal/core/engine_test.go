@@ -93,9 +93,6 @@ func TestSingleTaskNoDVSWorstCase(t *testing.T) {
 	if math.Abs(res.AverageFrequency-1e9) > 1 {
 		t.Fatalf("average frequency = %v, want fmax", res.AverageFrequency)
 	}
-	if math.Abs(res.Utilization()-0.4) > 1e-6 {
-		t.Fatalf("utilisation = %v, want 0.4", res.Utilization())
-	}
 	if res.EnergyBattery <= 0 || res.EnergyProcessor >= res.EnergyBattery {
 		t.Fatalf("energy accounting wrong: battery=%v processor=%v", res.EnergyBattery, res.EnergyProcessor)
 	}
@@ -104,9 +101,6 @@ func TestSingleTaskNoDVSWorstCase(t *testing.T) {
 	}
 	if res.Trace == nil || math.Abs(res.Trace.BusyTime()-res.BusyTime) > 1e-6 {
 		t.Fatalf("trace busy time = %v, want %v", res.Trace.BusyTime(), res.BusyTime)
-	}
-	if res.String() == "" {
-		t.Fatal("empty result string")
 	}
 }
 
@@ -468,9 +462,6 @@ func TestPerGraphStatistics(t *testing.T) {
 	wantJobs := map[string]int{"T1": 5, "T2": 2, "T3": 1}
 	var totalJobs, totalMisses int
 	for _, g := range res.PerGraph {
-		if g.String() == "" {
-			t.Fatal("empty GraphStats string")
-		}
 		if want, ok := wantJobs[g.Name]; ok && g.Jobs != want {
 			t.Fatalf("%s: jobs = %d, want %d", g.Name, g.Jobs, want)
 		}

@@ -54,8 +54,15 @@ func goldenResult(r *Result) string {
 			len(r.Profile.Segments), r.Profile.Duration(), r.Profile.Charge(), r.Profile.PeakCurrent())
 	}
 	if r.Trace != nil {
+		var cycles, charge float64
+		for _, s := range r.Trace.Slices {
+			if !s.Idle {
+				cycles += s.Frequency * s.Duration
+			}
+			charge += s.Current * s.Duration
+		}
 		fmt.Fprintf(&b, "trace: slices=%d busy=%.17g idle=%.17g cycles=%.17g charge=%.17g\n",
-			len(r.Trace.Slices), r.Trace.BusyTime(), r.Trace.IdleTime(), r.Trace.ExecutedCycles(), r.Trace.Charge())
+			len(r.Trace.Slices), r.Trace.BusyTime(), r.Trace.IdleTime(), cycles, charge)
 	}
 	for _, g := range r.PerGraph {
 		fmt.Fprintf(&b, "graph %d %s: jobs=%d misses=%d maxResp=%.17g avgResp=%.17g avgLaxity=%.17g\n",

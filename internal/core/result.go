@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-
 	"battsched/internal/profile"
 	"battsched/internal/trace"
 )
@@ -58,33 +56,10 @@ type Result struct {
 	PerGraph []GraphStats
 }
 
-// Utilization returns BusyTime/Horizon.
-func (r Result) Utilization() float64 {
-	if r.Horizon <= 0 {
-		return 0
-	}
-	return r.BusyTime / r.Horizon
-}
-
 // AveragePower returns the average battery-side power in watts.
 func (r Result) AveragePower() float64 {
 	if r.Horizon <= 0 {
 		return 0
 	}
 	return r.EnergyBattery / r.Horizon
-}
-
-// EnergyPerCycle returns battery energy per executed cycle in joules (0 if no
-// cycles executed).
-func (r Result) EnergyPerCycle() float64 {
-	if r.ExecutedCycles <= 0 {
-		return 0
-	}
-	return r.EnergyBattery / r.ExecutedCycles
-}
-
-// String implements fmt.Stringer.
-func (r Result) String() string {
-	return fmt.Sprintf("Result(horizon=%.4gs energy=%.4gJ misses=%d jobs=%d/%d busy=%.3g idle=%.3g preempt=%d)",
-		r.Horizon, r.EnergyBattery, r.DeadlineMisses, r.JobsCompleted, r.JobsReleased, r.BusyTime, r.IdleTime, r.Preemptions)
 }

@@ -1,7 +1,5 @@
 package core
 
-import "fmt"
-
 // GraphStats summarises the behaviour of one task graph across all of its
 // instances in a simulation.
 type GraphStats struct {
@@ -20,12 +18,6 @@ type GraphStats struct {
 	// AvgLaxity is the mean remaining time to the deadline at completion, in
 	// seconds.
 	AvgLaxity float64
-}
-
-// String implements fmt.Stringer.
-func (g GraphStats) String() string {
-	return fmt.Sprintf("%s: jobs=%d misses=%d maxResp=%.4gs avgResp=%.4gs avgLaxity=%.4gs",
-		g.Name, g.Jobs, g.Misses, g.MaxResponse, g.AvgResponse, g.AvgLaxity)
 }
 
 // graphStatsCollector accumulates per-graph response statistics during a run.

@@ -175,17 +175,6 @@ func estimateAblationRowsFromReport(r *Report) []EstimateAblationRow {
 	return rows
 }
 
-// RunEstimateAblation runs the estimate-quality ablation and returns its
-// typed rows (see runEstimateAblationReport; the registry path returns the
-// Report directly).
-func RunEstimateAblation(ctx context.Context, cfg EstimateAblationConfig) ([]EstimateAblationRow, error) {
-	rep, err := runEstimateAblationReport(ctx, cfg)
-	if err != nil {
-		return nil, err
-	}
-	return estimateAblationRowsFromReport(rep), nil
-}
-
 // FormatEstimateAblation renders the ablation rows as a plain-text table.
 func FormatEstimateAblation(rows []EstimateAblationRow) string {
 	var b strings.Builder

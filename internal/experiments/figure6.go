@@ -231,13 +231,3 @@ func figure6RowsFromReport(r *Report) []Figure6Row {
 	}
 	return rows
 }
-
-// RunFigure6 regenerates Figure 6 and returns its typed rows (see
-// runFigure6Report; the registry path returns the Report directly).
-func RunFigure6(ctx context.Context, cfg Figure6Config) ([]Figure6Row, error) {
-	rep, err := runFigure6Report(ctx, cfg)
-	if err != nil {
-		return nil, err
-	}
-	return figure6RowsFromReport(rep), nil
-}

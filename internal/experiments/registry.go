@@ -139,12 +139,6 @@ func metaFloat(meta map[string]string, key string) float64 {
 	return v
 }
 
-// metaInt parses an integer Meta entry.
-func metaInt(meta map[string]string, key string) int {
-	v, _ := strconv.Atoi(meta[key])
-	return v
-}
-
 // shardInfo converts a Shard into the Report field (nil when unsharded).
 func shardInfo(s Shard) *ShardInfo {
 	if !s.Enabled() {

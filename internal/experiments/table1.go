@@ -39,8 +39,9 @@
 // exactly across processes; MergeReports recombines the partial Reports
 // (sample replay for the per-set drivers — bit-for-bit; Welford state
 // combination for the scenario grid's chunk-merged cells — exact up to
-// floating-point reassociation). The typed Run*/Format* pairs remain as
-// convenience wrappers over the same aggregation.
+// floating-point reassociation). FormatReport renders each experiment
+// through its typed rows and Format* function; RunLoadCapacityCurve and
+// RunScenarioGrid also return typed rows, for cmd/batsim and the facade.
 package experiments
 
 import (
@@ -314,14 +315,4 @@ func table1RowsFromReport(r *Report) []Table1Row {
 		})
 	}
 	return rows
-}
-
-// RunTable1 regenerates Table 1 and returns its typed rows (see
-// runTable1Report; the registry path returns the Report directly).
-func RunTable1(ctx context.Context, cfg Table1Config) ([]Table1Row, error) {
-	rep, err := runTable1Report(ctx, cfg)
-	if err != nil {
-		return nil, err
-	}
-	return table1RowsFromReport(rep), nil
 }

@@ -355,13 +355,3 @@ func table2RowsFromReport(r *Report) []Table2Row {
 	}
 	return rows
 }
-
-// RunTable2 regenerates Table 2 and returns its typed rows (see
-// runTable2Report; the registry path returns the Report directly).
-func RunTable2(ctx context.Context, cfg Table2Config) ([]Table2Row, error) {
-	rep, err := runTable2Report(ctx, cfg)
-	if err != nil {
-		return nil, err
-	}
-	return table2RowsFromReport(rep), nil
-}

@@ -59,7 +59,6 @@ type lease struct {
 	u         *service.Unit
 	st        *unitState
 	w         *worker
-	remote    string // the worker's job ID, once known
 	started   time.Time
 	expires   time.Time
 	cancelled bool // failed, expired, superseded or settled: no longer renewed or expired
@@ -346,9 +345,7 @@ func (f *fleet) pollLease(ctx context.Context, l *lease) func() {
 		return f.leaseFailed(l, fmt.Sprintf("submitting to %s: %v", l.w.url, err), err)
 	}
 	f.s.Lock()
-	l.remote = st.ID
 	l.expires = time.Now().Add(f.cfg.LeaseDuration)
-	f.s.JournalLeaseLocked(u, journal.Lease{Worker: l.w.url, Remote: l.remote, Expires: l.expires})
 	f.s.Unlock()
 
 	for {

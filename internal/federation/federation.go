@@ -28,7 +28,6 @@ package federation
 
 import (
 	"fmt"
-	"log"
 	"net/url"
 	"sort"
 	"strings"
@@ -158,15 +157,6 @@ func workerURL(raw string) (string, error) {
 	return strings.TrimRight(raw, "/"), nil
 }
 
-// AddWorker registers one worker URL (idempotent; an invalid URL is logged
-// and ignored). The next heartbeat round-trip makes it live and
-// dispatchable.
-func (co *Coordinator) AddWorker(raw string) {
-	if err := co.fleet.addWorker(raw); err != nil {
-		log.Printf("federation: %v", err)
-	}
-}
-
 // WorkerStatus is one registry entry of GET /v1/workers.
 type WorkerStatus struct {
 	URL    string `json:"url"`
@@ -174,9 +164,6 @@ type WorkerStatus struct {
 	Slots  int    `json:"slots"`
 	Leased int    `json:"leased"`
 }
-
-// Workers snapshots the registry, sorted by URL.
-func (co *Coordinator) Workers() []WorkerStatus { return co.fleet.snapshot() }
 
 // addWorker validates, normalises and registers one worker URL.
 func (f *fleet) addWorker(raw string) error {

@@ -6,6 +6,8 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -283,6 +285,60 @@ func TestCoordinatorRestartResumesFromJournal(t *testing.T) {
 		if got := n.(*atomic.Int32).Load(); got != 1 {
 			t.Fatalf("shard %s executed %d times on the worker, want exactly 1", sh, got)
 		}
+	}
+}
+
+// TestOneLeaseRecordPerDispatch pins the coordinator's journal to one lease
+// record per unit dispatch, the one written when the unit is placed. Both
+// units of a 2-shard job are held on their worker, and the journal is read
+// once the worker has seen each unit's report long-poll, which the
+// coordinator starts only after the submission answered.
+func TestOneLeaseRecordPerDispatch(t *testing.T) {
+	hook, release := blockingHook()
+	defer release()
+	srv, err := service.New(service.Config{Workers: 2, FaultHook: hook})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	polled := map[string]bool{} // report paths the worker was asked for
+	h := srv.Handler()
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if p := r.URL.Path; strings.HasPrefix(p, "/v1/jobs/") && strings.HasSuffix(p, "/report") {
+			mu.Lock()
+			polled[p] = true
+			mu.Unlock()
+		}
+		h.ServeHTTP(w, r)
+	}))
+	t.Cleanup(func() {
+		ts.Close()
+		srv.Close()
+	})
+
+	dir := t.TempDir()
+	cfg := fastConfig(ts.URL)
+	cfg.CacheDir = dir
+	var dispatches atomic.Int32
+	cfg.OnDispatch = func(string, experiments.Shard, string) { dispatches.Add(1) }
+	co, c := startCoordinator(t, cfg)
+	waitFor(t, "worker live", func() bool { return co.Health().Fleet.LiveWorkers == 1 })
+	if _, err := c.Submit(context.Background(), service.JobRequest{
+		Experiment: "table2", Spec: service.SpecRequest{Quick: true, Battery: "kibam"}, Shards: 2,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "both units long-polled on the worker", func() bool {
+		mu.Lock()
+		defer mu.Unlock()
+		return len(polled) == 2
+	})
+	data, err := os.ReadFile(filepath.Join(dir, "journal.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if leases, n := strings.Count(string(data), `"op":"lease"`), int(dispatches.Load()); leases != n || n != 2 {
+		t.Fatalf("journal holds %d lease records for %d dispatches, want one per dispatch of the 2 units:\n%s", leases, n, data)
 	}
 }
 

@@ -27,7 +27,7 @@ func FuzzParseText(f *testing.F) {
 		ParseText(data)
 
 		r := NewRegistry()
-		r.Gauge("fuzz_gauge", "Fuzzed.", "worker", label).Set(v)
+		r.GaugeFunc("fuzz_gauge", "Fuzzed.", func() float64 { return v }, "worker", label)
 		text := r.Render()
 		samples, err := ParseText(text)
 		if err != nil {

@@ -9,6 +9,13 @@ import (
 	"testing"
 )
 
+// Render returns the Prometheus text rendering as a byte slice.
+func (r *Registry) Render() []byte {
+	var buf strings.Builder
+	r.WriteTo(&buf)
+	return []byte(buf.String())
+}
+
 // TestRenderGolden pins the Prometheus text exposition format: HELP/TYPE
 // headers, sorted families and series, histogram cumulative buckets with
 // +Inf, label escaping. A scrape-format drift breaks real Prometheus
@@ -16,10 +23,11 @@ import (
 func TestRenderGolden(t *testing.T) {
 	r := NewRegistry()
 	jobs := r.Counter("test_jobs_total", "Jobs by admission.", "admission", "computed")
-	jobs.Add(3)
+	jobs.Inc()
+	jobs.Inc()
+	jobs.Inc()
 	r.Counter("test_jobs_total", "Jobs by admission.", "admission", "cached").Inc()
-	g := r.Gauge("test_queue_depth", "Queue depth.")
-	g.Set(7)
+	r.GaugeFunc("test_queue_depth", "Queue depth.", func() float64 { return 7 })
 	r.GaugeFunc("test_callback", "Callback-backed.", func() float64 { return 2.5 })
 	h := r.Histogram("test_latency_seconds", "Latency.", []float64{0.1, 1, 10})
 	h.Observe(0.05)
@@ -70,13 +78,13 @@ func TestHandlerContentType(t *testing.T) {
 	}
 }
 
-// TestRegistryRace hammers counters, gauges, histograms, registration and
-// rendering from many goroutines at once; `go test -race` turns any unsafe
-// access into a failure. Also checks the final counts are not lost.
+// TestRegistryRace hammers counters, histograms, registration of counters
+// and callback gauges, and rendering from many goroutines at once; `go test
+// -race` turns any unsafe access into a failure. Also checks the final
+// counts are not lost.
 func TestRegistryRace(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("race_total", "racing counter")
-	g := r.Gauge("race_gauge", "racing gauge")
 	h := r.Histogram("race_seconds", "racing histogram", nil)
 	const (
 		goroutines = 8
@@ -89,11 +97,11 @@ func TestRegistryRace(t *testing.T) {
 			defer wg.Done()
 			for k := 0; k < perG; k++ {
 				c.Inc()
-				g.Set(float64(k))
 				h.Observe(float64(k%300) / 100)
 				if k%100 == 0 {
 					// Concurrent registration and lookup of labelled series.
 					r.Counter("race_labelled_total", "labelled", "g", string(rune('a'+i))).Inc()
+					r.GaugeFunc("race_gauge", "racing gauge", func() float64 { return float64(k) }, "g", string(rune('a'+i)))
 					_ = r.Render()
 				}
 			}
@@ -103,7 +111,7 @@ func TestRegistryRace(t *testing.T) {
 	if got := c.Value(); got != goroutines*perG {
 		t.Errorf("counter lost updates: %d != %d", got, goroutines*perG)
 	}
-	if got := h.Count(); got != goroutines*perG {
+	if got := h.count.Load(); got != goroutines*perG {
 		t.Errorf("histogram lost observations: %d != %d", got, goroutines*perG)
 	}
 }
@@ -112,8 +120,11 @@ func TestRegistryRace(t *testing.T) {
 // against the known observations.
 func TestParseRoundTrip(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("rt_jobs_total", "jobs", "admission", "computed").Add(5)
-	r.Gauge("rt_depth", "depth").Set(-2.5)
+	jobs := r.Counter("rt_jobs_total", "jobs", "admission", "computed")
+	for i := 0; i < 5; i++ {
+		jobs.Inc()
+	}
+	r.GaugeFunc("rt_depth", "depth", func() float64 { return -2.5 })
 	h := r.Histogram("rt_dur_seconds", "dur", []float64{0.1, 1, 10})
 	for i := 0; i < 90; i++ {
 		h.Observe(0.05) // le 0.1

@@ -1,18 +1,18 @@
 // Package obs is the dependency-free observability substrate shared by the
 // worker daemon, the federation coordinator, and the compute core: a
 // concurrent metrics registry rendered in Prometheus text exposition format
-// (counters, gauges, histograms with fixed buckets, plus callback-backed
-// series so /metrics and /healthz read the same source fields), trace-id
-// propagation helpers (X-Trace-Id), a JSONL structured event log, and an
-// atomic counter bundle for the engine/battery hot path.
+// (counters and histograms with fixed buckets, plus callback-backed gauges
+// and counters so /metrics and /healthz read the same source fields),
+// trace-id propagation helpers (X-Trace-Id), a JSONL structured event log,
+// and an atomic counter bundle for the engine/battery hot path.
 //
-// Locking contract: metric mutation (Counter.Add, Gauge.Set,
-// Histogram.Observe) is lock-free after creation and safe on any hot path.
-// Registration (Counter, Gauge, Histogram, GaugeFunc, CounterFunc) takes the
-// registry write lock; rendering takes the read lock and invokes registered
-// callbacks while holding it. Callbacks may acquire application locks, so
-// callers must never register new series while holding a lock a callback
-// also takes — register up front, or before taking the application lock.
+// Locking contract: metric mutation (Counter.Inc, Histogram.Observe) is
+// lock-free after creation and safe on any hot path. Registration (Counter,
+// Histogram, GaugeFunc, CounterFunc) takes the registry write lock;
+// rendering takes the read lock and invokes registered callbacks while
+// holding it. Callbacks may acquire application locks, so callers must never
+// register new series while holding a lock a callback also takes — register
+// up front, or before taking the application lock.
 package obs
 
 import (
@@ -74,28 +74,11 @@ type Counter struct{ v atomic.Uint64 }
 // Inc adds one.
 func (c *Counter) Inc() { c.v.Add(1) }
 
-// Add adds n (n must be non-negative semantics; the type is unsigned).
-func (c *Counter) Add(n uint64) { c.v.Add(n) }
-
 // Value returns the current count.
 func (c *Counter) Value() uint64 { return c.v.Load() }
 
 func (c *Counter) writeTo(w io.Writer, name, labels string) {
 	fmt.Fprintf(w, "%s%s %d\n", name, labels, c.v.Load())
-}
-
-// Gauge is a settable instantaneous value. Mutation is a single atomic
-// store; safe for concurrent use.
-type Gauge struct{ bits atomic.Uint64 }
-
-// Set stores v.
-func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
-
-// Value returns the current value.
-func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
-
-func (g *Gauge) writeTo(w io.Writer, name, labels string) {
-	fmt.Fprintf(w, "%s%s %s\n", name, labels, formatFloat(g.Value()))
 }
 
 // funcMetric is a callback-backed series evaluated at render time. Backing a
@@ -132,23 +115,8 @@ func (h *Histogram) Observe(v float64) {
 	}
 }
 
-// Count returns the number of observations.
-func (h *Histogram) Count() uint64 { return h.count.Load() }
-
 // Sum returns the sum of observed values.
 func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sumBits.Load()) }
-
-// Snapshot returns the cumulative per-bucket counts aligned with Bounds,
-// plus the total count. Used by quantile estimation.
-func (h *Histogram) Snapshot() (bounds []float64, cumulative []uint64, total uint64) {
-	cumulative = make([]uint64, len(h.bounds))
-	var cum uint64
-	for i := range h.counts {
-		cum += h.counts[i].Load()
-		cumulative[i] = cum
-	}
-	return h.bounds, cumulative, h.count.Load()
-}
 
 func (h *Histogram) writeTo(w io.Writer, name, labels string) {
 	// _bucket series carry an extra le label; splice it into the label set.
@@ -168,12 +136,6 @@ func (h *Histogram) writeTo(w io.Writer, name, labels string) {
 func (r *Registry) Counter(name, help string, labels ...string) *Counter {
 	m := r.getOrCreate(name, help, typeCounter, labels, func() metric { return &Counter{} })
 	return m.(*Counter)
-}
-
-// Gauge returns (creating if needed) the gauge series name{labels...}.
-func (r *Registry) Gauge(name, help string, labels ...string) *Gauge {
-	m := r.getOrCreate(name, help, typeGauge, labels, func() metric { return &Gauge{} })
-	return m.(*Gauge)
 }
 
 // Histogram returns (creating if needed) the histogram series
@@ -272,13 +234,6 @@ func (r *Registry) WriteTo(w io.Writer) (int64, error) {
 	r.mu.RUnlock()
 	n, err := io.WriteString(w, buf.String())
 	return int64(n), err
-}
-
-// Render returns the Prometheus text rendering as a byte slice.
-func (r *Registry) Render() []byte {
-	var buf strings.Builder
-	r.WriteTo(&buf)
-	return []byte(buf.String())
 }
 
 // Handler returns an http.Handler serving the registry at GET /metrics in

@@ -31,8 +31,6 @@ type Params struct {
 	Deadline float64
 	// FMax is the maximum processor frequency in Hz.
 	FMax float64
-	// FMin, when positive, is a lower clamp on the execution frequency.
-	FMin float64
 	// PowerExponent is the exponent of the convex power model P ∝ f^k
 	// (default 3).
 	PowerExponent float64
@@ -74,9 +72,6 @@ func (p Params) validate(g *taskgraph.Graph) error {
 	if p.Deadline <= 0 || p.FMax <= 0 {
 		return fmt.Errorf("%w: deadline=%v fmax=%v", ErrBadParams, p.Deadline, p.FMax)
 	}
-	if p.FMin < 0 || p.FMin > p.FMax {
-		return fmt.Errorf("%w: fmin=%v", ErrBadParams, p.FMin)
-	}
 	if p.Actuals != nil && len(p.Actuals) != g.NumNodes() {
 		return fmt.Errorf("%w: %d actuals for %d nodes", ErrBadParams, len(p.Actuals), g.NumNodes())
 	}
@@ -98,13 +93,10 @@ func (p Params) actual(g *taskgraph.Graph, id taskgraph.NodeID) float64 {
 	return a
 }
 
-// clampSpeed limits s to [FMin, FMax] (ignoring FMin when zero).
+// clampSpeed limits s to [0, FMax].
 func (p Params) clampSpeed(s float64) float64 {
 	if s > p.FMax {
 		return p.FMax
-	}
-	if p.FMin > 0 && s < p.FMin {
-		return p.FMin
 	}
 	if s < 0 {
 		return 0

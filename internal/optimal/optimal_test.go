@@ -300,20 +300,19 @@ func TestOptimalOrderValidation(t *testing.T) {
 }
 
 func TestClampSpeedAndStepEnergy(t *testing.T) {
-	p := Params{Deadline: 1, FMax: 10, FMin: 2, PowerExponent: 3}
-	if p.clampSpeed(50) != 10 || p.clampSpeed(1) != 2 || p.clampSpeed(5) != 5 {
+	p := Params{Deadline: 1, FMax: 10, PowerExponent: 3}
+	if p.clampSpeed(50) != 10 || p.clampSpeed(5) != 5 {
 		t.Fatal("clampSpeed wrong")
 	}
-	noMin := Params{Deadline: 1, FMax: 10, PowerExponent: 3}
-	if noMin.clampSpeed(-1) != 0 {
+	if p.clampSpeed(-1) != 0 {
 		t.Fatal("negative speed not clamped to 0")
 	}
-	if noMin.stepEnergy(0, 100) != 0 {
+	if p.stepEnergy(0, 100) != 0 {
 		t.Fatal("zero-speed energy should be 0")
 	}
 	// Energy at half speed with exponent 3 is (1/2)^2 per cycle.
-	if math.Abs(noMin.stepEnergy(5, 100)-25) > 1e-9 {
-		t.Fatalf("stepEnergy = %v, want 25", noMin.stepEnergy(5, 100))
+	if math.Abs(p.stepEnergy(5, 100)-25) > 1e-9 {
+		t.Fatalf("stepEnergy = %v, want 25", p.stepEnergy(5, 100))
 	}
 }
 

@@ -29,12 +29,11 @@ type OperatingPoint struct {
 	Voltage float64
 }
 
-// Errors returned by Model validation and lookups.
+// Errors returned by Model validation.
 var (
-	ErrNoPoints      = errors.New("processor: no operating points")
-	ErrUnsorted      = errors.New("processor: operating points must be strictly increasing in frequency and voltage")
-	ErrBadParameter  = errors.New("processor: parameter out of range")
-	ErrFreqOutOfGrid = errors.New("processor: requested frequency outside supported range")
+	ErrNoPoints     = errors.New("processor: no operating points")
+	ErrUnsorted     = errors.New("processor: operating points must be strictly increasing in frequency and voltage")
+	ErrBadParameter = errors.New("processor: parameter out of range")
 )
 
 // Model describes the processor and its power-delivery chain.
@@ -120,33 +119,6 @@ func (m *Model) ClampFrequency(f float64) float64 {
 	return f
 }
 
-// VoltageAt returns the supply voltage required to run at frequency f,
-// interpolating linearly between the surrounding operating points (this is
-// the voltage of the "ideal continuous" processor used for the energy-only
-// experiments). f is clamped to the supported range.
-func (m *Model) VoltageAt(f float64) float64 {
-	f = m.ClampFrequency(f)
-	pts := m.Points
-	i := sort.Search(len(pts), func(i int) bool { return pts[i].Frequency >= f })
-	if i == 0 {
-		return pts[0].Voltage
-	}
-	if i >= len(pts) {
-		return pts[len(pts)-1].Voltage
-	}
-	lo, hi := pts[i-1], pts[i]
-	t := (f - lo.Frequency) / (hi.Frequency - lo.Frequency)
-	return lo.Voltage + t*(hi.Voltage-lo.Voltage)
-}
-
-// Power returns the processor core power in watts when running continuously
-// at frequency f (using the interpolated voltage).
-func (m *Model) Power(f float64) float64 {
-	f = m.ClampFrequency(f)
-	v := m.VoltageAt(f)
-	return m.Ceff * v * v * f
-}
-
 // PowerAtPoint returns the core power at a discrete operating point.
 func (m *Model) PowerAtPoint(p OperatingPoint) float64 {
 	return m.Ceff * p.Voltage * p.Voltage * p.Frequency
@@ -158,21 +130,11 @@ func (m *Model) BatteryCurrentAtPoint(p OperatingPoint) float64 {
 	return m.PowerAtPoint(p) / (m.ConverterEfficiency * m.BatteryVoltage)
 }
 
-// EnergyPerCycle returns the battery-side energy consumed per processor cycle
-// at frequency f, in joules.
-func (m *Model) EnergyPerCycle(f float64) float64 {
-	f = m.ClampFrequency(f)
-	return m.Power(f) / (m.ConverterEfficiency * f)
-}
-
-// Speed returns the normalised speed s = f/FMax in (0, 1].
-func (m *Model) Speed(f float64) float64 { return m.ClampFrequency(f) / m.FMax() }
-
 // PowerIdeal returns the core power under the idealised continuous DVS model
 // P(f) = Pmax * (f/fmax)^3 used by the paper's energy-only experiments, where
-// Pmax is the power of the highest operating point. Unlike Power it does not
-// clamp f to the supported range from below (f above fmax is still clamped),
-// so it models an ideal processor that can run arbitrarily slowly.
+// Pmax is the power of the highest operating point. It does not clamp f to
+// the supported range from below (f above fmax is still clamped), so it
+// models an ideal processor that can run arbitrarily slowly.
 func (m *Model) PowerIdeal(f float64) float64 {
 	if f <= 0 {
 		return 0
@@ -218,32 +180,16 @@ func (r Realization) EffectiveFrequency() float64 {
 	return f
 }
 
-// AverageCurrent returns the time-averaged battery current of the realization
-// under model m.
-func (r Realization) AverageCurrent(m *Model) float64 {
-	var i float64
-	for _, s := range r.Segments {
-		i += m.BatteryCurrentAtPoint(s.Point) * s.Share
-	}
-	return i
-}
-
-// Realize maps a requested frequency fref onto the supported operating
+// RealizeInto maps a requested frequency fref onto the supported operating
 // points. If fref matches a supported point (within 1e-9 relative tolerance)
 // a single segment is returned. Otherwise the two adjacent points fi < fref <
 // fi+1 are combined linearly such that the average frequency equals fref
 // (Gaujal/Navet/Walsh show this linear combination is optimal); the
 // higher-frequency segment is listed first so the within-interval current
 // profile is non-increasing. fref below FMin is realised at FMin, above FMax
-// at FMax.
-func (m *Model) Realize(fref float64) Realization {
-	return m.RealizeInto(fref, nil)
-}
-
-// RealizeInto is Realize with a caller-supplied segment buffer: the returned
-// Realization's Segments are appended to buf[:0], so a scheduler realising a
-// frequency on every decision can reuse one two-element buffer instead of
-// allocating per call. Passing nil behaves like Realize.
+// at FMax. The returned Realization's Segments are appended to buf[:0], so a
+// scheduler realising a frequency on every decision reuses one two-element
+// buffer instead of allocating per call; buf may be nil.
 func (m *Model) RealizeInto(fref float64, buf []RealizationSegment) Realization {
 	fref = m.ClampFrequency(fref)
 	pts := m.Points
@@ -283,10 +229,4 @@ func (m *Model) RealizeCeilInto(fref float64, buf []RealizationSegment) Realizat
 		}
 	}
 	return Realization{Segments: append(buf, RealizationSegment{Point: pts[len(pts)-1], Share: 1})}
-}
-
-// String implements fmt.Stringer.
-func (m *Model) String() string {
-	return fmt.Sprintf("Processor(points=%d fmax=%.2gHz Pmax=%.2gW eta=%.2f Vbat=%.2gV)",
-		len(m.Points), m.FMax(), m.PowerAtPoint(m.Points[len(m.Points)-1]), m.ConverterEfficiency, m.BatteryVoltage)
 }

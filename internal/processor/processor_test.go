@@ -7,6 +7,16 @@ import (
 	"testing/quick"
 )
 
+// averageCurrent is the time-averaged battery current of realisation r under
+// model m.
+func averageCurrent(r Realization, m *Model) float64 {
+	var i float64
+	for _, s := range r.Segments {
+		i += m.BatteryCurrentAtPoint(s.Point) * s.Share
+	}
+	return i
+}
+
 func TestDefaultIsValid(t *testing.T) {
 	m := Default()
 	if err := m.Validate(); err != nil {
@@ -14,9 +24,6 @@ func TestDefaultIsValid(t *testing.T) {
 	}
 	if m.FMax() != 1.0e9 || m.FMin() != 0.5e9 {
 		t.Fatalf("FMin/FMax = %v/%v, want 0.5e9/1e9", m.FMin(), m.FMax())
-	}
-	if m.String() == "" {
-		t.Fatal("empty String()")
 	}
 }
 
@@ -56,29 +63,18 @@ func TestClampFrequency(t *testing.T) {
 	}
 }
 
-func TestVoltageInterpolation(t *testing.T) {
-	m := Default()
-	if got := m.VoltageAt(0.5e9); got != 3.0 {
-		t.Fatalf("V(0.5GHz) = %v, want 3", got)
-	}
-	if got := m.VoltageAt(1.0e9); got != 5.0 {
-		t.Fatalf("V(1GHz) = %v, want 5", got)
-	}
-	// Midpoint between 0.5 and 0.75 GHz -> 3.5 V.
-	if got := m.VoltageAt(0.625e9); math.Abs(got-3.5) > 1e-9 {
-		t.Fatalf("V(0.625GHz) = %v, want 3.5", got)
-	}
-}
-
+// TestPowerMonotoneInFrequency checks both power models the engine uses: the
+// realised battery current of the discrete operating points and the ideal
+// cubic current never fall as the requested frequency rises.
 func TestPowerMonotoneInFrequency(t *testing.T) {
 	m := Default()
-	prev := 0.0
+	prevReal, prevIdeal := 0.0, 0.0
 	for f := m.FMin(); f <= m.FMax(); f += 0.01e9 {
-		p := m.Power(f)
-		if p < prev {
-			t.Fatalf("power not monotone at f=%v: %v < %v", f, p, prev)
+		realised, ideal := averageCurrent(m.RealizeInto(f, nil), m), m.BatteryCurrentIdeal(f)
+		if realised < prevReal || ideal < prevIdeal {
+			t.Fatalf("current not monotone at f=%v: realised %v < %v or ideal %v < %v", f, realised, prevReal, ideal, prevIdeal)
 		}
-		prev = p
+		prevReal, prevIdeal = realised, ideal
 	}
 }
 
@@ -104,36 +100,31 @@ func TestBatteryCurrentCubicScaling(t *testing.T) {
 
 func TestEnergyPerCycleDecreasesWithFrequency(t *testing.T) {
 	m := Default()
-	// Lower frequency means lower voltage, so lower energy per cycle.
-	if m.EnergyPerCycle(0.5e9) >= m.EnergyPerCycle(1.0e9) {
-		t.Fatalf("energy per cycle should decrease at lower frequency: %v vs %v",
-			m.EnergyPerCycle(0.5e9), m.EnergyPerCycle(1.0e9))
+	// Lower frequency means lower voltage, so lower battery energy per cycle.
+	perCycle := func(p OperatingPoint) float64 {
+		return m.BatteryCurrentAtPoint(p) * m.BatteryVoltage / p.Frequency
 	}
-}
-
-func TestSpeed(t *testing.T) {
-	m := Default()
-	if got := m.Speed(0.5e9); got != 0.5 {
-		t.Fatalf("Speed(0.5GHz) = %v, want 0.5", got)
-	}
-	if got := m.Speed(5e9); got != 1 {
-		t.Fatalf("Speed clamps to 1, got %v", got)
+	for i := 1; i < len(m.Points); i++ {
+		if lo, hi := perCycle(m.Points[i-1]), perCycle(m.Points[i]); lo >= hi {
+			t.Fatalf("energy per cycle should decrease at lower frequency: %v at %v Hz vs %v at %v Hz",
+				lo, m.Points[i-1].Frequency, hi, m.Points[i].Frequency)
+		}
 	}
 }
 
 func TestRealizeExactPoint(t *testing.T) {
 	m := Default()
-	r := m.Realize(0.75e9)
+	r := m.RealizeInto(0.75e9, nil)
 	if len(r.Segments) != 1 || r.Segments[0].Point.Frequency != 0.75e9 || r.Segments[0].Share != 1 {
-		t.Fatalf("Realize(0.75GHz) = %+v, want single full segment", r)
+		t.Fatalf("RealizeInto(0.75GHz) = %+v, want single full segment", r)
 	}
 }
 
 func TestRealizeInterpolatesAdjacentPoints(t *testing.T) {
 	m := Default()
-	r := m.Realize(0.6e9)
+	r := m.RealizeInto(0.6e9, nil)
 	if len(r.Segments) != 2 {
-		t.Fatalf("Realize(0.6GHz) = %+v, want 2 segments", r)
+		t.Fatalf("RealizeInto(0.6GHz) = %+v, want 2 segments", r)
 	}
 	// Higher frequency first so the local current profile is non-increasing.
 	if r.Segments[0].Point.Frequency <= r.Segments[1].Point.Frequency {
@@ -146,18 +137,18 @@ func TestRealizeInterpolatesAdjacentPoints(t *testing.T) {
 	if math.Abs(shares-1) > 1e-12 {
 		t.Fatalf("shares sum to %v, want 1", shares)
 	}
-	if r.AverageCurrent(m) <= 0 {
-		t.Fatalf("average current = %v, want > 0", r.AverageCurrent(m))
+	if averageCurrent(r, m) <= 0 {
+		t.Fatalf("average current = %v, want > 0", averageCurrent(r, m))
 	}
 }
 
 func TestRealizeClampsOutOfRange(t *testing.T) {
 	m := Default()
-	lo := m.Realize(0.1e9)
+	lo := m.RealizeInto(0.1e9, nil)
 	if len(lo.Segments) != 1 || lo.Segments[0].Point.Frequency != m.FMin() {
 		t.Fatalf("Realize below range = %+v", lo)
 	}
-	hi := m.Realize(3e9)
+	hi := m.RealizeInto(3e9, nil)
 	if len(hi.Segments) != 1 || hi.Segments[0].Point.Frequency != m.FMax() {
 		t.Fatalf("Realize above range = %+v", hi)
 	}
@@ -171,7 +162,7 @@ func TestRealizeProperty(t *testing.T) {
 	f := func(x float64) bool {
 		frac := math.Abs(math.Mod(x, 1))
 		fref := m.FMin() + frac*(m.FMax()-m.FMin())
-		r := m.Realize(fref)
+		r := m.RealizeInto(fref, nil)
 		var sum float64
 		for _, s := range r.Segments {
 			if s.Share < -1e-12 || s.Share > 1+1e-12 {
@@ -185,7 +176,7 @@ func TestRealizeProperty(t *testing.T) {
 		if math.Abs(r.EffectiveFrequency()-fref) > 1e-3 {
 			return false
 		}
-		i := r.AverageCurrent(m)
+		i := averageCurrent(r, m)
 		return i >= m.BatteryCurrentAtPoint(m.Points[0])-1e-12 && i <= m.BatteryCurrentAtPoint(m.Points[len(m.Points)-1])+1e-12
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
@@ -193,16 +184,14 @@ func TestRealizeProperty(t *testing.T) {
 	}
 }
 
-// Property: interpolated voltage is monotone in frequency across the range.
+// Property: Validate accepts a model exactly when its voltage never falls as
+// the frequency rises.
 func TestVoltageMonotoneProperty(t *testing.T) {
-	m := Default()
-	f := func(a, b float64) bool {
-		fa := m.FMin() + math.Abs(math.Mod(a, 1))*(m.FMax()-m.FMin())
-		fb := m.FMin() + math.Abs(math.Mod(b, 1))*(m.FMax()-m.FMin())
-		if fa > fb {
-			fa, fb = fb, fa
-		}
-		return m.VoltageAt(fa) <= m.VoltageAt(fb)+1e-12
+	f := func(x float64) bool {
+		m := Default()
+		m.Points[1].Voltage = 2 + math.Abs(math.Mod(x, 4)) // in [2, 6) V
+		monotone := m.Points[0].Voltage <= m.Points[1].Voltage && m.Points[1].Voltage <= m.Points[2].Voltage
+		return (m.Validate() == nil) == monotone
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)

@@ -51,9 +51,6 @@ func (p *Profile) Append(duration, current float64) {
 	p.Segments = append(p.Segments, Segment{Duration: duration, Current: current})
 }
 
-// AppendSegment adds a pre-built segment via Append.
-func (p *Profile) AppendSegment(s Segment) { p.Append(s.Duration, s.Current) }
-
 // Reset empties the profile while keeping the segment slice's capacity, so a
 // reused profile stops allocating once it has grown to its steady-state size.
 // Callers holding the old Segments slice observe it being overwritten by the
@@ -121,69 +118,9 @@ func (p *Profile) PeakCurrent() float64 {
 	return m
 }
 
-// Energy returns the energy delivered at the given terminal voltage, in
-// joules.
-func (p *Profile) Energy(voltage float64) float64 { return p.Charge() * voltage }
-
-// CurrentAt returns the current at time t (seconds from the start of the
-// profile). Times beyond the end of the profile wrap around (the profile is
-// treated as periodic); negative times return the first segment's current.
-func (p *Profile) CurrentAt(t float64) float64 {
-	if len(p.Segments) == 0 {
-		return 0
-	}
-	d := p.Duration()
-	if d <= 0 {
-		return p.Segments[0].Current
-	}
-	if t < 0 {
-		return p.Segments[0].Current
-	}
-	t = math.Mod(t, d)
-	for _, s := range p.Segments {
-		if t < s.Duration {
-			return s.Current
-		}
-		t -= s.Duration
-	}
-	return p.Segments[len(p.Segments)-1].Current
-}
-
 // Clone returns a deep copy of the profile.
 func (p *Profile) Clone() *Profile {
 	return &Profile{Segments: append([]Segment(nil), p.Segments...)}
-}
-
-// Scale returns a copy of the profile with every current multiplied by k.
-func (p *Profile) Scale(k float64) *Profile {
-	c := p.Clone()
-	for i := range c.Segments {
-		c.Segments[i].Current *= k
-		if c.Segments[i].Current < 0 {
-			c.Segments[i].Current = 0
-		}
-	}
-	return c
-}
-
-// Concat returns a new profile consisting of p followed by q.
-func (p *Profile) Concat(q *Profile) *Profile {
-	out := p.Clone()
-	for _, s := range q.Segments {
-		out.Append(s.Duration, s.Current)
-	}
-	return out
-}
-
-// Repeat returns a new profile consisting of n back-to-back copies of p.
-func (p *Profile) Repeat(n int) *Profile {
-	out := New()
-	for i := 0; i < n; i++ {
-		for _, s := range p.Segments {
-			out.Append(s.Duration, s.Current)
-		}
-	}
-	return out
 }
 
 // Constant returns a single-segment profile drawing current amperes for
@@ -192,36 +129,6 @@ func Constant(current, duration float64) *Profile {
 	p := New()
 	p.Append(duration, current)
 	return p
-}
-
-// IsLocallyNonIncreasing reports whether, inside every window of length
-// `window` seconds aligned to the start of the profile, segment currents never
-// increase. With window <= 0 the whole profile is one window. This is the
-// property battery guideline 1 asks the scheduler to preserve within one
-// task-arrival window.
-func (p *Profile) IsLocallyNonIncreasing(window float64) bool {
-	if len(p.Segments) == 0 {
-		return true
-	}
-	if window <= 0 {
-		window = math.Inf(1)
-	}
-	var t float64
-	prev := math.Inf(1)
-	windowIdx := 0
-	for _, s := range p.Segments {
-		idx := int(t / window)
-		if idx != windowIdx {
-			windowIdx = idx
-			prev = math.Inf(1)
-		}
-		if s.Current > prev+1e-12 {
-			return false
-		}
-		prev = s.Current
-		t += s.Duration
-	}
-	return true
 }
 
 // ChargeAccumulator computes the total charge of a segment stream without

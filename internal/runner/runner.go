@@ -349,19 +349,3 @@ func (g Grid) Coords(idx int) []int {
 	}
 	return c
 }
-
-// Index returns the flat index of the given coordinates (the inverse of
-// Coords).
-func (g Grid) Index(coords ...int) int {
-	if len(coords) != len(g.dims) {
-		panic(fmt.Sprintf("runner: %d coordinates for %d-dimensional grid", len(coords), len(g.dims)))
-	}
-	idx := 0
-	for i, c := range coords {
-		if c < 0 || c >= g.dims[i] {
-			panic(fmt.Sprintf("runner: coordinate %d out of range for dimension %d (size %d)", c, i, g.dims[i]))
-		}
-		idx = idx*g.dims[i] + c
-	}
-	return idx
-}

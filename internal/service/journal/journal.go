@@ -8,11 +8,13 @@
 // interrupted.
 //
 // The federation coordinator additionally journals unit leases: an op "lease"
-// record per dispatch naming the job, the shard unit, the worker it went to
-// and the remote job ID. Replay attaches the latest lease per unit to its
-// Accept, so a restarted coordinator re-dispatches each unfinished unit to
-// the worker that may still be computing it — the worker's singleflight
-// coalescing and content-addressed cache then dedupe instead of re-running.
+// record per dispatch naming the job, the shard unit and the worker it went
+// to, written when the unit is placed. Replay attaches the latest lease per
+// unit to its Accept, so a restarted coordinator re-dispatches each
+// unfinished unit to the worker that may still be computing it — the
+// worker's singleflight coalescing and content-addressed cache then dedupe
+// instead of re-running. Replay ignores any other field a lease record
+// carries.
 //
 // The file is compacted — rewritten with only the live accept records (and
 // their latest leases), via temp file + atomic rename — on Open, on Close,
@@ -94,8 +96,6 @@ type Lease struct {
 	Unit string `json:"unit,omitempty"`
 	// Worker is the base URL of the worker the unit was dispatched to.
 	Worker string `json:"worker"`
-	// Remote is the job ID the worker issued for the unit ("" until known).
-	Remote string `json:"remote,omitempty"`
 	// Expires is the lease deadline at journaling time — informational on
 	// replay (a restarted coordinator re-leases), kept for inspection.
 	Expires time.Time `json:"expires,omitzero"`

@@ -198,10 +198,10 @@ func TestLeaseReplay(t *testing.T) {
 	if err := j.Lease("job-000001", Lease{Unit: "1/2", Worker: "http://a"}); err != nil {
 		t.Fatal(err)
 	}
-	if err := j.Lease("job-000001", Lease{Unit: "0/2", Worker: "http://a", Remote: "job-000007"}); err != nil {
+	if err := j.Lease("job-000001", Lease{Unit: "0/2", Worker: "http://a"}); err != nil {
 		t.Fatal(err)
 	}
-	if err := j.Lease("job-000001", Lease{Unit: "1/2", Worker: "http://b", Remote: "job-000003"}); err != nil {
+	if err := j.Lease("job-000001", Lease{Unit: "1/2", Worker: "http://b"}); err != nil {
 		t.Fatal(err)
 	}
 	if err := j.Lease("job-000002", Lease{Unit: "0/2", Worker: "http://b"}); err != nil {
@@ -226,10 +226,10 @@ func TestLeaseReplay(t *testing.T) {
 	if len(leases) != 2 {
 		t.Fatalf("replayed %d leases, want 2: %+v", len(leases), leases)
 	}
-	if leases[0].Unit != "0/2" || leases[0].Worker != "http://a" || leases[0].Remote != "job-000007" {
+	if leases[0].Unit != "0/2" || leases[0].Worker != "http://a" {
 		t.Fatalf("lease 0 = %+v", leases[0])
 	}
-	if leases[1].Unit != "1/2" || leases[1].Worker != "http://b" || leases[1].Remote != "job-000003" {
+	if leases[1].Unit != "1/2" || leases[1].Worker != "http://b" {
 		t.Fatalf("lease 1 = %+v, want the later http://b lease to win", leases[1])
 	}
 }

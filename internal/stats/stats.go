@@ -1,83 +1,9 @@
-// Package stats provides the small set of descriptive statistics the
-// experiment harness needs to aggregate results over many random task-graph
-// sets: mean, standard deviation, min/max and Student-t 95 % confidence
-// intervals, plus an online accumulator.
+// Package stats provides the online accumulator with which the experiment
+// harness aggregates results over many random task-graph sets: mean,
+// standard deviation, min/max and Student-t 95 % confidence intervals.
 package stats
 
-import (
-	"errors"
-	"fmt"
-	"math"
-)
-
-// ErrEmpty is returned when a statistic of an empty sample is requested.
-var ErrEmpty = errors.New("stats: empty sample")
-
-// Mean returns the arithmetic mean of xs.
-func Mean(xs []float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, ErrEmpty
-	}
-	var s float64
-	for _, x := range xs {
-		s += x
-	}
-	return s / float64(len(xs)), nil
-}
-
-// Variance returns the unbiased sample variance of xs (0 for a single value).
-func Variance(xs []float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, ErrEmpty
-	}
-	if len(xs) == 1 {
-		return 0, nil
-	}
-	m, _ := Mean(xs)
-	var s float64
-	for _, x := range xs {
-		d := x - m
-		s += d * d
-	}
-	return s / float64(len(xs)-1), nil
-}
-
-// StdDev returns the sample standard deviation of xs.
-func StdDev(xs []float64) (float64, error) {
-	v, err := Variance(xs)
-	if err != nil {
-		return 0, err
-	}
-	return math.Sqrt(v), nil
-}
-
-// Min returns the minimum of xs.
-func Min(xs []float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, ErrEmpty
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x < m {
-			m = x
-		}
-	}
-	return m, nil
-}
-
-// Max returns the maximum of xs.
-func Max(xs []float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, ErrEmpty
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x > m {
-			m = x
-		}
-	}
-	return m, nil
-}
+import "math"
 
 // Summary is the aggregate description of a sample.
 type Summary struct {
@@ -155,23 +81,6 @@ func ci95(n int, sd float64) float64 {
 		return 0
 	}
 	return TCritical95(n-1) * sd / math.Sqrt(float64(n))
-}
-
-// Summarize computes a Summary of xs.
-func Summarize(xs []float64) (Summary, error) {
-	if len(xs) == 0 {
-		return Summary{}, ErrEmpty
-	}
-	m, _ := Mean(xs)
-	sd, _ := StdDev(xs)
-	lo, _ := Min(xs)
-	hi, _ := Max(xs)
-	return Summary{N: len(xs), Mean: m, StdDev: sd, Min: lo, Max: hi, CI95: ci95(len(xs), sd)}, nil
-}
-
-// String implements fmt.Stringer.
-func (s Summary) String() string {
-	return fmt.Sprintf("n=%d mean=%.4g ±%.2g sd=%.3g min=%.4g max=%.4g", s.N, s.Mean, s.CI95, s.StdDev, s.Min, s.Max)
 }
 
 // Accumulator collects values online (Welford's algorithm) so experiment
@@ -256,9 +165,6 @@ func FromState(s State) Accumulator {
 
 // N returns the number of observations added.
 func (a *Accumulator) N() int { return a.n }
-
-// Mean returns the running mean (0 when empty).
-func (a *Accumulator) Mean() float64 { return a.mean }
 
 // StdDev returns the running sample standard deviation (0 when n < 2).
 func (a *Accumulator) StdDev() float64 {

@@ -2,79 +2,69 @@ package stats
 
 import (
 	"encoding/json"
-	"errors"
 	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
 )
 
-func TestEmptySampleErrors(t *testing.T) {
-	if _, err := Mean(nil); !errors.Is(err, ErrEmpty) {
-		t.Fatalf("Mean(nil) err = %v", err)
+// summarize is the two-pass batch reference the accumulator is checked
+// against.
+func summarize(xs []float64) Summary {
+	lo, hi, sum := xs[0], xs[0], 0.0
+	for _, x := range xs {
+		lo, hi, sum = min(lo, x), max(hi, x), sum+x
 	}
-	if _, err := Variance(nil); !errors.Is(err, ErrEmpty) {
-		t.Fatalf("Variance(nil) err = %v", err)
+	mean := sum / float64(len(xs))
+	var ss float64
+	for _, x := range xs {
+		ss += (x - mean) * (x - mean)
 	}
-	if _, err := StdDev(nil); !errors.Is(err, ErrEmpty) {
-		t.Fatalf("StdDev(nil) err = %v", err)
+	var sd float64
+	if len(xs) > 1 {
+		sd = math.Sqrt(ss / float64(len(xs)-1))
 	}
-	if _, err := Min(nil); !errors.Is(err, ErrEmpty) {
-		t.Fatalf("Min(nil) err = %v", err)
+	return Summary{N: len(xs), Mean: mean, StdDev: sd, Min: lo, Max: hi, CI95: ci95(len(xs), sd)}
+}
+
+// accumulate adds xs to a fresh Accumulator.
+func accumulate(xs ...float64) *Accumulator {
+	acc := new(Accumulator)
+	for _, x := range xs {
+		acc.Add(x)
 	}
-	if _, err := Max(nil); !errors.Is(err, ErrEmpty) {
-		t.Fatalf("Max(nil) err = %v", err)
-	}
-	if _, err := Summarize(nil); !errors.Is(err, ErrEmpty) {
-		t.Fatalf("Summarize(nil) err = %v", err)
-	}
+	return acc
 }
 
 func TestBasicStatistics(t *testing.T) {
-	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
-	m, err := Mean(xs)
-	if err != nil || m != 5 {
-		t.Fatalf("Mean = %v, %v", m, err)
+	s := accumulate(2, 4, 4, 4, 5, 5, 7, 9).Summary()
+	if s.N != 8 || s.Mean != 5 {
+		t.Fatalf("N/Mean = %v/%v", s.N, s.Mean)
 	}
-	v, _ := Variance(xs)
-	if math.Abs(v-32.0/7.0) > 1e-12 {
-		t.Fatalf("Variance = %v, want %v", v, 32.0/7.0)
+	if math.Abs(s.StdDev-math.Sqrt(32.0/7.0)) > 1e-12 {
+		t.Fatalf("StdDev = %v, want %v", s.StdDev, math.Sqrt(32.0/7.0))
 	}
-	sd, _ := StdDev(xs)
-	if math.Abs(sd-math.Sqrt(32.0/7.0)) > 1e-12 {
-		t.Fatalf("StdDev = %v", sd)
-	}
-	lo, _ := Min(xs)
-	hi, _ := Max(xs)
-	if lo != 2 || hi != 9 {
-		t.Fatalf("Min/Max = %v/%v", lo, hi)
+	if s.Min != 2 || s.Max != 9 {
+		t.Fatalf("Min/Max = %v/%v", s.Min, s.Max)
 	}
 }
 
 func TestSingleValueVarianceIsZero(t *testing.T) {
-	v, err := Variance([]float64{42})
-	if err != nil || v != 0 {
-		t.Fatalf("Variance([42]) = %v, %v", v, err)
+	acc := accumulate(42)
+	if s := acc.Summary(); acc.StdDev() != 0 || s.StdDev != 0 || s.CI95 != 0 {
+		t.Fatalf("single-value summary = %+v", s)
 	}
 }
 
 func TestSummarize(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 5}
-	s, err := Summarize(xs)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := accumulate(1, 2, 3, 4, 5).Summary()
 	if s.N != 5 || s.Mean != 3 || s.Min != 1 || s.Max != 5 {
 		t.Fatalf("Summary = %+v", s)
 	}
 	if s.CI95 <= 0 {
 		t.Fatalf("CI95 = %v, want > 0", s.CI95)
 	}
-	if s.String() == "" {
-		t.Fatal("empty Summary string")
-	}
-	one, _ := Summarize([]float64{9})
-	if one.CI95 != 0 || one.StdDev != 0 {
+	if one := accumulate(9).Summary(); one.CI95 != 0 || one.StdDev != 0 {
 		t.Fatalf("single-sample summary = %+v", one)
 	}
 }
@@ -112,10 +102,8 @@ func TestTCritical95(t *testing.T) {
 
 func TestCI95UsesStudentT(t *testing.T) {
 	// n=5 → df=4 → t=2.776; the old normal approximation used 1.96.
-	xs := []float64{1, 2, 3, 4, 5}
-	s, _ := Summarize(xs)
-	sd, _ := StdDev(xs)
-	want := 2.776 * sd / math.Sqrt(5)
+	s := accumulate(1, 2, 3, 4, 5).Summary()
+	want := 2.776 * s.StdDev / math.Sqrt(5)
 	if math.Abs(s.CI95-want) > 1e-12 {
 		t.Fatalf("CI95 = %v, want t-based %v", s.CI95, want)
 	}
@@ -147,8 +135,7 @@ func TestAccumulatorMatchesBatch(t *testing.T) {
 	for _, x := range xs {
 		acc.Add(x)
 	}
-	batch, _ := Summarize(xs)
-	got := acc.Summary()
+	batch, got := summarize(xs), acc.Summary()
 	if got.N != batch.N {
 		t.Fatalf("N = %d, want %d", got.N, batch.N)
 	}
@@ -168,11 +155,11 @@ func TestAccumulatorMatchesBatch(t *testing.T) {
 
 func TestAccumulatorEmptyAndSingle(t *testing.T) {
 	var acc Accumulator
-	if acc.N() != 0 || acc.Mean() != 0 || acc.StdDev() != 0 {
+	if acc.N() != 0 || acc.Summary().Mean != 0 || acc.StdDev() != 0 {
 		t.Fatalf("empty accumulator = %+v", acc.Summary())
 	}
 	acc.Add(5)
-	if acc.N() != 1 || acc.Mean() != 5 || acc.StdDev() != 0 {
+	if acc.N() != 1 || acc.Summary().Mean != 5 || acc.StdDev() != 0 {
 		t.Fatalf("single accumulator = %+v", acc.Summary())
 	}
 }
@@ -195,11 +182,9 @@ func TestAccumulatorProperty(t *testing.T) {
 		for _, x := range clean {
 			acc.Add(x)
 		}
-		batch, _ := Mean(clean)
-		lo, _ := Min(clean)
-		hi, _ := Max(clean)
-		tol := 1e-9 * math.Max(1, math.Abs(batch))
-		return math.Abs(acc.Mean()-batch) <= tol && acc.Mean() >= lo-tol && acc.Mean() <= hi+tol
+		batch, mean := summarize(clean), acc.Summary().Mean
+		tol := 1e-9 * math.Max(1, math.Abs(batch.Mean))
+		return math.Abs(mean-batch.Mean) <= tol && mean >= batch.Min-tol && mean <= batch.Max+tol
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
@@ -230,8 +215,8 @@ func TestAccumulatorMerge(t *testing.T) {
 		if a.N() != want.N() {
 			t.Fatalf("split %d: n = %d, want %d", split, a.N(), want.N())
 		}
-		if math.Abs(a.Mean()-want.Mean()) > 1e-9 {
-			t.Fatalf("split %d: mean = %v, want %v", split, a.Mean(), want.Mean())
+		if math.Abs(a.Summary().Mean-want.Summary().Mean) > 1e-9 {
+			t.Fatalf("split %d: mean = %v, want %v", split, a.Summary().Mean, want.Summary().Mean)
 		}
 		if math.Abs(a.StdDev()-want.StdDev()) > 1e-9 {
 			t.Fatalf("split %d: sd = %v, want %v", split, a.StdDev(), want.StdDev())
@@ -268,7 +253,7 @@ func TestAccumulatorMergeManyChunks(t *testing.T) {
 		got.Merge(part)
 		lo = hi
 	}
-	if got.N() != want.N() || math.Abs(got.Mean()-want.Mean()) > 1e-9 || math.Abs(got.StdDev()-want.StdDev()) > 1e-9 {
+	if got.N() != want.N() || math.Abs(got.Summary().Mean-want.Summary().Mean) > 1e-9 || math.Abs(got.StdDev()-want.StdDev()) > 1e-9 {
 		t.Fatalf("chunked merge = %+v, want %+v", got.Summary(), want.Summary())
 	}
 }
@@ -283,12 +268,12 @@ func TestAccumulatorMergeEmpty(t *testing.T) {
 	b.Add(3)
 	b.Add(5)
 	a.Merge(b)
-	if a.N() != 2 || a.Mean() != 4 {
+	if a.N() != 2 || a.Summary().Mean != 4 {
 		t.Fatalf("empty+filled = %+v", a.Summary())
 	}
 	var c Accumulator
 	a.Merge(c)
-	if a.N() != 2 || a.Mean() != 4 {
+	if a.N() != 2 || a.Summary().Mean != 4 {
 		t.Fatalf("filled+empty = %+v", a.Summary())
 	}
 }
@@ -316,7 +301,7 @@ func TestStateJSONRoundTrip(t *testing.T) {
 		t.Fatalf("state changed across JSON round-trip:\n%+v\n%+v", s, a.State())
 	}
 	b := FromState(s)
-	if b.N() != a.N() || b.Mean() != a.Mean() || b.StdDev() != a.StdDev() || b.Summary() != a.Summary() {
+	if b.N() != a.N() || b.Summary().Mean != a.Summary().Mean || b.StdDev() != a.StdDev() || b.Summary() != a.Summary() {
 		t.Fatalf("re-imported accumulator differs:\n%+v\n%+v", b.Summary(), a.Summary())
 	}
 	// Continuing to accumulate must be bit-identical to the original.
@@ -376,7 +361,7 @@ func TestMergeReimportedPartials(t *testing.T) {
 	// Documented reassociation bound versus the sequential accumulator.
 	const relTol = 1e-12
 	if reimported.N() != whole.N() ||
-		math.Abs(reimported.Mean()-whole.Mean()) > relTol*math.Abs(whole.Mean()) ||
+		math.Abs(reimported.Summary().Mean-whole.Summary().Mean) > relTol*math.Abs(whole.Summary().Mean) ||
 		math.Abs(reimported.StdDev()-whole.StdDev()) > relTol*whole.StdDev() {
 		t.Fatalf("merged partials beyond reassociation bound:\n%+v\n%+v", reimported.Summary(), whole.Summary())
 	}

@@ -3,7 +3,6 @@ package taskgraph
 import (
 	"fmt"
 	"io"
-	"strings"
 )
 
 // WriteDOT writes the graph in Graphviz DOT format, one node per task
@@ -36,15 +35,6 @@ func (g *Graph) WriteDOT(w io.Writer) error {
 	}
 	_, err := fmt.Fprintln(w, "}")
 	return err
-}
-
-// DOT returns the graph in Graphviz DOT format as a string.
-func (g *Graph) DOT() string {
-	var b strings.Builder
-	if err := g.WriteDOT(&b); err != nil {
-		return ""
-	}
-	return b.String()
 }
 
 // WriteDOT writes every graph of the system as a separate digraph in one DOT

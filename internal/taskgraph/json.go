@@ -76,14 +76,20 @@ func (s *System) WriteJSON(w io.Writer) error {
 	return enc.Encode(s)
 }
 
-// ReadJSON parses a System from JSON and validates it structurally (without a
-// utilisation bound; pass fmax to Validate separately for that).
-func ReadJSON(r io.Reader) (*System, error) {
+// ReadJSON decodes the one System r holds and validates it with
+// Validate(fmax): at least one graph, every graph structurally sound, and
+// with fmax > 0 a worst-case utilisation of at most 1 at fmax. Anything but
+// white space after the system is an error.
+func ReadJSON(r io.Reader, fmax float64) (*System, error) {
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("taskgraph: read system: %w", err)
+	}
 	var s System
-	if err := json.NewDecoder(r).Decode(&s); err != nil {
+	if err := json.Unmarshal(data, &s); err != nil {
 		return nil, fmt.Errorf("taskgraph: decode system: %w", err)
 	}
-	if err := s.Validate(0); err != nil {
+	if err := s.Validate(fmax); err != nil {
 		return nil, err
 	}
 	return &s, nil

@@ -114,13 +114,7 @@ func (s *System) Hyperperiod() float64 {
 	if ok && len(s.Graphs) > 0 {
 		return float64(l) * grid
 	}
-	var maxP float64
-	for _, g := range s.Graphs {
-		if g.Period > maxP {
-			maxP = g.Period
-		}
-	}
-	return maxP * float64(len(s.Graphs))
+	return s.MaxPeriod() * float64(len(s.Graphs))
 }
 
 // MaxPeriod returns the largest period in the system.
@@ -128,20 +122,6 @@ func (s *System) MaxPeriod() float64 {
 	var m float64
 	for _, g := range s.Graphs {
 		if g.Period > m {
-			m = g.Period
-		}
-	}
-	return m
-}
-
-// MinPeriod returns the smallest period in the system (0 for an empty system).
-func (s *System) MinPeriod() float64 {
-	if len(s.Graphs) == 0 {
-		return 0
-	}
-	m := s.Graphs[0].Period
-	for _, g := range s.Graphs[1:] {
-		if g.Period < m {
 			m = g.Period
 		}
 	}

@@ -102,6 +102,20 @@ func TestHyperperiodFallbackForIrrationalPeriods(t *testing.T) {
 	}
 }
 
+// MinPeriod returns the smallest period in the system (0 for an empty system).
+func (s *System) MinPeriod() float64 {
+	if len(s.Graphs) == 0 {
+		return 0
+	}
+	m := s.Graphs[0].Period
+	for _, g := range s.Graphs[1:] {
+		if g.Period < m {
+			m = g.Period
+		}
+	}
+	return m
+}
+
 func TestMinMaxPeriod(t *testing.T) {
 	sys := twoGraphSystem(t)
 	if got := sys.MinPeriod(); got != 0.05 {
@@ -141,7 +155,7 @@ func TestSystemJSONRoundTrip(t *testing.T) {
 	if err := sys.WriteJSON(&buf); err != nil {
 		t.Fatalf("WriteJSON: %v", err)
 	}
-	back, err := ReadJSON(&buf)
+	back, err := ReadJSON(&buf, 1e9)
 	if err != nil {
 		t.Fatalf("ReadJSON: %v", err)
 	}
@@ -162,13 +176,37 @@ func TestSystemJSONRoundTrip(t *testing.T) {
 	}
 }
 
+// TestReadJSONRejectsInvalid pins what ReadJSON, the decoder of basched
+// -workload files, rejects: malformed JSON, a structurally invalid graph,
+// data after the system, a system without graphs, and a worst-case
+// utilisation above 1 at f_max, which it checks only when fmax > 0.
 func TestReadJSONRejectsInvalid(t *testing.T) {
-	if _, err := ReadJSON(bytes.NewBufferString("{not json")); err == nil {
-		t.Fatal("expected decode error")
+	const fmax = 1e9
+	valid := `{"graphs":[{"name":"A","period":0.1,"nodes":[{"wcet":1e6}]}]}`
+	overloaded := `{"graphs":[{"period":0.1,"nodes":[{"wcet":2e8}]}]}` // U = 2 at fmax
+	for _, c := range []struct {
+		name, in string
+		fmax     float64
+		want     error // nil: any error
+	}{
+		{"malformed", "{not json", 0, nil},
+		{"graph without nodes", `{"graphs":[{"period":1,"nodes":[]}]}`, 0, ErrEmptyGraph},
+		{"trailing word", valid + " trailing", fmax, nil},
+		{"second system", valid + valid, fmax, nil},
+		{"no graphs", `{"graphs":[]}`, fmax, ErrEmptySystem},
+		{"no graphs key", `{}`, fmax, ErrEmptySystem},
+		{"utilisation 2 at fmax", overloaded, fmax, ErrOverload},
+	} {
+		_, err := ReadJSON(bytes.NewBufferString(c.in), c.fmax)
+		if err == nil || (c.want != nil && !errors.Is(err, c.want)) {
+			t.Errorf("%s: ReadJSON(%q) = %v, want an error (%v)", c.name, c.in, err, c.want)
+		}
 	}
-	// Structurally invalid: a graph without nodes.
-	if _, err := ReadJSON(bytes.NewBufferString(`{"graphs":[{"period":1,"nodes":[]}]}`)); err == nil {
-		t.Fatal("expected validation error")
+	if _, err := ReadJSON(bytes.NewBufferString(valid+"\n"), fmax); err != nil {
+		t.Errorf("valid system with a trailing newline: %v", err)
+	}
+	if _, err := ReadJSON(bytes.NewBufferString(overloaded), 0); err != nil {
+		t.Errorf("fmax 0 checked the utilisation: %v", err)
 	}
 }
 

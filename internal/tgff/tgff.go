@@ -190,16 +190,6 @@ func GenerateWithNodes(cfg Config, name string, n int, rng *rand.Rand) (*taskgra
 	return g, nil
 }
 
-// GenerateIndependent produces a "graph" of n independent tasks (no edges)
-// sharing one deadline. It is used for the precedence-free near-optimal
-// baseline of the paper's Figure 6.
-func GenerateIndependent(cfg Config, name string, n int, rng *rand.Rand) (*taskgraph.Graph, error) {
-	c := cfg
-	c.EdgeProbability = 0
-	c.Layers = 1
-	return GenerateWithNodes(c, name, n, rng)
-}
-
 // GenerateSystem produces numGraphs random task graphs and scales their WCETs
 // so that the worst-case utilisation at fmax equals utilization. With
 // utilization <= 0 no scaling is applied.

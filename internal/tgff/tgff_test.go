@@ -127,9 +127,13 @@ func TestDegreeBoundsRespected(t *testing.T) {
 	}
 }
 
+// TestGenerateIndependentHasNoEdges: one layer without edge probability is n
+// independent tasks sharing one deadline.
 func TestGenerateIndependentHasNoEdges(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
-	g, err := GenerateIndependent(DefaultConfig(), "g", 10, rng)
+	cfg := DefaultConfig()
+	cfg.EdgeProbability, cfg.Layers = 0, 1
+	g, err := GenerateWithNodes(cfg, "g", 10, rng)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,7 +9,6 @@ import (
 	"io"
 	"math"
 	"sort"
-	"strings"
 )
 
 // Slice is one maximal interval during which the processor state was
@@ -104,37 +103,6 @@ func (t *Trace) IdleTime() float64 {
 		}
 	}
 	return d
-}
-
-// ExecutedCycles returns the total number of cycles executed.
-func (t *Trace) ExecutedCycles() float64 {
-	var c float64
-	for _, s := range t.Slices {
-		if !s.Idle {
-			c += s.Frequency * s.Duration
-		}
-	}
-	return c
-}
-
-// Charge returns the total battery charge of the trace in coulombs.
-func (t *Trace) Charge() float64 {
-	var q float64
-	for _, s := range t.Slices {
-		q += s.Current * s.Duration
-	}
-	return q
-}
-
-// SlicesOf returns the slices during which the given graph/node executed.
-func (t *Trace) SlicesOf(graphIndex, node int) []Slice {
-	var out []Slice
-	for _, s := range t.Slices {
-		if !s.Idle && s.GraphIndex == graphIndex && s.Node == node {
-			out = append(out, s)
-		}
-	}
-	return out
 }
 
 // FrequencyIsLocallyNonIncreasing reports whether, within every window of
@@ -291,19 +259,4 @@ func repeatByte(b byte, n int) []byte {
 // String implements fmt.Stringer with a compact single-line summary.
 func (t *Trace) String() string {
 	return fmt.Sprintf("Trace(slices=%d busy=%.3gs idle=%.3gs)", len(t.Slices), t.BusyTime(), t.IdleTime())
-}
-
-// Describe returns a multi-line textual listing of every slice, useful in
-// examples and debugging.
-func (t *Trace) Describe() string {
-	var b strings.Builder
-	for _, s := range t.Slices {
-		if s.Idle {
-			fmt.Fprintf(&b, "[%8.4f, %8.4f] idle\n", s.Start, s.End())
-			continue
-		}
-		fmt.Fprintf(&b, "[%8.4f, %8.4f] %-12s f=%.3g Hz I=%.3g A (instance %d)\n",
-			s.Start, s.End(), s.Label, s.Frequency, s.Current, s.Instance)
-	}
-	return b.String()
 }

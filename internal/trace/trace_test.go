@@ -52,22 +52,11 @@ func TestAccountingHelpers(t *testing.T) {
 	if got := tr.IdleTime(); math.Abs(got-1) > 1e-12 {
 		t.Fatalf("IdleTime = %v, want 1", got)
 	}
-	wantCycles := 1e9 + 2*0.5e9 + 0.75e9
-	if got := tr.ExecutedCycles(); math.Abs(got-wantCycles) > 1 {
-		t.Fatalf("ExecutedCycles = %v, want %v", got, wantCycles)
-	}
-	wantCharge := 2.0 + 2*0.5 + 0.01 + 1.0
-	if got := tr.Charge(); math.Abs(got-wantCharge) > 1e-9 {
-		t.Fatalf("Charge = %v, want %v", got, wantCharge)
-	}
-	if got := tr.SlicesOf(0, 1); len(got) != 1 || got[0].Label != "T1.b" {
-		t.Fatalf("SlicesOf = %+v", got)
-	}
 	if s := tr.Slices[0]; s.End() != 1 {
 		t.Fatalf("End = %v", s.End())
 	}
-	if tr.String() == "" || tr.Describe() == "" {
-		t.Fatal("empty String/Describe")
+	if tr.String() == "" {
+		t.Fatal("empty String")
 	}
 	if New().Duration() != 0 {
 		t.Fatal("empty trace duration != 0")
@@ -146,7 +135,7 @@ func TestTraceAccountingProperty(t *testing.T) {
 			start += d
 			want += d
 		}
-		return math.Abs(tr.BusyTime()+tr.IdleTime()-want) < 1e-6 && tr.Charge() >= 0
+		return math.Abs(tr.BusyTime()+tr.IdleTime()-want) < 1e-6
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
