@@ -46,10 +46,13 @@
 // algorithm would select once that node completed. Under laEDF the engine
 // computes laEDF's pass once per decision, and each such query redoes only
 // the positions from the node's instance down to the earliest deadline: bit
-// for bit what a full pass over an edited copy of the views gives. Each node
-// instance caches its Estimator estimate until the engine observes the same
-// node of any instance, so an Estimator's Estimate must depend only on what
-// it was told through Observe.
+// for bit what a full pass over an edited copy of the views gives. The
+// engine asks and feeds the Estimator only for a priority function that
+// reads estimates (pUBS, or any function defined outside the priority
+// package) without oracle estimates. Each node instance then caches its
+// Estimator estimate until the engine observes the same node of any
+// instance, so an Estimator's Estimate must depend only on what it was told
+// through Observe.
 //
 // # Analytic battery fast path
 //

@@ -94,3 +94,51 @@ func BenchmarkEngineRunReused(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkEngineRunSchemes runs Table 2's five schemes on one paper-sized
+// set (5 graphs at 70 % worst-case utilisation, 4 hyperperiods, discrete
+// frequencies), each on a reused Engine and ProfileRecorder as the Table 2
+// driver runs them, and reports each scheme's cost per scheduling decision.
+func BenchmarkEngineRunSchemes(b *testing.B) {
+	cfg := benchConfig(b, nil)
+	cfg.Hyperperiods = 4
+	schemes := []struct {
+		name   string
+		dvs    dvs.Algorithm
+		prio   priority.Function
+		policy ReadyPolicy
+	}{
+		{"EDF", dvs.NewNoDVS(), priority.NewRandom(), MostImminentOnly},
+		{"CycleConserving", dvs.NewCCEDF(), priority.NewRandom(), MostImminentOnly},
+		{"LookAhead", dvs.NewLAEDF(), priority.NewRandom(), MostImminentOnly},
+		{"BAS-1", dvs.NewLAEDF(), priority.NewPUBS(), MostImminentOnly},
+		{"BAS-2", dvs.NewLAEDF(), priority.NewPUBS(), AllReleased},
+	}
+	for _, sc := range schemes {
+		b.Run(sc.name, func(b *testing.B) {
+			cfg.DVS, cfg.Priority, cfg.ReadyPolicy = sc.dvs, sc.prio, sc.policy
+			eng := NewEngine()
+			rec := NewProfileRecorder()
+			cfg.Observer = rec
+			decisions := 0
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				rec.Reset()
+				cfg.Seed = int64(i)
+				if err := eng.Reset(cfg); err != nil {
+					b.Fatal(err)
+				}
+				res, err := eng.Run()
+				if err != nil {
+					b.Fatal(err)
+				}
+				if res.DeadlineMisses != 0 {
+					b.Fatal("deadline miss")
+				}
+				decisions += res.SchedulingDecisions
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(decisions), "ns/decision")
+		})
+	}
+}

@@ -97,10 +97,14 @@ type Config struct {
 	// Priority orders the ready list (nil selects priority.NewFIFO()).
 	Priority priority.Function
 	// Estimator predicts actual execution requirements for the priority
-	// function (nil selects priority.NewHistoryEstimator(0.5)).
+	// function (nil selects priority.NewHistoryEstimator(0.5)). The engine
+	// neither asks nor feeds an estimator that nothing reads: it calls
+	// Estimate and Observe only when the priority function reads estimates
+	// (priority.ReadsEstimate) and OracleEstimates is off.
 	Estimator priority.Estimator
 	// OracleEstimates, when true, feeds the priority function the true actual
-	// cycles of each node instance instead of the estimator's prediction.
+	// cycles of each node instance instead of the estimator's prediction, and
+	// leaves the estimator unused.
 	OracleEstimates bool
 	// ReadyPolicy selects BAS-1 (MostImminentOnly) or BAS-2 (AllReleased)
 	// candidate admission.

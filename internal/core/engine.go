@@ -167,7 +167,7 @@ type instance struct {
 	nodes       []nodeState
 	remaining   int     // nodes not yet done
 	adjustedWC  float64 // the paper's WC_i
-	remainingWC float64 // sumRemainingWC, refreshed by release and execute
+	remainingWC float64 // sumRemainingWC, refreshed by release and execute while sumsWork; 0 otherwise
 	missed      bool
 
 	// ready has bit ni%64 of word ni/64 set while node ni is not done and has
@@ -251,6 +251,7 @@ type engine struct {
 
 	now         float64
 	nextRelease []float64
+	nextDue     float64 // the earliest nextRelease below the horizon, +Inf if none; recomputed by releaseDue
 	jobCounter  []int
 	released    []*instance        // incrementally maintained in EDF order (instanceBefore)
 	views       []dvs.InstanceView // views[i] is released[i]'s view, kept in step with it
@@ -282,6 +283,14 @@ type engine struct {
 	planned bool
 	plan    dvs.LAEDFPlan
 
+	// estimates is set when the priority function reads
+	// Candidate.EstimatedActual, and usesEstimator when, besides, the
+	// estimates come from the Estimator rather than the oracle: only then
+	// does the engine ask the Estimator and feed it. sumsWork is set when
+	// the DVS algorithm or the AllReleased feasibility check reads a view's
+	// RemainingWorstCase: only then do release and execute sum it.
+	estimates, usesEstimator, sumsWork bool
+
 	// frequencyAfter state: the closure is bound once at construction and
 	// reads the per-decision effective frequency from fAfterFreq.
 	fAfterFreq float64
@@ -307,6 +316,9 @@ func (e *engine) reset(cfg Config) {
 	e.rng.Seed(cfg.Seed ^ 0x5eed)
 	e.horiz = cfg.horizon()
 	_, e.planned = cfg.DVS.(dvs.LAEDF)
+	e.estimates = priority.ReadsEstimate(cfg.Priority)
+	e.usesEstimator = e.estimates && !cfg.OracleEstimates
+	e.sumsWork = dvs.ReadsRemainingWork(cfg.DVS) || cfg.ReadyPolicy == AllReleased
 
 	n := cfg.System.NumGraphs()
 	e.nextRelease = resetFloats(e.nextRelease, n)
@@ -322,6 +334,7 @@ func (e *engine) reset(cfg Config) {
 	e.released = e.released[:0]
 	e.views = e.views[:0]
 	e.now = 0
+	e.nextDue = e.earliestRelease()
 	e.res = &Result{}
 	e.charge.Reset()
 	e.lastRunning = nil
@@ -424,14 +437,31 @@ func (e *engine) step() bool {
 }
 
 // releaseDue creates instances for every graph whose next release time has
-// arrived (and lies before the horizon).
+// arrived (and lies before the horizon). Only a release moves nextDue, so
+// the graphs are scanned only when the earliest of them is due.
 func (e *engine) releaseDue() {
+	if e.nextDue > e.now+timeEpsilon {
+		return
+	}
 	for gi, g := range e.sys.Graphs {
 		for e.nextRelease[gi] <= e.now+timeEpsilon && e.nextRelease[gi] < e.horiz-timeEpsilon {
 			e.release(gi, g, e.nextRelease[gi])
 			e.nextRelease[gi] += g.Period
 		}
 	}
+	e.nextDue = e.earliestRelease()
+}
+
+// earliestRelease returns the earliest next release below the horizon, or
+// +Inf when none remains.
+func (e *engine) earliestRelease() float64 {
+	next := math.Inf(1)
+	for _, t := range e.nextRelease {
+		if t < e.horiz-timeEpsilon && t < next {
+			next = t
+		}
+	}
+	return next
 }
 
 // allocInstance returns a reset instance with nn node slots and an empty
@@ -490,7 +520,10 @@ func (e *engine) release(gi int, g *taskgraph.Graph, at float64) {
 			in.setReady(i)
 		}
 	}
-	in.remainingWC = in.sumRemainingWC()
+	in.remainingWC = 0
+	if e.sumsWork {
+		in.remainingWC = in.sumRemainingWC()
+	}
 	e.insertReleased(in, g)
 	e.res.JobsReleased++
 	e.gstat.released(gi)
@@ -666,7 +699,9 @@ func (e *engine) candidates() []candidateRef {
 				c.cand.GraphIndex = in.graphIndex
 				c.cand.Node = ni
 				c.cand.RemainingWCET = ns.wcRemaining()
-				c.cand.EstimatedActual = e.estimateRemaining(in, ni, ns)
+				if e.estimates {
+					c.cand.EstimatedActual = e.estimateRemaining(in, ni, ns)
+				}
 				c.cand.AbsoluteDeadline = in.deadline
 				c.cand.EDFPosition = pos
 			}
@@ -679,7 +714,8 @@ func (e *engine) candidates() []candidateRef {
 // estimateRemaining returns the X_k estimate for the remaining execution of a
 // node: either the oracle (true actual remaining) or the history estimator's
 // prediction minus what already ran. The prediction is cached in the node
-// until completeNode observes the same (graph, node).
+// until completeNode observes the same (graph, node). Only a priority
+// function that reads estimates gets one.
 func (e *engine) estimateRemaining(in *instance, ni int, ns *nodeState) float64 {
 	if e.cfg.OracleEstimates {
 		return math.Max(ns.acRemaining(), cycleEpsilon)
@@ -804,19 +840,13 @@ func (e *engine) idle(dur float64) {
 // nextEvent returns the earliest future release time, or the horizon when no
 // release remains before it.
 func (e *engine) nextEvent() float64 {
-	next := math.Inf(1)
-	for gi := range e.nextRelease {
-		if e.nextRelease[gi] < e.horiz-timeEpsilon && e.nextRelease[gi] < next {
-			next = e.nextRelease[gi]
-		}
-	}
-	if math.IsInf(next, 1) {
+	if math.IsInf(e.nextDue, 1) {
 		if e.now < e.horiz {
 			return e.horiz
 		}
 		return e.now
 	}
-	return next
+	return e.nextDue
 }
 
 // execute runs the chosen candidate until it completes or the next release
@@ -890,7 +920,9 @@ func (e *engine) execute(c *candidateRef, effFreq float64, segments []freqSegmen
 	if completes || ns.acRemaining() <= cycleEpsilon {
 		e.completeNode(in, c.cand.Node, ns, g)
 	}
-	in.remainingWC = in.sumRemainingWC()
+	if e.sumsWork {
+		in.remainingWC = in.sumRemainingWC()
+	}
 	v := &e.views[c.cand.EDFPosition]
 	v.AdjustedWCET = in.adjustedWC
 	v.RemainingWorstCase = in.remainingWC
@@ -898,8 +930,9 @@ func (e *engine) execute(c *candidateRef, effFreq float64, segments []freqSegmen
 
 // completeNode finishes a node: updates WC_i with the actual requirement
 // (the paper's endofnode handler), releases successors and retires the
-// instance when its last node finishes. The observation invalidates the
-// cached estimate of every released copy of the node.
+// instance when its last node finishes. When the engine asks the Estimator,
+// it observes the node, which invalidates the cached estimate of every
+// released copy of the node.
 func (e *engine) completeNode(in *instance, nodeIdx int, ns *nodeState, g *taskgraph.Graph) {
 	ns.done = true
 	ns.executed = ns.actual
@@ -909,10 +942,12 @@ func (e *engine) completeNode(in *instance, nodeIdx int, ns *nodeState, g *taskg
 	if in.adjustedWC < 0 {
 		in.adjustedWC = 0
 	}
-	e.cfg.Estimator.Observe(in.graphIndex, nodeIdx, ns.wcet, ns.actual)
-	for _, other := range e.released {
-		if other.graphIndex == in.graphIndex {
-			other.nodes[nodeIdx].estimated = false
+	if e.usesEstimator {
+		e.cfg.Estimator.Observe(in.graphIndex, nodeIdx, ns.wcet, ns.actual)
+		for _, other := range e.released {
+			if other.graphIndex == in.graphIndex {
+				other.nodes[nodeIdx].estimated = false
+			}
 		}
 	}
 	for _, s := range g.Successors(taskgraph.NodeID(nodeIdx)) {

@@ -594,3 +594,76 @@ func TestNoDeadlineMissProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// countingEstimator is a history estimator that counts the calls it gets.
+type countingEstimator struct {
+	*priority.HistoryEstimator
+	estimates, observes int
+}
+
+func (c *countingEstimator) Estimate(graphIndex, nodeID int, wcet float64) float64 {
+	c.estimates++
+	return c.HistoryEstimator.Estimate(graphIndex, nodeID, wcet)
+}
+
+func (c *countingEstimator) Observe(graphIndex, nodeID int, wcet, actual float64) {
+	c.observes++
+	c.HistoryEstimator.Observe(graphIndex, nodeID, wcet, actual)
+}
+
+// wrappedPUBS is pUBS under a type priority.ReadsEstimate cannot recognise.
+type wrappedPUBS struct{ priority.PUBS }
+
+// TestEstimatorAskedOnlyForReaders runs every priority function of the
+// priority package under BAS-1's and BAS-2's ready policies with a counting
+// estimator. Random, FIFO, LTF, STF and pUBS on oracle estimates read no
+// estimate, so the engine neither asks nor feeds the estimator. A function
+// the package cannot recognise is a reader: wrapped pUBS gives results bit
+// for bit pUBS's, asks the estimator as often, and feeds it once per
+// completed node.
+func TestEstimatorAskedOnlyForReaders(t *testing.T) {
+	sys, err := tgff.GenerateSystem(tgff.DefaultConfig(), 5, 0.7, 1e9, rand.New(rand.NewSource(8)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(prio priority.Function, policy ReadyPolicy, oracle bool) (*Result, *countingEstimator) {
+		t.Helper()
+		est := &countingEstimator{HistoryEstimator: priority.NewHistoryEstimator(0.5)}
+		res, err := Run(Config{
+			System:          sys,
+			DVS:             dvs.NewLAEDF(),
+			Priority:        prio,
+			Estimator:       est,
+			OracleEstimates: oracle,
+			ReadyPolicy:     policy,
+			FrequencyMode:   DiscreteFrequency,
+			Hyperperiods:    2,
+			Seed:            3,
+			Observer:        Discard,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res, est
+	}
+	for _, policy := range []ReadyPolicy{MostImminentOnly, AllReleased} {
+		for _, prio := range []priority.Function{priority.NewRandom(), priority.NewFIFO(), priority.NewLTF(), priority.NewSTF()} {
+			if _, est := run(prio, policy, false); est.estimates != 0 || est.observes != 0 {
+				t.Errorf("%s/%v: %d estimates and %d observations, want none", prio.Name(), policy, est.estimates, est.observes)
+			}
+		}
+		if _, est := run(priority.NewPUBS(), policy, true); est.estimates != 0 || est.observes != 0 {
+			t.Errorf("oracle pUBS/%v: %d estimates and %d observations, want none", policy, est.estimates, est.observes)
+		}
+		want, wantEst := run(priority.NewPUBS(), policy, false)
+		got, gotEst := run(wrappedPUBS{}, policy, false)
+		equalResults(t, "wrapped pUBS/"+policy.String(), want, got)
+		if gotEst.estimates == 0 || gotEst.estimates != wantEst.estimates {
+			t.Errorf("wrapped pUBS/%v: %d estimates, pUBS %d", policy, gotEst.estimates, wantEst.estimates)
+		}
+		if gotEst.observes != got.NodesCompleted || wantEst.observes != want.NodesCompleted {
+			t.Errorf("%v: %d and %d observations (wrapped, pUBS), want one per completed node (%d and %d)",
+				policy, gotEst.observes, wantEst.observes, got.NodesCompleted, want.NodesCompleted)
+		}
+	}
+}

@@ -13,8 +13,10 @@ import (
 
 // candidatesFullScan is candidates as it was before instances kept a ready
 // set and nodes cached their estimates: every node of every admitted instance
-// is scanned, and the estimator is asked afresh for each ready one.
+// is scanned, and, when the priority function reads estimates, the estimator
+// is asked afresh for each ready one.
 func candidatesFullScan(e *engine) []candidateRef {
+	readsEstimate := priority.ReadsEstimate(e.cfg.Priority)
 	var out []candidateRef
 	imminentPos := -1
 	for pos, in := range e.released {
@@ -31,6 +33,10 @@ func candidatesFullScan(e *engine) []candidateRef {
 			if ns.done || ns.predsLeft > 0 {
 				continue
 			}
+			var est float64
+			if readsEstimate {
+				est = estimateAfresh(e, in, ni, ns)
+			}
 			out = append(out, candidateRef{
 				inst:     in,
 				imminent: pos == imminentPos,
@@ -38,7 +44,7 @@ func candidatesFullScan(e *engine) []candidateRef {
 					GraphIndex:       in.graphIndex,
 					Node:             ni,
 					RemainingWCET:    ns.wcRemaining(),
-					EstimatedActual:  estimateAfresh(e, in, ni, ns),
+					EstimatedActual:  est,
 					AbsoluteDeadline: in.deadline,
 					EDFPosition:      pos,
 				},
@@ -64,21 +70,33 @@ func estimateAfresh(e *engine, in *instance, ni int, ns *nodeState) float64 {
 }
 
 // viewsRebuilt is the views as the engine rebuilt them from the released
-// list at every decision before it kept them in step with that list.
+// list at every decision before it kept them in step with that list. Each
+// view's remaining worst-case work is a fresh sum over the instance's nodes
+// when the DVS algorithm or the AllReleased feasibility check reads it, and
+// 0 otherwise.
 func viewsRebuilt(e *engine) []dvs.InstanceView {
+	readsWork := dvs.ReadsRemainingWork(e.cfg.DVS) || e.cfg.ReadyPolicy == AllReleased
 	var views []dvs.InstanceView
 	for _, in := range e.released {
 		gi := in.graphIndex
-		views = append(views, in.view(e.sys.Graphs[gi], e.totalWCET[gi]))
+		v := in.view(e.sys.Graphs[gi], e.totalWCET[gi])
+		v.RemainingWorstCase = 0
+		if readsWork {
+			v.RemainingWorstCase = in.sumRemainingWC()
+		}
+		views = append(views, v)
 	}
 	return views
 }
 
 // checkIncrementalState fails unless the engine's views equal the rebuilt
-// ones and its candidates equal the full scan's, field by field and bit for
-// bit.
+// ones, its candidates equal the full scan's, field by field and bit for
+// bit, and its earliest pending release is that of a fresh scan.
 func checkIncrementalState(t *testing.T, label string, step int, e *engine) {
 	t.Helper()
+	if next := e.earliestRelease(); e.nextDue != next {
+		t.Fatalf("%s, step %d: earliest release %v, scan %v", label, step, e.nextDue, next)
+	}
 	want := viewsRebuilt(e)
 	if len(e.views) != len(want) {
 		t.Fatalf("%s, step %d: %d views for %d released instances", label, step, len(e.views), len(want))
@@ -108,7 +126,9 @@ func checkIncrementalState(t *testing.T, label string, step int, e *engine) {
 // TestIncrementalStateMatchesReference drives one engine decision by
 // decision and, before the first and after every one, checks the state the
 // engine keeps incrementally against a rebuild from scratch: the views kept
-// in step with the released list, the ready sets and the cached estimates.
+// in step with the released list (with their remaining work where a reader
+// exists), the ready sets, the cached estimates (where a reader exists) and
+// the earliest pending release.
 // The systems cover graphs of up to 15 nodes, graphs of 65 to 130 nodes
 // (ready sets of two or three words), and runs that miss deadlines, where two
 // instances of one graph overlap and one's completion invalidates the other's

@@ -32,7 +32,9 @@ type InstanceView struct {
 	AdjustedWCET float64
 	// RemainingWorstCase is the worst-case work still to be executed for this
 	// instance (unfinished nodes at their WCET, minus cycles already executed
-	// of the in-progress node), in cycles.
+	// of the in-progress node), in cycles. The scheduler maintains it only
+	// when something reads it: an Algorithm that ReadsRemainingWork, or
+	// BAS-2's feasibility check. Otherwise it is not maintained and reads 0.
 	RemainingWorstCase float64
 }
 
@@ -50,6 +52,19 @@ type Algorithm interface {
 	// queries an LAEDFPlan instead, pUBS's look-ahead also changes one view
 	// in place and restores it after each call.
 	SelectFrequency(now, fmax float64, instances []InstanceView) float64
+}
+
+// ReadsRemainingWork reports whether a may read
+// InstanceView.RemainingWorstCase. It is false for this package's NoDVS,
+// Static and CCEDF, which never do, and true for LAEDF and for any Algorithm
+// defined elsewhere, so the scheduler sums an instance's remaining work only
+// where it can matter.
+func ReadsRemainingWork(a Algorithm) bool {
+	switch a.(type) {
+	case NoDVS, Static, CCEDF:
+		return false
+	}
+	return true
 }
 
 // sortEDF returns the instances sorted by absolute deadline (stable, earliest

@@ -3,7 +3,6 @@ package priority
 import (
 	"math"
 	"math/bits"
-	"sync"
 )
 
 // Estimator predicts the actual execution requirement X_k of a node instance
@@ -16,7 +15,9 @@ import (
 // instance's estimate and asks again only after it observes the same
 // (graphIndex, nodeID), so an estimator that also learns from elsewhere (a
 // clock, or an Observe from another simulation sharing it) would rank nodes
-// by stale estimates.
+// by stale estimates. The scheduler neither asks nor feeds an estimator
+// whose estimates nothing reads: with a priority function that does not
+// ReadsEstimate, or with oracle estimates.
 type Estimator interface {
 	// Estimate returns the predicted actual cycles for the node identified by
 	// (graphIndex, nodeID) whose worst case is wcet cycles. The result is in
@@ -32,8 +33,8 @@ type Estimator interface {
 const DefaultInitialFraction = 0.6
 
 // HistoryEstimator keeps an exponentially weighted moving average of the
-// actual/WCET ratio of each node across instances. It is safe for concurrent
-// use.
+// actual/WCET ratio of each node across instances. It is not safe for
+// concurrent use: give each scheduling engine its own.
 //
 // The history is dense: one row of ratios per graph, indexed by node, so its
 // memory grows with the largest |id| observed. Ids are meant to be small
@@ -47,12 +48,10 @@ type HistoryEstimator struct {
 	// observation.
 	InitialFraction float64
 
-	mu sync.Mutex
 	// rows[slot(graphIndex)][slot(nodeID)] is a node's ratio. +0 marks a
 	// node never observed: an observed ratio is positive, and one that
 	// underflows to zero is stored as −0 (see Observe).
 	rows [][]float64
-	n    int // nodes observed since the last Reset
 }
 
 // Capacity floors of the history rows, in slots (two per non-negative id,
@@ -94,11 +93,9 @@ func (h *HistoryEstimator) Estimate(graphIndex, nodeID int, wcet float64) float6
 	}
 	var frac float64
 	g, n := slot(graphIndex), slot(nodeID)
-	h.mu.Lock()
 	if g < uint(len(h.rows)) && n < uint(len(h.rows[g])) {
 		frac = h.rows[g][n]
 	}
-	h.mu.Unlock()
 	if math.Float64bits(frac) == 0 {
 		frac = h.InitialFraction
 		if frac <= 0 || frac > 1 {
@@ -125,15 +122,11 @@ func (h *HistoryEstimator) Observe(graphIndex, nodeID int, wcet, actual float64)
 		frac = 1
 	}
 	g, n := slot(graphIndex), slot(nodeID)
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	h.rows = grown(h.rows, g, minGraphSlots)
 	row := grown(h.rows[g], n, minNodeSlots)
 	h.rows[g] = row
 	if prev := row[n]; math.Float64bits(prev) != 0 {
 		frac = (1-h.Alpha)*prev + h.Alpha*frac
-	} else {
-		h.n++
 	}
 	if frac == 0 {
 		// A ratio that underflowed to zero still counts as observed; −0
@@ -147,19 +140,9 @@ func (h *HistoryEstimator) Observe(graphIndex, nodeID int, wcet, actual float64)
 // reused estimator starts the next simulation from InitialFraction without
 // reallocating.
 func (h *HistoryEstimator) Reset() {
-	h.mu.Lock()
 	for _, row := range h.rows {
 		clear(row)
 	}
-	h.n = 0
-	h.mu.Unlock()
-}
-
-// Len returns the number of nodes with recorded history.
-func (h *HistoryEstimator) Len() int {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.n
 }
 
 // OracleEstimator returns a fixed fraction of the WCET and ignores

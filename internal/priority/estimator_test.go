@@ -3,7 +3,6 @@ package priority
 import (
 	"math"
 	"math/rand"
-	"sync"
 	"testing"
 )
 
@@ -52,9 +51,25 @@ func (h *mapHistory) Observe(graphIndex, nodeID int, wcet, actual float64) {
 	}
 }
 
+// observed counts the nodes h holds a ratio for: the entries of its rows
+// other than +0.
+func observed(h *HistoryEstimator) int {
+	n := 0
+	for _, row := range h.rows {
+		for _, frac := range row {
+			if math.Float64bits(frac) != 0 {
+				n++
+			}
+		}
+	}
+	return n
+}
+
 // TestHistoryEstimatorMatchesMapReference drives the dense estimator and the
-// map-based reference with the same seeded random Observe, Estimate, Reset
-// and Len sequences and requires bit-identical estimates and equal lengths.
+// map-based reference with the same seeded random Observe, Estimate and Reset
+// sequences and requires bit-identical estimates and, at the end of each
+// sequence, as many observed nodes in the rows as the map holds (counting
+// scans every row, too slow to repeat at every step).
 // Ids are dense, sparse, large or negative; values include invalid inputs,
 // ratios above 1 and ratios that underflow to zero.
 func TestHistoryEstimatorMatchesMapReference(t *testing.T) {
@@ -104,57 +119,17 @@ func TestHistoryEstimatorMatchesMapReference(t *testing.T) {
 				actual := value(rng, wcet)
 				got.Observe(g, n, wcet, actual)
 				want.Observe(g, n, wcet, actual)
-			case r < 0.97:
+			case r < 0.99:
 				if a, b := got.Estimate(g, n, wcet), want.Estimate(g, n, wcet); math.Float64bits(a) != math.Float64bits(b) {
 					t.Fatalf("seed %d op %d: Estimate(%d, %d, %v) = %v, reference %v", seed, op, g, n, wcet, a, b)
-				}
-			case r < 0.99:
-				if a, b := got.Len(), len(want.hist); a != b {
-					t.Fatalf("seed %d op %d: Len = %d, reference %d", seed, op, a, b)
 				}
 			default:
 				got.Reset()
 				clear(want.hist)
 			}
 		}
-		if a, b := got.Len(), len(want.hist); a != b {
-			t.Fatalf("seed %d: final Len = %d, reference %d", seed, a, b)
+		if a, b := observed(got), len(want.hist); a != b {
+			t.Fatalf("seed %d: finally %d nodes observed, reference %d", seed, a, b)
 		}
-	}
-}
-
-// TestHistoryEstimatorConcurrent drives one estimator from several goroutines
-// at once, each on graphs of its own, so rows grow while others are read.
-// With Alpha 0.5 and a WCET of 1024 cycles, an EWMA of one repeated ratio
-// stays exactly that ratio.
-func TestHistoryEstimatorConcurrent(t *testing.T) {
-	const workers, graphs, nodes, rounds = 8, 3, 20, 50
-	e := NewHistoryEstimator(0.5)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for r := 0; r < rounds; r++ {
-				for g := w * graphs; g < (w+1)*graphs; g++ {
-					for n := 0; n < nodes; n++ {
-						e.Observe(g, n, 1024, float64(100+g+n))
-						if got, want := e.Estimate(g, n, 1024), float64(100+g+n); got != want {
-							t.Errorf("worker %d: Estimate(%d, %d) = %v, want %v", w, g, n, got, want)
-							return
-						}
-					}
-				}
-				_ = e.Len()
-			}
-		}()
-	}
-	wg.Wait()
-	if got := e.Len(); got != workers*graphs*nodes {
-		t.Fatalf("Len = %d, want %d", got, workers*graphs*nodes)
-	}
-	e.Reset()
-	if got := e.Len(); got != 0 {
-		t.Fatalf("Len after Reset = %d, want 0", got)
 	}
 }

@@ -25,7 +25,9 @@ type Candidate struct {
 	// WCET unless it was preempted part-way).
 	RemainingWCET float64
 	// EstimatedActual is the estimate X_k of the cycles the node will
-	// actually require (from the history estimator).
+	// actually require (from the history estimator, or the oracle). The
+	// scheduler fills it only for a Function that ReadsEstimate; it is zero
+	// otherwise.
 	EstimatedActual float64
 	// AbsoluteDeadline is the absolute deadline of the node's instance.
 	AbsoluteDeadline float64
@@ -62,6 +64,18 @@ type Function interface {
 	Name() string
 	// Priority returns the priority value of candidate c.
 	Priority(c Candidate, ctx *Context) float64
+}
+
+// ReadsEstimate reports whether f may read Candidate.EstimatedActual. It is
+// false for this package's Random, FIFO, LTF and STF, which never do, and
+// true for PUBS and for any Function defined elsewhere, so the scheduler
+// asks and feeds its Estimator only where an estimate can matter.
+func ReadsEstimate(f Function) bool {
+	switch f.(type) {
+	case Random, FIFO, LTF, STF:
+		return false
+	}
+	return true
 }
 
 // PUBS is Gruian's near-optimal priority function for tasks sharing a

@@ -186,8 +186,8 @@ func TestHistoryEstimatorDefaultsAndLearning(t *testing.T) {
 	if got := e.Estimate(0, 0, wcet); math.Abs(got-300) > 10 {
 		t.Fatalf("estimate after observations = %v, want ~300", got)
 	}
-	if e.Len() != 1 {
-		t.Fatalf("Len = %d, want 1", e.Len())
+	if got := observed(e); got != 1 {
+		t.Fatalf("%d nodes observed, want 1", got)
 	}
 	// Other nodes unaffected.
 	if got := e.Estimate(1, 0, wcet); math.Abs(got-DefaultInitialFraction*wcet) > 1e-9 {

@@ -32,13 +32,15 @@ type OperatingPoint struct {
 // Errors returned by Model validation.
 var (
 	ErrNoPoints     = errors.New("processor: no operating points")
-	ErrUnsorted     = errors.New("processor: operating points must be strictly increasing in frequency and voltage")
+	ErrUnsorted     = errors.New("processor: operating points must be strictly increasing in frequency, with voltage never falling")
 	ErrBadParameter = errors.New("processor: parameter out of range")
 )
 
 // Model describes the processor and its power-delivery chain.
 type Model struct {
-	// Points are the supported operating points, sorted by frequency.
+	// Points are the supported operating points: frequency strictly
+	// increasing, voltage never falling (adjacent points may share a
+	// voltage).
 	Points []OperatingPoint
 	// Ceff is the effective switched capacitance in farads; dynamic power is
 	// Ceff * V^2 * f.

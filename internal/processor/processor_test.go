@@ -35,6 +35,8 @@ func TestValidateRejectsBadModels(t *testing.T) {
 	}{
 		{"no points", func(m *Model) { m.Points = nil }, ErrNoPoints},
 		{"unsorted freq", func(m *Model) { m.Points[0], m.Points[2] = m.Points[2], m.Points[0] }, ErrUnsorted},
+		{"equal adjacent voltages", func(m *Model) { m.Points[1].Voltage = 3.0 }, nil},
+		{"falling voltage", func(m *Model) { m.Points[1].Voltage = 2.9 }, ErrUnsorted},
 		{"zero ceff", func(m *Model) { m.Ceff = 0 }, ErrBadParameter},
 		{"bad eta", func(m *Model) { m.ConverterEfficiency = 1.5 }, ErrBadParameter},
 		{"zero vbat", func(m *Model) { m.BatteryVoltage = 0 }, ErrBadParameter},

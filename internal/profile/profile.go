@@ -214,12 +214,6 @@ func ReadCSV(r io.Reader) (*Profile, error) {
 	return p, nil
 }
 
-// String implements fmt.Stringer.
-func (p *Profile) String() string {
-	return fmt.Sprintf("Profile(segments=%d duration=%.3gs avg=%.3gA peak=%.3gA)",
-		len(p.Segments), p.Duration(), p.AverageCurrent(), p.PeakCurrent())
-}
-
 func nearlyEqual(a, b float64) bool {
 	diff := math.Abs(a - b)
 	if diff <= 1e-12 {

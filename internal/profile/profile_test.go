@@ -250,13 +250,6 @@ func TestReadCSVErrors(t *testing.T) {
 	}
 }
 
-func TestString(t *testing.T) {
-	p := Constant(1, 1)
-	if p.String() == "" {
-		t.Fatal("empty String()")
-	}
-}
-
 // Property: charge equals the sum of duration*current over segments and the
 // average current never exceeds the peak.
 func TestChargeConsistencyProperty(t *testing.T) {

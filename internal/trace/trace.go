@@ -255,8 +255,3 @@ func repeatByte(b byte, n int) []byte {
 	}
 	return s
 }
-
-// String implements fmt.Stringer with a compact single-line summary.
-func (t *Trace) String() string {
-	return fmt.Sprintf("Trace(slices=%d busy=%.3gs idle=%.3gs)", len(t.Slices), t.BusyTime(), t.IdleTime())
-}
