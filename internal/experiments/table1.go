@@ -48,17 +48,19 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/rand"
 	"strconv"
 
 	"battsched/internal/optimal"
 	"battsched/internal/priority"
 	"battsched/internal/runner"
+	"battsched/internal/taskgraph"
 	"battsched/internal/tgff"
 )
 
 // Table1Config parameterises the Table 1 experiment: single DAGs with a
 // common deadline, executed with the greedy speed-rescaling model; each
-// ordering heuristic's energy is normalised by the exhaustive optimum.
+// ordering heuristic's energy is normalised by the optimum.
 type Table1Config struct {
 	// TaskCounts are the node counts to sweep (the paper uses 5..15).
 	TaskCounts []int
@@ -76,8 +78,6 @@ type Table1Config struct {
 	// EdgeProbability is the probability of a precedence edge between
 	// adjacent layers of the generated DAGs.
 	EdgeProbability float64
-	// MaxExpansions caps the exhaustive search per DAG (0 = default).
-	MaxExpansions int
 	// Seed makes the experiment reproducible.
 	Seed int64
 	// RunOptions tune the parallel execution of the (count × graph) grid.
@@ -94,7 +94,6 @@ func DefaultTable1Config() Table1Config {
 		ActualMax:       1.0,
 		FMax:            1e9,
 		EdgeProbability: 0.4,
-		MaxExpansions:   2_000_000,
 		Seed:            1,
 	}
 }
@@ -104,39 +103,36 @@ func QuickTable1Config() Table1Config {
 	c := DefaultTable1Config()
 	c.TaskCounts = []int{5, 7, 9}
 	c.GraphsPerCount = 5
-	c.MaxExpansions = 200_000
 	return c
 }
 
 // Table1Row is one row of Table 1: mean energy of each ordering policy
-// normalised with respect to the exhaustive optimal schedule.
+// normalised with respect to the optimal schedule.
 type Table1Row struct {
 	Tasks   int
 	Random  float64
 	LTF     float64
 	PUBS    float64
 	Samples int
-	// IncompleteSearches counts DAGs whose exhaustive search hit the
-	// expansion budget (their best-found order still normalises the row).
-	IncompleteSearches int
 }
 
 // ErrBadConfig is returned for invalid experiment configurations.
 var ErrBadConfig = errors.New("experiments: invalid configuration")
 
-// table1Sample is the result of one (task count, graph) job.
+// table1Sample is the result of one (task count, graph) job: each ordering
+// policy's energy over the optimum's.
 type table1Sample struct {
 	random, ltf, pubs float64
-	ok                bool
-	incomplete        bool
 }
 
-// table1Job evaluates one (task count, graph index) cell.
-func table1Job(cfg Table1Config, gen tgff.Config, n, s int) (table1Sample, error) {
+// table1Graph generates the DAG of one (task count, graph index) cell and its
+// execution parameters. The returned generator has drawn the DAG and its
+// actuals; the cell's random order draws from it next.
+func table1Graph(cfg Table1Config, gen tgff.Config, n, s int) (*taskgraph.Graph, optimal.Params, *rand.Rand, error) {
 	rng := runner.RNG(cfg.Seed, int64(n), int64(s))
 	g, err := tgff.GenerateWithNodes(gen, fmt.Sprintf("t1-%d-%d", n, s), n, rng)
 	if err != nil {
-		return table1Sample{}, err
+		return nil, optimal.Params{}, nil, err
 	}
 	// Deadline chosen so the DAG's worst-case load is cfg.Utilization.
 	deadline := g.TotalWCET() / (cfg.FMax * cfg.Utilization)
@@ -145,15 +141,18 @@ func table1Job(cfg Table1Config, gen tgff.Config, n, s int) (table1Sample, error
 		frac := cfg.ActualMin + rng.Float64()*(cfg.ActualMax-cfg.ActualMin)
 		actuals[i] = frac * g.Nodes[i].WCET
 	}
-	params := optimal.Params{Deadline: deadline, FMax: cfg.FMax, Actuals: actuals}
+	return g, optimal.Params{Deadline: deadline, FMax: cfg.FMax, Actuals: actuals}, rng, nil
+}
 
-	var sample table1Sample
-	opt, err := optimal.OptimalOrder(g, params, cfg.MaxExpansions)
+// table1Job evaluates one (task count, graph index) cell.
+func table1Job(cfg Table1Config, gen tgff.Config, n, s int) (table1Sample, error) {
+	g, params, rng, err := table1Graph(cfg, gen, n, s)
 	if err != nil {
-		if !errors.Is(err, optimal.ErrSearchBudget) {
-			return table1Sample{}, err
-		}
-		sample.incomplete = true
+		return table1Sample{}, err
+	}
+	opt, err := optimal.OptimalOrder(g, params)
+	if err != nil {
+		return table1Sample{}, err
 	}
 	randEv, err := optimal.RandomOrder(g, params, rng)
 	if err != nil {
@@ -163,38 +162,26 @@ func table1Job(cfg Table1Config, gen tgff.Config, n, s int) (table1Sample, error
 	if err != nil {
 		return table1Sample{}, err
 	}
-	pubsEv, err := optimal.GreedyOrder(g, priority.NewPUBS(), params, actuals, nil)
+	pubsEv, err := optimal.GreedyOrder(g, priority.NewPUBS(), params, params.Actuals, nil)
 	if err != nil {
 		return table1Sample{}, err
 	}
-	// Guard against an incomplete search being beaten by a heuristic:
-	// normalise by the best schedule seen.
-	best := opt.Best.Energy
-	for _, e := range []float64{randEv.Energy, ltfEv.Energy, pubsEv.Energy} {
-		if e < best {
-			best = e
-		}
-	}
-	if best <= 0 {
-		return sample, nil
-	}
-	sample.ok = true
-	sample.random = randEv.Energy / best
-	sample.ltf = ltfEv.Energy / best
-	sample.pubs = pubsEv.Energy / best
-	return sample, nil
+	return table1Sample{
+		random: randEv.Energy / opt.Energy,
+		ltf:    ltfEv.Energy / opt.Energy,
+		pubs:   pubsEv.Energy / opt.Energy,
+	}, nil
 }
 
 // table1Acc accumulates one row of Table 1 from streamed samples.
 type table1Acc struct {
 	random, ltf, pubs metricAcc
-	incomplete        int
 }
 
 func init() {
 	mustRegister(Definition{
 		Name:      "table1",
-		Title:     "Table 1 — ordering heuristics vs the exhaustive optimal order on single DAGs",
+		Title:     "Table 1 — ordering heuristics vs the optimal order on single DAGs",
 		Paper:     "Table 1 (Section 3)",
 		Shardable: true,
 		Run: func(ctx context.Context, spec Spec) (*Report, error) {
@@ -242,16 +229,10 @@ func runTable1Report(ctx context.Context, cfg Table1Config) (*Report, error) {
 			return table1Job(cfg, gen, cfg.TaskCounts[c[0]], lo+c[1])
 		}, func(idx int, sample table1Sample) error {
 			c := grid.Coords(idx)
-			a := &accs[c[0]]
-			if sample.incomplete {
-				a.incomplete++
-			}
-			if sample.ok {
-				graph := lo + c[1]
-				a.random.Add(graph, sample.random)
-				a.ltf.Add(graph, sample.ltf)
-				a.pubs.Add(graph, sample.pubs)
-			}
+			a, graph := &accs[c[0]], lo+c[1]
+			a.random.Add(graph, sample.random)
+			a.ltf.Add(graph, sample.ltf)
+			a.pubs.Add(graph, sample.pubs)
 			return nil
 		})
 	}, func() bool {
@@ -274,7 +255,6 @@ func runTable1Report(ctx context.Context, cfg Table1Config) (*Report, error) {
 			"graphs_per_count": strconv.Itoa(cfg.GraphsPerCount),
 			"utilization":      formatFloat(cfg.Utilization),
 			"edge_probability": formatFloat(cfg.EdgeProbability),
-			"max_expansions":   strconv.Itoa(cfg.MaxExpansions),
 			// Adaptive-stopping knobs: shards run with different settings
 			// cover different sets and must refuse to merge.
 			"target_ci": formatFloat(cfg.TargetCI),
@@ -284,18 +264,14 @@ func runTable1Report(ctx context.Context, cfg Table1Config) (*Report, error) {
 	}
 	for ci, n := range cfg.TaskCounts {
 		a := &accs[ci]
-		row := ReportRow{
+		rep.Rows = append(rep.Rows, ReportRow{
 			Key: strconv.Itoa(n),
 			Cells: map[string]Cell{
 				"random": a.random.Cell(),
 				"ltf":    a.ltf.Cell(),
 				"pubs":   a.pubs.Cell(),
 			},
-		}
-		if a.incomplete > 0 {
-			row.Counts = map[string]int{"incomplete_searches": a.incomplete}
-		}
-		rep.Rows = append(rep.Rows, row)
+		})
 	}
 	return rep, nil
 }
@@ -306,12 +282,11 @@ func table1RowsFromReport(r *Report) []Table1Row {
 	for _, row := range r.Rows {
 		tasks, _ := strconv.Atoi(row.Key)
 		rows = append(rows, Table1Row{
-			Tasks:              tasks,
-			Random:             row.Cells["random"].Mean,
-			LTF:                row.Cells["ltf"].Mean,
-			PUBS:               row.Cells["pubs"].Mean,
-			Samples:            row.Cells["random"].N,
-			IncompleteSearches: row.Counts["incomplete_searches"],
+			Tasks:   tasks,
+			Random:  row.Cells["random"].Mean,
+			LTF:     row.Cells["ltf"].Mean,
+			PUBS:    row.Cells["pubs"].Mean,
+			Samples: row.Cells["random"].N,
 		})
 	}
 	return rows

@@ -5,9 +5,9 @@
 //
 //   - evaluate the energy of any given execution order (EvaluateOrder),
 //   - build an order greedily with any priority function (GreedyOrder), and
-//   - find the energy-optimal order by exhaustive search over the DAG's
-//     linear extensions with branch-and-bound pruning (OptimalOrder), which
-//     is the baseline the paper normalises Table 1 against.
+//   - find the energy-optimal order exactly, by a dynamic programme over the
+//     DAG's order ideals (OptimalOrder), which is the baseline the paper
+//     normalises Table 1 against.
 //
 // Energy uses the idealised convex power model P(f) ∝ f^PowerExponent (the
 // default exponent 3 matches the paper's s³ battery-current scaling), so
@@ -18,6 +18,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 
 	"battsched/internal/priority"
@@ -41,9 +42,9 @@ type Params struct {
 
 // Errors returned by the package.
 var (
-	ErrBadParams    = errors.New("optimal: invalid parameters")
-	ErrBadOrder     = errors.New("optimal: order is not a linear extension of the graph")
-	ErrSearchBudget = errors.New("optimal: search budget exhausted before completing the enumeration")
+	ErrBadParams = errors.New("optimal: invalid parameters")
+	ErrBadOrder  = errors.New("optimal: order is not a linear extension of the graph")
+	ErrTooLarge  = errors.New("optimal: graph too large for the exact programme")
 )
 
 // Evaluation is the outcome of executing one order.
@@ -65,18 +66,43 @@ func (p Params) withDefaults() Params {
 	return p
 }
 
+// validate rejects what no order can be evaluated on: an empty or cyclic
+// graph, an edge naming an unknown node, a WCET that is not positive and
+// finite, a Deadline or FMax that is not positive and finite, a non-finite
+// PowerExponent, or a non-finite actual. The graph's period is never read.
 func (p Params) validate(g *taskgraph.Graph) error {
 	if g == nil || g.NumNodes() == 0 {
 		return fmt.Errorf("%w: empty graph", ErrBadParams)
 	}
-	if p.Deadline <= 0 || p.FMax <= 0 {
-		return fmt.Errorf("%w: deadline=%v fmax=%v", ErrBadParams, p.Deadline, p.FMax)
+	if !(p.Deadline > 0 && finite(p.Deadline) && p.FMax > 0 && finite(p.FMax)) || !finite(p.PowerExponent) {
+		return fmt.Errorf("%w: deadline=%v fmax=%v exponent=%v", ErrBadParams, p.Deadline, p.FMax, p.PowerExponent)
+	}
+	for _, n := range g.Nodes {
+		if !(n.WCET > 0 && finite(n.WCET)) {
+			return fmt.Errorf("%w: node %d has WCET %v", ErrBadParams, n.ID, n.WCET)
+		}
+	}
+	for _, e := range g.Edges {
+		if min(e.From, e.To) < 0 || int(max(e.From, e.To)) >= g.NumNodes() {
+			return fmt.Errorf("%w: edge %v names an unknown node", ErrBadParams, e)
+		}
+	}
+	if _, err := g.TopologicalOrder(); err != nil {
+		return fmt.Errorf("%w: %w", ErrBadParams, err)
 	}
 	if p.Actuals != nil && len(p.Actuals) != g.NumNodes() {
 		return fmt.Errorf("%w: %d actuals for %d nodes", ErrBadParams, len(p.Actuals), g.NumNodes())
 	}
+	for i, a := range p.Actuals {
+		if !finite(a) {
+			return fmt.Errorf("%w: node %d has actual %v", ErrBadParams, i, a)
+		}
+	}
 	return nil
 }
+
+// finite reports whether x is neither infinite nor NaN.
+func finite(x float64) bool { return !math.IsInf(x, 0) && !math.IsNaN(x) }
 
 // actual returns the actual cycles of node id under p.
 func (p Params) actual(g *taskgraph.Graph, id taskgraph.NodeID) float64 {
@@ -203,7 +229,7 @@ func GreedyOrder(g *taskgraph.Graph, prio priority.Function, params Params, esti
 			},
 		}
 		bestIdx := -1
-		bestVal := math.Inf(1)
+		var bestVal float64
 		for i := 0; i < n; i++ {
 			if done[i] || predsLeft[i] > 0 {
 				continue
@@ -217,14 +243,10 @@ func GreedyOrder(g *taskgraph.Graph, prio priority.Function, params Params, esti
 				AbsoluteDeadline: params.Deadline,
 				EDFPosition:      0,
 			}
-			v := prio.Priority(c, ctx)
-			if v < bestVal || (v == bestVal && (bestIdx == -1 || i < bestIdx)) {
+			if v := prio.Priority(c, ctx); bestIdx < 0 || v < bestVal {
 				bestVal = v
 				bestIdx = i
 			}
-		}
-		if bestIdx < 0 {
-			return Evaluation{}, fmt.Errorf("optimal: no ready task (graph not a DAG?)")
 		}
 		id := taskgraph.NodeID(bestIdx)
 		ac := params.actual(g, id)
@@ -242,105 +264,96 @@ func GreedyOrder(g *taskgraph.Graph, prio priority.Function, params Params, esti
 	return EvaluateOrder(g, order, params)
 }
 
-// SearchResult is the outcome of an exhaustive search.
-type SearchResult struct {
-	// Best is the lowest-energy evaluation found.
-	Best Evaluation
-	// ExtensionsVisited is the number of complete linear extensions evaluated.
-	ExtensionsVisited int
-	// Complete reports whether the search enumerated (or safely pruned) the
-	// whole space; false means the expansion budget ran out first.
-	Complete bool
-}
+// maxIdeals bounds OptimalOrder's states, the graph's order ideals, which it
+// holds in memory at once: n independent tasks have 2^n, so without a bound
+// 30 of them would ask for 2^30 states. Table 1's largest DAG has 2,040.
+const maxIdeals = 1 << 20
 
-// OptimalOrder finds the energy-minimal linear extension of the graph under
-// the greedy speed-rescaling model by depth-first enumeration with
-// branch-and-bound pruning (partial energy is a lower bound because energies
-// only accumulate). maxExpansions bounds the number of search-tree node
-// expansions; 0 selects a default of 5 million. If the budget runs out the
-// best order found so far is returned together with ErrSearchBudget.
-func OptimalOrder(g *taskgraph.Graph, params Params, maxExpansions int) (SearchResult, error) {
+// OptimalOrder returns the energy-minimal linear extension of the graph under
+// the greedy speed-rescaling model, evaluated by EvaluateOrder.
+//
+// A task of actual work a, started with worst-case work R left and time τ to
+// the deadline, leaves τ·(R−a)/R, so every later time-left is proportional to
+// the current one. With P ∝ f^k the cheapest completion after a set S of
+// finished tasks then costs C(S)/τ^(k−1), and C solves a dynamic programme
+// over the order ideals (sets of finished tasks closed under precedence):
+// C(all) = 0 and C(S) = min over ready i of a_i·(R_S/f_max)^(k−1) +
+// C(S∪{i})·(R_S/(R_S−a_i))^(k−1), the second term 0 when S∪{i} is all. Ties
+// go to the lowest node ID.
+//
+// This is exact while no speed clamps at FMax. UBS speeds never rise, so a
+// worst-case load TotalWCET/(FMax·Deadline) of at most 1 suffices; above it,
+// beyond 1e-12 of rounding, OptimalOrder returns ErrBadParams. A graph of
+// more than 64 nodes or maxIdeals order ideals returns ErrTooLarge.
+func OptimalOrder(g *taskgraph.Graph, params Params) (Evaluation, error) {
 	params = params.withDefaults()
 	if err := params.validate(g); err != nil {
-		return SearchResult{}, err
-	}
-	if maxExpansions <= 0 {
-		maxExpansions = 5_000_000
+		return Evaluation{}, err
 	}
 	n := g.NumNodes()
-	predsLeft := make([]int, n)
-	for i := 0; i < n; i++ {
-		predsLeft[i] = len(g.Predecessors(taskgraph.NodeID(i)))
+	if n > 64 {
+		return Evaluation{}, fmt.Errorf("%w: %d nodes, at most 64", ErrTooLarge, n)
 	}
-	done := make([]bool, n)
-	order := make([]taskgraph.NodeID, 0, n)
+	if load := g.TotalWCET() / (params.FMax * params.Deadline); load > 1+1e-12 {
+		return Evaluation{}, fmt.Errorf("%w: worst-case load %v exceeds 1", ErrBadParams, load)
+	}
+	all, exp := ^uint64(0)>>(64-n), params.PowerExponent-1
+	preds := make([]uint64, n) // preds[i] is the bit set of node i's predecessors
+	for i := range n {
+		for _, pr := range g.Predecessors(taskgraph.NodeID(i)) {
+			preds[i] |= 1 << pr
+		}
+	}
+	cost := make(map[uint64]float64) // C(S) by the bit set S, short of all
+	ideals := 2                      // the empty set and all
 
-	res := SearchResult{Complete: true}
-	res.Best.Energy = math.Inf(1)
-	expansions := 0
-
-	var dfs func(t, remWC, energy float64)
-	dfs = func(t, remWC, energy float64) {
-		if expansions >= maxExpansions {
-			res.Complete = false
-			return
+	// best returns C(s) and the ready node attaining it; ok is false once
+	// the programme needs more than maxIdeals states.
+	var best func(s uint64) (c float64, next int, ok bool)
+	best = func(s uint64) (c float64, next int, ok bool) {
+		var r float64
+		for rest := all &^ s; rest != 0; rest &= rest - 1 {
+			r += g.Nodes[bits.TrailingZeros64(rest)].WCET
 		}
-		expansions++
-		if energy >= res.Best.Energy {
-			return // branch-and-bound: energy only grows along a branch
-		}
-		if len(order) == n {
-			res.ExtensionsVisited++
-			res.Best = Evaluation{
-				Order:    append([]taskgraph.NodeID(nil), order...),
-				Energy:   energy,
-				Makespan: t,
-				Feasible: t <= params.Deadline+1e-9,
-			}
-			return
-		}
-		for i := 0; i < n; i++ {
-			if done[i] || predsLeft[i] > 0 {
+		now := math.Pow(r/params.FMax, exp)
+		next = -1
+		for rest := all &^ s; rest != 0; rest &= rest - 1 {
+			i := bits.TrailingZeros64(rest)
+			if preds[i]&^s != 0 {
 				continue
 			}
-			id := taskgraph.NodeID(i)
-			s := params.clampSpeed(remWC / math.Max(params.Deadline-t, 1e-12))
-			if s <= 0 {
-				s = params.FMax
+			a := params.actual(g, taskgraph.NodeID(i))
+			v := a * now
+			if after := s | 1<<i; after != all {
+				ca, seen := cost[after]
+				if !seen {
+					if ideals++; ideals > maxIdeals {
+						return 0, 0, false
+					}
+					if ca, _, ok = best(after); !ok {
+						return 0, 0, false
+					}
+					cost[after] = ca
+				}
+				v += ca * math.Pow(r/(r-a), exp)
 			}
-			ac := params.actual(g, id)
-			newT := t + ac/s
-			newEnergy := energy + params.stepEnergy(s, ac)
-			newRem := remWC - g.Nodes[id].WCET
-			if newRem < 0 {
-				newRem = 0
-			}
-			done[i] = true
-			order = append(order, id)
-			for _, su := range g.Successors(id) {
-				predsLeft[su]--
-			}
-			dfs(newT, newRem, newEnergy)
-			for _, su := range g.Successors(id) {
-				predsLeft[su]++
-			}
-			order = order[:len(order)-1]
-			done[i] = false
-			if expansions >= maxExpansions {
-				res.Complete = false
-				return
+			if next < 0 || v < c {
+				c, next = v, i
 			}
 		}
+		return c, next, true
 	}
-	dfs(0, g.TotalWCET(), 0)
 
-	if math.IsInf(res.Best.Energy, 1) {
-		return res, fmt.Errorf("optimal: no complete order found within the budget: %w", ErrSearchBudget)
+	order := make([]taskgraph.NodeID, 0, n)
+	for s := uint64(0); s != all; {
+		_, next, ok := best(s)
+		if !ok {
+			return Evaluation{}, fmt.Errorf("%w: more than %d order ideals", ErrTooLarge, maxIdeals)
+		}
+		order = append(order, taskgraph.NodeID(next))
+		s |= 1 << next
 	}
-	if !res.Complete {
-		return res, ErrSearchBudget
-	}
-	return res, nil
+	return EvaluateOrder(g, order, params)
 }
 
 // RandomOrder builds a uniformly random linear extension (by repeatedly

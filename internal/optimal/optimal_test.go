@@ -56,6 +56,67 @@ func TestEvaluateOrderValidation(t *testing.T) {
 	if _, err := EvaluateOrder(chain, []taskgraph.NodeID{1, 0}, Params{Deadline: 10, FMax: fmaxHz}); !errors.Is(err, ErrBadOrder) {
 		t.Fatalf("precedence violation err = %v", err)
 	}
+	for _, tc := range invalidInputs() {
+		if ev, err := EvaluateOrder(tc.g, []taskgraph.NodeID{0, 1}, tc.p); !errors.Is(err, ErrBadParams) {
+			t.Errorf("%s: EvaluateOrder = %+v, %v; want ErrBadParams", tc.name, ev, err)
+		}
+	}
+	// The ordering model never reads the graph's period.
+	noPeriod := taskgraph.NewGraph("no period", 0)
+	noPeriod.AddNode("a", fmaxHz)
+	if _, err := EvaluateOrder(noPeriod, []taskgraph.NodeID{0}, Params{Deadline: 10, FMax: fmaxHz}); err != nil {
+		t.Fatalf("graph without a period: %v", err)
+	}
+}
+
+type invalidInput struct {
+	name string
+	g    *taskgraph.Graph
+	p    Params
+}
+
+// invalidInputs are two-node inputs that every entry point must reject with
+// ErrBadParams instead of evaluating them: a cycle, an edge naming an unknown
+// node, a WCET that is not positive and finite, and non-finite parameters or
+// actuals. Evaluated, they give NaN or negative energies, or orders that
+// ignore the edge.
+func invalidInputs() []invalidInput {
+	twoNodes := func(w0, w1 float64) *taskgraph.Graph {
+		g := taskgraph.NewGraph("two", 10)
+		g.AddNode("a", w0)
+		g.AddNode("b", w1)
+		return g
+	}
+	cycle := twoNodes(fmaxHz, fmaxHz)
+	cycle.AddEdge(0, 1)
+	cycle.AddEdge(1, 0)
+	unknown := twoNodes(fmaxHz, fmaxHz)
+	unknown.AddEdge(0, 5)
+	ok := Params{Deadline: 10, FMax: fmaxHz}
+	with := func(edit func(*Params)) Params {
+		p := ok
+		p.Actuals = []float64{0.5 * fmaxHz, 0.5 * fmaxHz}
+		edit(&p)
+		return p
+	}
+	nan, inf := math.NaN(), math.Inf(1)
+	return []invalidInput{
+		{"cycle", cycle, ok},
+		{"edge to an unknown node", unknown, ok},
+		{"zero WCET", twoNodes(0, fmaxHz), ok},
+		{"negative WCET", twoNodes(0, -fmaxHz), ok},
+		{"NaN WCET", twoNodes(nan, fmaxHz), ok},
+		{"infinite WCET", twoNodes(inf, fmaxHz), ok},
+		{"NaN deadline", twoNodes(fmaxHz, fmaxHz), with(func(p *Params) { p.Deadline = nan })},
+		{"infinite deadline", twoNodes(fmaxHz, fmaxHz), with(func(p *Params) { p.Deadline = inf })},
+		{"NaN fmax", twoNodes(fmaxHz, fmaxHz), with(func(p *Params) { p.FMax = nan })},
+		{"infinite fmax", twoNodes(fmaxHz, fmaxHz), with(func(p *Params) { p.FMax = inf })},
+		{"NaN exponent", twoNodes(fmaxHz, fmaxHz), with(func(p *Params) { p.PowerExponent = nan })},
+		{"infinite exponent", twoNodes(fmaxHz, fmaxHz), with(func(p *Params) { p.PowerExponent = inf })},
+		{"NaN actual", twoNodes(fmaxHz, fmaxHz), with(func(p *Params) { p.Actuals[0] = nan })},
+		{"infinite actual", twoNodes(fmaxHz, fmaxHz), with(func(p *Params) { p.Actuals[1] = inf })},
+		{"negative infinite actual", twoNodes(fmaxHz, fmaxHz), with(func(p *Params) { p.Actuals[1] = -inf })},
+	}
 }
 
 func TestEvaluateOrderWorstCaseRunsAtConstantSpeed(t *testing.T) {
@@ -175,6 +236,11 @@ func TestGreedyOrderValidation(t *testing.T) {
 	if _, err := GreedyOrder(g, nil, defaultParams(1, 1), nil, nil); err != nil {
 		t.Fatalf("nil priority err = %v", err)
 	}
+	for _, tc := range invalidInputs() {
+		if ev, err := GreedyOrder(tc.g, priority.NewFIFO(), tc.p, nil, nil); !errors.Is(err, ErrBadParams) {
+			t.Errorf("%s: GreedyOrder = %+v, %v; want ErrBadParams", tc.name, ev, err)
+		}
+	}
 }
 
 func TestRandomOrderRequiresRNG(t *testing.T) {
@@ -211,14 +277,11 @@ func TestOptimalOrderIsLowerBound(t *testing.T) {
 			actuals[i] = (0.2 + 0.8*rng.Float64()) * g.Nodes[i].WCET
 		}
 		p := Params{Deadline: 10, FMax: fmaxHz, Actuals: actuals}
-		opt, err := OptimalOrder(g, p, 0)
+		opt, err := OptimalOrder(g, p)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		if !opt.Complete || opt.ExtensionsVisited < 1 {
-			t.Fatalf("trial %d: incomplete search %+v", trial, opt)
-		}
-		if !g.IsLinearExtension(opt.Best.Order) {
+		if !g.IsLinearExtension(opt.Order) {
 			t.Fatalf("trial %d: optimal order invalid", trial)
 		}
 		for _, prio := range []priority.Function{priority.NewPUBS(), priority.NewLTF(), priority.NewSTF(), priority.NewFIFO()} {
@@ -226,16 +289,16 @@ func TestOptimalOrderIsLowerBound(t *testing.T) {
 			if err != nil {
 				t.Fatalf("trial %d %s: %v", trial, prio.Name(), err)
 			}
-			if ev.Energy < opt.Best.Energy-1e-6 {
-				t.Fatalf("trial %d: %s beat the exhaustive optimum (%v < %v)", trial, prio.Name(), ev.Energy, opt.Best.Energy)
+			if ev.Energy < opt.Energy-1e-6 {
+				t.Fatalf("trial %d: %s beat the optimum (%v < %v)", trial, prio.Name(), ev.Energy, opt.Energy)
 			}
 		}
 		rnd, err := RandomOrder(g, p, rng)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if rnd.Energy < opt.Best.Energy-1e-6 {
-			t.Fatalf("trial %d: random beat the exhaustive optimum", trial)
+		if rnd.Energy < opt.Energy-1e-6 {
+			t.Fatalf("trial %d: random beat the optimum", trial)
 		}
 	}
 }
@@ -258,7 +321,7 @@ func TestPUBSWithAccurateEstimatesIsNearOptimal(t *testing.T) {
 			actuals[i] = (0.2 + 0.8*rng.Float64()) * g.Nodes[i].WCET
 		}
 		p := Params{Deadline: 10, FMax: fmaxHz, Actuals: actuals}
-		opt, err := OptimalOrder(g, p, 0)
+		opt, err := OptimalOrder(g, p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -266,7 +329,7 @@ func TestPUBSWithAccurateEstimatesIsNearOptimal(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ratioSum += pubs.Energy / opt.Best.Energy
+		ratioSum += pubs.Energy / opt.Energy
 	}
 	avg := ratioSum / trials
 	if avg > 1.05 {
@@ -274,29 +337,246 @@ func TestPUBSWithAccurateEstimatesIsNearOptimal(t *testing.T) {
 	}
 }
 
-func TestOptimalOrderBudget(t *testing.T) {
-	// A 9-node independent graph has 9! extensions; with a tiny budget the
-	// search must return ErrSearchBudget but still produce a valid order.
-	g := taskgraph.NewGraph("big", 10)
-	for i := 0; i < 9; i++ {
-		g.AddNode("", fmaxHz)
+func TestOptimalOrderSizeLimit(t *testing.T) {
+	edgeless := func(n int) *taskgraph.Graph {
+		g := taskgraph.NewGraph("edgeless", 0)
+		for i := 0; i < n; i++ {
+			g.AddNode("", fmaxHz)
+		}
+		return g
 	}
-	res, err := OptimalOrder(g, Params{Deadline: 100, FMax: fmaxHz}, 500)
-	if !errors.Is(err, ErrSearchBudget) {
-		t.Fatalf("err = %v, want ErrSearchBudget", err)
+	// 65 nodes do not fit the programme's 64-bit sets, even as a chain.
+	chain := edgeless(65)
+	for i := 1; i < 65; i++ {
+		chain.AddEdge(taskgraph.NodeID(i-1), taskgraph.NodeID(i))
 	}
-	if res.Complete {
-		t.Fatal("search reported complete despite exhausted budget")
+	if _, err := OptimalOrder(chain, Params{Deadline: 100, FMax: fmaxHz}); !errors.Is(err, ErrTooLarge) {
+		t.Fatalf("65-node chain: err = %v, want ErrTooLarge", err)
 	}
-	if len(res.Best.Order) != 9 || !g.IsLinearExtension(res.Best.Order) {
-		t.Fatalf("best order invalid: %v", res.Best.Order)
+	// 21 independent tasks have 2^21 order ideals, twice maxIdeals.
+	if _, err := OptimalOrder(edgeless(21), Params{Deadline: 100, FMax: fmaxHz}); !errors.Is(err, ErrTooLarge) {
+		t.Fatalf("21 independent tasks: err = %v, want ErrTooLarge", err)
+	}
+	// A 64-node chain has 65 order ideals and fits.
+	chain64 := edgeless(64)
+	for i := 1; i < 64; i++ {
+		chain64.AddEdge(taskgraph.NodeID(i-1), taskgraph.NodeID(i))
+	}
+	ev, err := OptimalOrder(chain64, Params{Deadline: 100, FMax: fmaxHz})
+	if err != nil || !chain64.IsLinearExtension(ev.Order) {
+		t.Fatalf("64-node chain: %+v, %v", ev, err)
 	}
 }
 
 func TestOptimalOrderValidation(t *testing.T) {
-	if _, err := OptimalOrder(nil, Params{Deadline: 1, FMax: 1}, 0); !errors.Is(err, ErrBadParams) {
+	if _, err := OptimalOrder(nil, Params{Deadline: 1, FMax: 1}); !errors.Is(err, ErrBadParams) {
 		t.Fatalf("nil graph err = %v", err)
 	}
+	for _, tc := range invalidInputs() {
+		if ev, err := OptimalOrder(tc.g, tc.p); !errors.Is(err, ErrBadParams) {
+			t.Errorf("%s: OptimalOrder = %+v, %v; want ErrBadParams", tc.name, ev, err)
+		}
+	}
+	// Above a worst-case load of 1 the first speed clamps at FMax and the
+	// programme would no longer be exact.
+	overloaded := defaultParams(0.5, 0.5)
+	overloaded.Deadline = 9.99
+	if ev, err := OptimalOrder(figure4Graph(), overloaded); !errors.Is(err, ErrBadParams) {
+		t.Fatalf("overloaded graph: %+v, %v; want ErrBadParams", ev, err)
+	}
+	// A deadline computed for a load of exactly 1 may read a few ulps above
+	// it, as Table 1's does at -utilization 1; that is accepted.
+	g := figure4Graph()
+	g.Nodes[0].WCET = 4.1 * fmaxHz
+	atOne := defaultParams(0.5, 0.5)
+	atOne.Deadline = g.TotalWCET() / fmaxHz
+	for g.TotalWCET()/(fmaxHz*atOne.Deadline) <= 1 {
+		atOne.Deadline = math.Nextafter(atOne.Deadline, 0)
+	}
+	if _, err := OptimalOrder(g, atOne); err != nil {
+		t.Fatalf("load %v: %v", g.TotalWCET()/(fmaxHz*atOne.Deadline), err)
+	}
+}
+
+// referenceOrder is the depth-first branch-and-bound over the graph's linear
+// extensions that OptimalOrder's programme replaced, kept as its reference.
+// It accumulates each order's energy with EvaluateOrder's arithmetic and
+// prunes a branch once its partial energy reaches the best complete one
+// (energies only accumulate), so among equal energies the first order in
+// depth-first order, lowest node ID first, wins. complete is false when
+// maxExpansions search-tree expansions ran out first; best is then the
+// lowest energy found.
+func referenceOrder(g *taskgraph.Graph, params Params, maxExpansions int) (best Evaluation, complete bool) {
+	params = params.withDefaults()
+	n := g.NumNodes()
+	predsLeft := make([]int, n)
+	for i := 0; i < n; i++ {
+		predsLeft[i] = len(g.Predecessors(taskgraph.NodeID(i)))
+	}
+	done := make([]bool, n)
+	order := make([]taskgraph.NodeID, 0, n)
+	best.Energy = math.Inf(1)
+	complete = true
+	expansions := 0
+
+	var dfs func(t, remWC, energy float64)
+	dfs = func(t, remWC, energy float64) {
+		if expansions >= maxExpansions {
+			complete = false
+			return
+		}
+		expansions++
+		if energy >= best.Energy {
+			return
+		}
+		if len(order) == n {
+			best = Evaluation{
+				Order:    append([]taskgraph.NodeID(nil), order...),
+				Energy:   energy,
+				Makespan: t,
+				Feasible: t <= params.Deadline+1e-9,
+			}
+			return
+		}
+		for i := 0; i < n; i++ {
+			if done[i] || predsLeft[i] > 0 {
+				continue
+			}
+			id := taskgraph.NodeID(i)
+			s := params.clampSpeed(remWC / math.Max(params.Deadline-t, 1e-12))
+			if s <= 0 {
+				s = params.FMax
+			}
+			ac := params.actual(g, id)
+			newRem := remWC - g.Nodes[id].WCET
+			if newRem < 0 {
+				newRem = 0
+			}
+			done[i] = true
+			order = append(order, id)
+			for _, su := range g.Successors(id) {
+				predsLeft[su]--
+			}
+			dfs(t+ac/s, newRem, energy+params.stepEnergy(s, ac))
+			for _, su := range g.Successors(id) {
+				predsLeft[su]++
+			}
+			order = order[:len(order)-1]
+			done[i] = false
+			if !complete {
+				return
+			}
+		}
+	}
+	dfs(0, g.TotalWCET(), 0)
+	return best, complete
+}
+
+// decodeInstance turns bytes into a DAG of at most maxNodes nodes, read as a
+// node count, a worst-case load in (0, 1], one WCET per node in [0.5, 1.5]
+// seconds at FMax, one actual per node in (0, WCET] (WCET itself from byte
+// 127 up, so random bytes make half the tasks run their worst case) and one
+// byte per node pair i < j, an edge i→j when it is 0 mod 4. Missing bytes
+// read as 0.
+func decodeInstance(data []byte, maxNodes int) (*taskgraph.Graph, Params) {
+	next := func() float64 {
+		if len(data) == 0 {
+			return 0
+		}
+		b := data[0]
+		data = data[1:]
+		return float64(b)
+	}
+	n := 1 + int(next())%maxNodes
+	load := (1 + next()) / 256
+	g := taskgraph.NewGraph("decoded", 0)
+	for i := 0; i < n; i++ {
+		g.AddNode("", (0.5+next()/255)*fmaxHz)
+	}
+	actuals := make([]float64, n)
+	for i := range actuals {
+		actuals[i] = math.Min(1, (1+next())/128) * g.Nodes[i].WCET
+	}
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			if int(next())%4 == 0 {
+				g.AddEdge(taskgraph.NodeID(i), taskgraph.NodeID(j))
+			}
+		}
+	}
+	deadline := g.TotalWCET() / (fmaxHz * load)
+	return g, Params{Deadline: deadline, FMax: fmaxHz, Actuals: actuals}
+}
+
+// checkAgainstReference fails t unless OptimalOrder returns a linear
+// extension whose energy is within 1e-12 relative of the branch-and-bound's
+// and not below it. It reports whether the reference completed within
+// maxExpansions. Bit-equality is not required: where tasks run their worst
+// case, orders tie in exact arithmetic and the two may pick different ones
+// that differ in the last ulps.
+func checkAgainstReference(t *testing.T, g *taskgraph.Graph, p Params, maxExpansions int) (*Evaluation, bool) {
+	t.Helper()
+	opt, err := OptimalOrder(g, p)
+	if err != nil {
+		t.Fatalf("OptimalOrder: %v", err)
+	}
+	if !g.IsLinearExtension(opt.Order) {
+		t.Fatalf("order %v is not a linear extension", opt.Order)
+	}
+	ref, complete := referenceOrder(g, p, maxExpansions)
+	if !complete {
+		return &opt, false
+	}
+	if opt.Energy < ref.Energy || opt.Energy-ref.Energy > 1e-12*ref.Energy {
+		t.Fatalf("programme %v (order %v), reference %v (order %v)", opt.Energy, opt.Order, ref.Energy, ref.Order)
+	}
+	return &opt, true
+}
+
+// TestOptimalOrderMatchesReference runs random DAGs of up to 10 nodes at a
+// worst-case load of at most 1 through the programme and the test-only
+// branch-and-bound.
+func TestOptimalOrderMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	data := make([]byte, 2+10+10+45)
+	const dags = 1000
+	complete := 0
+	for i := 0; i < dags; i++ {
+		rng.Read(data)
+		g, p := decodeInstance(data, 10)
+		if _, ok := checkAgainstReference(t, g, p, 2_000_000); ok {
+			complete++
+		}
+	}
+	if complete < dags*9/10 {
+		t.Fatalf("the reference completed on %d of %d DAGs", complete, dags)
+	}
+}
+
+// FuzzOptimalOrder checks, on DAGs of at most 8 nodes, that OptimalOrder
+// returns a linear extension that no greedy order beats by more than 1e-12
+// relative and that agrees with the branch-and-bound reference.
+func FuzzOptimalOrder(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{1, 255, 0, 255, 30, 90})                     // Figure 4's shape
+	f.Add([]byte{7, 178, 10, 200, 40, 90, 250, 120, 60, 255}) // 8 nodes, a chain
+	f.Add([]byte{7, 255, 1, 2, 3, 4, 5, 6, 7, 8, 9, 200, 9, 200, 9, 200, 9, 200, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		g, p := decodeInstance(data, 8)
+		opt, complete := checkAgainstReference(t, g, p, 10_000_000)
+		if !complete {
+			t.Fatal("the reference did not complete on 8 nodes")
+		}
+		for _, prio := range []priority.Function{priority.NewFIFO(), priority.NewLTF(), priority.NewSTF(), priority.NewPUBS()} {
+			ev, err := GreedyOrder(g, prio, p, nil, nil)
+			if err != nil {
+				t.Fatalf("%s: %v", prio.Name(), err)
+			}
+			if ev.Energy < opt.Energy*(1-1e-12) {
+				t.Fatalf("%s order %v: %v, below the optimum %v", prio.Name(), ev.Order, ev.Energy, opt.Energy)
+			}
+		}
+	})
 }
 
 func TestClampSpeedAndStepEnergy(t *testing.T) {
@@ -338,7 +618,7 @@ func TestGreedyNeverBeatsOptimalProperty(t *testing.T) {
 			actuals[i] = (0.2 + 0.8*rng.Float64()) * g.Nodes[i].WCET
 		}
 		p := Params{Deadline: 10, FMax: fmaxHz, Actuals: actuals}
-		opt, err := OptimalOrder(g, p, 0)
+		opt, err := OptimalOrder(g, p)
 		if err != nil {
 			return false
 		}
@@ -346,7 +626,7 @@ func TestGreedyNeverBeatsOptimalProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		return ev.Energy >= opt.Best.Energy-1e-6 && ev.Feasible
+		return ev.Energy >= opt.Energy-1e-6 && ev.Feasible
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)

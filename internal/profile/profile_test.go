@@ -92,39 +92,7 @@ func TestAverageCurrentEmptyProfile(t *testing.T) {
 	}
 }
 
-// Scale returns a copy of the profile with every current multiplied by k.
-func (p *Profile) Scale(k float64) *Profile {
-	c := p.Clone()
-	for i := range c.Segments {
-		c.Segments[i].Current *= k
-		if c.Segments[i].Current < 0 {
-			c.Segments[i].Current = 0
-		}
-	}
-	return c
-}
-
-// Concat returns a new profile consisting of p followed by q.
-func (p *Profile) Concat(q *Profile) *Profile {
-	out := p.Clone()
-	for _, s := range q.Segments {
-		out.Append(s.Duration, s.Current)
-	}
-	return out
-}
-
-// Repeat returns a new profile consisting of n back-to-back copies of p.
-func (p *Profile) Repeat(n int) *Profile {
-	out := New()
-	for i := 0; i < n; i++ {
-		for _, s := range p.Segments {
-			out.Append(s.Duration, s.Current)
-		}
-	}
-	return out
-}
-
-func TestCloneScaleConcatRepeat(t *testing.T) {
+func TestCloneDoesNotShareSegments(t *testing.T) {
 	p := New()
 	p.Append(1, 2)
 	c := p.Clone()
@@ -132,78 +100,12 @@ func TestCloneScaleConcatRepeat(t *testing.T) {
 	if p.Segments[0].Current == 99 {
 		t.Fatal("Clone shares storage")
 	}
-	s := p.Scale(0.5)
-	if s.Segments[0].Current != 1 {
-		t.Fatalf("Scale = %v, want 1", s.Segments[0].Current)
-	}
-	q := New()
-	q.Append(2, 3)
-	cat := p.Concat(q)
-	if cat.Duration() != 3 || cat.Charge() != 2+6 {
-		t.Fatalf("Concat wrong: %v", cat)
-	}
-	r := q.Repeat(3)
-	if r.Duration() != 6 || len(r.Segments) != 1 { // identical currents merge
-		t.Fatalf("Repeat wrong: %v", r)
-	}
 }
 
 func TestConstant(t *testing.T) {
 	p := Constant(0.5, 100)
 	if p.Duration() != 100 || p.AverageCurrent() != 0.5 {
 		t.Fatalf("Constant profile wrong: %v", p)
-	}
-}
-
-// IsLocallyNonIncreasing reports whether, inside every window of length
-// `window` seconds aligned to the start of the profile, segment currents never
-// increase. With window <= 0 the whole profile is one window. This is the
-// property battery guideline 1 asks the scheduler to preserve within one
-// task-arrival window.
-func (p *Profile) IsLocallyNonIncreasing(window float64) bool {
-	if len(p.Segments) == 0 {
-		return true
-	}
-	if window <= 0 {
-		window = math.Inf(1)
-	}
-	var t float64
-	prev := math.Inf(1)
-	windowIdx := 0
-	for _, s := range p.Segments {
-		idx := int(t / window)
-		if idx != windowIdx {
-			windowIdx = idx
-			prev = math.Inf(1)
-		}
-		if s.Current > prev+1e-12 {
-			return false
-		}
-		prev = s.Current
-		t += s.Duration
-	}
-	return true
-}
-
-func TestIsLocallyNonIncreasing(t *testing.T) {
-	p := New()
-	p.Append(1, 1.0)
-	p.Append(1, 0.5)
-	p.Append(1, 0.2)
-	if !p.IsLocallyNonIncreasing(0) {
-		t.Fatal("monotone profile reported as increasing")
-	}
-	p.Append(1, 0.8)
-	if p.IsLocallyNonIncreasing(0) {
-		t.Fatal("increasing profile reported as non-increasing globally")
-	}
-	// With a window of 3 s the increase happens at a window boundary, so the
-	// profile is locally non-increasing.
-	if !p.IsLocallyNonIncreasing(3) {
-		t.Fatal("windowed check should reset at the window boundary")
-	}
-	if !New().IsLocallyNonIncreasing(1) {
-		t.Fatal("empty profile should be trivially non-increasing")
 	}
 }
 

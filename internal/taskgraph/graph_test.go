@@ -7,21 +7,6 @@ import (
 	"testing/quick"
 )
 
-func chainGraph(t *testing.T, n int, period float64) *Graph {
-	t.Helper()
-	g := NewGraph("chain", period)
-	for i := 0; i < n; i++ {
-		g.AddNode("", float64(i+1)*100)
-	}
-	for i := 0; i < n-1; i++ {
-		g.AddEdge(NodeID(i), NodeID(i+1))
-	}
-	if err := g.Validate(); err != nil {
-		t.Fatalf("chain graph invalid: %v", err)
-	}
-	return g
-}
-
 func diamondGraph(t *testing.T) *Graph {
 	t.Helper()
 	g := NewGraph("diamond", 10)
@@ -188,42 +173,6 @@ func TestIsLinearExtensionRejectsBadOrders(t *testing.T) {
 	}
 	if !g.IsLinearExtension([]NodeID{0, 2, 1, 3}) {
 		t.Errorf("valid extension rejected")
-	}
-}
-
-// CriticalPathWCET returns the length (in cycles) of the longest
-// WCET-weighted path through the graph. It is a lower bound on the work that
-// must be executed sequentially.
-func (g *Graph) CriticalPathWCET() float64 {
-	order, err := g.TopologicalOrder()
-	if err != nil {
-		return 0
-	}
-	longest := make([]float64, len(g.Nodes))
-	var best float64
-	for _, id := range order {
-		l := longest[id] + g.Nodes[id].WCET
-		if l > best {
-			best = l
-		}
-		for _, s := range g.Successors(id) {
-			if l > longest[s] {
-				longest[s] = l
-			}
-		}
-	}
-	return best
-}
-
-func TestCriticalPathWCET(t *testing.T) {
-	g := diamondGraph(t)
-	// Longest path a->c->d = 100+300+400 = 800.
-	if got := g.CriticalPathWCET(); got != 800 {
-		t.Fatalf("CriticalPathWCET = %v, want 800", got)
-	}
-	chain := chainGraph(t, 4, 1)
-	if got := chain.CriticalPathWCET(); got != 100+200+300+400 {
-		t.Fatalf("chain CriticalPathWCET = %v, want 1000", got)
 	}
 }
 

@@ -102,31 +102,10 @@ func TestHyperperiodFallbackForIrrationalPeriods(t *testing.T) {
 	}
 }
 
-// MinPeriod returns the smallest period in the system (0 for an empty system).
-func (s *System) MinPeriod() float64 {
-	if len(s.Graphs) == 0 {
-		return 0
-	}
-	m := s.Graphs[0].Period
-	for _, g := range s.Graphs[1:] {
-		if g.Period < m {
-			m = g.Period
-		}
-	}
-	return m
-}
-
-func TestMinMaxPeriod(t *testing.T) {
+func TestMaxPeriod(t *testing.T) {
 	sys := twoGraphSystem(t)
-	if got := sys.MinPeriod(); got != 0.05 {
-		t.Fatalf("MinPeriod = %v, want 0.05", got)
-	}
 	if got := sys.MaxPeriod(); got != 0.1 {
 		t.Fatalf("MaxPeriod = %v, want 0.1", got)
-	}
-	empty := NewSystem()
-	if got := empty.MinPeriod(); got != 0 {
-		t.Fatalf("empty MinPeriod = %v, want 0", got)
 	}
 }
 
