@@ -78,8 +78,8 @@ type invalidInput struct {
 // invalidInputs are two-node inputs that every entry point must reject with
 // ErrBadParams instead of evaluating them: a cycle, an edge naming an unknown
 // node, a WCET that is not positive and finite, and non-finite parameters or
-// actuals. Evaluated, they give NaN or negative energies, or orders that
-// ignore the edge.
+// actuals. Evaluated, they give NaN, zero or negative energies, or are
+// silently reread (an infinite actual as the WCET, the edge as absent).
 func invalidInputs() []invalidInput {
 	twoNodes := func(w0, w1 float64) *taskgraph.Graph {
 		g := taskgraph.NewGraph("two", 10)
