@@ -307,14 +307,15 @@ func cmdSubmit(args []string, stdout io.Writer) error {
 	if err != nil {
 		return err
 	}
-	// Fail fast on a non-shardable selection before submitting anything.
+	// Fail fast on a selection that does not shard before submitting
+	// anything.
 	for _, name := range expanded {
 		d, err := experiments.Lookup(name)
 		if err != nil {
 			return err
 		}
-		if *shards > 1 && !d.Shardable {
-			return fmt.Errorf("submit: experiment %q is deterministic and does not shard (drop it or -shards)", name)
+		if err := d.CheckShards(spec, *shards > 1); err != nil {
+			return fmt.Errorf("submit: %w", err)
 		}
 	}
 
@@ -432,16 +433,16 @@ func executeAll(names []string, f runnerFlags, stdout io.Writer) error {
 	if err != nil {
 		return err
 	}
-	// Fail fast on a non-shardable selection before any experiment runs:
-	// a sharded fleet must not lose hours of completed work to a late
+	// Fail fast on a selection that does not shard before any experiment
+	// runs: a sharded fleet must not lose hours of completed work to a late
 	// dispatch error on the next name in the list.
 	for _, name := range names {
 		d, err := experiments.Lookup(name)
 		if err != nil {
 			return err
 		}
-		if spec.Shard.Enabled() && !d.Shardable {
-			return fmt.Errorf("run: experiment %q is deterministic and does not shard (drop it from the sharded run)", name)
+		if err := d.CheckShards(spec, spec.Shard.Enabled()); err != nil {
+			return fmt.Errorf("run: %w", err)
 		}
 	}
 	var reports []*experiments.Report

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -147,15 +148,16 @@ func TestRunSubcommandErrors(t *testing.T) {
 }
 
 // shardMergeOutputs runs the unsharded reference and the 2-way shard + merge
-// pipeline for the given extra flags, returning both stripped outputs.
-func shardMergeOutputs(t *testing.T, extra ...string) (unsharded, merged string) {
+// pipeline, checks that the two artifacts are byte-identical, and returns
+// both stripped outputs.
+func shardMergeOutputs(t *testing.T) (unsharded, merged string) {
 	t.Helper()
 	dir := t.TempDir()
 	full := filepath.Join(dir, "full.json")
 	s0 := filepath.Join(dir, "s0.json")
 	s1 := filepath.Join(dir, "s1.json")
 
-	base := append([]string{"run", "table2", "grid", "-quick", "-battery", "kibam"}, extra...)
+	base := []string{"run", "table2", "grid", "-quick", "-battery", "kibam"}
 	var fullOut bytes.Buffer
 	if err := run(append(base, "-o", full), &fullOut); err != nil {
 		t.Fatal(err)
@@ -168,17 +170,29 @@ func shardMergeOutputs(t *testing.T, extra ...string) (unsharded, merged string)
 		t.Fatal(err)
 	}
 	var mergeOut bytes.Buffer
-	if err := run([]string{"merge", "-o", filepath.Join(dir, "merged.json"), s0, s1}, &mergeOut); err != nil {
+	mergedPath := filepath.Join(dir, "merged.json")
+	if err := run([]string{"merge", "-o", mergedPath, s0, s1}, &mergeOut); err != nil {
 		t.Fatal(err)
+	}
+	want, err := os.ReadFile(full)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(mergedPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatal("merged artifact differs from the unsharded run -o artifact")
 	}
 	return stripTimings(fullOut.String()), stripTimings(mergeOut.String())
 }
 
 // TestShardMergeGolden is the CLI-level shard/merge guarantee: running the
 // quick Table 2 and scenario grid as two shards and merging the partial
-// report artifacts emits byte-identical formatted output to the unsharded
-// run — with fixed set counts and with -ci adaptive set counts (capped by
-// -max-sets so every shard executes the same absolute batch grid).
+// report artifacts emits byte-identical formatted output and a byte-identical
+// artifact to the unsharded run. Adaptive set counts (-ci) do not shard, so
+// a sharded -ci run fails with ErrBadConfig before anything runs.
 func TestShardMergeGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("shard/merge sweep skipped in -short mode")
@@ -187,9 +201,13 @@ func TestShardMergeGolden(t *testing.T) {
 	if unsharded != merged {
 		t.Fatalf("fixed-count shard+merge differs from unsharded run:\n--- unsharded ---\n%s\n--- merged ---\n%s", unsharded, merged)
 	}
-	unsharded, merged = shardMergeOutputs(t, "-ci", "1e-12", "-max-sets", "8")
-	if unsharded != merged {
-		t.Fatalf("adaptive shard+merge differs from unsharded run:\n--- unsharded ---\n%s\n--- merged ---\n%s", unsharded, merged)
+	var buf bytes.Buffer
+	err := run([]string{"run", "table2", "grid", "-quick", "-battery", "kibam", "-ci", "1e-12", "-max-sets", "8", "-shard", "0/2"}, &buf)
+	if !errors.Is(err, experiments.ErrBadConfig) || !strings.Contains(err.Error(), "does not shard") {
+		t.Fatalf("sharded -ci run err = %v, want ErrBadConfig", err)
+	}
+	if buf.Len() != 0 {
+		t.Fatalf("sharded -ci run printed before failing:\n%s", buf.String())
 	}
 }
 
@@ -376,6 +394,10 @@ func TestSubmitErrors(t *testing.T) {
 	if err := run([]string{"submit", "curve", "-shards", "2"}, &buf); err == nil ||
 		!strings.Contains(err.Error(), "curve") {
 		t.Fatalf("sharded submit of the curve should fail fast, got %v", err)
+	}
+	// Adaptive set counts do not shard: refused before any request is sent.
+	if err := run([]string{"submit", "table2", "-quick", "-ci", "0.2", "-shards", "2", "-server", "http://127.0.0.1:1"}, &buf); !errors.Is(err, experiments.ErrBadConfig) {
+		t.Fatalf("sharded -ci submit err = %v, want ErrBadConfig", err)
 	}
 	// Unreachable daemon: the transport error must surface.
 	if err := run([]string{"submit", "table2", "-quick", "-server", "http://127.0.0.1:1", "-poll", "1ms"}, &buf); err == nil {

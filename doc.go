@@ -88,8 +88,8 @@
 // stream from the experiment seed and its grid coordinates with a
 // SplitMix64-style mixer (DeriveSeed/SeededRNG), never from shared generator
 // state. Results stream back in deterministic job order (a bounded reorder
-// window, so the grid is never materialised) and the drivers fold them into
-// mergeable Welford accumulators (StatsAccumulator) — so results are
+// window, so the grid is never materialised) and the drivers fold them set
+// by set into Welford accumulators (StatsAccumulator) — so results are
 // byte-identical at any worker count:
 //
 //	go run ./cmd/experiments run table2              # all cores (the default)
@@ -121,12 +121,12 @@
 //
 // Because set seeds key on absolute set indices, a run shards exactly across
 // processes or machines: -shard i/n (ExperimentShard) restricts a run to its
-// contiguous slice of every batch's set range and emits a partial report, and
-// the CLI's merge subcommand combines all n partials into the complete run.
-// Per-set experiments retain their samples, so the merge replays them in
-// absolute order and reproduces the unsharded accumulators bit-for-bit; the
-// scenario grid's chunk-merged cells combine Welford state instead, identical
-// up to floating-point reassociation (never visibly at table precision).
+// contiguous slice of the set range and emits a partial report, and the CLI's
+// merge subcommand combines all n partials into the complete run. Every
+// shardable experiment retains its per-set samples, so the merge replays them
+// in absolute order and reproduces the unsharded report bit-for-bit: a spec
+// names one artifact at any shard split. Adaptive set counts (below) do not
+// shard.
 //
 //	go run ./cmd/experiments run table2 -quick -shard 0/2 -o s0.json
 //	go run ./cmd/experiments run table2 -quick -shard 1/2 -o s1.json
@@ -143,7 +143,9 @@
 // relative to the mean for every reported row, bounded by MaxSets (default
 // 8× the configured count). Set seeds depend only on the absolute set index,
 // so adaptive runs are reproducible and their first batch matches the
-// fixed-count run exactly.
+// fixed-count run exactly. Each shard would judge convergence on its own
+// samples, so an adaptive run does not shard; a capped run that never
+// converges covers the sets of a fixed MaxSets run, which does.
 //
 // # Quick start
 //

@@ -159,14 +159,13 @@ func TestAdaptiveFirstBatchMatchesFixed(t *testing.T) {
 	}
 }
 
-// TestAdaptiveGridMatchesFixedRun pins the chunk-alignment contract: an
-// adaptive scenario-grid run that grows to N sets in multiple batches merges
-// exactly the same chunks as a fixed N-set run when N is a multiple of
-// SetsPerJob, so the rows (including ±CI) are identical.
+// TestAdaptiveGridMatchesFixedRun pins the per-set fold of the scenario
+// grid: an adaptive run that grows to N sets in multiple batches folds
+// exactly the samples of a fixed N-set run, in the same order, so the rows
+// (including ±CI) are identical.
 func TestAdaptiveGridMatchesFixedRun(t *testing.T) {
 	fixed := QuickScenarioGridConfig()
 	fixed.Sets = 8
-	fixed.SetsPerJob = 4
 	adaptive := fixed
 	adaptive.Sets = 4         // two adaptive batches of 4
 	adaptive.TargetCI = 1e-12 // never converges...

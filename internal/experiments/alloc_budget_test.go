@@ -31,7 +31,7 @@ func TestDriverAllocBudgets(t *testing.T) {
 		// 4 sets × 5 schemes, one battery each.
 		{"table2", 2085, obs.SimSnapshot{EngineRuns: 20, BatteryAnalytic: 20, BatteryBatches: 20}}, // measured 1899
 		// 1 utilisation × 3 sets × 2 schemes, one battery each.
-		{"grid", 995, obs.SimSnapshot{EngineRuns: 6, BatteryAnalytic: 6, BatteryBatches: 6}}, // measured 905
+		{"grid", 995, obs.SimSnapshot{EngineRuns: 6, BatteryAnalytic: 6, BatteryBatches: 6}}, // measured 924
 		// 3 graph counts × 3 sets × (baseline + 4 schemes), no batteries.
 		{"figure6", 3518, obs.SimSnapshot{EngineRuns: 45}}, // measured 3163
 		// 4 sets × (baseline + 3 estimators), no batteries.

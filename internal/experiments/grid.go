@@ -26,12 +26,6 @@ type ScenarioGridConfig struct {
 	Schemes []string
 	// Sets is the number of random task-graph sets averaged per cell.
 	Sets int
-	// SetsPerJob chunks the sets of one cell into jobs: each job simulates a
-	// chunk sequentially and returns mergeable accumulators (0 selects a
-	// default chunk size). For a fixed SetsPerJob results are byte-identical
-	// at any Parallel value; changing SetsPerJob reassociates the
-	// floating-point reduction and may shift results by rounding error only.
-	SetsPerJob int
 	// GraphsPerSet is the number of task graphs per set.
 	GraphsPerSet int
 	// Hyperperiods simulated per set.
@@ -90,16 +84,12 @@ type ScenarioGridRow struct {
 	DeadlineMisses int
 }
 
-// scenarioPartial is the mergeable result of one set-chunk job:
-// charge/lifetime accumulators indexed [scheme][battery] plus per-scheme
-// deadline misses. Neither schemes nor battery models are a job dimension —
-// the workload seed is scheme-independent (the comparability contract), so
-// each job generates every task set once, runs all schemes on one reused
-// engine replaying the recorded execution realisation, and evaluates every
-// battery against each scheme's load profile.
-type scenarioPartial struct {
-	charge, life [][]stats.Accumulator // [si][bi]
-	misses       []int                 // [si]
+// gridCell is the result of one (scheme, battery) pair on one task-graph
+// set. The scheduling run is shared by every battery of a scheme, so each
+// battery's cell carries that run's deadline misses.
+type gridCell struct {
+	charge, life float64
+	misses       int
 }
 
 // schemesByName resolves scheme names against the paper's Table 2 schemes;
@@ -159,28 +149,22 @@ func init() {
 }
 
 // runScenarioGridReport sweeps the (utilisation × battery × scheme) grid.
-// Jobs are (utilisation × set-chunk) cells covering every scheme: a job
+// Jobs are (utilisation × set-chunk) pairs covering every scheme: a job
 // generates each task set of its chunk once, runs all schemes on one reused
 // engine (replaying the recorded execution realisation, which is
 // scheme-independent), and evaluates every battery model against each
 // scheme's load profile (the profile does not depend on the battery, so
-// batteries share the scheduling work). Chunk partials stream back in job
-// order and merge into per-cell accumulators (stats.Accumulator.Merge), so
-// the sweep is deterministic at any parallelism and never materialises the
-// full grid. With RunOptions.TargetCI set, additional batches of sets run
-// until the relative CI95 of every cell's battery lifetime (the key metric)
-// converges or MaxSets is reached.
+// batteries share the scheduling work). Per-set rows stream back in job
+// order and fold into per-cell accumulators keyed on absolute set indices,
+// like Table 2's, so the sweep is byte-identical at any parallelism and any
+// shard split and never materialises the full grid. With RunOptions.TargetCI
+// set, additional batches of sets run until the relative CI95 of every
+// cell's battery lifetime (the key metric) converges or MaxSets is reached.
 //
 // Within one utilisation point, every (battery, scheme) cell replays the same
 // task-graph sets and actual execution requirements — the set seed depends
 // only on (Seed, utilisation index, set) — so cells are directly comparable
 // across schemes and battery models.
-//
-// Because the grid's cells are chunk merges rather than per-set folds, its
-// Report cells carry accumulator state only: merging shard partials
-// reassociates the Welford reduction and can shift means by a few ulps
-// relative to the unsharded run (never visibly at the table's precision);
-// the per-set drivers merge exactly instead.
 func runScenarioGridReport(ctx context.Context, cfg ScenarioGridConfig) (*Report, error) {
 	if len(cfg.Utilizations) == 0 || cfg.Sets <= 0 || cfg.GraphsPerSet <= 0 {
 		return nil, fmt.Errorf("%w: %+v", ErrBadConfig, cfg)
@@ -196,9 +180,6 @@ func runScenarioGridReport(ctx context.Context, cfg ScenarioGridConfig) (*Report
 	if cfg.MaxBatteryHours <= 0 {
 		cfg.MaxBatteryHours = 72
 	}
-	if cfg.SetsPerJob <= 0 {
-		cfg.SetsPerJob = 4
-	}
 	if len(cfg.Batteries) == 0 {
 		cfg.Batteries = []string{"stochastic"}
 	}
@@ -213,98 +194,70 @@ func runScenarioGridReport(ctx context.Context, cfg ScenarioGridConfig) (*Report
 	proc := defaultProcessor()
 
 	// chunkJob simulates sets [setLo, setHi) of one utilisation point across
-	// every scheme on one evaluator and returns mergeable accumulators. The
-	// evaluator generates each task set once and evaluates every battery
-	// model against each scheme's load profile (the profile does not depend
-	// on the battery), so the per-cell numbers are bit-identical to
-	// scheduling each (scheme, set) from scratch with the shared workload
-	// seed.
-	chunkJob := func(ui, setLo, setHi int) (scenarioPartial, error) {
-		part := scenarioPartial{
-			charge: make([][]stats.Accumulator, len(schemes)),
-			life:   make([][]stats.Accumulator, len(schemes)),
-			misses: make([]int, len(schemes)),
-		}
-		for si := range schemes {
-			part.charge[si] = make([]stats.Accumulator, len(factories))
-			part.life[si] = make([]stats.Accumulator, len(factories))
-		}
+	// every scheme on one evaluator and returns one row of cells per set,
+	// indexed [scheme*len(factories)+battery]. The evaluator generates each
+	// task set once and evaluates every battery model against each scheme's
+	// load profile (the profile does not depend on the battery), so the cells
+	// are bit-identical to scheduling each (scheme, set) from scratch with
+	// the shared workload seed.
+	chunkJob := func(ui, setLo, setHi int) ([][]gridCell, error) {
+		out := make([][]gridCell, 0, setHi-setLo)
 		ev := newEvaluator(proc, cfg.Hyperperiods, cfg.MaxBatteryHours, factories...)
 		for set := setLo; set < setHi; set++ {
 			// The workload seed is shared by every (battery, scheme) cell of
 			// this utilisation point so cells stay comparable.
 			if err := ev.generate(runner.SeedFor(cfg.Seed, int64(ui), int64(set)), cfg.GraphsPerSet, cfg.Utilizations[ui]); err != nil {
-				return scenarioPartial{}, err
+				return nil, err
 			}
-			for si, s := range schemes {
+			cells := make([]gridCell, 0, len(schemes)*len(factories))
+			for _, s := range schemes {
 				res, brs, err := ev.run(s.scheme)
 				if err != nil {
-					return scenarioPartial{}, err
+					return nil, err
 				}
-				part.misses[si] += res.DeadlineMisses
-				for bi, br := range brs {
-					part.charge[si][bi].Add(br.DeliveredMAh())
-					part.life[si][bi].Add(br.LifetimeMinutes())
+				for _, br := range brs {
+					cells = append(cells, gridCell{charge: br.DeliveredMAh(), life: br.LifetimeMinutes(), misses: res.DeadlineMisses})
 				}
 			}
+			out = append(out, cells)
 		}
-		return part, nil
+		return out, nil
 	}
 
-	// cellAgg folds the streamed chunk partials of one (utilisation, battery,
-	// scheme) cell; chunks arrive in deterministic order, so the merges
-	// reassociate identically at any parallelism.
-	type cellAgg struct {
-		charge, life stats.Accumulator
+	// gridAgg accumulates one (utilisation, scheme, battery) cell.
+	type gridAgg struct {
+		charge, life metricAcc
 		misses       int
 	}
-	aggs := make([][][]cellAgg, len(cfg.Utilizations)) // [ui][si][bi]
+	aggs := make([][]gridAgg, len(cfg.Utilizations)) // [ui][si*len(factories)+bi]
 	for ui := range aggs {
-		aggs[ui] = make([][]cellAgg, len(schemes))
-		for si := range aggs[ui] {
-			aggs[ui][si] = make([]cellAgg, len(factories))
-		}
+		aggs[ui] = make([]gridAgg, len(schemes)*len(factories))
 	}
 
 	_, err = runAdaptiveSets(cfg.RunOptions, cfg.Sets, func(lo, hi int) error {
-		// Chunk boundaries are aligned to absolute set-index multiples of
-		// SetsPerJob, not to the batch start, so the chunk layout — and
-		// hence the Welford merge association — does not depend on how the
-		// adaptive loop sliced the set range into batches. (A chunk that
-		// straddles a batch boundary is still split; see SetsPerJob's doc
-		// for the rounding-error-only consequence.)
-		kLo, kHi := lo/cfg.SetsPerJob, (hi+cfg.SetsPerJob-1)/cfg.SetsPerJob
-		grid := runner.NewGrid(len(cfg.Utilizations), kHi-kLo)
-		return runner.RunStream(ctx, grid.Size(), cfg.runnerOptions(), func(_ context.Context, idx int) (scenarioPartial, error) {
+		grid := runner.NewGrid(len(cfg.Utilizations), (hi-lo+setsPerJob-1)/setsPerJob)
+		return runner.RunStream(ctx, grid.Size(), cfg.runnerOptions(), func(_ context.Context, idx int) ([][]gridCell, error) {
 			c := grid.Coords(idx)
-			setLo := max((kLo+c[1])*cfg.SetsPerJob, lo)
-			setHi := min((kLo+c[1]+1)*cfg.SetsPerJob, hi)
-			return chunkJob(c[0], setLo, setHi)
-		}, func(idx int, part scenarioPartial) error {
+			setLo := lo + c[1]*setsPerJob
+			return chunkJob(c[0], setLo, min(setLo+setsPerJob, hi))
+		}, func(idx int, rows [][]gridCell) error {
 			c := grid.Coords(idx)
-			// Each cell still merges its chunks in ascending chunk order —
-			// jobs carry the whole scheme axis now, but the per-cell merge
-			// sequence (and hence the Welford association) is unchanged.
-			for si := range schemes {
-				for bi := range factories {
-					a := &aggs[c[0]][si][bi]
-					a.charge.Merge(part.charge[si][bi])
-					a.life.Merge(part.life[si][bi])
-					// The scheduling simulations are shared across batteries,
-					// so every battery row of a (utilisation, scheme) cell
-					// reports the misses of the same underlying runs.
-					a.misses += part.misses[si]
+			for off, cells := range rows {
+				set := lo + c[1]*setsPerJob + off
+				for ci, cell := range cells {
+					a := &aggs[c[0]][ci]
+					a.charge.Add(set, cell.charge)
+					a.life.Add(set, cell.life)
+					a.misses += cell.misses
 				}
 			}
 			return nil
 		})
 	}, func() bool {
 		for ui := range aggs {
-			for si := range aggs[ui] {
-				for bi := range aggs[ui][si] {
-					if !converged(cfg.TargetCI, &aggs[ui][si][bi].life) {
-						return false
-					}
+			for ci := range aggs[ui] {
+				if !converged(cfg.TargetCI, &aggs[ui][ci].life.acc) {
+					return false
 				}
 			}
 		}
@@ -320,14 +273,14 @@ func runScenarioGridReport(ctx context.Context, cfg ScenarioGridConfig) (*Report
 		Meta: map[string]string{
 			"seed":           strconv.FormatInt(cfg.Seed, 10),
 			"sets":           strconv.Itoa(cfg.Sets),
-			"sets_per_job":   strconv.Itoa(cfg.SetsPerJob),
+			"sets_per_job":   strconv.Itoa(setsPerJob),
 			"graphs_per_set": strconv.Itoa(cfg.GraphsPerSet),
 			"hyperperiods":   strconv.Itoa(cfg.Hyperperiods),
 			"utilizations":   joinFloats(cfg.Utilizations),
 			"batteries":      strings.Join(cfg.Batteries, ","),
 			"oracle":         strconv.FormatBool(cfg.OracleEstimates),
-			// Adaptive-stopping knobs: shards run with different settings
-			// cover different sets and must refuse to merge.
+			// The adaptive-stopping knobs decide how many sets the run
+			// covers.
 			"target_ci": formatFloat(cfg.TargetCI),
 			"max_sets":  strconv.Itoa(cfg.MaxSets),
 		},
@@ -336,14 +289,14 @@ func runScenarioGridReport(ctx context.Context, cfg ScenarioGridConfig) (*Report
 	for ui, util := range cfg.Utilizations {
 		for bi, bat := range cfg.Batteries {
 			for si, s := range schemes {
-				a := &aggs[ui][si][bi]
+				a := &aggs[ui][si*len(factories)+bi]
 				u := formatFloat(util)
 				rep.Rows = append(rep.Rows, ReportRow{
 					Key:    u + "|" + bat + "|" + s.name,
 					Labels: map[string]string{"utilization": u, "battery": bat, "scheme": s.name},
 					Cells: map[string]Cell{
-						"charge_mah": stateCell(&a.charge),
-						"life_min":   stateCell(&a.life),
+						"charge_mah": a.charge.Cell(),
+						"life_min":   a.life.Cell(),
 					},
 					Counts: map[string]int{"deadline_misses": a.misses},
 				})

@@ -16,13 +16,18 @@ import (
 // iterated 1 s expected-value recursion, shifting stochastic results by
 // ~1e-12 relative; version 3's closed-form runs of whole profile
 // repetitions, which shift lifetimes and delivered charge by ≤1e-9
-// relative; and version 4's exact Table 1 optimum, a dynamic programme that
+// relative; version 4's exact Table 1 optimum, a dynamic programme that
 // replaced a budgeted search, which moves the full-size rows of 13–15 tasks
 // whose search ran out of budget and drops Table 1's max_expansions meta
-// entry) — so that artifacts a persistent daemon cache stored under the old
+// entry; and version 5's per-set scenario grid, whose cells keep their
+// samples and fold set by set instead of merging chunk states, which moves
+// the mean and m2 of cells over more than one chunk of sets by a few ulps)
+// — so that artifacts a persistent daemon cache stored under the old
 // behaviour stop matching new submissions instead of being served stale.
-// Schema-only changes are covered separately by ReportVersion.
-const ResultsVersion = 4
+// Version 5 also keeps a persistent cache from serving a grid artifact or
+// shard partial without samples, which no longer merges. Schema-only changes
+// are covered separately by ReportVersion.
+const ResultsVersion = 5
 
 // CanonicalSpec returns the canonical, stable field-ordered encoding of one
 // (experiment, Spec) pair: a fixed sequence of key=value lines covering

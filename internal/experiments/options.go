@@ -15,8 +15,8 @@ import (
 //
 // All experiments enumerate their (set × scheme × sweep-point) grid as
 // independent jobs of the internal/runner harness. Jobs stream back in
-// deterministic job order (runner.RunStream) and the drivers fold them into
-// stats.Accumulators as they arrive, so no driver materialises its result
+// deterministic job order (runner.RunStream) and the drivers fold them set by
+// set into accumulators as they arrive, so no driver materialises its result
 // grid and every experiment is byte-identical at any Parallel value.
 type RunOptions struct {
 	// Parallel is the worker-pool size; <= 0 selects runtime.GOMAXPROCS(0)
@@ -40,20 +40,17 @@ type RunOptions struct {
 	// Shard restricts the run to one shard of a multi-process partition of
 	// the absolute set indices (the zero value runs everything). The driver
 	// then emits a partial Report that MergeReports combines with the other
-	// shards' partials into the complete run.
+	// shards' partials into the complete run. A sharded run needs fixed set
+	// counts (TargetCI <= 0; see Definition.CheckShards).
 	Shard Shard
 }
 
-// Shard selects shard Index of Count contiguous partitions of every batch's
+// Shard selects shard Index of Count contiguous partitions of the run's
 // absolute set-index range. Set seeds key on the absolute index, so the
 // shards of a run are exact partitions of the unsharded run's samples:
-// merging all partials reproduces the single-process tables. Under adaptive
-// stopping (TargetCI) the batch grid stays aligned to absolute indices and
-// each shard executes its slice of every batch, but convergence is judged on
-// the shard's own samples — shards therefore reproduce the unsharded
-// adaptive run exactly when they stop after the same number of batches
-// (always true when MaxSets caps the run, the recommended mode for sharded
-// sweeps; see EXPERIMENTS.md).
+// merging all partials reproduces the single-process report bit for bit.
+// Adaptive stopping (TargetCI) does not shard, because each shard would
+// judge convergence on its own samples (Definition.CheckShards).
 type Shard struct {
 	// Index is the shard number in [0, Count).
 	Index int
@@ -116,6 +113,16 @@ func ParseShard(s string) (Shard, error) {
 	return sh, nil
 }
 
+// checkShards refuses adaptive set counts on a sharded run (see
+// Definition.CheckShards). Any TargetCI that runAdaptiveSets does not read as
+// disabled, NaN included, is adaptive.
+func (o RunOptions) checkShards(sharded bool) error {
+	if sharded && !(o.TargetCI <= 0) {
+		return fmt.Errorf("%w: a run with adaptive set counts (target CI %v) does not shard; use fixed set counts", ErrBadConfig, o.TargetCI)
+	}
+	return nil
+}
+
 // runnerOptions translates the experiment knobs for the runner harness.
 func (o RunOptions) runnerOptions() runner.Options {
 	return runner.Options{Parallelism: o.Parallel, Progress: o.Progress}
@@ -140,26 +147,25 @@ func (o RunOptions) adaptiveMax(initial int) int {
 // executes sets [lo, hi) (hi-lo is at most the configured initial count, and
 // never zero), and conv inspects the caller's accumulators after each batch.
 // With adaptive stopping disabled exactly one batch of the initial count
-// runs, so fixed-set results are unchanged. With RunOptions.Shard set, every
-// batch is restricted to the shard's contiguous slice of its absolute range —
-// the batch grid itself never moves, so the shards of a run partition exactly
-// the set indices the unsharded run executes. A shard whose slice of a batch
-// is empty (more shards than sets) skips runBatch: its partial keeps empty
-// cells, which merge as identity. Returns the total number of absolute set
-// indices covered (across all shards).
+// runs, so fixed-set results are unchanged. With RunOptions.Shard set, that
+// batch is restricted to the shard's contiguous slice of the range, so the
+// shards of a run partition exactly the set indices the unsharded run
+// executes. A shard whose slice is empty (more shards than sets) skips
+// runBatch: its partial keeps empty cells, which merge as identity. Returns
+// the total number of absolute set indices covered (across all shards).
 //
 // Convergence is all-rows-or-nothing by design: every row of a sweep keeps
 // averaging over the same absolute set indices, so rows stay directly
 // comparable (the paper's tables compare columns over identical workloads)
-// and an adaptive run that stops at N sets reports the same samples a fixed
-// N-set run averages. (Drivers that fold sets one by one match such a fixed
-// run bit-for-bit; the chunked scenario grid matches up to floating-point
-// reassociation of its Welford merge when a chunk straddles a batch
-// boundary — see ScenarioGridConfig.SetsPerJob.) The cost is that converged
-// rows re-run alongside unconverged ones; per-row batching would save that
-// work but make row sample counts diverge.
+// and an adaptive run that stops at N sets reports bit for bit the samples a
+// fixed N-set run folds, since every driver folds set by set in absolute
+// order. The cost is that converged rows re-run alongside unconverged ones;
+// per-row batching would save that work but make row sample counts diverge.
 func runAdaptiveSets(o RunOptions, initial int, runBatch func(lo, hi int) error, conv func() bool) (int, error) {
 	if err := o.Shard.validate(); err != nil {
+		return 0, err
+	}
+	if err := o.checkShards(o.Shard.Enabled()); err != nil {
 		return 0, err
 	}
 	max := o.adaptiveMax(initial)

@@ -112,6 +112,21 @@ func Lookup(name string) (Definition, error) {
 	return d, nil
 }
 
+// CheckShards is the one decision whether d may run spec split into shards.
+// sharded says whether the run is split: a -shard slice, a daemon's shard
+// unit, or a job a daemon fans out over shards; an unsplit run always may.
+// The deterministic curve has no sets to split. Adaptive set counts
+// (TargetCI) do not shard either: each shard would judge convergence on its
+// own samples, so the merge could cover more sets than the unsharded run it
+// is cached as. A capped adaptive run that never converges covers the sets
+// of a fixed MaxSets run, which shards.
+func (d Definition) CheckShards(spec Spec, sharded bool) error {
+	if sharded && !d.Shardable {
+		return fmt.Errorf("%w: experiment %q is deterministic and does not shard", ErrBadConfig, d.Name)
+	}
+	return spec.checkShards(sharded)
+}
+
 // Run executes the named experiment with the given spec and returns its
 // Report — the single entry point the CLI and the battsched facade dispatch
 // through.
@@ -123,8 +138,8 @@ func Run(ctx context.Context, name string, spec Spec) (*Report, error) {
 	if err := spec.Shard.validate(); err != nil {
 		return nil, err
 	}
-	if spec.Shard.Enabled() && !d.Shardable {
-		return nil, fmt.Errorf("%w: experiment %q is deterministic and does not shard", ErrBadConfig, name)
+	if err := d.CheckShards(spec, spec.Shard.Enabled()); err != nil {
+		return nil, err
 	}
 	return d.Run(ctx, spec.normalised())
 }

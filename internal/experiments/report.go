@@ -60,13 +60,11 @@ type ReportRow struct {
 	Counts map[string]int `json:"counts,omitempty"`
 }
 
-// Cell is one metric cell: exported accumulator state, optionally backed by
-// the retained per-set samples. When every shard partial retains its samples,
-// MergeReports replays them in absolute set order, reproducing the
-// single-process accumulator bit-for-bit; without samples (the scenario
-// grid's chunk-merged cells) it falls back to the Welford state combination,
-// which reassociates the floating-point reduction and may differ from the
-// single-process values by a few ulps (never visibly at table precision).
+// Cell is one metric cell: exported accumulator state, backed by the retained
+// per-set samples of every driver that shards. MergeReports replays the
+// samples of all shard partials in absolute set order, reproducing the
+// single-process accumulator bit-for-bit. Only the deterministic curve, which
+// does not shard, reports cells without samples.
 type Cell struct {
 	stats.State
 	// Sets and Samples are parallel: Samples[i] is the key-metric observation
@@ -78,9 +76,6 @@ type Cell struct {
 
 // metricAcc builds one report cell: an online Welford accumulator plus the
 // retained (absolute set index, value) samples that make shard merging exact.
-// The per-set drivers feed it exactly like the plain accumulators they used
-// before, so the accumulated state — and therefore every golden value — is
-// unchanged.
 type metricAcc struct {
 	acc     stats.Accumulator
 	sets    []int
@@ -99,52 +94,37 @@ func (m *metricAcc) Cell() Cell {
 	return Cell{State: m.acc.State(), Sets: m.sets, Samples: m.samples}
 }
 
-// stateCell exports an accumulator as a sample-free cell (used by the
-// scenario grid, whose cells are already chunk merges).
-func stateCell(a *stats.Accumulator) Cell { return Cell{State: a.State()} }
-
-// replayable reports whether the cell retains one sample per observation.
-func (c Cell) replayable() bool { return len(c.Samples) == c.N && len(c.Sets) == c.N }
-
-// mergeCells combines the shard partials of one metric cell, given in shard
-// order. When every partial retains its samples the merge re-folds them in
-// absolute set order — bit-for-bit the single-process accumulator; otherwise
-// it falls back to the Welford state combination (see Cell).
+// mergeCells combines the shard partials of one metric cell: it re-folds
+// their samples in absolute set order, bit-for-bit the single-process
+// accumulator. A partial that does not retain one sample per observation
+// cannot merge exactly, so it is an error.
 func mergeCells(parts []Cell) (Cell, error) {
-	exact := true
+	type obs struct {
+		set int
+		x   float64
+	}
 	total := 0
 	for _, p := range parts {
-		if !p.replayable() {
-			exact = false
+		if len(p.Samples) != p.N || len(p.Sets) != p.N {
+			return Cell{}, fmt.Errorf("experiments: a partial cell of %d observations keeps %d samples, so it does not merge", p.N, len(p.Samples))
 		}
 		total += p.N
 	}
-	if exact {
-		type obs struct {
-			set int
-			x   float64
-		}
-		all := make([]obs, 0, total)
-		for _, p := range parts {
-			for i, set := range p.Sets {
-				all = append(all, obs{set, p.Samples[i]})
-			}
-		}
-		sort.SliceStable(all, func(i, j int) bool { return all[i].set < all[j].set })
-		merged := metricAcc{sets: make([]int, 0, total), samples: make([]float64, 0, total)}
-		for i, o := range all {
-			if i > 0 && o.set == all[i-1].set {
-				return Cell{}, fmt.Errorf("experiments: duplicate sample for set %d across shards", o.set)
-			}
-			merged.Add(o.set, o.x)
-		}
-		return merged.Cell(), nil
-	}
-	var acc stats.Accumulator
+	all := make([]obs, 0, total)
 	for _, p := range parts {
-		acc.Merge(stats.FromState(p.State))
+		for i, set := range p.Sets {
+			all = append(all, obs{set, p.Samples[i]})
+		}
 	}
-	return Cell{State: acc.State()}, nil
+	sort.SliceStable(all, func(i, j int) bool { return all[i].set < all[j].set })
+	merged := metricAcc{sets: make([]int, 0, total), samples: make([]float64, 0, total)}
+	for i, o := range all {
+		if i > 0 && o.set == all[i-1].set {
+			return Cell{}, fmt.Errorf("experiments: duplicate sample for set %d across shards", o.set)
+		}
+		merged.Add(o.set, o.x)
+	}
+	return merged.Cell(), nil
 }
 
 // ValidateShardCoverage checks that parts are the complete, non-overlapping
@@ -207,8 +187,7 @@ func ValidateShardCoverage(parts []*Report) error {
 // Every shard 0..Count-1 must be present exactly once (ValidateShardCoverage)
 // and the partials must agree on experiment, version, configuration
 // fingerprint (Meta) and row structure (keys, labels and cell names).
-// Per-set cells merge exactly (sample replay); state-only cells merge with
-// the documented Welford reassociation bound; counts sum.
+// Cells merge exactly by sample replay (mergeCells); counts sum.
 func MergeReports(parts []*Report) (*Report, error) {
 	if err := ValidateShardCoverage(parts); err != nil {
 		return nil, err

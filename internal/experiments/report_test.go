@@ -172,7 +172,8 @@ var badArtifacts = []string{
 }
 
 // TestMergeReportsValidation covers the merge error paths: wrong shard
-// counts, duplicate shards, unsharded inputs and configuration mismatches.
+// counts, duplicate shards, unsharded inputs, configuration mismatches and
+// cells without samples.
 func TestMergeReportsValidation(t *testing.T) {
 	ctx := context.Background()
 	shard := func(i, n int, spec Spec) *Report {
@@ -207,12 +208,14 @@ func TestMergeReportsValidation(t *testing.T) {
 	if _, err := MergeReports([]*Report{s0, shard(1, 2, otherSeed)}); err == nil {
 		t.Fatal("expected error for configuration mismatch")
 	}
-	// Adaptive-stopping settings decide which sets a shard executes, so they
-	// are part of the merge fingerprint too.
-	otherCI := spec
-	otherCI.TargetCI = 1000
-	if _, err := MergeReports([]*Report{s0, shard(1, 2, otherCI)}); err == nil {
-		t.Fatal("expected error for adaptive-stopping mismatch")
+	// A partial cell without one sample per observation cannot be replayed,
+	// so it fails the merge instead of merging approximately.
+	stateOnly := *s1
+	stateOnly.Rows = slices.Clone(s1.Rows)
+	stateOnly.Rows[0].Cells = maps.Clone(s1.Rows[0].Cells)
+	stateOnly.Rows[0].Cells["life_min"] = Cell{State: s1.Rows[0].Cells["life_min"].State}
+	if _, err := MergeReports([]*Report{s0, &stateOnly}); err == nil || !strings.Contains(err.Error(), "does not merge") {
+		t.Fatalf("sample-free partial cell: err = %v, want a merge error", err)
 	}
 	gridShard, err := Run(ctx, "grid", Spec{Quick: true, RunOptions: RunOptions{Shard: Shard{Index: 1, Count: 2}}})
 	if err != nil {

@@ -3,8 +3,8 @@ package experiments
 import (
 	"context"
 	"errors"
-	"math"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -105,77 +105,71 @@ func TestTable2ShardMergeExact(t *testing.T) {
 	}
 }
 
-// TestTable2ShardMergeAdaptive covers shard/merge under -ci adaptive set
-// counts: with an unattainable target capped by MaxSets, the unsharded run
-// and every shard execute the same absolute batch grid to the cap, so the
-// merge again reproduces the unsharded adaptive run bit-for-bit. (Each
-// shard's slices of consecutive batches are non-contiguous — sets {0,1},
-// {4,5} for shard 0 of 2 with batches of 4 — which exercises the
-// absolute-order sample replay.)
+// TestTable2ShardMergeAdaptive pins that adaptive set counts do not shard:
+// each shard would judge convergence on its own samples, so a merge could
+// cover more sets than the unsharded run whose content address it shares.
+// Every shardable experiment refuses the sharded run with ErrBadConfig,
+// through Run and through its typed entry point. The refusal loses no result: an unattainable target capped by MaxSets covers
+// exactly the sets of a fixed MaxSets run, which shards and merges exactly.
 func TestTable2ShardMergeAdaptive(t *testing.T) {
-	spec := Spec{Quick: true, Battery: "kibam", RunOptions: RunOptions{TargetCI: 1e-12, MaxSets: 8}}
-	full, err := Run(context.Background(), "table2", spec)
+	ctx := context.Background()
+	for _, name := range Names() {
+		d, err := Lookup(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !d.Shardable {
+			continue
+		}
+		spec := Spec{Quick: true, Battery: "kibam", RunOptions: RunOptions{TargetCI: 0.2, Shard: Shard{Index: 0, Count: 2}}}
+		if _, err := Run(ctx, name, spec); !errors.Is(err, ErrBadConfig) || !strings.Contains(err.Error(), "does not shard") {
+			t.Fatalf("%s: sharded adaptive run err = %v, want ErrBadConfig", name, err)
+		}
+	}
+	cfg := QuickTable2Config()
+	cfg.TargetCI, cfg.Shard = 0.2, Shard{Index: 1, Count: 2}
+	if _, err := RunTable2(ctx, cfg); !errors.Is(err, ErrBadConfig) {
+		t.Fatalf("RunTable2 sharded adaptive err = %v, want ErrBadConfig", err)
+	}
+
+	adaptive, err := Run(ctx, "table2", Spec{Quick: true, Battery: "kibam", RunOptions: RunOptions{TargetCI: 1e-12, MaxSets: 8}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := full.Rows[0].Cells["life_min"].N; n != 8 {
-		t.Fatalf("adaptive run covered %d sets, want the 8-set cap", n)
-	}
-	merged := runShards(t, "table2", spec, 2)
-	if !reflect.DeepEqual(merged, full) {
-		t.Fatalf("adaptive merged shards differ from unsharded run:\n%+v\n%+v", merged, full)
-	}
-	if formatted(t, merged) != formatted(t, full) {
-		t.Fatal("formatted output differs")
+	fixed := Spec{Quick: true, Battery: "kibam", Sets: 8}
+	merged := runShards(t, "table2", fixed, 2)
+	for ri, row := range adaptive.Rows {
+		if !reflect.DeepEqual(merged.Rows[ri].Cells, row.Cells) {
+			t.Fatalf("row %q: the capped adaptive run's cells differ from the sharded fixed 8-set run's", row.Key)
+		}
 	}
 }
 
 // TestPerSetDriversShardMergeExact extends the exactness guarantee to the
-// remaining per-set drivers (Table 1, Figure 6, the ablation).
+// remaining per-set drivers (Table 1, Figure 6, the ablation) and to the
+// grid over three set chunks, at shard counts that split chunks unevenly.
 func TestPerSetDriversShardMergeExact(t *testing.T) {
-	for _, name := range []string{"table1", "figure6", "ablation"} {
-		spec := Spec{Quick: true}
-		full, err := Run(context.Background(), name, spec)
+	for _, tc := range []struct {
+		name   string
+		spec   Spec
+		shards []int
+	}{
+		{"table1", Spec{Quick: true}, []int{2}},
+		{"figure6", Spec{Quick: true}, []int{2}},
+		{"ablation", Spec{Quick: true}, []int{2}},
+		{"grid", Spec{Quick: true, Battery: "kibam", Sets: 10}, []int{2, 3, 7}},
+	} {
+		full, err := Run(context.Background(), tc.name, tc.spec)
 		if err != nil {
-			t.Fatalf("%s: %v", name, err)
+			t.Fatalf("%s: %v", tc.name, err)
 		}
-		merged := runShards(t, name, spec, 2)
-		if !reflect.DeepEqual(merged, full) {
-			t.Fatalf("%s: merged shards differ from unsharded run:\n%+v\n%+v", name, merged, full)
-		}
-		if formatted(t, merged) != formatted(t, full) {
-			t.Fatalf("%s: formatted output differs", name)
-		}
-	}
-}
-
-// TestGridShardMergeWithinWelfordBound checks the scenario grid's documented
-// contract: its cells are chunk merges (state only, no samples), so a shard
-// merge reassociates the Welford reduction — means agree with the unsharded
-// run within rounding error and the formatted table (which rounds far more
-// coarsely) stays byte-identical.
-func TestGridShardMergeWithinWelfordBound(t *testing.T) {
-	spec := Spec{Quick: true}
-	full, err := Run(context.Background(), "grid", spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	merged := runShards(t, "grid", spec, 2)
-	if formatted(t, merged) != formatted(t, full) {
-		t.Fatal("formatted grid output differs beyond the Welford bound")
-	}
-	for ri, row := range full.Rows {
-		mrow := merged.Rows[ri]
-		if mrow.Key != row.Key || mrow.Counts["deadline_misses"] != row.Counts["deadline_misses"] {
-			t.Fatalf("row %d identity differs: %+v vs %+v", ri, mrow, row)
-		}
-		for name, cell := range row.Cells {
-			m := mrow.Cells[name]
-			if m.N != cell.N {
-				t.Fatalf("row %q cell %q: n = %d, want %d", row.Key, name, m.N, cell.N)
+		for _, n := range tc.shards {
+			merged := runShards(t, tc.name, tc.spec, n)
+			if !reflect.DeepEqual(merged, full) {
+				t.Fatalf("%s: %d merged shards differ from unsharded run:\n%+v\n%+v", tc.name, n, merged, full)
 			}
-			if math.Abs(m.Mean-cell.Mean) > 1e-9*math.Abs(cell.Mean) {
-				t.Fatalf("row %q cell %q: mean %v vs %v beyond reassociation bound", row.Key, name, m.Mean, cell.Mean)
+			if formatted(t, merged) != formatted(t, full) {
+				t.Fatalf("%s: formatted output differs", tc.name)
 			}
 		}
 	}

@@ -13,9 +13,9 @@
 // (set × scheme × sweep-point) grid is enumerated as independent jobs, each
 // job owns a random stream derived from the experiment seed and its grid
 // coordinates, and per-job results stream back in job order
-// (runner.RunStream) and fold directly into stats.Accumulators — so results
-// are byte-identical at any RunOptions.Parallel value and no driver holds
-// its full result grid in memory. With RunOptions.TargetCI set, the
+// (runner.RunStream) and fold set by set into stats.Accumulators — so
+// results are byte-identical at any RunOptions.Parallel value and no driver
+// holds its full result grid in memory. With RunOptions.TargetCI set, the
 // stochastic sweeps adaptively run additional batches of task-graph sets
 // until the Student-t CI95 half-width of their key metric is tight enough
 // (relative to the mean), bounded by RunOptions.MaxSets.
@@ -36,12 +36,13 @@
 // renders the historical plain-text tables byte-identically and which
 // marshals to the versioned JSON artifact of cmd/experiments -o. Because set
 // seeds key on absolute set indices, RunOptions.Shard partitions a run
-// exactly across processes; MergeReports recombines the partial Reports
-// (sample replay for the per-set drivers — bit-for-bit; Welford state
-// combination for the scenario grid's chunk-merged cells — exact up to
-// floating-point reassociation). FormatReport renders each experiment
-// through its typed rows and Format* function; RunLoadCapacityCurve and
-// RunScenarioGrid also return typed rows, for cmd/batsim and the facade.
+// exactly across processes; MergeReports recombines the partial Reports by
+// replaying their per-set samples, bit-for-bit the unsharded report, so a
+// spec names one artifact at any shard split. Definition.CheckShards decides
+// what may shard: neither the deterministic curve nor a run with adaptive set
+// counts does. FormatReport renders each experiment through its typed rows
+// and Format* function; RunLoadCapacityCurve and RunScenarioGrid also return
+// typed rows, for cmd/batsim and the facade.
 package experiments
 
 import (

@@ -66,11 +66,6 @@ func resolveBatteryFactories(names []string) ([]BatteryFactory, error) {
 type Table2Config struct {
 	// Sets is the number of random task-graph sets averaged (paper: 100).
 	Sets int
-	// SetsPerJob chunks the sets into jobs: each job simulates a chunk of
-	// sets sequentially on one reused engine (0 selects a default chunk
-	// size). The per-set fold is exact (keyed on absolute set indices), so
-	// results are byte-identical for any SetsPerJob at any Parallel value.
-	SetsPerJob int
 	// GraphsPerSet is the number of task graphs per set.
 	GraphsPerSet int
 	// Utilization is the worst-case utilisation of each set (paper: 0.70).
@@ -165,6 +160,12 @@ func paperSchemes(oracle bool) []paperScheme {
 	return schemes
 }
 
+// setsPerJob is the number of task-graph sets one job of the Table 2 and grid
+// drivers simulates on one evaluator: the next setsPerJob sets of a batch.
+// Both drivers fold every set into cells keyed on its absolute index, so the
+// chunk size changes no number.
+const setsPerJob = 4
+
 // table2Cell is the result of one scheme on one task-graph set.
 type table2Cell struct {
 	charge, life, energy, current float64
@@ -236,19 +237,16 @@ func init() {
 }
 
 // runTable2Report regenerates Table 2 for the configured battery model. Jobs
-// are chunks of SetsPerJob task-graph sets, each covering every scheme on one
+// are chunks of setsPerJob task-graph sets, each covering every scheme on one
 // reused engine; per-set cells stream back in chunk order and fold into
 // per-scheme accumulators keyed on absolute set indices, so the result is
-// byte-identical for any SetsPerJob at any parallelism. With
+// byte-identical at any parallelism and any shard split. With
 // RunOptions.TargetCI set, additional batches of sets run until the relative
 // CI95 of every scheme's battery lifetime (the key metric) converges or
 // MaxSets is reached.
 func runTable2Report(ctx context.Context, cfg Table2Config) (*Report, error) {
 	if cfg.Sets <= 0 || cfg.GraphsPerSet <= 0 || cfg.Utilization <= 0 || cfg.Utilization > 1 {
 		return nil, fmt.Errorf("%w: %+v", ErrBadConfig, cfg)
-	}
-	if cfg.SetsPerJob <= 0 {
-		cfg.SetsPerJob = 4
 	}
 	if cfg.Hyperperiods <= 0 {
 		cfg.Hyperperiods = 1
@@ -268,18 +266,12 @@ func runTable2Report(ctx context.Context, cfg Table2Config) (*Report, error) {
 
 	aggs := make([]table2Agg, len(schemes))
 	_, err = runAdaptiveSets(cfg.RunOptions, cfg.Sets, func(lo, hi int) error {
-		// Chunk boundaries are aligned to absolute set-index multiples of
-		// SetsPerJob, not to the batch start, so the chunk layout does not
-		// depend on how the adaptive loop sliced the set range into batches.
-		kLo, kHi := lo/cfg.SetsPerJob, (hi+cfg.SetsPerJob-1)/cfg.SetsPerJob
-		return runner.RunStream(ctx, kHi-kLo, cfg.runnerOptions(), func(_ context.Context, k int) ([][]table2Cell, error) {
-			setLo := max((kLo+k)*cfg.SetsPerJob, lo)
-			setHi := min((kLo+k+1)*cfg.SetsPerJob, hi)
-			return table2ChunkJob(cfg, proc, factory, schemes, setLo, setHi)
+		return runner.RunStream(ctx, (hi-lo+setsPerJob-1)/setsPerJob, cfg.runnerOptions(), func(_ context.Context, k int) ([][]table2Cell, error) {
+			setLo := lo + k*setsPerJob
+			return table2ChunkJob(cfg, proc, factory, schemes, setLo, min(setLo+setsPerJob, hi))
 		}, func(k int, rows [][]table2Cell) error {
-			setLo := max((kLo+k)*cfg.SetsPerJob, lo)
 			for off, cells := range rows {
-				set := setLo + off
+				set := lo + k*setsPerJob + off
 				for si, cell := range cells {
 					aggs[si].charge.Add(set, cell.charge)
 					aggs[si].life.Add(set, cell.life)
@@ -307,16 +299,15 @@ func runTable2Report(ctx context.Context, cfg Table2Config) (*Report, error) {
 		Meta: map[string]string{
 			"seed":              strconv.FormatInt(cfg.Seed, 10),
 			"sets":              strconv.Itoa(cfg.Sets),
-			"sets_per_job":      strconv.Itoa(cfg.SetsPerJob),
+			"sets_per_job":      strconv.Itoa(setsPerJob),
 			"graphs_per_set":    strconv.Itoa(cfg.GraphsPerSet),
 			"utilization":       formatFloat(cfg.Utilization),
 			"hyperperiods":      strconv.Itoa(cfg.Hyperperiods),
 			"battery":           cfg.BatteryName,
 			"oracle":            strconv.FormatBool(cfg.OracleEstimates),
 			"max_battery_hours": formatFloat(cfg.MaxBatteryHours),
-			// The adaptive-stopping knobs decide which absolute set indices a
-			// shard executes, so partials run with different settings must
-			// refuse to merge (MergeReports compares Meta).
+			// The adaptive-stopping knobs decide how many sets the run
+			// covers.
 			"target_ci": formatFloat(cfg.TargetCI),
 			"max_sets":  strconv.Itoa(cfg.MaxSets),
 		},

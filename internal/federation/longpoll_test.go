@@ -371,33 +371,14 @@ func TestJobStatusLongPoll(t *testing.T) {
 // TestOutOfOrderShardsMergeInShardOrder pins the shard-order merge on the
 // worker daemon and on the coordinator alike: shard 0 of a 3-shard job is
 // held until shards 1 and 2 are delivered, and the served artifact still
-// equals the local one byte for byte. For table2 that is the unsharded run;
-// the grid's sample-free cells merge by Welford state, so for it that is the
-// local shard partials merged.
+// equals the local unsharded run's byte for byte.
 func TestOutOfOrderShardsMergeInShardOrder(t *testing.T) {
 	ctx := context.Background()
 	spec := experiments.Spec{Quick: true, Battery: "kibam"}
-	parts := make([]*experiments.Report, 3)
-	for i := range parts {
-		s := spec
-		s.Shard = experiments.Shard{Index: i, Count: len(parts)}
-		rep, err := experiments.Run(ctx, "grid", s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		parts[i] = rep
-	}
-	grid, err := experiments.MergeReports(parts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var gridArtifact bytes.Buffer
-	if err := experiments.WriteArtifact(&gridArtifact, []*experiments.Report{grid}); err != nil {
-		t.Fatal(err)
-	}
+	const shards = 3
 	want := map[string][]byte{
 		"table2": localArtifact(t, "table2", spec),
-		"grid":   gridArtifact.Bytes(),
+		"grid":   localArtifact(t, "grid", spec),
 	}
 	holdFirst := func(s experiments.Shard) bool { return s.Index == 0 }
 	for _, front := range gatedFronts {
@@ -407,7 +388,7 @@ func TestOutOfOrderShardsMergeInShardOrder(t *testing.T) {
 				t.Cleanup(f.release)
 				c := client.New(f.url)
 				st, err := c.Submit(ctx, service.JobRequest{
-					Experiment: name, Spec: service.SpecRequestFrom(spec), Shards: len(parts),
+					Experiment: name, Spec: service.SpecRequestFrom(spec), Shards: shards,
 				})
 				if err != nil {
 					t.Fatal(err)
@@ -417,7 +398,7 @@ func TestOutOfOrderShardsMergeInShardOrder(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					if len(js.Shards) != len(parts) || js.Shards[0].State == service.StateDone {
+					if len(js.Shards) != shards || js.Shards[0].State == service.StateDone {
 						t.Fatalf("%s shards = %+v, want shard 0 held", name, js.Shards)
 					}
 					return js.Shards[1].State == service.StateDone && js.Shards[2].State == service.StateDone

@@ -89,7 +89,8 @@ type JobRequest struct {
 	Spec SpecRequest `json:"spec"`
 	// Shards fans the run out over this many independent shard units
 	// (RunOptions.Shard), auto-merged on completion; 0 or 1 runs unsharded.
-	// Requires a shardable experiment when > 1, and at most the queue bound
+	// When > 1 it requires a shardable experiment with fixed set counts
+	// (experiments.Definition.CheckShards), and it is at most the queue bound
 	// (Config.QueueCapacity), since every unit must fit the queue at once.
 	Shards int `json:"shards,omitempty"`
 	// Shard, when set ("2/4"), runs exactly that one shard slice as a
@@ -97,7 +98,8 @@ type JobRequest struct {
 	// of work a federation coordinator dispatches to workers. The job is
 	// content-addressed by the partial's hash (experiments.ShardSpecHash), so
 	// duplicate dispatches of the same unit coalesce or hit the cache.
-	// Mutually exclusive with Shards > 1; requires a shardable experiment.
+	// Mutually exclusive with Shards > 1; requires a shardable experiment
+	// with fixed set counts.
 	Shard string `json:"shard,omitempty"`
 	// TraceID is the submission's fleet-wide trace id. It travels as the
 	// X-Trace-Id header (obs.TraceHeader), not in the JSON body — the typed

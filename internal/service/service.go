@@ -30,12 +30,11 @@
 // gracefully (admissions stop, in-flight units finish, queued units stay
 // journaled for the next start).
 //
-// Byte-identity to the CLI is the correctness contract: per-set experiments
-// merge shard partials bit-for-bit (sample replay), so their served artifacts
-// equal the local unsharded `run -o` artifact byte-for-byte at any shard
-// count; the scenario grid's chunk-merged cells carry the documented Welford
-// reassociation bound instead, so its sharded artifacts equal the equivalent
-// local shard+merge pipeline.
+// Byte-identity to the CLI is the correctness contract: every shardable
+// experiment merges shard partials bit-for-bit (sample replay), so a served
+// artifact equals the local unsharded `run -o` artifact byte-for-byte at any
+// shard count. Adaptive set counts do not shard
+// (experiments.Definition.CheckShards), so a spec names one artifact.
 package service
 
 import (
@@ -469,11 +468,10 @@ func (s *Server) check(req JobRequest) (experiments.Spec, experiments.Shard, str
 		return spec, unitShard, "", fmt.Errorf("%w: shard %q and shards=%d are mutually exclusive",
 			experiments.ErrBadConfig, req.Shard, req.Shards)
 	}
-	if (req.Shards > 1 || unitShard.Enabled()) && !def.Shardable {
-		return spec, unitShard, "", fmt.Errorf("%w: experiment %q is deterministic and does not shard",
-			experiments.ErrBadConfig, req.Experiment)
-	}
 	spec = req.Spec.Spec()
+	if err := def.CheckShards(spec, req.Shards > 1 || unitShard.Enabled()); err != nil {
+		return spec, unitShard, "", err
+	}
 	if spec.Battery != "" {
 		// Fail a bad battery name at submission instead of asynchronously.
 		if _, err := experiments.NamedBatteryFactory(spec.Battery); err != nil {

@@ -249,6 +249,29 @@ func TestSubmitValidation(t *testing.T) {
 	}
 }
 
+// TestAdaptiveJobMatchesLocalRun pins that a spec with adaptive set counts
+// names one artifact: its sharded submission is refused, so the only
+// artifact the cache can hold under its address is the unsharded run's,
+// byte-identical to the local run -o.
+func TestAdaptiveJobMatchesLocalRun(t *testing.T) {
+	_, c := startDaemon(t, service.Config{Workers: 2})
+	spec := experiments.Spec{Quick: true, Battery: "kibam", RunOptions: experiments.RunOptions{TargetCI: 0.2}}
+	req := service.JobRequest{Experiment: "table2", Spec: service.SpecRequestFrom(spec), Shards: 2}
+	var ae *client.APIError
+	if _, err := c.Submit(context.Background(), req); !errors.As(err, &ae) || ae.Status != 400 {
+		t.Fatalf("sharded adaptive submit err = %v, want HTTP 400", err)
+	}
+	req.Shards = 0
+	st := submitAndWait(t, c, req)
+	got, err := c.ReportArtifact(context.Background(), st.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := localArtifact(t, "table2", spec); !bytes.Equal(got, want) {
+		t.Fatalf("served adaptive artifact differs from the local run:\n%s\nwant:\n%s", got, want)
+	}
+}
+
 // TestSubmitRejectsTrailingData pins that a POST /v1/jobs body holds exactly
 // one JSON value: a second value and garbage after the first answer 400 and
 // admit nothing. The decoder once ignored them and ran the first value as a

@@ -80,8 +80,8 @@ func TestShardUnitJob(t *testing.T) {
 }
 
 // TestShardUnitValidation pins shard-unit admission errors: malformed shard
-// strings, mixing Shard with Shards, and non-shardable experiments all fail
-// with ErrBadConfig at submission.
+// strings, mixing Shard with Shards, non-shardable experiments and adaptive
+// set counts all fail with ErrBadConfig at submission.
 func TestShardUnitValidation(t *testing.T) {
 	srv, _ := startDaemon(t, service.Config{Workers: 1})
 	cases := []struct {
@@ -93,6 +93,7 @@ func TestShardUnitValidation(t *testing.T) {
 		{"out-of-range", service.JobRequest{Experiment: "table2", Shard: "3/3"}, "shard"},
 		{"mixed", service.JobRequest{Experiment: "table2", Shard: "0/2", Shards: 2}, "mutually exclusive"},
 		{"deterministic", service.JobRequest{Experiment: "curve", Shard: "0/2"}, "does not shard"},
+		{"adaptive", service.JobRequest{Experiment: "table2", Spec: service.SpecRequest{TargetCI: 0.2}, Shard: "0/2"}, "does not shard"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

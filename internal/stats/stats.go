@@ -83,8 +83,8 @@ func ci95(n int, sd float64) float64 {
 	return TCritical95(n-1) * sd / math.Sqrt(float64(n))
 }
 
-// Accumulator collects values online (Welford's algorithm) so experiment
-// sweeps do not need to keep every sample.
+// Accumulator collects values online (Welford's algorithm): the count, mean,
+// sum of squared deviations and extrema, without keeping the values.
 type Accumulator struct {
 	n    int
 	mean float64
@@ -111,38 +111,12 @@ func (a *Accumulator) Add(x float64) {
 	a.m2 += d * (x - a.mean)
 }
 
-// Merge incorporates the observations of b into a, as if every value added
-// to b had been added to a (Chan et al.'s parallel Welford combination). It
-// lets each worker of a parallel sweep aggregate into its own Accumulator
-// without locks and the caller combine the partials afterwards; merging
-// partials in a fixed order yields deterministic results at any worker count.
-func (a *Accumulator) Merge(b Accumulator) {
-	if b.n == 0 {
-		return
-	}
-	if a.n == 0 {
-		*a = b
-		return
-	}
-	n := a.n + b.n
-	d := b.mean - a.mean
-	a.m2 += b.m2 + d*d*float64(a.n)*float64(b.n)/float64(n)
-	a.mean += d * float64(b.n) / float64(n)
-	if b.min < a.min {
-		a.min = b.min
-	}
-	if b.max > a.max {
-		a.max = b.max
-	}
-	a.n = n
-}
-
 // State is the serialisable snapshot of an Accumulator: the Welford triple
 // (n, mean, M2) plus the running extrema. JSON round-trips are exact —
 // encoding/json emits the shortest float64 representation that parses back to
 // the identical bits — so an exported State re-imported with FromState behaves
-// bit-for-bit like the original accumulator. Shard/merge experiment runs rely
-// on this to move partial accumulators between processes.
+// bit-for-bit like the original accumulator. Experiment report artifacts
+// rely on this to move cells between processes.
 type State struct {
 	N    int     `json:"n"`
 	Mean float64 `json:"mean"`
@@ -157,8 +131,8 @@ func (a *Accumulator) State() State {
 }
 
 // FromState reconstructs an Accumulator from exported state. The result is
-// indistinguishable from the accumulator that produced s: subsequent Add and
-// Merge calls continue bit-for-bit as if the original had kept running.
+// indistinguishable from the accumulator that produced s: subsequent Add
+// calls continue bit-for-bit as if the original had kept running.
 func FromState(s State) Accumulator {
 	return Accumulator{n: s.N, mean: s.Mean, m2: s.M2, min: s.Min, max: s.Max}
 }

@@ -57,9 +57,8 @@ type (
 	// StatsSummary is the aggregate description of one cell metric (the CI95
 	// half-width uses Student-t critical values).
 	StatsSummary = stats.Summary
-	// StatsAccumulator folds observations online (Welford) and merges with
-	// other accumulators deterministically — the building block streamed
-	// sweeps fold into.
+	// StatsAccumulator folds observations online (Welford) — the building
+	// block streamed sweeps fold into, one observation at a time.
 	StatsAccumulator = stats.Accumulator
 	// StatsState is the serialisable snapshot of a StatsAccumulator
 	// (n/mean/M2/min/max); JSON round-trips are bit-exact, which is what lets
