@@ -12,7 +12,8 @@
 //	GET  /v1/jobs/{id}/report  the versioned JSON report artifact
 //	                           (?format=table renders the plain-text tables;
 //	                           ?wait= holds an unfinished job, then answers
-//	                           the artifact, its failure, or 409)
+//	                           the artifact, its failure, or 409; 410 once
+//	                           the report cache no longer holds it)
 //	GET  /v1/experiments       the experiment registry
 //	GET  /v1/batteries         the battery model registry
 //	GET  /healthz              queue depth, in-flight units, cache stats
@@ -22,7 +23,12 @@
 // complete report artifact is already cached — computed by any earlier job,
 // sharded or not, even before a restart when -cache-dir is set — is answered
 // immediately with "cached": true. Fetched artifacts are byte-identical to
-// the files the equivalent local `cmd/experiments run -o` writes.
+// the files the equivalent local `cmd/experiments run -o` writes. The report
+// cache is the only artifact store: a finished job keeps its content
+// address, and its report is read from the cache's memory tier
+// (-cache-entries artifacts) or its pack. Without -cache-dir, a job's report
+// answers 410 once -cache-entries later artifacts have pushed it out; the
+// spec is then resubmitted.
 //
 // Concurrent submissions of one spec coalesce onto a single in-flight
 // computation ("coalesced": true followers). With -cache-dir set, the

@@ -48,7 +48,6 @@
 package main
 
 import (
-	"bytes"
 	"context"
 	"flag"
 	"fmt"
@@ -314,7 +313,7 @@ func cmdSubmit(args []string, stdout io.Writer) error {
 		if err != nil {
 			return err
 		}
-		if err := d.CheckShards(spec, *shards > 1); err != nil {
+		if err := d.Check(spec, *shards > 1); err != nil {
 			return fmt.Errorf("submit: %w", err)
 		}
 	}
@@ -380,7 +379,7 @@ func cmdSubmit(args []string, stdout io.Writer) error {
 		if err != nil {
 			return err
 		}
-		reports, err := experiments.ReadArtifact(bytes.NewReader(raw))
+		reports, err := experiments.ParseArtifact(raw)
 		if err != nil {
 			return err
 		}
@@ -441,7 +440,7 @@ func executeAll(names []string, f runnerFlags, stdout io.Writer) error {
 		if err != nil {
 			return err
 		}
-		if err := d.CheckShards(spec, spec.Shard.Enabled()); err != nil {
+		if err := d.Check(spec, spec.Shard.Enabled()); err != nil {
 			return fmt.Errorf("run: %w", err)
 		}
 	}

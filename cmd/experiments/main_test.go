@@ -136,6 +136,18 @@ func TestRunSubcommandErrors(t *testing.T) {
 	if err := run([]string{"run", "table2", "curve", "-quick", "-shard", "0/2"}, &buf); err == nil || !strings.Contains(err.Error(), "curve") {
 		t.Fatalf("sharded run containing the curve should fail fast, got %v", err)
 	}
+	// A target CI that means nothing is refused before anything runs.
+	for _, ci := range []string{"NaN", "Inf", "-1"} {
+		out := filepath.Join(t.TempDir(), "r.json")
+		var stdout bytes.Buffer
+		err := run([]string{"run", "table2", "-quick", "-battery", "kibam", "-ci", ci, "-o", out}, &stdout)
+		if !errors.Is(err, experiments.ErrBadConfig) {
+			t.Fatalf("run -ci %s err = %v, want ErrBadConfig", ci, err)
+		}
+		if _, statErr := os.Stat(out); stdout.Len() > 0 || statErr == nil {
+			t.Fatalf("run -ci %s printed %q or wrote its artifact", ci, stdout.String())
+		}
+	}
 	if err := run([]string{"bogus-command"}, &buf); err == nil {
 		t.Fatal("expected error for unknown subcommand-looking flag")
 	}
@@ -398,6 +410,12 @@ func TestSubmitErrors(t *testing.T) {
 	// Adaptive set counts do not shard: refused before any request is sent.
 	if err := run([]string{"submit", "table2", "-quick", "-ci", "0.2", "-shards", "2", "-server", "http://127.0.0.1:1"}, &buf); !errors.Is(err, experiments.ErrBadConfig) {
 		t.Fatalf("sharded -ci submit err = %v, want ErrBadConfig", err)
+	}
+	// So is a target CI that means nothing.
+	for _, ci := range []string{"NaN", "Inf", "-1"} {
+		if err := run([]string{"submit", "table2", "-quick", "-ci", ci, "-server", "http://127.0.0.1:1"}, &buf); !errors.Is(err, experiments.ErrBadConfig) {
+			t.Fatalf("submit -ci %s err = %v, want ErrBadConfig", ci, err)
+		}
 	}
 	// Unreachable daemon: the transport error must surface.
 	if err := run([]string{"submit", "table2", "-quick", "-server", "http://127.0.0.1:1", "-poll", "1ms"}, &buf); err == nil {

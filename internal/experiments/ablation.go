@@ -117,7 +117,8 @@ func runEstimateAblationReport(ctx context.Context, cfg EstimateAblationConfig) 
 		return runner.RunStream(ctx, hi-lo, cfg.runnerOptions(), func(_ context.Context, i int) ([]float64, error) {
 			// The set index is absolute, so seeds are batch- and
 			// shard-independent.
-			ev := newEvaluator(proc, cfg.Hyperperiods, 0)
+			ev := getEvaluator(proc, cfg.Hyperperiods, 0)
+			defer ev.release()
 			if err := ev.generate(runner.SeedFor(cfg.Seed, int64(lo+i)), cfg.GraphsPerSet, cfg.Utilization); err != nil {
 				return nil, err
 			}

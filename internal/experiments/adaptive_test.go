@@ -3,7 +3,9 @@ package experiments
 import (
 	"context"
 	"errors"
+	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"battsched/internal/stats"
@@ -180,5 +182,31 @@ func TestAdaptiveGridMatchesFixedRun(t *testing.T) {
 	}
 	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("adaptive 4+4-set grid differs from fixed 8-set grid:\n%v\n%v", a, b)
+	}
+}
+
+// TestMeaninglessTargetCIRefused pins the one TargetCI rule: NaN, an
+// infinity or a negative target fails every experiment's Run, the curve's
+// included, and a driver's own entry point, with ErrBadConfig before
+// anything runs. Before the rule, NaN ran as an adaptive run that stopped
+// after its first batch, and -1 as a fixed run, each under a content address
+// of its own.
+func TestMeaninglessTargetCIRefused(t *testing.T) {
+	ctx := context.Background()
+	for _, ci := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -1, -1e-300} {
+		for _, name := range Names() {
+			spec := Spec{Quick: true, Battery: "kibam", RunOptions: RunOptions{TargetCI: ci}}
+			if _, err := Run(ctx, name, spec); !errors.Is(err, ErrBadConfig) || !strings.Contains(err.Error(), "target CI") {
+				t.Fatalf("%s with TargetCI %v: err = %v, want ErrBadConfig on the target CI", name, ci, err)
+			}
+		}
+		cfg := QuickTable2Config()
+		cfg.TargetCI = ci
+		if _, err := RunTable2(ctx, cfg); !errors.Is(err, ErrBadConfig) {
+			t.Fatalf("RunTable2 with TargetCI %v: err = %v, want ErrBadConfig", ci, err)
+		}
+	}
+	if _, err := Run(ctx, "table2", Spec{Quick: true, Battery: "kibam", RunOptions: RunOptions{TargetCI: math.Copysign(0, -1)}}); err != nil {
+		t.Fatalf("TargetCI -0 (fixed set counts): %v", err)
 	}
 }

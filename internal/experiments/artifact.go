@@ -300,6 +300,12 @@ func ReadArtifact(r io.Reader) ([]*Report, error) {
 	if err != nil {
 		return nil, fmt.Errorf("experiments: reading report artifact: %w", err)
 	}
+	return ParseArtifact(data)
+}
+
+// ParseArtifact is ReadArtifact of bytes already in memory, which it parses
+// in place: the reports share no memory with data.
+func ParseArtifact(data []byte) ([]*Report, error) {
 	version, reports, err := parseArtifact(data)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: decoding report artifact: %w", err)

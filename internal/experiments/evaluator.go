@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"math/rand"
+	"sync"
 
 	"battsched/internal/battery"
 	"battsched/internal/core"
@@ -48,8 +49,9 @@ type scheme struct {
 // records each run's load profile and every model is evaluated on it; without
 // them, core.Discard records nothing (the engine still totals the energy).
 // As with a reused engine, a run's Result and Profile are valid only until
-// the next run. An evaluator is not safe for concurrent use; the drivers
-// keep one per runner job.
+// the next run. An evaluator is not safe for concurrent use; each runner job
+// of a driver takes one from the pool (getEvaluator) and releases it when
+// done.
 type evaluator struct {
 	proc         *processor.Model
 	hyperperiods int
@@ -57,8 +59,8 @@ type evaluator struct {
 	rng          *rand.Rand // the system generator, reseeded per set
 	uni          *taskgraph.UniformExecution
 	exec         *taskgraph.RecordedExecution
-	rec          *core.ProfileRecorder // nil without battery models
-	models       []battery.Model
+	rec          *core.ProfileRecorder // built by the first job with battery models
+	models       []battery.Model       // the job's models; empty without batteries
 	simOpts      battery.SimulateOptions
 
 	sys      *taskgraph.System
@@ -66,30 +68,55 @@ type evaluator struct {
 	recorded bool // a run on the current set has recorded its realisation
 }
 
-// newEvaluator returns an evaluator simulating hyperperiods hyperperiods per
-// run on proc, with one model instance per battery factory (each simulation
-// resets its models, so the instances serve every run) capped at
-// maxBatteryHours.
-func newEvaluator(proc *processor.Model, hyperperiods int, maxBatteryHours float64, batteries ...BatteryFactory) *evaluator {
+// evaluators recycles evaluators, with their engine, generator, realisation
+// tape and profile recorder, across the runner jobs of every driver and Run.
+// Each of those parts is reset or reseeded before it is read (the engine by
+// Reset, the generator and the realisation by generate, the recorder by run),
+// and the battery models are rebuilt from each job's factories, so a reused
+// evaluator computes bit for bit what a fresh one does; it only allocates
+// less.
+var evaluators = sync.Pool{New: func() any { return newEvaluator() }}
+
+// takeEvaluator is where getEvaluator takes its evaluators: the pool. A test
+// that compares pooled runs with fresh ones swaps in newEvaluator.
+var takeEvaluator = func() *evaluator { return evaluators.Get().(*evaluator) }
+
+// newEvaluator returns an evaluator with nothing to reuse yet.
+func newEvaluator() *evaluator {
 	uni := taskgraph.NewUniformExecution(0.2, 1.0, 0)
-	ev := &evaluator{
-		proc:         proc,
-		hyperperiods: hyperperiods,
-		rng:          rand.New(rand.NewSource(0)),
-		uni:          uni,
-		exec:         taskgraph.NewRecordedExecution(uni),
+	return &evaluator{
+		rng:  rand.New(rand.NewSource(0)),
+		uni:  uni,
+		exec: taskgraph.NewRecordedExecution(uni),
 	}
-	if len(batteries) > 0 {
+}
+
+// getEvaluator takes an evaluator from the pool, set to simulate hyperperiods
+// hyperperiods per run on proc, with one model instance per battery factory
+// (each simulation resets its models, so the instances serve every run)
+// capped at maxBatteryHours. Release it when the job is done.
+func getEvaluator(proc *processor.Model, hyperperiods int, maxBatteryHours float64, batteries ...BatteryFactory) *evaluator {
+	ev := takeEvaluator()
+	ev.proc, ev.hyperperiods = proc, hyperperiods
+	for _, factory := range batteries {
+		ev.models = append(ev.models, factory())
+	}
+	if len(batteries) > 0 && ev.rec == nil {
 		ev.rec = core.NewProfileRecorder()
-		ev.models = make([]battery.Model, len(batteries))
-		for i, factory := range batteries {
-			ev.models[i] = factory()
-		}
-		// Zero MaxStep selects each model's analytic fast path (whole
-		// segments and closed-form runs of repetitions).
-		ev.simOpts = battery.SimulateOptions{MaxTime: maxBatteryHours * 3600}
 	}
+	// Zero MaxStep selects each model's analytic fast path (whole segments
+	// and closed-form runs of repetitions).
+	ev.simOpts = battery.SimulateOptions{MaxTime: maxBatteryHours * 3600}
 	return ev
+}
+
+// release returns ev to the pool, dropping the job's set and models. Nothing
+// a run returned may be read afterwards.
+func (ev *evaluator) release() {
+	ev.sys, ev.proc = nil, nil
+	clear(ev.models)
+	ev.models = ev.models[:0]
+	evaluators.Put(ev)
 }
 
 // generate makes the set of seed current: its system of graphs task graphs
@@ -125,7 +152,7 @@ func (ev *evaluator) run(s scheme) (*core.Result, []battery.Result, error) {
 		est = s.estimator()
 	}
 	sink := core.Discard
-	if ev.rec != nil {
+	if len(ev.models) > 0 {
 		ev.rec.Reset()
 		sink = ev.rec
 	}
@@ -146,7 +173,7 @@ func (ev *evaluator) run(s scheme) (*core.Result, []battery.Result, error) {
 		return nil, nil, err
 	}
 	res, err := ev.eng.Run()
-	if err != nil || ev.models == nil {
+	if err != nil || len(ev.models) == 0 {
 		return res, nil, err
 	}
 	brs, err := battery.SimulateBatch(ev.models, res.Profile, ev.simOpts)

@@ -154,7 +154,8 @@ func runFigure6Report(ctx context.Context, cfg Figure6Config) (*Report, error) {
 			// The set index is absolute (lo+c[1]), so a sample's random
 			// stream does not depend on the batch layout or the shard.
 			count, set := cfg.GraphCounts[c[0]], lo+c[1]
-			ev := newEvaluator(proc, cfg.Hyperperiods, 0)
+			ev := getEvaluator(proc, cfg.Hyperperiods, 0)
+			defer ev.release()
 			if err := ev.generate(runner.SeedFor(cfg.Seed, int64(count), int64(set)), count, cfg.Utilization); err != nil {
 				return nil, err
 			}

@@ -202,7 +202,8 @@ func runScenarioGridReport(ctx context.Context, cfg ScenarioGridConfig) (*Report
 	// the shared workload seed.
 	chunkJob := func(ui, setLo, setHi int) ([][]gridCell, error) {
 		out := make([][]gridCell, 0, setHi-setLo)
-		ev := newEvaluator(proc, cfg.Hyperperiods, cfg.MaxBatteryHours, factories...)
+		ev := getEvaluator(proc, cfg.Hyperperiods, cfg.MaxBatteryHours, factories...)
+		defer ev.release()
 		for set := setLo; set < setHi; set++ {
 			// The workload seed is shared by every (battery, scheme) cell of
 			// this utilisation point so cells stay comparable.

@@ -20,7 +20,8 @@ func quickTable2Profiles(t *testing.T) []*profile.Profile {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ev := newEvaluator(defaultProcessor(), cfg.Hyperperiods, cfg.MaxBatteryHours, factory)
+	ev := getEvaluator(defaultProcessor(), cfg.Hyperperiods, cfg.MaxBatteryHours, factory)
+	defer ev.release()
 	var out []*profile.Profile
 	for set := 0; set < cfg.Sets; set++ {
 		if err := ev.generate(runner.SeedFor(cfg.Seed, int64(set)), cfg.GraphsPerSet, cfg.Utilization); err != nil {

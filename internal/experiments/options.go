@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
@@ -30,8 +31,9 @@ type RunOptions struct {
 	// TargetCI enables adaptive set counts: the driver runs batches of sets
 	// (each the size of the configured set count) until the relative
 	// Student-t CI95 half-width of its key metric falls below TargetCI for
-	// every reported row, or MaxSets is reached. <= 0 disables adaptive
-	// stopping, running exactly the configured set count. Deterministic
+	// every reported row, or MaxSets is reached. 0 disables adaptive
+	// stopping, running exactly the configured set count; a NaN, infinite
+	// or negative target is refused with ErrBadConfig. Deterministic
 	// experiments without stochastic sets (the battery curve) ignore it.
 	TargetCI float64
 	// MaxSets is the hard cap on the adaptively grown set count; 0 selects
@@ -41,7 +43,7 @@ type RunOptions struct {
 	// the absolute set indices (the zero value runs everything). The driver
 	// then emits a partial Report that MergeReports combines with the other
 	// shards' partials into the complete run. A sharded run needs fixed set
-	// counts (TargetCI <= 0; see Definition.CheckShards).
+	// counts (TargetCI 0; see Definition.Check).
 	Shard Shard
 }
 
@@ -50,7 +52,7 @@ type RunOptions struct {
 // shards of a run are exact partitions of the unsharded run's samples:
 // merging all partials reproduces the single-process report bit for bit.
 // Adaptive stopping (TargetCI) does not shard, because each shard would
-// judge convergence on its own samples (Definition.CheckShards).
+// judge convergence on its own samples (Definition.Check).
 type Shard struct {
 	// Index is the shard number in [0, Count).
 	Index int
@@ -113,11 +115,13 @@ func ParseShard(s string) (Shard, error) {
 	return sh, nil
 }
 
-// checkShards refuses adaptive set counts on a sharded run (see
-// Definition.CheckShards). Any TargetCI that runAdaptiveSets does not read as
-// disabled, NaN included, is adaptive.
-func (o RunOptions) checkShards(sharded bool) error {
-	if sharded && !(o.TargetCI <= 0) {
+// check refuses a TargetCI that means nothing (NaN, infinite or negative)
+// and adaptive set counts on a sharded run (see Definition.Check).
+func (o RunOptions) check(sharded bool) error {
+	if math.IsNaN(o.TargetCI) || math.IsInf(o.TargetCI, 0) || o.TargetCI < 0 {
+		return fmt.Errorf("%w: target CI %v, want a finite relative CI95 half-width > 0, or 0 for fixed set counts", ErrBadConfig, o.TargetCI)
+	}
+	if sharded && o.TargetCI > 0 {
 		return fmt.Errorf("%w: a run with adaptive set counts (target CI %v) does not shard; use fixed set counts", ErrBadConfig, o.TargetCI)
 	}
 	return nil
@@ -165,7 +169,7 @@ func runAdaptiveSets(o RunOptions, initial int, runBatch func(lo, hi int) error,
 	if err := o.Shard.validate(); err != nil {
 		return 0, err
 	}
-	if err := o.checkShards(o.Shard.Enabled()); err != nil {
+	if err := o.check(o.Shard.Enabled()); err != nil {
 		return 0, err
 	}
 	max := o.adaptiveMax(initial)

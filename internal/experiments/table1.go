@@ -38,7 +38,7 @@
 // seeds key on absolute set indices, RunOptions.Shard partitions a run
 // exactly across processes; MergeReports recombines the partial Reports by
 // replaying their per-set samples, bit-for-bit the unsharded report, so a
-// spec names one artifact at any shard split. Definition.CheckShards decides
+// spec names one artifact at any shard split. Definition.Check decides
 // what may shard: neither the deterministic curve nor a run with adaptive set
 // counts does. FormatReport renders each experiment through its typed rows
 // and Format* function; RunLoadCapacityCurve and RunScenarioGrid also return

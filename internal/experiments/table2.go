@@ -177,7 +177,8 @@ type table2Cell struct {
 // schemes, so schemes always compare on identical task graphs.
 func table2ChunkJob(cfg Table2Config, proc *processor.Model, factory BatteryFactory, schemes []paperScheme, setLo, setHi int) ([][]table2Cell, error) {
 	out := make([][]table2Cell, 0, setHi-setLo)
-	ev := newEvaluator(proc, cfg.Hyperperiods, cfg.MaxBatteryHours, factory)
+	ev := getEvaluator(proc, cfg.Hyperperiods, cfg.MaxBatteryHours, factory)
+	defer ev.release()
 	for set := setLo; set < setHi; set++ {
 		if err := ev.generate(runner.SeedFor(cfg.Seed, int64(set)), cfg.GraphsPerSet, cfg.Utilization); err != nil {
 			return nil, err

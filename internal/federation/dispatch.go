@@ -1,7 +1,6 @@
 package federation
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -500,7 +499,7 @@ func (f *fleet) deliver(l *lease, raw []byte) func() {
 
 // decodePartial decodes a single-report artifact.
 func decodePartial(raw []byte) (*experiments.Report, error) {
-	reports, err := experiments.ReadArtifact(bytes.NewReader(raw))
+	reports, err := experiments.ParseArtifact(raw)
 	if err != nil {
 		return nil, err
 	}

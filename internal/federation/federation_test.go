@@ -604,3 +604,87 @@ func TestCoordinatorValidation(t *testing.T) {
 		t.Fatalf("unknown artifact err = %v", err)
 	}
 }
+
+// TestEvictedUnitReportRedispatched pins the coordinator's answer to a
+// worker that no longer holds a finished unit's artifact. The worker is
+// memory-only with a one-entry report cache, and before its first report
+// request is served it finishes the unit and then another job, which evicts
+// the unit's artifact: that request answers 410. The coordinator re-dispatches
+// the unit, the worker recomputes it, and the job ends with the local
+// artifact.
+func TestEvictedUnitReportRedispatched(t *testing.T) {
+	srv, err := service.New(service.Config{Workers: 1, CacheEntries: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := srv.Handler()
+	var once sync.Once
+	var gone atomic.Int32
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		id, isReport := strings.CutSuffix(strings.TrimPrefix(r.URL.Path, "/v1/jobs/"), "/report")
+		if isReport {
+			once.Do(func() {
+				if _, err := srv.JobWait(r.Context(), id, time.Minute); err != nil {
+					t.Error(err)
+					return
+				}
+				st, err := srv.Submit(service.JobRequest{Experiment: "table2", Spec: service.SpecRequest{Quick: true, Battery: "kibam", Seed: 99}})
+				if err == nil {
+					_, err = srv.JobWait(r.Context(), st.ID, time.Minute)
+				}
+				if err != nil {
+					t.Error(err)
+				}
+			})
+		}
+		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
+		h.ServeHTTP(sw, r)
+		if sw.status == http.StatusGone {
+			gone.Add(1)
+		}
+	}))
+	t.Cleanup(func() {
+		ts.Close()
+		srv.Close()
+	})
+
+	co, c := startCoordinator(t, fastConfig(ts.URL))
+	waitFor(t, "the worker live", func() bool { return co.Health().Fleet.LiveWorkers == 1 })
+	spec := experiments.Spec{Quick: true, Battery: "kibam"}
+	ctx := context.Background()
+	st, err := c.Submit(ctx, service.JobRequest{Experiment: "table2", Spec: service.SpecRequestFrom(spec), Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	final, err := c.Wait(ctx, st.ID, 5*time.Millisecond, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if final.State != service.StateDone {
+		t.Fatalf("job = %s (%s), want done", final.State, final.Error)
+	}
+	got, err := c.ReportArtifact(ctx, st.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, localArtifact(t, "table2", spec)) {
+		t.Fatal("served artifact differs from the local one")
+	}
+	if n := gone.Load(); n != 1 {
+		t.Fatalf("worker answered 410 %d times, want once", n)
+	}
+	if n := co.Health().Fleet.ExpiredRedispatches; n != 1 {
+		t.Fatalf("coordinator re-dispatched %d units, want 1", n)
+	}
+}
+
+// statusWriter records the status a handler writes.
+type statusWriter struct {
+	http.ResponseWriter
+	status int
+}
+
+func (w *statusWriter) WriteHeader(status int) {
+	w.status = status
+	w.ResponseWriter.WriteHeader(status)
+}

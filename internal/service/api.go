@@ -90,7 +90,7 @@ type JobRequest struct {
 	// Shards fans the run out over this many independent shard units
 	// (RunOptions.Shard), auto-merged on completion; 0 or 1 runs unsharded.
 	// When > 1 it requires a shardable experiment with fixed set counts
-	// (experiments.Definition.CheckShards), and it is at most the queue bound
+	// (experiments.Definition.Check), and it is at most the queue bound
 	// (Config.QueueCapacity), since every unit must fit the queue at once.
 	Shards int `json:"shards,omitempty"`
 	// Shard, when set ("2/4"), runs exactly that one shard slice as a
@@ -186,7 +186,9 @@ type Health struct {
 	// the same spec instead of computing, over the daemon's lifetime.
 	CoalescedJobs int `json:"coalesced_jobs"`
 	// CacheEntries, CacheHits and CacheMisses describe the report cache's
-	// in-memory tier.
+	// in-memory tier. Hits and misses count the lookups that could reuse a
+	// result (admission, journal replay); a report read (GET
+	// /v1/jobs/{id}/report) counts as neither.
 	CacheEntries int `json:"cache_entries"`
 	CacheHits    int `json:"cache_hits"`
 	CacheMisses  int `json:"cache_misses"`

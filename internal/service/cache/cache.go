@@ -15,11 +15,12 @@
 //
 // where length is the artifact's size in decimal and crc32c is the CRC-32C
 // (Castagnoli) of the key followed by the artifact, in 8 lowercase hex
-// digits. A Put appends its record in one write to the file opened with
-// O_APPEND, and writes nothing for a key the pack already holds. New rebuilds
-// an in-memory index from key to record by one scan, so a miss is a map
-// lookup and a disk hit one positioned read. The pack is created by the first
-// Put: a daemon that never stores an artifact writes no file.
+// digits. A Put builds its record in a buffer the cache keeps and appends it
+// in one write to the file opened with O_APPEND, and writes nothing for a key
+// the pack already holds. New rebuilds an in-memory index from key to record
+// by one scan, so a miss is a map lookup and a disk hit one positioned read.
+// The pack is created by the first Put: a daemon that never stores an
+// artifact writes no file.
 //
 // A crash never serves a partial artifact under a valid key. New indexes
 // complete records only, checks each header's length against the file size
@@ -70,6 +71,7 @@ type Cache struct {
 	path  string            // the pack; "" keeps the cache memory-only
 	pack  *os.File          // opened by New if the pack exists, else by the first Put
 	index map[string]record // the pack's servable records
+	buf   []byte            // Put's record, reused across Puts
 }
 
 // entry is one resident artifact.
@@ -202,14 +204,25 @@ func validKey(key string) bool {
 // holds is one positioned read, checked against the record's checksum, and
 // re-admits the artifact to the LRU; a key in neither tier costs no system
 // call. The returned bytes are shared and must not be modified.
-func (c *Cache) Get(key string) ([]byte, bool) {
+func (c *Cache) Get(key string) ([]byte, bool) { return c.get(key, true) }
+
+// Read returns the artifact stored under key like Get, but leaves the memory
+// tier as it was: a memory hit keeps its recency and a pack read is not
+// admitted. It serves a result already delivered by its content address,
+// where Get looks one up for reuse.
+func (c *Cache) Read(key string) ([]byte, bool) { return c.get(key, false) }
+
+// get is Get, or Read when touch is false.
+func (c *Cache) get(key string, touch bool) ([]byte, bool) {
 	if !validKey(key) {
 		return nil, false
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.byKey[key]; ok {
-		c.ll.MoveToFront(el)
+		if touch {
+			c.ll.MoveToFront(el)
+		}
 		return el.Value.(*entry).data, true
 	}
 	rec, ok := c.index[key]
@@ -221,7 +234,9 @@ func (c *Cache) Get(key string) ([]byte, bool) {
 		delete(c.index, key)
 		return nil, false
 	}
-	c.admit(key, data)
+	if touch {
+		c.admit(key, data)
+	}
 	return data, true
 }
 
@@ -247,9 +262,9 @@ func (c *Cache) Put(key string, data []byte) error {
 		c.pack = f
 	}
 	sum := checksum(key, data)
-	rec := appendHeader(make([]byte, 0, maxHeader+len(data)+1), key, int64(len(data)), sum)
-	rec = append(append(rec, data...), '\n')
-	if _, err := c.pack.Write(rec); err != nil {
+	c.buf = appendHeader(c.buf[:0], key, int64(len(data)), sum)
+	c.buf = append(append(c.buf, data...), '\n')
+	if _, err := c.pack.Write(c.buf); err != nil {
 		return fmt.Errorf("cache: %w", err)
 	}
 	end, err := c.pack.Seek(0, io.SeekCurrent)

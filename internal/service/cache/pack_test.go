@@ -258,7 +258,7 @@ func TestPackAppendOnly(t *testing.T) {
 	}
 }
 
-// shardArtifact reads the recorded 12 KB table2 shard partial.
+// shardArtifact reads the recorded 12.5 KB table2 and grid shard partial.
 func shardArtifact(tb testing.TB) []byte {
 	tb.Helper()
 	art, err := os.ReadFile(filepath.Join("..", "..", "experiments", "testdata", "table2_grid_shard0of2.json"))
@@ -314,9 +314,9 @@ func FuzzOpenPack(f *testing.F) {
 	})
 }
 
-// BenchmarkCachePut stores the recorded 12 KB shard partial under a fresh key
-// per operation. Every 1024 Puts the pack is deleted (off the clock), so a
-// long run does not fill the disk.
+// BenchmarkCachePut stores the recorded 12.5 KB shard partial under a fresh
+// key per operation. Every 1024 Puts the pack is deleted (off the clock), so
+// a long run does not fill the disk.
 func BenchmarkCachePut(b *testing.B) {
 	art := shardArtifact(b)
 	dir := b.TempDir()
@@ -359,7 +359,7 @@ func BenchmarkCacheGetMiss(b *testing.B) {
 	}
 }
 
-// BenchmarkCacheGetDisk alternates between two 12 KB artifacts on a memory
+// BenchmarkCacheGetDisk alternates between two 12.5 KB artifacts on a memory
 // tier of 1, so every Get misses memory and reads the artifact from disk.
 func BenchmarkCacheGetDisk(b *testing.B) {
 	art := shardArtifact(b)

@@ -168,7 +168,7 @@ func (c *Client) once(ctx context.Context, method, path, trace string, payload [
 		return nil, 0, 0, err
 	}
 	defer resp.Body.Close()
-	data, err := io.ReadAll(resp.Body)
+	data, err := readBody(resp)
 	if err != nil {
 		return nil, 0, 0, err
 	}
@@ -177,6 +177,26 @@ func (c *Client) once(ctx context.Context, method, path, trace string, payload [
 		retryAfter = time.Duration(secs) * time.Second
 	}
 	return data, resp.StatusCode, retryAfter, nil
+}
+
+// maxPresized bounds the declared Content-Length that readBody allocates up
+// front, so a bad header cannot make the client reserve an unbounded buffer.
+const maxPresized = 64 << 20
+
+// readBody reads a response body into one buffer of its declared
+// Content-Length (at most maxPresized), which the daemon declares for every
+// report artifact; without one it falls back to io.ReadAll, which grows its
+// buffer as it reads.
+func readBody(resp *http.Response) ([]byte, error) {
+	n := resp.ContentLength
+	if n < 0 || n > maxPresized {
+		return io.ReadAll(resp.Body)
+	}
+	data := make([]byte, n)
+	if _, err := io.ReadFull(resp.Body, data); err != nil {
+		return nil, err
+	}
+	return data, nil
 }
 
 // backoff picks the wait before retry attempt+1: jittered exponential from
@@ -275,8 +295,9 @@ func (c *Client) ReportArtifact(ctx context.Context, id string) ([]byte, error) 
 // /v1/jobs/{id}/report?wait=: the server holds the request until the job is
 // terminal or wait (at most service.MaxWait) elapses, then answers the
 // artifact of a done job, the failure of a failed one, or an *APIError with
-// Status 409 when the job is still unfinished. A wait <= 0 answers at once,
-// like ReportArtifact.
+// Status 409 when the job is still unfinished. A done job whose artifact the
+// daemon's report cache evicted answers Status 410: resubmit the spec. A
+// wait <= 0 answers at once, like ReportArtifact.
 func (c *Client) ReportWait(ctx context.Context, id string, wait time.Duration) ([]byte, error) {
 	path := "/v1/jobs/" + id + "/report"
 	if wait > 0 {
@@ -293,7 +314,7 @@ func (c *Client) Reports(ctx context.Context, id string) ([]*experiments.Report,
 	if err != nil {
 		return nil, err
 	}
-	return experiments.ReadArtifact(bytes.NewReader(raw))
+	return experiments.ParseArtifact(raw)
 }
 
 // ReportTable fetches a finished job's report rendered as the experiment's

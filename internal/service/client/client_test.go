@@ -1,11 +1,13 @@
 package client
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -182,5 +184,43 @@ func TestJobWaitSendsWait(t *testing.T) {
 	want := []string{"/v1/jobs/job-000001?wait=1.5s", "/v1/jobs/job-000001"}
 	if len(got) != 2 || got[0] != want[0] || got[1] != want[1] {
 		t.Fatalf("requests = %q, want %q", got, want)
+	}
+}
+
+// TestReportBodyReads pins the two ways a body is read: into one buffer of
+// the declared Content-Length, or, for a chunked body without one, as
+// io.ReadAll reads it. Both return the bytes verbatim; a body cut short of
+// its declared length is an error, not a truncated artifact.
+func TestReportBodyReads(t *testing.T) {
+	body := bytes.Repeat([]byte(`{"cell":[0.25,1e-9]}`), 1000)
+	for _, tc := range []struct {
+		name  string
+		serve func(w http.ResponseWriter)
+		ok    bool
+	}{
+		{"declared length", func(w http.ResponseWriter) {
+			w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+			w.Write(body)
+		}, true},
+		{"chunked", func(w http.ResponseWriter) {
+			w.Write(body[:100])
+			w.(http.Flusher).Flush()
+			w.Write(body[100:])
+		}, true},
+		{"cut short", func(w http.ResponseWriter) {
+			w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+			w.Write(body[:len(body)/2])
+			panic(http.ErrAbortHandler)
+		}, false},
+	} {
+		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) { tc.serve(w) }))
+		got, err := New(ts.URL).ReportArtifact(context.Background(), "job-000001")
+		ts.Close()
+		if tc.ok && (err != nil || !bytes.Equal(got, body)) {
+			t.Fatalf("%s: read %d bytes, %v; want the %d-byte body", tc.name, len(got), err, len(body))
+		}
+		if !tc.ok && err == nil {
+			t.Fatalf("%s: read %d bytes without an error", tc.name, len(got))
+		}
 	}
 }

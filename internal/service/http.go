@@ -1,7 +1,6 @@
 package service
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -51,11 +50,13 @@ func ParseWait(r *http.Request) (time.Duration, error) {
 //	GET  /v1/jobs/{id}         job state and per-shard progress; ?wait=10s
 //	                           holds until the job is terminal or the wait
 //	                           (at most MaxWait) elapses
-//	GET  /v1/jobs/{id}/report  the versioned JSON report artifact
-//	                           (?format=table renders the plain-text tables);
-//	                           ?wait= holds an unfinished job like the status
-//	                           route, then answers the artifact, the job's
-//	                           failure, or 409 if the wait elapsed first
+//	GET  /v1/jobs/{id}/report  the versioned JSON report artifact, read from
+//	                           the report cache (?format=table renders the
+//	                           plain-text tables); ?wait= holds an unfinished
+//	                           job like the status route, then answers the
+//	                           artifact, the job's failure, 409 if the wait
+//	                           elapsed first, or 410 if the cache no longer
+//	                           holds the artifact (resubmit the spec)
 //	GET  /v1/experiments       the experiment registry
 //	GET  /v1/batteries         the battery model registry
 //	GET  /healthz              queue depth, in-flight units, cache stats
@@ -67,9 +68,10 @@ func ParseWait(r *http.Request) (time.Duration, error) {
 //
 // Errors are JSON {"error": ...} with 400 (bad request, spec, trace id or
 // wait), 404 (unknown job), 409 (report of a job still unfinished when the
-// wait, if any, elapsed), 429 (queue
-// full, with a Retry-After header estimating when capacity frees up), 503
-// (daemon draining; /healthz also turns 503 then) or 500.
+// wait, if any, elapsed), 410 (report of a done job whose artifact the cache
+// evicted), 429 (queue full, with a Retry-After header estimating when
+// capacity frees up), 503 (daemon draining; /healthz also turns 503 then) or
+// 500.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/jobs", s.handleSubmit)
@@ -125,6 +127,8 @@ func writeError(w http.ResponseWriter, err error) {
 		status = http.StatusNotFound
 	case errors.Is(err, ErrJobNotFinished):
 		status = http.StatusConflict
+	case errors.Is(err, ErrArtifactEvicted):
+		status = http.StatusGone
 	case errors.Is(err, experiments.ErrBadConfig):
 		status = http.StatusBadRequest
 	}
@@ -192,7 +196,7 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if r.URL.Query().Get("format") == "table" {
-		reports, err := experiments.ReadArtifact(bytes.NewReader(artifact))
+		reports, err := experiments.ParseArtifact(artifact)
 		if err != nil {
 			writeError(w, err)
 			return
@@ -210,8 +214,10 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 	}
 	// The artifact bytes are served verbatim — byte-identical to the local
 	// `cmd/experiments run -o` file, which is the service's correctness
-	// contract.
+	// contract. The declared length lets a client read the body into one
+	// buffer of its size.
 	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(len(artifact)))
 	_, _ = w.Write(artifact)
 }
 

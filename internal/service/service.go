@@ -17,6 +17,15 @@
 // submission of an equal spec — sharded or not — is answered from the cache
 // without recomputation and marked Cached.
 //
+// The report cache is the only artifact store: a finished job keeps its
+// content address, not its artifact's bytes, and Artifact (GET
+// /v1/jobs/{id}/report) reads them from the cache — its memory tier, or one
+// positioned read of the pack — without counting a cache hit or miss. A
+// report the cache no longer holds answers ErrArtifactEvicted (HTTP 410):
+// on a memory-only daemon once CacheEntries later artifacts pushed it out,
+// or after a failed pack write. Resubmitting the spec recomputes the
+// identical bytes.
+//
 // Under heavy identical traffic the server additionally coalesces in-flight
 // work: a submission whose spec hash matches a job that is still queued or
 // running attaches to it as a follower (JobStatus.Coalesced) instead of
@@ -34,7 +43,7 @@
 // experiment merges shard partials bit-for-bit (sample replay), so a served
 // artifact equals the local unsharded `run -o` artifact byte-for-byte at any
 // shard count. Adaptive set counts do not shard
-// (experiments.Definition.CheckShards), so a spec names one artifact.
+// (experiments.Definition.Check), so a spec names one artifact.
 package service
 
 import (
@@ -69,6 +78,10 @@ var (
 	ErrJobNotFinished = errors.New("service: job not finished")
 	// ErrDraining reports a submission to a daemon that is shutting down.
 	ErrDraining = errors.New("service: daemon is draining")
+	// ErrArtifactEvicted reports a report request for a done job whose
+	// artifact the report cache no longer holds; the HTTP layer maps it to
+	// 410. Resubmitting the job's spec recomputes the identical artifact.
+	ErrArtifactEvicted = errors.New("service: report artifact evicted from the cache; resubmit the spec")
 )
 
 // shutdownMsg is the terminal failure message of jobs abandoned by daemon
@@ -110,6 +123,9 @@ type Config struct {
 	// resumes accepted-but-unfinished work under the original job IDs.
 	CacheDir string
 	// CacheEntries bounds the cache's in-memory LRU tier (<= 0 selects 64).
+	// Without CacheDir it also bounds how long a done job's report stays
+	// readable: once CacheEntries later artifacts have pushed it out, the
+	// report answers ErrArtifactEvicted until the spec is resubmitted.
 	CacheEntries int
 	// JournalFsync syncs every journal record to stable storage before the
 	// append returns, upgrading the journal from process-kill durability (the
@@ -120,8 +136,10 @@ type Config struct {
 	// would exceed it, the oldest *terminal* jobs (done or failed, in
 	// completion order) are evicted so the long-running daemon's memory stays
 	// bounded; their IDs then answer 404. Queued and running jobs are never
-	// evicted. Finished artifacts stay retrievable by resubmitting the spec —
-	// the report cache, not the job map, is the artifact store.
+	// evicted. A terminal job holds its status and content address, not its
+	// artifact: the report cache is the only artifact store, so MaxJobs
+	// bounds no artifact bytes, and an evicted job's artifact stays
+	// retrievable by resubmitting the spec.
 	MaxJobs int
 	// FaultHook, when non-nil, runs before every shard unit's execution with
 	// the daemon context; a non-nil return fails the unit with that error,
@@ -186,8 +204,7 @@ type job struct {
 	followers  []*job // coalesced submissions resolving with this leader
 	remaining  int
 	parts      []*experiments.Report // multi-unit jobs only: delivered partials by shard index
-	artifact   []byte
-	done       chan struct{} // closed when the job turns terminal; wakes ?wait= holds
+	done       chan struct{}         // closed when the job turns terminal; wakes ?wait= holds
 }
 
 func (j *job) terminal() bool { return j.state == StateDone || j.state == StateFailed }
@@ -399,9 +416,8 @@ func (s *Server) Submit(req JobRequest) (JobStatus, error) {
 	}
 	s.seq++
 	j := newJob(fmt.Sprintf("job-%06d", s.seq), req, spec, hash, time.Now())
-	if artifact, ok := s.cacheGetLocked(j, hash); ok {
+	if _, ok := s.cacheGetLocked(j, hash); ok {
 		j.cached = true
-		j.artifact = artifact
 		s.jobs[j.id] = j
 		s.met.jobsCached.Inc()
 		s.emitAcceptLocked(j, "cached")
@@ -469,7 +485,7 @@ func (s *Server) check(req JobRequest) (experiments.Spec, experiments.Shard, str
 			experiments.ErrBadConfig, req.Shard, req.Shards)
 	}
 	spec = req.Spec.Spec()
-	if err := def.CheckShards(spec, req.Shards > 1 || unitShard.Enabled()); err != nil {
+	if err := def.Check(spec, req.Shards > 1 || unitShard.Enabled()); err != nil {
 		return spec, unitShard, "", err
 	}
 	if spec.Battery != "" {
@@ -565,7 +581,8 @@ func (s *Server) dequeueLocked(drop func(u *Unit) bool) {
 }
 
 // cacheGetLocked wraps the report cache lookup, mirroring hit/miss onto the
-// registry and the event log. Callers hold s.mu.
+// registry and the event log. A disk hit re-admits the artifact to the memory
+// tier, where the job's report read finds it. Callers hold s.mu.
 func (s *Server) cacheGetLocked(j *job, hash string) ([]byte, bool) {
 	artifact, ok := s.cache.Get(hash)
 	e := obs.Event{Event: obs.EventCacheMiss, Trace: j.trace, Job: j.id, Experiment: j.experiment, Detail: hash}
@@ -648,9 +665,8 @@ func (s *Server) replayLocked(rec journal.Accept) {
 		s.completeLocked(j, StateFailed, "journal replay: "+err.Error(), true)
 		return
 	}
-	if artifact, ok := s.cacheGetLocked(j, j.hash); ok {
+	if _, ok := s.cacheGetLocked(j, j.hash); ok {
 		j.cached = true
-		j.artifact = artifact
 		j.state = StateRunning
 		s.met.jobsCached.Inc()
 		s.completeLocked(j, StateDone, "", true)
@@ -737,7 +753,7 @@ func (s *Server) finishLocked(j *job, state, errMsg string) {
 	j.state = state
 	j.errMsg = errMsg
 	j.finished = time.Now()
-	j.parts = nil // the artifact, if any, is all a terminal job keeps
+	j.parts = nil // a terminal job keeps its content address, not its artifact
 	close(j.done)
 	s.terminal = append(s.terminal, j.id)
 	if state == StateDone {
@@ -753,10 +769,10 @@ func (s *Server) finishLocked(j *job, state, errMsg string) {
 
 // completeLocked finishes a non-terminal job and all its still-pending
 // followers with the same terminal state (followers of a done leader share
-// its artifact), deregisters the in-flight hash entry, takes its units off
-// the queue and out of the executor, and — unless the job is being abandoned
-// by shutdown — marks the journal records done so they compact away instead
-// of replaying. Callers hold s.mu.
+// its content address, so its cached artifact), deregisters the in-flight
+// hash entry, takes its units off the queue and out of the executor, and —
+// unless the job is being abandoned by shutdown — marks the journal records
+// done so they compact away instead of replaying. Callers hold s.mu.
 func (s *Server) completeLocked(j *job, state, errMsg string, journalDone bool) {
 	if j.terminal() {
 		return
@@ -775,9 +791,6 @@ func (s *Server) completeLocked(j *job, state, errMsg string, journalDone bool) 
 	for _, f := range j.followers {
 		if f.terminal() {
 			continue
-		}
-		if state == StateDone {
-			f.artifact = j.artifact
 		}
 		s.finishLocked(f, state, errMsg)
 		if journalDone {
@@ -854,28 +867,35 @@ func (s *Server) await(ctx context.Context, id string, wait time.Duration) (*job
 
 // Artifact returns the finished job's report artifact: exactly the bytes the
 // equivalent local `cmd/experiments run -o` writes. ErrJobNotFinished while
-// the job is queued or running; the job's failure message once failed.
+// the job is queued or running; the job's failure message once failed;
+// ErrArtifactEvicted once the report cache no longer holds the artifact.
+// The returned bytes are shared and must not be modified.
 func (s *Server) Artifact(id string) ([]byte, error) {
 	return s.artifactWait(context.Background(), id, 0)
 }
 
 // artifactWait is Artifact after first holding up to wait while the job is
 // queued or running, as JobWait does: ErrJobNotFinished only when the wait
-// elapses (or ctx ends) first.
+// elapses (or ctx ends) first. A done job's bytes come from the report
+// cache, read outside s.mu and counted as neither a hit nor a miss.
 func (s *Server) artifactWait(ctx context.Context, id string, wait time.Duration) ([]byte, error) {
 	j, err := s.await(ctx, id, wait)
 	if err != nil {
 		return nil, err
 	}
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	switch j.state {
+	state, errMsg := j.state, j.errMsg
+	s.mu.Unlock()
+	switch state {
 	case StateDone:
-		return j.artifact, nil
+		if artifact, ok := s.cache.Read(j.hash); ok {
+			return artifact, nil
+		}
+		return nil, fmt.Errorf("%w: job %s, content address %s", ErrArtifactEvicted, id, j.hash)
 	case StateFailed:
-		return nil, fmt.Errorf("service: job %s failed: %s", id, j.errMsg)
+		return nil, fmt.Errorf("service: job %s failed: %s", id, errMsg)
 	default:
-		return nil, fmt.Errorf("%w: job %s is %s", ErrJobNotFinished, id, j.state)
+		return nil, fmt.Errorf("%w: job %s is %s", ErrJobNotFinished, id, state)
 	}
 }
 
@@ -1001,8 +1021,9 @@ func (s *Server) placeLocked() bool {
 // of a terminal job reports false. dur is the run's duration (0 for a result
 // taken from the cache), worker the remote worker's URL ("" for a local run).
 // A single-unit job's artifact is the delivered bytes when given, else rep's
-// encoding; a multi-unit job needs rep, and fails when the last unit lands if
-// its partials do not merge. Callers hold the lock (see Lock).
+// encoding, and goes straight to the report cache; a multi-unit job needs
+// rep, and fails when the last unit lands if its partials do not merge.
+// Callers hold the lock (see Lock).
 func (s *Server) DeliverLocked(u *Unit, rep *experiments.Report, artifact []byte, dur time.Duration, worker string) bool {
 	j := u.job
 	if u.state != "" || j.terminal() {
@@ -1025,8 +1046,7 @@ func (s *Server) DeliverLocked(u *Unit, rep *experiments.Report, artifact []byte
 	}
 	j.remaining--
 	if j.parts == nil {
-		j.artifact = artifact
-		s.finalizeLocked(j, rep)
+		s.finalizeLocked(j, rep, artifact)
 		return true
 	}
 	j.parts[u.shard.Index] = rep
@@ -1040,24 +1060,24 @@ func (s *Server) DeliverLocked(u *Unit, rep *experiments.Report, artifact []byte
 		}
 		s.events.Emit(obs.Event{Event: obs.EventMerge, Trace: j.trace, Job: j.id,
 			Experiment: j.experiment, Detail: fmt.Sprintf("%d shard partials", len(j.units))})
-		s.finalizeLocked(j, merged)
+		s.finalizeLocked(j, merged, nil)
 	}
 	return true
 }
 
 // finalizeLocked renders the job's artifact from rep unless it arrived as
-// bytes, stores it in the report cache and resolves the job with all its
-// coalesced followers. Callers hold s.mu.
-func (s *Server) finalizeLocked(j *job, rep *experiments.Report) {
-	if j.artifact == nil {
+// bytes, stores it in the report cache under the job's content address and
+// resolves the job with all its coalesced followers. Callers hold s.mu.
+func (s *Server) finalizeLocked(j *job, rep *experiments.Report, artifact []byte) {
+	if artifact == nil {
 		var buf bytes.Buffer
 		if err := experiments.WriteArtifact(&buf, []*experiments.Report{rep}); err != nil {
 			s.completeLocked(j, StateFailed, err.Error(), true)
 			return
 		}
-		j.artifact = buf.Bytes()
+		artifact = buf.Bytes()
 	}
-	s.cachePutLocked(j.hash, j.artifact)
+	s.cachePutLocked(j.hash, artifact)
 	s.completeLocked(j, StateDone, "", true)
 }
 
