@@ -26,9 +26,11 @@
 // the files the equivalent local `cmd/experiments run -o` writes. The report
 // cache is the only artifact store: a finished job keeps its content
 // address, and its report is read from the cache's memory tier
-// (-cache-entries artifacts) or its pack. Without -cache-dir, a job's report
-// answers 410 once -cache-entries later artifacts have pushed it out; the
-// spec is then resubmitted.
+// (-cache-entries artifacts, at least -workers) or its pack. Without
+// -cache-dir, a job's report answers 410 once -cache-entries later artifacts
+// have pushed it out; `experiments submit` then resubmits the spec once. A
+// coordinator with -cache-dir also caches each shard partial, which takes a
+// memory-tier slot; a memory-only one caches none.
 //
 // Concurrent submissions of one spec coalesce onto a single in-flight
 // computation ("coalesced": true followers). With -cache-dir set, the
@@ -97,7 +99,7 @@ func run(args []string) error {
 		queue        = fs.Int("queue", 64, "FIFO queue bound in shard units waiting to run")
 		parallel     = fs.Int("parallel", 0, "job-grid worker count inside each unit's run (0: all cores)")
 		cacheDir     = fs.String("cache-dir", "", "on-disk content-addressed report store and job journal (default: memory-only, no journal)")
-		cacheEntries = fs.Int("cache-entries", 64, "in-memory report cache LRU size")
+		cacheEntries = fs.Int("cache-entries", 64, "in-memory report cache LRU size (at least -workers)")
 		drainTimeout = fs.Duration("drain-timeout", 30*time.Second, "how long shutdown waits for in-flight units before cancelling them")
 		// The journal is process-kill durable by default (records ride the OS
 		// page cache). -journal-fsync adds power-loss durability by syncing

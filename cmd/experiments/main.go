@@ -49,9 +49,11 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
+	"net/http"
 	"os"
 	"time"
 
@@ -271,7 +273,8 @@ func leadingNames(args []string) ([]string, []string) {
 // to completion, rendered like run renders local reports, and written with
 // -o as a report artifact. A single-experiment -o file is the daemon's
 // artifact byte-for-byte — identical to the file the equivalent local
-// `run -o` writes.
+// `run -o` writes. A report the daemon's cache dropped before it was read
+// (HTTP 410) is resubmitted once.
 func cmdSubmit(args []string, stdout io.Writer) error {
 	names, args := leadingNames(args)
 	if len(names) == 0 {
@@ -330,29 +333,30 @@ func cmdSubmit(args []string, stdout io.Writer) error {
 	// multi-experiment submission runs concurrently on its worker pool — then
 	// poll and render in submission order to keep the output deterministic.
 	type submission struct {
-		name  string
+		req   service.JobRequest
 		id    string
 		start time.Time
 	}
 	subs := make([]submission, 0, len(expanded))
 	for _, name := range expanded {
-		st, err := cli.Submit(ctx, service.JobRequest{Experiment: name, Spec: reqSpec, Shards: *shards})
+		req := service.JobRequest{Experiment: name, Spec: reqSpec, Shards: *shards}
+		st, err := cli.Submit(ctx, req)
 		if err != nil {
 			return err
 		}
 		// The trace id threads this submission through the fleet's JSONL event
 		// logs (grep it in <cache-dir>/events.jsonl on the daemon and workers).
 		fmt.Fprintf(os.Stderr, "experiments: %s submitted as %s trace=%s\n", name, st.ID, st.TraceID)
-		subs = append(subs, submission{name: name, id: st.ID, start: time.Now()})
+		subs = append(subs, submission{req: req, id: st.ID, start: time.Now()})
 	}
 	var (
 		artifacts [][]byte
 		all       []*experiments.Report
 	)
 	for _, sub := range subs {
-		name := sub.name
+		name := sub.req.Experiment
 		cb, clear := progressPrinter(name, f.progress)
-		st, err := cli.Wait(ctx, sub.id, *poll, func(s service.JobStatus) {
+		observe := func(s service.JobStatus) {
 			if cb == nil {
 				return
 			}
@@ -364,20 +368,14 @@ func cmdSubmit(args []string, stdout io.Writer) error {
 			if total > 0 {
 				cb(done, total)
 			}
-		})
+		}
+		st, raw, err := fetchReport(ctx, cli, sub.req, sub.id, *poll, observe)
 		clear()
 		if err != nil {
 			return err
 		}
-		if st.State == service.StateFailed {
-			return fmt.Errorf("submit: job %s (%s) failed: %s", st.ID, name, st.Error)
-		}
 		if st.Cached {
 			fmt.Fprintf(os.Stderr, "experiments: %s served from cache (%.12s)\n", name, st.Hash)
-		}
-		raw, err := cli.ReportArtifact(ctx, st.ID)
-		if err != nil {
-			return err
 		}
 		reports, err := experiments.ParseArtifact(raw)
 		if err != nil {
@@ -403,6 +401,33 @@ func cmdSubmit(args []string, stdout io.Writer) error {
 		return os.WriteFile(f.out, artifacts[0], 0o644)
 	}
 	return writeArtifactFile(f.out, all)
+}
+
+// fetchReport waits for job id, submitted as req, to finish and fetches its
+// report artifact. A failed job is an error naming the job and its failure.
+// A report the daemon's cache dropped before it was read (HTTP 410: a
+// memory-only daemon keeps the last -cache-entries artifacts) is resubmitted
+// once.
+func fetchReport(ctx context.Context, cli *client.Client, req service.JobRequest, id string, poll time.Duration, observe func(service.JobStatus)) (service.JobStatus, []byte, error) {
+	for resubmitted := false; ; resubmitted = true {
+		st, err := cli.Wait(ctx, id, poll, observe)
+		if err != nil {
+			return st, nil, err
+		}
+		if st.State == service.StateFailed {
+			return st, nil, fmt.Errorf("submit: job %s (%s) failed: %s", st.ID, req.Experiment, st.Error)
+		}
+		raw, err := cli.ReportArtifact(ctx, st.ID)
+		var ae *client.APIError
+		if resubmitted || !errors.As(err, &ae) || ae.Status != http.StatusGone {
+			return st, raw, err
+		}
+		fmt.Fprintf(os.Stderr, "experiments: %s report evicted on the daemon; resubmitting\n", req.Experiment)
+		if st, err = cli.Submit(ctx, req); err != nil {
+			return st, nil, err
+		}
+		id = st.ID
+	}
 }
 
 // execute runs the named experiments in order, prints each rendered table and

@@ -2,15 +2,18 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"battsched/internal/experiments"
 	"battsched/internal/service"
+	"battsched/internal/service/client"
 )
 
 func TestRunQuickAll(t *testing.T) {
@@ -383,6 +386,57 @@ func TestSubmitMatchesLocalRun(t *testing.T) {
 		if !bytes.Equal(got, want) {
 			t.Fatalf("case %d: submit -o artifact differs from local run -o", i)
 		}
+	}
+}
+
+// TestSubmitResubmitsEvictedReport pins submit's answer to HTTP 410: on a
+// memory-only daemon whose one-entry cache dropped a finished job's
+// artifact, fetchReport resubmits the spec once and returns the bytes of the
+// local run -o.
+func TestSubmitResubmitsEvictedReport(t *testing.T) {
+	if testing.Short() {
+		t.Skip("daemon round-trips skipped in -short mode")
+	}
+	srv, err := service.New(service.Config{Workers: 1, CacheEntries: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(func() {
+		ts.Close()
+		srv.Close()
+	})
+	cli := client.New(ts.URL)
+	ctx := context.Background()
+	req := func(seed int64) service.JobRequest {
+		return service.JobRequest{Experiment: "table2", Spec: service.SpecRequest{Quick: true, Battery: "kibam", Seed: seed}}
+	}
+	var ids []string
+	for seed := range int64(2) {
+		st, err := cli.Submit(ctx, req(seed+1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := fetchReport(ctx, cli, req(seed+1), st.ID, 10*time.Millisecond, nil); err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, st.ID)
+	}
+	// The second job's artifact pushed the first one's out of the cache.
+	st, got, err := fetchReport(ctx, cli, req(1), ids[0], 10*time.Millisecond, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.ID == ids[0] || srv.Health().Jobs != 3 {
+		t.Fatalf("evicted report served by %s with %d jobs; want one resubmission", st.ID, srv.Health().Jobs)
+	}
+	path := filepath.Join(t.TempDir(), "local.json")
+	var buf bytes.Buffer
+	if err := run([]string{"run", "table2", "-quick", "-battery", "kibam", "-seed", "1", "-o", path}, &buf); err != nil {
+		t.Fatal(err)
+	}
+	if want, err := os.ReadFile(path); err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("resubmitted report differs from the local run -o (%v)", err)
 	}
 }
 

@@ -463,10 +463,10 @@ func (f *fleet) monitorRound() {
 
 // deliver decodes one completed unit's artifact (a shard partial) and
 // returns the step that hands it to the front end: the first copy wins,
-// later duplicates are discarded (bit-exact by construction), and a
-// delivered shard partial is cached under its content address. An expired
-// lease whose worker finishes after all still delivers, and cancels the
-// unit's re-dispatch.
+// later duplicates are discarded (bit-exact by construction), and with a
+// CacheDir a delivered shard partial is cached under its content address.
+// An expired lease whose worker finishes after all still delivers, and
+// cancels the unit's re-dispatch.
 func (f *fleet) deliver(l *lease, raw []byte) func() {
 	u := l.u
 	var rep *experiments.Report
@@ -487,7 +487,10 @@ func (f *fleet) deliver(l *lease, raw []byte) func() {
 		} else {
 			l.w.meanUnitNs = 0.8*l.w.meanUnitNs + 0.2*float64(dur)
 		}
-		if u.Shard().Enabled() {
+		// Only a restarted coordinator's Resume reads a partial back, from
+		// the pack; in a memory-only cache it would just push finished
+		// jobs' reports out of the LRU.
+		if u.Shard().Enabled() && f.cfg.CacheDir != "" {
 			f.s.CachePutLocked(u, raw)
 		}
 		// Cancel the re-dispatch a late delivery overtook; its poller keeps

@@ -72,6 +72,9 @@ type Config struct {
 	// that makes restart resume dispatch. "" keeps everything memory-only.
 	CacheDir string
 	// CacheEntries bounds the cache's in-memory LRU tier (<= 0 selects 64).
+	// With a CacheDir, shard partials take slots in it too; a memory-only
+	// coordinator caches none, so its LRU holds the last CacheEntries
+	// finished jobs' reports (see service.Config.CacheEntries).
 	CacheEntries int
 	// JournalFsync syncs every journal record to stable storage (see
 	// service.Config.JournalFsync).

@@ -678,6 +678,44 @@ func TestEvictedUnitReportRedispatched(t *testing.T) {
 	}
 }
 
+// TestMemoryOnlyCoordinatorKeepsReports pins that a memory-only
+// coordinator's report cache holds finished jobs' reports only: with three
+// entries it runs three 2-shard jobs before any report is fetched, and every
+// report still equals the local run -o. Caching each job's two shard
+// partials too, which only a restarted coordinator's Resume reads back from
+// the pack, would have evicted the first two reports.
+func TestMemoryOnlyCoordinatorKeepsReports(t *testing.T) {
+	_, w := startWorker(t, service.Config{})
+	cfg := fastConfig(w.URL)
+	cfg.CacheEntries = 3
+	co, c := startCoordinator(t, cfg)
+	waitFor(t, "the worker live", func() bool { return co.Health().Fleet.LiveWorkers == 1 })
+	ctx := context.Background()
+	var ids []string
+	var specs []experiments.Spec
+	for seed := range int64(3) {
+		spec := experiments.Spec{Quick: true, Battery: "kibam", Seed: seed + 1}
+		st, err := c.Submit(ctx, service.JobRequest{Experiment: "table2", Spec: service.SpecRequestFrom(spec), Shards: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if final, err := c.Wait(ctx, st.ID, 5*time.Millisecond, nil); err != nil || final.State != service.StateDone {
+			t.Fatalf("job %s = %+v, %v; want done", st.ID, final, err)
+		}
+		ids = append(ids, st.ID)
+		specs = append(specs, spec)
+	}
+	for i, id := range ids {
+		got, err := c.ReportArtifact(ctx, id)
+		if err != nil {
+			t.Fatalf("job %d (%s): %v", i, id, err)
+		}
+		if !bytes.Equal(got, localArtifact(t, "table2", specs[i])) {
+			t.Fatalf("job %d (%s): served artifact differs from the local one", i, id)
+		}
+	}
+}
+
 // statusWriter records the status a handler writes.
 type statusWriter struct {
 	http.ResponseWriter

@@ -104,6 +104,27 @@ func TestEvictedReportGone(t *testing.T) {
 	}
 }
 
+// TestCacheHoldsAtLeastWorkers pins the memory tier's floor: a memory-only
+// daemon with two workers and CacheEntries 1 keeps two artifacts, so the
+// units its workers finish together cannot push each other's reports out
+// before they are read.
+func TestCacheHoldsAtLeastWorkers(t *testing.T) {
+	srv, c := startDaemon(t, service.Config{Workers: 2, CacheEntries: 1})
+	var ids []string
+	for seed := range int64(2) {
+		st := submitAndWait(t, c, service.JobRequest{Experiment: "table2", Spec: service.SpecRequest{Quick: true, Battery: "kibam", Seed: seed + 1}})
+		ids = append(ids, st.ID)
+	}
+	if n := srv.Health().CacheEntries; n != 2 {
+		t.Fatalf("cache holds %d artifacts, want 2 (one per worker)", n)
+	}
+	for _, id := range ids {
+		if _, err := c.ReportArtifact(context.Background(), id); err != nil {
+			t.Fatalf("report of %s: %v", id, err)
+		}
+	}
+}
+
 // TestMeaninglessTargetCIRefused pins the TargetCI rule at admission: a
 // negative target answers 400 and admits nothing, and a journaled job with
 // one (accepted by an older daemon) replays as failed instead of running.

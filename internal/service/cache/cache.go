@@ -204,25 +204,14 @@ func validKey(key string) bool {
 // holds is one positioned read, checked against the record's checksum, and
 // re-admits the artifact to the LRU; a key in neither tier costs no system
 // call. The returned bytes are shared and must not be modified.
-func (c *Cache) Get(key string) ([]byte, bool) { return c.get(key, true) }
-
-// Read returns the artifact stored under key like Get, but leaves the memory
-// tier as it was: a memory hit keeps its recency and a pack read is not
-// admitted. It serves a result already delivered by its content address,
-// where Get looks one up for reuse.
-func (c *Cache) Read(key string) ([]byte, bool) { return c.get(key, false) }
-
-// get is Get, or Read when touch is false.
-func (c *Cache) get(key string, touch bool) ([]byte, bool) {
+func (c *Cache) Get(key string) ([]byte, bool) {
 	if !validKey(key) {
 		return nil, false
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.byKey[key]; ok {
-		if touch {
-			c.ll.MoveToFront(el)
-		}
+		c.ll.MoveToFront(el)
 		return el.Value.(*entry).data, true
 	}
 	rec, ok := c.index[key]
@@ -234,9 +223,7 @@ func (c *Cache) get(key string, touch bool) ([]byte, bool) {
 		delete(c.index, key)
 		return nil, false
 	}
-	if touch {
-		c.admit(key, data)
-	}
+	c.admit(key, data)
 	return data, true
 }
 

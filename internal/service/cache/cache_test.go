@@ -100,43 +100,3 @@ func TestInvalidKeys(t *testing.T) {
 		}
 	}
 }
-
-// TestReadLeavesMemoryTier pins what separates Read from Get: a memory hit
-// keeps its recency and a pack read is not admitted, so reading a stored
-// report evicts nothing. An invalid key and an absent one are not served.
-func TestReadLeavesMemoryTier(t *testing.T) {
-	for _, dir := range []string{"", t.TempDir()} {
-		c, err := New(dir, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, k := range []string{"aa", "bb"} {
-			if err := c.Put(k, []byte(k)); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if got, ok := c.Read("aa"); !ok || string(got) != "aa" {
-			t.Fatalf("dir=%q: Read(aa) = %q, %v", dir, got, ok)
-		}
-		// "aa" is still the least recently used, so "cc" evicts it.
-		if err := c.Put("cc", []byte("cc")); err != nil {
-			t.Fatal(err)
-		}
-		if _, ok := c.byKey["aa"]; ok {
-			t.Fatalf("dir=%q: Read refreshed the recency of aa", dir)
-		}
-		got, ok := c.Read("aa")
-		if disk := dir != ""; ok != disk || (disk && string(got) != "aa") {
-			t.Fatalf("dir=%q: Read of the evicted aa = %q, %v; want served only from the pack", dir, got, ok)
-		}
-		if _, ok := c.byKey["aa"]; ok || c.Len() != 2 {
-			t.Fatalf("dir=%q: Read admitted aa from the pack (len %d)", dir, c.Len())
-		}
-		for _, k := range []string{"dd", "../aa"} {
-			if _, ok := c.Read(k); ok {
-				t.Fatalf("dir=%q: Read(%q) served", dir, k)
-			}
-		}
-		c.Close()
-	}
-}

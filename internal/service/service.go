@@ -122,7 +122,9 @@ type Config struct {
 	// logged before they enqueue and replayed on daemon start, so a restart
 	// resumes accepted-but-unfinished work under the original job IDs.
 	CacheDir string
-	// CacheEntries bounds the cache's in-memory LRU tier (<= 0 selects 64).
+	// CacheEntries bounds the cache's in-memory LRU tier (<= 0 selects 64;
+	// never fewer than Workers, so units that finish together cannot push
+	// each other's reports out before a coordinator's long-poll reads them).
 	// Without CacheDir it also bounds how long a done job's report stays
 	// readable: once CacheEntries later artifacts have pushed it out, the
 	// report answers ErrArtifactEvicted until the spec is resubmitted.
@@ -255,6 +257,10 @@ func NewWithExecutor(cfg Config, ex Executor) (*Server, error) {
 	if cfg.MaxJobs <= 0 {
 		cfg.MaxJobs = 1024
 	}
+	if cfg.CacheEntries <= 0 {
+		cfg.CacheEntries = 64
+	}
+	cfg.CacheEntries = max(cfg.CacheEntries, cfg.Workers)
 	c, err := cache.New(cfg.CacheDir, cfg.CacheEntries)
 	if err != nil {
 		return nil, err
@@ -877,7 +883,9 @@ func (s *Server) Artifact(id string) ([]byte, error) {
 // artifactWait is Artifact after first holding up to wait while the job is
 // queued or running, as JobWait does: ErrJobNotFinished only when the wait
 // elapses (or ctx ends) first. A done job's bytes come from the report
-// cache, read outside s.mu and counted as neither a hit nor a miss.
+// cache, read outside s.mu and counted as neither a hit nor a miss; a pack
+// read re-admits them to the memory tier, so a report read again is served
+// from memory.
 func (s *Server) artifactWait(ctx context.Context, id string, wait time.Duration) ([]byte, error) {
 	j, err := s.await(ctx, id, wait)
 	if err != nil {
@@ -888,7 +896,7 @@ func (s *Server) artifactWait(ctx context.Context, id string, wait time.Duration
 	s.mu.Unlock()
 	switch state {
 	case StateDone:
-		if artifact, ok := s.cache.Read(j.hash); ok {
+		if artifact, ok := s.cache.Get(j.hash); ok {
 			return artifact, nil
 		}
 		return nil, fmt.Errorf("%w: job %s, content address %s", ErrArtifactEvicted, id, j.hash)
