@@ -151,6 +151,18 @@ func TestRunSubcommandErrors(t *testing.T) {
 			t.Fatalf("run -ci %s printed %q or wrote its artifact", ci, stdout.String())
 		}
 	}
+	// So is a negative set-count cap, with or without a target CI.
+	for _, ci := range []string{"0", "0.2"} {
+		out := filepath.Join(t.TempDir(), "r.json")
+		var stdout bytes.Buffer
+		err := run([]string{"run", "table2", "-quick", "-battery", "kibam", "-ci", ci, "-max-sets", "-1", "-o", out}, &stdout)
+		if !errors.Is(err, experiments.ErrBadConfig) {
+			t.Fatalf("run -ci %s -max-sets -1 err = %v, want ErrBadConfig", ci, err)
+		}
+		if _, statErr := os.Stat(out); stdout.Len() > 0 || statErr == nil {
+			t.Fatalf("run -ci %s -max-sets -1 printed %q or wrote its artifact", ci, stdout.String())
+		}
+	}
 	if err := run([]string{"bogus-command"}, &buf); err == nil {
 		t.Fatal("expected error for unknown subcommand-looking flag")
 	}
@@ -470,6 +482,10 @@ func TestSubmitErrors(t *testing.T) {
 		if err := run([]string{"submit", "table2", "-quick", "-ci", ci, "-server", "http://127.0.0.1:1"}, &buf); !errors.Is(err, experiments.ErrBadConfig) {
 			t.Fatalf("submit -ci %s err = %v, want ErrBadConfig", ci, err)
 		}
+	}
+	// And a negative set-count cap.
+	if err := run([]string{"submit", "table2", "-quick", "-ci", "0.2", "-max-sets", "-1", "-server", "http://127.0.0.1:1"}, &buf); !errors.Is(err, experiments.ErrBadConfig) {
+		t.Fatalf("submit -max-sets -1 err = %v, want ErrBadConfig", err)
 	}
 	// Unreachable daemon: the transport error must surface.
 	if err := run([]string{"submit", "table2", "-quick", "-server", "http://127.0.0.1:1", "-poll", "1ms"}, &buf); err == nil {

@@ -279,9 +279,17 @@ type engine struct {
 	rngSrc lazySource
 
 	// planned is set when the DVS algorithm is laEDF: each decision then
-	// computes plan once, for its frequency and every pUBS look-ahead.
-	planned bool
-	plan    dvs.LAEDFPlan
+	// brings plan up to date once, for its frequency and every pUBS
+	// look-ahead. planValid is cleared by whatever moves the views (a
+	// release, a retirement, a reset), which the next decision answers with
+	// a Reset. While it is set, only execute has changed the views since the
+	// plan was last brought up to date, and only their remaining work, at
+	// EDF positions up to planFrom (-1: none), so the next decision
+	// refreshes the plan from planFrom.
+	planned   bool
+	planValid bool
+	planFrom  int
+	plan      dvs.LAEDFPlan
 
 	// estimates is set when the priority function reads
 	// Candidate.EstimatedActual, and usesEstimator when, besides, the
@@ -316,6 +324,7 @@ func (e *engine) reset(cfg Config) {
 	e.rng.Seed(cfg.Seed ^ 0x5eed)
 	e.horiz = cfg.horizon()
 	_, e.planned = cfg.DVS.(dvs.LAEDF)
+	e.planValid = false
 	e.estimates = priority.ReadsEstimate(cfg.Priority)
 	e.usesEstimator = e.estimates && !cfg.OracleEstimates
 	e.sumsWork = dvs.ReadsRemainingWork(cfg.DVS) || cfg.ReadyPolicy == AllReleased
@@ -541,6 +550,7 @@ func (e *engine) insertReleased(in *instance, g *taskgraph.Graph) {
 	e.views = append(e.views, dvs.InstanceView{})
 	copy(e.views[i+1:], e.views[i:])
 	e.views[i] = in.view(g, e.totalWCET[in.graphIndex])
+	e.planValid = false
 }
 
 // recordMisses flags instances whose deadline passed while work remains. The
@@ -596,6 +606,7 @@ func (e *engine) dropCompleted() {
 	clear(e.released[n:])
 	e.released = e.released[:n]
 	e.views = e.views[:n]
+	e.planValid = false
 }
 
 // hasPendingWork reports whether any released instance still has unfinished
@@ -610,14 +621,28 @@ func (e *engine) hasPendingWork() bool {
 }
 
 // selectFrequency returns the DVS algorithm's reference frequency for the
-// released instances' views. Under laEDF it first computes the decision's
-// plan, which the pUBS look-ahead then queries.
+// released instances' views. Under laEDF it first brings the plan up to
+// date, and the pUBS look-ahead then queries it.
 func (e *engine) selectFrequency() float64 {
 	if e.planned {
-		e.plan.Reset(e.fmax, e.views)
+		e.updatePlan()
 		return e.plan.Frequency(e.now)
 	}
 	return e.cfg.DVS.SelectFrequency(e.now, e.fmax, e.views)
+}
+
+// updatePlan brings laEDF's plan up to date with the views: a Reset after
+// they moved, else a Refresh from the highest position executed since the
+// plan was last brought up to date, else nothing.
+func (e *engine) updatePlan() {
+	switch {
+	case !e.planValid:
+		e.plan.Reset(e.fmax, e.views)
+		e.planValid = true
+	case e.planFrom >= 0:
+		e.plan.Refresh(e.planFrom, e.views)
+	}
+	e.planFrom = -1
 }
 
 // realize maps fref onto the processor: the effective execution frequency and
@@ -926,6 +951,7 @@ func (e *engine) execute(c *candidateRef, effFreq float64, segments []freqSegmen
 	v := &e.views[c.cand.EDFPosition]
 	v.AdjustedWCET = in.adjustedWC
 	v.RemainingWorstCase = in.remainingWC
+	e.planFrom = max(e.planFrom, c.cand.EDFPosition)
 }
 
 // completeNode finishes a node: updates WC_i with the actual requirement
@@ -998,31 +1024,69 @@ func graphLabel(g *taskgraph.Graph, index int) string {
 	return fmt.Sprintf("T%d", index+1)
 }
 
-// lazySource is the engine RNG's source. Seed only records the seed, and the
-// first draw after it seeds the generator, which then draws exactly what
-// rand.NewSource(seed) would; a run that never draws skips the seeding.
+// lazySource is the engine RNG's source: after Seed(seed) it draws exactly
+// what rand.NewSource(seed) would, but it seeds the generator (1,841 Lehmer
+// steps) as rarely as it can. Seed only records the seed, and the first draw
+// after it seeds the generator, so a run that never draws skips the seeding.
+// The source also keeps a tape of the values the generator drew since it was
+// seeded. A Seed with the seed the generator was last seeded with, and no
+// other Seed since, rewinds the tape instead of seeding: draws replay the
+// tape, then continue from the generator, and extend the tape. The drivers
+// run every Random-ordering scheme of a set with the same seed, so only the
+// set's first Random run seeds. The tape holds at most tapeCap values; once
+// the generator has drawn past that, the tape no longer holds every value
+// since the seeding, and the next Seed seeds afresh.
 type lazySource struct {
-	src    rand.Source64 // nil until the first draw
-	seed   int64
-	seeded bool
+	src     rand.Source64 // nil until the first draw
+	seed    int64         // the last Seed's seed
+	seeded  bool          // src is seeded with seed
+	tape    []uint64      // src's draws since it was seeded, up to tapeCap of them
+	pos     int           // the next tape value to replay; len(tape) past the tape
+	spilled bool          // src drew more than tapeCap values since it was seeded
 }
 
-func (s *lazySource) Seed(seed int64) { s.seed, s.seeded = seed, false }
+// tapeCap bounds lazySource's tape: 128 KiB, several times the draws of a
+// Random-ordering run of a paper-sized set.
+const tapeCap = 1 << 14
 
-func (s *lazySource) Int63() int64 { return s.source().Int63() }
-
-func (s *lazySource) Uint64() uint64 { return s.source().Uint64() }
-
-// source returns the generator, seeding it first if no draw has followed the
-// last Seed.
-func (s *lazySource) source() rand.Source64 {
-	if !s.seeded {
-		if s.src == nil {
-			s.src = rand.NewSource(s.seed).(rand.Source64)
-		} else {
-			s.src.Seed(s.seed)
-		}
-		s.seeded = true
+func (s *lazySource) Seed(seed int64) {
+	if s.seeded && seed == s.seed && !s.spilled {
+		s.pos = 0
+		return
 	}
-	return s.src
+	s.seed, s.seeded = seed, false
+}
+
+// Int63 is Uint64 with the top bit cleared, as it is for rand.NewSource's
+// generator.
+func (s *lazySource) Int63() int64 { return int64(s.Uint64() & (1<<63 - 1)) }
+
+func (s *lazySource) Uint64() uint64 {
+	if !s.seeded {
+		s.reseed()
+	}
+	if s.pos < len(s.tape) {
+		v := s.tape[s.pos]
+		s.pos++
+		return v
+	}
+	v := s.src.Uint64()
+	if len(s.tape) < tapeCap {
+		s.tape = append(s.tape, v)
+		s.pos = len(s.tape)
+	} else {
+		s.spilled = true
+	}
+	return v
+}
+
+// reseed seeds the generator with the last Seed's seed and empties the tape.
+func (s *lazySource) reseed() {
+	if s.src == nil {
+		s.src = rand.NewSource(s.seed).(rand.Source64)
+	} else {
+		s.src.Seed(s.seed)
+	}
+	s.seeded = true
+	s.tape, s.pos, s.spilled = s.tape[:0], 0, false
 }

@@ -395,3 +395,138 @@ func TestRecorderReuse(t *testing.T) {
 		t.Fatal("Reset dropped capacity")
 	}
 }
+
+// TestLazySourceMatchesNewSource drives one lazySource through a seeded
+// script of Seeds (one of three seeds, so most repeat the generator's own
+// and rewind its tape) and runs of draws through Int63, Uint64 and Float64,
+// some of them past tapeCap, and checks every value against a generator
+// made by rand.NewSource at each Seed. A run past the cap is followed by
+// another with the same seed, which must seed afresh: the tape no longer
+// holds every draw since the seeding.
+func TestLazySourceMatchesNewSource(t *testing.T) {
+	script := rand.New(rand.NewSource(4))
+	var src lazySource
+	got := rand.New(&src)
+	rewinds, spills, again := 0, 0, false
+	for op := 0; op < 300; op++ {
+		seed, n := int64(script.Intn(3)), script.Intn(64)
+		if script.Intn(20) == 0 {
+			n = tapeCap + script.Intn(tapeCap)
+		}
+		// After a run past the cap, repeat its seed once and draw past the
+		// cap again.
+		again = src.spilled && !again
+		if again {
+			seed, n = src.seed, tapeCap+1+script.Intn(tapeCap)
+		}
+		if src.seeded && seed == src.seed && !src.spilled {
+			rewinds++
+		}
+		got.Seed(seed)
+		want := rand.New(rand.NewSource(seed))
+		for i := 0; i < n; i++ {
+			switch i % 3 {
+			case 0:
+				if g, w := got.Int63(), want.Int63(); g != w {
+					t.Fatalf("op %d, draw %d: Int63 %d, want %d", op, i, g, w)
+				}
+			case 1:
+				if g, w := got.Uint64(), want.Uint64(); g != w {
+					t.Fatalf("op %d, draw %d: Uint64 %d, want %d", op, i, g, w)
+				}
+			default:
+				if g, w := got.Float64(), want.Float64(); g != w {
+					t.Fatalf("op %d, draw %d: Float64 %v, want %v", op, i, g, w)
+				}
+			}
+		}
+		if src.spilled {
+			spills++
+		}
+	}
+	if rewinds == 0 || spills == 0 {
+		t.Fatalf("%d rewinds and %d runs past the tape's cap, want both", rewinds, spills)
+	}
+}
+
+// TestEngineRNGTapeMatchesFreshRun reuses one engine, with the same seed,
+// across the Random-ordering schemes of Table 2 (no DVS, ccEDF and laEDF, on
+// the most imminent instance and on all released ones) in both orders, so
+// every run after the first replays the RNG tape the earlier ones drew. A
+// run over more hyperperiods then draws past the recorded tape, and two over
+// many draw past the tape's cap, so each next run seeds afresh. Every run
+// must equal a fresh core.Run bit for bit.
+func TestEngineRNGTapeMatchesFreshRun(t *testing.T) {
+	sys, err := tgff.GenerateSystem(tgff.DefaultConfig(), 5, 0.7, 1e9, rand.New(rand.NewSource(31)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	type random struct {
+		dvs    dvs.Algorithm
+		policy ReadyPolicy
+	}
+	var schemes []random
+	for _, alg := range []dvs.Algorithm{dvs.NewNoDVS(), dvs.NewCCEDF(), dvs.NewLAEDF()} {
+		for _, policy := range []ReadyPolicy{MostImminentOnly, AllReleased} {
+			schemes = append(schemes, random{alg, policy})
+		}
+	}
+	eng := NewEngine()
+	rec := NewProfileRecorder()
+	run := func(label string, sc random, hyperperiods int) {
+		t.Helper()
+		cfg := Config{
+			System:        sys,
+			DVS:           sc.dvs,
+			Priority:      priority.NewRandom(),
+			ReadyPolicy:   sc.policy,
+			FrequencyMode: DiscreteFrequency,
+			Hyperperiods:  hyperperiods,
+			Seed:          3,
+			Observer:      rec,
+		}
+		rec.Reset()
+		if err := eng.Reset(cfg); err != nil {
+			t.Fatal(err)
+		}
+		got, err := eng.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		got = copyResult(got)
+		fresh := cfg
+		fresh.Observer = NewProfileRecorder()
+		want, err := Run(fresh)
+		if err != nil {
+			t.Fatal(err)
+		}
+		equalResults(t, label+"/"+sc.dvs.Name()+"/"+sc.policy.String(), want, got)
+	}
+	src := &eng.e.rngSrc
+	for i, sc := range schemes {
+		run("forward", sc, 1)
+		if i == 0 && (!src.seeded || len(src.tape) == 0) {
+			t.Fatal("the first Random run drew nothing")
+		}
+	}
+	recorded := len(src.tape)
+	for i := range schemes {
+		run("reverse", schemes[len(schemes)-1-i], 1)
+	}
+	if len(src.tape) != recorded {
+		t.Fatalf("replays grew the tape from %d to %d values; every run over one hyperperiod drew before", recorded, len(src.tape))
+	}
+	run("past the tape", schemes[len(schemes)-1], 3)
+	if len(src.tape) <= recorded || src.spilled {
+		t.Fatalf("a run over 3 hyperperiods left a tape of %d values (spilled %v), want more than %d", len(src.tape), src.spilled, recorded)
+	}
+	for _, label := range []string{"past the cap", "past the cap again"} {
+		run(label, schemes[len(schemes)-1], 200)
+		if !src.spilled {
+			t.Fatalf("a run over 200 hyperperiods drew only %d values, not past the tape's cap of %d", len(src.tape), tapeCap)
+		}
+	}
+	for _, sc := range schemes {
+		run("after the cap", sc, 1)
+	}
+}

@@ -91,7 +91,9 @@ func viewsRebuilt(e *engine) []dvs.InstanceView {
 
 // checkIncrementalState fails unless the engine's views equal the rebuilt
 // ones, its candidates equal the full scan's, field by field and bit for
-// bit, and its earliest pending release is that of a fresh scan.
+// bit, and its earliest pending release is that of a fresh scan. Under
+// laEDF, the engine's plan, brought up to date as the next decision does,
+// must also answer every query as a fresh plan of the views does.
 func checkIncrementalState(t *testing.T, label string, step int, e *engine) {
 	t.Helper()
 	if next := e.earliestRelease(); e.nextDue != next {
@@ -121,33 +123,62 @@ func checkIncrementalState(t *testing.T, label string, step int, e *engine) {
 			t.Fatalf("%s, step %d: candidate %d is %+v, full scan %+v", label, step, i, g.cand, w.cand)
 		}
 	}
+	if e.planned {
+		checkPlanUpToDate(t, label, step, e)
+	}
+}
+
+// checkPlanUpToDate brings the engine's laEDF plan up to date with its views,
+// as the next decision would before anything else moves them (a release or
+// retirement then resets the plan anyway), and fails unless its frequency at
+// now and its query for every position, with half and none of that view's
+// remaining work left, equal bit for bit those of a fresh plan of the views.
+func checkPlanUpToDate(t *testing.T, label string, step int, e *engine) {
+	t.Helper()
+	e.updatePlan()
+	var fresh dvs.LAEDFPlan
+	fresh.Reset(e.fmax, e.views)
+	if got, want := e.plan.Frequency(e.now), fresh.Frequency(e.now); math.Float64bits(got) != math.Float64bits(want) {
+		t.Fatalf("%s, step %d: plan frequency %v, fresh plan %v", label, step, got, want)
+	}
+	for k, v := range e.views {
+		for _, r := range []float64{v.RemainingWorstCase / 2, 0} {
+			if got, want := e.plan.FrequencyAfter(e.now, k, r), fresh.FrequencyAfter(e.now, k, r); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("%s, step %d: plan query for view %d with %v left: %v, fresh plan %v", label, step, k, r, got, want)
+			}
+		}
+	}
 }
 
 // TestIncrementalStateMatchesReference drives one engine decision by
 // decision and, before the first and after every one, checks the state the
 // engine keeps incrementally against a rebuild from scratch: the views kept
 // in step with the released list (with their remaining work where a reader
-// exists), the ready sets, the cached estimates (where a reader exists) and
-// the earliest pending release.
+// exists), the ready sets, the cached estimates (where a reader exists), the
+// earliest pending release and laEDF's plan, refreshed rather than rebuilt
+// at most decisions.
 // The systems cover graphs of up to 15 nodes, graphs of 65 to 130 nodes
-// (ready sets of two or three words), and runs that miss deadlines, where two
+// (ready sets of two or three words), runs that miss deadlines, where two
 // instances of one graph overlap and one's completion invalidates the other's
-// cached estimate.
+// cached estimate, and a horizon that is no multiple of the periods, past
+// which instances retire with no release beside them.
 func TestIncrementalStateMatchesReference(t *testing.T) {
 	large := tgff.DefaultConfig()
 	large.MinNodes, large.MaxNodes = 65, 130
 	large.MinWCET, large.MaxWCET = 0.1e6, 1e6
 	type system struct {
-		name string
-		cfg  tgff.Config
-		seed int64
-		util float64
-		exec float64 // lower bound of the execution fraction
+		name    string
+		cfg     tgff.Config
+		seed    int64
+		util    float64
+		exec    float64 // lower bound of the execution fraction
+		horizon float64 // 0: 2 hyperperiods
 	}
 	systems := []system{
-		{"paper", tgff.DefaultConfig(), 50, 0.7, 0.2},
-		{"large", large, 51, 0.7, 0.2},
-		{"overlapping", tgff.DefaultConfig(), 6, 0.95, 0.999},
+		{"paper", tgff.DefaultConfig(), 50, 0.7, 0.2, 0},
+		{"large", large, 51, 0.7, 0.2, 0},
+		{"overlapping", tgff.DefaultConfig(), 6, 0.95, 0.999, 0},
+		{"cut", tgff.DefaultConfig(), 50, 0.7, 0.2, 0.73},
 	}
 	schemes := append(reuseSchemes(),
 		reuseScheme{name: "ccEDF-pUBS", dvs: dvs.NewCCEDF(), prio: priority.NewPUBS(), policy: AllReleased, modes: []FrequencyMode{DiscreteFrequency}})
@@ -171,6 +202,7 @@ func TestIncrementalStateMatchesReference(t *testing.T) {
 						FrequencyMode:   mode,
 						Execution:       taskgraph.NewUniformExecution(s.exec, 1.0, seed),
 						Hyperperiods:    2,
+						Horizon:         s.horizon,
 						Seed:            seed,
 						Observer:        Discard,
 					})

@@ -197,10 +197,11 @@ func (LAEDF) SelectFrequency(now, fmax float64, instances []InstanceView) float6
 // earliest, so the pass's state on reaching position k does not depend on
 // the remaining work at k or before it: a query for position k redoes only
 // positions k..0, with the same float operations as a full pass over an
-// edited copy of the views. Neither the pass nor a query depends on the
-// time, which enters only at the end: the check for an immediate earliest
-// deadline and the final division. A zero LAEDFPlan is an empty plan; Reset
-// reuses its storage.
+// edited copy of the views, and so does Refresh, which keeps the plan up to
+// date when the remaining work at k and before it changes. Neither the pass
+// nor a query depends on the time, which enters only at the end: the check
+// for an immediate earliest deadline and the final division. A zero
+// LAEDFPlan is an empty plan; Reset reuses its storage.
 type LAEDFPlan struct {
 	fmax  float64
 	dn    float64 // the earliest deadline
@@ -250,17 +251,37 @@ func (p *LAEDFPlan) Reset(fmax float64, views []InstanceView) {
 	// Work in normalised "seconds at fmax" units.
 	var u float64
 	for _, in := range views {
-		st := laedfStep{slack: in.AbsoluteDeadline - p.dn, cLeft: in.RemainingWorstCase / fmax}
+		st := laedfStep{slack: in.AbsoluteDeadline - p.dn}
 		if in.Period > 0 {
 			st.share = in.TotalWCET / (fmax * in.Period)
 			u += st.share
 		}
 		p.steps = append(p.steps, st)
 	}
-	s := 0.0
+	// The pass reaches the latest deadline with every share and no work.
+	top := len(p.steps) - 1
+	p.steps[top].u = u
+	p.Refresh(top, views)
+}
+
+// Refresh brings the plan up to date with views whose RemainingWorstCase
+// changed at position k or before it since the plan was computed: it
+// re-reads the remaining work of positions k..0 and reruns the pass over
+// them from the state stored at k, which such a change leaves as it was.
+// The result is bit for bit that of Reset over views. Any other change to
+// the views (a view added, removed or moved, or a deadline, period or
+// worst-case total changed) needs Reset. A k past the last view refreshes
+// every position, and a negative k none.
+func (p *LAEDFPlan) Refresh(k int, views []InstanceView) {
+	k = min(k, len(p.steps)-1)
+	if k < 0 {
+		return
+	}
+	u, s := p.steps[k].u, p.steps[k].s
 	// Latest deadline first.
-	for i := len(p.steps) - 1; i >= 0; i-- {
+	for i := k; i >= 0; i-- {
 		st := &p.steps[i]
+		st.cLeft = views[i].RemainingWorstCase / p.fmax
 		st.u, st.s = u, s
 		u, s = st.advance(u, s, st.cLeft)
 	}

@@ -51,7 +51,9 @@ func laedfReference(now, fmax float64, instances []InstanceView) float64 {
 // checkPlan fails unless, bit for bit, the plan of views selects the
 // reference's frequency at now, SelectFrequency agrees, and the plan's query
 // for position k equals the reference on a copy of views whose view k has
-// remaining work left (views unchanged when k is past the last view).
+// remaining work left (views unchanged when k is past the last view). It
+// then edits the remaining work at k and before it and checks that the
+// plan, refreshed from k, answers as a fresh plan of the edited views.
 func checkPlan(t *testing.T, p *LAEDFPlan, fmax, now float64, views []InstanceView, k int, remaining float64) {
 	t.Helper()
 	p.Reset(fmax, views)
@@ -71,12 +73,48 @@ func checkPlan(t *testing.T, p *LAEDFPlan, fmax, now float64, views []InstanceVi
 		t.Fatalf("plan query for view %d with %v left: %v, reference %v (fmax %v, now %v, views %+v)",
 			k, remaining, got, want, fmax, now, views)
 	}
+	checkRefresh(t, p, fmax, now, views, k, remaining)
+}
+
+// checkRefresh edits the remaining work of views at positions up to k (all
+// of them when k is past the last view): view k's becomes remaining and
+// every earlier one's halves. It then refreshes p, a plan of views, from k
+// and fails unless its frequency at now and its query for every position
+// (and for none) equal, bit for bit, those of a fresh plan of the edited
+// views.
+func checkRefresh(t *testing.T, p *LAEDFPlan, fmax, now float64, views []InstanceView, k int, remaining float64) {
+	t.Helper()
+	edited := append([]InstanceView(nil), views...)
+	for i := range edited[:min(k+1, len(edited))] {
+		edited[i].RemainingWorstCase /= 2
+	}
+	if k < len(edited) {
+		edited[k].RemainingWorstCase = remaining
+	}
+	p.Refresh(k, edited)
+	var fresh LAEDFPlan
+	fresh.Reset(fmax, edited)
+	if got, want := p.Frequency(now), fresh.Frequency(now); math.Float64bits(got) != math.Float64bits(want) {
+		t.Fatalf("plan refreshed from %d: frequency %v, fresh plan %v (fmax %v, now %v, views %+v)", k, got, want, fmax, now, edited)
+	}
+	for j := 0; j <= len(edited); j++ {
+		r := remaining
+		if j < len(edited) {
+			r = edited[j].RemainingWorstCase / 3
+		}
+		if got, want := p.FrequencyAfter(now, j, r), fresh.FrequencyAfter(now, j, r); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("plan refreshed from %d: query for view %d with %v left: %v, fresh plan %v (fmax %v, now %v, views %+v)",
+				k, j, r, got, want, fmax, now, edited)
+		}
+	}
 }
 
 // TestLAEDFPlanMatchesReference pins the plan against the full pass on
 // seeded decisions shaped like the engine's: 1 to 8 views in EDF order,
 // completed instances with no work left, some views without a period, and
-// times at and past the earliest deadline. One plan is reused throughout.
+// times at and past the earliest deadline. It also pins a plan refreshed
+// after an edit of the remaining work against a fresh plan of the edited
+// views. One plan is reused throughout.
 func TestLAEDFPlanMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	var p LAEDFPlan
@@ -130,7 +168,9 @@ func encodeViews(views []InstanceView) []byte {
 
 // FuzzLAEDFLookAhead checks the plan against the full pass for arbitrary
 // views: 1 to 8 of them (from data) in EDF order, a time, a position k (a k
-// of len(views) edits no view) and the remaining work k is replaced with.
+// of len(views) edits no view) and the remaining work k is replaced with;
+// and a plan refreshed from k after an edit of the remaining work at k and
+// before it against a fresh plan of the edited views.
 func FuzzLAEDFLookAhead(f *testing.F) {
 	two := twoInstances()
 	f.Add(encodeViews(two), 0.0, 1e9, uint8(0), 5e6)

@@ -210,3 +210,25 @@ func TestMeaninglessTargetCIRefused(t *testing.T) {
 		t.Fatalf("TargetCI -0 (fixed set counts): %v", err)
 	}
 }
+
+// TestNegativeMaxSetsRefused pins the MaxSets rule: a negative cap fails
+// every experiment's Run and a driver's own entry point with ErrBadConfig
+// before anything runs, with or without a target CI. Before the rule,
+// -ci 0.2 with MaxSets -1 ran as MaxSets 0 under a content address of its
+// own.
+func TestNegativeMaxSetsRefused(t *testing.T) {
+	ctx := context.Background()
+	for _, ci := range []float64{0, 0.2} {
+		for _, name := range Names() {
+			spec := Spec{Quick: true, Battery: "kibam", RunOptions: RunOptions{TargetCI: ci, MaxSets: -1}}
+			if _, err := Run(ctx, name, spec); !errors.Is(err, ErrBadConfig) || !strings.Contains(err.Error(), "max sets") {
+				t.Fatalf("%s with TargetCI %v and MaxSets -1: err = %v, want ErrBadConfig on the max sets", name, ci, err)
+			}
+		}
+		cfg := QuickTable2Config()
+		cfg.TargetCI, cfg.MaxSets = ci, -1
+		if _, err := RunTable2(ctx, cfg); !errors.Is(err, ErrBadConfig) {
+			t.Fatalf("RunTable2 with TargetCI %v and MaxSets -1: err = %v, want ErrBadConfig", ci, err)
+		}
+	}
+}

@@ -38,6 +38,7 @@ type RunOptions struct {
 	TargetCI float64
 	// MaxSets is the hard cap on the adaptively grown set count; 0 selects
 	// 8× the configured count. It never shrinks below the configured count.
+	// A negative cap is refused with ErrBadConfig.
 	MaxSets int
 	// Shard restricts the run to one shard of a multi-process partition of
 	// the absolute set indices (the zero value runs everything). The driver
@@ -115,11 +116,15 @@ func ParseShard(s string) (Shard, error) {
 	return sh, nil
 }
 
-// check refuses a TargetCI that means nothing (NaN, infinite or negative)
-// and adaptive set counts on a sharded run (see Definition.Check).
+// check refuses a TargetCI that means nothing (NaN, infinite or negative),
+// a negative MaxSets, and adaptive set counts on a sharded run (see
+// Definition.Check).
 func (o RunOptions) check(sharded bool) error {
 	if math.IsNaN(o.TargetCI) || math.IsInf(o.TargetCI, 0) || o.TargetCI < 0 {
 		return fmt.Errorf("%w: target CI %v, want a finite relative CI95 half-width > 0, or 0 for fixed set counts", ErrBadConfig, o.TargetCI)
+	}
+	if o.MaxSets < 0 {
+		return fmt.Errorf("%w: max sets %d, want a set-count cap > 0, or 0 for 8x the configured count", ErrBadConfig, o.MaxSets)
 	}
 	if sharded && o.TargetCI > 0 {
 		return fmt.Errorf("%w: a run with adaptive set counts (target CI %v) does not shard; use fixed set counts", ErrBadConfig, o.TargetCI)

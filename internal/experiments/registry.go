@@ -115,7 +115,8 @@ func Lookup(name string) (Definition, error) {
 // Check is the one decision whether d may run spec, which Run, the daemon's
 // admission and the CLI's run and submit all call before anything runs or
 // is sent. A TargetCI that is NaN, infinite or negative means nothing and is
-// refused (0 disables adaptive set counts). sharded says whether the run is
+// refused (0 disables adaptive set counts), and so is a negative MaxSets (0
+// selects the default cap). sharded says whether the run is
 // split: a -shard slice, a daemon's shard unit, or a job a daemon fans out
 // over shards; an unsplit run always may be. The deterministic curve has no
 // sets to split. Adaptive set counts (TargetCI) do not shard either: each

@@ -129,16 +129,32 @@ func TestCacheHoldsAtLeastWorkers(t *testing.T) {
 // negative target answers 400 and admits nothing, and a journaled job with
 // one (accepted by an older daemon) replays as failed instead of running.
 func TestMeaninglessTargetCIRefused(t *testing.T) {
+	checkSpecRefused(t, service.SpecRequest{Quick: true, Battery: "kibam", TargetCI: -1}, "target CI")
+}
+
+// TestNegativeMaxSetsRefused pins the MaxSets rule at admission the same
+// way: a negative cap answers 400, and a journaled job with one replays as
+// failed.
+func TestNegativeMaxSetsRefused(t *testing.T) {
+	checkSpecRefused(t, service.SpecRequest{Quick: true, Battery: "kibam", TargetCI: 0.2, MaxSets: -1}, "max sets")
+}
+
+// checkSpecRefused journals a table2 job with spec, as an older daemon that
+// accepted it would have, and starts a daemon on that journal. It fails
+// unless the replayed job is failed with an error naming what, and a fresh
+// Submit of spec answers HTTP 400 naming what and admits nothing.
+func checkSpecRefused(t *testing.T, spec service.SpecRequest, what string) {
+	t.Helper()
 	dir := t.TempDir()
 	jr, _, err := journal.Open(filepath.Join(dir, "journal.jsonl"), false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec, err := json.Marshal(service.SpecRequest{Quick: true, Battery: "kibam", TargetCI: -1})
+	raw, err := json.Marshal(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := jr.Accept(journal.Accept{ID: "job-000001", Experiment: "table2", Spec: spec}); err != nil {
+	if err := jr.Accept(journal.Accept{ID: "job-000001", Experiment: "table2", Spec: raw}); err != nil {
 		t.Fatal(err)
 	}
 	if err := jr.Close(); err != nil {
@@ -150,14 +166,14 @@ func TestMeaninglessTargetCIRefused(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.State != service.StateFailed || !strings.Contains(st.Error, "target CI") {
-		t.Fatalf("replayed job with target_ci -1 = %s (%q), want failed on its target CI", st.State, st.Error)
+	if st.State != service.StateFailed || !strings.Contains(st.Error, what) {
+		t.Fatalf("replayed job with spec %s = %s (%q), want failed on its %s", raw, st.State, st.Error, what)
 	}
 	jobs := srv.Health().Jobs
-	_, err = c.Submit(context.Background(), service.JobRequest{Experiment: "table2", Spec: service.SpecRequest{Quick: true, TargetCI: -1}})
+	_, err = c.Submit(context.Background(), service.JobRequest{Experiment: "table2", Spec: spec})
 	var ae *client.APIError
-	if !errors.As(err, &ae) || ae.Status != http.StatusBadRequest || !strings.Contains(ae.Message, "target CI") {
-		t.Fatalf("Submit with target_ci -1 = %v, want HTTP 400 on its target CI", err)
+	if !errors.As(err, &ae) || ae.Status != http.StatusBadRequest || !strings.Contains(ae.Message, what) {
+		t.Fatalf("Submit with spec %s = %v, want HTTP 400 on its %s", raw, err, what)
 	}
 	if h := srv.Health(); h.Jobs != jobs {
 		t.Fatalf("refused submission admitted a job (%d → %d)", jobs, h.Jobs)

@@ -232,7 +232,8 @@ func (g *Graph) IsLinearExtension(order []NodeID) bool {
 }
 
 // Validate checks structural sanity: at least one node, positive period,
-// positive WCETs, in-range and non-duplicate edges, and acyclicity.
+// positive WCETs, in-range and non-duplicate edges, and acyclicity. Of
+// several faults it reports one.
 func (g *Graph) Validate() error {
 	if len(g.Nodes) == 0 {
 		return ErrEmptyGraph
@@ -248,7 +249,6 @@ func (g *Graph) Validate() error {
 			return fmt.Errorf("%w: node %s", ErrBadWCET, n)
 		}
 	}
-	seen := make(map[Edge]bool, len(g.Edges))
 	for _, e := range g.Edges {
 		if int(e.From) < 0 || int(e.From) >= len(g.Nodes) || int(e.To) < 0 || int(e.To) >= len(g.Nodes) {
 			return fmt.Errorf("%w: %s in graph %q", ErrBadEdge, e, g.Name)
@@ -256,10 +256,6 @@ func (g *Graph) Validate() error {
 		if e.From == e.To {
 			return fmt.Errorf("%w: %s in graph %q", ErrSelfEdge, e, g.Name)
 		}
-		if seen[e] {
-			return fmt.Errorf("%w: %s in graph %q", ErrDuplicateEdge, e, g.Name)
-		}
-		seen[e] = true
 	}
 	// Keep a still-valid adjacency cache — repeated Validate calls (one per
 	// simulation) reuse it instead of rebuilding per run — but drop it when
@@ -267,8 +263,42 @@ func (g *Graph) Validate() error {
 	if !g.adjacencyFresh() {
 		g.invalidate()
 	}
-	if _, err := g.TopologicalOrder(); err != nil {
-		return fmt.Errorf("graph %q: %w", g.Name, err)
+	g.ensureAdj()
+	n := len(g.Nodes)
+	scratch := make([]int, 2*n)
+	// from[t] is 1 + the last node seen with an edge to t, so a node's
+	// second edge to t is a duplicate.
+	from, indeg := scratch[:n:n], scratch[n:]
+	for v, succ := range g.succ {
+		for _, t := range succ {
+			if from[t] == v+1 {
+				return fmt.Errorf("%w: %s in graph %q", ErrDuplicateEdge, Edge{From: NodeID(v), To: t}, g.Name)
+			}
+			from[t] = v + 1
+			indeg[t]++
+		}
+	}
+	// Kahn's algorithm, in any order, visits every node iff there is no
+	// cycle; the stack reuses from's storage, and holds each node once.
+	stack := from[:0]
+	for v, d := range indeg {
+		if d == 0 {
+			stack = append(stack, v)
+		}
+	}
+	visited := 0
+	for len(stack) > 0 {
+		v := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		visited++
+		for _, t := range g.succ[v] {
+			if indeg[t]--; indeg[t] == 0 {
+				stack = append(stack, int(t))
+			}
+		}
+	}
+	if visited != n {
+		return fmt.Errorf("graph %q: %w", g.Name, ErrCycle)
 	}
 	return nil
 }

@@ -106,6 +106,60 @@ func TestValidateRejectsCycle(t *testing.T) {
 	}
 }
 
+// validateEdgesReference is Validate's duplicate-edge and cycle checks as
+// they were before Validate stopped building a map and a sorted topological
+// order: an edge seen before is a duplicate, and TopologicalOrder finds a
+// cycle. It is kept only as the reference Validate is pinned against, for
+// graphs whose edges are in range and not self edges.
+func validateEdgesReference(g *Graph) error {
+	seen := make(map[Edge]bool, len(g.Edges))
+	for _, e := range g.Edges {
+		if seen[e] {
+			return ErrDuplicateEdge
+		}
+		seen[e] = true
+	}
+	if _, err := g.TopologicalOrder(); err != nil {
+		return err
+	}
+	return nil
+}
+
+// TestValidateMatchesReference pins Validate's duplicate-edge and cycle
+// detection against the reference on random graphs of 1 to 20 nodes whose
+// edges may repeat and may close cycles.
+func TestValidateMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	faults := map[error]int{}
+	for trial := 0; trial < 5000; trial++ {
+		n := 1 + rng.Intn(20)
+		g := NewGraph("p", 1)
+		for i := 0; i < n; i++ {
+			g.AddNode("", 1)
+		}
+		back := rng.Intn(3) == 0 // edges may point backwards and close cycles
+		for e := rng.Intn(2 * n); e > 0 && n > 1; e-- {
+			from, to := rng.Intn(n), rng.Intn(n)
+			if from == to {
+				continue
+			}
+			if from > to && !back {
+				from, to = to, from
+			}
+			g.AddEdge(NodeID(from), NodeID(to))
+		}
+		want := validateEdgesReference(g)
+		got := g.Validate()
+		if (want == nil) != (got == nil) || (want != nil && !errors.Is(got, want)) {
+			t.Fatalf("trial %d: Validate = %v, reference %v (edges %v)", trial, got, want, g.Edges)
+		}
+		faults[want]++
+	}
+	if faults[nil] == 0 || faults[ErrDuplicateEdge] == 0 || faults[ErrCycle] == 0 {
+		t.Fatalf("graphs by reference outcome %v, want valid ones, duplicates and cycles", faults)
+	}
+}
+
 func TestTotalWCETAndUtilization(t *testing.T) {
 	g := diamondGraph(t)
 	if got := g.TotalWCET(); got != 1000 {

@@ -225,29 +225,57 @@ func TestDeterministicForSeed(t *testing.T) {
 	}
 }
 
-// Property: every generated graph is a valid DAG whose layered construction
-// admits a topological order, for any seed and node count in [1, 30].
+// Property: every graph GenerateWithNodes generates, and every graph of a
+// system GenerateSystem builds, is a valid DAG without a repeated edge whose
+// layered construction admits a topological order, for any seed, with the
+// paper's configuration (any node count in [1, 30]) and with 65 to 130 nodes
+// per graph. GenerateWithNodes relies on it to skip validating its output.
 func TestGenerateAlwaysValidDAGProperty(t *testing.T) {
-	cfg := DefaultConfig()
-	f := func(seed int64, nRaw uint8) bool {
-		n := 1 + int(nRaw)%30
-		rng := rand.New(rand.NewSource(seed))
-		g, err := GenerateWithNodes(cfg, "p", n, rng)
-		if err != nil {
-			return false
+	large := DefaultConfig()
+	large.MinNodes, large.MaxNodes = 65, 130
+	for _, c := range []struct {
+		cfg                Config
+		minNodes, maxNodes int
+	}{{DefaultConfig(), 1, 30}, {large, 65, 130}} {
+		f := func(seed int64, nRaw, graphs uint8) bool {
+			rng := rand.New(rand.NewSource(seed))
+			n := c.minNodes + int(nRaw)%(c.maxNodes-c.minNodes+1)
+			g, err := GenerateWithNodes(c.cfg, "p", n, rng)
+			if err != nil || !validDAG(g) {
+				return false
+			}
+			sys, err := GenerateSystem(c.cfg, 1+int(graphs)%6, 0.7, 1e9, rng)
+			if err != nil {
+				return false
+			}
+			for _, g := range sys.Graphs {
+				if !validDAG(g) {
+					return false
+				}
+			}
+			return true
 		}
-		if g.Validate() != nil {
-			return false
+		if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
+			t.Fatalf("%d to %d nodes: %v", c.minNodes, c.maxNodes, err)
 		}
-		order, err := g.TopologicalOrder()
-		if err != nil {
-			return false
-		}
-		return g.IsLinearExtension(order)
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
-		t.Fatal(err)
+}
+
+// validDAG reports whether g validates, repeats no edge and has a
+// topological order.
+func validDAG(g *taskgraph.Graph) bool {
+	if g.Validate() != nil {
+		return false
 	}
+	seen := make(map[taskgraph.Edge]bool, len(g.Edges))
+	for _, e := range g.Edges {
+		if seen[e] {
+			return false
+		}
+		seen[e] = true
+	}
+	order, err := g.TopologicalOrder()
+	return err == nil && g.IsLinearExtension(order)
 }
 
 func TestIntSqrt(t *testing.T) {
