@@ -2,6 +2,8 @@ package experiments
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"flag"
 	"fmt"
 	"os"
@@ -177,4 +179,58 @@ func TestGoldenCurve(t *testing.T) {
 		}
 	}
 	checkGolden(t, "curve_quick", b.String())
+}
+
+// TestDefaultSizePins pins, through Run, the SHA-256 of every experiment's
+// default-size artifact (Spec{}, the paper's sizes) and of its FormatReport
+// table; the goldens above run quick or reduced configurations only. The
+// curve's and the grid's bytes depend on the host's floating-point hardware:
+// on amd64 math.Exp takes another branch without AVX and FMA
+// (GODEBUG=cpu.fma=off), and both artifacts then differ in a last ulp
+// (ROADMAP item 3). The six runs take a fraction of a second.
+func TestDefaultSizePins(t *testing.T) {
+	for _, tc := range []struct{ name, artifact, table string }{
+		{"table1",
+			"7a60d76196aec87db92925cb8eb0cd133f7d89ee92ee204803a84a2639739d92",
+			"5bdcd5e1fd1017f0715ae97c62eadfd0bae64602cc19e72e3a1169bfa7b228ea"},
+		{"figure6",
+			"479e2059f58116a2e32e4b1b6b1ba4f02bc321d82017daffdfac968f92d88d33",
+			"0072dd22f586c1dd14a22350792b305f1ee90a8912c6e0256e39bfd1ad5ad28c"},
+		{"table2",
+			"4c20f6d93e2e1ac164d77801948bc5873d8b14baa831c6bd267a7f3628d27491",
+			"6d38f2efe7dd4c1c2fab6ad13a48c4c32250159be2a08842fcc1218c65499d28"},
+		{"curve",
+			"91f35a1df158c0856f3f339d657655c99c2edb22cb39e825552ec571d87f418b",
+			"eb47600c467bc67d91ca23f3e404298966a36cddd31aeb6cefe98bd063d533b1"},
+		{"ablation",
+			"18ba4b3f58a2c0a9954b535f4c4f2217906ada356c53490d2395620a6c49409d",
+			"b1083dd005104e565254d2b91ab6b991228a3f82a8d93f76b7f48c0b9fde944b"},
+		{"grid",
+			"4ed0460ca7157e739c4644d190f6580aec0455bb9e4d006ec238f9c41a61e2d0",
+			"b0f90da2d62b7986481158e98cd4be79ebbadcf7817b9e9085c51908b81a8750"},
+	} {
+		rep, err := Run(context.Background(), tc.name, Spec{})
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		var art strings.Builder
+		if err := WriteArtifact(&art, []*Report{rep}); err != nil {
+			t.Fatal(err)
+		}
+		table, err := FormatReport(rep)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := sha256Hex(art.String()); got != tc.artifact {
+			t.Errorf("%s: artifact SHA-256 %s, want %s", tc.name, got, tc.artifact)
+		}
+		if got := sha256Hex(table); got != tc.table {
+			t.Errorf("%s: table SHA-256 %s, want %s\n%s", tc.name, got, tc.table, table)
+		}
+	}
+}
+
+func sha256Hex(s string) string {
+	sum := sha256.Sum256([]byte(s))
+	return hex.EncodeToString(sum[:])
 }
