@@ -182,15 +182,16 @@ func TestPublicAPIScenarioGrid(t *testing.T) {
 	cfg.Sets = 2
 	cfg.GraphsPerSet = 2
 	cfg.Hyperperiods = 1
-	rows, err := battsched.RunScenarioGrid(context.Background(), cfg)
+	rep, err := battsched.RunScenarioGrid(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 1 || rows[0].Scheme != "BAS-2" || rows[0].Charge.N != 2 {
-		t.Fatalf("rows = %+v", rows)
+	if len(rep.Rows) != 1 || rep.Rows[0].Key != "0.7|peukert|BAS-2" || rep.Rows[0].Cells["charge_mah"].N != 2 ||
+		rep.Rows[0].Cells["life_min"].Mean <= 0 || rep.Rows[0].Counts["deadline_misses"] != 0 {
+		t.Fatalf("rows = %+v", rep.Rows)
 	}
-	if out := battsched.FormatScenarioGrid(rows); !strings.Contains(out, "BAS-2") {
-		t.Fatalf("format output unexpected:\n%s", out)
+	if out, err := battsched.FormatExperimentReport(rep); err != nil || !strings.Contains(out, "BAS-2") {
+		t.Fatalf("format output unexpected (%v):\n%s", err, out)
 	}
 }
 

@@ -61,11 +61,15 @@ func run(args []string, stdout io.Writer) error {
 		cfg.MaxHours = *maxHours
 		cfg.MaxStep = *maxStep
 		cfg.Parallel = *parallel
-		series, err := experiments.RunLoadCapacityCurve(ctx, cfg)
+		rep, err := experiments.RunLoadCapacityCurve(ctx, cfg)
 		if err != nil {
 			return err
 		}
-		fmt.Fprint(stdout, experiments.FormatCurve(series))
+		table, err := experiments.FormatReport(rep)
+		if err != nil {
+			return err
+		}
+		fmt.Fprint(stdout, table)
 		return nil
 	}
 

@@ -136,7 +136,7 @@ func (f *runnerFlags) register(fs *flag.FlagSet) {
 	fs.StringVar(&f.battery, "battery", "", "battery model by registry name for table2, grid and curve (default: each driver's default; unknown names list the registered models)")
 	fs.BoolVar(&f.oracle, "oracle", false, "give pUBS perfect estimates of actual requirements (table2, grid)")
 	fs.BoolVar(&f.ccFig6, "figure6-ccedf", false, "use ccEDF instead of laEDF for Figure 6 frequency setting")
-	fs.Float64Var(&f.maxstep, "maxstep", 0, "force uniform battery stepping with this substep for the curve (0: analytic fast path)")
+	fs.Float64Var(&f.maxstep, "maxstep", 0, "force uniform battery stepping with this substep in seconds for the curve (0: analytic fast path; NaN, infinite or negative: refused)")
 	fs.IntVar(&f.parallel, "parallel", 0, "worker count for the job-grid runner (<= 0: all cores, 1: sequential)")
 	fs.DurationVar(&f.timeout, "timeout", 0, "abort the whole run after this duration (0: no limit)")
 	fs.BoolVar(&f.progress, "progress", false, "report per-job progress on stderr")

@@ -163,6 +163,20 @@ func TestRunSubcommandErrors(t *testing.T) {
 			t.Fatalf("run -ci %s -max-sets -1 printed %q or wrote its artifact", ci, stdout.String())
 		}
 	}
+	// And a battery substep that means nothing, for any experiment.
+	for _, step := range []string{"NaN", "Inf", "-Inf", "-1"} {
+		for _, name := range []string{"curve", "table2"} {
+			out := filepath.Join(t.TempDir(), "r.json")
+			var stdout bytes.Buffer
+			err := run([]string{"run", name, "-quick", "-maxstep", step, "-o", out}, &stdout)
+			if !errors.Is(err, experiments.ErrBadConfig) || !strings.Contains(err.Error(), "max step") {
+				t.Fatalf("run %s -maxstep %s err = %v, want ErrBadConfig on the max step", name, step, err)
+			}
+			if _, statErr := os.Stat(out); stdout.Len() > 0 || statErr == nil {
+				t.Fatalf("run %s -maxstep %s printed %q or wrote its artifact", name, step, stdout.String())
+			}
+		}
+	}
 	if err := run([]string{"bogus-command"}, &buf); err == nil {
 		t.Fatal("expected error for unknown subcommand-looking flag")
 	}
@@ -486,6 +500,12 @@ func TestSubmitErrors(t *testing.T) {
 	// And a negative set-count cap.
 	if err := run([]string{"submit", "table2", "-quick", "-ci", "0.2", "-max-sets", "-1", "-server", "http://127.0.0.1:1"}, &buf); !errors.Is(err, experiments.ErrBadConfig) {
 		t.Fatalf("submit -max-sets -1 err = %v, want ErrBadConfig", err)
+	}
+	// And a battery substep that means nothing.
+	for _, step := range []string{"NaN", "Inf", "-1"} {
+		if err := run([]string{"submit", "curve", "-quick", "-maxstep", step, "-server", "http://127.0.0.1:1"}, &buf); !errors.Is(err, experiments.ErrBadConfig) {
+			t.Fatalf("submit -maxstep %s err = %v, want ErrBadConfig", step, err)
+		}
 	}
 	// Unreachable daemon: the transport error must surface.
 	if err := run([]string{"submit", "table2", "-quick", "-server", "http://127.0.0.1:1", "-poll", "1ms"}, &buf); err == nil {

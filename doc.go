@@ -102,7 +102,10 @@
 // deterministic -curve sweep shares -parallel and -timeout). The harness is
 // exported for custom sweeps via ParallelMap, DeriveSeed and SeededRNG, and
 // RunScenarioGrid sweeps the (utilisation × battery model × scheme) grid that
-// new workloads plug into.
+// new workloads plug into, with the lists of utilisations, batteries and
+// schemes of a ScenarioGridConfig. It returns the same ExperimentReport as
+// RunExperiment("grid", ...): one row per cell, which FormatExperimentReport
+// renders and whose cells a caller reads directly.
 //
 // # Unified experiment API
 //

@@ -18,17 +18,21 @@ func main() {
 	// Sweep two utilisation points of the paper's Table 2 setting over two
 	// battery models. The grid runs on all cores; per-cell workloads derive
 	// from (seed, utilisation, set), so any -parallel level gives the same
-	// rows.
+	// report.
 	cfg := battsched.DefaultScenarioGridConfig()
 	cfg.Utilizations = []float64{0.5, 0.7}
 	cfg.Batteries = []string{"kibam"}
 	cfg.Schemes = []string{"EDF", "BAS-2"}
 	cfg.Sets = 4
-	rows, err := battsched.RunScenarioGrid(ctx, cfg)
+	rep, err := battsched.RunScenarioGrid(ctx, cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Print(battsched.FormatScenarioGrid(rows))
+	table, err := battsched.FormatExperimentReport(rep)
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Print(table)
 
 	// ParallelMap is the underlying harness: n independent jobs, results in
 	// job order. DeriveSeed gives each job its own random stream.

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"strconv"
-	"strings"
 
 	"battsched/internal/core"
 	"battsched/internal/dvs"
@@ -43,18 +42,6 @@ func QuickEstimateAblationConfig() EstimateAblationConfig {
 	return EstimateAblationConfig{Sets: 4, GraphsPerSet: 3, Utilization: 0.7, Hyperperiods: 2, Seed: 1}
 }
 
-// EstimateAblationRow reports one estimator variant.
-type EstimateAblationRow struct {
-	// Estimator is the variant label.
-	Estimator string
-	// EnergyVsRandom is the mean battery energy normalised by the
-	// random-ordering baseline on the same workload (< 1 means the pUBS
-	// ordering with this estimator beats random ordering).
-	EnergyVsRandom float64
-	// Samples is the number of task-graph sets averaged.
-	Samples int
-}
-
 func init() {
 	mustRegister(Definition{
 		Name:      "ablation",
@@ -78,6 +65,18 @@ func init() {
 			cfg.RunOptions = spec.RunOptions
 			return runEstimateAblationReport(ctx, cfg)
 		},
+		// A row's energy_vs_random is the variant's mean battery energy over
+		// random ordering's on the same workload (< 1: pUBS with this
+		// estimator beats random ordering).
+		table: table{
+			head: "Estimate-quality ablation: BAS-2 energy normalised by random ordering\n" +
+				"Estimator                         | Energy vs random | samples\n" +
+				"----------------------------------+------------------+--------\n",
+			row:      "%-33s | %16.3f | %6d\n",
+			cols:     []rowValue{key, mean("energy_vs_random"), sets("energy_vs_random")},
+			foot:     "(%d sets, %.1fs)\n",
+			footArgs: []reportValue{firstSets("energy_vs_random")},
+		},
 	})
 }
 
@@ -85,13 +84,12 @@ func init() {
 // + pUBS over all released graphs, the configuration in which ordering
 // effects are fully visible) with a perfect oracle, a history estimator and a
 // pessimistic fixed estimator, each normalised by random ordering on the same
-// workload. Each task-graph set runs as one job of the runner harness;
-// samples stream back in set order and fold into per-variant accumulators.
-// With RunOptions.TargetCI set, additional batches of sets run until the
-// relative CI95 of every variant's normalised energy (the key metric)
-// converges or MaxSets is reached.
+// workload. Each task-graph set runs as one job. With RunOptions.TargetCI
+// set, additional batches of sets run until the relative CI95 of every
+// variant's normalised energy (the key metric) converges or MaxSets is
+// reached.
 func runEstimateAblationReport(ctx context.Context, cfg EstimateAblationConfig) (*Report, error) {
-	if cfg.Sets <= 0 || cfg.GraphsPerSet <= 0 || cfg.Utilization <= 0 || cfg.Utilization > 1 {
+	if cfg.Sets <= 0 || cfg.GraphsPerSet <= 0 || !validUtilization(cfg.Utilization) {
 		return nil, fmt.Errorf("%w: %+v", ErrBadConfig, cfg)
 	}
 	if cfg.Hyperperiods <= 0 {
@@ -112,30 +110,15 @@ func runEstimateAblationReport(ctx context.Context, cfg EstimateAblationConfig) 
 		schemes[i].alg, schemes[i].policy, schemes[i].mode = ccEDF, core.AllReleased, core.ContinuousFrequency
 	}
 
-	accs := make([]metricAcc, len(schemes)-1)
-	_, err := runAdaptiveSets(cfg.RunOptions, cfg.Sets, func(lo, hi int) error {
-		return runner.RunStream(ctx, hi-lo, cfg.runnerOptions(), func(_ context.Context, i int) ([]float64, error) {
-			// The set index is absolute, so seeds are batch- and
-			// shard-independent.
-			ev := getEvaluator(proc, cfg.Hyperperiods, 0)
-			defer ev.release()
-			if err := ev.generate(runner.SeedFor(cfg.Seed, int64(lo+i)), cfg.GraphsPerSet, cfg.Utilization); err != nil {
-				return nil, err
-			}
-			return ev.normalisedEnergies("ablation variant", schemes)
-		}, func(i int, normalised []float64) error {
-			for vi, v := range normalised {
-				accs[vi].Add(lo+i, v)
-			}
-			return nil
-		})
-	}, func() bool {
-		for i := range accs {
-			if !converged(cfg.TargetCI, &accs[i].acc) {
-				return false
-			}
+	accs, err := runColumns(ctx, cfg.RunOptions, 1, cfg.Sets, len(schemes)-1, func(_, set int) ([]float64, error) {
+		// The set index is absolute, so seeds are batch- and
+		// shard-independent.
+		ev := getEvaluator(proc, cfg.Hyperperiods, 0)
+		defer ev.release()
+		if err := ev.generate(runner.SeedFor(cfg.Seed, int64(set)), cfg.GraphsPerSet, cfg.Utilization); err != nil {
+			return nil, err
 		}
-		return true
+		return ev.normalisedEnergies("ablation variant", schemes)
 	})
 	if err != nil {
 		return nil, err
@@ -164,26 +147,4 @@ func runEstimateAblationReport(ctx context.Context, cfg EstimateAblationConfig) 
 		})
 	}
 	return rep, nil
-}
-
-// estimateAblationRowsFromReport reconstructs the typed rows from a Report.
-func estimateAblationRowsFromReport(r *Report) []EstimateAblationRow {
-	rows := make([]EstimateAblationRow, 0, len(r.Rows))
-	for _, row := range r.Rows {
-		cell := row.Cells["energy_vs_random"]
-		rows = append(rows, EstimateAblationRow{Estimator: row.Key, EnergyVsRandom: cell.Mean, Samples: cell.N})
-	}
-	return rows
-}
-
-// FormatEstimateAblation renders the ablation rows as a plain-text table.
-func FormatEstimateAblation(rows []EstimateAblationRow) string {
-	var b strings.Builder
-	fmt.Fprintln(&b, "Estimate-quality ablation: BAS-2 energy normalised by random ordering")
-	fmt.Fprintln(&b, "Estimator                         | Energy vs random | samples")
-	fmt.Fprintln(&b, "----------------------------------+------------------+--------")
-	for _, r := range rows {
-		fmt.Fprintf(&b, "%-33s | %16.3f | %6d\n", r.Estimator, r.EnergyVsRandom, r.Samples)
-	}
-	return b.String()
 }

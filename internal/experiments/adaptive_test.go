@@ -122,21 +122,21 @@ func TestAdaptiveTable2StopsEarly(t *testing.T) {
 	cfg.BatteryName = "kibam"
 	cfg.TargetCI = 1000 // always satisfied after one batch
 	cfg.MaxSets = 8
-	rows, err := RunTable2(context.Background(), cfg)
+	rep, err := runTable2Report(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rows[0].Sets != cfg.Sets {
-		t.Fatalf("Sets = %d, want first-batch count %d", rows[0].Sets, cfg.Sets)
+	if n := rep.Rows[0].Cells["charge_mah"].N; n != cfg.Sets {
+		t.Fatalf("Sets = %d, want first-batch count %d", n, cfg.Sets)
 	}
 
 	cfg.TargetCI = 1e-12 // unattainable: must run to MaxSets
-	rows, err = RunTable2(context.Background(), cfg)
+	rep, err = runTable2Report(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rows[0].Sets != cfg.MaxSets {
-		t.Fatalf("Sets = %d, want hard cap %d", rows[0].Sets, cfg.MaxSets)
+	if n := rep.Rows[0].Cells["charge_mah"].N; n != cfg.MaxSets {
+		t.Fatalf("Sets = %d, want hard cap %d", n, cfg.MaxSets)
 	}
 }
 
@@ -148,23 +148,23 @@ func TestAdaptiveFirstBatchMatchesFixed(t *testing.T) {
 	adaptive := fixed
 	adaptive.TargetCI = 1000
 	adaptive.MaxSets = 99
-	a, err := RunEstimateAblation(context.Background(), fixed)
+	a, err := runEstimateAblationReport(context.Background(), fixed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunEstimateAblation(context.Background(), adaptive)
+	b, err := runEstimateAblationReport(context.Background(), adaptive)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(a, b) {
-		t.Fatalf("adaptive first batch differs from fixed run:\n%v\n%v", a, b)
+	if !reflect.DeepEqual(a.Rows, b.Rows) {
+		t.Fatalf("adaptive first batch differs from fixed run:\n%v\n%v", a.Rows, b.Rows)
 	}
 }
 
 // TestAdaptiveGridMatchesFixedRun pins the per-set fold of the scenario
 // grid: an adaptive run that grows to N sets in multiple batches folds
 // exactly the samples of a fixed N-set run, in the same order, so the rows
-// (including ±CI) are identical.
+// (cells, samples, labels and counts) are identical.
 func TestAdaptiveGridMatchesFixedRun(t *testing.T) {
 	fixed := QuickScenarioGridConfig()
 	fixed.Sets = 8
@@ -180,8 +180,8 @@ func TestAdaptiveGridMatchesFixedRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(a, b) {
-		t.Fatalf("adaptive 4+4-set grid differs from fixed 8-set grid:\n%v\n%v", a, b)
+	if !reflect.DeepEqual(a.Rows, b.Rows) {
+		t.Fatalf("adaptive 4+4-set grid differs from fixed 8-set grid:\n%v\n%v", a.Rows, b.Rows)
 	}
 }
 
@@ -202,8 +202,8 @@ func TestMeaninglessTargetCIRefused(t *testing.T) {
 		}
 		cfg := QuickTable2Config()
 		cfg.TargetCI = ci
-		if _, err := RunTable2(ctx, cfg); !errors.Is(err, ErrBadConfig) {
-			t.Fatalf("RunTable2 with TargetCI %v: err = %v, want ErrBadConfig", ci, err)
+		if _, err := runTable2Report(ctx, cfg); !errors.Is(err, ErrBadConfig) {
+			t.Fatalf("runTable2Report with TargetCI %v: err = %v, want ErrBadConfig", ci, err)
 		}
 	}
 	if _, err := Run(ctx, "table2", Spec{Quick: true, Battery: "kibam", RunOptions: RunOptions{TargetCI: math.Copysign(0, -1)}}); err != nil {
@@ -227,8 +227,29 @@ func TestNegativeMaxSetsRefused(t *testing.T) {
 		}
 		cfg := QuickTable2Config()
 		cfg.TargetCI, cfg.MaxSets = ci, -1
-		if _, err := RunTable2(ctx, cfg); !errors.Is(err, ErrBadConfig) {
-			t.Fatalf("RunTable2 with TargetCI %v and MaxSets -1: err = %v, want ErrBadConfig", ci, err)
+		if _, err := runTable2Report(ctx, cfg); !errors.Is(err, ErrBadConfig) {
+			t.Fatalf("runTable2Report with TargetCI %v and MaxSets -1: err = %v, want ErrBadConfig", ci, err)
 		}
+	}
+}
+
+// TestMeaninglessMaxStepRefused pins the MaxStep rule: NaN, an infinity or a
+// negative battery substep fails every experiment's Run with ErrBadConfig
+// before anything runs. Before the rule, -1 and NaN ran the curve's analytic
+// path, as 0 does, each under a content address of its own, and +Inf ran the
+// stepped path with infinite substeps, which moved the curve's cells in their
+// last digits.
+func TestMeaninglessMaxStepRefused(t *testing.T) {
+	ctx := context.Background()
+	for _, step := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -1, -1e-300} {
+		for _, name := range Names() {
+			spec := Spec{Quick: true, Battery: "kibam", MaxStep: step}
+			if _, err := Run(ctx, name, spec); !errors.Is(err, ErrBadConfig) || !strings.Contains(err.Error(), "max step") {
+				t.Fatalf("%s with MaxStep %v: err = %v, want ErrBadConfig on the max step", name, step, err)
+			}
+		}
+	}
+	if _, err := Run(ctx, "curve", Spec{Quick: true, Battery: "kibam", MaxStep: math.Copysign(0, -1)}); err != nil {
+		t.Fatalf("MaxStep -0 (the analytic path): %v", err)
 	}
 }

@@ -31,13 +31,13 @@ func TestDriverAllocBudgets(t *testing.T) {
 		sim    obs.SimSnapshot
 	}{
 		// 4 sets × 5 schemes, one battery each.
-		{"table2", 2085, obs.SimSnapshot{EngineRuns: 20, BatteryAnalytic: 20, BatteryBatches: 20}}, // measured 1797
+		{"table2", 2085, obs.SimSnapshot{EngineRuns: 20, BatteryAnalytic: 20, BatteryBatches: 20}}, // measured 1325
 		// 1 utilisation × 3 sets × 2 schemes, one battery each.
-		{"grid", 995, obs.SimSnapshot{EngineRuns: 6, BatteryAnalytic: 6, BatteryBatches: 6}}, // measured 840
+		{"grid", 995, obs.SimSnapshot{EngineRuns: 6, BatteryAnalytic: 6, BatteryBatches: 6}}, // measured 618
 		// 3 graph counts × 3 sets × (baseline + 4 schemes), no batteries.
-		{"figure6", 3518, obs.SimSnapshot{EngineRuns: 45}}, // measured 2587
+		{"figure6", 3518, obs.SimSnapshot{EngineRuns: 45}}, // measured 1882
 		// 4 sets × (baseline + 3 estimators), no batteries.
-		{"ablation", 1381, obs.SimSnapshot{EngineRuns: 16}}, // measured 986
+		{"ablation", 1381, obs.SimSnapshot{EngineRuns: 16}}, // measured 721
 	} {
 		spec := Spec{Quick: true, Battery: "kibam", RunOptions: RunOptions{Parallel: 1}}
 		run := func() {

@@ -51,12 +51,6 @@ func QuickCurveConfig() CurveConfig {
 	}
 }
 
-// CurveSeries is the delivered-capacity curve of one battery model.
-type CurveSeries struct {
-	Model  string
-	Points []battery.CurvePoint
-}
-
 func init() {
 	mustRegister(Definition{
 		Name:      "curve",
@@ -73,18 +67,57 @@ func init() {
 			}
 			cfg.MaxStep = spec.MaxStep
 			cfg.RunOptions = spec.RunOptions
-			return runLoadCapacityCurveReport(ctx, cfg)
+			return RunLoadCapacityCurve(ctx, cfg)
+		},
+		table: table{
+			head: "Load vs delivered capacity (mAh)\n",
+			rows: curveRows,
+			foot: "(%.1fs)\n",
 		},
 	})
 }
 
-// runLoadCapacityCurveReport sweeps constant loads for each requested battery
-// model. Each current is one job of the runner harness: one batch pass
+// curveRows renders the curve as a pivot: one column per battery model (a
+// run of rows with one model_index) and one line per current of the first
+// model; a model with fewer points reads "-".
+func curveRows(b *strings.Builder, r *Report) {
+	var series [][]ReportRow
+	for i, row := range r.Rows {
+		if i == 0 || row.Labels["model_index"] != r.Rows[i-1].Labels["model_index"] {
+			series = append(series, nil)
+		}
+		series[len(series)-1] = append(series[len(series)-1], row)
+	}
+	header := "current (A)"
+	for _, s := range series {
+		header += fmt.Sprintf(" | %12s", s[0].Labels["model"])
+	}
+	fmt.Fprintln(b, header)
+	fmt.Fprintln(b, strings.Repeat("-", len(header)))
+	if len(series) == 0 {
+		return
+	}
+	for i, first := range series[0] {
+		current, _ := strconv.ParseFloat(first.Labels["current"], 64)
+		line := fmt.Sprintf("%11.3f", current)
+		for _, s := range series {
+			if i < len(s) {
+				line += fmt.Sprintf(" | %12.0f", s[i].Cells["delivered_mah"].Mean)
+			} else {
+				line += fmt.Sprintf(" | %12s", "-")
+			}
+		}
+		fmt.Fprintln(b, line)
+	}
+}
+
+// RunLoadCapacityCurve sweeps constant loads for each requested battery model
+// and returns the curve's Report: one row per (model, current) point, model
+// by model. Each current is one job of the runner harness: one batch pass
 // (battery.SimulateBatch) drives every model's instance to exhaustion at that
-// constant load. Points stream directly into the output series. The sweep is
-// deterministic (no stochastic sets), so RunOptions.TargetCI has no effect
-// and the experiment does not shard.
-func runLoadCapacityCurveReport(ctx context.Context, cfg CurveConfig) (*Report, error) {
+// constant load. The sweep is deterministic (no stochastic sets), so
+// RunOptions.TargetCI has no effect and the experiment does not shard.
+func RunLoadCapacityCurve(ctx context.Context, cfg CurveConfig) (*Report, error) {
 	if len(cfg.Models) == 0 {
 		cfg.Models = DefaultCurveConfig().Models
 	}
@@ -104,9 +137,9 @@ func runLoadCapacityCurveReport(ctx context.Context, cfg CurveConfig) (*Report, 
 		return nil, err
 	}
 
-	out := make([]CurveSeries, len(cfg.Models))
-	for mi, name := range cfg.Models {
-		out[mi] = CurveSeries{Model: name, Points: make([]battery.CurvePoint, len(cfg.Currents))}
+	curves := make([][]battery.CurvePoint, len(cfg.Models)) // [model][current]
+	for mi := range curves {
+		curves[mi] = make([]battery.CurvePoint, len(cfg.Currents))
 	}
 	err = runner.RunStream(ctx, len(cfg.Currents), cfg.runnerOptions(), func(_ context.Context, ci int) ([]battery.CurvePoint, error) {
 		current := cfg.Currents[ci]
@@ -134,7 +167,7 @@ func runLoadCapacityCurveReport(ctx context.Context, cfg CurveConfig) (*Report, 
 		return points, nil
 	}, func(ci int, points []battery.CurvePoint) error {
 		for mi, p := range points {
-			out[mi].Points[ci] = p
+			curves[mi][ci] = p
 		}
 		return nil
 	})
@@ -158,12 +191,12 @@ func runLoadCapacityCurveReport(ctx context.Context, cfg CurveConfig) (*Report, 
 		a.Add(v)
 		return Cell{State: a.State()}
 	}
-	for mi, s := range out {
-		for _, p := range s.Points {
+	for mi, model := range cfg.Models {
+		for _, p := range curves[mi] {
 			current := formatFloat(p.Current)
 			rep.Rows = append(rep.Rows, ReportRow{
-				Key:    s.Model + "@" + current,
-				Labels: map[string]string{"model": s.Model, "current": current, "model_index": strconv.Itoa(mi)},
+				Key:    model + "@" + current,
+				Labels: map[string]string{"model": model, "current": current, "model_index": strconv.Itoa(mi)},
 				Cells: map[string]Cell{
 					"delivered_mah": point(p.DeliveredMAh),
 					"life_min":      point(p.LifetimeMinutes),
@@ -172,35 +205,4 @@ func runLoadCapacityCurveReport(ctx context.Context, cfg CurveConfig) (*Report, 
 		}
 	}
 	return rep, nil
-}
-
-// curveSeriesFromReport reconstructs the per-model series from a Report.
-func curveSeriesFromReport(r *Report) []CurveSeries {
-	var out []CurveSeries
-	last := ""
-	for _, row := range r.Rows {
-		if idx := row.Labels["model_index"]; len(out) == 0 || idx != last {
-			out = append(out, CurveSeries{Model: row.Labels["model"]})
-			last = idx
-		}
-		s := &out[len(out)-1]
-		current, _ := strconv.ParseFloat(row.Labels["current"], 64)
-		s.Points = append(s.Points, battery.CurvePoint{
-			Current:         current,
-			DeliveredMAh:    row.Cells["delivered_mah"].Mean,
-			LifetimeMinutes: row.Cells["life_min"].Mean,
-		})
-	}
-	return out
-}
-
-// RunLoadCapacityCurve sweeps constant loads for each requested battery model
-// and returns the per-model series (see runLoadCapacityCurveReport; the
-// registry path returns the Report directly).
-func RunLoadCapacityCurve(ctx context.Context, cfg CurveConfig) ([]CurveSeries, error) {
-	rep, err := runLoadCapacityCurveReport(ctx, cfg)
-	if err != nil {
-		return nil, err
-	}
-	return curveSeriesFromReport(rep), nil
 }

@@ -3,6 +3,7 @@ package experiments
 import (
 	"context"
 	"errors"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -31,36 +32,53 @@ func TestNamedBatteryFactory(t *testing.T) {
 	}
 }
 
+// cellMean returns the mean of cell in the row of rep keyed key, failing the
+// test when rep has no such row or cell.
+func cellMean(t *testing.T, rep *Report, key, cell string) float64 {
+	t.Helper()
+	for _, row := range rep.Rows {
+		if row.Key == key {
+			c, ok := row.Cells[cell]
+			if !ok {
+				t.Fatalf("%s row %q has no cell %q", rep.Experiment, key, cell)
+			}
+			return c.Mean
+		}
+	}
+	t.Fatalf("%s report has no row %q", rep.Experiment, key)
+	return 0
+}
+
 func TestRunTable1Quick(t *testing.T) {
 	cfg := QuickTable1Config()
-	rows, err := RunTable1(context.Background(), cfg)
+	rep, err := runTable1Report(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != len(cfg.TaskCounts) {
-		t.Fatalf("rows = %d, want %d", len(rows), len(cfg.TaskCounts))
+	if len(rep.Rows) != len(cfg.TaskCounts) {
+		t.Fatalf("rows = %d, want %d", len(rep.Rows), len(cfg.TaskCounts))
 	}
-	for _, r := range rows {
-		if r.Samples != cfg.GraphsPerCount {
-			t.Fatalf("row %d: samples = %d", r.Tasks, r.Samples)
+	for _, r := range rep.Rows {
+		if n := r.Cells["random"].N; n != cfg.GraphsPerCount {
+			t.Fatalf("row %s: samples = %d", r.Key, n)
 		}
+		random, ltf, pubs := cellMean(t, rep, r.Key, "random"), cellMean(t, rep, r.Key, "ltf"), cellMean(t, rep, r.Key, "pubs")
 		// All normalised energies are at least 1 (the optimum normalises).
-		for name, v := range map[string]float64{"random": r.Random, "ltf": r.LTF, "pubs": r.PUBS} {
+		for name, v := range map[string]float64{"random": random, "ltf": ltf, "pubs": pubs} {
 			if v < 0.999 {
-				t.Fatalf("row %d: %s = %v < 1", r.Tasks, name, v)
+				t.Fatalf("row %s: %s = %v < 1", r.Key, name, v)
 			}
 		}
 		// The paper's qualitative shape: pUBS is the closest to optimal.
-		if r.PUBS > r.Random+1e-9 {
-			t.Fatalf("row %d: pUBS (%v) worse than random (%v)", r.Tasks, r.PUBS, r.Random)
+		if pubs > random+1e-9 {
+			t.Fatalf("row %s: pUBS (%v) worse than random (%v)", r.Key, pubs, random)
 		}
-		if r.PUBS > r.LTF+1e-9 {
-			t.Fatalf("row %d: pUBS (%v) worse than LTF (%v)", r.Tasks, r.PUBS, r.LTF)
+		if pubs > ltf+1e-9 {
+			t.Fatalf("row %s: pUBS (%v) worse than LTF (%v)", r.Key, pubs, ltf)
 		}
 	}
-	out := FormatTable1(rows)
-	if !strings.Contains(out, "pUBS") || !strings.Contains(out, "Table 1") {
-		t.Fatalf("FormatTable1 output unexpected:\n%s", out)
+	if out := formatted(t, rep); !strings.Contains(out, "pUBS") || !strings.Contains(out, "Table 1") {
+		t.Fatalf("Table 1 output unexpected:\n%s", out)
 	}
 }
 
@@ -87,7 +105,7 @@ func TestTable1OptimumIsExact(t *testing.T) {
 }
 
 func TestRunTable1Validation(t *testing.T) {
-	if _, err := RunTable1(context.Background(), Table1Config{}); !errors.Is(err, ErrBadConfig) {
+	if _, err := runTable1Report(context.Background(), Table1Config{}); !errors.Is(err, ErrBadConfig) {
 		t.Fatalf("err = %v", err)
 	}
 }
@@ -95,38 +113,35 @@ func TestRunTable1Validation(t *testing.T) {
 func TestRunFigure6Quick(t *testing.T) {
 	cfg := QuickFigure6Config()
 	cfg.UseCCEDF = true // the ordering-scheme separation is robust with ccEDF
-	rows, err := RunFigure6(context.Background(), cfg)
+	rep, err := runFigure6Report(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != len(cfg.GraphCounts) {
-		t.Fatalf("rows = %d, want %d", len(rows), len(cfg.GraphCounts))
+	if len(rep.Rows) != len(cfg.GraphCounts) {
+		t.Fatalf("rows = %d, want %d", len(rep.Rows), len(cfg.GraphCounts))
 	}
-	for _, r := range rows {
-		if r.Samples == 0 {
-			t.Fatalf("row %d: no samples", r.Graphs)
+	for _, r := range rep.Rows {
+		if r.Cells["random"].N == 0 {
+			t.Fatalf("row %s: no samples", r.Key)
 		}
-		for name, v := range map[string]float64{
-			"random": r.Random, "ltf": r.LTF, "pubs-imminent": r.PUBSImminent, "pubs-all": r.PUBSAllReleased,
-		} {
-			if v <= 0.5 || v > 10 {
-				t.Fatalf("row %d: %s = %v implausible", r.Graphs, name, v)
+		for _, cell := range []string{"random", "ltf", "pubs_imminent", "pubs_all"} {
+			if v := cellMean(t, rep, r.Key, cell); v <= 0.5 || v > 10 {
+				t.Fatalf("row %s: %s = %v implausible", r.Key, cell, v)
 			}
 		}
 		// pUBS over all released graphs should track the near-optimal most
 		// closely (allow a small tolerance for the quick configuration).
-		if r.PUBSAllReleased > r.Random*1.05 {
-			t.Fatalf("row %d: pUBS-all (%v) much worse than random (%v)", r.Graphs, r.PUBSAllReleased, r.Random)
+		if all, random := cellMean(t, rep, r.Key, "pubs_all"), cellMean(t, rep, r.Key, "random"); all > random*1.05 {
+			t.Fatalf("row %s: pUBS-all (%v) much worse than random (%v)", r.Key, all, random)
 		}
 	}
-	out := FormatFigure6(rows)
-	if !strings.Contains(out, "Figure 6") {
-		t.Fatalf("FormatFigure6 output unexpected:\n%s", out)
+	if out := formatted(t, rep); !strings.Contains(out, "Figure 6") {
+		t.Fatalf("Figure 6 output unexpected:\n%s", out)
 	}
 }
 
 func TestRunFigure6Validation(t *testing.T) {
-	if _, err := RunFigure6(context.Background(), Figure6Config{}); !errors.Is(err, ErrBadConfig) {
+	if _, err := runFigure6Report(context.Background(), Figure6Config{}); !errors.Is(err, ErrBadConfig) {
 		t.Fatalf("err = %v", err)
 	}
 }
@@ -134,123 +149,127 @@ func TestRunFigure6Validation(t *testing.T) {
 func TestRunTable2Quick(t *testing.T) {
 	cfg := QuickTable2Config()
 	cfg.BatteryName = "kibam"
-	rows, err := RunTable2(context.Background(), cfg)
+	rep, err := runTable2Report(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 5 {
-		t.Fatalf("rows = %d, want 5", len(rows))
+	if len(rep.Rows) != 5 {
+		t.Fatalf("rows = %d, want 5", len(rep.Rows))
 	}
-	byName := map[string]Table2Row{}
-	for _, r := range rows {
-		byName[r.Scheme] = r
-		if r.Sets != cfg.Sets {
-			t.Fatalf("%s: sets = %d", r.Scheme, r.Sets)
+	for _, r := range rep.Rows {
+		if n := r.Cells["charge_mah"].N; n != cfg.Sets {
+			t.Fatalf("%s: sets = %d", r.Key, n)
 		}
-		if r.ChargeDeliveredMAh <= 0 || r.ChargeDeliveredMAh > 2000 {
-			t.Fatalf("%s: charge = %v", r.Scheme, r.ChargeDeliveredMAh)
+		if charge := cellMean(t, rep, r.Key, "charge_mah"); charge <= 0 || charge > 2000 {
+			t.Fatalf("%s: charge = %v", r.Key, charge)
 		}
-		if r.BatteryLifeMin <= 0 {
-			t.Fatalf("%s: lifetime = %v", r.Scheme, r.BatteryLifeMin)
+		if life := cellMean(t, rep, r.Key, "life_min"); life <= 0 {
+			t.Fatalf("%s: lifetime = %v", r.Key, life)
 		}
 	}
-	edf := byName["EDF"]
-	cc := byName["Cycle Conserving"]
-	bas2 := byName["BAS-2"]
+	life := func(scheme string) float64 { return cellMean(t, rep, scheme, "life_min") }
 	// The headline qualitative results: any DVS beats no-DVS on lifetime and
 	// energy, and the full BAS-2 methodology beats plain EDF on both charge
 	// delivered and lifetime.
-	if cc.BatteryLifeMin <= edf.BatteryLifeMin {
-		t.Fatalf("ccEDF lifetime %v not above EDF lifetime %v", cc.BatteryLifeMin, edf.BatteryLifeMin)
+	if life("Cycle Conserving") <= life("EDF") {
+		t.Fatalf("ccEDF lifetime %v not above EDF lifetime %v", life("Cycle Conserving"), life("EDF"))
 	}
-	if bas2.BatteryLifeMin <= edf.BatteryLifeMin {
-		t.Fatalf("BAS-2 lifetime %v not above EDF lifetime %v", bas2.BatteryLifeMin, edf.BatteryLifeMin)
+	if life("BAS-2") <= life("EDF") {
+		t.Fatalf("BAS-2 lifetime %v not above EDF lifetime %v", life("BAS-2"), life("EDF"))
 	}
-	if bas2.ChargeDeliveredMAh < edf.ChargeDeliveredMAh {
-		t.Fatalf("BAS-2 charge %v below EDF charge %v", bas2.ChargeDeliveredMAh, edf.ChargeDeliveredMAh)
+	if bas2, edf := cellMean(t, rep, "BAS-2", "charge_mah"), cellMean(t, rep, "EDF", "charge_mah"); bas2 < edf {
+		t.Fatalf("BAS-2 charge %v below EDF charge %v", bas2, edf)
 	}
-	if edf.EnergyPerHyperperiodJ <= bas2.EnergyPerHyperperiodJ {
-		t.Fatalf("EDF energy %v not above BAS-2 energy %v", edf.EnergyPerHyperperiodJ, bas2.EnergyPerHyperperiodJ)
+	if edf, bas2 := cellMean(t, rep, "EDF", "energy_j"), cellMean(t, rep, "BAS-2", "energy_j"); edf <= bas2 {
+		t.Fatalf("EDF energy %v not above BAS-2 energy %v", edf, bas2)
 	}
-	out := FormatTable2(rows, "kibam", cfg.Utilization)
-	if !strings.Contains(out, "BAS-2") || !strings.Contains(out, "Table 2") {
-		t.Fatalf("FormatTable2 output unexpected:\n%s", out)
+	if out := formatted(t, rep); !strings.Contains(out, "BAS-2") || !strings.Contains(out, "Table 2") {
+		t.Fatalf("Table 2 output unexpected:\n%s", out)
 	}
 }
 
 func TestRunTable2Validation(t *testing.T) {
-	if _, err := RunTable2(context.Background(), Table2Config{}); !errors.Is(err, ErrBadConfig) {
+	if _, err := runTable2Report(context.Background(), Table2Config{}); !errors.Is(err, ErrBadConfig) {
 		t.Fatalf("err = %v", err)
 	}
 	bad := DefaultTable2Config()
 	bad.Sets = 1
 	bad.BatteryName = "bogus"
-	if _, err := RunTable2(context.Background(), bad); !errors.Is(err, ErrBadConfig) {
+	if _, err := runTable2Report(context.Background(), bad); !errors.Is(err, ErrBadConfig) {
 		t.Fatalf("bogus battery err = %v", err)
+	}
+	// NaN passes a check written u <= 0 || u > 1.
+	bad = QuickTable2Config()
+	bad.Utilization = math.NaN()
+	if _, err := runTable2Report(context.Background(), bad); !errors.Is(err, ErrBadConfig) {
+		t.Fatalf("NaN utilisation err = %v", err)
 	}
 }
 
 func TestRunLoadCapacityCurve(t *testing.T) {
-	series, err := RunLoadCapacityCurve(context.Background(), QuickCurveConfig())
+	rep, err := RunLoadCapacityCurve(context.Background(), QuickCurveConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(series) != 2 {
-		t.Fatalf("series = %d", len(series))
+	delivered := map[string][]float64{}
+	for _, r := range rep.Rows {
+		delivered[r.Labels["model"]] = append(delivered[r.Labels["model"]], r.Cells["delivered_mah"].Mean)
 	}
-	for _, s := range series {
-		if len(s.Points) != 3 {
-			t.Fatalf("%s: points = %d", s.Model, len(s.Points))
+	if len(delivered) != 2 {
+		t.Fatalf("models = %d", len(delivered))
+	}
+	for model, points := range delivered {
+		if len(points) != 3 {
+			t.Fatalf("%s: points = %d", model, len(points))
 		}
 		// Rate-capacity effect: delivered capacity non-increasing in load.
-		for i := 1; i < len(s.Points); i++ {
-			if s.Points[i].DeliveredMAh > s.Points[i-1].DeliveredMAh+1 {
-				t.Fatalf("%s: capacity increases with load: %+v", s.Model, s.Points)
+		for i := 1; i < len(points); i++ {
+			if points[i] > points[i-1]+1 {
+				t.Fatalf("%s: capacity increases with load: %v", model, points)
 			}
 		}
 	}
-	out := FormatCurve(series)
-	if !strings.Contains(out, "kibam") {
-		t.Fatalf("FormatCurve output unexpected:\n%s", out)
+	if out := formatted(t, rep); !strings.Contains(out, "kibam") {
+		t.Fatalf("curve output unexpected:\n%s", out)
 	}
-	if FormatCurve(nil) == "" {
-		t.Fatal("FormatCurve(nil) empty")
+	if formatted(t, &Report{Experiment: "curve"}) == "" {
+		t.Fatal("an empty curve renders nothing")
 	}
 }
 
 func TestRunEstimateAblation(t *testing.T) {
-	rows, err := RunEstimateAblation(context.Background(), QuickEstimateAblationConfig())
+	rep, err := runEstimateAblationReport(context.Background(), QuickEstimateAblationConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 3 {
-		t.Fatalf("rows = %d, want 3", len(rows))
+	if len(rep.Rows) != 3 {
+		t.Fatalf("rows = %d, want 3", len(rep.Rows))
 	}
-	oracle, history, pessimistic := rows[0], rows[1], rows[2]
-	if oracle.Samples == 0 {
+	if rep.Rows[0].Cells["energy_vs_random"].N == 0 {
 		t.Fatal("no samples")
 	}
+	energy := func(i int) float64 { return cellMean(t, rep, rep.Rows[i].Key, "energy_vs_random") }
+	oracle, history, pessimistic := energy(0), energy(1), energy(2)
 	// With perfect estimates the pUBS ordering must beat random ordering; the
 	// paper's qualitative claim is that worse estimates push it back toward a
 	// random schedule, so the oracle variant should be at least as good as the
 	// pessimistic one.
-	if oracle.EnergyVsRandom > 1.02 {
-		t.Fatalf("oracle pUBS worse than random: %v", oracle.EnergyVsRandom)
+	if oracle > 1.02 {
+		t.Fatalf("oracle pUBS worse than random: %v", oracle)
 	}
-	if oracle.EnergyVsRandom > pessimistic.EnergyVsRandom+0.05 {
-		t.Fatalf("oracle (%v) much worse than pessimistic estimates (%v)", oracle.EnergyVsRandom, pessimistic.EnergyVsRandom)
+	if oracle > pessimistic+0.05 {
+		t.Fatalf("oracle (%v) much worse than pessimistic estimates (%v)", oracle, pessimistic)
 	}
-	if history.EnergyVsRandom <= 0 || pessimistic.EnergyVsRandom <= 0 {
+	if history <= 0 || pessimistic <= 0 {
 		t.Fatal("non-positive normalised energies")
 	}
-	out := FormatEstimateAblation(rows)
-	if !strings.Contains(out, "oracle") || !strings.Contains(out, "ablation") {
-		t.Fatalf("FormatEstimateAblation output unexpected:\n%s", out)
+	if out := formatted(t, rep); !strings.Contains(out, "oracle") || !strings.Contains(out, "ablation") {
+		t.Fatalf("ablation output unexpected:\n%s", out)
 	}
 }
 
 func TestRunEstimateAblationValidation(t *testing.T) {
-	if _, err := RunEstimateAblation(context.Background(), EstimateAblationConfig{}); !errors.Is(err, ErrBadConfig) {
+	if _, err := runEstimateAblationReport(context.Background(), EstimateAblationConfig{}); !errors.Is(err, ErrBadConfig) {
 		t.Fatalf("err = %v", err)
 	}
 }
@@ -270,23 +289,23 @@ func TestRunLoadCapacityCurveValidation(t *testing.T) {
 }
 
 // TestTable1ParallelDeterminism is the harness's core guarantee: the same
-// seed produces identical Table 1 rows at any worker count.
+// seed produces identical Table 1 reports at any worker count.
 func TestTable1ParallelDeterminism(t *testing.T) {
 	cfg := QuickTable1Config()
 	cfg.Parallel = 1
-	seq, err := RunTable1(context.Background(), cfg)
+	seq, err := runTable1Report(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg.Parallel = 8
-	par, err := RunTable1(context.Background(), cfg)
+	par, err := runTable1Report(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(seq, par) {
-		t.Fatalf("rows differ across worker counts:\nseq: %+v\npar: %+v", seq, par)
+		t.Fatalf("reports differ across worker counts:\nseq: %+v\npar: %+v", seq, par)
 	}
-	if FormatTable1(seq) != FormatTable1(par) {
+	if formatted(t, seq) != formatted(t, par) {
 		t.Fatal("formatted tables differ across worker counts")
 	}
 }
@@ -297,19 +316,19 @@ func TestTable2ParallelDeterminism(t *testing.T) {
 	cfg := QuickTable2Config()
 	cfg.BatteryName = "kibam"
 	cfg.Parallel = 1
-	seq, err := RunTable2(context.Background(), cfg)
+	seq, err := runTable2Report(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg.Parallel = 8
-	par, err := RunTable2(context.Background(), cfg)
+	par, err := runTable2Report(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(seq, par) {
-		t.Fatalf("rows differ across worker counts:\nseq: %+v\npar: %+v", seq, par)
+		t.Fatalf("reports differ across worker counts:\nseq: %+v\npar: %+v", seq, par)
 	}
-	if FormatTable2(seq, "kibam", cfg.Utilization) != FormatTable2(par, "kibam", cfg.Utilization) {
+	if formatted(t, seq) != formatted(t, par) {
 		t.Fatal("formatted tables differ across worker counts")
 	}
 }
@@ -319,32 +338,32 @@ func TestTable2ParallelDeterminism(t *testing.T) {
 func TestFigure6AndAblationParallelDeterminism(t *testing.T) {
 	fcfg := QuickFigure6Config()
 	fcfg.Parallel = 1
-	seq, err := RunFigure6(context.Background(), fcfg)
+	seq, err := runFigure6Report(context.Background(), fcfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	fcfg.Parallel = 8
-	par, err := RunFigure6(context.Background(), fcfg)
+	par, err := runFigure6Report(context.Background(), fcfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(seq, par) {
-		t.Fatalf("figure 6 rows differ across worker counts:\nseq: %+v\npar: %+v", seq, par)
+		t.Fatalf("figure 6 reports differ across worker counts:\nseq: %+v\npar: %+v", seq, par)
 	}
 
 	acfg := QuickEstimateAblationConfig()
 	acfg.Parallel = 1
-	aseq, err := RunEstimateAblation(context.Background(), acfg)
+	aseq, err := runEstimateAblationReport(context.Background(), acfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	acfg.Parallel = 8
-	apar, err := RunEstimateAblation(context.Background(), acfg)
+	apar, err := runEstimateAblationReport(context.Background(), acfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(aseq, apar) {
-		t.Fatalf("ablation rows differ across worker counts:\nseq: %+v\npar: %+v", aseq, apar)
+		t.Fatalf("ablation reports differ across worker counts:\nseq: %+v\npar: %+v", aseq, apar)
 	}
 }
 
@@ -370,7 +389,7 @@ func TestExperimentProgressAndCancellation(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := RunTable2(ctx, QuickTable2Config()); !errors.Is(err, context.Canceled) {
+	if _, err := runTable2Report(ctx, QuickTable2Config()); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled ctx err = %v", err)
 	}
 }
@@ -380,43 +399,40 @@ func TestExperimentProgressAndCancellation(t *testing.T) {
 func TestRunScenarioGrid(t *testing.T) {
 	cfg := QuickScenarioGridConfig()
 	cfg.Parallel = 8
-	rows, err := RunScenarioGrid(context.Background(), cfg)
+	rep, err := RunScenarioGrid(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != len(cfg.Utilizations)*len(cfg.Batteries)*len(cfg.Schemes) {
-		t.Fatalf("rows = %d", len(rows))
+	if len(rep.Rows) != len(cfg.Utilizations)*len(cfg.Batteries)*len(cfg.Schemes) {
+		t.Fatalf("rows = %d", len(rep.Rows))
 	}
-	byScheme := map[string]ScenarioGridRow{}
-	for _, r := range rows {
-		byScheme[r.Scheme] = r
-		if r.Charge.N != cfg.Sets {
-			t.Fatalf("%s: sets = %d, want %d", r.Scheme, r.Charge.N, cfg.Sets)
+	for _, r := range rep.Rows {
+		if n := r.Cells["charge_mah"].N; n != cfg.Sets {
+			t.Fatalf("%s: sets = %d, want %d", r.Key, n, cfg.Sets)
 		}
-		if r.Charge.Mean <= 0 || r.Life.Mean <= 0 {
-			t.Fatalf("%s: non-positive cell %+v", r.Scheme, r)
+		if cellMean(t, rep, r.Key, "charge_mah") <= 0 || cellMean(t, rep, r.Key, "life_min") <= 0 {
+			t.Fatalf("%s: non-positive cell %+v", r.Key, r)
 		}
-		if r.DeadlineMisses != 0 {
-			t.Fatalf("%s: %d deadline misses at utilisation %.2f", r.Scheme, r.DeadlineMisses, r.Utilization)
+		if misses := r.Counts["deadline_misses"]; misses != 0 {
+			t.Fatalf("%s: %d deadline misses", r.Key, misses)
 		}
 	}
-	if byScheme["BAS-2"].Life.Mean <= byScheme["EDF"].Life.Mean {
-		t.Fatalf("BAS-2 lifetime %v not above EDF lifetime %v", byScheme["BAS-2"].Life.Mean, byScheme["EDF"].Life.Mean)
+	if bas2, edf := cellMean(t, rep, "0.7|kibam|BAS-2", "life_min"), cellMean(t, rep, "0.7|kibam|EDF", "life_min"); bas2 <= edf {
+		t.Fatalf("BAS-2 lifetime %v not above EDF lifetime %v", bas2, edf)
 	}
 
-	// Sequential execution: byte-identical rows.
+	// Sequential execution: byte-identical reports.
 	cfg2 := cfg
 	cfg2.Parallel = 1
-	rows2, err := RunScenarioGrid(context.Background(), cfg2)
+	rep2, err := RunScenarioGrid(context.Background(), cfg2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(rows, rows2) {
-		t.Fatalf("rows differ across worker counts:\n%+v\n%+v", rows, rows2)
+	if !reflect.DeepEqual(rep, rep2) {
+		t.Fatalf("reports differ across worker counts:\n%+v\n%+v", rep, rep2)
 	}
-	out := FormatScenarioGrid(rows)
-	if !strings.Contains(out, "Scenario grid") || !strings.Contains(out, "BAS-2") {
-		t.Fatalf("FormatScenarioGrid output unexpected:\n%s", out)
+	if out := formatted(t, rep); !strings.Contains(out, "Scenario grid") || !strings.Contains(out, "BAS-2") {
+		t.Fatalf("grid output unexpected:\n%s", out)
 	}
 }
 
@@ -425,12 +441,18 @@ func TestRunScenarioGridValidation(t *testing.T) {
 	if _, err := RunScenarioGrid(context.Background(), ScenarioGridConfig{}); !errors.Is(err, ErrBadConfig) {
 		t.Fatalf("err = %v", err)
 	}
-	bad := QuickScenarioGridConfig()
-	bad.Utilizations = []float64{1.5}
-	if _, err := RunScenarioGrid(context.Background(), bad); !errors.Is(err, ErrBadConfig) {
-		t.Fatalf("utilisation err = %v", err)
+	// NaN passes a check written u <= 0 || u > 1; unscaled, it scheduled
+	// rows labelled NaN at one graph per set and failed in the engine at 5.
+	for _, u := range []float64{1.5, math.NaN()} {
+		for _, graphs := range []int{1, 5} {
+			bad := QuickScenarioGridConfig()
+			bad.Utilizations, bad.GraphsPerSet = []float64{0.7, u}, graphs
+			if _, err := RunScenarioGrid(context.Background(), bad); !errors.Is(err, ErrBadConfig) {
+				t.Fatalf("utilisation %v at %d graphs per set: err = %v", u, graphs, err)
+			}
+		}
 	}
-	bad = QuickScenarioGridConfig()
+	bad := QuickScenarioGridConfig()
 	bad.Schemes = []string{"bogus"}
 	if _, err := RunScenarioGrid(context.Background(), bad); !errors.Is(err, ErrBadConfig) {
 		t.Fatalf("scheme err = %v", err)

@@ -55,18 +55,6 @@ func QuickFigure6Config() Figure6Config {
 	return c
 }
 
-// Figure6Row is one point of Figure 6: mean energy of each ordering scheme
-// normalised by the precedence-free near-optimal schedule of the same
-// workload.
-type Figure6Row struct {
-	Graphs          int
-	Random          float64
-	LTF             float64
-	PUBSImminent    float64
-	PUBSAllReleased float64
-	Samples         int
-}
-
 // figure6Schemes returns the near-optimal baseline and then the ordering
 // schemes of Figure 6 in column order, all with alg setting the frequency of
 // the idealised continuous-frequency processor (the figure compares energies
@@ -117,18 +105,25 @@ func init() {
 			cfg.RunOptions = spec.RunOptions
 			return runFigure6Report(ctx, cfg)
 		},
+		table: table{
+			head: "Figure 6: energy of ordering schemes normalised w.r.t. near-optimal\n" +
+				"# graphs |  Random  |   LTF    | pUBS(imminent) | pUBS(all released) | samples\n" +
+				"---------+----------+----------+----------------+--------------------+--------\n",
+			row:      "%8d | %8.3f | %8.3f | %14.3f | %18.3f | %6d\n",
+			cols:     []rowValue{keyInt, mean("random"), mean("ltf"), mean("pubs_imminent"), mean("pubs_all"), sets("random")},
+			foot:     "(%d sets per point, %s frequency setting, utilisation %.2f, %.1fs)\n\n",
+			footArgs: []reportValue{firstSets("random"), metaText("alg"), metaNumber("utilization")},
+		},
 	})
 }
 
-// runFigure6Report regenerates Figure 6. The (graph count × set) grid runs
-// as independent jobs; each job simulates the baseline and the four ordering
-// schemes on its own workload. Samples stream back in job order and fold
-// into per-(count, scheme) accumulators; with RunOptions.TargetCI set,
-// additional batches of sets run per point until the relative CI95 of every
-// scheme's normalised energy (the key metric) converges or MaxSets is
-// reached.
+// runFigure6Report regenerates Figure 6. Each (graph count, set) cell is one
+// job, which simulates the baseline and the four ordering schemes on its own
+// workload. With RunOptions.TargetCI set, additional batches of sets run per
+// point until the relative CI95 of every scheme's normalised energy (the key
+// metric) converges or MaxSets is reached.
 func runFigure6Report(ctx context.Context, cfg Figure6Config) (*Report, error) {
-	if len(cfg.GraphCounts) == 0 || cfg.SetsPerCount <= 0 || cfg.Utilization <= 0 || cfg.Utilization > 1 {
+	if len(cfg.GraphCounts) == 0 || cfg.SetsPerCount <= 0 || !validUtilization(cfg.Utilization) {
 		return nil, fmt.Errorf("%w: %+v", ErrBadConfig, cfg)
 	}
 	if cfg.Hyperperiods <= 0 {
@@ -142,40 +137,18 @@ func runFigure6Report(ctx context.Context, cfg Figure6Config) (*Report, error) {
 		return dvs.NewLAEDF()
 	}
 	schemes := figure6Schemes(alg)
+	cols := len(schemes) - 1
 
-	accs := make([][]metricAcc, len(cfg.GraphCounts))
-	for i := range accs {
-		accs[i] = make([]metricAcc, len(schemes)-1)
-	}
-	_, err := runAdaptiveSets(cfg.RunOptions, cfg.SetsPerCount, func(lo, hi int) error {
-		grid := runner.NewGrid(len(cfg.GraphCounts), hi-lo)
-		return runner.RunStream(ctx, grid.Size(), cfg.runnerOptions(), func(_ context.Context, idx int) ([]float64, error) {
-			c := grid.Coords(idx)
-			// The set index is absolute (lo+c[1]), so a sample's random
-			// stream does not depend on the batch layout or the shard.
-			count, set := cfg.GraphCounts[c[0]], lo+c[1]
-			ev := getEvaluator(proc, cfg.Hyperperiods, 0)
-			defer ev.release()
-			if err := ev.generate(runner.SeedFor(cfg.Seed, int64(count), int64(set)), count, cfg.Utilization); err != nil {
-				return nil, err
-			}
-			return ev.normalisedEnergies("figure 6 scheme", schemes)
-		}, func(idx int, normalised []float64) error {
-			c := grid.Coords(idx)
-			for i, v := range normalised {
-				accs[c[0]][i].Add(lo+c[1], v)
-			}
-			return nil
-		})
-	}, func() bool {
-		for ci := range accs {
-			for i := range accs[ci] {
-				if !converged(cfg.TargetCI, &accs[ci][i].acc) {
-					return false
-				}
-			}
+	accs, err := runColumns(ctx, cfg.RunOptions, len(cfg.GraphCounts), cfg.SetsPerCount, cols, func(ci, set int) ([]float64, error) {
+		// The set index is absolute, so a sample's random stream does not
+		// depend on the batch layout or the shard.
+		count := cfg.GraphCounts[ci]
+		ev := getEvaluator(proc, cfg.Hyperperiods, 0)
+		defer ev.release()
+		if err := ev.generate(runner.SeedFor(cfg.Seed, int64(count), int64(set)), count, cfg.Utilization); err != nil {
+			return nil, err
 		}
-		return true
+		return ev.normalisedEnergies("figure 6 scheme", schemes)
 	})
 	if err != nil {
 		return nil, err
@@ -203,32 +176,16 @@ func runFigure6Report(ctx context.Context, cfg Figure6Config) (*Report, error) {
 		Shard: shardInfo(cfg.Shard),
 	}
 	for ci, count := range cfg.GraphCounts {
+		a := accs[cols*ci:]
 		rep.Rows = append(rep.Rows, ReportRow{
 			Key: strconv.Itoa(count),
 			Cells: map[string]Cell{
-				"random":        accs[ci][0].Cell(),
-				"ltf":           accs[ci][1].Cell(),
-				"pubs_imminent": accs[ci][2].Cell(),
-				"pubs_all":      accs[ci][3].Cell(),
+				"random":        a[0].Cell(),
+				"ltf":           a[1].Cell(),
+				"pubs_imminent": a[2].Cell(),
+				"pubs_all":      a[3].Cell(),
 			},
 		})
 	}
 	return rep, nil
-}
-
-// figure6RowsFromReport reconstructs the typed rows from a Report.
-func figure6RowsFromReport(r *Report) []Figure6Row {
-	rows := make([]Figure6Row, 0, len(r.Rows))
-	for _, row := range r.Rows {
-		graphs, _ := strconv.Atoi(row.Key)
-		rows = append(rows, Figure6Row{
-			Graphs:          graphs,
-			Random:          row.Cells["random"].Mean,
-			LTF:             row.Cells["ltf"].Mean,
-			PUBSImminent:    row.Cells["pubs_imminent"].Mean,
-			PUBSAllReleased: row.Cells["pubs_all"].Mean,
-			Samples:         row.Cells["random"].N,
-		})
-	}
-	return rows
 }

@@ -40,15 +40,15 @@ func checkGolden(t *testing.T, name, got string) {
 // TestGoldenTable1 pins the quick Table 1 output: the formatted table plus
 // every row value at round-trip float precision.
 func TestGoldenTable1(t *testing.T) {
-	cfg := QuickTable1Config()
-	rows, err := RunTable1(context.Background(), cfg)
+	rep, err := runTable1Report(context.Background(), QuickTable1Config())
 	if err != nil {
 		t.Fatal(err)
 	}
 	var b strings.Builder
-	b.WriteString(FormatTable1(rows))
-	for _, r := range rows {
-		fmt.Fprintf(&b, "raw %d %.17g %.17g %.17g %d\n", r.Tasks, r.Random, r.LTF, r.PUBS, r.Samples)
+	b.WriteString(formatted(t, rep))
+	for _, r := range rep.Rows {
+		c := r.Cells
+		fmt.Fprintf(&b, "raw %d %.17g %.17g %.17g %d\n", keyInt(&r), c["random"].Mean, c["ltf"].Mean, c["pubs"].Mean, c["random"].N)
 	}
 	checkGolden(t, "table1_quick", b.String())
 }
@@ -68,15 +68,16 @@ func TestGoldenTable2(t *testing.T) {
 		t.Run(tc.battery, func(t *testing.T) {
 			cfg := QuickTable2Config()
 			cfg.BatteryName = tc.battery
-			rows, err := RunTable2(context.Background(), cfg)
+			rep, err := runTable2Report(context.Background(), cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
 			var b strings.Builder
-			b.WriteString(FormatTable2(rows, cfg.BatteryName, cfg.Utilization))
-			for _, r := range rows {
+			b.WriteString(formatted(t, rep))
+			for _, r := range rep.Rows {
+				c := r.Cells
 				fmt.Fprintf(&b, "raw %s %.17g %.17g %.17g %.17g %d\n",
-					r.Scheme, r.ChargeDeliveredMAh, r.BatteryLifeMin, r.EnergyPerHyperperiodJ, r.AverageCurrentA, r.Sets)
+					r.Key, c["charge_mah"].Mean, c["life_min"].Mean, c["energy_j"].Mean, c["avg_current_a"].Mean, c["charge_mah"].N)
 			}
 			checkGolden(t, tc.golden, b.String())
 		})
@@ -86,31 +87,31 @@ func TestGoldenTable2(t *testing.T) {
 // TestGoldenFigure6 pins the quick Figure 6 output (continuous-frequency
 // energy comparison of the four ordering schemes).
 func TestGoldenFigure6(t *testing.T) {
-	cfg := QuickFigure6Config()
-	rows, err := RunFigure6(context.Background(), cfg)
+	rep, err := runFigure6Report(context.Background(), QuickFigure6Config())
 	if err != nil {
 		t.Fatal(err)
 	}
 	var b strings.Builder
-	b.WriteString(FormatFigure6(rows))
-	for _, r := range rows {
+	b.WriteString(formatted(t, rep))
+	for _, r := range rep.Rows {
+		c := r.Cells
 		fmt.Fprintf(&b, "raw %d %.17g %.17g %.17g %.17g %d\n",
-			r.Graphs, r.Random, r.LTF, r.PUBSImminent, r.PUBSAllReleased, r.Samples)
+			keyInt(&r), c["random"].Mean, c["ltf"].Mean, c["pubs_imminent"].Mean, c["pubs_all"].Mean, c["random"].N)
 	}
 	checkGolden(t, "figure6_quick", b.String())
 }
 
 // TestGoldenAblation pins the quick estimate-quality ablation output.
 func TestGoldenAblation(t *testing.T) {
-	cfg := QuickEstimateAblationConfig()
-	rows, err := RunEstimateAblation(context.Background(), cfg)
+	rep, err := runEstimateAblationReport(context.Background(), QuickEstimateAblationConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
 	var b strings.Builder
-	b.WriteString(FormatEstimateAblation(rows))
-	for _, r := range rows {
-		fmt.Fprintf(&b, "raw %s %.17g %d\n", r.Estimator, r.EnergyVsRandom, r.Samples)
+	b.WriteString(formatted(t, rep))
+	for _, r := range rep.Rows {
+		c := r.Cells["energy_vs_random"]
+		fmt.Fprintf(&b, "raw %s %.17g %d\n", r.Key, c.Mean, c.N)
 	}
 	checkGolden(t, "ablation_quick", b.String())
 }
@@ -118,16 +119,18 @@ func TestGoldenAblation(t *testing.T) {
 // TestGoldenScenarioGrid pins the quick scenario-grid output (including the
 // Student-t CI95 columns).
 func TestGoldenScenarioGrid(t *testing.T) {
-	cfg := QuickScenarioGridConfig()
-	rows, err := RunScenarioGrid(context.Background(), cfg)
+	rep, err := RunScenarioGrid(context.Background(), QuickScenarioGridConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
 	var b strings.Builder
-	b.WriteString(FormatScenarioGrid(rows))
-	for _, r := range rows {
+	b.WriteString(formatted(t, rep))
+	for _, r := range rep.Rows {
+		c := r.Cells
 		fmt.Fprintf(&b, "raw %.17g %s %s charge=%.17g±%.17g life=%.17g±%.17g n=%d misses=%d\n",
-			r.Utilization, r.Battery, r.Scheme, r.Charge.Mean, r.Charge.CI95, r.Life.Mean, r.Life.CI95, r.Charge.N, r.DeadlineMisses)
+			labelNumber("utilization")(&r), r.Labels["battery"], r.Labels["scheme"],
+			c["charge_mah"].Mean, ci95("charge_mah")(&r), c["life_min"].Mean, ci95("life_min")(&r),
+			c["charge_mah"].N, r.Counts["deadline_misses"])
 	}
 	checkGolden(t, "grid_quick", b.String())
 }
@@ -166,17 +169,15 @@ func TestGoldenWiderReports(t *testing.T) {
 // TestGoldenCurve pins the quick battery characterisation curve output (the
 // deterministic sweep; no stochastic sets).
 func TestGoldenCurve(t *testing.T) {
-	cfg := QuickCurveConfig()
-	series, err := RunLoadCapacityCurve(context.Background(), cfg)
+	rep, err := RunLoadCapacityCurve(context.Background(), QuickCurveConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
 	var b strings.Builder
-	b.WriteString(FormatCurve(series))
-	for _, s := range series {
-		for _, p := range s.Points {
-			fmt.Fprintf(&b, "raw %s %.17g %.17g %.17g\n", s.Model, p.Current, p.DeliveredMAh, p.LifetimeMinutes)
-		}
+	b.WriteString(formatted(t, rep))
+	for _, r := range rep.Rows {
+		fmt.Fprintf(&b, "raw %s %.17g %.17g %.17g\n",
+			r.Labels["model"], labelNumber("current")(&r), r.Cells["delivered_mah"].Mean, r.Cells["life_min"].Mean)
 	}
 	checkGolden(t, "curve_quick", b.String())
 }

@@ -12,9 +12,9 @@ import (
 
 // ScenarioGridConfig parameterises the scenario-grid sweep: the cross product
 // of utilisations × battery models × scheduling schemes, each cell averaged
-// over Sets random task-graph sets. It generalises Table 2 (which is the
-// single cell utilisation 0.7 × stochastic × all schemes) into the entry
-// point new workloads plug into.
+// over Sets random task-graph sets. Table 2 is its sweep at one utilisation
+// (0.7) and one battery (stochastic) over all five schemes; the grid is the
+// entry point new workloads plug into.
 type ScenarioGridConfig struct {
 	// Utilizations are the worst-case utilisation points to sweep.
 	Utilizations []float64
@@ -68,30 +68,6 @@ func QuickScenarioGridConfig() ScenarioGridConfig {
 	}
 }
 
-// ScenarioGridRow is one cell of the scenario grid.
-type ScenarioGridRow struct {
-	// Utilization, Battery and Scheme identify the cell.
-	Utilization float64
-	Battery     string
-	Scheme      string
-	// Charge and Life summarise delivered charge (mAh) and battery lifetime
-	// (minutes) over the cell's task-graph sets.
-	Charge stats.Summary
-	Life   stats.Summary
-	// DeadlineMisses is the total deadline misses across the cell's
-	// simulations (always 0 for the paper's schemes at feasible utilisations;
-	// reported instead of failing so exploratory sweeps can chart the edge).
-	DeadlineMisses int
-}
-
-// gridCell is the result of one (scheme, battery) pair on one task-graph
-// set. The scheduling run is shared by every battery of a scheme, so each
-// battery's cell carries that run's deadline misses.
-type gridCell struct {
-	charge, life float64
-	misses       int
-}
-
 // schemesByName resolves scheme names against the paper's Table 2 schemes;
 // empty names selects all of them. oracle feeds pUBS the true actual
 // requirements.
@@ -143,34 +119,108 @@ func init() {
 			}
 			cfg.OracleEstimates = spec.Oracle
 			cfg.RunOptions = spec.RunOptions
-			return runScenarioGridReport(ctx, cfg)
+			return RunScenarioGrid(ctx, cfg)
+		},
+		table: table{
+			head: "Scenario grid: utilisation x battery model x scheme\n" +
+				"Util | Battery    | Scheme            | Charge (mAh) ±CI95 | Life (min) ±CI95 | sets | misses\n" +
+				"-----+------------+-------------------+--------------------+------------------+------+-------\n",
+			row: "%4.2f | %-10s | %-17s | %12.0f ±%4.0f | %10.1f ±%4.1f | %4d | %6d\n",
+			cols: []rowValue{labelNumber("utilization"), label("battery"), label("scheme"),
+				mean("charge_mah"), ci95("charge_mah"), mean("life_min"), ci95("life_min"),
+				sets("charge_mah"), count("deadline_misses")},
+			foot:     "(%d sets per cell, %.1fs)\n",
+			footArgs: []reportValue{firstSets("charge_mah")},
 		},
 	})
 }
 
-// runScenarioGridReport sweeps the (utilisation × battery × scheme) grid.
-// Jobs are (utilisation × set-chunk) pairs covering every scheme: a job
-// generates each task set of its chunk once, runs all schemes on one reused
-// engine (replaying the recorded execution realisation, which is
-// scheme-independent), and evaluates every battery model against each
-// scheme's load profile (the profile does not depend on the battery, so
-// batteries share the scheduling work). Per-set rows stream back in job
-// order and fold into per-cell accumulators keyed on absolute set indices,
-// like Table 2's, so the sweep is byte-identical at any parallelism and any
-// shard split and never materialises the full grid. With RunOptions.TargetCI
-// set, additional batches of sets run until the relative CI95 of every
-// cell's battery lifetime (the key metric) converges or MaxSets is reached.
-//
-// Within one utilisation point, every (battery, scheme) cell replays the same
-// task-graph sets and actual execution requirements — the set seed depends
-// only on (Seed, utilisation index, set) — so cells are directly comparable
-// across schemes and battery models.
-func runScenarioGridReport(ctx context.Context, cfg ScenarioGridConfig) (*Report, error) {
+// gridLayout is the scenario grid's sweep. A set's seed keys on its
+// utilisation point and absolute index, so every (battery, scheme) cell of a
+// point replays the same task-graph sets and actual execution requirements,
+// and cells compare directly across schemes and battery models. Deadline
+// misses are counted, not fatal, so exploratory sweeps can chart the edge of
+// feasibility.
+var gridLayout = sweepLayout{
+	experiment: "grid",
+	seed:       func(base int64, point, set int) int64 { return runner.SeedFor(base, int64(point), int64(set)) },
+	metrics:    sweepMetrics[:2],
+	miss:       func(string, int) error { return nil },
+	row: func(cfg *ScenarioGridConfig, ui, bi int, s paperScheme, cells map[string]Cell, misses int) ReportRow {
+		u, bat := formatFloat(cfg.Utilizations[ui]), cfg.Batteries[bi]
+		return ReportRow{
+			Key:    u + "|" + bat + "|" + s.name,
+			Labels: map[string]string{"utilization": u, "battery": bat, "scheme": s.name},
+			Cells:  cells,
+			Counts: map[string]int{"deadline_misses": misses},
+		}
+	},
+	meta: func(cfg *ScenarioGridConfig, meta map[string]string) {
+		meta["utilizations"] = joinFloats(cfg.Utilizations)
+		meta["batteries"] = strings.Join(cfg.Batteries, ",")
+	},
+}
+
+// RunScenarioGrid sweeps the (utilisation × battery × scheme) grid and
+// returns its Report: one row per cell, in utilisation, battery and scheme
+// order, with the cell's charge and life over its sets and its deadline
+// misses.
+func RunScenarioGrid(ctx context.Context, cfg ScenarioGridConfig) (*Report, error) {
+	return runSweep(ctx, cfg, gridLayout)
+}
+
+// sweepLayout is what a sweep's experiment decides for itself; Table 2 and
+// the grid pass theirs as values.
+type sweepLayout struct {
+	experiment string
+	// seed derives a set's seed from the base seed, its utilisation point
+	// and its absolute index.
+	seed func(base int64, point, set int) int64
+	// metrics names the cells of each row, a prefix of sweepMetrics.
+	metrics []string
+	// miss decides whether a scheme's deadline misses on a set fail the run
+	// (a non-nil error); either way each cell sums them for row.
+	miss func(scheme string, misses int) error
+	// row lays out the row of the cell of point ui, battery bi and scheme s.
+	row func(cfg *ScenarioGridConfig, ui, bi int, s paperScheme, cells map[string]Cell, misses int) ReportRow
+	// meta adds the experiment's own entries to the Meta every sweep records.
+	meta func(cfg *ScenarioGridConfig, meta map[string]string)
+}
+
+// sweepMetrics names a sweepCell's values in order: the charge the battery
+// delivered (mAh), its life (min), and the scheme's battery energy per
+// hyperperiod (J) and average load current (A), the last two shared by
+// every battery of the scheme. The second is the key metric.
+var sweepMetrics = [...]string{"charge_mah", "life_min", "energy_j", "avg_current_a"}
+
+// sweepCell is the result of one (scheme, battery) pair on one task-graph
+// set: its sweepMetrics values and the scheme's deadline misses.
+type sweepCell struct {
+	values [len(sweepMetrics)]float64
+	misses int
+}
+
+// setsPerJob is the number of task-graph sets one job of a sweep simulates on
+// one evaluator: the next setsPerJob sets of a batch at one utilisation
+// point. Every set folds into cells keyed on its absolute index, so the chunk
+// size changes no number.
+const setsPerJob = 4
+
+// runSweep runs every scheme of cfg on every set of each utilisation point
+// and drains every battery on each scheme's load profile. A job is one chunk
+// of a point's sets on one evaluator: it generates each set once, runs all
+// schemes on one reused engine (replaying the recorded execution
+// realisation, which is scheme-independent), and evaluates every battery
+// model against each profile in one batch pass, so batteries share the
+// scheduling work. With RunOptions.TargetCI set, additional batches of sets
+// run until the relative CI95 of every cell's battery life converges or
+// MaxSets is reached.
+func runSweep(ctx context.Context, cfg ScenarioGridConfig, l sweepLayout) (*Report, error) {
 	if len(cfg.Utilizations) == 0 || cfg.Sets <= 0 || cfg.GraphsPerSet <= 0 {
 		return nil, fmt.Errorf("%w: %+v", ErrBadConfig, cfg)
 	}
 	for _, u := range cfg.Utilizations {
-		if u <= 0 || u > 1 {
+		if !validUtilization(u) {
 			return nil, fmt.Errorf("%w: utilisation %v", ErrBadConfig, u)
 		}
 	}
@@ -193,114 +243,82 @@ func runScenarioGridReport(ctx context.Context, cfg ScenarioGridConfig) (*Report
 	}
 	proc := defaultProcessor()
 
-	// chunkJob simulates sets [setLo, setHi) of one utilisation point across
-	// every scheme on one evaluator and returns one row of cells per set,
-	// indexed [scheme*len(factories)+battery]. The evaluator generates each
-	// task set once and evaluates every battery model against each scheme's
-	// load profile (the profile does not depend on the battery), so the cells
-	// are bit-identical to scheduling each (scheme, set) from scratch with
-	// the shared workload seed.
-	chunkJob := func(ui, setLo, setHi int) ([][]gridCell, error) {
-		out := make([][]gridCell, 0, setHi-setLo)
+	// A set's cells are indexed [scheme*len(factories)+battery].
+	width := len(schemes) * len(factories)
+	job := func(ui, setLo, setHi int) ([][]sweepCell, error) {
 		ev := getEvaluator(proc, cfg.Hyperperiods, cfg.MaxBatteryHours, factories...)
 		defer ev.release()
+		out := make([][]sweepCell, setHi-setLo)
+		cells := make([]sweepCell, 0, (setHi-setLo)*width)
 		for set := setLo; set < setHi; set++ {
-			// The workload seed is shared by every (battery, scheme) cell of
-			// this utilisation point so cells stay comparable.
-			if err := ev.generate(runner.SeedFor(cfg.Seed, int64(ui), int64(set)), cfg.GraphsPerSet, cfg.Utilizations[ui]); err != nil {
+			if err := ev.generate(l.seed(cfg.Seed, ui, set), cfg.GraphsPerSet, cfg.Utilizations[ui]); err != nil {
 				return nil, err
 			}
-			cells := make([]gridCell, 0, len(schemes)*len(factories))
 			for _, s := range schemes {
 				res, brs, err := ev.run(s.scheme)
 				if err != nil {
 					return nil, err
 				}
+				if err := l.miss(s.name, res.DeadlineMisses); err != nil {
+					return nil, err
+				}
+				energy, current := res.EnergyBattery/float64(cfg.Hyperperiods), res.Profile.AverageCurrent()
 				for _, br := range brs {
-					cells = append(cells, gridCell{charge: br.DeliveredMAh(), life: br.LifetimeMinutes(), misses: res.DeadlineMisses})
+					cells = append(cells, sweepCell{
+						values: [...]float64{br.DeliveredMAh(), br.LifetimeMinutes(), energy, current},
+						misses: res.DeadlineMisses,
+					})
 				}
 			}
-			out = append(out, cells)
+			out[set-setLo] = cells[len(cells)-width:]
 		}
 		return out, nil
 	}
 
-	// gridAgg accumulates one (utilisation, scheme, battery) cell.
-	type gridAgg struct {
-		charge, life metricAcc
-		misses       int
+	// Cell k = ui*width + scheme*len(factories) + battery keeps its metrics
+	// at accs[k*nm:] and its misses at misses[k].
+	nm := len(l.metrics)
+	accs := make([]metricAcc, len(cfg.Utilizations)*width*nm)
+	misses := make([]int, len(cfg.Utilizations)*width)
+	keys := make([]*stats.Accumulator, len(misses))
+	for k := range keys {
+		keys[k] = &accs[k*nm+1].acc // life_min
 	}
-	aggs := make([][]gridAgg, len(cfg.Utilizations)) // [ui][si*len(factories)+bi]
-	for ui := range aggs {
-		aggs[ui] = make([]gridAgg, len(schemes)*len(factories))
-	}
-
-	_, err = runAdaptiveSets(cfg.RunOptions, cfg.Sets, func(lo, hi int) error {
-		grid := runner.NewGrid(len(cfg.Utilizations), (hi-lo+setsPerJob-1)/setsPerJob)
-		return runner.RunStream(ctx, grid.Size(), cfg.runnerOptions(), func(_ context.Context, idx int) ([][]gridCell, error) {
-			c := grid.Coords(idx)
-			setLo := lo + c[1]*setsPerJob
-			return chunkJob(c[0], setLo, min(setLo+setsPerJob, hi))
-		}, func(idx int, rows [][]gridCell) error {
-			c := grid.Coords(idx)
-			for off, cells := range rows {
-				set := lo + c[1]*setsPerJob + off
-				for ci, cell := range cells {
-					a := &aggs[c[0]][ci]
-					a.charge.Add(set, cell.charge)
-					a.life.Add(set, cell.life)
-					a.misses += cell.misses
-				}
+	err = runSets(ctx, cfg.RunOptions, len(cfg.Utilizations), cfg.Sets, setsPerJob, job, func(ui, set int, cells []sweepCell) {
+		for ci, c := range cells {
+			k := ui*width + ci
+			for mi := range nm {
+				accs[k*nm+mi].Add(set, c.values[mi])
 			}
-			return nil
-		})
-	}, func() bool {
-		for ui := range aggs {
-			for ci := range aggs[ui] {
-				if !converged(cfg.TargetCI, &aggs[ui][ci].life.acc) {
-					return false
-				}
-			}
+			misses[k] += c.misses
 		}
-		return true
-	})
+	}, keys)
 	if err != nil {
 		return nil, err
 	}
 
-	rep := &Report{
-		Version:    ReportVersion,
-		Experiment: "grid",
-		Meta: map[string]string{
-			"seed":           strconv.FormatInt(cfg.Seed, 10),
-			"sets":           strconv.Itoa(cfg.Sets),
-			"sets_per_job":   strconv.Itoa(setsPerJob),
-			"graphs_per_set": strconv.Itoa(cfg.GraphsPerSet),
-			"hyperperiods":   strconv.Itoa(cfg.Hyperperiods),
-			"utilizations":   joinFloats(cfg.Utilizations),
-			"batteries":      strings.Join(cfg.Batteries, ","),
-			"oracle":         strconv.FormatBool(cfg.OracleEstimates),
-			// The adaptive-stopping knobs decide how many sets the run
-			// covers.
-			"target_ci": formatFloat(cfg.TargetCI),
-			"max_sets":  strconv.Itoa(cfg.MaxSets),
-		},
-		Shard: shardInfo(cfg.Shard),
+	meta := map[string]string{
+		"seed":           strconv.FormatInt(cfg.Seed, 10),
+		"sets":           strconv.Itoa(cfg.Sets),
+		"sets_per_job":   strconv.Itoa(setsPerJob),
+		"graphs_per_set": strconv.Itoa(cfg.GraphsPerSet),
+		"hyperperiods":   strconv.Itoa(cfg.Hyperperiods),
+		"oracle":         strconv.FormatBool(cfg.OracleEstimates),
+		// The adaptive-stopping knobs decide how many sets the run covers.
+		"target_ci": formatFloat(cfg.TargetCI),
+		"max_sets":  strconv.Itoa(cfg.MaxSets),
 	}
-	for ui, util := range cfg.Utilizations {
-		for bi, bat := range cfg.Batteries {
+	l.meta(&cfg, meta)
+	rep := &Report{Version: ReportVersion, Experiment: l.experiment, Meta: meta, Shard: shardInfo(cfg.Shard)}
+	for ui := range cfg.Utilizations {
+		for bi := range factories {
 			for si, s := range schemes {
-				a := &aggs[ui][si*len(factories)+bi]
-				u := formatFloat(util)
-				rep.Rows = append(rep.Rows, ReportRow{
-					Key:    u + "|" + bat + "|" + s.name,
-					Labels: map[string]string{"utilization": u, "battery": bat, "scheme": s.name},
-					Cells: map[string]Cell{
-						"charge_mah": a.charge.Cell(),
-						"life_min":   a.life.Cell(),
-					},
-					Counts: map[string]int{"deadline_misses": a.misses},
-				})
+				k := ui*width + si*len(factories) + bi
+				cells := make(map[string]Cell, nm)
+				for mi, name := range l.metrics {
+					cells[name] = accs[k*nm+mi].Cell()
+				}
+				rep.Rows = append(rep.Rows, l.row(&cfg, ui, bi, s, cells, misses[k]))
 			}
 		}
 	}
@@ -314,47 +332,4 @@ func joinFloats(vs []float64) string {
 		parts[i] = formatFloat(v)
 	}
 	return strings.Join(parts, ",")
-}
-
-// scenarioGridRowsFromReport reconstructs the typed rows from a Report.
-func scenarioGridRowsFromReport(r *Report) []ScenarioGridRow {
-	rows := make([]ScenarioGridRow, 0, len(r.Rows))
-	for _, row := range r.Rows {
-		util, _ := strconv.ParseFloat(row.Labels["utilization"], 64)
-		charge := stats.FromState(row.Cells["charge_mah"].State)
-		life := stats.FromState(row.Cells["life_min"].State)
-		rows = append(rows, ScenarioGridRow{
-			Utilization:    util,
-			Battery:        row.Labels["battery"],
-			Scheme:         row.Labels["scheme"],
-			Charge:         charge.Summary(),
-			Life:           life.Summary(),
-			DeadlineMisses: row.Counts["deadline_misses"],
-		})
-	}
-	return rows
-}
-
-// RunScenarioGrid sweeps the (utilisation × battery × scheme) grid and
-// returns its typed rows (see runScenarioGridReport; the registry path
-// returns the Report directly).
-func RunScenarioGrid(ctx context.Context, cfg ScenarioGridConfig) ([]ScenarioGridRow, error) {
-	rep, err := runScenarioGridReport(ctx, cfg)
-	if err != nil {
-		return nil, err
-	}
-	return scenarioGridRowsFromReport(rep), nil
-}
-
-// FormatScenarioGrid renders the scenario-grid rows as a plain-text table.
-func FormatScenarioGrid(rows []ScenarioGridRow) string {
-	var b strings.Builder
-	fmt.Fprintln(&b, "Scenario grid: utilisation x battery model x scheme")
-	fmt.Fprintln(&b, "Util | Battery    | Scheme            | Charge (mAh) ±CI95 | Life (min) ±CI95 | sets | misses")
-	fmt.Fprintln(&b, "-----+------------+-------------------+--------------------+------------------+------+-------")
-	for _, r := range rows {
-		fmt.Fprintf(&b, "%4.2f | %-10s | %-17s | %12.0f ±%4.0f | %10.1f ±%4.1f | %4d | %6d\n",
-			r.Utilization, r.Battery, r.Scheme, r.Charge.Mean, r.Charge.CI95, r.Life.Mean, r.Life.CI95, r.Charge.N, r.DeadlineMisses)
-	}
-	return b.String()
 }

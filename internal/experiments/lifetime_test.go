@@ -10,8 +10,8 @@ import (
 )
 
 // quickTable2Profiles records the load profile of every (set, scheme) run of
-// the quick Table 2 configuration, scheduled as table2ChunkJob schedules
-// them. The evaluator reuses its recorder, so each profile is cloned before
+// the quick Table 2 configuration, scheduled as Table 2's sweep (runSweep)
+// schedules them. The evaluator reuses its recorder, so each profile is cloned before
 // the next run.
 func quickTable2Profiles(t *testing.T) []*profile.Profile {
 	t.Helper()

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"strconv"
@@ -196,6 +197,57 @@ func runAdaptiveSets(o RunOptions, initial int, runBatch func(lo, hi int) error,
 	}
 	return total, nil
 }
+
+// runSets is the set loop every per-set driver runs through. Each batch of
+// sets [lo, hi) that runAdaptiveSets asks for runs points ×
+// ceil((hi-lo)/chunk) jobs, point-major: job(point, setLo, setHi) simulates
+// the sets of one chunk and returns one result per set. The results stream
+// back in job order (runner.RunStream) and fold receives each with its point
+// and absolute set index, so every driver folds set by set in absolute order
+// at any parallelism and shard split. An adaptive run stops once every key
+// accumulator has converged.
+func runSets[R any](ctx context.Context, o RunOptions, points, sets, chunk int,
+	job func(point, setLo, setHi int) ([]R, error), fold func(point, set int, r R), keys []*stats.Accumulator) error {
+	_, err := runAdaptiveSets(o, sets, func(lo, hi int) error {
+		chunks := (hi - lo + chunk - 1) / chunk
+		return runner.RunStream(ctx, points*chunks, o.runnerOptions(), func(_ context.Context, k int) ([]R, error) {
+			setLo := lo + k%chunks*chunk
+			return job(k/chunks, setLo, min(setLo+chunk, hi))
+		}, func(k int, rs []R) error {
+			for i, r := range rs {
+				fold(k/chunks, lo+k%chunks*chunk+i, r)
+			}
+			return nil
+		})
+	}, func() bool { return converged(o.TargetCI, keys...) })
+	return err
+}
+
+// runColumns runs the drivers whose job is one set and yields one value per
+// column (Table 1, Figure 6 and the ablation): job(point, set) returns the
+// set's columns, column c of point p folds into accs[p*cols+c], and every
+// accumulator is a key. A job may return no columns, which leaves the set
+// out of the point.
+func runColumns(ctx context.Context, o RunOptions, points, sets, cols int, job func(point, set int) ([]float64, error)) ([]metricAcc, error) {
+	accs := make([]metricAcc, points*cols)
+	keys := make([]*stats.Accumulator, len(accs))
+	for i := range accs {
+		keys[i] = &accs[i].acc
+	}
+	err := runSets(ctx, o, points, sets, 1, func(point, set, _ int) ([][]float64, error) {
+		v, err := job(point, set)
+		return [][]float64{v}, err
+	}, func(point, set int, v []float64) {
+		for c, x := range v {
+			accs[point*cols+c].Add(set, x)
+		}
+	}, keys)
+	return accs, err
+}
+
+// validUtilization reports whether u is a worst-case utilisation a set can
+// be generated at: in (0, 1], which NaN is not.
+func validUtilization(u float64) bool { return u > 0 && u <= 1 }
 
 // converged reports whether every accumulator's relative CI95 half-width is
 // at or below target (accumulators with fewer than two observations never

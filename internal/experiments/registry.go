@@ -3,6 +3,7 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -37,7 +38,8 @@ type Spec struct {
 	// CCEDF selects ccEDF instead of laEDF for Figure 6 frequency setting.
 	CCEDF bool
 	// MaxStep forces the uniform-stepping battery simulation path with this
-	// substep for the curve; 0 selects the analytic fast path.
+	// substep in seconds for the curve; 0 selects the analytic fast path. A
+	// NaN, infinite or negative step is refused with ErrBadConfig.
 	MaxStep float64
 	// RunOptions tune parallelism, progress, adaptive stopping and sharding.
 	RunOptions
@@ -72,6 +74,8 @@ type Definition struct {
 	Shardable bool
 	// Run executes the experiment.
 	Run func(ctx context.Context, spec Spec) (*Report, error)
+	// table renders the experiment's reports (FormatReport, Footer).
+	table table
 }
 
 var registry = map[string]Definition{}
@@ -115,8 +119,9 @@ func Lookup(name string) (Definition, error) {
 // Check is the one decision whether d may run spec, which Run, the daemon's
 // admission and the CLI's run and submit all call before anything runs or
 // is sent. A TargetCI that is NaN, infinite or negative means nothing and is
-// refused (0 disables adaptive set counts), and so is a negative MaxSets (0
-// selects the default cap). sharded says whether the run is
+// refused (0 disables adaptive set counts), and so are a negative MaxSets (0
+// selects the default cap) and a NaN, infinite or negative MaxStep (0 selects
+// the analytic battery path). sharded says whether the run is
 // split: a -shard slice, a daemon's shard unit, or a job a daemon fans out
 // over shards; an unsplit run always may be. The deterministic curve has no
 // sets to split. Adaptive set counts (TargetCI) do not shard either: each
@@ -126,6 +131,9 @@ func Lookup(name string) (Definition, error) {
 func (d Definition) Check(spec Spec, sharded bool) error {
 	if sharded && !d.Shardable {
 		return fmt.Errorf("%w: experiment %q is deterministic and does not shard", ErrBadConfig, d.Name)
+	}
+	if math.IsNaN(spec.MaxStep) || math.IsInf(spec.MaxStep, 0) || spec.MaxStep < 0 {
+		return fmt.Errorf("%w: max step %v, want a finite battery substep > 0 in seconds, or 0 for the analytic path", ErrBadConfig, spec.MaxStep)
 	}
 	return spec.check(sharded)
 }

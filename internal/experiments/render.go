@@ -2,127 +2,132 @@ package experiments
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 	"time"
+
+	"battsched/internal/stats"
 )
 
-// FormatReport renders a Report as the experiment's plain-text table. The
-// output is byte-identical to the historical Format* helpers: the report
-// carries the full accumulator state and row labels, so the typed rows are
-// reconstructed and formatted by the same code path.
-func FormatReport(r *Report) (string, error) {
-	switch r.Experiment {
-	case "table1":
-		return FormatTable1(table1RowsFromReport(r)), nil
-	case "figure6":
-		return FormatFigure6(figure6RowsFromReport(r)), nil
-	case "table2":
-		return FormatTable2(table2RowsFromReport(r), r.Meta["battery"], metaFloat(r.Meta, "utilization")), nil
-	case "curve":
-		return FormatCurve(curveSeriesFromReport(r)), nil
-	case "ablation":
-		return FormatEstimateAblation(estimateAblationRowsFromReport(r)), nil
-	case "grid":
-		return FormatScenarioGrid(scenarioGridRowsFromReport(r)), nil
-	}
-	return "", fmt.Errorf("%w: no renderer for experiment %q", ErrBadConfig, r.Experiment)
+// table is how a registered experiment's Report renders as its plain-text
+// table: head, then one line per row, and the footer cmd/experiments prints
+// after it. The head and the footer read the report, a row's columns read
+// the row's key, labels, cells and counts. An entry a report lacks reads as
+// its zero value, so every report ReadArtifact accepts renders.
+type table struct {
+	// head is a format over headArgs: the title and the column headings.
+	head     string
+	headArgs []reportValue
+	// row is a format over cols, printed for each row in order.
+	row  string
+	cols []rowValue
+	// rows, when set, renders the rows in place of row and cols.
+	rows func(b *strings.Builder, r *Report)
+	// foot is a format over footArgs and then the elapsed seconds.
+	foot     string
+	footArgs []reportValue
 }
 
-// Footer renders the per-experiment summary line cmd/experiments prints after
-// each table (sample counts and wall-clock time), reproducing the historical
-// output byte-for-byte. Unknown experiments get a generic timing line.
-func Footer(r *Report, elapsed time.Duration) string {
-	secs := elapsed.Seconds()
-	n := func(cell string) int {
+// A reportValue reads one value of a report for its head or footer.
+type reportValue func(r *Report) any
+
+// A rowValue reads one column of a report row.
+type rowValue func(row *ReportRow) any
+
+// key reads the row's key.
+func key(row *ReportRow) any { return row.Key }
+
+// keyInt reads the row's key as an integer (a task or graph count).
+func keyInt(row *ReportRow) any {
+	n, _ := strconv.Atoi(row.Key)
+	return n
+}
+
+// label reads one of the row's labels.
+func label(name string) rowValue { return func(row *ReportRow) any { return row.Labels[name] } }
+
+// labelNumber reads one of the row's labels as a float.
+func labelNumber(name string) rowValue {
+	return func(row *ReportRow) any {
+		v, _ := strconv.ParseFloat(row.Labels[name], 64)
+		return v
+	}
+}
+
+// mean reads the mean of one of the row's cells.
+func mean(cell string) rowValue { return func(row *ReportRow) any { return row.Cells[cell].Mean } }
+
+// sets reads the number of observations of one of the row's cells.
+func sets(cell string) rowValue { return func(row *ReportRow) any { return row.Cells[cell].N } }
+
+// ci95 reads the Student-t CI95 half-width of one of the row's cells.
+func ci95(cell string) rowValue {
+	return func(row *ReportRow) any {
+		a := stats.FromState(row.Cells[cell].State)
+		return a.Summary().CI95
+	}
+}
+
+// count reads one of the row's counts.
+func count(name string) rowValue { return func(row *ReportRow) any { return row.Counts[name] } }
+
+// firstSets reads the number of observations of one cell of the first row.
+func firstSets(cell string) reportValue {
+	return func(r *Report) any {
 		if len(r.Rows) == 0 {
 			return 0
 		}
 		return r.Rows[0].Cells[cell].N
 	}
-	switch r.Experiment {
-	case "table1":
-		return fmt.Sprintf("(%d DAGs per row, %.1fs)\n\n", n("random"), secs)
-	case "figure6":
-		return fmt.Sprintf("(%d sets per point, %s frequency setting, utilisation %.2f, %.1fs)\n\n",
-			n("random"), r.Meta["alg"], metaFloat(r.Meta, "utilization"), secs)
-	case "table2":
-		return fmt.Sprintf("(%d task-graph sets, %.1fs)\n\n", n("charge_mah"), secs)
-	case "curve":
-		return fmt.Sprintf("(%.1fs)\n", secs)
-	case "ablation":
-		return fmt.Sprintf("(%d sets, %.1fs)\n", n("energy_vs_random"), secs)
-	case "grid":
-		return fmt.Sprintf("(%d sets per cell, %.1fs)\n", n("charge_mah"), secs)
-	}
-	return fmt.Sprintf("(%.1fs)\n", secs)
 }
 
-// FormatTable1 renders Table 1 rows as a plain-text table matching the
-// paper's layout (energy normalised with respect to the optimal schedule).
-func FormatTable1(rows []Table1Row) string {
-	var b strings.Builder
-	fmt.Fprintln(&b, "Table 1: energy consumption normalised w.r.t. the optimal schedule")
-	fmt.Fprintln(&b, "# of tasks |  Random  |   LTF    |   pUBS   | samples")
-	fmt.Fprintln(&b, "-----------+----------+----------+----------+--------")
-	for _, r := range rows {
-		fmt.Fprintf(&b, "%10d | %8.2f | %8.2f | %8.2f | %6d\n",
-			r.Tasks, r.Random, r.LTF, r.PUBS, r.Samples)
+// metaText reads one Meta entry.
+func metaText(k string) reportValue { return func(r *Report) any { return r.Meta[k] } }
+
+// metaNumber reads one Meta entry as a float.
+func metaNumber(k string) reportValue { return func(r *Report) any { return metaFloat(r.Meta, k) } }
+
+// read evaluates vs on r.
+func read(vs []reportValue, r *Report) []any {
+	out := make([]any, len(vs))
+	for i, v := range vs {
+		out[i] = v(r)
 	}
-	return b.String()
+	return out
 }
 
-// FormatFigure6 renders Figure 6 rows as a plain-text series table (energy
-// normalised with respect to the precedence-free near-optimal schedule).
-func FormatFigure6(rows []Figure6Row) string {
+// FormatReport renders a Report as its experiment's plain-text table, from
+// the table the experiment registered; the historical paper tables come out
+// byte for byte.
+func FormatReport(r *Report) (string, error) {
+	d, ok := registry[r.Experiment]
+	if !ok {
+		return "", fmt.Errorf("%w: no renderer for experiment %q", ErrBadConfig, r.Experiment)
+	}
+	t := &d.table
 	var b strings.Builder
-	fmt.Fprintln(&b, "Figure 6: energy of ordering schemes normalised w.r.t. near-optimal")
-	fmt.Fprintln(&b, "# graphs |  Random  |   LTF    | pUBS(imminent) | pUBS(all released) | samples")
-	fmt.Fprintln(&b, "---------+----------+----------+----------------+--------------------+--------")
-	for _, r := range rows {
-		fmt.Fprintf(&b, "%8d | %8.3f | %8.3f | %14.3f | %18.3f | %6d\n",
-			r.Graphs, r.Random, r.LTF, r.PUBSImminent, r.PUBSAllReleased, r.Samples)
+	fmt.Fprintf(&b, t.head, read(t.headArgs, r)...)
+	if t.rows != nil {
+		t.rows(&b, r)
+		return b.String(), nil
 	}
-	return b.String()
-}
-
-// FormatTable2 renders Table 2 rows as a plain-text table matching the
-// paper's layout.
-func FormatTable2(rows []Table2Row, batteryName string, utilization float64) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Table 2: scheduling schemes at %.0f%% utilisation (battery model: %s)\n", utilization*100, batteryName)
-	fmt.Fprintln(&b, "Scheme            | DVS Algo | Priority | Ready list    | Charge (mAh) | Life (min) | Energy/hp (J) | Avg I (A)")
-	fmt.Fprintln(&b, "------------------+----------+----------+---------------+--------------+------------+---------------+----------")
-	for _, r := range rows {
-		fmt.Fprintf(&b, "%-17s | %-8s | %-8s | %-13s | %12.0f | %10.1f | %13.3f | %8.3f\n",
-			r.Scheme, r.DVS, r.Priority, r.ReadyList, r.ChargeDeliveredMAh, r.BatteryLifeMin, r.EnergyPerHyperperiodJ, r.AverageCurrentA)
-	}
-	return b.String()
-}
-
-// FormatCurve renders the load versus delivered-capacity curves as a
-// plain-text table with one column per battery model.
-func FormatCurve(series []CurveSeries) string {
-	var b strings.Builder
-	fmt.Fprintln(&b, "Load vs delivered capacity (mAh)")
-	header := "current (A)"
-	for _, s := range series {
-		header += fmt.Sprintf(" | %12s", s.Model)
-	}
-	fmt.Fprintln(&b, header)
-	fmt.Fprintln(&b, strings.Repeat("-", len(header)))
-	if len(series) == 0 {
-		return b.String()
-	}
-	for i := range series[0].Points {
-		line := fmt.Sprintf("%11.3f", series[0].Points[i].Current)
-		for _, s := range series {
-			if i < len(s.Points) {
-				line += fmt.Sprintf(" | %12.0f", s.Points[i].DeliveredMAh)
-			} else {
-				line += fmt.Sprintf(" | %12s", "-")
-			}
+	args := make([]any, len(t.cols))
+	for i := range r.Rows {
+		for c, col := range t.cols {
+			args[c] = col(&r.Rows[i])
 		}
-		fmt.Fprintln(&b, line)
+		fmt.Fprintf(&b, t.row, args...)
 	}
-	return b.String()
+	return b.String(), nil
+}
+
+// Footer renders the summary line cmd/experiments prints after each table
+// (sample counts and wall-clock time), from the table the experiment
+// registered. Unknown experiments get a generic timing line.
+func Footer(r *Report, elapsed time.Duration) string {
+	d, ok := registry[r.Experiment]
+	if !ok {
+		return fmt.Sprintf("(%.1fs)\n", elapsed.Seconds())
+	}
+	return fmt.Sprintf(d.table.foot, append(read(d.table.footArgs, r), elapsed.Seconds())...)
 }

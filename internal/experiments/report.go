@@ -14,11 +14,12 @@ import (
 const ReportVersion = 1
 
 // Report is the structured result every experiment driver returns: named rows
-// of metric cells backed by serialisable accumulator state. The plain-text
-// tables of the paper are rendered from it (FormatReport) byte-identically to
-// the historical Format* output, it marshals to the versioned JSON artifact
-// cmd/experiments writes with -o, and shard partials of the same run merge
-// with MergeReports.
+// of metric cells backed by serialisable accumulator state. It is the only
+// result type: FormatReport renders the paper's plain-text tables from it
+// alone, reading each column from a row's key, labels, cells or counts as
+// the experiment's registered table says; it marshals to the versioned JSON
+// artifact cmd/experiments writes with -o; shard partials of the same run
+// merge with MergeReports; and callers and tests read its cells directly.
 type Report struct {
 	// Version is the report schema version (ReportVersion).
 	Version int `json:"version"`

@@ -45,67 +45,14 @@ func TestRegistryNamesAndLookup(t *testing.T) {
 			t.Fatalf("paper experiment %q not registered: %v", name, err)
 		}
 	}
-}
-
-// TestRegistryRunMatchesLegacyFormat is the render byte-identity contract:
-// for every experiment, Run(spec) + FormatReport emits exactly the bytes the
-// historical Run*+Format* pairing emits (both paths share one aggregation, so
-// this pins that the Report carries everything rendering needs).
-func TestRegistryRunMatchesLegacyFormat(t *testing.T) {
-	ctx := context.Background()
-	spec := Spec{Quick: true, Battery: "kibam"}
-	legacy := map[string]func() (string, error){
-		"table1": func() (string, error) {
-			rows, err := RunTable1(ctx, QuickTable1Config())
-			return FormatTable1(rows), err
-		},
-		"figure6": func() (string, error) {
-			rows, err := RunFigure6(ctx, QuickFigure6Config())
-			return FormatFigure6(rows), err
-		},
-		"table2": func() (string, error) {
-			cfg := QuickTable2Config()
-			cfg.BatteryName = "kibam"
-			rows, err := RunTable2(ctx, cfg)
-			return FormatTable2(rows, cfg.BatteryName, cfg.Utilization), err
-		},
-		"curve": func() (string, error) {
-			cfg := QuickCurveConfig()
-			cfg.Models = []string{"kibam"}
-			series, err := RunLoadCapacityCurve(ctx, cfg)
-			return FormatCurve(series), err
-		},
-		"ablation": func() (string, error) {
-			rows, err := RunEstimateAblation(ctx, QuickEstimateAblationConfig())
-			return FormatEstimateAblation(rows), err
-		},
-		"grid": func() (string, error) {
-			rows, err := RunScenarioGrid(ctx, QuickScenarioGridConfig())
-			return FormatScenarioGrid(rows), err
-		},
-	}
-	for _, name := range Names() {
-		rep, err := Run(ctx, name, spec)
-		if err != nil {
-			t.Fatalf("Run(%s): %v", name, err)
-		}
-		if rep.Version != ReportVersion || rep.Experiment != name || len(rep.Rows) == 0 || rep.Shard != nil {
-			t.Fatalf("Run(%s) report header = %+v", name, rep)
-		}
-		got, err := FormatReport(rep)
-		if err != nil {
-			t.Fatalf("FormatReport(%s): %v", name, err)
-		}
-		want, err := legacy[name]()
-		if err != nil {
-			t.Fatalf("legacy %s: %v", name, err)
-		}
-		if got != want {
-			t.Fatalf("%s: FormatReport differs from legacy formatting:\n--- report ---\n%s\n--- legacy ---\n%s", name, got, want)
-		}
-	}
-	if _, err := FormatReport(&Report{Experiment: "bogus"}); !errors.Is(err, ErrBadConfig) {
+	// A report of an unknown experiment has no table, and its footer is the
+	// elapsed time alone.
+	bogus := &Report{Experiment: "bogus"}
+	if _, err := FormatReport(bogus); !errors.Is(err, ErrBadConfig) {
 		t.Fatalf("FormatReport(bogus) err = %v", err)
+	}
+	if got, want := Footer(bogus, 1500*time.Millisecond), "(1.5s)\n"; got != want {
+		t.Fatalf("Footer(bogus) = %q, want %q", got, want)
 	}
 }
 

@@ -109,7 +109,7 @@ func TestTable2ShardMergeExact(t *testing.T) {
 // each shard would judge convergence on its own samples, so a merge could
 // cover more sets than the unsharded run whose content address it shares.
 // Every shardable experiment refuses the sharded run with ErrBadConfig,
-// through Run and through its typed entry point. The refusal loses no result: an unattainable target capped by MaxSets covers
+// through Run and through its driver. The refusal loses no result: an unattainable target capped by MaxSets covers
 // exactly the sets of a fixed MaxSets run, which shards and merges exactly.
 func TestTable2ShardMergeAdaptive(t *testing.T) {
 	ctx := context.Background()
@@ -128,8 +128,8 @@ func TestTable2ShardMergeAdaptive(t *testing.T) {
 	}
 	cfg := QuickTable2Config()
 	cfg.TargetCI, cfg.Shard = 0.2, Shard{Index: 1, Count: 2}
-	if _, err := RunTable2(ctx, cfg); !errors.Is(err, ErrBadConfig) {
-		t.Fatalf("RunTable2 sharded adaptive err = %v, want ErrBadConfig", err)
+	if _, err := runTable2Report(ctx, cfg); !errors.Is(err, ErrBadConfig) {
+		t.Fatalf("runTable2Report sharded adaptive err = %v, want ErrBadConfig", err)
 	}
 
 	adaptive, err := Run(ctx, "table2", Spec{Quick: true, Battery: "kibam", RunOptions: RunOptions{TargetCI: 1e-12, MaxSets: 8}})

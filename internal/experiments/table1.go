@@ -40,9 +40,15 @@
 // replaying their per-set samples, bit-for-bit the unsharded report, so a
 // spec names one artifact at any shard split. Definition.Check decides
 // what may shard: neither the deterministic curve nor a run with adaptive set
-// counts does. FormatReport renders each experiment through its typed rows
-// and Format* function; RunLoadCapacityCurve and RunScenarioGrid also return
-// typed rows, for cmd/batsim and the facade.
+// counts does.
+//
+// Every per-set driver runs its sets through one loop (runSets): it supplies
+// its points, a job over one chunk of sets and a fold of each set's result
+// into its cells. Table 2 is the scenario grid's sweep at one utilisation
+// point and one battery. Each registered experiment also owns its table: the
+// lines above the rows, the format of a row and the key, label, cell or count
+// each column reads, and the footer. FormatReport and Footer render any
+// Report from that definition alone.
 package experiments
 
 import (
@@ -107,24 +113,8 @@ func QuickTable1Config() Table1Config {
 	return c
 }
 
-// Table1Row is one row of Table 1: mean energy of each ordering policy
-// normalised with respect to the optimal schedule.
-type Table1Row struct {
-	Tasks   int
-	Random  float64
-	LTF     float64
-	PUBS    float64
-	Samples int
-}
-
 // ErrBadConfig is returned for invalid experiment configurations.
 var ErrBadConfig = errors.New("experiments: invalid configuration")
-
-// table1Sample is the result of one (task count, graph) job: each ordering
-// policy's energy over the optimum's.
-type table1Sample struct {
-	random, ltf, pubs float64
-}
 
 // table1Graph generates the DAG of one (task count, graph index) cell and its
 // execution parameters. The returned generator has drawn the DAG and its
@@ -145,38 +135,30 @@ func table1Graph(cfg Table1Config, gen tgff.Config, n, s int) (*taskgraph.Graph,
 	return g, optimal.Params{Deadline: deadline, FMax: cfg.FMax, Actuals: actuals}, rng, nil
 }
 
-// table1Job evaluates one (task count, graph index) cell.
-func table1Job(cfg Table1Config, gen tgff.Config, n, s int) (table1Sample, error) {
+// table1Job evaluates one (task count, graph index) cell: the energy of the
+// random, LTF and pUBS orders over the optimum's, in that order.
+func table1Job(cfg Table1Config, gen tgff.Config, n, s int) ([]float64, error) {
 	g, params, rng, err := table1Graph(cfg, gen, n, s)
 	if err != nil {
-		return table1Sample{}, err
+		return nil, err
 	}
 	opt, err := optimal.OptimalOrder(g, params)
 	if err != nil {
-		return table1Sample{}, err
+		return nil, err
 	}
 	randEv, err := optimal.RandomOrder(g, params, rng)
 	if err != nil {
-		return table1Sample{}, err
+		return nil, err
 	}
 	ltfEv, err := optimal.GreedyOrder(g, priority.NewLTF(), params, nil, nil)
 	if err != nil {
-		return table1Sample{}, err
+		return nil, err
 	}
 	pubsEv, err := optimal.GreedyOrder(g, priority.NewPUBS(), params, params.Actuals, nil)
 	if err != nil {
-		return table1Sample{}, err
+		return nil, err
 	}
-	return table1Sample{
-		random: randEv.Energy / opt.Energy,
-		ltf:    ltfEv.Energy / opt.Energy,
-		pubs:   pubsEv.Energy / opt.Energy,
-	}, nil
-}
-
-// table1Acc accumulates one row of Table 1 from streamed samples.
-type table1Acc struct {
-	random, ltf, pubs metricAcc
+	return []float64{randEv.Energy / opt.Energy, ltfEv.Energy / opt.Energy, pubsEv.Energy / opt.Energy}, nil
 }
 
 func init() {
@@ -202,47 +184,33 @@ func init() {
 			cfg.RunOptions = spec.RunOptions
 			return runTable1Report(ctx, cfg)
 		},
+		table: table{
+			head: "Table 1: energy consumption normalised w.r.t. the optimal schedule\n" +
+				"# of tasks |  Random  |   LTF    |   pUBS   | samples\n" +
+				"-----------+----------+----------+----------+--------\n",
+			row:      "%10d | %8.2f | %8.2f | %8.2f | %6d\n",
+			cols:     []rowValue{keyInt, mean("random"), mean("ltf"), mean("pubs"), sets("random")},
+			foot:     "(%d DAGs per row, %.1fs)\n\n",
+			footArgs: []reportValue{firstSets("random")},
+		},
 	})
 }
 
-// runTable1Report regenerates Table 1. The (task count × graph) grid runs as
-// independent jobs; each job derives its generator from (Seed, task count,
-// graph index), so rows are identical at any parallelism. Samples stream
-// back in job order and fold directly into per-row accumulators; with
-// RunOptions.TargetCI set, additional batches of DAGs are generated per task
-// count until the relative CI95 of every normalised-energy column (the key
-// metric) converges or MaxSets DAGs per count were used.
+// runTable1Report regenerates Table 1. Each (task count, graph) cell is one
+// job; it derives its generator from (Seed, task count, graph index), so rows
+// are identical at any parallelism. With RunOptions.TargetCI set, additional
+// batches of DAGs are generated per task count until the relative CI95 of
+// every normalised-energy column (the key metric) converges or MaxSets DAGs
+// per count were used.
 func runTable1Report(ctx context.Context, cfg Table1Config) (*Report, error) {
-	if len(cfg.TaskCounts) == 0 || cfg.GraphsPerCount <= 0 || cfg.FMax <= 0 ||
-		cfg.Utilization <= 0 || cfg.Utilization > 1 {
+	if len(cfg.TaskCounts) == 0 || cfg.GraphsPerCount <= 0 || cfg.FMax <= 0 || !validUtilization(cfg.Utilization) {
 		return nil, fmt.Errorf("%w: %+v", ErrBadConfig, cfg)
 	}
 	gen := tgff.DefaultConfig()
 	gen.EdgeProbability = cfg.EdgeProbability
 
-	accs := make([]table1Acc, len(cfg.TaskCounts))
-	_, err := runAdaptiveSets(cfg.RunOptions, cfg.GraphsPerCount, func(lo, hi int) error {
-		grid := runner.NewGrid(len(cfg.TaskCounts), hi-lo)
-		return runner.RunStream(ctx, grid.Size(), cfg.runnerOptions(), func(_ context.Context, idx int) (table1Sample, error) {
-			c := grid.Coords(idx)
-			// The graph index is absolute (lo+c[1]), so a sample's random
-			// stream does not depend on the batch layout.
-			return table1Job(cfg, gen, cfg.TaskCounts[c[0]], lo+c[1])
-		}, func(idx int, sample table1Sample) error {
-			c := grid.Coords(idx)
-			a, graph := &accs[c[0]], lo+c[1]
-			a.random.Add(graph, sample.random)
-			a.ltf.Add(graph, sample.ltf)
-			a.pubs.Add(graph, sample.pubs)
-			return nil
-		})
-	}, func() bool {
-		for i := range accs {
-			if !converged(cfg.TargetCI, &accs[i].random.acc, &accs[i].ltf.acc, &accs[i].pubs.acc) {
-				return false
-			}
-		}
-		return true
+	accs, err := runColumns(ctx, cfg.RunOptions, len(cfg.TaskCounts), cfg.GraphsPerCount, 3, func(ci, graph int) ([]float64, error) {
+		return table1Job(cfg, gen, cfg.TaskCounts[ci], graph)
 	})
 	if err != nil {
 		return nil, err
@@ -264,31 +232,11 @@ func runTable1Report(ctx context.Context, cfg Table1Config) (*Report, error) {
 		Shard: shardInfo(cfg.Shard),
 	}
 	for ci, n := range cfg.TaskCounts {
-		a := &accs[ci]
+		a := accs[3*ci:]
 		rep.Rows = append(rep.Rows, ReportRow{
-			Key: strconv.Itoa(n),
-			Cells: map[string]Cell{
-				"random": a.random.Cell(),
-				"ltf":    a.ltf.Cell(),
-				"pubs":   a.pubs.Cell(),
-			},
+			Key:   strconv.Itoa(n),
+			Cells: map[string]Cell{"random": a[0].Cell(), "ltf": a[1].Cell(), "pubs": a[2].Cell()},
 		})
 	}
 	return rep, nil
-}
-
-// table1RowsFromReport reconstructs the typed rows from a Report.
-func table1RowsFromReport(r *Report) []Table1Row {
-	rows := make([]Table1Row, 0, len(r.Rows))
-	for _, row := range r.Rows {
-		tasks, _ := strconv.Atoi(row.Key)
-		rows = append(rows, Table1Row{
-			Tasks:   tasks,
-			Random:  row.Cells["random"].Mean,
-			LTF:     row.Cells["ltf"].Mean,
-			PUBS:    row.Cells["pubs"].Mean,
-			Samples: row.Cells["random"].N,
-		})
-	}
-	return rows
 }

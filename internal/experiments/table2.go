@@ -3,7 +3,6 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"strconv"
 
 	"battsched/internal/battery"
 	"battsched/internal/core"
@@ -110,28 +109,6 @@ func QuickTable2Config() Table2Config {
 	return c
 }
 
-// Table2Row is one row of Table 2.
-type Table2Row struct {
-	// Scheme is the scheduling scheme label.
-	Scheme string
-	// DVS, Priority and ReadyList describe the scheme (as in the paper's
-	// table columns).
-	DVS       string
-	Priority  string
-	ReadyList string
-	// ChargeDeliveredMAh is the mean charge delivered before exhaustion.
-	ChargeDeliveredMAh float64
-	// BatteryLifeMin is the mean battery lifetime in minutes.
-	BatteryLifeMin float64
-	// EnergyPerHyperperiodJ is the mean battery energy per simulated
-	// hyperperiod (not in the paper's table, but useful for analysis).
-	EnergyPerHyperperiodJ float64
-	// AverageCurrentA is the mean load current of the generated profiles.
-	AverageCurrentA float64
-	// Sets is the number of task-graph sets averaged.
-	Sets int
-}
-
 // paperScheme is one scheme of Table 2 with the paper's column labels.
 type paperScheme struct {
 	scheme
@@ -160,53 +137,6 @@ func paperSchemes(oracle bool) []paperScheme {
 	return schemes
 }
 
-// setsPerJob is the number of task-graph sets one job of the Table 2 and grid
-// drivers simulates on one evaluator: the next setsPerJob sets of a batch.
-// Both drivers fold every set into cells keyed on its absolute index, so the
-// chunk size changes no number.
-const setsPerJob = 4
-
-// table2Cell is the result of one scheme on one task-graph set.
-type table2Cell struct {
-	charge, life, energy, current float64
-}
-
-// table2ChunkJob simulates every scheme on the task-graph sets [setLo, setHi)
-// with one evaluator and returns one cell row per set. Each set's workload and
-// actual execution requirements derive from its seed and are shared by all
-// schemes, so schemes always compare on identical task graphs.
-func table2ChunkJob(cfg Table2Config, proc *processor.Model, factory BatteryFactory, schemes []paperScheme, setLo, setHi int) ([][]table2Cell, error) {
-	out := make([][]table2Cell, 0, setHi-setLo)
-	ev := getEvaluator(proc, cfg.Hyperperiods, cfg.MaxBatteryHours, factory)
-	defer ev.release()
-	for set := setLo; set < setHi; set++ {
-		if err := ev.generate(runner.SeedFor(cfg.Seed, int64(set)), cfg.GraphsPerSet, cfg.Utilization); err != nil {
-			return nil, err
-		}
-		cells := make([]table2Cell, len(schemes))
-		for i, s := range schemes {
-			res, brs, err := ev.run(s.scheme)
-			if err != nil {
-				return nil, err
-			}
-			if res.DeadlineMisses > 0 {
-				return nil, fmt.Errorf("experiments: table 2 scheme %s missed %d deadlines", s.name, res.DeadlineMisses)
-			}
-			cells[i] = table2Cell{
-				charge:  brs[0].DeliveredMAh(),
-				life:    brs[0].LifetimeMinutes(),
-				energy:  res.EnergyBattery / float64(cfg.Hyperperiods),
-				current: res.Profile.AverageCurrent(),
-			}
-		}
-		out = append(out, cells)
-	}
-	return out, nil
-}
-
-// table2Agg accumulates one scheme's column of Table 2 from streamed sets.
-type table2Agg struct{ charge, life, energy, current metricAcc }
-
 func init() {
 	mustRegister(Definition{
 		Name:      "table2",
@@ -234,116 +164,67 @@ func init() {
 			cfg.RunOptions = spec.RunOptions
 			return runTable2Report(ctx, cfg)
 		},
+		table: table{
+			head: "Table 2: scheduling schemes at %.0f%% utilisation (battery model: %s)\n" +
+				"Scheme            | DVS Algo | Priority | Ready list    | Charge (mAh) | Life (min) | Energy/hp (J) | Avg I (A)\n" +
+				"------------------+----------+----------+---------------+--------------+------------+---------------+----------\n",
+			headArgs: []reportValue{func(r *Report) any { return metaFloat(r.Meta, "utilization") * 100 }, metaText("battery")},
+			row:      "%-17s | %-8s | %-8s | %-13s | %12.0f | %10.1f | %13.3f | %8.3f\n",
+			cols: []rowValue{key, label("dvs"), label("priority"), label("ready_list"),
+				mean("charge_mah"), mean("life_min"), mean("energy_j"), mean("avg_current_a")},
+			foot:     "(%d task-graph sets, %.1fs)\n\n",
+			footArgs: []reportValue{firstSets("charge_mah")},
+		},
 	})
 }
 
-// runTable2Report regenerates Table 2 for the configured battery model. Jobs
-// are chunks of setsPerJob task-graph sets, each covering every scheme on one
-// reused engine; per-set cells stream back in chunk order and fold into
-// per-scheme accumulators keyed on absolute set indices, so the result is
-// byte-identical at any parallelism and any shard split. With
-// RunOptions.TargetCI set, additional batches of sets run until the relative
-// CI95 of every scheme's battery lifetime (the key metric) converges or
-// MaxSets is reached.
-func runTable2Report(ctx context.Context, cfg Table2Config) (*Report, error) {
-	if cfg.Sets <= 0 || cfg.GraphsPerSet <= 0 || cfg.Utilization <= 0 || cfg.Utilization > 1 {
-		return nil, fmt.Errorf("%w: %+v", ErrBadConfig, cfg)
-	}
-	if cfg.Hyperperiods <= 0 {
-		cfg.Hyperperiods = 1
-	}
-	if cfg.BatteryName == "" {
-		cfg.BatteryName = "stochastic"
-	}
-	factory, err := NamedBatteryFactory(cfg.BatteryName)
-	if err != nil {
-		return nil, err
-	}
-	if cfg.MaxBatteryHours <= 0 {
-		cfg.MaxBatteryHours = 72
-	}
-	proc := defaultProcessor()
-	schemes := paperSchemes(cfg.OracleEstimates)
-
-	aggs := make([]table2Agg, len(schemes))
-	_, err = runAdaptiveSets(cfg.RunOptions, cfg.Sets, func(lo, hi int) error {
-		return runner.RunStream(ctx, (hi-lo+setsPerJob-1)/setsPerJob, cfg.runnerOptions(), func(_ context.Context, k int) ([][]table2Cell, error) {
-			setLo := lo + k*setsPerJob
-			return table2ChunkJob(cfg, proc, factory, schemes, setLo, min(setLo+setsPerJob, hi))
-		}, func(k int, rows [][]table2Cell) error {
-			for off, cells := range rows {
-				set := lo + k*setsPerJob + off
-				for si, cell := range cells {
-					aggs[si].charge.Add(set, cell.charge)
-					aggs[si].life.Add(set, cell.life)
-					aggs[si].energy.Add(set, cell.energy)
-					aggs[si].current.Add(set, cell.current)
-				}
-			}
-			return nil
-		})
-	}, func() bool {
-		for i := range aggs {
-			if !converged(cfg.TargetCI, &aggs[i].life.acc) {
-				return false
-			}
+// table2Layout is Table 2's sweep: a set's seed keys on its absolute index
+// alone, a row is one scheme with the paper's column labels, the energy per
+// hyperperiod and the average current are reported beside charge and life,
+// and any deadline miss fails the run.
+var table2Layout = sweepLayout{
+	experiment: "table2",
+	seed:       func(base int64, _, set int) int64 { return runner.SeedFor(base, int64(set)) },
+	metrics:    sweepMetrics[:],
+	miss: func(scheme string, misses int) error {
+		if misses > 0 {
+			return fmt.Errorf("experiments: table 2 scheme %s missed %d deadlines", scheme, misses)
 		}
-		return true
-	})
-	if err != nil {
-		return nil, err
-	}
-
-	rep := &Report{
-		Version:    ReportVersion,
-		Experiment: "table2",
-		Meta: map[string]string{
-			"seed":              strconv.FormatInt(cfg.Seed, 10),
-			"sets":              strconv.Itoa(cfg.Sets),
-			"sets_per_job":      strconv.Itoa(setsPerJob),
-			"graphs_per_set":    strconv.Itoa(cfg.GraphsPerSet),
-			"utilization":       formatFloat(cfg.Utilization),
-			"hyperperiods":      strconv.Itoa(cfg.Hyperperiods),
-			"battery":           cfg.BatteryName,
-			"oracle":            strconv.FormatBool(cfg.OracleEstimates),
-			"max_battery_hours": formatFloat(cfg.MaxBatteryHours),
-			// The adaptive-stopping knobs decide how many sets the run
-			// covers.
-			"target_ci": formatFloat(cfg.TargetCI),
-			"max_sets":  strconv.Itoa(cfg.MaxSets),
-		},
-		Shard: shardInfo(cfg.Shard),
-	}
-	for i, s := range schemes {
-		rep.Rows = append(rep.Rows, ReportRow{
+		return nil
+	},
+	row: func(_ *ScenarioGridConfig, _, _ int, s paperScheme, cells map[string]Cell, _ int) ReportRow {
+		return ReportRow{
 			Key:    s.name,
 			Labels: map[string]string{"dvs": s.dvsName, "priority": s.prioName, "ready_list": s.readyList},
-			Cells: map[string]Cell{
-				"charge_mah":    aggs[i].charge.Cell(),
-				"life_min":      aggs[i].life.Cell(),
-				"energy_j":      aggs[i].energy.Cell(),
-				"avg_current_a": aggs[i].current.Cell(),
-			},
-		})
-	}
-	return rep, nil
+			Cells:  cells,
+		}
+	},
+	meta: func(cfg *ScenarioGridConfig, meta map[string]string) {
+		meta["utilization"] = formatFloat(cfg.Utilizations[0])
+		meta["battery"] = cfg.Batteries[0]
+		meta["max_battery_hours"] = formatFloat(cfg.MaxBatteryHours)
+	},
 }
 
-// table2RowsFromReport reconstructs the typed rows from a Report.
-func table2RowsFromReport(r *Report) []Table2Row {
-	rows := make([]Table2Row, 0, len(r.Rows))
-	for _, row := range r.Rows {
-		rows = append(rows, Table2Row{
-			Scheme:                row.Key,
-			DVS:                   row.Labels["dvs"],
-			Priority:              row.Labels["priority"],
-			ReadyList:             row.Labels["ready_list"],
-			ChargeDeliveredMAh:    row.Cells["charge_mah"].Mean,
-			BatteryLifeMin:        row.Cells["life_min"].Mean,
-			EnergyPerHyperperiodJ: row.Cells["energy_j"].Mean,
-			AverageCurrentA:       row.Cells["avg_current_a"].Mean,
-			Sets:                  row.Cells["charge_mah"].N,
-		})
+// runTable2Report regenerates Table 2 for the configured battery model: the
+// scenario grid's sweep of the five schemes at one utilisation point and one
+// battery. Its result is byte-identical at any parallelism and any shard
+// split. With RunOptions.TargetCI set, additional batches of sets run until
+// the relative CI95 of every scheme's battery lifetime (the key metric)
+// converges or MaxSets is reached.
+func runTable2Report(ctx context.Context, cfg Table2Config) (*Report, error) {
+	grid := ScenarioGridConfig{
+		Utilizations:    []float64{cfg.Utilization},
+		Sets:            cfg.Sets,
+		GraphsPerSet:    cfg.GraphsPerSet,
+		Hyperperiods:    cfg.Hyperperiods,
+		MaxBatteryHours: cfg.MaxBatteryHours,
+		OracleEstimates: cfg.OracleEstimates,
+		Seed:            cfg.Seed,
+		RunOptions:      cfg.RunOptions,
 	}
-	return rows
+	if cfg.BatteryName != "" {
+		grid.Batteries = []string{cfg.BatteryName}
+	}
+	return runSweep(ctx, grid, table2Layout)
 }

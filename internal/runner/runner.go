@@ -310,42 +310,3 @@ func SeedFor(base int64, coords ...int64) int64 {
 func RNG(base int64, coords ...int64) *rand.Rand {
 	return rand.New(rand.NewSource(SeedFor(base, coords...)))
 }
-
-// Grid maps a multi-dimensional experiment grid onto flat job indices in
-// row-major order (the last dimension varies fastest).
-type Grid struct {
-	dims []int
-}
-
-// NewGrid returns the grid with the given dimension sizes. Dimensions must be
-// positive; a grid with no dimensions has size 1.
-func NewGrid(dims ...int) Grid {
-	for _, d := range dims {
-		if d <= 0 {
-			panic(fmt.Sprintf("runner: non-positive grid dimension %d in %v", d, dims))
-		}
-	}
-	return Grid{dims: append([]int(nil), dims...)}
-}
-
-// Size returns the total number of grid cells.
-func (g Grid) Size() int {
-	n := 1
-	for _, d := range g.dims {
-		n *= d
-	}
-	return n
-}
-
-// Coords returns the multi-dimensional coordinates of flat index idx.
-func (g Grid) Coords(idx int) []int {
-	if idx < 0 || idx >= g.Size() {
-		panic(fmt.Sprintf("runner: grid index %d out of range for %v", idx, g.dims))
-	}
-	c := make([]int, len(g.dims))
-	for i := len(g.dims) - 1; i >= 0; i-- {
-		c[i] = idx % g.dims[i]
-		idx /= g.dims[i]
-	}
-	return c
-}

@@ -214,39 +214,6 @@ func TestRNGIndependentStreams(t *testing.T) {
 	}
 }
 
-func TestGridRoundTrip(t *testing.T) {
-	g := NewGrid(3, 4, 5)
-	if g.Size() != 60 {
-		t.Fatalf("size = %d", g.Size())
-	}
-	for idx := 0; idx < g.Size(); idx++ {
-		c := g.Coords(idx)
-		if got := (c[0]*4+c[1])*5 + c[2]; got != idx {
-			t.Fatalf("round trip %d -> %v -> %d", idx, c, got)
-		}
-	}
-	// Row-major: last dimension fastest.
-	if c := g.Coords(1); !reflect.DeepEqual(c, []int{0, 0, 1}) {
-		t.Fatalf("coords(1) = %v", c)
-	}
-	if NewGrid().Size() != 1 {
-		t.Fatalf("empty grid size = %d", NewGrid().Size())
-	}
-	for _, f := range []func(){
-		func() { NewGrid(0) },
-		func() { g.Coords(60) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatal("expected panic")
-				}
-			}()
-			f()
-		}()
-	}
-}
-
 // TestRunRealErrorNotMaskedByCancellation: a job that honours the pool's own
 // cancellation (returning ctx.Err()) must not displace the root-cause error,
 // even from a lower job index.

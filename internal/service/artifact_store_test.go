@@ -139,6 +139,14 @@ func TestNegativeMaxSetsRefused(t *testing.T) {
 	checkSpecRefused(t, service.SpecRequest{Quick: true, Battery: "kibam", TargetCI: 0.2, MaxSets: -1}, "max sets")
 }
 
+// TestMeaninglessMaxStepRefused pins the MaxStep rule at admission the same
+// way: a negative battery substep answers 400, and a journaled job with one
+// replays as failed. It once ran the analytic path, as 0 does, under an
+// address of its own.
+func TestMeaninglessMaxStepRefused(t *testing.T) {
+	checkSpecRefused(t, service.SpecRequest{Quick: true, Battery: "kibam", MaxStep: -1}, "max step")
+}
+
 // checkSpecRefused journals a table2 job with spec, as an older daemon that
 // accepted it would have, and starts a daemon on that journal. It fails
 // unless the replayed job is failed with an error naming what, and a fresh

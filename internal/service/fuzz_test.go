@@ -26,6 +26,9 @@ func FuzzJobRequest(f *testing.F) {
 	// A negative set-count cap, which check refuses: with a target CI it once
 	// ran as the default cap under an address of its own.
 	f.Add([]byte(`{"experiment":"table2","spec":{"quick":true,"target_ci":0.2,"max_sets":-1}}`))
+	// A negative battery substep, which check refuses: it once ran the
+	// analytic path, as 0 does, under an address of its own.
+	f.Add([]byte(`{"experiment":"curve","spec":{"quick":true,"maxstep":-1}}`))
 	// A second value and garbage after the first: the decoder once ran the
 	// first value alone.
 	f.Add([]byte(`{"experiment":"table2","spec":{"quick":true}} {"experiment":"grid","shards":99999} trailing garbage`))

@@ -52,11 +52,6 @@ func SeededRNG(base int64, coords ...int64) *rand.Rand { return runner.RNG(base,
 type (
 	// ScenarioGridConfig parameterises the scenario-grid sweep.
 	ScenarioGridConfig = experiments.ScenarioGridConfig
-	// ScenarioGridRow is one (utilisation, battery, scheme) cell.
-	ScenarioGridRow = experiments.ScenarioGridRow
-	// StatsSummary is the aggregate description of one cell metric (the CI95
-	// half-width uses Student-t critical values).
-	StatsSummary = stats.Summary
 	// StatsAccumulator folds observations online (Welford) — the building
 	// block streamed sweeps fold into, one observation at a time.
 	StatsAccumulator = stats.Accumulator
@@ -73,12 +68,10 @@ func DefaultScenarioGridConfig() ScenarioGridConfig {
 }
 
 // RunScenarioGrid sweeps the (utilisation × battery × scheme) grid on the
-// parallel runner and reports per-cell charge and lifetime summaries.
-func RunScenarioGrid(ctx context.Context, cfg ScenarioGridConfig) ([]ScenarioGridRow, error) {
+// parallel runner. Its report has one row per cell, keyed
+// "utilisation|battery|scheme", whose charge_mah and life_min cells hold the
+// cell's sets and whose deadline_misses count sums their misses;
+// FormatExperimentReport renders it as the scenario-grid table.
+func RunScenarioGrid(ctx context.Context, cfg ScenarioGridConfig) (*ExperimentReport, error) {
 	return experiments.RunScenarioGrid(ctx, cfg)
-}
-
-// FormatScenarioGrid renders scenario-grid rows as a plain-text table.
-func FormatScenarioGrid(rows []ScenarioGridRow) string {
-	return experiments.FormatScenarioGrid(rows)
 }
