@@ -73,9 +73,9 @@ func init() {
 				"Estimator                         | Energy vs random | samples\n" +
 				"----------------------------------+------------------+--------\n",
 			row:      "%-33s | %16.3f | %6d\n",
-			cols:     []rowValue{key, mean("energy_vs_random"), sets("energy_vs_random")},
+			cols:     []rowValue{key, mean("energy_vs_random"), cellN("energy_vs_random")},
 			foot:     "(%d sets, %.1fs)\n",
-			footArgs: []reportValue{firstSets("energy_vs_random")},
+			footArgs: []reportValue{firstCellN("energy_vs_random")},
 		},
 	})
 }

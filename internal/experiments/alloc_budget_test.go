@@ -31,9 +31,9 @@ func TestDriverAllocBudgets(t *testing.T) {
 		sim    obs.SimSnapshot
 	}{
 		// 4 sets × 5 schemes, one battery each.
-		{"table2", 2085, obs.SimSnapshot{EngineRuns: 20, BatteryAnalytic: 20, BatteryBatches: 20}}, // measured 1325
+		{"table2", 2085, obs.SimSnapshot{EngineRuns: 20, BatteryAnalytic: 20, BatteryBatches: 20}}, // measured 1327
 		// 1 utilisation × 3 sets × 2 schemes, one battery each.
-		{"grid", 995, obs.SimSnapshot{EngineRuns: 6, BatteryAnalytic: 6, BatteryBatches: 6}}, // measured 618
+		{"grid", 995, obs.SimSnapshot{EngineRuns: 6, BatteryAnalytic: 6, BatteryBatches: 6}}, // measured 616
 		// 3 graph counts × 3 sets × (baseline + 4 schemes), no batteries.
 		{"figure6", 3518, obs.SimSnapshot{EngineRuns: 45}}, // measured 1882
 		// 4 sets × (baseline + 3 estimators), no batteries.

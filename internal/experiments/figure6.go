@@ -110,9 +110,9 @@ func init() {
 				"# graphs |  Random  |   LTF    | pUBS(imminent) | pUBS(all released) | samples\n" +
 				"---------+----------+----------+----------------+--------------------+--------\n",
 			row:      "%8d | %8.3f | %8.3f | %14.3f | %18.3f | %6d\n",
-			cols:     []rowValue{keyInt, mean("random"), mean("ltf"), mean("pubs_imminent"), mean("pubs_all"), sets("random")},
+			cols:     []rowValue{keyInt, mean("random"), mean("ltf"), mean("pubs_imminent"), mean("pubs_all"), cellN("random")},
 			foot:     "(%d sets per point, %s frequency setting, utilisation %.2f, %.1fs)\n\n",
-			footArgs: []reportValue{firstSets("random"), metaText("alg"), metaNumber("utilization")},
+			footArgs: []reportValue{firstCellN("random"), metaText("alg"), metaNumber("utilization")},
 		},
 	})
 }

@@ -128,9 +128,9 @@ func init() {
 			row: "%4.2f | %-10s | %-17s | %12.0f ±%4.0f | %10.1f ±%4.1f | %4d | %6d\n",
 			cols: []rowValue{labelNumber("utilization"), label("battery"), label("scheme"),
 				mean("charge_mah"), ci95("charge_mah"), mean("life_min"), ci95("life_min"),
-				sets("charge_mah"), count("deadline_misses")},
+				cellN("charge_mah"), count("deadline_misses")},
 			foot:     "(%d sets per cell, %.1fs)\n",
-			footArgs: []reportValue{firstSets("charge_mah")},
+			footArgs: []reportValue{firstCellN("charge_mah")},
 		},
 	})
 }
@@ -146,8 +146,7 @@ var gridLayout = sweepLayout{
 	seed:       func(base int64, point, set int) int64 { return runner.SeedFor(base, int64(point), int64(set)) },
 	metrics:    sweepMetrics[:2],
 	miss:       func(string, int) error { return nil },
-	row: func(cfg *ScenarioGridConfig, ui, bi int, s paperScheme, cells map[string]Cell, misses int) ReportRow {
-		u, bat := formatFloat(cfg.Utilizations[ui]), cfg.Batteries[bi]
+	row: func(u, bat string, s paperScheme, cells map[string]Cell, misses int) ReportRow {
 		return ReportRow{
 			Key:    u + "|" + bat + "|" + s.name,
 			Labels: map[string]string{"utilization": u, "battery": bat, "scheme": s.name},
@@ -181,8 +180,9 @@ type sweepLayout struct {
 	// miss decides whether a scheme's deadline misses on a set fail the run
 	// (a non-nil error); either way each cell sums them for row.
 	miss func(scheme string, misses int) error
-	// row lays out the row of the cell of point ui, battery bi and scheme s.
-	row func(cfg *ScenarioGridConfig, ui, bi int, s paperScheme, cells map[string]Cell, misses int) ReportRow
+	// row lays out the row of one (utilisation, battery, scheme) cell; u is
+	// the utilisation as Meta writes it.
+	row func(u, battery string, s paperScheme, cells map[string]Cell, misses int) ReportRow
 	// meta adds the experiment's own entries to the Meta every sweep records.
 	meta func(cfg *ScenarioGridConfig, meta map[string]string)
 }
@@ -310,15 +310,16 @@ func runSweep(ctx context.Context, cfg ScenarioGridConfig, l sweepLayout) (*Repo
 	}
 	l.meta(&cfg, meta)
 	rep := &Report{Version: ReportVersion, Experiment: l.experiment, Meta: meta, Shard: shardInfo(cfg.Shard)}
-	for ui := range cfg.Utilizations {
-		for bi := range factories {
+	for ui, util := range cfg.Utilizations {
+		u := formatFloat(util)
+		for bi, bat := range cfg.Batteries {
 			for si, s := range schemes {
 				k := ui*width + si*len(factories) + bi
 				cells := make(map[string]Cell, nm)
 				for mi, name := range l.metrics {
 					cells[name] = accs[k*nm+mi].Cell()
 				}
-				rep.Rows = append(rep.Rows, l.row(&cfg, ui, bi, s, cells, misses[k]))
+				rep.Rows = append(rep.Rows, l.row(u, bat, s, cells, misses[k]))
 			}
 		}
 	}

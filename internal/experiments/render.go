@@ -57,8 +57,8 @@ func labelNumber(name string) rowValue {
 // mean reads the mean of one of the row's cells.
 func mean(cell string) rowValue { return func(row *ReportRow) any { return row.Cells[cell].Mean } }
 
-// sets reads the number of observations of one of the row's cells.
-func sets(cell string) rowValue { return func(row *ReportRow) any { return row.Cells[cell].N } }
+// cellN reads the number of observations of one of the row's cells.
+func cellN(cell string) rowValue { return func(row *ReportRow) any { return row.Cells[cell].N } }
 
 // ci95 reads the Student-t CI95 half-width of one of the row's cells.
 func ci95(cell string) rowValue {
@@ -71,8 +71,8 @@ func ci95(cell string) rowValue {
 // count reads one of the row's counts.
 func count(name string) rowValue { return func(row *ReportRow) any { return row.Counts[name] } }
 
-// firstSets reads the number of observations of one cell of the first row.
-func firstSets(cell string) reportValue {
+// firstCellN reads the number of observations of one cell of the first row.
+func firstCellN(cell string) reportValue {
 	return func(r *Report) any {
 		if len(r.Rows) == 0 {
 			return 0

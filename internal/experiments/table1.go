@@ -189,9 +189,9 @@ func init() {
 				"# of tasks |  Random  |   LTF    |   pUBS   | samples\n" +
 				"-----------+----------+----------+----------+--------\n",
 			row:      "%10d | %8.2f | %8.2f | %8.2f | %6d\n",
-			cols:     []rowValue{keyInt, mean("random"), mean("ltf"), mean("pubs"), sets("random")},
+			cols:     []rowValue{keyInt, mean("random"), mean("ltf"), mean("pubs"), cellN("random")},
 			foot:     "(%d DAGs per row, %.1fs)\n\n",
-			footArgs: []reportValue{firstSets("random")},
+			footArgs: []reportValue{firstCellN("random")},
 		},
 	})
 }

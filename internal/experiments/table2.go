@@ -173,7 +173,7 @@ func init() {
 			cols: []rowValue{key, label("dvs"), label("priority"), label("ready_list"),
 				mean("charge_mah"), mean("life_min"), mean("energy_j"), mean("avg_current_a")},
 			foot:     "(%d task-graph sets, %.1fs)\n\n",
-			footArgs: []reportValue{firstSets("charge_mah")},
+			footArgs: []reportValue{firstCellN("charge_mah")},
 		},
 	})
 }
@@ -192,7 +192,7 @@ var table2Layout = sweepLayout{
 		}
 		return nil
 	},
-	row: func(_ *ScenarioGridConfig, _, _ int, s paperScheme, cells map[string]Cell, _ int) ReportRow {
+	row: func(_, _ string, s paperScheme, cells map[string]Cell, _ int) ReportRow {
 		return ReportRow{
 			Key:    s.name,
 			Labels: map[string]string{"dvs": s.dvsName, "priority": s.prioName, "ready_list": s.readyList},
