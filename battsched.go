@@ -411,7 +411,9 @@ type (
 	ServiceJobRequest = service.JobRequest
 	// ServiceJobStatus is a job's state and per-shard progress.
 	ServiceJobStatus = service.JobStatus
-	// ServiceSpecRequest is the JSON wire form of an ExperimentSpec.
+	// ServiceSpecRequest is the JSON wire form of an ExperimentSpec;
+	// ServiceSpecRequest(spec) converts one, and the execution-only knobs
+	// (parallelism, progress, shard selection) do not travel.
 	ServiceSpecRequest = service.SpecRequest
 	// ServiceHealth is the daemon's /healthz snapshot.
 	ServiceHealth = service.Health
@@ -421,10 +423,4 @@ type (
 // (e.g. "http://127.0.0.1:8344").
 func NewExperimentServiceClient(baseURL string) *ExperimentServiceClient {
 	return client.New(baseURL)
-}
-
-// ServiceSpecRequestFrom converts an ExperimentSpec into its wire form,
-// dropping the execution-only knobs the daemon owns.
-func ServiceSpecRequestFrom(spec ExperimentSpec) ServiceSpecRequest {
-	return service.SpecRequestFrom(spec)
 }

@@ -233,7 +233,7 @@ func TestPublicAPIExperimentService(t *testing.T) {
 	ctx := context.Background()
 	c := battsched.NewExperimentServiceClient(ts.URL)
 	st, err := c.Submit(ctx, battsched.ServiceJobRequest{
-		Experiment: "table2", Spec: battsched.ServiceSpecRequestFrom(spec),
+		Experiment: "table2", Spec: battsched.ServiceSpecRequest(spec),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -266,7 +266,7 @@ func TestPublicAPIExperimentService(t *testing.T) {
 	}
 
 	st2, err := c.Submit(ctx, battsched.ServiceJobRequest{
-		Experiment: "table2", Spec: battsched.ServiceSpecRequestFrom(spec),
+		Experiment: "table2", Spec: battsched.ServiceSpecRequest(spec),
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -1,19 +1,20 @@
-// Command batsim evaluates battery models: it either plays a load-current
-// profile (CSV produced by cmd/basched) or a constant load against a chosen
-// battery model and reports lifetime and delivered charge, or sweeps constant
-// loads to produce the load versus delivered-capacity characterisation curve
-// referenced in Section 5 of the paper.
+// Command batsim evaluates battery models: it plays a load-current profile
+// (CSV produced by cmd/basched) or a constant load against one or more battery
+// models in one batch pass and reports lifetime and delivered charge. The
+// load versus delivered-capacity characterisation curve of Section 5 of the
+// paper is an experiment: `experiments run curve`.
 //
 // Examples:
 //
 //	batsim -profile profile.csv -battery kibam
 //	batsim -current 1.2 -battery stochastic
 //	batsim -current 1.2 -battery stochastic,kibam,diffusion,peukert
-//	batsim -curve
+//
+// -maxstep forces the uniform-stepping path with that substep; a NaN,
+// infinite or negative substep is refused.
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -39,38 +40,11 @@ func run(args []string, stdout io.Writer) error {
 		current     = fs.Float64("current", 0, "constant load current in amperes (used when no profile is given)")
 		duration    = fs.Float64("duration", 60, "duration of the constant-load segment in seconds")
 		batteryName = fs.String("battery", "stochastic", "comma-separated battery models (stochastic, kibam, diffusion, peukert), all evaluated in one batch pass")
-		curve       = fs.Bool("curve", false, "sweep constant loads and print the delivered-capacity curve for all models")
 		maxHours    = fs.Float64("max-hours", 72, "simulation horizon in hours")
-		maxStep     = fs.Float64("maxstep", 0, "substep in seconds forcing the uniform-stepping path; 0 selects the analytic fast path for closed-form models (the stochastic model then steps at 1 s)")
-		parallel    = fs.Int("parallel", 0, "worker count for the -curve sweep (<= 0: all cores, 1: sequential)")
-		timeout     = fs.Duration("timeout", 0, "abort the -curve sweep after this duration (0: no limit; single -profile/-current runs are bounded by -max-hours instead)")
+		maxStep     = fs.Float64("maxstep", 0, "substep in seconds forcing the uniform-stepping path; 0 selects the analytic fast path for closed-form models (the stochastic model then steps at 1 s); NaN, infinite or negative: refused")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
-	}
-
-	ctx := context.Background()
-	if *timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, *timeout)
-		defer cancel()
-	}
-
-	if *curve {
-		cfg := experiments.DefaultCurveConfig()
-		cfg.MaxHours = *maxHours
-		cfg.MaxStep = *maxStep
-		cfg.Parallel = *parallel
-		rep, err := experiments.RunLoadCapacityCurve(ctx, cfg)
-		if err != nil {
-			return err
-		}
-		table, err := experiments.FormatReport(rep)
-		if err != nil {
-			return err
-		}
-		fmt.Fprint(stdout, table)
-		return nil
 	}
 
 	var p *battsched.Profile
@@ -88,7 +62,7 @@ func run(args []string, stdout io.Writer) error {
 	case *current > 0:
 		p = profile.Constant(*current, *duration)
 	default:
-		return fmt.Errorf("either -profile, -current or -curve is required")
+		return fmt.Errorf("either -profile or -current is required (the capacity curve is `experiments run curve`)")
 	}
 
 	// -battery accepts a comma list; all models are evaluated against the one

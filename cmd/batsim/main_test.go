@@ -2,10 +2,13 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"battsched/internal/battery"
 )
 
 func TestRunConstantLoad(t *testing.T) {
@@ -49,30 +52,27 @@ func TestRunProfileCSV(t *testing.T) {
 	}
 }
 
-func TestRunCurve(t *testing.T) {
-	var buf bytes.Buffer
-	if err := run([]string{"-curve", "-max-hours", "40"}, &buf); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, want := range []string{"kibam", "diffusion", "stochastic", "peukert"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("curve output missing %q:\n%s", want, out)
-		}
-	}
-}
-
 func TestRunErrors(t *testing.T) {
 	var buf bytes.Buffer
 	cases := [][]string{
-		{}, // neither profile nor current nor curve
+		{}, // neither profile nor current
 		{"-current", "1", "-battery", "bogus"},
 		{"-profile", "/nonexistent.csv"},
 		{"-bogusflag"},
+		{"-curve"}, // the curve is `experiments run curve`
 	}
 	for _, args := range cases {
 		if err := run(args, &buf); err == nil {
 			t.Fatalf("args %v: expected error", args)
+		}
+	}
+	// A substep that selects no simulation path is refused by the battery
+	// rule; -1 once ran the analytic path, as 0 does.
+	for _, step := range []string{"-1", "NaN", "Inf"} {
+		buf.Reset()
+		err := run([]string{"-current", "1", "-battery", "kibam", "-maxstep", step}, &buf)
+		if !errors.Is(err, battery.ErrBadStep) || buf.Len() > 0 {
+			t.Fatalf("-maxstep %s: err = %v, printed %q; want battery.ErrBadStep before any output", step, err, buf.String())
 		}
 	}
 }

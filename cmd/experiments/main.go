@@ -105,22 +105,12 @@ func progressPrinter(name string, enabled bool) (func(done, total int), func()) 
 	}, func() {}
 }
 
-// runnerFlags carries the execution and spec flags shared by the run and
-// submit subcommands.
+// runnerFlags carries the flags shared by the run and submit subcommands.
+// The spec flags bind straight into spec; run parses -shard into it.
 type runnerFlags struct {
-	quick    bool
-	seed     int64
-	sets     int
-	util     float64
-	battery  string
-	oracle   bool
-	ccFig6   bool
-	maxstep  float64
-	parallel int
+	spec     experiments.Spec
 	timeout  time.Duration
 	progress bool
-	targetCI float64
-	maxSets  int
 	shard    string
 	out      string
 	cpuProf  string
@@ -129,47 +119,24 @@ type runnerFlags struct {
 
 // register wires the shared flags into a FlagSet.
 func (f *runnerFlags) register(fs *flag.FlagSet) {
-	fs.BoolVar(&f.quick, "quick", false, "use the reduced (benchmark) configurations")
-	fs.Int64Var(&f.seed, "seed", 1, "random seed (0 selects the default seed 1)")
-	fs.IntVar(&f.sets, "sets", 0, "override the per-row set/graph count of the stochastic experiments")
-	fs.Float64Var(&f.util, "utilization", 0, "override the worst-case utilisation (table1, figure6, table2, ablation)")
-	fs.StringVar(&f.battery, "battery", "", "battery model by registry name for table2, grid and curve (default: each driver's default; unknown names list the registered models)")
-	fs.BoolVar(&f.oracle, "oracle", false, "give pUBS perfect estimates of actual requirements (table2, grid)")
-	fs.BoolVar(&f.ccFig6, "figure6-ccedf", false, "use ccEDF instead of laEDF for Figure 6 frequency setting")
-	fs.Float64Var(&f.maxstep, "maxstep", 0, "force uniform battery stepping with this substep in seconds for the curve (0: analytic fast path; NaN, infinite or negative: refused)")
-	fs.IntVar(&f.parallel, "parallel", 0, "worker count for the job-grid runner (<= 0: all cores, 1: sequential)")
+	s := &f.spec
+	fs.BoolVar(&s.Quick, "quick", false, "use the reduced (benchmark) configurations")
+	fs.Int64Var(&s.Seed, "seed", 1, "random seed (0 selects the default seed 1)")
+	fs.IntVar(&s.Sets, "sets", 0, "override the per-row set/graph count of the stochastic experiments (0: each driver's default; negative: refused)")
+	fs.Float64Var(&s.Utilization, "utilization", 0, "override the worst-case utilisation of table1, figure6, table2 and ablation (0: each driver's default; outside (0, 1]: refused for every experiment)")
+	fs.StringVar(&s.Battery, "battery", "", "battery model by registry name for table2, grid and curve (default: each driver's default; an unknown name is refused for every experiment, listing the registered models)")
+	fs.BoolVar(&s.Oracle, "oracle", false, "give pUBS perfect estimates of actual requirements (table2, grid)")
+	fs.BoolVar(&s.CCEDF, "figure6-ccedf", false, "use ccEDF instead of laEDF for Figure 6 frequency setting")
+	fs.Float64Var(&s.MaxStep, "maxstep", 0, "force uniform battery stepping with this substep in seconds for the curve (0: analytic fast path; NaN, infinite or negative: refused)")
+	fs.IntVar(&s.Parallel, "parallel", 0, "worker count for the job-grid runner (<= 0: all cores, 1: sequential)")
 	fs.DurationVar(&f.timeout, "timeout", 0, "abort the whole run after this duration (0: no limit)")
 	fs.BoolVar(&f.progress, "progress", false, "report per-job progress on stderr")
-	fs.Float64Var(&f.targetCI, "ci", 0, "adaptive set counts: run batches of sets until the relative CI95 half-width of each experiment's key metric drops below this target (0: fixed set counts)")
-	fs.IntVar(&f.maxSets, "max-sets", 0, "hard cap on adaptively grown set counts (0: 8x the configured count; only with -ci)")
+	fs.Float64Var(&s.TargetCI, "ci", 0, "adaptive set counts: run batches of sets until the relative CI95 half-width of each experiment's key metric drops below this target (0: fixed set counts)")
+	fs.IntVar(&s.MaxSets, "max-sets", 0, "hard cap on adaptively grown set counts (0: 8x the configured count; only with -ci)")
 	fs.StringVar(&f.shard, "shard", "", "run only shard i of n (\"i/n\") of the absolute set indices and emit a partial report; combine with the merge subcommand")
 	fs.StringVar(&f.out, "o", "", "write the run's structured reports to this JSON artifact")
 	fs.StringVar(&f.cpuProf, "cpuprofile", "", "write a runtime/pprof CPU profile of the local run to this file")
 	fs.StringVar(&f.memProf, "memprofile", "", "write a runtime/pprof allocation profile of the local run to this file")
-}
-
-// spec builds the experiment Spec the flags describe.
-func (f *runnerFlags) spec() (experiments.Spec, error) {
-	shard, err := experiments.ParseShard(f.shard)
-	if err != nil {
-		return experiments.Spec{}, err
-	}
-	return experiments.Spec{
-		Quick:       f.quick,
-		Seed:        f.seed,
-		Sets:        f.sets,
-		Utilization: f.util,
-		Battery:     f.battery,
-		Oracle:      f.oracle,
-		CCEDF:       f.ccFig6,
-		MaxStep:     f.maxstep,
-		RunOptions: experiments.RunOptions{
-			Parallel: f.parallel,
-			TargetCI: f.targetCI,
-			MaxSets:  f.maxSets,
-			Shard:    shard,
-		},
-	}, nil
 }
 
 func run(args []string, stdout io.Writer) error {
@@ -226,16 +193,23 @@ func cmdRun(args []string, stdout io.Writer) error {
 	if fs.NArg() > 0 {
 		return fmt.Errorf("run: experiment names must precede the flags (unexpected %q)", fs.Arg(0))
 	}
-	expanded, err := expandNames(names)
-	if err != nil {
+	var err error
+	if f.spec.Shard, err = experiments.ParseShard(f.shard); err != nil {
 		return err
+	}
+	expanded, err := expandNames(names, f.spec, f.spec.Shard.Enabled())
+	if err != nil {
+		return fmt.Errorf("run: %w", err)
 	}
 	return execute(expanded, f, stdout)
 }
 
-// expandNames expands "all" to the paper set, validates every name against
-// the registry and drops duplicates, preserving order.
-func expandNames(names []string) ([]string, error) {
+// expandNames expands "all" to the paper set, drops duplicates, preserving
+// order, and checks spec against every experiment it names
+// (experiments.Definition.Check), so a selection fails before anything runs
+// or is sent: a sharded fleet must not lose hours of completed work to a
+// late error on the next name in the list.
+func expandNames(names []string, spec experiments.Spec, sharded bool) ([]string, error) {
 	var expanded []string
 	seen := map[string]bool{}
 	for _, name := range names {
@@ -244,7 +218,11 @@ func expandNames(names []string) ([]string, error) {
 			group = experiments.PaperExperiments()
 		}
 		for _, n := range group {
-			if _, err := experiments.Lookup(n); err != nil {
+			d, err := experiments.Lookup(n)
+			if err != nil {
+				return nil, err
+			}
+			if err := d.Check(spec, sharded); err != nil {
 				return nil, err
 			}
 			if !seen[n] {
@@ -295,30 +273,15 @@ func cmdSubmit(args []string, stdout io.Writer) error {
 	if f.shard != "" {
 		return fmt.Errorf("submit: -shard selects a local shard slice; use -shards n to fan out on the service")
 	}
-	if f.parallel != 0 {
+	if f.spec.Parallel != 0 {
 		return fmt.Errorf("submit: -parallel is daemon-owned (start battschedd with -parallel)")
 	}
 	if f.cpuProf != "" || f.memProf != "" {
 		return fmt.Errorf("submit: -cpuprofile/-memprofile profile local runs; the compute happens on the daemon")
 	}
-	spec, err := f.spec()
+	expanded, err := expandNames(names, f.spec, *shards > 1)
 	if err != nil {
-		return err
-	}
-	expanded, err := expandNames(names)
-	if err != nil {
-		return err
-	}
-	// Fail fast on a selection that does not shard before submitting
-	// anything.
-	for _, name := range expanded {
-		d, err := experiments.Lookup(name)
-		if err != nil {
-			return err
-		}
-		if err := d.Check(spec, *shards > 1); err != nil {
-			return fmt.Errorf("submit: %w", err)
-		}
+		return fmt.Errorf("submit: %w", err)
 	}
 
 	ctx := context.Background()
@@ -328,7 +291,6 @@ func cmdSubmit(args []string, stdout io.Writer) error {
 		defer cancel()
 	}
 	cli := client.New(*server)
-	reqSpec := service.SpecRequestFrom(spec)
 	// Submit every job up front — the daemon's queue is asynchronous, so a
 	// multi-experiment submission runs concurrently on its worker pool — then
 	// poll and render in submission order to keep the output deterministic.
@@ -339,7 +301,7 @@ func cmdSubmit(args []string, stdout io.Writer) error {
 	}
 	subs := make([]submission, 0, len(expanded))
 	for _, name := range expanded {
-		req := service.JobRequest{Experiment: name, Spec: reqSpec, Shards: *shards}
+		req := service.JobRequest{Experiment: name, Spec: service.SpecRequest(f.spec), Shards: *shards}
 		st, err := cli.Submit(ctx, req)
 		if err != nil {
 			return err
@@ -453,25 +415,9 @@ func executeAll(names []string, f runnerFlags, stdout io.Writer) error {
 		ctx, cancel = context.WithTimeout(ctx, f.timeout)
 		defer cancel()
 	}
-	spec, err := f.spec()
-	if err != nil {
-		return err
-	}
-	// Fail fast on a selection that does not shard before any experiment
-	// runs: a sharded fleet must not lose hours of completed work to a late
-	// dispatch error on the next name in the list.
-	for _, name := range names {
-		d, err := experiments.Lookup(name)
-		if err != nil {
-			return err
-		}
-		if err := d.Check(spec, spec.Shard.Enabled()); err != nil {
-			return fmt.Errorf("run: %w", err)
-		}
-	}
 	var reports []*experiments.Report
 	for _, name := range names {
-		s := spec
+		s := f.spec
 		cb, clear := progressPrinter(name, f.progress)
 		s.Progress = cb
 		start := time.Now()

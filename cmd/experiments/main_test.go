@@ -116,6 +116,16 @@ func TestListCommand(t *testing.T) {
 	}
 }
 
+// meaninglessSpecArgs are experiment names and spec flags that
+// experiments.Definition.Check refuses.
+var meaninglessSpecArgs = [][]string{
+	{"table2", "-sets", "-5"},
+	{"table2", "-utilization", "NaN"},
+	{"table2", "-utilization", "-1"},
+	{"grid", "-utilization", "1.5"},
+	{"table1", "-battery", "bogus"},
+}
+
 // TestRunSubcommandErrors covers the dispatch error paths.
 func TestRunSubcommandErrors(t *testing.T) {
 	var buf bytes.Buffer
@@ -175,6 +185,20 @@ func TestRunSubcommandErrors(t *testing.T) {
 			if _, statErr := os.Stat(out); stdout.Len() > 0 || statErr == nil {
 				t.Fatalf("run %s -maxstep %s printed %q or wrote its artifact", name, step, stdout.String())
 			}
+		}
+	}
+	// And spec values that once ran as defaults, each under an address of
+	// its own: a negative set count, a utilisation outside (0, 1], and an
+	// unknown battery for an experiment that evaluates none.
+	for _, args := range meaninglessSpecArgs {
+		out := filepath.Join(t.TempDir(), "r.json")
+		var stdout bytes.Buffer
+		err := run(append(append([]string{"run"}, args...), "-quick", "-o", out), &stdout)
+		if !errors.Is(err, experiments.ErrBadConfig) {
+			t.Fatalf("run %v err = %v, want ErrBadConfig", args, err)
+		}
+		if _, statErr := os.Stat(out); stdout.Len() > 0 || statErr == nil {
+			t.Fatalf("run %v printed %q or wrote its artifact", args, stdout.String())
 		}
 	}
 	if err := run([]string{"bogus-command"}, &buf); err == nil {
@@ -505,6 +529,12 @@ func TestSubmitErrors(t *testing.T) {
 	for _, step := range []string{"NaN", "Inf", "-1"} {
 		if err := run([]string{"submit", "curve", "-quick", "-maxstep", step, "-server", "http://127.0.0.1:1"}, &buf); !errors.Is(err, experiments.ErrBadConfig) {
 			t.Fatalf("submit -maxstep %s err = %v, want ErrBadConfig", step, err)
+		}
+	}
+	// And the spec values that once ran as defaults.
+	for _, args := range meaninglessSpecArgs {
+		if err := run(append(append([]string{"submit"}, args...), "-quick", "-server", "http://127.0.0.1:1"), &buf); !errors.Is(err, experiments.ErrBadConfig) {
+			t.Fatalf("submit %v err = %v, want ErrBadConfig", args, err)
 		}
 	}
 	// Unreachable daemon: the transport error must surface.

@@ -98,8 +98,7 @@
 //
 // Experiment configurations embed ExperimentOptions (Parallel worker count,
 // Progress callback, adaptive-stopping knobs); cmd/experiments exposes them
-// as -parallel, -timeout, -progress, -ci and -max-sets flags (cmd/batsim's
-// deterministic -curve sweep shares -parallel and -timeout). The harness is
+// as -parallel, -timeout, -progress, -ci and -max-sets flags. The harness is
 // exported for custom sweeps via ParallelMap, DeriveSeed and SeededRNG, and
 // RunScenarioGrid sweeps the (utilisation × battery model × scheme) grid that
 // new workloads plug into, with the lists of utilisations, batteries and
@@ -117,10 +116,13 @@
 // rows of metric cells backed by serialisable accumulator state
 // (n/mean/M2/min/max, exact across JSON round-trips); the paper's plain-text
 // tables render from it byte-identically (FormatExperimentReport) and
-// cmd/experiments writes it as a versioned JSON artifact with -o. Battery
-// models register the same way: importing a model package makes its name
-// available to every -battery flag, and unknown names fail listing the valid
-// ones.
+// cmd/experiments writes it as a versioned JSON artifact with -o. The spec
+// is also the experiment service's JSON wire form (ServiceSpecRequest), and
+// one check refuses the values that mean nothing (a negative set count, a
+// utilisation outside (0, 1], an unknown battery name) for every experiment,
+// locally and at a daemon alike. Battery models register the same way:
+// importing a model package makes its name available to every -battery flag,
+// and unknown names fail listing the valid ones.
 //
 // Because set seeds key on absolute set indices, a run shards exactly across
 // processes or machines: -shard i/n (ExperimentShard) restricts a run to its

@@ -22,7 +22,9 @@ func SimulateBatch(models []Model, p *profile.Profile, opts SimulateOptions) ([]
 	if err := p.Validate(); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadProfile, err)
 	}
-	opts.setDefaults()
+	if err := opts.prepare(); err != nil {
+		return nil, err
+	}
 	obs.Sim.BatteryBatches.Add(1)
 	results := make([]Result, len(models))
 	for i, m := range models {

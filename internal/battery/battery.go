@@ -135,6 +135,7 @@ var (
 	ErrBadProfile = errors.New("battery: invalid profile")
 	ErrBadHorizon = errors.New("battery: horizon must be positive")
 	ErrNoProgress = errors.New("battery: model under-sustained a step it survived")
+	ErrBadStep    = errors.New("battery: max step selects no simulation path")
 )
 
 // SimulateOptions tunes SimulateUntilExhausted.
@@ -149,14 +150,27 @@ type SimulateOptions struct {
 	// instant); any other model takes the stepped path with a 1 s substep.
 	// A positive value forces the stepped path with that substep for every
 	// model — the reference the accuracy tests compare the analytic path
-	// against.
+	// against. A NaN, infinite or negative value is refused (CheckMaxStep).
 	MaxStep float64
 }
 
-func (o *SimulateOptions) setDefaults() {
+// CheckMaxStep refuses a MaxStep that selects no simulation path: NaN, an
+// infinity or a negative substep. It is the one MaxStep rule, which the
+// simulation entry points and the experiments' spec check share.
+func CheckMaxStep(step float64) error {
+	if math.IsNaN(step) || math.IsInf(step, 0) || step < 0 {
+		return fmt.Errorf("%w: %v (want a finite substep > 0 in seconds, or 0 for the analytic path)", ErrBadStep, step)
+	}
+	return nil
+}
+
+// prepare fills in the default horizon and refuses a MaxStep that means
+// nothing.
+func (o *SimulateOptions) prepare() error {
 	if o.MaxTime <= 0 {
 		o.MaxTime = 48 * 3600
 	}
+	return CheckMaxStep(o.MaxStep)
 }
 
 // SimulateUntilExhausted plays the profile periodically (repeating it
@@ -177,7 +191,9 @@ func SimulateUntilExhausted(m Model, p *profile.Profile, opts SimulateOptions) (
 	if err := p.Validate(); err != nil {
 		return Result{}, fmt.Errorf("%w: %v", ErrBadProfile, err)
 	}
-	opts.setDefaults()
+	if err := opts.prepare(); err != nil {
+		return Result{}, err
+	}
 	return simulate(m, p, opts)
 }
 

@@ -63,6 +63,31 @@ func TestSimulateErrors(t *testing.T) {
 	}
 }
 
+// TestMeaninglessMaxStepRefused pins the one MaxStep rule in both simulation
+// entry points: NaN, an infinity or a negative substep fails with ErrBadStep.
+// Before, -1 and NaN ran the analytic path, as 0 does, and +Inf the stepped
+// path with infinite substeps.
+func TestMeaninglessMaxStepRefused(t *testing.T) {
+	p := profile.Constant(1, 10)
+	for _, step := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -1, -1e-300} {
+		opts := battery.SimulateOptions{MaxStep: step}
+		if _, err := battery.SimulateUntilExhausted(kibam.Default(), p, opts); !errors.Is(err, battery.ErrBadStep) {
+			t.Fatalf("SimulateUntilExhausted with MaxStep %v: err = %v, want ErrBadStep", step, err)
+		}
+		if _, err := battery.SimulateBatch(allModels(), p, opts); !errors.Is(err, battery.ErrBadStep) {
+			t.Fatalf("SimulateBatch with MaxStep %v: err = %v, want ErrBadStep", step, err)
+		}
+		if err := battery.CheckMaxStep(step); !errors.Is(err, battery.ErrBadStep) {
+			t.Fatalf("CheckMaxStep(%v) = %v, want ErrBadStep", step, err)
+		}
+	}
+	for _, step := range []float64{0, math.Copysign(0, -1), 1e-300, 2} {
+		if err := battery.CheckMaxStep(step); err != nil {
+			t.Fatalf("CheckMaxStep(%v) = %v", step, err)
+		}
+	}
+}
+
 func TestSimulateHorizonWithoutExhaustion(t *testing.T) {
 	b := kibam.Default()
 	// A tiny current for a short horizon: the battery must survive.

@@ -38,15 +38,26 @@ func Register(name string, factory func() Model) {
 
 // New returns a fresh instance of the model registered under name (battery
 // models are stateful, so every simulation needs its own). Unknown names
-// return an error wrapping ErrUnknownModel that lists the registered names.
+// return Factory's error.
 func New(name string) (Model, error) {
+	factory, err := Factory(name)
+	if err != nil {
+		return nil, err
+	}
+	return factory(), nil
+}
+
+// Factory returns the constructor registered under name, without building a
+// model. Unknown names return an error wrapping ErrUnknownModel that lists
+// the registered names.
+func Factory(name string) (func() Model, error) {
 	registryMu.RLock()
 	factory, ok := registry[name]
 	registryMu.RUnlock()
 	if !ok {
 		return nil, fmt.Errorf("%w %q (registered: %s)", ErrUnknownModel, name, strings.Join(Names(), ", "))
 	}
-	return factory(), nil
+	return factory, nil
 }
 
 // Names returns the registered model names in sorted order.

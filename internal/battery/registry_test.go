@@ -49,6 +49,9 @@ func TestRegistryNew(t *testing.T) {
 // ErrUnknownModel and list every registered name, so CLI users see the valid
 // choices instead of a silent default.
 func TestRegistryUnknown(t *testing.T) {
+	if _, err := battery.Factory("bogus"); !errors.Is(err, battery.ErrUnknownModel) {
+		t.Fatalf("Factory err = %v, want ErrUnknownModel", err)
+	}
 	_, err := battery.New("bogus")
 	if !errors.Is(err, battery.ErrUnknownModel) {
 		t.Fatalf("err = %v, want ErrUnknownModel", err)

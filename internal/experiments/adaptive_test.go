@@ -253,3 +253,47 @@ func TestMeaninglessMaxStepRefused(t *testing.T) {
 		t.Fatalf("MaxStep -0 (the analytic path): %v", err)
 	}
 }
+
+// TestMeaninglessSpecValuesRefused pins Check's remaining rules on every
+// experiment's Run: a negative Sets, a Utilization outside (0, 1] other than
+// 0 (NaN and the infinities included), an unknown Battery and a Shard index
+// outside its count fail with ErrBadConfig before anything runs. Before, the
+// drivers read a negative count and a NaN or negative utilisation as "keep
+// the default", each under a content address of its own; the grid and the
+// curve, which have no utilisation knob, ran with any; and the experiments
+// that evaluate no battery ran with any name.
+func TestMeaninglessSpecValuesRefused(t *testing.T) {
+	ctx := context.Background()
+	cases := []struct {
+		spec Spec
+		what string
+	}{
+		{Spec{Sets: -1}, "sets"},
+		{Spec{Utilization: math.NaN()}, "utilization"},
+		{Spec{Utilization: math.Inf(1)}, "utilization"},
+		{Spec{Utilization: math.Inf(-1)}, "utilization"},
+		{Spec{Utilization: -1}, "utilization"},
+		{Spec{Utilization: 1.5}, "utilization"},
+		{Spec{Battery: "bogus"}, "unknown model"},
+		{Spec{RunOptions: RunOptions{Shard: Shard{Index: 3, Count: 2}}}, "shard"},
+		{Spec{RunOptions: RunOptions{Shard: Shard{Count: -1}}}, "shard"},
+		{Spec{RunOptions: RunOptions{Shard: Shard{Index: 3}}}, "shard"},
+	}
+	for _, c := range cases {
+		c.spec.Quick = true
+		for _, name := range Names() {
+			if _, err := Run(ctx, name, c.spec); !errors.Is(err, ErrBadConfig) || !strings.Contains(err.Error(), c.what) {
+				t.Fatalf("%s with %+v: err = %v, want ErrBadConfig on the %s", name, c.spec, err, c.what)
+			}
+		}
+	}
+	// The bounds of the range and a negative zero still select a value.
+	for _, u := range []float64{1, 1e-300, math.Copysign(0, -1)} {
+		for _, name := range Names() {
+			d, _ := Lookup(name)
+			if err := d.Check(Spec{Utilization: u}, false); err != nil {
+				t.Fatalf("%s with Utilization %v: %v", name, u, err)
+			}
+		}
+	}
+}

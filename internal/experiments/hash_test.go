@@ -4,9 +4,76 @@ import (
 	"bytes"
 	"context"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 )
+
+// TestCanonicalSpecCoversTheWire walks Spec's fields, the embedded
+// RunOptions' included. Every field with a JSON name, which makes it part of
+// the service's wire form, must have a "<name>=" line in CanonicalSpec and
+// move SpecHash; every json:"-" field must move neither. A wire field without
+// a hash line would serve one cached artifact for two specs.
+func TestCanonicalSpecCoversTheWire(t *testing.T) {
+	base := Spec{RunOptions: RunOptions{TargetCI: 0.1}} // MaxSets counts only with a target
+	enc, hash := "\n"+CanonicalSpec("table2", base), SpecHash("table2", base)
+	wire := 0
+	var walk func(typ reflect.Type, index []int)
+	walk = func(typ reflect.Type, index []int) {
+		for i := 0; i < typ.NumField(); i++ {
+			f := typ.Field(i)
+			at := append(append([]int(nil), index...), i)
+			tag := f.Tag.Get("json")
+			if f.Anonymous && tag == "" {
+				walk(f.Type, at)
+				continue
+			}
+			spec := base
+			perturb(t, reflect.ValueOf(&spec).Elem().FieldByIndex(at))
+			moved := SpecHash("table2", spec) != hash
+			name, _, _ := strings.Cut(tag, ",")
+			if name == "-" {
+				if moved || CanonicalSpec("table2", spec) != CanonicalSpec("table2", base) {
+					t.Errorf("execution-only field %s moves the canonical encoding", f.Name)
+				}
+				continue
+			}
+			if name == "" {
+				name = f.Name
+			}
+			wire++
+			if !strings.Contains(enc, "\n"+name+"=") || !moved {
+				t.Errorf("wire field %s (%q) has no %q line in the canonical encoding, or does not move the hash (moved: %v)", f.Name, name, name+"=", moved)
+			}
+		}
+	}
+	walk(reflect.TypeOf(base), nil)
+	if wire != 10 {
+		t.Errorf("found %d wire fields, want the 10 of the service's wire form", wire)
+	}
+}
+
+// perturb sets v to a value other than its current one.
+func perturb(t *testing.T, v reflect.Value) {
+	switch v.Kind() {
+	case reflect.Bool:
+		v.SetBool(!v.Bool())
+	case reflect.Int, reflect.Int64:
+		v.SetInt(v.Int() + 7)
+	case reflect.Float64:
+		v.SetFloat(v.Float() + 0.25)
+	case reflect.String:
+		v.SetString(v.String() + "x")
+	case reflect.Func:
+		v.Set(reflect.MakeFunc(v.Type(), func([]reflect.Value) []reflect.Value { return nil }))
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			perturb(t, v.Field(i))
+		}
+	default:
+		t.Fatalf("perturb: unhandled kind %s", v.Kind())
+	}
+}
 
 // TestCanonicalSpecNormalisation pins the default-equivalence rules: seed 0
 // and the default seed 1 share an encoding, the MaxSets cap is inert without

@@ -14,6 +14,8 @@ import (
 // RunOptions are the execution knobs shared by every experiment driver. They
 // are embedded in each experiment's config, so the zero value (full
 // parallelism, no progress reporting, fixed set counts) is always usable.
+// Embedded in Spec, TargetCI and MaxSets are wire fields like Spec's own;
+// Parallel, Progress and Shard belong to the process that runs the spec.
 //
 // All experiments enumerate their (set × scheme × sweep-point) grid as
 // independent jobs of the internal/runner harness. Jobs stream back in
@@ -23,12 +25,12 @@ import (
 type RunOptions struct {
 	// Parallel is the worker-pool size; <= 0 selects runtime.GOMAXPROCS(0)
 	// and 1 forces sequential execution.
-	Parallel int
+	Parallel int `json:"-"`
 	// Progress, when non-nil, is called after each completed job with the
 	// completed and total job counts. It must be fast and is called from
 	// worker goroutines (serialised). Under adaptive stopping the callback
 	// restarts from zero for each batch of sets.
-	Progress func(done, total int)
+	Progress func(done, total int) `json:"-"`
 	// TargetCI enables adaptive set counts: the driver runs batches of sets
 	// (each the size of the configured set count) until the relative
 	// Student-t CI95 half-width of its key metric falls below TargetCI for
@@ -36,17 +38,17 @@ type RunOptions struct {
 	// stopping, running exactly the configured set count; a NaN, infinite
 	// or negative target is refused with ErrBadConfig. Deterministic
 	// experiments without stochastic sets (the battery curve) ignore it.
-	TargetCI float64
+	TargetCI float64 `json:"target_ci,omitempty"`
 	// MaxSets is the hard cap on the adaptively grown set count; 0 selects
 	// 8× the configured count. It never shrinks below the configured count.
 	// A negative cap is refused with ErrBadConfig.
-	MaxSets int
+	MaxSets int `json:"max_sets,omitempty"`
 	// Shard restricts the run to one shard of a multi-process partition of
 	// the absolute set indices (the zero value runs everything). The driver
 	// then emits a partial Report that MergeReports combines with the other
 	// shards' partials into the complete run. A sharded run needs fixed set
 	// counts (TargetCI 0; see Definition.Check).
-	Shard Shard
+	Shard Shard `json:"-"`
 }
 
 // Shard selects shard Index of Count contiguous partitions of the run's
@@ -65,9 +67,10 @@ type Shard struct {
 // Enabled reports whether the shard actually restricts the run.
 func (s Shard) Enabled() bool { return s.Count > 1 }
 
-// validate checks the index range.
+// validate checks the index range: a shard is the zero value or an index in
+// [0, Count).
 func (s Shard) validate() error {
-	if s.Count < 0 || (s.Count > 0 && (s.Index < 0 || s.Index >= s.Count)) {
+	if s != (Shard{}) && (s.Index < 0 || s.Index >= s.Count) {
 		return fmt.Errorf("%w: shard %d/%d", ErrBadConfig, s.Index, s.Count)
 	}
 	return nil
@@ -110,9 +113,6 @@ func ParseShard(s string) (Shard, error) {
 	sh := Shard{Index: i, Count: n}
 	if err := sh.validate(); err != nil {
 		return Shard{}, err
-	}
-	if sh.Count == 0 && sh.Index != 0 {
-		return Shard{}, fmt.Errorf("%w: shard %q", ErrBadConfig, s)
 	}
 	return sh, nil
 }

@@ -3,44 +3,51 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"math"
 	"sort"
 	"strconv"
 	"strings"
+
+	"battsched/internal/battery"
 )
 
 // Spec is the uniform declarative input of every registered experiment: one
 // struct in, one Report out, for all six drivers. Zero values select each
 // driver's defaults, so Spec{} runs the paper configuration and Spec{Quick:
-// true} the reduced benchmark one. cmd/experiments builds a Spec from its
-// flags and dispatches through Run; custom sweeps can do the same via the
-// battsched facade.
+// true} the reduced benchmark one. cmd/experiments binds its flags into a
+// Spec and dispatches through Run; custom sweeps can do the same via the
+// battsched facade. The JSON tags are the experiment service's wire form
+// (service.SpecRequest): the output-determining fields, each one line of
+// CanonicalSpec, while the execution-only knobs the daemon owns (Parallel,
+// Progress, Shard) have none. Definition.Check decides which values run.
 type Spec struct {
 	// Quick selects the reduced (benchmark) configuration.
-	Quick bool
+	Quick bool `json:"quick,omitempty"`
 	// Seed overrides the experiment seed; 0 keeps the default (1).
-	Seed int64
+	Seed int64 `json:"seed,omitempty"`
 	// Sets overrides the per-row set/graph count of the stochastic
 	// experiments (Table 2 sets, Table 1 DAGs per count, Figure 6 sets per
-	// point, ablation sets, grid sets per cell); 0 keeps the default.
-	Sets int
+	// point, ablation sets, grid sets per cell); 0 keeps the default, and a
+	// negative count is refused.
+	Sets int `json:"sets,omitempty"`
 	// Utilization overrides the worst-case utilisation where the driver has
 	// a single utilisation knob; 0 keeps the default. The scenario grid
-	// sweeps a list of utilisations and ignores it.
-	Utilization float64
+	// sweeps a list of utilisations and the curve has none, so both ignore
+	// it. A nonzero value outside (0, 1], NaN included, is refused for every
+	// experiment, the grid and the curve too.
+	Utilization float64 `json:"utilization,omitempty"`
 	// Battery selects the battery model by registry name for the drivers
 	// that evaluate batteries (Table 2, the scenario grid, the curve); ""
-	// keeps each driver's default. Unknown names fail with the registry
-	// error listing the valid names.
-	Battery string
+	// keeps each driver's default. An unknown name is refused for every
+	// experiment with the registry error listing the valid names.
+	Battery string `json:"battery,omitempty"`
 	// Oracle feeds pUBS the true actual requirements (Table 2, grid).
-	Oracle bool
+	Oracle bool `json:"oracle,omitempty"`
 	// CCEDF selects ccEDF instead of laEDF for Figure 6 frequency setting.
-	CCEDF bool
+	CCEDF bool `json:"ccedf,omitempty"`
 	// MaxStep forces the uniform-stepping battery simulation path with this
 	// substep in seconds for the curve; 0 selects the analytic fast path. A
-	// NaN, infinite or negative step is refused with ErrBadConfig.
-	MaxStep float64
+	// NaN, infinite or negative step is refused (battery.CheckMaxStep).
+	MaxStep float64 `json:"maxstep,omitempty"`
 	// RunOptions tune parallelism, progress, adaptive stopping and sharding.
 	RunOptions
 }
@@ -102,7 +109,7 @@ func Names() []string {
 }
 
 // PaperExperiments returns the names of the paper's own evaluation artifacts
-// in the paper's order — what "run all" and the legacy -all flag expand to.
+// in the paper's order — what the CLI's "run all" expands to.
 func PaperExperiments() []string { return []string{"table1", "figure6", "table2", "curve"} }
 
 // Lookup resolves an experiment name; unknown names return an error listing
@@ -117,11 +124,13 @@ func Lookup(name string) (Definition, error) {
 }
 
 // Check is the one decision whether d may run spec, which Run, the daemon's
-// admission and the CLI's run and submit all call before anything runs or
-// is sent. A TargetCI that is NaN, infinite or negative means nothing and is
-// refused (0 disables adaptive set counts), and so are a negative MaxSets (0
-// selects the default cap) and a NaN, infinite or negative MaxStep (0 selects
-// the analytic battery path). sharded says whether the run is
+// admission and journal replay, and the CLI's run and submit all call before
+// anything runs or is sent. A value that means nothing is refused rather than
+// run as a default under a content address of its own: a negative Sets, a
+// Utilization outside (0, 1] other than 0, an unknown Battery, a MaxStep that
+// battery.CheckMaxStep refuses, a TargetCI that is NaN, infinite or negative
+// (0 disables adaptive set counts), a negative MaxSets (0 selects the default
+// cap) and a Shard index outside its count. sharded says whether the run is
 // split: a -shard slice, a daemon's shard unit, or a job a daemon fans out
 // over shards; an unsplit run always may be. The deterministic curve has no
 // sets to split. Adaptive set counts (TargetCI) do not shard either: each
@@ -132,8 +141,20 @@ func (d Definition) Check(spec Spec, sharded bool) error {
 	if sharded && !d.Shardable {
 		return fmt.Errorf("%w: experiment %q is deterministic and does not shard", ErrBadConfig, d.Name)
 	}
-	if math.IsNaN(spec.MaxStep) || math.IsInf(spec.MaxStep, 0) || spec.MaxStep < 0 {
-		return fmt.Errorf("%w: max step %v, want a finite battery substep > 0 in seconds, or 0 for the analytic path", ErrBadConfig, spec.MaxStep)
+	if spec.Sets < 0 {
+		return fmt.Errorf("%w: sets %d, want a set count > 0, or 0 for the default", ErrBadConfig, spec.Sets)
+	}
+	if spec.Utilization != 0 && !validUtilization(spec.Utilization) {
+		return fmt.Errorf("%w: utilization %v, want a worst-case utilisation in (0, 1], or 0 for the default", ErrBadConfig, spec.Utilization)
+	}
+	if _, err := NamedBatteryFactory(spec.Battery); err != nil {
+		return err
+	}
+	if err := battery.CheckMaxStep(spec.MaxStep); err != nil {
+		return fmt.Errorf("%w: %w", ErrBadConfig, err)
+	}
+	if err := spec.Shard.validate(); err != nil {
+		return err
 	}
 	return spec.check(sharded)
 }
@@ -144,9 +165,6 @@ func (d Definition) Check(spec Spec, sharded bool) error {
 func Run(ctx context.Context, name string, spec Spec) (*Report, error) {
 	d, err := Lookup(name)
 	if err != nil {
-		return nil, err
-	}
-	if err := spec.Shard.validate(); err != nil {
 		return nil, err
 	}
 	if err := d.Check(spec, spec.Shard.Enabled()); err != nil {

@@ -28,13 +28,13 @@ func TestShardSliceAndParse(t *testing.T) {
 			}
 		}
 	}
-	for s, want := range map[string]Shard{"": {}, "0/4": {0, 4}, "3/4": {3, 4}} {
+	for s, want := range map[string]Shard{"": {}, "0/4": {0, 4}, "3/4": {3, 4}, "0/0": {}, "0/1": {0, 1}} {
 		got, err := ParseShard(s)
 		if err != nil || got != want {
 			t.Fatalf("ParseShard(%q) = %+v, %v", s, got, err)
 		}
 	}
-	for _, bad := range []string{"4/4", "-1/4", "x/4", "1/x", "1", "1/2/3"} {
+	for _, bad := range []string{"4/4", "-1/4", "x/4", "1/x", "1", "1/2/3", "3/0", "0/-1"} {
 		if _, err := ParseShard(bad); !errors.Is(err, ErrBadConfig) {
 			t.Fatalf("ParseShard(%q) err = %v, want ErrBadConfig", bad, err)
 		}

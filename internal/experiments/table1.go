@@ -6,8 +6,8 @@
 // delivered-capacity battery characterisation curve, and a scenario-grid
 // sweep (utilisation × battery model × scheme) beyond the paper. Every
 // experiment is seeded and deterministic, has a "quick" variant used by the
-// benchmark harness, and renders to plain-text tables via the Format*
-// helpers.
+// benchmark harness, and renders to plain-text tables through the table its
+// registration names (FormatReport).
 //
 // All experiments run on the internal/runner job-grid harness: the
 // (set × scheme × sweep-point) grid is enumerated as independent jobs, each

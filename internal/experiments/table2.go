@@ -27,23 +27,18 @@ func defaultProcessor() *processor.Model { return processor.Default() }
 // stateful, so each simulation needs its own).
 type BatteryFactory func() battery.Model
 
-// NamedBatteryFactory returns the factory for a registered battery model name
+// NamedBatteryFactory returns the factory registered for a battery model name
 // ("" selects "stochastic", the paper's choice). Unknown names return the
 // registry error listing every valid name.
 func NamedBatteryFactory(name string) (BatteryFactory, error) {
 	if name == "" {
 		name = "stochastic"
 	}
-	if _, err := battery.New(name); err != nil {
+	f, err := battery.Factory(name)
+	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadConfig, err)
 	}
-	return func() battery.Model {
-		m, err := battery.New(name)
-		if err != nil {
-			panic(err) // unreachable: the name was validated above
-		}
-		return m
-	}, nil
+	return f, nil
 }
 
 // resolveBatteryFactories resolves a list of battery model names, failing on

@@ -34,7 +34,7 @@ func TestCoordinatorDrainFinishesLeasedOnly(t *testing.T) {
 	}
 	defer co1.Close()
 	waitFor(t, "worker live", func() bool { return co1.Health().Fleet.LiveWorkers == 1 })
-	a, err := co1.Submit(service.JobRequest{Experiment: "table2", Spec: service.SpecRequestFrom(specA)})
+	a, err := co1.Submit(service.JobRequest{Experiment: "table2", Spec: service.SpecRequest(specA)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +42,7 @@ func TestCoordinatorDrainFinishesLeasedOnly(t *testing.T) {
 		st, err := co1.Job(a.ID)
 		return err == nil && st.State == service.StateRunning
 	})
-	b, err := co1.Submit(service.JobRequest{Experiment: "table2", Spec: service.SpecRequestFrom(specB)})
+	b, err := co1.Submit(service.JobRequest{Experiment: "table2", Spec: service.SpecRequest(specB)})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -141,7 +141,7 @@ func TestFederatedJobSurvivesWorkerDeath(t *testing.T) {
 
 	ctx := context.Background()
 	st, err := c.Submit(ctx, service.JobRequest{
-		Experiment: "table2", Spec: service.SpecRequestFrom(spec), Shards: 4,
+		Experiment: "table2", Spec: service.SpecRequest(spec), Shards: 4,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -209,7 +209,7 @@ func TestCoordinatorRestartResumesFromJournal(t *testing.T) {
 		t.Fatal(err)
 	}
 	st, err := co1.Submit(service.JobRequest{
-		Experiment: "table2", Spec: service.SpecRequestFrom(spec), Shards: 2,
+		Experiment: "table2", Spec: service.SpecRequest(spec), Shards: 2,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -383,7 +383,7 @@ func TestHealthyFleetDispatchesEachUnitOnce(t *testing.T) {
 
 	ctx := context.Background()
 	st, err := c.Submit(ctx, service.JobRequest{
-		Experiment: "table2", Spec: service.SpecRequestFrom(spec), Shards: 2,
+		Experiment: "table2", Spec: service.SpecRequest(spec), Shards: 2,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -473,7 +473,7 @@ func TestLateDeliveryFromExpiredLeaseWins(t *testing.T) {
 
 	ctx := context.Background()
 	st, err := c.Submit(ctx, service.JobRequest{
-		Experiment: "table2", Spec: service.SpecRequestFrom(spec), Shards: 2,
+		Experiment: "table2", Spec: service.SpecRequest(spec), Shards: 2,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -549,7 +549,7 @@ func TestUnshardedProxyAndCache(t *testing.T) {
 	_, c := startCoordinator(t, fastConfig(tsW.URL))
 
 	ctx := context.Background()
-	req := service.JobRequest{Experiment: "table2", Spec: service.SpecRequestFrom(spec)}
+	req := service.JobRequest{Experiment: "table2", Spec: service.SpecRequest(spec)}
 	st, err := c.Submit(ctx, req)
 	if err != nil {
 		t.Fatal(err)
@@ -652,7 +652,7 @@ func TestEvictedUnitReportRedispatched(t *testing.T) {
 	waitFor(t, "the worker live", func() bool { return co.Health().Fleet.LiveWorkers == 1 })
 	spec := experiments.Spec{Quick: true, Battery: "kibam"}
 	ctx := context.Background()
-	st, err := c.Submit(ctx, service.JobRequest{Experiment: "table2", Spec: service.SpecRequestFrom(spec), Shards: 2})
+	st, err := c.Submit(ctx, service.JobRequest{Experiment: "table2", Spec: service.SpecRequest(spec), Shards: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -695,7 +695,7 @@ func TestMemoryOnlyCoordinatorKeepsReports(t *testing.T) {
 	var specs []experiments.Spec
 	for seed := range int64(3) {
 		spec := experiments.Spec{Quick: true, Battery: "kibam", Seed: seed + 1}
-		st, err := c.Submit(ctx, service.JobRequest{Experiment: "table2", Spec: service.SpecRequestFrom(spec), Shards: 2})
+		st, err := c.Submit(ctx, service.JobRequest{Experiment: "table2", Spec: service.SpecRequest(spec), Shards: 2})
 		if err != nil {
 			t.Fatal(err)
 		}

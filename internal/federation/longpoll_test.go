@@ -69,7 +69,7 @@ func TestUnitDeliveredWhenWorkerFinishes(t *testing.T) {
 	spec := experiments.Spec{Quick: true, Battery: "kibam"}
 	start := time.Now()
 	st, err := c.Submit(ctx, service.JobRequest{
-		Experiment: "table2", Spec: service.SpecRequestFrom(spec), Shards: 2,
+		Experiment: "table2", Spec: service.SpecRequest(spec), Shards: 2,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -388,7 +388,7 @@ func TestOutOfOrderShardsMergeInShardOrder(t *testing.T) {
 				t.Cleanup(f.release)
 				c := client.New(f.url)
 				st, err := c.Submit(ctx, service.JobRequest{
-					Experiment: name, Spec: service.SpecRequestFrom(spec), Shards: shards,
+					Experiment: name, Spec: service.SpecRequest(spec), Shards: shards,
 				})
 				if err != nil {
 					t.Fatal(err)

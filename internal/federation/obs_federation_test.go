@@ -78,7 +78,7 @@ func TestFleetHealthMatchesMetrics(t *testing.T) {
 	})
 
 	spec := experiments.Spec{Quick: true, Battery: "kibam"}
-	req := service.JobRequest{Experiment: "table2", Spec: service.SpecRequestFrom(spec), Shards: 2}
+	req := service.JobRequest{Experiment: "table2", Spec: service.SpecRequest(spec), Shards: 2}
 	ctx := context.Background()
 	st, err := c.Submit(ctx, req)
 	if err != nil {
@@ -162,7 +162,7 @@ func TestFederatedTraceRoundTrip(t *testing.T) {
 	const trace = "cafe0123cafe0123cafe0123cafe0123"
 	req := service.JobRequest{
 		Experiment: "table2",
-		Spec:       service.SpecRequestFrom(experiments.Spec{Quick: true, Battery: "kibam"}),
+		Spec:       service.SpecRequest(experiments.Spec{Quick: true, Battery: "kibam"}),
 		TraceID:    trace,
 		Shards:     4,
 	}

@@ -15,70 +15,16 @@ const (
 	StateFailed  = "failed"
 )
 
-// SpecRequest is the JSON wire form of an experiment Spec: exactly the
-// output-determining fields of experiments.Spec (the canonical-hash fields),
-// without the execution-only knobs the daemon owns (worker-pool size,
-// progress callbacks, shard selection — sharding is requested per job via
-// JobRequest.Shards and fanned out server-side).
-type SpecRequest struct {
-	// Quick selects the reduced (benchmark) configuration.
-	Quick bool `json:"quick,omitempty"`
-	// Seed overrides the experiment seed; 0 keeps the default (1).
-	Seed int64 `json:"seed,omitempty"`
-	// Sets overrides the per-row set/graph count; 0 keeps the default.
-	Sets int `json:"sets,omitempty"`
-	// Utilization overrides the worst-case utilisation; 0 keeps the default.
-	Utilization float64 `json:"utilization,omitempty"`
-	// Battery selects the battery model by registry name; "" keeps each
-	// driver's default.
-	Battery string `json:"battery,omitempty"`
-	// Oracle feeds pUBS the true actual requirements (table2, grid).
-	Oracle bool `json:"oracle,omitempty"`
-	// CCEDF selects ccEDF instead of laEDF for Figure 6 frequency setting.
-	CCEDF bool `json:"ccedf,omitempty"`
-	// MaxStep forces uniform-stepping battery simulation for the curve; 0
-	// selects the analytic fast path.
-	MaxStep float64 `json:"maxstep,omitempty"`
-	// TargetCI enables adaptive set counts (see experiments.RunOptions).
-	TargetCI float64 `json:"target_ci,omitempty"`
-	// MaxSets caps adaptively grown set counts (only with TargetCI).
-	MaxSets int `json:"max_sets,omitempty"`
-}
+// SpecRequest is the JSON wire form of an experiment Spec: the Spec itself,
+// whose JSON tags name exactly its output-determining fields (the
+// canonical-hash fields). The execution-only knobs the daemon owns
+// (worker-pool size, progress callbacks, shard selection — sharding is
+// requested per job via JobRequest.Shards and fanned out server-side) have
+// no wire name, and admission clears them.
+type SpecRequest experiments.Spec
 
 // Spec converts the wire form into the experiment Spec the registry runs.
-func (r SpecRequest) Spec() experiments.Spec {
-	return experiments.Spec{
-		Quick:       r.Quick,
-		Seed:        r.Seed,
-		Sets:        r.Sets,
-		Utilization: r.Utilization,
-		Battery:     r.Battery,
-		Oracle:      r.Oracle,
-		CCEDF:       r.CCEDF,
-		MaxStep:     r.MaxStep,
-		RunOptions: experiments.RunOptions{
-			TargetCI: r.TargetCI,
-			MaxSets:  r.MaxSets,
-		},
-	}
-}
-
-// SpecRequestFrom converts an experiment Spec into its wire form, dropping
-// the execution-only knobs (Parallel, Progress, Shard) the daemon owns.
-func SpecRequestFrom(spec experiments.Spec) SpecRequest {
-	return SpecRequest{
-		Quick:       spec.Quick,
-		Seed:        spec.Seed,
-		Sets:        spec.Sets,
-		Utilization: spec.Utilization,
-		Battery:     spec.Battery,
-		Oracle:      spec.Oracle,
-		CCEDF:       spec.CCEDF,
-		MaxStep:     spec.MaxStep,
-		TargetCI:    spec.TargetCI,
-		MaxSets:     spec.MaxSets,
-	}
-}
+func (r SpecRequest) Spec() experiments.Spec { return experiments.Spec(r) }
 
 // JobRequest is the POST /v1/jobs payload: one registered experiment, its
 // spec, and the number of shards to fan the run out over.

@@ -39,7 +39,7 @@ func TestReportsReadFromPack(t *testing.T) {
 	var specs []experiments.Spec
 	for i := range 5 {
 		spec := experiments.Spec{Quick: true, Battery: "kibam", Seed: int64(i + 1)}
-		st := submitAndWait(t, c, service.JobRequest{Experiment: "table2", Spec: service.SpecRequestFrom(spec), Shards: 2 * (i % 2)})
+		st := submitAndWait(t, c, service.JobRequest{Experiment: "table2", Spec: service.SpecRequest(spec), Shards: 2 * (i % 2)})
 		ids = append(ids, st.ID)
 		specs = append(specs, spec)
 	}
@@ -129,14 +129,14 @@ func TestCacheHoldsAtLeastWorkers(t *testing.T) {
 // negative target answers 400 and admits nothing, and a journaled job with
 // one (accepted by an older daemon) replays as failed instead of running.
 func TestMeaninglessTargetCIRefused(t *testing.T) {
-	checkSpecRefused(t, service.SpecRequest{Quick: true, Battery: "kibam", TargetCI: -1}, "target CI")
+	checkSpecRefused(t, "table2", service.SpecRequest{Quick: true, Battery: "kibam", RunOptions: experiments.RunOptions{TargetCI: -1}}, "target CI")
 }
 
 // TestNegativeMaxSetsRefused pins the MaxSets rule at admission the same
 // way: a negative cap answers 400, and a journaled job with one replays as
 // failed.
 func TestNegativeMaxSetsRefused(t *testing.T) {
-	checkSpecRefused(t, service.SpecRequest{Quick: true, Battery: "kibam", TargetCI: 0.2, MaxSets: -1}, "max sets")
+	checkSpecRefused(t, "table2", service.SpecRequest{Quick: true, Battery: "kibam", RunOptions: experiments.RunOptions{TargetCI: 0.2, MaxSets: -1}}, "max sets")
 }
 
 // TestMeaninglessMaxStepRefused pins the MaxStep rule at admission the same
@@ -144,14 +144,34 @@ func TestNegativeMaxSetsRefused(t *testing.T) {
 // replays as failed. It once ran the analytic path, as 0 does, under an
 // address of its own.
 func TestMeaninglessMaxStepRefused(t *testing.T) {
-	checkSpecRefused(t, service.SpecRequest{Quick: true, Battery: "kibam", MaxStep: -1}, "max step")
+	checkSpecRefused(t, "table2", service.SpecRequest{Quick: true, Battery: "kibam", MaxStep: -1}, "max step")
 }
 
-// checkSpecRefused journals a table2 job with spec, as an older daemon that
-// accepted it would have, and starts a daemon on that journal. It fails
+// TestMeaninglessSpecValuesRefused pins the remaining spec rules at
+// admission the same way. A negative set count and a utilisation outside
+// (0, 1] once ran as each driver's default under an address of their own;
+// the grid ignores the utilisation, so it once accepted 1.5. An unknown
+// battery is refused for table1 too, which evaluates none.
+func TestMeaninglessSpecValuesRefused(t *testing.T) {
+	for _, tc := range []struct {
+		name, experiment string
+		spec             service.SpecRequest
+		what             string
+	}{
+		{"negative sets", "table2", service.SpecRequest{Quick: true, Battery: "kibam", Sets: -1}, "sets"},
+		{"negative utilization", "table2", service.SpecRequest{Quick: true, Battery: "kibam", Utilization: -1}, "utilization"},
+		{"utilization above 1", "grid", service.SpecRequest{Quick: true, Battery: "kibam", Utilization: 1.5}, "utilization"},
+		{"unknown battery", "table1", service.SpecRequest{Quick: true, Battery: "bogus"}, "unknown model"},
+	} {
+		t.Run(tc.name, func(t *testing.T) { checkSpecRefused(t, tc.experiment, tc.spec, tc.what) })
+	}
+}
+
+// checkSpecRefused journals an experiment job with spec, as an older daemon
+// that accepted it would have, and starts a daemon on that journal. It fails
 // unless the replayed job is failed with an error naming what, and a fresh
 // Submit of spec answers HTTP 400 naming what and admits nothing.
-func checkSpecRefused(t *testing.T, spec service.SpecRequest, what string) {
+func checkSpecRefused(t *testing.T, experiment string, spec service.SpecRequest, what string) {
 	t.Helper()
 	dir := t.TempDir()
 	jr, _, err := journal.Open(filepath.Join(dir, "journal.jsonl"), false)
@@ -162,7 +182,7 @@ func checkSpecRefused(t *testing.T, spec service.SpecRequest, what string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := jr.Accept(journal.Accept{ID: "job-000001", Experiment: "table2", Spec: raw}); err != nil {
+	if err := jr.Accept(journal.Accept{ID: "job-000001", Experiment: experiment, Spec: raw}); err != nil {
 		t.Fatal(err)
 	}
 	if err := jr.Close(); err != nil {
@@ -178,7 +198,7 @@ func checkSpecRefused(t *testing.T, spec service.SpecRequest, what string) {
 		t.Fatalf("replayed job with spec %s = %s (%q), want failed on its %s", raw, st.State, st.Error, what)
 	}
 	jobs := srv.Health().Jobs
-	_, err = c.Submit(context.Background(), service.JobRequest{Experiment: "table2", Spec: spec})
+	_, err = c.Submit(context.Background(), service.JobRequest{Experiment: experiment, Spec: spec})
 	var ae *client.APIError
 	if !errors.As(err, &ae) || ae.Status != http.StatusBadRequest || !strings.Contains(ae.Message, what) {
 		t.Fatalf("Submit with spec %s = %v, want HTTP 400 on its %s", raw, err, what)

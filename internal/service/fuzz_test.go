@@ -29,6 +29,13 @@ func FuzzJobRequest(f *testing.F) {
 	// A negative battery substep, which check refuses: it once ran the
 	// analytic path, as 0 does, under an address of its own.
 	f.Add([]byte(`{"experiment":"curve","spec":{"quick":true,"maxstep":-1}}`))
+	// A negative set count and a negative utilisation, which check refuses:
+	// each once ran as the driver's default under an address of its own.
+	f.Add([]byte(`{"experiment":"table2","spec":{"quick":true,"sets":-1}}`))
+	f.Add([]byte(`{"experiment":"table2","spec":{"quick":true,"utilization":-1}}`))
+	// An unknown battery for an experiment that evaluates none, which check
+	// refuses as it does for every experiment.
+	f.Add([]byte(`{"experiment":"table1","spec":{"quick":true,"battery":"bogus"}}`))
 	// A second value and garbage after the first: the decoder once ran the
 	// first value alone.
 	f.Add([]byte(`{"experiment":"table2","spec":{"quick":true}} {"experiment":"grid","shards":99999} trailing garbage`))

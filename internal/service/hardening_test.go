@@ -87,7 +87,7 @@ func TestCoalescedSubmissionsExecuteOnce(t *testing.T) {
 	defer srv.Close()
 
 	spec := experiments.Spec{Quick: true, Battery: "kibam"}
-	req := service.JobRequest{Experiment: "table2", Spec: service.SpecRequestFrom(spec)}
+	req := service.JobRequest{Experiment: "table2", Spec: service.SpecRequest(spec)}
 	var wg sync.WaitGroup
 	ids := make([]string, n)
 	coalesced := make([]bool, n)
@@ -157,11 +157,11 @@ func TestJournalKillRestartResumes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := srv1.Submit(service.JobRequest{Experiment: "table2", Spec: service.SpecRequestFrom(specA), Shards: 2})
+	a, err := srv1.Submit(service.JobRequest{Experiment: "table2", Spec: service.SpecRequest(specA), Shards: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := srv1.Submit(service.JobRequest{Experiment: "table2", Spec: service.SpecRequestFrom(specB)})
+	b, err := srv1.Submit(service.JobRequest{Experiment: "table2", Spec: service.SpecRequest(specB)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +203,7 @@ func TestJournalKillRestartResumes(t *testing.T) {
 	}
 
 	// New submissions continue the ID sequence past the replayed jobs.
-	c, err := srv2.Submit(service.JobRequest{Experiment: "table2", Spec: service.SpecRequestFrom(specA)})
+	c, err := srv2.Submit(service.JobRequest{Experiment: "table2", Spec: service.SpecRequest(specA)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +229,7 @@ func TestGracefulDrain(t *testing.T) {
 	defer ts.Close()
 
 	specA := experiments.Spec{Quick: true, Battery: "kibam"}
-	a, err := srv.Submit(service.JobRequest{Experiment: "table2", Spec: service.SpecRequestFrom(specA)})
+	a, err := srv.Submit(service.JobRequest{Experiment: "table2", Spec: service.SpecRequest(specA)})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -64,8 +64,8 @@ type Accept struct {
 	ID string `json:"id"`
 	// Experiment is the registry name the job runs.
 	Experiment string `json:"experiment"`
-	// Spec is the job's wire-form spec (service.SpecRequest), kept opaque
-	// here so the journal does not depend on the service package.
+	// Spec is the job's spec in its JSON wire form (experiments.Spec's
+	// tags), kept opaque here so the journal depends on neither package.
 	Spec json.RawMessage `json:"spec,omitempty"`
 	// Shards is the requested shard fan-out (0 or 1 runs unsharded).
 	Shards int `json:"shards,omitempty"`

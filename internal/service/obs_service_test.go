@@ -80,7 +80,7 @@ func TestHealthMatchesMetrics(t *testing.T) {
 	defer ts.Close()
 
 	spec := experiments.Spec{Quick: true, Battery: "kibam"}
-	req := service.JobRequest{Experiment: "table2", Spec: service.SpecRequestFrom(spec)}
+	req := service.JobRequest{Experiment: "table2", Spec: service.SpecRequest(spec)}
 
 	// Leader + coalesced follower while the gate holds the unit.
 	var wg sync.WaitGroup
@@ -174,7 +174,7 @@ func TestServiceTraceEvents(t *testing.T) {
 	const trace = "feedfacefeedfacefeedfacefeedface"
 	req := service.JobRequest{
 		Experiment: "table2",
-		Spec:       service.SpecRequestFrom(experiments.Spec{Quick: true, Battery: "kibam"}),
+		Spec:       service.SpecRequest(experiments.Spec{Quick: true, Battery: "kibam"}),
 		TraceID:    trace,
 		Shards:     2,
 	}
@@ -258,7 +258,7 @@ func TestClientTraceHeader(t *testing.T) {
 
 	st, err := c.Submit(context.Background(), service.JobRequest{
 		Experiment: "table2",
-		Spec:       service.SpecRequestFrom(experiments.Spec{Quick: true, Battery: "kibam"}),
+		Spec:       service.SpecRequest(experiments.Spec{Quick: true, Battery: "kibam"}),
 	})
 	if err != nil {
 		t.Fatal(err)

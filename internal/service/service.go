@@ -193,7 +193,6 @@ type job struct {
 	experiment string
 	trace      string // fleet-wide trace id (obs.TraceHeader)
 	hash       string
-	req        SpecRequest // the wire-form spec, journaled and forwarded to remote workers
 	spec       experiments.Spec
 	state      string
 	cached     bool
@@ -232,7 +231,7 @@ func (u *Unit) Shard() experiments.Shard { return u.shard }
 // Request returns the single-unit job that runs u on another daemon: the
 // job's experiment, wire spec and trace id, with Shard set for a shard unit.
 func (u *Unit) Request() JobRequest {
-	r := JobRequest{Experiment: u.job.experiment, Spec: u.job.req, TraceID: u.job.trace}
+	r := JobRequest{Experiment: u.job.experiment, Spec: SpecRequest(u.job.spec), TraceID: u.job.trace}
 	if u.shard.Enabled() {
 		r.Shard = u.shard.String()
 	}
@@ -490,17 +489,13 @@ func (s *Server) check(req JobRequest) (experiments.Spec, experiments.Shard, str
 		return spec, unitShard, "", fmt.Errorf("%w: shard %q and shards=%d are mutually exclusive",
 			experiments.ErrBadConfig, req.Shard, req.Shards)
 	}
+	// The execution-only knobs have no wire name; clearing them makes an
+	// in-process Submit run what the same request over HTTP runs.
 	spec = req.Spec.Spec()
+	spec.Parallel, spec.Progress, spec.Shard = s.cfg.Parallel, nil, experiments.Shard{}
 	if err := def.Check(spec, req.Shards > 1 || unitShard.Enabled()); err != nil {
 		return spec, unitShard, "", err
 	}
-	if spec.Battery != "" {
-		// Fail a bad battery name at submission instead of asynchronously.
-		if _, err := experiments.NamedBatteryFactory(spec.Battery); err != nil {
-			return spec, unitShard, "", err
-		}
-	}
-	spec.Parallel = s.cfg.Parallel
 	// A shard-unit job is content-addressed by its partial's hash (the
 	// complete run's hash when unsharded), so duplicate dispatches of one
 	// unit dedupe exactly like duplicate complete submissions.
@@ -534,7 +529,7 @@ func checkTraceID(id string) error {
 func newJob(id string, req JobRequest, spec experiments.Spec, hash string, created time.Time) *job {
 	j := &job{
 		id: id, experiment: req.Experiment, trace: req.TraceID, hash: hash,
-		req: req.Spec, spec: spec, created: created, done: make(chan struct{}),
+		spec: spec, created: created, done: make(chan struct{}),
 	}
 	if j.trace == "" {
 		j.trace = obs.NewTraceID()
@@ -713,7 +708,7 @@ func replayRequest(rec journal.Accept) (JobRequest, error) {
 // the job's units forward it to workers, and the shard fan-out it was
 // submitted with.
 func acceptRecord(j *job, shards int, shard string) (journal.Accept, error) {
-	raw, err := json.Marshal(j.req)
+	raw, err := json.Marshal(SpecRequest(j.spec))
 	if err != nil {
 		return journal.Accept{}, err
 	}

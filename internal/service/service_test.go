@@ -73,7 +73,7 @@ func submitAndWait(t *testing.T, c *client.Client, req service.JobRequest) servi
 func TestServedReportByteIdenticalAndCached(t *testing.T) {
 	spec := experiments.Spec{Quick: true, Battery: "kibam"}
 	want := localArtifact(t, "table2", spec)
-	req := service.JobRequest{Experiment: "table2", Spec: service.SpecRequestFrom(spec)}
+	req := service.JobRequest{Experiment: "table2", Spec: service.SpecRequest(spec)}
 
 	for _, shards := range []int{0, 2} {
 		cfg := service.Config{Workers: 2}
@@ -256,7 +256,7 @@ func TestSubmitValidation(t *testing.T) {
 func TestAdaptiveJobMatchesLocalRun(t *testing.T) {
 	_, c := startDaemon(t, service.Config{Workers: 2})
 	spec := experiments.Spec{Quick: true, Battery: "kibam", RunOptions: experiments.RunOptions{TargetCI: 0.2}}
-	req := service.JobRequest{Experiment: "table2", Spec: service.SpecRequestFrom(spec), Shards: 2}
+	req := service.JobRequest{Experiment: "table2", Spec: service.SpecRequest(spec), Shards: 2}
 	var ae *client.APIError
 	if _, err := c.Submit(context.Background(), req); !errors.As(err, &ae) || ae.Status != 400 {
 		t.Fatalf("sharded adaptive submit err = %v, want HTTP 400", err)
@@ -351,7 +351,7 @@ func TestQueueBoundAndUnfinishedReport(t *testing.T) {
 func TestEmptyShardJobFinishes(t *testing.T) {
 	_, c := startDaemon(t, service.Config{Workers: 2})
 	spec := experiments.Spec{Quick: true}
-	st := submitAndWait(t, c, service.JobRequest{Experiment: "figure6", Spec: service.SpecRequestFrom(spec), Shards: 4})
+	st := submitAndWait(t, c, service.JobRequest{Experiment: "figure6", Spec: service.SpecRequest(spec), Shards: 4})
 	if st.State != service.StateDone {
 		t.Fatalf("job state = %s: %s", st.State, st.Error)
 	}

@@ -33,7 +33,7 @@ func TestShardUnitJob(t *testing.T) {
 	_, c := startDaemon(t, service.Config{Workers: 2})
 	req := service.JobRequest{
 		Experiment: "table2",
-		Spec:       service.SpecRequestFrom(spec),
+		Spec:       service.SpecRequest(spec),
 		Shard:      "1/3",
 	}
 	st := submitAndWait(t, c, req)
@@ -93,7 +93,7 @@ func TestShardUnitValidation(t *testing.T) {
 		{"out-of-range", service.JobRequest{Experiment: "table2", Shard: "3/3"}, "shard"},
 		{"mixed", service.JobRequest{Experiment: "table2", Shard: "0/2", Shards: 2}, "mutually exclusive"},
 		{"deterministic", service.JobRequest{Experiment: "curve", Shard: "0/2"}, "does not shard"},
-		{"adaptive", service.JobRequest{Experiment: "table2", Spec: service.SpecRequest{TargetCI: 0.2}, Shard: "0/2"}, "does not shard"},
+		{"adaptive", service.JobRequest{Experiment: "table2", Spec: service.SpecRequest{RunOptions: experiments.RunOptions{TargetCI: 0.2}}, Shard: "0/2"}, "does not shard"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
